@@ -22,7 +22,7 @@ from .model import (AugmentedDisturbance, Box, IossCertificate, LtiSystem,
                     find_certificate, validate_system, verify_ioss_lmi,
                     w_delta)
 from .solver import (KERNEL_BACKEND, SolveReport, contraction_rate,
-                     project_box, solve_fixed_iters, solve_oracle)
+                     solve_fixed_iters, solve_oracle)
 from .config import ConfigDocument, load_config
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "compute_weight", "contraction_rate", "estimate_closed_loop_gain",
     "estimate_lipschitz", "evaluate", "extract_estimate", "find_certificate",
     "gain_slopes", "ledger_at", "lipschitz_probe", "load_config",
-    "min_iterations", "monitor_step", "project_box", "residual_sigma",
+    "min_iterations", "monitor_step", "residual_sigma",
     "run_closed_loop", "sample_disturbance", "sample_disturbance_arrays",
     "shift_window", "sigma_lift",
     "small_gain_check", "solve_fixed_iters", "solve_oracle",

@@ -151,6 +151,14 @@ def compute_rho(eta, M):
     return rho
 
 
+def recursion_constants(phi, L_phi, L_pi, norm_C, M):
+    """(C1, C2, C3) of the one-step sub-optimality error recursion."""
+    c1 = 2.0 * phi * L_phi * (1.0 + M * (norm_C + L_pi))
+    c2 = 2.0 * phi * L_phi * (1.0 + M * L_pi)
+    c3 = 2.0 * phi * L_phi * M
+    return c1, c2, c3
+
+
 def budget_constants(K, params):
     """Literal evaluation of the six iteration-count constants."""
     rho = compute_rho(params.eta, params.M)
@@ -158,9 +166,7 @@ def budget_constants(K, params):
     L_phi, L_pi, M = params.L_phi, params.L_pi, params.M
     sq = math.sqrt
     sqrt_rho = sq(rho)
-    c1 = 2.0 * phi * L_phi * (1.0 + M * (params.norm_C + L_pi))
-    c2 = 2.0 * phi * L_phi * (1.0 + M * L_pi)
-    c3 = 2.0 * phi * L_phi * M
+    c1, c2, c3 = recursion_constants(phi, L_phi, L_pi, params.norm_C, M)
     pref = sq(3.0 * params.lam_PP * params.lam_HP) * phi * L_phi
     tail_sum = sum(sqrt_rho ** (-1 - i) for i in range(1, M))  # empty for M = 1
     c_e = (2.0 * pref * (sqrt_rho ** (-M) + L_pi / sqrt_rho)

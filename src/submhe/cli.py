@@ -200,8 +200,8 @@ def cmd_verify(args):
     check("dissipation-inequality", dissipation)
 
     from .mhe import build_problem
-    from .solver import contraction_rate, solve_fixed_iters, solve_oracle
-    from ._pgd_fallback import run_pgd as pgd_py
+    from .solver import (contraction_rate, run_pgd, solve_fixed_iters,
+                         solve_oracle)
 
     M = doc.mhe["M"]
 
@@ -243,8 +243,8 @@ def cmd_verify(args):
         z_star = solve_oracle(prob, tol=1e-11)
         s, c = prob.reduced_gradient_terms()
         alpha = contraction_rate(prob)[0]
-        v_pg = pgd_py(s, c, prob.lower, prob.upper,
-                      np.zeros(prob.dim_v), alpha, 200000)
+        v_pg = run_pgd(s, c, prob.lower, prob.upper,
+                       np.zeros(prob.dim_v), alpha, 200000)
         if np.linalg.norm(v_pg - z_star.v) > 1e-7:
             raise SubmheError(
                 f"oracle and long-run PGD disagree by "

@@ -328,10 +328,8 @@ def run_closed_loop(cfg):
     c1 = c2 = c3 = None
     if cfg.L_phi is not None and cfg.L_pi is not None and K > 0:
         from .linalg import spectral_norm
-        norm_c = spectral_norm(sys.C)
-        c1 = 2.0 * phi * cfg.L_phi * (1.0 + M * (norm_c + cfg.L_pi))
-        c2 = 2.0 * phi * cfg.L_phi * (1.0 + M * cfg.L_pi)
-        c3 = 2.0 * phi * cfg.L_phi * M
+        c1, c2, c3 = analysis.recursion_constants(
+            phi, cfg.L_phi, cfg.L_pi, spectral_norm(sys.C), M)
     bundle = MonitorBundle(phi=phi, L_phi=cfg.L_phi, C1=c1, C2=c2, C3=c3,
                            bar_H=bar_h, eta=eta, ledger=ledger,
                            rel_tol=cfg.monitor_rel_tol)
@@ -404,17 +402,11 @@ def run_closed_loop(cfg):
         u = evaluate(cfg.law, xhat)
 
         n_x, n_w = sys.n_x, sys.n_w
-        what_ok = True
-        yhat_ok = True
-        for j in range(m_eff):
-            block = z_k[n_x + j * (n_w + sys.n_y): n_x + j * (n_w + sys.n_y) + n_w]
-            if not (sys.w1_box.contains(block[:n_x], atol=1e-12)
-                    and sys.w2_box.contains(block[n_x:], atol=1e-12)):
-                what_ok = False
-            yblk = z_k[n_x + j * (n_w + sys.n_y) + n_w:
-                       n_x + (j + 1) * (n_w + sys.n_y)]
-            if not sys.y_box.contains(yblk, atol=1e-9):
-                yhat_ok = False
+        slots = problem.window_slots(z_k)
+        what_ok = all(sys.w1_box.contains(slot[:n_x], atol=1e-12)
+                      and sys.w2_box.contains(slot[n_x:n_w], atol=1e-12)
+                      for slot in slots)
+        yhat_ok = all(sys.y_box.contains(slot[n_w:], atol=1e-9) for slot in slots)
         xhat_ok = all(sys.x_box.contains(s, atol=1e-9) for s in states)
 
         row = LogRow(t=t, x=x.copy(), y=y.copy(), u=u.copy(), xhat=xhat.copy(),

@@ -67,6 +67,19 @@ class MheProblem:
     def lift(self, v):
         return self.lift_matrix @ np.asarray(v, dtype=float) + self.lift_offset
 
+    def window_slots(self, z):
+        """View of z's window slots as an (m_eff, n_w + n_y) array.
+
+        Row j is slot j (oldest first): the disturbance what_j in its first
+        n_w entries, the output yhat_j in the remaining n_y.
+        """
+        z = np.asarray(z, dtype=float)
+        if z.shape[0] != self.dim_z:
+            raise DimensionMismatch(
+                f"z has length {z.shape[0]}, expected {self.dim_z}")
+        n_x, n_y = self.sys.n_x, self.sys.n_y
+        return z[n_x:].reshape(self.m_eff, window_slot_width(n_x, n_y))
+
     def select_v(self, z):
         """Read the free coordinates (initial state + disturbance blocks) off z.
 
@@ -75,16 +88,8 @@ class MheProblem:
         z are discarded (the lift reconstructs them).
         """
         z = np.asarray(z, dtype=float)
-        if z.shape[0] != self.dim_z:
-            raise DimensionMismatch(
-                f"z has length {z.shape[0]}, expected {self.dim_z}")
-        n_x, n_w, n_y = self.sys.n_x, self.sys.n_w, self.sys.n_y
-        parts = [z[:n_x]]
-        off = n_x
-        for _ in range(self.m_eff):
-            parts.append(z[off:off + n_w])
-            off += n_w + n_y
-        return np.concatenate(parts)
+        slots = self.window_slots(z)
+        return np.concatenate([z[:self.sys.n_x], slots[:, :self.sys.n_w].ravel()])
 
     def reduced_hessian(self):
         return 2.0 * self.lift_matrix.T @ self.weight @ self.lift_matrix
@@ -92,7 +97,7 @@ class MheProblem:
     def reduced_gradient_terms(self):
         """(S, c) with grad f(v) = S v + c for f = ||Psi v + psi - ref||^2_H."""
         psi = self.lift_matrix
-        s = 2.0 * psi.T @ self.weight @ psi
+        s = self.reduced_hessian()
         c = 2.0 * psi.T @ self.weight @ (self.lift_offset - self.reference)
         return s, c
 
@@ -189,7 +194,8 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t):
 
 def window_slot_width(n_x, n_y):
     """Width of one (disturbance, output) window slot in the decision vector."""
-    return (n_x + n_y) + n_y
+    n_w = n_x + n_y
+    return n_w + n_y
 
 
 def expected_dim_z(n_x, n_y, M, t):
@@ -254,15 +260,11 @@ def extract_estimate(problem, z):
     """
     sys = problem.sys
     z = np.asarray(z, dtype=float)
-    if z.shape[0] != problem.dim_z:
-        raise DimensionMismatch(
-            f"z has length {z.shape[0]}, expected {problem.dim_z}")
-    v = problem.select_v(z)
-    n_x, n_w = sys.n_x, sys.n_w
-    states = np.zeros((problem.m_eff + 1, n_x))
-    states[0] = v[:n_x]
+    slots = problem.window_slots(z)
+    states = np.zeros((problem.m_eff + 1, sys.n_x))
+    states[0] = z[:sys.n_x]
     for j in range(problem.m_eff):
-        w1 = v[n_x + j * n_w: n_x + j * n_w + n_x]
+        w1 = slots[j, :sys.n_x]
         states[j + 1] = sys.A @ states[j] + sys.B @ problem.u_window[j] + w1
     return states
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import BACKEND, run_pgd
 from .errors import DegenerateHessian, MaxCyclesExceeded, NonfiniteIterate
 from .mhe import CondensedPoint
 
-KERNEL_BACKEND = BACKEND
+KERNEL_BACKEND = "python"  # the sidecar's solver_backend; run_pgd is the one kernel
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,23 @@ class SolveReport:
     history: np.ndarray | None = None  # free-coordinate iterates, recorded runs only
 
 
-def project_box(v, lower, upper):
-    """Componentwise clamp onto the intervals; identity on infinite sides."""
-    return np.clip(np.asarray(v, dtype=float), lower, upper)
+def run_pgd(s, g, lo, hi, v0, alpha, iters, history=None):
+    """Iterate v <- clip(v - alpha * (S v + g), lo, hi) exactly `iters` times.
+
+    v0 is not modified. If `history` (shape (iters + 1, n)) is given, row k
+    receives the k-th iterate, starting with v0.
+    """
+    v = np.array(v0, dtype=float)
+    if history is not None:
+        history[0] = v
+    for k in range(int(iters)):
+        v = np.clip(v - alpha * (s @ v + g), lo, hi)
+        if history is not None:
+            history[k + 1] = v
+    return v
 
 
-def _eigen_extremes(problem):
-    s = problem.reduced_hessian()
+def _eigen_extremes(s):
     w = np.linalg.eigvalsh(0.5 * (s + s.T))
     mu, lip = float(w[0]), float(w[-1])
     if mu <= 0.0 or not np.isfinite(lip):
@@ -53,7 +62,7 @@ def contraction_rate(problem):
     faster constant step 2/(L+mu), whose true rate q/(2-q) beats q, so the
     q^K budget always holds with margin.
     """
-    mu, lip = _eigen_extremes(problem)
+    mu, lip = _eigen_extremes(problem.reduced_hessian())
     return 1.0 / lip, 1.0 - mu / lip
 
 
@@ -71,28 +80,22 @@ def solve_fixed_iters(problem, z0, K, record=False):
     K = 0 returns the box projection of the warm start. With record=True the
     per-iteration costs and free-coordinate iterates are kept.
     """
-    mu, lip = _eigen_extremes(problem)
+    s, c = problem.reduced_gradient_terms()
+    mu, lip = _eigen_extremes(s)
     q = 1.0 - mu / lip
     step = 2.0 / (lip + mu)
-    s, c = problem.reduced_gradient_terms()
     v0 = _as_v(problem, z0)
     lo, hi = problem.lower, problem.upper
     K = int(K)
     costs = None
     history = None
     if K == 0:
-        v = project_box(v0, lo, hi)
-    elif record:
-        hist = np.empty((K + 1, v0.shape[0]))
-        hist[0] = v0
-        v = v0.copy()
-        for k in range(K):
-            v = np.clip(v - step * (s @ v + c), lo, hi)
-            hist[k + 1] = v
-        history = hist
-        costs = np.array([problem.cost(problem.lift(h)) for h in hist])
+        v = np.clip(v0, lo, hi)
     else:
-        v = run_pgd(s, c, lo, hi, v0, step, K)
+        history = np.empty((K + 1, v0.shape[0])) if record else None
+        v = run_pgd(s, c, lo, hi, v0, step, K, history)
+        if record:
+            costs = np.array([problem.cost(problem.lift(h)) for h in history])
     if not np.all(np.isfinite(v)):
         raise NonfiniteIterate("projected-gradient iterate overflowed; "
                                "check problem conditioning")

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import CONFIG_DIR, random_certified_setup, random_problem
 
-from submhe._kernel import run_pgd
 from submhe.analysis import (build_params, compute_rho, min_iterations,
                              minimal_contracting_horizon, small_gain_check)
 from submhe.analysis import AnalysisParams
@@ -20,7 +19,8 @@ from submhe.errors import ContractionViolated
 from submhe.harness import lipschitz_probe, run_closed_loop
 from submhe.mhe import expected_dim_z, sigma_lift
 from submhe.model import verify_ioss_lmi, w_delta
-from submhe.solver import contraction_rate, solve_fixed_iters, solve_oracle
+from submhe.solver import (contraction_rate, run_pgd, solve_fixed_iters,
+                           solve_oracle)
 
 
 def _report(n, text):

@@ -4,13 +4,12 @@ import pytest
 from conftest import (make_system, random_certified_setup, random_problem,
                       simple_certificate)
 
-from submhe._kernel import run_pgd
 from submhe.errors import (DegenerateHessian, MaxCyclesExceeded,
                            NonfiniteIterate)
 from submhe.mhe import MheProblem, build_problem
 from submhe.model import Box
 from submhe.solver import (attach_distances, contraction_rate, kkt_residual,
-                           project_box, solve_fixed_iters, solve_oracle)
+                           run_pgd, solve_fixed_iters, solve_oracle)
 
 
 def plain_problem(weight, reference, lower=None, upper=None):
@@ -29,27 +28,28 @@ def plain_problem(weight, reference, lower=None, upper=None):
 
 
 class TestProjectBox:
+    """Box.project: the interval clamp of the controller and Lipschitz probe."""
+
     def test_identity_inside(self):
         v = np.array([0.05, -0.02])
-        out = project_box(v, np.array([-0.1, -0.1]), np.array([0.1, 0.1]))
+        out = Box(np.array([-0.1, -0.1]), np.array([0.1, 0.1])).project(v)
         assert np.array_equal(out, v)
 
     def test_clamps(self):
-        assert project_box(np.array([0.3]), np.array([-0.1]),
-                           np.array([0.1]))[0] == 0.1
+        assert Box(np.array([-0.1]), np.array([0.1])).project(
+            np.array([0.3]))[0] == 0.1
 
     def test_unbounded_sides(self):
         v = np.array([1e12, -1e12])
-        out = project_box(v, np.array([-np.inf, -np.inf]),
-                          np.array([np.inf, np.inf]))
+        out = Box.unbounded(2).project(v)
         assert np.array_equal(out, v)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        lo, hi = -rng.random(5), rng.random(5)
+        box = Box(-rng.random(5), rng.random(5))
         v = rng.standard_normal(5) * 3
-        once = project_box(v, lo, hi)
-        assert np.array_equal(project_box(once, lo, hi), once)
+        once = box.project(v)
+        assert np.array_equal(box.project(once), once)
 
 
 class TestContractionRate:
@@ -156,6 +156,24 @@ class TestSolveFixedIters:
         with pytest.raises(NonfiniteIterate):
             solve_fixed_iters(prob, np.zeros(2), 3)
 
+    @pytest.mark.parametrize("K", [0, 1, 5, 40])
+    def test_recording_does_not_change_iterate(self, K):
+        rng = np.random.default_rng(12)
+        sys, cert = random_certified_setup(rng)
+        prob = random_problem(rng, sys, cert)
+        v0 = rng.uniform(-2, 2, size=prob.dim_v)  # possibly outside the box
+        z0 = prob.lift(v0)
+        plain = solve_fixed_iters(prob, z0, K)
+        rec = solve_fixed_iters(prob, z0, K, record=True)
+        assert np.array_equal(rec.point.v, plain.point.v)
+        assert np.array_equal(rec.point.z, plain.point.z)
+        if K == 0:
+            assert rec.history is None
+        else:
+            assert rec.history.shape == (K + 1, prob.dim_v)
+            assert np.array_equal(rec.history[0], prob.select_v(z0))
+            assert np.array_equal(rec.history[-1], rec.point.v)
+
 
 class TestSolveOracle:
     def test_unconstrained_normal_equations(self):
@@ -229,24 +247,7 @@ class TestSolveOracle:
             solve_oracle(prob, max_cycles=0)
 
 
-class TestKernelBackends:
-    def test_backends_agree(self):
-        from submhe import _pgd_fallback
-        try:
-            from submhe import _pgd
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((8, 8))
-        s = m @ m.T / 8 + 0.2 * np.eye(8)
-        g = rng.standard_normal(8)
-        lo, hi = -rng.random(8), rng.random(8)
-        v0 = rng.standard_normal(8)
-        alpha = 1.0 / np.linalg.eigvalsh(s)[-1]
-        a = _pgd.run_pgd(s, g, lo, hi, v0, alpha, 5000)
-        b = _pgd_fallback.run_pgd(s, g, lo, hi, v0, alpha, 5000)
-        assert np.allclose(a, b, atol=1e-12)
-
+class TestRunPgd:
     def test_kernel_does_not_mutate_input(self):
         rng = np.random.default_rng(11)
         s = np.eye(3)
