@@ -11,11 +11,9 @@ compositions reduce exactly to slope products.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ContractionViolated, NotFoundBelowCap
 from .linalg import jacobi_eigh
-from .mhe import compute_weight
+from .mhe import WindowShapes, compute_weight
 
 
 @dataclass(frozen=True)
@@ -294,19 +292,10 @@ def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, phi_base):
 
 
 def worst_case_contraction(sys, cert, M):
-    """Largest per-step contraction base q over the M+1 problem shapes.
+    """Largest per-step contraction base q over the M+1 window shapes.
 
     The lift and weight depend only on (A, C, window length), not on the
     window contents, so the scan is exact.
     """
-    from .mhe import build_problem
-    from .solver import contraction_rate
-
-    worst = 0.0
-    for t in range(M + 1):
-        m_eff = min(M, t)
-        prob = build_problem(sys, cert, np.zeros(sys.n_x),
-                             np.zeros((m_eff, sys.n_u)),
-                             np.zeros((m_eff, sys.n_y)), M, t)
-        worst = max(worst, contraction_rate(prob)[1])
-    return worst
+    shapes = WindowShapes(sys, cert, M)
+    return max(shapes[m_eff].contraction_base for m_eff in range(M + 1))

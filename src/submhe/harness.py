@@ -22,8 +22,9 @@ from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, UnboundedSampleBox)
-from .mhe import (build_problem, extract_estimate, residual_sigma_parts,
-                  shift_window, sigma_lift, sigma_truncate)
+from .mhe import (WindowShapes, build_problem, extract_estimate,
+                  residual_sigma_parts, shift_window, sigma_lift,
+                  sigma_truncate)
 from .model import AugmentedDisturbance, validate_system, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
@@ -335,6 +336,7 @@ def run_closed_loop(cfg):
                            rel_tol=cfg.monitor_rel_tol)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, cfg.w1_box, cfg.w2_box, T)
+    shapes = WindowShapes(sys, cfg.cert, M)
 
     log = TrajectoryLog(config_hash=cfg.config_hash, seed=cfg.seed, M=M, K=K,
                         certified=certified, uncertified_reason=uncertified_reason,
@@ -355,7 +357,8 @@ def run_closed_loop(cfg):
         y = sys.output(x, w2s[t])
         m_eff = min(M, t)
         prior = cfg.x_prior0 if t <= M else filtered[t - M]
-        problem = build_problem(sys, cfg.cert, prior, u_win, y_win, M, t)
+        problem = build_problem(sys, cfg.cert, prior, u_win, y_win, M, t,
+                                shapes=shapes)
         if t == 0:
             z0 = cfg.z0_0.copy()
         else:
@@ -403,11 +406,10 @@ def run_closed_loop(cfg):
 
         n_x, n_w = sys.n_x, sys.n_w
         slots = problem.window_slots(z_k)
-        what_ok = all(sys.w1_box.contains(slot[:n_x], atol=1e-12)
-                      and sys.w2_box.contains(slot[n_x:n_w], atol=1e-12)
-                      for slot in slots)
-        yhat_ok = all(sys.y_box.contains(slot[n_w:], atol=1e-9) for slot in slots)
-        xhat_ok = all(sys.x_box.contains(s, atol=1e-9) for s in states)
+        what_ok = (sys.w1_box.contains(slots[:, :n_x], atol=1e-12)
+                   and sys.w2_box.contains(slots[:, n_x:n_w], atol=1e-12))
+        yhat_ok = sys.y_box.contains(slots[:, n_w:], atol=1e-9)
+        xhat_ok = sys.x_box.contains(states, atol=1e-9)
 
         row = LogRow(t=t, x=x.copy(), y=y.copy(), u=u.copy(), xhat=xhat.copy(),
                      e=(xhat - x), eps=eps, w_delta=wd_now,

@@ -14,13 +14,20 @@ strongly convex QP. The full decision vector keeps the ordering
     z = [xhat_0, what_0, yhat_0, ..., what_{Mt-1}, yhat_{Mt-1}]
 
 so that warm-start padding and error norms are measured consistently.
+
+A problem is split along what changes from step to step. The lift Psi, the
+weight H, the box and the reduced Hessian S = 2 Psi^T H Psi depend only on
+the window length, and live in a WindowShape; a WindowShapes object holds
+the M+1 shapes of one run and builds each on first use. A step adds the
+offset psi, the reference and with them the gradient's linear term c.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, WindowLengthMismatch
+from .errors import DegenerateHessian, DimensionMismatch, WindowLengthMismatch
 from .linalg import spectral_norm, spectral_norm_sym
 
 
@@ -38,23 +45,172 @@ class CondensedPoint:
             object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
+@dataclass(frozen=True, eq=False)
+class WindowShape:
+    """The part of a window QP fixed by the window length m_eff.
+
+    The lift Psi, the weight H and the free-variable box depend on (A, C,
+    the certificate, m_eff) only, never on the window contents, and so do
+    G = 2 Psi^T H and the reduced Hessian S = G Psi. A step adds only its
+    offset psi and reference, which enter the gradient S v + c through
+    c = G (psi - ref). The PGD terms (curvature, step, contraction base and
+    the transition matrix I - step * S) are computed on first use.
+    """
+
+    m_eff: int
+    lift_matrix: np.ndarray  # Psi: free variables -> full ordering
+    weight: np.ndarray       # H on the full decision ordering
+    lower: np.ndarray        # free-variable box, componentwise
+    upper: np.ndarray
+    input_map: np.ndarray    # psi = input_map @ u_window.ravel()
+    gradient_map: np.ndarray = field(init=False)  # G = 2 Psi^T H
+    hessian: np.ndarray = field(init=False)       # S = G Psi
+
+    def __post_init__(self):
+        g = 2.0 * self.lift_matrix.T @ self.weight
+        s = g @ self.lift_matrix
+        for arr in (g, s):
+            arr.setflags(write=False)
+        object.__setattr__(self, "gradient_map", g)
+        object.__setattr__(self, "hessian", s)
+
+    @cached_property
+    def curvature(self):
+        """(mu, L): the extreme eigenvalues of S."""
+        w = np.linalg.eigvalsh(0.5 * (self.hessian + self.hessian.T))
+        mu, lip = float(w[0]), float(w[-1])
+        if mu <= 0.0 or not np.isfinite(lip):
+            raise DegenerateHessian(
+                f"reduced Hessian has min eigenvalue {mu:.3e}; lift is rank-deficient")
+        return mu, lip
+
+    @property
+    def step(self):
+        """The iteration's constant step 2/(L + mu)."""
+        mu, lip = self.curvature
+        return 2.0 / (lip + mu)
+
+    @property
+    def contraction_base(self):
+        """The certified per-iteration contraction base q = 1 - mu/L."""
+        mu, lip = self.curvature
+        return 1.0 - mu / lip
+
+    @cached_property
+    def transition(self):
+        """I - step * S, the linear part of one projected-gradient step."""
+        t = np.eye(self.hessian.shape[0]) - self.step * self.hessian
+        t.setflags(write=False)
+        return t
+
+
+def window_shape(sys, cert, m_eff):
+    """Build the length-m_eff window shape of (sys, cert)."""
+    n_x, n_u, n_y, n_w = sys.n_x, sys.n_u, sys.n_y, sys.n_w
+    dim_v = n_x + m_eff * n_w
+    dim_z = n_x + m_eff * (n_w + n_y)
+    psi = np.zeros((dim_z, dim_v))
+    input_map = np.zeros((dim_z, m_eff * n_u))
+
+    # running affine map (v, u) -> xhat_j: state_map @ v + state_in @ u
+    state_map = np.zeros((n_x, dim_v))
+    state_map[:, :n_x] = np.eye(n_x)
+    state_in = np.zeros((n_x, m_eff * n_u))
+
+    psi[:n_x, :n_x] = np.eye(n_x)
+
+    row = n_x
+    for j in range(m_eff):
+        w_col = n_x + j * n_w
+        # disturbance block appears verbatim
+        psi[row:row + n_w, w_col:w_col + n_w] = np.eye(n_w)
+        row += n_w
+        # output block: yhat_j = C xhat_j + w2_j
+        psi[row:row + n_y, :] = sys.C @ state_map
+        psi[row:row + n_y, w_col + n_x:w_col + n_w] += np.eye(n_y)
+        input_map[row:row + n_y, :] = sys.C @ state_in
+        row += n_y
+        # advance the state map: xhat_{j+1} = A xhat_j + B u_j + w1_j
+        state_map = sys.A @ state_map
+        state_map[:, w_col:w_col + n_x] += np.eye(n_x)
+        state_in = sys.A @ state_in
+        state_in[:, j * n_u:(j + 1) * n_u] += sys.B
+
+    lower = np.concatenate(
+        [sys.x_box.lower] + [np.concatenate([sys.w1_box.lower, sys.w2_box.lower])
+                             for _ in range(m_eff)])
+    upper = np.concatenate(
+        [sys.x_box.upper] + [np.concatenate([sys.w1_box.upper, sys.w2_box.upper])
+                             for _ in range(m_eff)])
+
+    weight = compute_weight(m_eff, cert)
+    for arr in (weight, psi, input_map, lower, upper):
+        arr.setflags(write=False)
+    return WindowShape(m_eff=m_eff, lift_matrix=psi, weight=weight,
+                       lower=lower, upper=upper, input_map=input_map)
+
+
+class WindowShapes:
+    """The M+1 window shapes of one (system, certificate, horizon).
+
+    Each shape is built on its first request and kept for the life of this
+    object, so a closed-loop run builds Psi, H and S once per window length.
+    """
+
+    def __init__(self, sys, cert, M):
+        cert.check_shapes(sys)
+        self.sys, self.cert, self.M = sys, cert, int(M)
+        self._shapes = [None] * (self.M + 1)
+
+    def __getitem__(self, m_eff):
+        if not 0 <= m_eff <= self.M:
+            raise IndexError(f"window length {m_eff} outside 0..{self.M}")
+        shape = self._shapes[m_eff]
+        if shape is None:
+            shape = self._shapes[m_eff] = window_shape(self.sys, self.cert, m_eff)
+        return shape
+
+
 @dataclass(frozen=True)
 class MheProblem:
-    """One step's condensed QP: weight, reference, lift, and feasible boxes."""
+    """One step's condensed QP: a window shape plus the step's offset and
+    reference, which fix the linear term c of the gradient S v + c."""
 
     sys: object
     t: int
     horizon: int
-    m_eff: int
-    weight: np.ndarray       # H on the full decision ordering
-    reference: np.ndarray    # target vector in the same ordering
-    lift_matrix: np.ndarray  # Psi: free variables -> full ordering
+    shape: WindowShape
+    reference: np.ndarray    # target vector in the full ordering
     lift_offset: np.ndarray  # psi (input-sequence contribution)
-    lower: np.ndarray        # free-variable box, componentwise
-    upper: np.ndarray
     x_prior: np.ndarray
     u_window: np.ndarray     # (m_eff, n_u)
     y_window: np.ndarray     # (m_eff, n_y)
+    linear_term: np.ndarray = field(init=False)  # c = G (psi - ref)
+
+    def __post_init__(self):
+        c = self.shape.gradient_map @ (self.lift_offset - self.reference)
+        c.setflags(write=False)
+        object.__setattr__(self, "linear_term", c)
+
+    @property
+    def m_eff(self):
+        return self.shape.m_eff
+
+    @property
+    def weight(self):
+        return self.shape.weight
+
+    @property
+    def lift_matrix(self):
+        return self.shape.lift_matrix
+
+    @property
+    def lower(self):
+        return self.shape.lower
+
+    @property
+    def upper(self):
+        return self.shape.upper
 
     @property
     def dim_z(self):
@@ -92,14 +248,11 @@ class MheProblem:
         return np.concatenate([z[:self.sys.n_x], slots[:, :self.sys.n_w].ravel()])
 
     def reduced_hessian(self):
-        return 2.0 * self.lift_matrix.T @ self.weight @ self.lift_matrix
+        return self.shape.hessian
 
     def reduced_gradient_terms(self):
         """(S, c) with grad f(v) = S v + c for f = ||Psi v + psi - ref||^2_H."""
-        psi = self.lift_matrix
-        s = self.reduced_hessian()
-        c = 2.0 * psi.T @ self.weight @ (self.lift_offset - self.reference)
-        return s, c
+        return self.shape.hessian, self.linear_term
 
     def cost(self, z):
         d = np.asarray(z, dtype=float) - self.reference
@@ -127,11 +280,18 @@ def compute_weight(m_eff, cert):
     return out
 
 
-def build_problem(sys, cert, x_prior, u_window, y_window, M, t):
-    """Assemble the step-t condensed QP from windows of length min(M, t)."""
-    cert.check_shapes(sys)
+def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
+    """Assemble the step-t condensed QP from windows of length min(M, t).
+
+    `shapes` is the caller's WindowShapes for (sys, cert, M); without it the
+    window shape is built afresh.
+    """
     n_x, n_u, n_y, n_w = sys.n_x, sys.n_u, sys.n_y, sys.n_w
     m_eff = min(M, t)
+    if shapes is None:
+        cert.check_shapes(sys)
+    elif shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
+        raise ValueError("window shapes belong to another (system, certificate, M)")
     u_window = np.asarray(u_window, dtype=float).reshape(-1, n_u) if len(u_window) else \
         np.zeros((0, n_u))
     y_window = np.asarray(y_window, dtype=float).reshape(-1, n_y) if len(y_window) else \
@@ -144,52 +304,16 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t):
     if x_prior.shape != (n_x,):
         raise DimensionMismatch(f"prior has shape {x_prior.shape}, expected ({n_x},)")
 
-    dim_v = n_x + m_eff * n_w
-    dim_z = n_x + m_eff * (n_w + n_y)
-    psi = np.zeros((dim_z, dim_v))
-    offset = np.zeros(dim_z)
-    reference = np.zeros(dim_z)
-
-    # running affine map v -> xhat_j: state_map @ v + state_off
-    state_map = np.zeros((n_x, dim_v))
-    state_map[:, :n_x] = np.eye(n_x)
-    state_off = np.zeros(n_x)
-
-    psi[:n_x, :n_x] = np.eye(n_x)
+    shape = window_shape(sys, cert, m_eff) if shapes is None else shapes[m_eff]
+    offset = shape.input_map @ u_window.ravel()
+    reference = np.zeros(n_x + m_eff * (n_w + n_y))
     reference[:n_x] = x_prior
-
-    row = n_x
-    for j in range(m_eff):
-        w_col = n_x + j * n_w
-        # disturbance block appears verbatim
-        psi[row:row + n_w, w_col:w_col + n_w] = np.eye(n_w)
-        reference[row:row + n_w] = 0.0
-        row += n_w
-        # output block: yhat_j = C xhat_j + w2_j
-        psi[row:row + n_y, :] = sys.C @ state_map
-        psi[row:row + n_y, w_col + n_x:w_col + n_w] += np.eye(n_y)
-        offset[row:row + n_y] = sys.C @ state_off
-        reference[row:row + n_y] = y_window[j]
-        row += n_y
-        # advance the state map: xhat_{j+1} = A xhat_j + B u_j + w1_j
-        state_map = sys.A @ state_map
-        state_map[:, w_col:w_col + n_x] += np.eye(n_x)
-        state_off = sys.A @ state_off + sys.B @ u_window[j]
-
-    lower = np.concatenate(
-        [sys.x_box.lower] + [np.concatenate([sys.w1_box.lower, sys.w2_box.lower])
-                             for _ in range(m_eff)])
-    upper = np.concatenate(
-        [sys.x_box.upper] + [np.concatenate([sys.w1_box.upper, sys.w2_box.upper])
-                             for _ in range(m_eff)])
-
-    weight = compute_weight(m_eff, cert)
-    for arr in (weight, reference, psi, offset, lower, upper):
+    reference[n_x:].reshape(m_eff, n_w + n_y)[:, n_w:] = y_window
+    for arr in (reference, offset):
         arr.setflags(write=False)
-    return MheProblem(sys=sys, t=t, horizon=M, m_eff=m_eff, weight=weight,
-                      reference=reference, lift_matrix=psi, lift_offset=offset,
-                      lower=lower, upper=upper, x_prior=x_prior,
-                      u_window=u_window, y_window=y_window)
+    return MheProblem(sys=sys, t=t, horizon=M, shape=shape,
+                      reference=reference, lift_offset=offset,
+                      x_prior=x_prior, u_window=u_window, y_window=y_window)
 
 
 def window_slot_width(n_x, n_y):

@@ -7,16 +7,22 @@ phi(K) = q^K with q = 1 - mu/L; iterating at the optimal constant step
 2/(L+mu) gives the true rate q/(2-q) < q, so the budget holds with margin.
 The oracle is a primal active-set method used to measure the true optimizer
 and the sub-optimality error.
+
+There is one iteration loop. A step's iteration is affine before the clamp,
+v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
+matrix-vector product of the augmented operator [T | d] with [v; 1] and two
+in-place clamps. T, S, the step and q come from the problem's window shape,
+which computes them once per window length; only d changes per step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHessian, MaxCyclesExceeded, NonfiniteIterate
+from .errors import MaxCyclesExceeded, NonfiniteIterate
 from .mhe import CondensedPoint
 
-KERNEL_BACKEND = "python"  # the sidecar's solver_backend; run_pgd is the one kernel
+KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
 
 
 @dataclass(frozen=True)
@@ -33,26 +39,45 @@ class SolveReport:
 def run_pgd(s, g, lo, hi, v0, alpha, iters, history=None):
     """Iterate v <- clip(v - alpha * (S v + g), lo, hi) exactly `iters` times.
 
-    v0 is not modified. If `history` (shape (iters + 1, n)) is given, row k
-    receives the k-th iterate, starting with v0.
+    The step is evaluated as (I - alpha S) v - alpha g, which rounds
+    differently from the formula above in the last bits. v0 is not
+    modified. If `history` (shape (iters + 1, n)) is given, row k receives
+    the k-th iterate, starting with v0.
     """
-    v = np.array(v0, dtype=float)
+    n = s.shape[0]
+    return _iterate(_operator(np.eye(n) - alpha * s, -alpha * np.asarray(g)),
+                    lo, hi, v0, iters, history)
+
+
+def _operator(transition, shift):
+    """The augmented step operator [T | d]: one step maps [v; 1] to T v + d."""
+    n = transition.shape[0]
+    op = np.empty((n, n + 1))
+    op[:, :n] = transition
+    op[:, n] = shift
+    return op
+
+
+def _iterate(op, lo, hi, v0, iters, history):
+    """The one projected-gradient loop: v <- min(hi, max(lo, op [v; 1])).
+
+    The clamp order matches np.clip, NaN included; every array is reused.
+    """
+    n = op.shape[0]
+    w = np.empty(n + 1)
+    w[n] = 1.0
+    v = w[:n]
+    v[:] = v0
+    buf = np.empty(n)
     if history is not None:
         history[0] = v
     for k in range(int(iters)):
-        v = np.clip(v - alpha * (s @ v + g), lo, hi)
+        np.dot(op, w, out=buf)
+        np.maximum(lo, buf, out=buf)
+        np.minimum(hi, buf, out=v)
         if history is not None:
             history[k + 1] = v
-    return v
-
-
-def _eigen_extremes(s):
-    w = np.linalg.eigvalsh(0.5 * (s + s.T))
-    mu, lip = float(w[0]), float(w[-1])
-    if mu <= 0.0 or not np.isfinite(lip):
-        raise DegenerateHessian(
-            f"reduced Hessian has min eigenvalue {mu:.3e}; lift is rank-deficient")
-    return mu, lip
+    return v.copy()
 
 
 def contraction_rate(problem):
@@ -62,8 +87,8 @@ def contraction_rate(problem):
     faster constant step 2/(L+mu), whose true rate q/(2-q) beats q, so the
     q^K budget always holds with margin.
     """
-    mu, lip = _eigen_extremes(problem.reduced_hessian())
-    return 1.0 / lip, 1.0 - mu / lip
+    shape = problem.shape
+    return 1.0 / shape.curvature[1], shape.contraction_base
 
 
 def _as_v(problem, z0):
@@ -80,10 +105,8 @@ def solve_fixed_iters(problem, z0, K, record=False):
     K = 0 returns the box projection of the warm start. With record=True the
     per-iteration costs and free-coordinate iterates are kept.
     """
-    s, c = problem.reduced_gradient_terms()
-    mu, lip = _eigen_extremes(s)
-    q = 1.0 - mu / lip
-    step = 2.0 / (lip + mu)
+    shape = problem.shape
+    step = shape.step
     v0 = _as_v(problem, z0)
     lo, hi = problem.lower, problem.upper
     K = int(K)
@@ -93,7 +116,8 @@ def solve_fixed_iters(problem, z0, K, record=False):
         v = np.clip(v0, lo, hi)
     else:
         history = np.empty((K + 1, v0.shape[0])) if record else None
-        v = run_pgd(s, c, lo, hi, v0, step, K, history)
+        op = _operator(shape.transition, -step * problem.linear_term)
+        v = _iterate(op, lo, hi, v0, K, history)
         if record:
             costs = np.array([problem.cost(problem.lift(h)) for h in history])
     if not np.all(np.isfinite(v)):
@@ -101,7 +125,7 @@ def solve_fixed_iters(problem, z0, K, record=False):
                                "check problem conditioning")
     z = problem.lift(v)
     return SolveReport(point=CondensedPoint(z=z, v=v), iterations=K,
-                       step_size=step, contraction_base=q,
+                       step_size=step, contraction_base=shape.contraction_base,
                        costs=costs, history=history)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_system, simple_certificate
+from conftest import CONFIG_DIR, make_system, simple_certificate
 
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
@@ -198,6 +198,43 @@ class TestClosedLoop:
         assert summary["steps"] == 4
         assert summary["certified"] is False
         assert summary["sup_norms"]["x"] > 0
+
+
+LOOP_CSV_SCRIPT = """
+import sys
+from submhe.config import load_config
+from submhe.harness import run_closed_loop
+for arg in sys.argv[1:]:
+    path, seed = arg.rsplit(":", 1)
+    doc = load_config(path)
+    cfg = doc.scenario_config(doc.certificate, K=40, seed=int(seed),
+                              steps=2 * doc.mhe["M"] + 2, oracle=True,
+                              allow_uncertified=True)
+    sys.stdout.write(run_closed_loop(cfg).to_csv_text())
+"""
+
+
+def test_no_window_state_shared_between_runs():
+    """Runs on both shipped configs in one process match separate processes.
+
+    The seeds differ, so per-step data left over from the first run would
+    change the second run's CSV.
+    """
+    import subprocess
+    import sys
+
+    runs = [f"{CONFIG_DIR / 'case_study.json'}:3",
+            f"{CONFIG_DIR / 'case_study_certified.json'}:4"]
+
+    def csv_text(args):
+        res = subprocess.run([sys.executable, "-c", LOOP_CSV_SCRIPT, *args],
+                             capture_output=True, text=True, check=True)
+        return res.stdout
+
+    together = csv_text(runs)
+    apart = "".join(csv_text([run]) for run in runs)
+    assert together == apart
+    assert sum(line.startswith("t,") for line in together.splitlines()) == 2
 
 
 class TestMonitorStep:

@@ -5,8 +5,8 @@ from conftest import (make_system, random_certified_setup, random_problem,
                       simple_certificate)
 
 from submhe.errors import DimensionMismatch, WindowLengthMismatch
-from submhe.mhe import (build_problem, compute_weight, expected_dim_z,
-                        extract_estimate, residual_sigma,
+from submhe.mhe import (WindowShapes, build_problem, compute_weight,
+                        expected_dim_z, extract_estimate, residual_sigma,
                         residual_sigma_parts, shift_window, sigma_lift,
                         sigma_truncate)
 from submhe.model import Box, IossCertificate, LtiSystem, w_delta
@@ -157,6 +157,41 @@ class TestBuildProblem:
         assert np.all(v_truth <= prob.upper + 1e-12)
         opt = solve_oracle(prob, tol=1e-11)
         assert prob.cost(prob.lift(v_truth)) >= prob.cost(opt.z) - 1e-10
+
+
+class TestWindowShapes:
+    def test_reused_shape_matches_fresh_build(self, case_study):
+        sys, cert, _ = case_study
+        M = 5
+        shapes = WindowShapes(sys, cert, M)
+        rng = np.random.default_rng(24)
+
+        def windows(t):
+            m_eff = min(M, t)
+            return (rng.uniform(-1, 1, sys.n_x), rng.uniform(-1, 1, (m_eff, sys.n_u)),
+                    rng.uniform(-1, 1, (m_eff, sys.n_y)), M, t)
+
+        steps = list(range(M + 1)) + [M + 3]
+        for t in steps:  # first use builds each shape from other window contents
+            build_problem(sys, cert, *windows(t), shapes=shapes)
+        for t in steps:
+            args = windows(t)
+            reused = build_problem(sys, cert, *args, shapes=shapes)
+            fresh = build_problem(sys, cert, *args)
+            assert reused.shape is shapes[min(M, t)]
+            for name in ("lift_matrix", "weight", "lower", "upper", "lift_offset",
+                         "reference", "linear_term"):
+                assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+            assert np.array_equal(reused.reduced_hessian(), fresh.reduced_hessian())
+
+    def test_foreign_shapes_rejected(self, case_study):
+        sys, cert, _ = case_study
+        shapes = WindowShapes(sys, cert, 5)
+        with pytest.raises(ValueError):
+            build_problem(sys, cert, np.zeros(4), np.zeros((3, 2)),
+                          np.zeros((3, 1)), 4, 3, shapes=shapes)
+        with pytest.raises(IndexError):
+            shapes[6]
 
 
 class TestSigmaLift:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (make_system, random_certified_setup, random_problem,
                       simple_certificate)
 
 from submhe.errors import (DegenerateHessian, MaxCyclesExceeded,
                            NonfiniteIterate)
-from submhe.mhe import MheProblem, build_problem
-from submhe.model import Box
+from submhe.mhe import MheProblem, WindowShape, build_problem
+from submhe.model import Box, IossCertificate, LtiSystem
 from submhe.solver import (attach_distances, contraction_rate, kkt_residual,
                            run_pgd, solve_fixed_iters, solve_oracle)
 
@@ -17,12 +19,14 @@ def plain_problem(weight, reference, lower=None, upper=None):
     weight = np.asarray(weight, dtype=float)
     n = weight.shape[0]
     sys = make_system(np.zeros((n, n)), np.zeros((n, 1)), np.zeros((1, n)))
-    return MheProblem(
-        sys=sys, t=0, horizon=1, m_eff=0, weight=weight,
-        reference=np.asarray(reference, dtype=float),
-        lift_matrix=np.eye(n), lift_offset=np.zeros(n),
+    shape = WindowShape(
+        m_eff=0, lift_matrix=np.eye(n), weight=weight,
         lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, float),
+        input_map=np.zeros((n, 0)))
+    return MheProblem(
+        sys=sys, t=0, horizon=1, shape=shape,
+        reference=np.asarray(reference, dtype=float), lift_offset=np.zeros(n),
         x_prior=np.asarray(reference, dtype=float),
         u_window=np.zeros((0, 1)), y_window=np.zeros((0, 1)))
 
@@ -180,12 +184,14 @@ class TestSolveOracle:
         rng = np.random.default_rng(6)
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
+        shape = WindowShape(m_eff=prob.m_eff, lift_matrix=prob.lift_matrix,
+                            weight=prob.weight,
+                            lower=np.full(prob.dim_v, -np.inf),
+                            upper=np.full(prob.dim_v, np.inf),
+                            input_map=prob.shape.input_map)
         wide = MheProblem(sys=prob.sys, t=prob.t, horizon=prob.horizon,
-                          m_eff=prob.m_eff, weight=prob.weight,
-                          reference=prob.reference, lift_matrix=prob.lift_matrix,
+                          shape=shape, reference=prob.reference,
                           lift_offset=prob.lift_offset,
-                          lower=np.full(prob.dim_v, -np.inf),
-                          upper=np.full(prob.dim_v, np.inf),
                           x_prior=prob.x_prior, u_window=prob.u_window,
                           y_window=prob.y_window)
         s, c = wide.reduced_gradient_terms()
@@ -256,3 +262,85 @@ class TestRunPgd:
         v0_copy = v0.copy()
         run_pgd(s, g, np.full(3, -1.0), np.full(3, 1.0), v0, 0.5, 100)
         assert np.array_equal(v0, v0_copy)
+
+
+def reference_pgd(s, g, lo, hi, v0, alpha, iters):
+    """The literal clip loop the kernel must reproduce; every iterate, v0 first."""
+    v = np.array(v0, dtype=float)
+    out = [v]
+    for _ in range(iters):
+        v = np.clip(v - alpha * (s @ v + g), lo, hi)
+        out.append(v)
+    return np.array(out)
+
+
+# Kernel vs reference, set from float64 before the kernel was written: each
+# iteration rounds (I - aS) v - a g instead of v - a (S v + g), at most
+# (n + 2) unit roundoffs (1.1e-16) of the step's magnitudes; the map is
+# nonexpansive, so over 200 iterations at n <= 28 the gap stays below
+# 200 * 30 * 1.1e-16 < 1e-12 of the largest magnitude in play.
+KERNEL_RTOL = 1e-12
+
+# (lower, upper) of one box component: finite, pinned, or open on a side.
+_SIDES = st.sampled_from(["finite", "pinned", "no_lower", "no_upper", "free"])
+
+
+def _box(kinds, rng):
+    lo, hi = [], []
+    for kind in kinds:
+        a, b = sorted(rng.uniform(-2.0, 2.0, size=2))
+        lo.append({"pinned": a, "no_lower": -np.inf, "free": -np.inf}.get(kind, a))
+        hi.append({"pinned": a, "no_upper": np.inf, "free": np.inf}.get(kind, b))
+    return Box(np.array(lo), np.array(hi))
+
+
+@st.composite
+def lifted_problems(draw):
+    """Window QPs from random lifts, well- to ill-conditioned: ||A|| up to 3,
+    diagonal weights in [0.01, 100], boxes with pinned and infinite sides."""
+    n_x = draw(st.integers(1, 4))
+    n_u = draw(st.integers(1, 2))
+    n_y = draw(st.integers(1, 2))
+    M = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = st.floats(0.01, 100.0)
+    A = rng.standard_normal((n_x, n_x))
+    A *= draw(st.floats(0.1, 3.0)) / np.linalg.norm(A, 2)
+    sys = LtiSystem(
+        A=A, B=rng.standard_normal((n_x, n_u)), C=rng.standard_normal((n_y, n_x)),
+        x_box=_box(draw(st.lists(_SIDES, min_size=n_x, max_size=n_x)), rng),
+        u_box=Box.unbounded(n_u), y_box=Box.unbounded(n_y),
+        w1_box=_box(draw(st.lists(_SIDES, min_size=n_x, max_size=n_x)), rng),
+        w2_box=_box(draw(st.lists(_SIDES, min_size=n_y, max_size=n_y)), rng))
+    diag = lambda n: np.diag(draw(st.lists(weights, min_size=n, max_size=n)))
+    cert = IossCertificate(P=diag(n_x), Q=diag(n_x + n_y), R=diag(n_y),
+                           eta=draw(st.floats(0.5, 0.99)))
+    prob = random_problem(rng, sys, cert, M=M, t=M)
+    v0 = rng.uniform(-3.0, 3.0, size=prob.dim_v)  # possibly outside the box
+    return prob, v0
+
+
+class TestKernelReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=lifted_problems(), K=st.sampled_from([0, 1, 5, 200]))
+    def test_kernel_matches_clip_loop(self, case, K):
+        prob, v0 = case
+        v0_copy = v0.copy()
+        s, c = prob.reduced_gradient_terms()
+        alpha = prob.shape.step
+        ref = reference_pgd(s, c, prob.lower, prob.upper, v0, alpha, K)
+        scale = max(1.0, float(np.max(np.abs(ref))), alpha * float(np.max(np.abs(c))))
+        tol = KERNEL_RTOL * scale
+
+        history = np.empty((K + 1, prob.dim_v))
+        v = run_pgd(s, c, prob.lower, prob.upper, v0, alpha, K, history)
+        assert np.array_equal(v0, v0_copy)
+        assert np.array_equal(history[0], v0)
+        assert np.array_equal(history[-1], v)
+        assert np.max(np.abs(history - ref)) <= tol
+
+        rep = solve_fixed_iters(prob, prob.lift(v0), K, record=True)
+        expect = ref[-1] if K else np.clip(v0, prob.lower, prob.upper)
+        assert np.max(np.abs(rep.point.v - expect)) <= tol
+        if K:
+            assert np.max(np.abs(rep.history - ref)) <= tol
