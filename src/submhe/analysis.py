@@ -11,8 +11,10 @@ compositions reduce exactly to slope products.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractionViolated, NotFoundBelowCap
-from .linalg import jacobi_eigh
+from .linalg import eigh
 from .mhe import WindowShapes, compute_weight
 
 
@@ -266,7 +268,7 @@ def weight_eigen_range(cert, M):
     top = -math.inf
     bottom = math.inf
     for m_eff in range(M + 1):
-        w, _ = jacobi_eigh(compute_weight(m_eff, cert))
+        w, _ = eigh(compute_weight(m_eff, cert))
         top = max(top, float(w[-1]))
         bottom = min(bottom, float(w[0]))
     return top, bottom
@@ -274,17 +276,15 @@ def weight_eigen_range(cert, M):
 
 def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, phi_base):
     """Assemble AnalysisParams from a certified system and scalar inputs."""
-    from .linalg import spectral_norm
-
     bar_h, _ = weight_eigen_range(cert, M)
-    pw, _ = jacobi_eigh(cert.P)
-    qw, _ = jacobi_eigh(cert.Q)
+    pw, _ = eigh(cert.P)
+    qw, _ = eigh(cert.Q)
     lam_min_p = float(pw[0])
     return AnalysisParams(
         L_phi=float(L_phi), L_pi=float(L_pi),
         gamma13_slope=float(gamma13_slope),
         eta=cert.eta, M=int(M), phi_base=float(phi_base),
-        norm_C=spectral_norm(sys.C), bar_H=bar_h,
+        norm_C=float(np.linalg.norm(sys.C, 2)), bar_H=bar_h,
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,
         lam_QP=float(qw[-1]) / lam_min_p,

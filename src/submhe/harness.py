@@ -324,15 +324,22 @@ def run_closed_loop(cfg):
         uncertified_reason = str(exc)
         if not cfg.allow_uncertified:
             raise
+    if ledger is not None and not ledger.passed:
+        # the trajectory bounds hold only for a ledger that passes
+        certified = False
+        worst = int(np.argmax(ledger.products))
+        uncertified_reason = (
+            f"small-gain test fails at K={K}: largest product is condition "
+            f"{worst + 1}, {ledger.products[worst]:.6e} >= 1")
 
     bar_h, _ = analysis.weight_eigen_range(cfg.cert, M)
     c1 = c2 = c3 = None
     if cfg.L_phi is not None and cfg.L_pi is not None and K > 0:
-        from .linalg import spectral_norm
         c1, c2, c3 = analysis.recursion_constants(
-            phi, cfg.L_phi, cfg.L_pi, spectral_norm(sys.C), M)
+            phi, cfg.L_phi, cfg.L_pi, float(np.linalg.norm(sys.C, 2)), M)
     bundle = MonitorBundle(phi=phi, L_phi=cfg.L_phi, C1=c1, C2=c2, C3=c3,
-                           bar_H=bar_h, eta=eta, ledger=ledger,
+                           bar_H=bar_h, eta=eta,
+                           ledger=ledger if certified else None,
                            rel_tol=cfg.monitor_rel_tol)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, cfg.w1_box, cfg.w2_box, T)
@@ -464,6 +471,7 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
     """
     rng = np.random.default_rng(seed)
     dims = (sys.n_x, sys.n_y)
+    shapes = WindowShapes(sys, cert, M)
     best = 0.0
     used = skipped = 0
     for _ in range(n_trials):
@@ -482,8 +490,8 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
         else:
             u1, y1 = u_seq[:m_prev], y_seq[:m_prev]
             u2, y2 = u_seq[:m_t], y_seq[:m_t]
-        p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1)
-        p2 = build_problem(sys, cert, prior2, u2, y2, M, t)
+        p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1, shapes=shapes)
+        p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
         _, sigma_t = residual_sigma_parts(t, M, p2.weight, sys, cert.eta)
         denom = (np.linalg.norm(p1.reference
                                 - sigma_truncate(p2.reference, t, M, dims))

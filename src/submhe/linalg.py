@@ -1,8 +1,12 @@
-"""Deterministic symmetric eigensolver and norm helpers.
+"""Validated symmetric eigendecomposition.
 
-Certificate checks use a cyclic-Jacobi eigensolver rather than LAPACK so that
-verification verdicts are reproducible bit-for-bit and carry no randomness.
-numpy.linalg.eigh remains the independent cross-check in the test suite.
+Every eigenvalue the analysis and the certificate checks read (the LMI's
+largest eigenvalue, the extremes of P, Q and the window weights) comes from
+`eigh`, which checks its input and hands it to LAPACK through numpy. Spectral
+norms of general matrices are taken with numpy.linalg.norm(m, 2) at the call
+site. Results are reproducible run to run for a given config, seed and
+numpy/BLAS build on one machine; they are not promised bit-for-bit across
+machines or library versions.
 """
 
 import numpy as np
@@ -15,77 +19,20 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
-def jacobi_eigh(a, tol=1e-13, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigh(a):
+    """Eigendecomposition of a symmetric matrix: (w ascending, V by columns).
 
-    Returns (w, V) with eigenvalues w ascending and eigenvectors in the
-    columns of V, like numpy.linalg.eigh. Deterministic: fixed sweep order
-    (p < q row-cyclic), no pivot randomization.
+    Raises DimensionMismatch for a non-square or non-symmetric input; the
+    symmetry check is relative to the largest entry.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max(initial=0.0)))):
         raise DimensionMismatch("matrix is not symmetric")
-    a = symmetrize(a)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(np.square(a)) - np.sum(np.square(a.diagonal())), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # stable small root of t^2 + 2 theta t - 1 = 0
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.hypot(theta, 1.0))
-                else:
-                    t = -1.0 / (-theta + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                rows = a[[p, q], :].copy()
-                a[[p, q], :] = rot.T @ rows
-                cols = a[:, [p, q]].copy()
-                a[:, [p, q]] = cols @ rot
-                a[p, q] = a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(symmetrize(a))
 
 
-def max_eigenvalue_sym(a, tol=1e-13):
-    """Largest eigenvalue of a symmetric matrix (Jacobi)."""
-    w, _ = jacobi_eigh(a, tol=tol)
-    return float(w[-1])
-
-
-def spectral_norm_sym(a):
-    """Spectral norm of a symmetric matrix: max |eigenvalue| (Jacobi)."""
-    w, _ = jacobi_eigh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def spectral_norm(m):
-    """Largest singular value of a general matrix via Jacobi on M^T M."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
-    top = max_eigenvalue_sym(symmetrize(gram))
-    return float(np.sqrt(max(top, 0.0)))
-
-
-def is_positive_definite(a, floor=0.0):
-    w, _ = jacobi_eigh(symmetrize(a))
-    return bool(w[0] > floor)
+# Name the benchmark's call-site tracer wraps; the same function object as
+# eigh, so traced runs count every eigen call.
+jacobi_eigh = eigh

@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateHessian, DimensionMismatch, WindowLengthMismatch
-from .linalg import spectral_norm, spectral_norm_sym
 
 
 @dataclass(frozen=True)
@@ -404,8 +403,8 @@ def residual_sigma_parts(t, M, weight, sys, eta):
     if t > M:
         return 0.0, 0.0
     coeff = 0.0 if eta == 1.0 else (1.0 - 1.0 / eta if eta > 0.0 else -np.inf)
-    raw = (coeff * spectral_norm_sym(weight) + spectral_norm(sys.A)
-           + spectral_norm(sys.B) + spectral_norm(sys.C) + 2.0)
+    raw = (coeff * np.linalg.norm(weight, 2) + np.linalg.norm(sys.A, 2)
+           + np.linalg.norm(sys.B, 2) + np.linalg.norm(sys.C, 2) + 2.0)
     return float(raw), float(max(raw, 0.0))
 
 

@@ -126,10 +126,24 @@ class TestClosedLoop:
         assert counts["traj_eps"]["fail"] == 0
         assert counts["traj_err"]["fail"] == 0
 
-    def test_uncertified_skips_trajectory_monitors(self, case_study_doc):
-        doc = case_study_doc
-        log = run_closed_loop(scenario(doc, doc.certificate, steps=6))
+    @pytest.mark.parametrize("source", ["rho_violated", "small_gain_fails"])
+    def test_uncertified_skips_trajectory_monitors(self, source, case_study_doc,
+                                                   certified_doc):
+        if source == "rho_violated":
+            doc = case_study_doc
+            cfg = scenario(doc, doc.certificate, steps=6)
+        else:
+            # rho < 1, but K = 25 is far below K*: the ledger fails small gain
+            doc = certified_doc
+            cfg = doc.scenario_config(doc.certificate, K=25, steps=6,
+                                      oracle=True, allow_uncertified=True,
+                                      L_phi=doc.analysis["L_Phi"])
+        log = run_closed_loop(cfg)
         assert not log.certified
+        if source == "small_gain_fails":
+            assert not log.ledger.passed
+            worst = max(log.ledger.products)
+            assert f"{worst:.6e}" in log.uncertified_reason
         counts = log.monitor_counts()
         assert counts["traj_eps"]["skip"] == 6
         assert counts["traj_err"]["skip"] == 6
