@@ -8,8 +8,7 @@ interconnection and checks the per-step inequalities as runtime monitors.
 """
 
 from .analysis import (AnalysisParams, GainLedger, budget_constants,
-                       build_params, compute_rho, gain_slopes, ledger_at,
-                       min_iterations, small_gain_check)
+                       build_params, compute_rho, ledger_at, min_iterations)
 from .controller import (FeedbackLaw, assert_stabilizing,
                          estimate_closed_loop_gain, estimate_lipschitz,
                          evaluate)
@@ -35,10 +34,9 @@ __all__ = [
     "assert_stabilizing", "build_params", "build_problem", "compute_rho",
     "compute_weight", "contraction_rate", "estimate_closed_loop_gain",
     "estimate_lipschitz", "evaluate", "extract_estimate", "find_certificate",
-    "gain_slopes", "ledger_at", "lipschitz_probe", "load_config",
-    "min_iterations", "monitor_step", "residual_sigma",
-    "run_closed_loop", "sample_disturbance", "sample_disturbance_arrays",
-    "shift_window", "sigma_lift",
-    "small_gain_check", "solve_fixed_iters", "solve_oracle",
-    "validate_system", "verify_ioss_lmi", "w_delta",
+    "ledger_at", "lipschitz_probe", "load_config", "min_iterations",
+    "monitor_step", "residual_sigma", "run_closed_loop", "sample_disturbance",
+    "sample_disturbance_arrays", "shift_window", "sigma_lift",
+    "solve_fixed_iters", "solve_oracle", "validate_system", "verify_ioss_lmi",
+    "w_delta",
 ]

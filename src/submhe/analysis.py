@@ -1,15 +1,17 @@
 """Stability analysis scalars and the certified iteration budget.
 
-Computes the M-step decay base rho = 6^{1/M} eta, the iteration-count
-constants C1(K)..C_eps(K), the linear gain slopes of the three-subsystem
-interconnection (controlled plant, solver sub-optimality, estimation error),
-the small-gain conditions, and the smallest iteration count K that passes
-them. All gains here are linear (slope times argument), so the class-K
-compositions reduce exactly to slope products.
+Computes the M-step decay base rho = 6^{1/M} eta, the solver contraction
+base q of phi(K) = q^K (the worst case over the window shapes), the
+iteration-count constants C1(K)..C_eps(K), the linear gain slopes of the
+three-subsystem interconnection (controlled plant, solver sub-optimality,
+estimation error), the small-gain conditions, and the smallest iteration
+count K that passes them. All gains here are linear (slope times argument),
+so the class-K compositions reduce exactly to slope products. This module is
+the only place that knows q, phi(K) and the small-gain verdict.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ class AnalysisParams:
     gamma13_slope: float  # error-to-state gain slope of the controlled plant
     eta: float
     M: int
-    phi_base: float       # q with phi(K) = q^K
+    phi_base: float       # q with phi(K) = q^K, from worst_case_contraction
     norm_C: float
     bar_H: float          # sup over steps of the largest weight eigenvalue
     lam_HP: float         # bar_H / min eig P
@@ -88,9 +90,9 @@ class GainLedger:
     beta3_coeff: float    # error transient: C_e(K) sqrt(rho)^t
     beta3_base: float
     # small-gain condition products and margins (margin = 1 - product)
-    products: tuple = field(default=())
-    margins: tuple = field(default=())
-    passed: bool = False
+    products: tuple
+    margins: tuple
+    passed: bool
 
     def to_dict(self):
         c = self.constants
@@ -119,14 +121,6 @@ class GainLedger:
                 "lam_PP": self.params.lam_PP, "lam_QP": self.params.lam_QP,
             },
         }
-
-
-@dataclass(frozen=True)
-class SmallGainVerdict:
-    K: int
-    products: tuple
-    margins: tuple
-    passed: bool
 
 
 def minimal_contracting_horizon(eta):
@@ -186,62 +180,37 @@ def budget_constants(K, params):
                              C_e=c_e, C_w=c_w, C_eps=c_eps)
 
 
-def gain_slopes(K, params):
-    """Fill the ledger's eight gain slopes and transient parameters at K."""
+def ledger_at(K, params):
+    """Gain ledger at K with the small-gain verdict folded in.
+
+    With linear gains the composed class-K loop conditions reduce to strict
+    slope products: (i) gamma13 * g31 < 1, (ii) g23 * g32 < 1,
+    (iii) gamma13 * g32 * g21 < 1. A product of exactly 1 fails.
+    """
     c = budget_constants(K, params)
     phi = c.phi
     one_minus = 1.0 - phi
     root = math.sqrt(2.0 * params.lam_HP)
+    g21, g23 = c.C1 / one_minus, c.C2 / one_minus
+    g31, g32 = root * c.C1, c.C_eps
+    g = params.gamma13_slope
+    products = (g * g31, g23 * g32, g * g32 * g21)
     return GainLedger(
         K=int(K), params=params, constants=c,
-        g21=c.C1 / one_minus,
-        g23=c.C2 / one_minus,
-        g2w=c.C3 / one_minus,
+        g21=g21, g23=g23, g2w=c.C3 / one_minus,
         g2sigma=phi * params.L_phi / one_minus,
         beta2_base=phi,
-        g31=root * c.C1,
-        g32=c.C_eps,
-        g3w=c.C_w,
+        g31=g31, g32=g32, g3w=c.C_w,
         g3sigma=root * phi * params.L_phi,
         beta3_coeff=c.C_e,
         beta3_base=math.sqrt(c.rho),
-    )
-
-
-def small_gain_check(K, params):
-    """Strict slope-product form of the three loop conditions.
-
-    With linear gains the composed class-K conditions reduce to products:
-    (i) gamma13 * g31 < 1, (ii) g23 * g32 < 1, (iii) gamma13 * g32 * g21 < 1.
-    A product of exactly 1 fails (the conditions are strict).
-    """
-    ledger = gain_slopes(K, params)
-    g = params.gamma13_slope
-    products = (g * ledger.g31, ledger.g23 * ledger.g32,
-                g * ledger.g32 * ledger.g21)
-    margins = tuple(1.0 - p for p in products)
-    passed = all(p < 1.0 for p in products)
-    return SmallGainVerdict(K=int(K), products=products, margins=margins,
-                            passed=passed)
-
-
-def ledger_at(K, params):
-    """Gain ledger with the small-gain verdict folded in."""
-    ledger = gain_slopes(K, params)
-    verdict = small_gain_check(K, params)
-    return GainLedger(
-        K=ledger.K, params=params, constants=ledger.constants,
-        g21=ledger.g21, g23=ledger.g23, g2w=ledger.g2w,
-        g2sigma=ledger.g2sigma, beta2_base=ledger.beta2_base,
-        g31=ledger.g31, g32=ledger.g32, g3w=ledger.g3w,
-        g3sigma=ledger.g3sigma, beta3_coeff=ledger.beta3_coeff,
-        beta3_base=ledger.beta3_base,
-        products=verdict.products, margins=verdict.margins,
-        passed=verdict.passed)
+        products=products,
+        margins=tuple(1.0 - p for p in products),
+        passed=all(p < 1.0 for p in products))
 
 
 def min_iterations(params, K_max):
-    """Smallest K in [1, K_max] passing the small-gain conditions.
+    """(K, ledger at K) for the smallest K in [1, K_max] passing small gain.
 
     Exact linear scan: the individual slopes are not guaranteed monotone
     term-by-term, so no bisection. Raises NotFoundBelowCap with the
@@ -250,12 +219,12 @@ def min_iterations(params, K_max):
     compute_rho(params.eta, params.M)
     best_k, best_margin = None, -math.inf
     for K in range(1, int(K_max) + 1):
-        verdict = small_gain_check(K, params)
-        worst = min(verdict.margins)
+        ledger = ledger_at(K, params)
+        worst = min(ledger.margins)
         if worst > best_margin:
             best_margin, best_k = worst, K
-        if verdict.passed:
-            return K, verdict
+        if ledger.passed:
+            return K, ledger
     raise NotFoundBelowCap(int(K_max), best_k, best_margin)
 
 
@@ -274,8 +243,12 @@ def weight_eigen_range(cert, M):
     return top, bottom
 
 
-def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, phi_base):
-    """Assemble AnalysisParams from a certified system and scalar inputs."""
+def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope):
+    """Assemble AnalysisParams from a certified system and scalar inputs.
+
+    The contraction base q of phi(K) = q^K is computed here, as the worst
+    case over the window shapes; it is never an input.
+    """
     bar_h, _ = weight_eigen_range(cert, M)
     pw, _ = eigh(cert.P)
     qw, _ = eigh(cert.Q)
@@ -283,7 +256,8 @@ def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, phi_base):
     return AnalysisParams(
         L_phi=float(L_phi), L_pi=float(L_pi),
         gamma13_slope=float(gamma13_slope),
-        eta=cert.eta, M=int(M), phi_base=float(phi_base),
+        eta=cert.eta, M=int(M),
+        phi_base=float(worst_case_contraction(sys, cert, M)),
         norm_C=float(np.linalg.norm(sys.C, 2)), bar_H=bar_h,
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,

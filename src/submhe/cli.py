@@ -67,12 +67,6 @@ def _resolve_gamma13(doc):
     return est.slope, True
 
 
-def _resolve_phi_base(doc, cert):
-    if doc.mhe["phi_base"] is not None:
-        return doc.mhe["phi_base"]
-    return analysis.worst_case_contraction(doc.system, cert, doc.mhe["M"])
-
-
 def _analysis_pipeline(doc, cert):
     """Shared by analyze-k and K='auto' simulation: params + minimum K."""
     assert_stabilizing(doc.system, doc.controller,
@@ -81,12 +75,10 @@ def _analysis_pipeline(doc, cert):
                        n_samples=doc.analysis["smoke_samples"])
     l_phi, l_phi_probed = _resolve_l_phi(doc, cert)
     gamma13, gamma13_heuristic = _resolve_gamma13(doc)
-    phi_base = _resolve_phi_base(doc, cert)
     params = analysis.build_params(
         doc.system, cert, doc.mhe["M"], L_phi=l_phi, L_pi=_resolve_l_pi(doc),
-        gamma13_slope=gamma13, phi_base=phi_base)
-    k_star, verdict = analysis.min_iterations(params, doc.analysis["K_max"])
-    ledger = analysis.ledger_at(k_star, params)
+        gamma13_slope=gamma13)
+    k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
     meta = {"L_Phi_probed": l_phi_probed, "gamma13_heuristic": gamma13_heuristic}
     return k_star, ledger, params, meta
 
@@ -125,24 +117,27 @@ def cmd_analyze_k(args):
 def cmd_simulate(args):
     if args.seed is not None and args.seed < 0:
         raise ValidationError("--seed", "must be nonnegative")
+    if args.steps is not None and args.steps < 1:
+        raise ValidationError("--steps", "must be at least 1")
+    if args.iters is not None and args.iters < 0:
+        raise ValidationError("--iters", "must be nonnegative")
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    if args.iters is not None:
-        k = args.iters
-    elif doc.mhe["K"] == "auto":
-        k, _, _, _ = _analysis_pipeline(doc, cert)
-    else:
-        k = doc.mhe["K"]
     oracle = None
     if args.oracle is not None:
         oracle = args.oracle == "on"
-    l_phi = None
     monitors_on = doc.scenario["monitors"] and (oracle is None or oracle)
-    if monitors_on:
-        try:
-            l_phi, _ = _resolve_l_phi(doc, cert)
-        except SubmheError:
-            l_phi = None  # monitors needing L_Phi will be skipped
+    l_phi = None
+    if args.iters is None and doc.mhe["K"] == "auto":
+        k, _, params, _ = _analysis_pipeline(doc, cert)
+        l_phi = params.L_phi
+    else:
+        k = args.iters if args.iters is not None else doc.mhe["K"]
+        if doc.analysis["L_Phi"] != "probe" or monitors_on:
+            try:
+                l_phi, _ = _resolve_l_phi(doc, cert)
+            except SubmheError:
+                l_phi = None  # no ledger; monitors needing L_Phi are skipped
     cfg = doc.scenario_config(cert, K=k, seed=args.seed, steps=args.steps,
                               oracle=oracle, strict=args.strict,
                               allow_uncertified=args.uncertified, L_phi=l_phi,
@@ -206,9 +201,9 @@ def cmd_verify(args):
 
     def make_problem(t):
         m_eff = min(M, t)
-        u_win = _bounded_sample(rng, sys_.u_box, m_eff)
-        y_win = _bounded_sample(rng, sys_.y_box, m_eff)
-        prior = _bounded_sample(rng, sys_.x_box, 1)[0]
+        u_win = sys_.u_box.sample(rng, m_eff, scale=1.0)
+        y_win = sys_.y_box.sample(rng, m_eff, scale=1.0)
+        prior = sys_.x_box.sample(rng, scale=1.0)
         return build_problem(sys_, cert, prior, u_win, y_win, M, t)
 
     def condensing():
@@ -286,21 +281,15 @@ def cmd_verify(args):
     return 0 if not failed else 1
 
 
-def _bounded_sample(rng, box, count, scale=1.0):
-    lo = np.where(np.isfinite(box.lower), box.lower, -scale)
-    hi = np.where(np.isfinite(box.upper), box.upper, scale)
-    return rng.uniform(lo, hi, size=(count, box.dim))
-
-
 def _check_dissipation(sys_, cert, rng, n_pairs, rel_tol):
     for _ in range(n_pairs):
-        x = _bounded_sample(rng, sys_.x_box, 1)[0]
-        xp = _bounded_sample(rng, sys_.x_box, 1)[0]
-        u = _bounded_sample(rng, sys_.u_box, 1)[0]
-        w1 = _bounded_sample(rng, sys_.w1_box, 1)[0]
-        w1p = _bounded_sample(rng, sys_.w1_box, 1)[0]
-        w2 = _bounded_sample(rng, sys_.w2_box, 1)[0]
-        w2p = _bounded_sample(rng, sys_.w2_box, 1)[0]
+        x = sys_.x_box.sample(rng, scale=1.0)
+        xp = sys_.x_box.sample(rng, scale=1.0)
+        u = sys_.u_box.sample(rng, scale=1.0)
+        w1 = sys_.w1_box.sample(rng, scale=1.0)
+        w1p = sys_.w1_box.sample(rng, scale=1.0)
+        w2 = sys_.w2_box.sample(rng, scale=1.0)
+        w2p = sys_.w2_box.sample(rng, scale=1.0)
         lhs = w_delta(cert, sys_.step(x, u, w1), sys_.step(xp, u, w1p))
         dw = np.concatenate([w1 - w1p, w2 - w2p])
         dy = sys_.output(x, w2) - sys_.output(xp, w2p)

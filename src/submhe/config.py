@@ -129,7 +129,7 @@ class ConfigDocument:
         self.certificate = cert          # IossCertificate or None when searching
         self.certificate_search = cert_search  # dict or None
         self.controller = law
-        self.mhe = mhe                   # {"M", "K", "phi_base"}
+        self.mhe = mhe                   # {"M", "K"}
         self.scenario = scenario
         self.analysis = analysis_block
         self.output = output
@@ -214,17 +214,12 @@ class ConfigDocument:
         law = FeedbackLaw(gain=gain, u_box=u_box, declared_lipschitz=L_pi)
 
         mblock = _require(doc, "mhe", "$")
-        _check_keys(mblock, {"M", "K", "phi_base"}, "$.mhe")
+        _check_keys(mblock, {"M", "K"}, "$.mhe")
         M = _integer(_require(mblock, "M", "$.mhe"), "$.mhe.M", minimum=1)
         K = _require(mblock, "K", "$.mhe")
         if K != "auto":
             K = _integer(K, "$.mhe.K", minimum=0)
-        phi_base = mblock.get("phi_base")
-        if phi_base is not None:
-            phi_base = _number(phi_base, "$.mhe.phi_base", strict_min=0.0)
-            if phi_base >= 1.0:
-                raise ValidationError("$.mhe.phi_base", "must be < 1")
-        mhe = {"M": M, "K": K, "phi_base": phi_base}
+        mhe = {"M": M, "K": K}
 
         scblock = _require(doc, "scenario", "$")
         _check_keys(scblock, {"x0", "prior", "z0", "steps", "seed", "w1_box",
@@ -385,7 +380,7 @@ class ConfigDocument:
             oracle_tol=sc["oracle_tol"], monitors=sc["monitors"],
             strict=strict, allow_uncertified=allow_uncertified,
             L_phi=L_phi, L_pi=l_pi, gamma13_slope=self._gamma13,
-            phi_base=self.mhe["phi_base"], config_hash=self.config_hash())
+            config_hash=self.config_hash())
 
 
 def load_config(path):

@@ -56,7 +56,6 @@ class ScenarioConfig:
     L_phi: float | None = None
     L_pi: float | None = None
     gamma13_slope: float | None = None
-    phi_base: float | None = None       # None: computed from the problem shapes
     config_hash: str = ""
 
     def __post_init__(self):
@@ -301,38 +300,49 @@ def run_closed_loop(cfg):
     certified = True
     uncertified_reason = None
     ledger = None
-    phi_base = cfg.phi_base
-    if phi_base is None:
-        phi_base = analysis.worst_case_contraction(sys, cfg.cert, M)
-    phi = phi_base ** K if K > 0 else 1.0
-
     params = None
-    if cfg.L_phi is not None and cfg.L_pi is not None and cfg.gamma13_slope is not None \
-            and 0.0 < phi_base < 1.0 and cfg.L_phi > 1.0:
+    no_ledger = None  # why no ledger is built
+    missing = [name for name, value in (("L_Phi", cfg.L_phi), ("L_pi", cfg.L_pi),
+                                        ("gamma13_slope", cfg.gamma13_slope))
+               if value is None]
+    if missing:
+        no_ledger = f"no value for {', '.join(missing)}"
+    else:
         try:
             params = analysis.build_params(
                 sys, cfg.cert, M, L_phi=cfg.L_phi, L_pi=cfg.L_pi,
-                gamma13_slope=cfg.gamma13_slope, phi_base=phi_base)
-        except ValueError:
-            params = None
+                gamma13_slope=cfg.gamma13_slope)
+        except ValueError as exc:
+            no_ledger = str(exc)
+    if K == 0:
+        no_ledger = "K=0, the small-gain test needs K >= 1"
+    if params is not None:
+        q, bar_h = params.phi_base, params.bar_H
+    else:
+        q = analysis.worst_case_contraction(sys, cfg.cert, M)
+        bar_h, _ = analysis.weight_eigen_range(cfg.cert, M)
+    phi = q ** K if K > 0 else 1.0
+
     try:
         analysis.compute_rho(eta, M)
-        if params is not None:
-            ledger = analysis.ledger_at(K, params) if K > 0 else None
+        if no_ledger is None:
+            ledger = analysis.ledger_at(K, params)
     except ContractionViolated as exc:
         certified = False
         uncertified_reason = str(exc)
         if not cfg.allow_uncertified:
             raise
-    if ledger is not None and not ledger.passed:
-        # the trajectory bounds hold only for a ledger that passes
+    # the trajectory bounds hold only for a ledger that passes
+    if certified and ledger is None:
+        certified = False
+        uncertified_reason = f"no gain ledger: {no_ledger}"
+    elif ledger is not None and not ledger.passed:
         certified = False
         worst = int(np.argmax(ledger.products))
         uncertified_reason = (
             f"small-gain test fails at K={K}: largest product is condition "
             f"{worst + 1}, {ledger.products[worst]:.6e} >= 1")
 
-    bar_h, _ = analysis.weight_eigen_range(cfg.cert, M)
     c1 = c2 = c3 = None
     if cfg.L_phi is not None and cfg.L_pi is not None and K > 0:
         c1, c2, c3 = analysis.recursion_constants(
@@ -479,9 +489,9 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
         m_t = min(M, t)
         m_prev = min(M, t - 1)
         n_seq = m_t + 1 if t > M else m_t
-        u_seq = _sample_in_box(rng, sys.u_box, n_seq, 1.0)
-        y_seq = _sample_in_box(rng, sys.y_box, n_seq, y_scale)
-        prior1 = _sample_in_box(rng, sys.x_box, 1, prior_scale)[0]
+        u_seq = sys.u_box.sample(rng, n_seq, scale=1.0)
+        y_seq = sys.y_box.sample(rng, n_seq, scale=y_scale)
+        prior1 = sys.x_box.sample(rng, scale=prior_scale)
         delta = prior_step_scale * rng.standard_normal(sys.n_x)
         prior2 = sys.x_box.project(prior1 + delta)
         if t > M:
@@ -508,9 +518,3 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
         raise DegenerateDenominator("every probe sample had a vanishing denominator")
     return LipschitzProbe(value=max(best, 1.0 + 1e-9), n_used=used,
                           n_skipped=skipped, max_ratio_raw=best)
-
-
-def _sample_in_box(rng, box, count, scale):
-    lo = np.where(np.isfinite(box.lower), box.lower, -scale)
-    hi = np.where(np.isfinite(box.upper), box.upper, scale)
-    return rng.uniform(lo, hi, size=(count, box.dim))

@@ -73,11 +73,20 @@ class Box:
         """Componentwise clamp; identity on unbounded sides."""
         return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None, scale=None):
+        """Uniform draws of shape (dim,), or (size, dim) when size is given.
+
+        An infinite side is cut at distance scale from 0; without a scale,
+        an unbounded box raises ValueError.
+        """
+        lo, hi = self.lower, self.upper
         if not self.is_bounded:
-            raise ValueError("cannot sample an unbounded box")
+            if scale is None:
+                raise ValueError("cannot sample an unbounded box")
+            lo = np.where(np.isfinite(lo), lo, -scale)
+            hi = np.where(np.isfinite(hi), hi, scale)
         shape = (self.dim,) if size is None else (size, self.dim)
-        return rng.uniform(self.lower, self.upper, size=shape)
+        return rng.uniform(lo, hi, size=shape)
 
     def pairs(self):
         return [[float(lo), float(hi)] for lo, hi in zip(self.lower, self.upper)]

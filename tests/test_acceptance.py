@@ -11,8 +11,8 @@ import pytest
 
 from conftest import CONFIG_DIR, random_certified_setup, random_problem
 
-from submhe.analysis import (build_params, compute_rho, min_iterations,
-                             minimal_contracting_horizon, small_gain_check)
+from submhe.analysis import (build_params, compute_rho, ledger_at,
+                             min_iterations, minimal_contracting_horizon)
 from submhe.analysis import AnalysisParams
 from submhe.cli import run_cli
 from submhe.errors import ContractionViolated
@@ -97,8 +97,7 @@ def test_criterion_3_lyapunov_monitor_certified_run(certified_doc):
     cert = doc.certificate
     params = build_params(doc.system, cert, doc.mhe["M"],
                           L_phi=doc.analysis["L_Phi"], L_pi=2.65,
-                          gamma13_slope=doc.gamma13_slope,
-                          phi_base=doc.mhe["phi_base"])
+                          gamma13_slope=doc.gamma13_slope)
     k_star, _ = min_iterations(params, doc.analysis["K_max"])
     cfg = doc.scenario_config(cert, K=k_star, steps=40,
                               L_phi=doc.analysis["L_Phi"])
@@ -156,11 +155,11 @@ def test_criterion_5_minimum_iteration_finder(certified_doc):
         k_star, verdict = min_iterations(p, 200_000)
         assert verdict.passed
         if k_star > 1:
-            assert not small_gain_check(k_star - 1, p).passed
+            assert not ledger_at(k_star - 1, p).passed
     # paper-scalar reproduction at an order-of-magnitude level
     doc = certified_doc
     params = build_params(doc.system, doc.certificate, 9, L_phi=5.32,
-                          L_pi=2.65, gamma13_slope=28.8, phi_base=0.98)
+                          L_pi=2.65, gamma13_slope=28.8)
     k_paper, verdict = min_iterations(params, 100_000)
     assert verdict.passed
     assert 652 / 10 <= k_paper <= 652 * 10

@@ -6,9 +6,8 @@ import pytest
 from conftest import random_certified_setup
 
 from submhe.analysis import (AnalysisParams, budget_constants, build_params,
-                             compute_rho, gain_slopes, ledger_at,
-                             min_iterations, minimal_contracting_horizon,
-                             small_gain_check, weight_eigen_range,
+                             compute_rho, ledger_at, min_iterations,
+                             minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
 from submhe.errors import ContractionViolated, NotFoundBelowCap
 from submhe.mhe import compute_weight
@@ -91,7 +90,7 @@ class TestBudgetConstants:
 class TestGainSlopes:
     def test_slope_formula(self):
         p = params(q=0.5, eta=0.5)
-        led = gain_slopes(1, p)
+        led = ledger_at(1, p)
         phi = 0.5
         assert led.g21 == pytest.approx(led.constants.C1 / (1 - phi), rel=1e-12)
         assert led.g2sigma == pytest.approx(phi * p.L_phi / (1 - phi), rel=1e-12)
@@ -103,7 +102,7 @@ class TestGainSlopes:
 
     def test_limits_as_budget_grows(self):
         p = params(q=0.5, eta=0.5)
-        led = gain_slopes(5000, p)
+        led = ledger_at(5000, p)
         assert led.g21 == 0.0 and led.g23 == 0.0 and led.g2w == 0.0
         assert led.g2sigma == 0.0 and led.g31 == 0.0 and led.g3sigma == 0.0
         rho = 6 ** 0.2 * 0.5
@@ -112,29 +111,29 @@ class TestGainSlopes:
 
     def test_monotone_sweep(self):
         p = params(eta=0.8, M=9)
-        slopes = [gain_slopes(k, p).g21 for k in range(1, 201)]
+        slopes = [ledger_at(k, p).g21 for k in range(1, 201)]
         assert all(a >= b for a, b in zip(slopes, slopes[1:]))
 
 
 class TestSmallGain:
     def test_strict_boundary_fails(self):
         p = params(eta=0.5)
-        led = gain_slopes(20, p)
+        led = ledger_at(20, p)
         crit = 1.0 / led.g31
         # push gamma13 up until the product reaches (or crosses) exactly 1
         gamma = crit
         while gamma * led.g31 < 1.0:
             gamma = np.nextafter(gamma, np.inf)
         boundary = params(eta=0.5, gamma13=gamma)
-        verdict = small_gain_check(20, boundary)
+        verdict = ledger_at(20, boundary)
         assert not verdict.passed
         assert verdict.margins[0] <= 0.0
         below = params(eta=0.5, gamma13=crit * (1 - 1e-9))
-        assert small_gain_check(20, below).products[0] < 1.0
+        assert ledger_at(20, below).products[0] < 1.0
 
     def test_margins_are_one_minus_products(self):
         p = params(eta=0.5)
-        v = small_gain_check(10, p)
+        v = ledger_at(10, p)
         for prod, margin in zip(v.products, v.margins):
             assert margin == pytest.approx(1.0 - prod, rel=1e-15)
 
@@ -151,7 +150,7 @@ class TestSmallGain:
                        lam_HP=float(rng.uniform(1, 10)),
                        lam_PP=float(rng.uniform(1, 5)),
                        lam_QP=float(rng.uniform(0.5, 5)))
-            assert small_gain_check(10 ** 6, p).passed
+            assert ledger_at(10 ** 6, p).passed
 
 
 class TestMinIterations:
@@ -173,10 +172,11 @@ class TestMinIterations:
         for _ in range(5):
             p = params(eta=0.5, q=float(rng.uniform(0.9, 0.99)),
                        gamma13=float(rng.uniform(1, 30)))
-            k_star, _ = min_iterations(p, 50_000)
-            assert small_gain_check(k_star, p).passed
+            k_star, ledger = min_iterations(p, 50_000)
+            assert ledger.passed
+            assert ledger.to_dict() == ledger_at(k_star, p).to_dict()
             if k_star > 1:
-                assert not small_gain_check(k_star - 1, p).passed
+                assert not ledger_at(k_star - 1, p).passed
 
     def test_rho_guard_runs_first(self):
         p = params(eta=0.8, M=5)
@@ -215,11 +215,12 @@ class TestBuildParams:
     def test_ratios(self, case_study):
         sys, cert, _ = case_study
         p = build_params(sys, cert, 5, L_phi=5.32, L_pi=2.65,
-                         gamma13_slope=28.8, phi_base=0.98)
+                         gamma13_slope=28.8)
         pw = np.linalg.eigvalsh(cert.P)
         assert p.lam_PP == pytest.approx(pw[-1] / pw[0], rel=1e-10)
         assert p.lam_QP == pytest.approx(1.0 / pw[0], rel=1e-10)
         assert p.norm_C == pytest.approx(math.sqrt(0.99), rel=1e-10)
+        assert p.phi_base == worst_case_contraction(sys, cert, 5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -243,8 +244,7 @@ def test_random_certified_params_have_finite_budget():
     rng = np.random.default_rng(2)
     sys, cert = random_certified_setup(rng)
     M = minimal_contracting_horizon(cert.eta)
-    p = build_params(sys, cert, M, L_phi=3.0, L_pi=1.5, gamma13_slope=10.0,
-                     phi_base=0.9)
+    p = build_params(sys, cert, M, L_phi=3.0, L_pi=1.5, gamma13_slope=10.0)
     k_star, verdict = min_iterations(p, 10 ** 6)
     assert verdict.passed
     assert k_star >= 1

@@ -47,6 +47,13 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as err:
             loads_config(json.dumps(broken))
         assert "unknown key" in err.value.reason
+        # the contraction base q is computed from the window shapes
+        broken = json.loads(json.dumps(base_dict))
+        broken["mhe"]["phi_base"] = 0.98
+        with pytest.raises(ValidationError) as err:
+            loads_config(json.dumps(broken))
+        assert err.value.path == "$.mhe.phi_base"
+        assert "unknown key" in err.value.reason
 
     def test_box_excluding_origin_rejected(self, base_dict):
         broken = json.loads(json.dumps(base_dict))
@@ -158,12 +165,15 @@ class TestCli:
         assert out["ledger"]["params"]["L_phi"] >= 1.0
 
     def test_negative_seed_rejected(self, capsys):
-        code = run_cli(["simulate", "--config",
-                        str(CONFIG_DIR / "case_study.json"),
-                        "--seed", "-1", "--uncertified"])
-        err = json.loads(capsys.readouterr().err)
-        assert code == 2
-        assert err["error"] == "ValidationError"
+        for flag, value in (("--seed", "-1"), ("--steps", "0"),
+                            ("--iters", "-1")):
+            code = run_cli(["simulate", "--config",
+                            str(CONFIG_DIR / "case_study.json"),
+                            flag, value, "--uncertified"])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 2
+            assert err["error"] == "ValidationError"
+            assert err["field"] == flag
 
     def test_simulate_requires_uncertified_gate(self, tmp_path, capsys):
         code = run_cli(["simulate", "--config",
@@ -187,10 +197,12 @@ class TestCli:
         assert summary["steps"] == 12
         assert summary["K"] == 60
 
-    def test_simulate_certified_forty_steps(self, tmp_path, capsys):
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "off"]],
+                             ids=["oracle_default", "oracle_off"])
+    def test_simulate_certified_forty_steps(self, oracle, tmp_path, capsys):
         code = run_cli(["simulate", "--config",
                         str(CONFIG_DIR / "case_study_certified.json"),
-                        "--out", str(tmp_path), "--steps", "40"])
+                        "--out", str(tmp_path), "--steps", "40", *oracle])
         capsys.readouterr()
         assert code == 0
         csv = (tmp_path / "trajectory.csv").read_text()
@@ -213,9 +225,11 @@ class TestCli:
             assert line.split(",")[eps_col] == ""
 
     def test_simulate_strict_failure_exits_nonzero(self, tmp_path, base_dict,
-                                                   capsys):
+                                                   capsys, monkeypatch):
+        # an impossible contraction rate makes the contraction monitor fail
+        monkeypatch.setattr("submhe.analysis.worst_case_contraction",
+                            lambda sys, cert, M: 1e-6)
         doc = json.loads(json.dumps(base_dict))
-        doc["mhe"]["phi_base"] = 1e-6  # impossible claimed rate
         doc["mhe"]["K"] = 1
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(doc))

@@ -19,7 +19,7 @@ def scenario(doc, cert, **kw):
                     x0=np.array([1.0, -1.0, 1.0, -1.0]),
                     x_prior0=np.array([1.0, -1.0, 1.0, -1.0]),
                     seed=3, oracle=True, monitors=True,
-                    L_phi=5.32, L_pi=2.65, gamma13_slope=28.8, phi_base=0.98,
+                    L_phi=5.32, L_pi=2.65, gamma13_slope=28.8,
                     allow_uncertified=True)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
@@ -83,9 +83,22 @@ class TestClosedLoop:
         doc = case_study_doc
         cfg = scenario(doc, doc.certificate, K=0, steps=8)
         log = run_closed_loop(cfg)
+        assert not log.certified
         assert len(log.rows) == 8
         eps = [r.eps for r in log.rows]
         assert max(eps) > 0.1  # warm start never improves
+
+    @pytest.mark.parametrize("K, L_phi, cause", [
+        (50, None, "no value for L_Phi"),
+        (0, 5.32, "K=0, the small-gain test needs K >= 1")],
+        ids=["no_L_phi", "zero_budget"])
+    def test_no_ledger_is_uncertified(self, certified_doc, K, L_phi, cause):
+        doc = certified_doc
+        cfg = doc.scenario_config(doc.certificate, K=K, steps=2, oracle=False,
+                                  L_phi=L_phi)
+        log = run_closed_loop(cfg)  # rho < 1 but no ledger: no raise
+        assert not log.certified and log.ledger is None
+        assert log.uncertified_reason == f"no gain ledger: {cause}"
 
     def test_determinism_bytes(self, case_study_doc):
         doc = case_study_doc
@@ -149,15 +162,15 @@ class TestClosedLoop:
         assert counts["traj_err"]["skip"] == 6
         assert counts["lyapunov"]["pass"] == 6  # rho-free, still checked
 
-    def test_strict_mode_raises_on_failure(self, case_study_doc):
+    def test_strict_mode_raises_on_failure(self, case_study_doc, monkeypatch):
         doc = case_study_doc
-        # an absurdly optimistic claimed rate makes the contraction monitor fail
-        cfg = scenario(doc, doc.certificate, K=1, steps=6, strict=True,
-                       phi_base=1e-6)
+        # an absurdly optimistic rate makes the contraction monitor fail
+        monkeypatch.setattr("submhe.analysis.worst_case_contraction",
+                            lambda sys, cert, M: 1e-6)
+        cfg = scenario(doc, doc.certificate, K=1, steps=6, strict=True)
         with pytest.raises(MonitorViolation):
             run_closed_loop(cfg)
-        relaxed = scenario(doc, doc.certificate, K=1, steps=6, strict=False,
-                           phi_base=1e-6)
+        relaxed = scenario(doc, doc.certificate, K=1, steps=6, strict=False)
         log = run_closed_loop(relaxed)
         assert log.monitor_counts()["contraction"]["fail"] > 0
 
