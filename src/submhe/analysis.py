@@ -8,6 +8,11 @@ estimation error), the small-gain conditions, and the smallest iteration
 count K that passes them. All gains here are linear (slope times argument),
 so the class-K compositions reduce exactly to slope products. This module is
 the only place that knows q, phi(K) and the small-gain verdict.
+
+q = (L - mu)/(L + mu) is the rate of the step the solver takes, 2/(L + mu)
+(see mhe.WindowShape.contraction_base). phi(K) = q^K is therefore a theorem
+for K iterations from any warm start v0, in the Euclidean norm of the free
+coordinates v: ||v_K - v*|| <= q^K ||v0 - v*||.
 """
 
 import math
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import ContractionViolated, NotFoundBelowCap
 from .linalg import eigh
-from .mhe import WindowShapes, compute_weight
+from .mhe import WindowShapes
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class AnalysisParams:
     gamma13_slope: float  # error-to-state gain slope of the controlled plant
     eta: float
     M: int
-    phi_base: float       # q with phi(K) = q^K, from worst_case_contraction
+    phi_base: float       # q of phi(K) = q^K, from worst_case_contraction
     norm_C: float
     bar_H: float          # sup over steps of the largest weight eigenvalue
     lam_HP: float         # bar_H / min eig P
@@ -53,7 +58,12 @@ class AnalysisParams:
                 raise ValueError(f"{name} must be positive")
 
     def phi(self, K):
-        return self.phi_base ** K
+        return phi(self.phi_base, K)
+
+
+def phi(q, K):
+    """The solver contract phi(K) = q^K of K iterations at base q."""
+    return q ** K
 
 
 @dataclass(frozen=True)
@@ -228,28 +238,26 @@ def min_iterations(params, K_max):
     raise NotFoundBelowCap(int(K_max), best_k, best_margin)
 
 
-def weight_eigen_range(cert, M):
-    """(bar_H, min over the M+1 assembled weights of the smallest eigenvalue).
+def weight_eigen_range(shapes):
+    """(bar_H, min over the M+1 weights of the smallest eigenvalue).
 
     The sup over steps of the largest weight eigenvalue is attained among the
-    finitely many window lengths 0..M, all of which are assembled and scanned.
+    finitely many window lengths 0..M of `shapes` (a WindowShapes), all of
+    which are scanned.
     """
-    top = -math.inf
-    bottom = math.inf
-    for m_eff in range(M + 1):
-        w, _ = eigh(compute_weight(m_eff, cert))
-        top = max(top, float(w[-1]))
-        bottom = min(bottom, float(w[0]))
-    return top, bottom
+    ranges = [shapes[m_eff].weight_range for m_eff in range(shapes.M + 1)]
+    return max(top for _, top in ranges), min(bottom for bottom, _ in ranges)
 
 
-def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope):
+def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, shapes=None):
     """Assemble AnalysisParams from a certified system and scalar inputs.
 
     The contraction base q of phi(K) = q^K is computed here, as the worst
-    case over the window shapes; it is never an input.
+    case over the window shapes; it is never an input. `shapes` is the
+    caller's WindowShapes for (sys, cert, M); without it they are built here.
     """
-    bar_h, _ = weight_eigen_range(cert, M)
+    shapes = WindowShapes.of(sys, cert, M, shapes)
+    bar_h, _ = weight_eigen_range(shapes)
     pw, _ = eigh(cert.P)
     qw, _ = eigh(cert.Q)
     lam_min_p = float(pw[0])
@@ -257,7 +265,7 @@ def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope):
         L_phi=float(L_phi), L_pi=float(L_pi),
         gamma13_slope=float(gamma13_slope),
         eta=cert.eta, M=int(M),
-        phi_base=float(worst_case_contraction(sys, cert, M)),
+        phi_base=float(worst_case_contraction(shapes)),
         norm_C=float(np.linalg.norm(sys.C, 2)), bar_H=bar_h,
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,
@@ -265,11 +273,10 @@ def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope):
     )
 
 
-def worst_case_contraction(sys, cert, M):
+def worst_case_contraction(shapes):
     """Largest per-step contraction base q over the M+1 window shapes.
 
     The lift and weight depend only on (A, C, window length), not on the
-    window contents, so the scan is exact.
+    window contents, so the scan over `shapes` (a WindowShapes) is exact.
     """
-    shapes = WindowShapes(sys, cert, M)
-    return max(shapes[m_eff].contraction_base for m_eff in range(M + 1))
+    return max(shapes[m_eff].contraction_base for m_eff in range(shapes.M + 1))

@@ -18,6 +18,7 @@ from .controller import assert_stabilizing, estimate_closed_loop_gain, estimate_
 from .errors import (ContractionViolated, MonitorViolation, NotFoundBelowCap,
                      ParseError, SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
+from .mhe import WindowShapes
 from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
 
@@ -50,13 +51,13 @@ def _resolve_l_pi(doc):
     return float(np.linalg.norm(doc.controller.gain, 2))
 
 
-def _resolve_l_phi(doc, cert):
+def _resolve_l_phi(doc, cert, shapes):
     src = doc.analysis["L_Phi"]
     if src != "probe":
         return float(src), False
     probe = lipschitz_probe(doc.system, cert, doc.mhe["M"],
                             n_trials=doc.analysis["probe_trials"],
-                            seed=doc.analysis["probe_seed"])
+                            seed=doc.analysis["probe_seed"], shapes=shapes)
     return probe.value, True
 
 
@@ -67,17 +68,21 @@ def _resolve_gamma13(doc):
     return est.slope, True
 
 
-def _analysis_pipeline(doc, cert):
-    """Shared by analyze-k and K='auto' simulation: params + minimum K."""
+def _analysis_pipeline(doc, cert, shapes):
+    """Shared by analyze-k and K='auto' simulation: params + minimum K.
+
+    `shapes` is the run's one WindowShapes, shared by the Lipschitz probe,
+    the analysis and (when simulating) the loop.
+    """
     assert_stabilizing(doc.system, doc.controller,
                        radius=doc.analysis["smoke_radius"],
                        horizon=doc.analysis["smoke_horizon"],
                        n_samples=doc.analysis["smoke_samples"])
-    l_phi, l_phi_probed = _resolve_l_phi(doc, cert)
+    l_phi, l_phi_probed = _resolve_l_phi(doc, cert, shapes)
     gamma13, gamma13_heuristic = _resolve_gamma13(doc)
     params = analysis.build_params(
         doc.system, cert, doc.mhe["M"], L_phi=l_phi, L_pi=_resolve_l_pi(doc),
-        gamma13_slope=gamma13)
+        gamma13_slope=gamma13, shapes=shapes)
     k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
     meta = {"L_Phi_probed": l_phi_probed, "gamma13_heuristic": gamma13_heuristic}
     return k_star, ledger, params, meta
@@ -103,7 +108,8 @@ def cmd_certify(args):
 def cmd_analyze_k(args):
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    k_star, ledger, _, meta = _analysis_pipeline(doc, cert)
+    shapes = WindowShapes(doc.system, cert, doc.mhe["M"])
+    k_star, ledger, _, meta = _analysis_pipeline(doc, cert, shapes)
     out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
     text = json.dumps(out, indent=2)
     print(text)
@@ -127,22 +133,23 @@ def cmd_simulate(args):
     if args.oracle is not None:
         oracle = args.oracle == "on"
     monitors_on = doc.scenario["monitors"] and (oracle is None or oracle)
+    shapes = WindowShapes(doc.system, cert, doc.mhe["M"])
     l_phi = None
     if args.iters is None and doc.mhe["K"] == "auto":
-        k, _, params, _ = _analysis_pipeline(doc, cert)
+        k, _, params, _ = _analysis_pipeline(doc, cert, shapes)
         l_phi = params.L_phi
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
         if doc.analysis["L_Phi"] != "probe" or monitors_on:
             try:
-                l_phi, _ = _resolve_l_phi(doc, cert)
+                l_phi, _ = _resolve_l_phi(doc, cert, shapes)
             except SubmheError:
                 l_phi = None  # no ledger; monitors needing L_Phi are skipped
     cfg = doc.scenario_config(cert, K=k, seed=args.seed, steps=args.steps,
                               oracle=oracle, strict=args.strict,
                               allow_uncertified=args.uncertified, L_phi=l_phi,
                               L_pi=_resolve_l_pi(doc))
-    log = run_closed_loop(cfg)
+    log = run_closed_loop(cfg, shapes=shapes)
     outdir = Path(args.out if args.out else doc.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / doc.output["csv"]

@@ -10,8 +10,10 @@ initial prior (this is what makes the per-step inequalities theorems).
 When the oracle is enabled, every step also measures the sub-optimality
 error and checks the per-step inequalities of the analysis as monitors:
 (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
-trajectory bounds (certified runs only), (d) the solver contraction budget.
-Monitor failures are recorded, not fatal, unless strict mode is on.
+trajectory bounds (certified runs only), (d) the solver contraction budget,
+in the free coordinates v where it is a theorem. The sub-optimality error
+eps itself is measured in the decision vector z. Monitor failures are
+recorded, not fatal, unless strict mode is on.
 """
 
 from dataclasses import dataclass, field
@@ -110,7 +112,7 @@ class LogRow:
     dim_z: int
     dim_z0: int
     z_k: np.ndarray
-    warm_distance: float | None
+    warm_distance: float | None  # ||v0 - v*||, free coordinates of the warm start
     what_feasible: bool
     xhat_feasible: bool
     yhat_feasible: bool
@@ -222,7 +224,7 @@ def sample_disturbance(seed, w1_box, w2_box, T):
 class MonitorBundle:
     """Constants the per-step monitors need, with None marking unavailability."""
 
-    phi: float | None          # phi(K) = q^K
+    phi: float | None          # phi(K) = q^K, from analysis.phi
     L_phi: float | None
     C1: float | None
     C2: float | None
@@ -239,11 +241,13 @@ def _leq(lhs, rhs, rel_tol):
 
 def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
                  w_delta_now, w_delta_anchor, w_recent_q, sup_x, sup_e,
-                 sup_w, sup_sigma, sup_eps, warm_distance):
+                 sup_w, sup_sigma, sup_eps, eps_v, warm_distance):
     """Evaluate the per-step inequality monitors from measured quantities.
 
     sup_* are running sup-norms over steps [0, t-1]; w_recent_q lists the
     Q-weighted squared disturbance norms ||w_{t-j}||_Q^2 for j = 1..m_eff.
+    eps is ||z_K - z*||; eps_v = ||v_K - v*|| and warm_distance =
+    ||v0 - v*|| are the solver's distances in the free coordinates.
     """
     rel = bundle.rel_tol
     verdicts = {}
@@ -281,21 +285,27 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
                    + led.g3w * sup_w + led.g3sigma * sup_sigma)
         verdicts["traj_err"] = PASS if _leq(e_norm_now, rhs_err, rel) else FAIL
 
-    # (d) solver contraction budget
-    if eps is None or warm_distance is None or bundle.phi is None:
+    # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*||
+    if eps_v is None or warm_distance is None or bundle.phi is None:
         verdicts["contraction"] = SKIP
     else:
-        verdicts["contraction"] = (PASS if _leq(eps, bundle.phi * warm_distance, rel)
+        verdicts["contraction"] = (PASS if _leq(eps_v, bundle.phi * warm_distance, rel)
                                    else FAIL)
     return StepVerdicts(**verdicts)
 
 
-def run_closed_loop(cfg):
-    """Execute the warm-started fixed-budget estimation loop for cfg.steps."""
+def run_closed_loop(cfg, shapes=None):
+    """Execute the warm-started fixed-budget estimation loop for cfg.steps.
+
+    `shapes` is the caller's WindowShapes for (cfg.sys, cfg.cert, cfg.M);
+    without it the loop builds its own. The analysis and the loop share them,
+    so each window shape and its eigen terms are built once per run.
+    """
     sys = validate_system(cfg.sys)
     cfg.cert.check_shapes(sys)
     T, M, K = cfg.steps, cfg.M, cfg.K
     eta = cfg.cert.eta
+    shapes = WindowShapes.of(sys, cfg.cert, M, shapes)
 
     certified = True
     uncertified_reason = None
@@ -311,7 +321,7 @@ def run_closed_loop(cfg):
         try:
             params = analysis.build_params(
                 sys, cfg.cert, M, L_phi=cfg.L_phi, L_pi=cfg.L_pi,
-                gamma13_slope=cfg.gamma13_slope)
+                gamma13_slope=cfg.gamma13_slope, shapes=shapes)
         except ValueError as exc:
             no_ledger = str(exc)
     if K == 0:
@@ -319,9 +329,9 @@ def run_closed_loop(cfg):
     if params is not None:
         q, bar_h = params.phi_base, params.bar_H
     else:
-        q = analysis.worst_case_contraction(sys, cfg.cert, M)
-        bar_h, _ = analysis.weight_eigen_range(cfg.cert, M)
-    phi = q ** K if K > 0 else 1.0
+        q = analysis.worst_case_contraction(shapes)
+        bar_h, _ = analysis.weight_eigen_range(shapes)
+    phi = analysis.phi(q, K)
 
     try:
         analysis.compute_rho(eta, M)
@@ -353,7 +363,6 @@ def run_closed_loop(cfg):
                            rel_tol=cfg.monitor_rel_tol)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, cfg.w1_box, cfg.w2_box, T)
-    shapes = WindowShapes(sys, cfg.cert, M)
 
     log = TrajectoryLog(config_hash=cfg.config_hash, seed=cfg.seed, M=M, K=K,
                         certified=certified, uncertified_reason=uncertified_reason,
@@ -387,19 +396,18 @@ def run_closed_loop(cfg):
         filtered.append(xhat)
         x_hist.append(x.copy())
 
-        eps = None
-        warm_distance = None
+        eps = eps_v = warm_distance = None
         if cfg.oracle:
             z_star = solve_oracle(problem, tol=cfg.oracle_tol)
             eps = float(np.linalg.norm(z_k - z_star.z))
-            warm_distance = float(np.linalg.norm(z0 - z_star.z))
+            eps_v = float(np.linalg.norm(report.point.v - z_star.v))
+            warm_distance = float(np.linalg.norm(problem.select_v(z0) - z_star.v))
             if eps0 is None:
                 eps0 = eps
         if e0_norm is None:
             e0_norm = float(np.linalg.norm(xhat - x))
 
-        sigma_raw, sigma_clamped = residual_sigma_parts(
-            t, M, problem.weight, sys, eta)
+        sigma_raw, sigma_clamped = residual_sigma_parts(t, shapes, eta)
         wd_now = w_delta(cfg.cert, xhat, x)
         anchor_idx = t - m_eff
         wd_anchor = w_delta(cfg.cert, filtered[anchor_idx], x_hist[anchor_idx])
@@ -415,7 +423,7 @@ def run_closed_loop(cfg):
                 e0_norm=e0_norm, w_delta_now=wd_now,
                 w_delta_anchor=wd_anchor, w_recent_q=w_recent_q,
                 sup_x=sup_x, sup_e=sup_e, sup_w=sup_w, sup_sigma=sup_sigma,
-                sup_eps=sup_eps, warm_distance=warm_distance)
+                sup_eps=sup_eps, eps_v=eps_v, warm_distance=warm_distance)
         else:
             verdicts = StepVerdicts()
 
@@ -468,7 +476,8 @@ class LipschitzProbe:
 
 
 def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
-                    prior_scale=1.0, y_scale=1.0, prior_step_scale=0.3):
+                    prior_scale=1.0, y_scale=1.0, prior_step_scale=0.3,
+                    shapes=None):
     """Empirical Lipschitz constant of the optimal-solution map.
 
     Samples consecutive-step problem pairs (shared window content, shifted by
@@ -477,11 +486,12 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
         ||lift(z1*) - z2*|| / (||ref1 - truncate(ref2)|| + sigma_t).
 
     Returns the max ratio floored at 1 + 1e-9. Samples with a vanishing
-    denominator are skipped and counted.
+    denominator are skipped and counted. `shapes` is the caller's
+    WindowShapes for (sys, cert, M); without it the probe builds its own.
     """
     rng = np.random.default_rng(seed)
     dims = (sys.n_x, sys.n_y)
-    shapes = WindowShapes(sys, cert, M)
+    shapes = WindowShapes.of(sys, cert, M, shapes)
     best = 0.0
     used = skipped = 0
     for _ in range(n_trials):
@@ -502,7 +512,7 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
             u2, y2 = u_seq[:m_t], y_seq[:m_t]
         p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1, shapes=shapes)
         p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
-        _, sigma_t = residual_sigma_parts(t, M, p2.weight, sys, cert.eta)
+        _, sigma_t = residual_sigma_parts(t, shapes, cert.eta)
         denom = (np.linalg.norm(p1.reference
                                 - sigma_truncate(p2.reference, t, M, dims))
                  + sigma_t)

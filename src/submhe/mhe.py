@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateHessian, DimensionMismatch, WindowLengthMismatch
+from .linalg import eigh
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ class WindowShape:
     G = 2 Psi^T H and the reduced Hessian S = G Psi. A step adds only its
     offset psi and reference, which enter the gradient S v + c through
     c = G (psi - ref). The PGD terms (curvature, step, contraction base and
-    the transition matrix I - step * S) are computed on first use.
+    the transition matrix I - step * S) and the weight's norm and extreme
+    eigenvalues are computed on first use.
     """
 
     m_eff: int
@@ -91,9 +93,30 @@ class WindowShape:
 
     @property
     def contraction_base(self):
-        """The certified per-iteration contraction base q = 1 - mu/L."""
+        """The certified per-iteration contraction base (L - mu)/(L + mu).
+
+        This is the rate of the step the iteration takes. For v, v' in R^n,
+        the gradient map v -> v - step * (S v + c) changes v - v' by the
+        factor I - step * S, whose spectral norm is max |1 - step * lambda|
+        over the eigenvalues lambda of S in [mu, L]; at step = 2/(L + mu)
+        that is (L - mu)/(L + mu) (Nesterov, Introductory Lectures on Convex
+        Optimization, 2004, Thm 2.1.15). The box projection is nonexpansive,
+        so one iteration contracts the Euclidean distance in the free
+        coordinates v, to the optimum in particular, by this base.
+        """
         mu, lip = self.curvature
-        return 1.0 - mu / lip
+        return (lip - mu) / (lip + mu)
+
+    @cached_property
+    def weight_norm(self):
+        """||H||, the spectral norm of the weight."""
+        return float(np.linalg.norm(self.weight, 2))
+
+    @cached_property
+    def weight_range(self):
+        """(smallest, largest) eigenvalue of the weight H."""
+        w, _ = eigh(self.weight)
+        return float(w[0]), float(w[-1])
 
     @cached_property
     def transition(self):
@@ -160,6 +183,21 @@ class WindowShapes:
         cert.check_shapes(sys)
         self.sys, self.cert, self.M = sys, cert, int(M)
         self._shapes = [None] * (self.M + 1)
+
+    @classmethod
+    def of(cls, sys, cert, M, shapes=None):
+        """The caller's shapes for (sys, cert, M), or new ones if None."""
+        if shapes is None:
+            return cls(sys, cert, M)
+        if shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
+            raise ValueError("window shapes belong to another (system, certificate, M)")
+        return shapes
+
+    @cached_property
+    def plant_norms(self):
+        """(||A||, ||B||, ||C||), the plant's share of sigma_t."""
+        return tuple(float(np.linalg.norm(m, 2))
+                     for m in (self.sys.A, self.sys.B, self.sys.C))
 
     def __getitem__(self, m_eff):
         if not 0 <= m_eff <= self.M:
@@ -289,8 +327,8 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     m_eff = min(M, t)
     if shapes is None:
         cert.check_shapes(sys)
-    elif shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
-        raise ValueError("window shapes belong to another (system, certificate, M)")
+    else:
+        WindowShapes.of(sys, cert, M, shapes)  # rejects another run's shapes
     u_window = np.asarray(u_window, dtype=float).reshape(-1, n_u) if len(u_window) else \
         np.zeros((0, n_u))
     y_window = np.asarray(y_window, dtype=float).reshape(-1, n_y) if len(y_window) else \
@@ -392,22 +430,23 @@ def extract_estimate(problem, z):
     return states
 
 
-def residual_sigma_parts(t, M, weight, sys, eta):
+def residual_sigma_parts(t, shapes, eta):
     """(raw, clamped) residual magnitude for the growing-phase problem change.
 
     Raw value is (1 - 1/eta) ||H|| + ||A|| + ||B|| + ||C|| + 2 for t <= M and
-    0 afterwards. The first coefficient is negative for eta in (0, 1), so the
-    raw value can be negative; it is clamped at zero because it enters the
-    analysis as a disturbance magnitude.
+    0 afterwards, with H the weight of the length-t window of `shapes` (a
+    WindowShapes, which keeps both norms). The first coefficient is negative
+    for eta in (0, 1), so the raw value can be negative; it is clamped at
+    zero because it enters the analysis as a disturbance magnitude.
     """
-    if t > M:
+    if t > shapes.M:
         return 0.0, 0.0
     coeff = 0.0 if eta == 1.0 else (1.0 - 1.0 / eta if eta > 0.0 else -np.inf)
-    raw = (coeff * np.linalg.norm(weight, 2) + np.linalg.norm(sys.A, 2)
-           + np.linalg.norm(sys.B, 2) + np.linalg.norm(sys.C, 2) + 2.0)
+    norm_a, norm_b, norm_c = shapes.plant_norms
+    raw = coeff * shapes[t].weight_norm + norm_a + norm_b + norm_c + 2.0
     return float(raw), float(max(raw, 0.0))
 
 
-def residual_sigma(t, M, weight, sys, eta):
+def residual_sigma(t, shapes, eta):
     """Clamped residual magnitude sigma_t (see residual_sigma_parts)."""
-    return residual_sigma_parts(t, M, weight, sys, eta)[1]
+    return residual_sigma_parts(t, shapes, eta)[1]

@@ -2,11 +2,12 @@
 
 The projected-gradient map on the condensed QP is feasible after every
 iteration (componentwise clamping is exact on boxes) and contracts the
-distance to the optimizer in the free coordinates. The advertised budget is
-phi(K) = q^K with q = 1 - mu/L; iterating at the optimal constant step
-2/(L+mu) gives the true rate q/(2-q) < q, so the budget holds with margin.
-The oracle is a primal active-set method used to measure the true optimizer
-and the sub-optimality error.
+distance to the optimizer in the free coordinates. The iteration steps
+2/(L+mu), and its budget is the rate of that step: phi(K) = q^K with
+q = (L-mu)/(L+mu), so ||v_K - v*|| <= q^K ||v_0 - v*|| in the Euclidean
+norm of v (see mhe.WindowShape.contraction_base). The oracle is a primal
+active-set method used to measure the true optimizer and the sub-optimality
+error.
 
 There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
@@ -81,14 +82,11 @@ def _iterate(op, lo, hi, v0, iters, history):
 
 
 def contraction_rate(problem):
-    """Gradient step 1/L and per-iteration contraction base q = 1 - mu/L.
-
-    This is the certified contract. The iteration itself uses the slightly
-    faster constant step 2/(L+mu), whose true rate q/(2-q) beats q, so the
-    q^K budget always holds with margin.
+    """(step, q): the iteration's step 2/(L+mu) and its certified
+    per-iteration contraction base q = (L-mu)/(L+mu) in the free coordinates.
     """
     shape = problem.shape
-    return 1.0 / shape.curvature[1], shape.contraction_base
+    return shape.step, shape.contraction_base
 
 
 def _as_v(problem, z0):

@@ -10,7 +10,7 @@ from submhe.analysis import (AnalysisParams, budget_constants, build_params,
                              minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
 from submhe.errors import ContractionViolated, NotFoundBelowCap
-from submhe.mhe import compute_weight
+from submhe.mhe import WindowShapes, compute_weight
 
 
 def params(L_phi=5.32, L_pi=2.65, gamma13=28.8, eta=0.5, M=5, q=0.98,
@@ -206,8 +206,8 @@ class TestLedger:
 
 class TestBuildParams:
     def test_weight_scan_matches_direct(self, case_study):
-        _, cert, _ = case_study
-        bar_h, _ = weight_eigen_range(cert, 5)
+        sys, cert, _ = case_study
+        bar_h, _ = weight_eigen_range(WindowShapes(sys, cert, 5))
         direct = max(np.linalg.eigvalsh(compute_weight(m, cert))[-1]
                      for m in range(6))
         assert bar_h == pytest.approx(direct, rel=1e-12)
@@ -220,7 +220,7 @@ class TestBuildParams:
         assert p.lam_PP == pytest.approx(pw[-1] / pw[0], rel=1e-10)
         assert p.lam_QP == pytest.approx(1.0 / pw[0], rel=1e-10)
         assert p.norm_C == pytest.approx(math.sqrt(0.99), rel=1e-10)
-        assert p.phi_base == worst_case_contraction(sys, cert, 5)
+        assert p.phi_base == worst_case_contraction(WindowShapes(sys, cert, 5))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -232,10 +232,22 @@ class TestBuildParams:
         with pytest.raises(ValueError):
             params(lam_HP=0.0)
 
+    def test_caller_shapes_give_the_same_params(self, case_study):
+        sys, cert, _ = case_study
+        shapes = WindowShapes(sys, cert, 5)
+        kw = dict(L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
+        assert (build_params(sys, cert, 5, shapes=shapes, **kw)
+                == build_params(sys, cert, 5, **kw))
+        q = worst_case_contraction(shapes)
+        assert q == max((L - mu) / (L + mu) for mu, L in
+                        (shapes[m].curvature for m in range(6)))
+        with pytest.raises(ValueError):
+            build_params(sys, cert, 4, shapes=shapes, **kw)
+
     def test_worst_case_contraction_scans_all_shapes(self, case_study):
         sys, cert, _ = case_study
-        q5 = worst_case_contraction(sys, cert, 5)
-        q9 = worst_case_contraction(sys, cert, 9)
+        q5 = worst_case_contraction(WindowShapes(sys, cert, 5))
+        q9 = worst_case_contraction(WindowShapes(sys, cert, 9))
         assert 0 < q5 < 1 and 0 < q9 < 1
         assert q9 >= q5  # longer windows condition worse here
 

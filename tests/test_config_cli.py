@@ -211,6 +211,25 @@ class TestCli:
         assert summary["certified"] is True
         assert summary["ledger"]["small_gain"]["passed"] is True
 
+    def test_simulate_builds_each_window_shape_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import submhe.mhe as mhe
+        built = []
+        real = mhe.window_shape
+
+        def counting(sys, cert, m_eff):
+            built.append(m_eff)
+            return real(sys, cert, m_eff)
+
+        monkeypatch.setattr(mhe, "window_shape", counting)
+        code = run_cli(["simulate", "--config",
+                        str(CONFIG_DIR / "case_study_certified.json"),
+                        "--out", str(tmp_path), "--steps", "12",
+                        "--oracle", "off"])
+        capsys.readouterr()
+        assert code == 0
+        assert sorted(built) == list(range(10))  # M = 9: one build per length
+
     def test_simulate_oracle_off(self, tmp_path, capsys):
         code = run_cli(["simulate", "--config",
                         str(CONFIG_DIR / "case_study.json"),
@@ -228,7 +247,7 @@ class TestCli:
                                                    capsys, monkeypatch):
         # an impossible contraction rate makes the contraction monitor fail
         monkeypatch.setattr("submhe.analysis.worst_case_contraction",
-                            lambda sys, cert, M: 1e-6)
+                            lambda shapes: 1e-6)
         doc = json.loads(json.dumps(base_dict))
         doc["mhe"]["K"] = 1
         path = tmp_path / "strict.json"

@@ -139,6 +139,21 @@ class TestClosedLoop:
         assert counts["traj_eps"]["fail"] == 0
         assert counts["traj_err"]["fail"] == 0
 
+    @pytest.mark.parametrize("K", [0, 1, 25])
+    def test_contraction_monitor_in_free_coordinates(self, certified_doc, K):
+        # At K = 0 the iterate is the box projection of the warm start, and
+        # phi(0) = 1: a projection never moves v away from v*, while in z the
+        # zero-padded warm start (off the lift's range) can lie nearer to z*
+        # than its projection does.
+        doc = certified_doc
+        cfg = doc.scenario_config(doc.certificate, K=K, steps=10, oracle=True,
+                                  allow_uncertified=True,
+                                  L_phi=doc.analysis["L_Phi"])
+        log = run_closed_loop(cfg)
+        counts = log.monitor_counts()["contraction"]
+        assert counts["fail"] == 0
+        assert counts["pass"] == 10
+
     @pytest.mark.parametrize("source", ["rho_violated", "small_gain_fails"])
     def test_uncertified_skips_trajectory_monitors(self, source, case_study_doc,
                                                    certified_doc):
@@ -166,7 +181,7 @@ class TestClosedLoop:
         doc = case_study_doc
         # an absurdly optimistic rate makes the contraction monitor fail
         monkeypatch.setattr("submhe.analysis.worst_case_contraction",
-                            lambda sys, cert, M: 1e-6)
+                            lambda shapes: 1e-6)
         cfg = scenario(doc, doc.certificate, K=1, steps=6, strict=True)
         with pytest.raises(MonitorViolation):
             run_closed_loop(cfg)
@@ -276,7 +291,7 @@ class TestMonitorStep:
                         e_norm_now=0.5, e0_norm=1.0, w_delta_now=1.0,
                         w_delta_anchor=1.0, w_recent_q=[0.01, 0.01, 0.01],
                         sup_x=1.0, sup_e=1.0, sup_w=0.1, sup_sigma=0.0,
-                        sup_eps=0.3, warm_distance=0.5)
+                        sup_eps=0.3, eps_v=0.1, warm_distance=0.5)
         defaults.update(kw)
         return defaults
 
@@ -303,9 +318,9 @@ class TestMonitorStep:
 
     def test_contraction_monitor(self):
         b = self.bundle()
-        v = monitor_step(b, **self.common(eps=0.24, warm_distance=0.5))
+        v = monitor_step(b, **self.common(eps_v=0.24, warm_distance=0.5))
         assert v.contraction == "pass"
-        v = monitor_step(b, **self.common(eps=0.26, warm_distance=0.5))
+        v = monitor_step(b, **self.common(eps_v=0.26, warm_distance=0.5))
         assert v.contraction == "fail"
 
     def test_missing_constants_skip(self):

@@ -284,21 +284,20 @@ class TestExtractEstimate:
 class TestResidualSigma:
     def test_zero_after_growing_phase(self, case_study):
         sys, cert, _ = case_study
-        h = compute_weight(5, cert)
-        assert residual_sigma(6, 5, h, sys, cert.eta) == 0.0
+        assert residual_sigma(6, WindowShapes(sys, cert, 5), cert.eta) == 0.0
 
     def test_eta_one_limit(self, case_study):
         sys, cert, _ = case_study
-        h = compute_weight(3, cert)
         expected = (np.linalg.norm(sys.A, 2) + np.linalg.norm(sys.B, 2)
                     + np.linalg.norm(sys.C, 2) + 2.0)
-        assert residual_sigma(3, 5, h, sys, 1.0) == pytest.approx(expected,
-                                                                  rel=1e-12)
+        assert residual_sigma(3, WindowShapes(sys, cert, 5), 1.0) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_case_study_value_finite_and_clamp_flagged(self, case_study):
         sys, cert, _ = case_study
         h = compute_weight(3, cert)
-        raw, clamped = residual_sigma_parts(3, 5, h, sys, cert.eta)
+        raw, clamped = residual_sigma_parts(3, WindowShapes(sys, cert, 5),
+                                            cert.eta)
         assert np.isfinite(raw)
         assert clamped == max(raw, 0.0)
         # negative-coefficient structure: raw = clamped only when raw >= 0
@@ -311,7 +310,6 @@ class TestResidualSigma:
     def test_clamp_when_weight_dominates(self):
         sys = make_system([[0.1]], [[0.1]], [[0.1]])
         cert = simple_certificate(1, 1, P=100 * np.eye(1), eta=0.8)
-        h = compute_weight(1, cert)
-        raw, clamped = residual_sigma_parts(1, 5, h, sys, 0.8)
+        raw, clamped = residual_sigma_parts(1, WindowShapes(sys, cert, 5), 0.8)
         assert raw < 0.0
         assert clamped == 0.0

@@ -66,8 +66,8 @@ class TestContractionRate:
     def test_hand_conditioned(self):
         prob = plain_problem(np.diag([0.5, 2.0]), np.zeros(2))
         alpha, q = contraction_rate(prob)
-        assert alpha == pytest.approx(0.25)
-        assert q == pytest.approx(0.75)
+        assert alpha == pytest.approx(0.4)
+        assert q == pytest.approx(0.6)
 
     def test_case_study_base_below_paper_rate(self, case_study):
         sys, cert, _ = case_study
@@ -344,3 +344,36 @@ class TestKernelReference:
         assert np.max(np.abs(rep.point.v - expect)) <= tol
         if K:
             assert np.max(np.abs(rep.history - ref)) <= tol
+
+
+# Two trajectories of the same problem, tolerance set from float64 before the
+# test was run: in exact arithmetic ||u_K - v_K|| <= r^K ||u_0 - v_0||. Each iteration
+# of each trajectory rounds at most (n + 2) unit roundoffs of the magnitudes
+# in play; over K <= 200 iterations at n <= 28 that stays below 1e-12 of the
+# largest of them (the starts, the ends and step * |c|), and the relative
+# 1e-9 covers rounding in ||u_0 - v_0|| and r^K.
+PAIR_RTOL = 1e-9
+PAIR_ATOL = 1e-12
+
+
+class TestContractionProperty:
+    """The certified base is the rate of the step the kernel takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lifted_problems(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_two_starts_contract_at_certified_rate(self, case, seed):
+        prob, v0 = case
+        alpha, r = contraction_rate(prob)
+        rng = np.random.default_rng(seed)
+        u0 = np.clip(rng.uniform(-3.0, 3.0, size=prob.dim_v),
+                     prob.lower, prob.upper)
+        v0 = np.clip(v0, prob.lower, prob.upper)
+        d0 = np.linalg.norm(u0 - v0)
+        for K in (1, 5, 20, 200):
+            u_k = solve_fixed_iters(prob, prob.lift(u0), K).point.v
+            v_k = solve_fixed_iters(prob, prob.lift(v0), K).point.v
+            scale = max(1.0, *(float(np.max(np.abs(a)))
+                               for a in (u0, v0, u_k, v_k)),
+                        alpha * float(np.max(np.abs(prob.linear_term))))
+            bound = r ** K * d0 * (1.0 + PAIR_RTOL) + PAIR_ATOL * scale
+            assert np.linalg.norm(u_k - v_k) <= bound, (K, r)
