@@ -13,6 +13,14 @@ q = (L - mu)/(L + mu) is the rate of the step the solver takes, 2/(L + mu)
 (see mhe.WindowShape.contraction_base). phi(K) = q^K is therefore a theorem
 for K iterations from any warm start v0, in the Euclidean norm of the free
 coordinates v: ||v_K - v*|| <= q^K ||v0 - v*||.
+
+The sub-optimality error eps = ||z_K - z*|| of the analysis is measured in
+the lifted z = Psi v + psi, so the constants use the lifted contract
+phi_z(K) = g phi(K), with g = max ||Psi|| over the window shapes (the lift
+gain). It is a theorem in z for any warm start z0 whose free coordinates are
+v0: ||z_K - z*|| <= ||Psi|| ||v_K - v*|| <= g q^K ||v0 - v*||
+<= g q^K ||z0 - z*||, the last step because the free coordinates appear
+verbatim in z. For small K, phi_z(K) >= 1 and no ledger passes.
 """
 
 import math
@@ -22,7 +30,6 @@ import numpy as np
 
 from .errors import ContractionViolated, NotFoundBelowCap
 from .linalg import eigh
-from .mhe import WindowShapes
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,7 @@ class AnalysisParams:
     eta: float
     M: int
     phi_base: float       # q of phi(K) = q^K, from worst_case_contraction
+    lift_gain: float      # g of phi_z(K) = g phi(K): max ||Psi||, from lift_gain
     norm_C: float
     bar_H: float          # sup over steps of the largest weight eigenvalue
     lam_HP: float         # bar_H / min eig P
@@ -46,6 +54,8 @@ class AnalysisParams:
             raise ValueError(f"L_phi must exceed 1, got {self.L_phi}")
         if not 0.0 < self.phi_base < 1.0:
             raise ValueError(f"phi_base must lie in (0, 1), got {self.phi_base}")
+        if not self.lift_gain >= 1.0:
+            raise ValueError(f"lift_gain must be at least 1, got {self.lift_gain}")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
         if self.M < 1:
@@ -60,16 +70,20 @@ class AnalysisParams:
     def phi(self, K):
         return phi(self.phi_base, K)
 
+    def phi_z(self, K):
+        return self.lift_gain * self.phi(K)
+
 
 def phi(q, K):
-    """The solver contract phi(K) = q^K of K iterations at base q."""
+    """The solver contract phi(K) = q^K of K iterations at base q, in v."""
     return q ** K
 
 
 @dataclass(frozen=True)
 class BudgetConstants:
     K: int
-    phi: float
+    phi: float            # the solver contract in v
+    phi_z: float          # the lifted contract every constant is built from
     rho: float
     C1: float
     C2: float
@@ -91,7 +105,7 @@ class GainLedger:
     g23: float
     g2w: float
     g2sigma: float
-    beta2_base: float     # epsilon transient: phi(K)^t
+    beta2_base: float     # epsilon transient: phi_z(K)^t
     # estimation error dynamics
     g31: float
     g32: float
@@ -109,6 +123,7 @@ class GainLedger:
         return {
             "K": self.K,
             "phi": c.phi,
+            "phi_z": c.phi_z,
             "rho": c.rho,
             "constants": {"C1": c.C1, "C2": c.C2, "C3": c.C3,
                           "C_e": c.C_e, "C_w": c.C_w, "C_eps": c.C_eps},
@@ -126,7 +141,8 @@ class GainLedger:
                 "L_phi": self.params.L_phi, "L_pi": self.params.L_pi,
                 "gamma13_slope": self.params.gamma13_slope,
                 "eta": self.params.eta, "M": self.params.M,
-                "phi_base": self.params.phi_base, "norm_C": self.params.norm_C,
+                "phi_base": self.params.phi_base,
+                "lift_gain": self.params.lift_gain, "norm_C": self.params.norm_C,
                 "bar_H": self.params.bar_H, "lam_HP": self.params.lam_HP,
                 "lam_PP": self.params.lam_PP, "lam_QP": self.params.lam_QP,
             },
@@ -164,9 +180,12 @@ def recursion_constants(phi, L_phi, L_pi, norm_C, M):
 
 
 def budget_constants(K, params):
-    """Literal evaluation of the six iteration-count constants."""
+    """Literal evaluation of the six iteration-count constants.
+
+    They bound the lifted error eps, so they are built from phi_z(K).
+    """
     rho = compute_rho(params.eta, params.M)
-    phi = params.phi(K)
+    phi = params.phi_z(K)
     L_phi, L_pi, M = params.L_phi, params.L_pi, params.M
     sq = math.sqrt
     sqrt_rho = sq(rho)
@@ -186,8 +205,8 @@ def budget_constants(K, params):
     c_eps = (sq(2.0 * params.lam_HP) * phi
              + sq(2.0 * params.lam_HP) * geo_m
              + 4.0 * params.lam_HP * phi * L_phi * (L_pi * M + 1.0) * geo_m)
-    return BudgetConstants(K=int(K), phi=phi, rho=rho, C1=c1, C2=c2, C3=c3,
-                             C_e=c_e, C_w=c_w, C_eps=c_eps)
+    return BudgetConstants(K=int(K), phi=params.phi(K), phi_z=phi, rho=rho,
+                           C1=c1, C2=c2, C3=c3, C_e=c_e, C_w=c_w, C_eps=c_eps)
 
 
 def ledger_at(K, params):
@@ -195,20 +214,24 @@ def ledger_at(K, params):
 
     With linear gains the composed class-K loop conditions reduce to strict
     slope products: (i) gamma13 * g31 < 1, (ii) g23 * g32 < 1,
-    (iii) gamma13 * g32 * g21 < 1. A product of exactly 1 fails.
+    (iii) gamma13 * g32 * g21 < 1. A product of exactly 1 fails. While
+    phi_z(K) >= 1 the eps recursion does not contract: its gains are
+    infinite and the ledger fails.
     """
     c = budget_constants(K, params)
-    phi = c.phi
-    one_minus = 1.0 - phi
+    phi = c.phi_z
     root = math.sqrt(2.0 * params.lam_HP)
-    g21, g23 = c.C1 / one_minus, c.C2 / one_minus
+    if phi < 1.0:
+        g21, g23, g2w, g2sigma = (x / (1.0 - phi) for x in
+                                  (c.C1, c.C2, c.C3, phi * params.L_phi))
+    else:
+        g21 = g23 = g2w = g2sigma = math.inf
     g31, g32 = root * c.C1, c.C_eps
     g = params.gamma13_slope
     products = (g * g31, g23 * g32, g * g32 * g21)
     return GainLedger(
         K=int(K), params=params, constants=c,
-        g21=g21, g23=g23, g2w=c.C3 / one_minus,
-        g2sigma=phi * params.L_phi / one_minus,
+        g21=g21, g23=g23, g2w=g2w, g2sigma=g2sigma,
         beta2_base=phi,
         g31=g31, g32=g32, g3w=c.C_w,
         g3sigma=root * phi * params.L_phi,
@@ -216,7 +239,7 @@ def ledger_at(K, params):
         beta3_base=math.sqrt(c.rho),
         products=products,
         margins=tuple(1.0 - p for p in products),
-        passed=all(p < 1.0 for p in products))
+        passed=phi < 1.0 and all(p < 1.0 for p in products))
 
 
 def min_iterations(params, K_max):
@@ -249,14 +272,15 @@ def weight_eigen_range(shapes):
     return max(top for _, top in ranges), min(bottom for bottom, _ in ranges)
 
 
-def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, shapes=None):
-    """Assemble AnalysisParams from a certified system and scalar inputs.
+def build_params(shapes, *, L_phi, L_pi, gamma13_slope):
+    """Assemble AnalysisParams from a run's window shapes and scalar inputs.
 
-    The contraction base q of phi(K) = q^K is computed here, as the worst
-    case over the window shapes; it is never an input. `shapes` is the
-    caller's WindowShapes for (sys, cert, M); without it they are built here.
+    `shapes` (a WindowShapes) carries the certified system, the certificate
+    and M. The contraction base q of phi(K) = q^K and the lift gain are
+    computed here, as worst cases over the window shapes; neither is an
+    input.
     """
-    shapes = WindowShapes.of(sys, cert, M, shapes)
+    sys, cert = shapes.sys, shapes.cert
     bar_h, _ = weight_eigen_range(shapes)
     pw, _ = eigh(cert.P)
     qw, _ = eigh(cert.Q)
@@ -264,8 +288,9 @@ def build_params(sys, cert, M, *, L_phi, L_pi, gamma13_slope, shapes=None):
     return AnalysisParams(
         L_phi=float(L_phi), L_pi=float(L_pi),
         gamma13_slope=float(gamma13_slope),
-        eta=cert.eta, M=int(M),
+        eta=cert.eta, M=shapes.M,
         phi_base=float(worst_case_contraction(shapes)),
+        lift_gain=lift_gain(shapes),
         norm_C=float(np.linalg.norm(sys.C, 2)), bar_H=bar_h,
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,
@@ -280,3 +305,8 @@ def worst_case_contraction(shapes):
     window contents, so the scan over `shapes` (a WindowShapes) is exact.
     """
     return max(shapes[m_eff].contraction_base for m_eff in range(shapes.M + 1))
+
+
+def lift_gain(shapes):
+    """Largest lift norm ||Psi|| over the M+1 window shapes of `shapes`."""
+    return max(shapes[m_eff].lift_norm for m_eff in range(shapes.M + 1))

@@ -18,7 +18,6 @@ from .controller import assert_stabilizing, estimate_closed_loop_gain, estimate_
 from .errors import (ContractionViolated, MonitorViolation, NotFoundBelowCap,
                      ParseError, SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
-from .mhe import WindowShapes
 from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
 
@@ -51,13 +50,12 @@ def _resolve_l_pi(doc):
     return float(np.linalg.norm(doc.controller.gain, 2))
 
 
-def _resolve_l_phi(doc, cert, shapes):
+def _resolve_l_phi(doc, shapes):
     src = doc.analysis["L_Phi"]
     if src != "probe":
         return float(src), False
-    probe = lipschitz_probe(doc.system, cert, doc.mhe["M"],
-                            n_trials=doc.analysis["probe_trials"],
-                            seed=doc.analysis["probe_seed"], shapes=shapes)
+    probe = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
+                            seed=doc.analysis["probe_seed"])
     return probe.value, True
 
 
@@ -68,7 +66,7 @@ def _resolve_gamma13(doc):
     return est.slope, True
 
 
-def _analysis_pipeline(doc, cert, shapes):
+def _analysis_pipeline(doc, shapes):
     """Shared by analyze-k and K='auto' simulation: params + minimum K.
 
     `shapes` is the run's one WindowShapes, shared by the Lipschitz probe,
@@ -78,11 +76,10 @@ def _analysis_pipeline(doc, cert, shapes):
                        radius=doc.analysis["smoke_radius"],
                        horizon=doc.analysis["smoke_horizon"],
                        n_samples=doc.analysis["smoke_samples"])
-    l_phi, l_phi_probed = _resolve_l_phi(doc, cert, shapes)
+    l_phi, l_phi_probed = _resolve_l_phi(doc, shapes)
     gamma13, gamma13_heuristic = _resolve_gamma13(doc)
-    params = analysis.build_params(
-        doc.system, cert, doc.mhe["M"], L_phi=l_phi, L_pi=_resolve_l_pi(doc),
-        gamma13_slope=gamma13, shapes=shapes)
+    params = analysis.build_params(shapes, L_phi=l_phi, L_pi=_resolve_l_pi(doc),
+                                   gamma13_slope=gamma13)
     k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
     meta = {"L_Phi_probed": l_phi_probed, "gamma13_heuristic": gamma13_heuristic}
     return k_star, ledger, params, meta
@@ -108,8 +105,7 @@ def cmd_certify(args):
 def cmd_analyze_k(args):
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    shapes = WindowShapes(doc.system, cert, doc.mhe["M"])
-    k_star, ledger, _, meta = _analysis_pipeline(doc, cert, shapes)
+    k_star, ledger, _, meta = _analysis_pipeline(doc, doc.window_shapes(cert))
     out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
     text = json.dumps(out, indent=2)
     print(text)
@@ -133,23 +129,23 @@ def cmd_simulate(args):
     if args.oracle is not None:
         oracle = args.oracle == "on"
     monitors_on = doc.scenario["monitors"] and (oracle is None or oracle)
-    shapes = WindowShapes(doc.system, cert, doc.mhe["M"])
+    shapes = doc.window_shapes(cert)
     l_phi = None
     if args.iters is None and doc.mhe["K"] == "auto":
-        k, _, params, _ = _analysis_pipeline(doc, cert, shapes)
+        k, _, params, _ = _analysis_pipeline(doc, shapes)
         l_phi = params.L_phi
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
         if doc.analysis["L_Phi"] != "probe" or monitors_on:
             try:
-                l_phi, _ = _resolve_l_phi(doc, cert, shapes)
+                l_phi, _ = _resolve_l_phi(doc, shapes)
             except SubmheError:
                 l_phi = None  # no ledger; monitors needing L_Phi are skipped
-    cfg = doc.scenario_config(cert, K=k, seed=args.seed, steps=args.steps,
+    cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
                               oracle=oracle, strict=args.strict,
                               allow_uncertified=args.uncertified, L_phi=l_phi,
                               L_pi=_resolve_l_pi(doc))
-    log = run_closed_loop(cfg, shapes=shapes)
+    log = run_closed_loop(cfg)
     outdir = Path(args.out if args.out else doc.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / doc.output["csv"]
@@ -265,7 +261,8 @@ def cmd_verify(args):
     check("controller-stability-smoke", smoke)
 
     def short_loop():
-        cfg = doc.scenario_config(cert, K=max(doc.mhe["K"], 5)
+        cfg = doc.scenario_config(doc.window_shapes(cert),
+                                  K=max(doc.mhe["K"], 5)
                                   if doc.mhe["K"] != "auto" else 50,
                                   steps=min(doc.scenario["steps"], 2 * M + 2),
                                   allow_uncertified=True,

@@ -16,6 +16,7 @@ import numpy as np
 from .controller import FeedbackLaw
 from .errors import ParseError, ValidationError
 from .harness import ScenarioConfig
+from .mhe import WindowShapes
 from .model import Box, IossCertificate, LtiSystem, validate_system
 
 SCHEMA_VERSION = 1
@@ -364,14 +365,19 @@ class ConfigDocument:
 
     # -- adapters ----------------------------------------------------------
 
-    def scenario_config(self, cert, *, K, seed=None, steps=None, oracle=None,
+    def window_shapes(self, cert):
+        """The WindowShapes of this system, `cert` and the configured M."""
+        return WindowShapes(self.system, cert, self.mhe["M"])
+
+    def scenario_config(self, shapes, *, K, seed=None, steps=None, oracle=None,
                         strict=False, allow_uncertified=False, L_phi=None,
                         L_pi=None):
+        """The scenario run on `shapes`, from window_shapes(cert)."""
         sc = self.scenario
         law = self.controller
         l_pi = L_pi if L_pi is not None else law.declared_lipschitz
         return ScenarioConfig(
-            sys=self.system, cert=cert, law=law, M=self.mhe["M"], K=K,
+            shapes=shapes, law=law, K=K,
             steps=steps if steps is not None else sc["steps"],
             x0=sc["x0"], x_prior0=sc["prior"], z0_0=sc["z0"],
             w1_box=sc["w1_box"], w2_box=sc["w2_box"],

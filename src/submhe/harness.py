@@ -11,9 +11,10 @@ When the oracle is enabled, every step also measures the sub-optimality
 error and checks the per-step inequalities of the analysis as monitors:
 (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
 trajectory bounds (certified runs only), (d) the solver contraction budget,
-in the free coordinates v where it is a theorem. The sub-optimality error
-eps itself is measured in the decision vector z. Monitor failures are
-recorded, not fatal, unless strict mode is on.
+both in the free coordinates v (phi(K)) and in the decision vector z
+(phi_z(K), which carries the lift gain). The sub-optimality error eps itself
+is measured in z. Monitor failures are recorded, not fatal, unless strict
+mode is on.
 """
 
 from dataclasses import dataclass, field
@@ -24,9 +25,8 @@ from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, UnboundedSampleBox)
-from .mhe import (WindowShapes, build_problem, extract_estimate,
-                  residual_sigma_parts, shift_window, sigma_lift,
-                  sigma_truncate)
+from .mhe import (build_problem, extract_estimate, residual_sigma_parts,
+                  shift_window, sigma_lift, sigma_truncate)
 from .model import AugmentedDisturbance, validate_system, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
@@ -37,10 +37,8 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    sys: object
-    cert: object
+    shapes: object                      # WindowShapes: system, certificate, M
     law: object
-    M: int
     K: int
     steps: int
     x0: np.ndarray
@@ -78,6 +76,18 @@ class ScenarioConfig:
                            self.w1_box if self.w1_box is not None else self.sys.w1_box)
         object.__setattr__(self, "w2_box",
                            self.w2_box if self.w2_box is not None else self.sys.w2_box)
+
+    @property
+    def sys(self):
+        return self.shapes.sys
+
+    @property
+    def cert(self):
+        return self.shapes.cert
+
+    @property
+    def M(self):
+        return self.shapes.M
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,8 @@ def sample_disturbance(seed, w1_box, w2_box, T):
 class MonitorBundle:
     """Constants the per-step monitors need, with None marking unavailability."""
 
-    phi: float | None          # phi(K) = q^K, from analysis.phi
+    phi: float                 # phi(K) = q^K in v, from analysis.phi
+    phi_z: float               # phi_z(K) = lift gain * phi(K), in z
     L_phi: float | None
     C1: float | None
     C2: float | None
@@ -241,13 +252,15 @@ def _leq(lhs, rhs, rel_tol):
 
 def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
                  w_delta_now, w_delta_anchor, w_recent_q, sup_x, sup_e,
-                 sup_w, sup_sigma, sup_eps, eps_v, warm_distance):
+                 sup_w, sup_sigma, sup_eps, eps_v, warm_distance,
+                 warm_distance_z):
     """Evaluate the per-step inequality monitors from measured quantities.
 
     sup_* are running sup-norms over steps [0, t-1]; w_recent_q lists the
     Q-weighted squared disturbance norms ||w_{t-j}||_Q^2 for j = 1..m_eff.
-    eps is ||z_K - z*||; eps_v = ||v_K - v*|| and warm_distance =
-    ||v0 - v*|| are the solver's distances in the free coordinates.
+    eps = ||z_K - z*|| and warm_distance_z = ||z0 - z*|| are distances in
+    the decision vector; eps_v = ||v_K - v*|| and warm_distance =
+    ||v0 - v*|| are the same distances in the free coordinates.
     """
     rel = bundle.rel_tol
     verdicts = {}
@@ -256,8 +269,8 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
     if t == 0 or eps is None or bundle.C1 is None:
         verdicts["eps_recursion"] = SKIP
     else:
-        rhs = (bundle.phi * eps_prev + bundle.C1 * sup_x + bundle.C2 * sup_e
-               + bundle.C3 * sup_w + bundle.phi * bundle.L_phi * sup_sigma)
+        rhs = (bundle.phi_z * eps_prev + bundle.C1 * sup_x + bundle.C2 * sup_e
+               + bundle.C3 * sup_w + bundle.phi_z * bundle.L_phi * sup_sigma)
         verdicts["eps_recursion"] = PASS if _leq(eps, rhs, rel) else FAIL
 
     # (b) M-step Lyapunov decay
@@ -285,27 +298,28 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
                    + led.g3w * sup_w + led.g3sigma * sup_sigma)
         verdicts["traj_err"] = PASS if _leq(e_norm_now, rhs_err, rel) else FAIL
 
-    # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*||
-    if eps_v is None or warm_distance is None or bundle.phi is None:
+    # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*|| and
+    # ||z_K - z*|| <= phi_z(K) ||z0 - z*||
+    if eps is None or eps_v is None:
         verdicts["contraction"] = SKIP
     else:
-        verdicts["contraction"] = (PASS if _leq(eps_v, bundle.phi * warm_distance, rel)
-                                   else FAIL)
+        verdicts["contraction"] = (
+            PASS if (_leq(eps_v, bundle.phi * warm_distance, rel)
+                     and _leq(eps, bundle.phi_z * warm_distance_z, rel))
+            else FAIL)
     return StepVerdicts(**verdicts)
 
 
-def run_closed_loop(cfg, shapes=None):
+def run_closed_loop(cfg):
     """Execute the warm-started fixed-budget estimation loop for cfg.steps.
 
-    `shapes` is the caller's WindowShapes for (cfg.sys, cfg.cert, cfg.M);
-    without it the loop builds its own. The analysis and the loop share them,
-    so each window shape and its eigen terms are built once per run.
+    The analysis and the loop share cfg.shapes, so each window shape and its
+    eigen terms are built once per run.
     """
     sys = validate_system(cfg.sys)
-    cfg.cert.check_shapes(sys)
     T, M, K = cfg.steps, cfg.M, cfg.K
     eta = cfg.cert.eta
-    shapes = WindowShapes.of(sys, cfg.cert, M, shapes)
+    shapes = cfg.shapes
 
     certified = True
     uncertified_reason = None
@@ -320,18 +334,16 @@ def run_closed_loop(cfg, shapes=None):
     else:
         try:
             params = analysis.build_params(
-                sys, cfg.cert, M, L_phi=cfg.L_phi, L_pi=cfg.L_pi,
-                gamma13_slope=cfg.gamma13_slope, shapes=shapes)
+                shapes, L_phi=cfg.L_phi, L_pi=cfg.L_pi,
+                gamma13_slope=cfg.gamma13_slope)
         except ValueError as exc:
             no_ledger = str(exc)
     if K == 0:
         no_ledger = "K=0, the small-gain test needs K >= 1"
-    if params is not None:
-        q, bar_h = params.phi_base, params.bar_H
-    else:
-        q = analysis.worst_case_contraction(shapes)
-        bar_h, _ = analysis.weight_eigen_range(shapes)
-    phi = analysis.phi(q, K)
+    # read from the shapes' caches, with or without params
+    phi = analysis.phi(analysis.worst_case_contraction(shapes), K)
+    phi_z = analysis.lift_gain(shapes) * phi
+    bar_h, _ = analysis.weight_eigen_range(shapes)
 
     try:
         analysis.compute_rho(eta, M)
@@ -356,8 +368,9 @@ def run_closed_loop(cfg, shapes=None):
     c1 = c2 = c3 = None
     if cfg.L_phi is not None and cfg.L_pi is not None and K > 0:
         c1, c2, c3 = analysis.recursion_constants(
-            phi, cfg.L_phi, cfg.L_pi, float(np.linalg.norm(sys.C, 2)), M)
-    bundle = MonitorBundle(phi=phi, L_phi=cfg.L_phi, C1=c1, C2=c2, C3=c3,
+            phi_z, cfg.L_phi, cfg.L_pi, float(np.linalg.norm(sys.C, 2)), M)
+    bundle = MonitorBundle(phi=phi, phi_z=phi_z, L_phi=cfg.L_phi,
+                           C1=c1, C2=c2, C3=c3,
                            bar_H=bar_h, eta=eta,
                            ledger=ledger if certified else None,
                            rel_tol=cfg.monitor_rel_tol)
@@ -396,12 +409,13 @@ def run_closed_loop(cfg, shapes=None):
         filtered.append(xhat)
         x_hist.append(x.copy())
 
-        eps = eps_v = warm_distance = None
+        eps = eps_v = warm_distance = warm_distance_z = None
         if cfg.oracle:
             z_star = solve_oracle(problem, tol=cfg.oracle_tol)
             eps = float(np.linalg.norm(z_k - z_star.z))
             eps_v = float(np.linalg.norm(report.point.v - z_star.v))
             warm_distance = float(np.linalg.norm(problem.select_v(z0) - z_star.v))
+            warm_distance_z = float(np.linalg.norm(z0 - z_star.z))
             if eps0 is None:
                 eps0 = eps
         if e0_norm is None:
@@ -423,7 +437,8 @@ def run_closed_loop(cfg, shapes=None):
                 e0_norm=e0_norm, w_delta_now=wd_now,
                 w_delta_anchor=wd_anchor, w_recent_q=w_recent_q,
                 sup_x=sup_x, sup_e=sup_e, sup_w=sup_w, sup_sigma=sup_sigma,
-                sup_eps=sup_eps, eps_v=eps_v, warm_distance=warm_distance)
+                sup_eps=sup_eps, eps_v=eps_v, warm_distance=warm_distance,
+                warm_distance_z=warm_distance_z)
         else:
             verdicts = StepVerdicts()
 
@@ -475,9 +490,8 @@ class LipschitzProbe:
     max_ratio_raw: float
 
 
-def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
-                    prior_scale=1.0, y_scale=1.0, prior_step_scale=0.3,
-                    shapes=None):
+def lipschitz_probe(shapes, n_trials=500, seed=0, oracle_tol=1e-10,
+                    prior_scale=1.0, y_scale=1.0, prior_step_scale=0.3):
     """Empirical Lipschitz constant of the optimal-solution map.
 
     Samples consecutive-step problem pairs (shared window content, shifted by
@@ -486,12 +500,12 @@ def lipschitz_probe(sys, cert, M, n_trials=500, seed=0, oracle_tol=1e-10,
         ||lift(z1*) - z2*|| / (||ref1 - truncate(ref2)|| + sigma_t).
 
     Returns the max ratio floored at 1 + 1e-9. Samples with a vanishing
-    denominator are skipped and counted. `shapes` is the caller's
-    WindowShapes for (sys, cert, M); without it the probe builds its own.
+    denominator are skipped and counted. `shapes` (a WindowShapes) carries
+    the system, the certificate and M.
     """
+    sys, cert, M = shapes.sys, shapes.cert, shapes.M
     rng = np.random.default_rng(seed)
     dims = (sys.n_x, sys.n_y)
-    shapes = WindowShapes.of(sys, cert, M, shapes)
     best = 0.0
     used = skipped = 0
     for _ in range(n_trials):

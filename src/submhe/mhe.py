@@ -54,8 +54,8 @@ class WindowShape:
     G = 2 Psi^T H and the reduced Hessian S = G Psi. A step adds only its
     offset psi and reference, which enter the gradient S v + c through
     c = G (psi - ref). The PGD terms (curvature, step, contraction base and
-    the transition matrix I - step * S) and the weight's norm and extreme
-    eigenvalues are computed on first use.
+    the transition matrix I - step * S), the lift's norm and the weight's
+    extreme eigenvalues are computed on first use.
     """
 
     m_eff: int
@@ -93,7 +93,7 @@ class WindowShape:
 
     @property
     def contraction_base(self):
-        """The certified per-iteration contraction base (L - mu)/(L + mu).
+        """The per-iteration contraction base (L - mu)/(L + mu) in v.
 
         This is the rate of the step the iteration takes. For v, v' in R^n,
         the gradient map v -> v - step * (S v + c) changes v - v' by the
@@ -102,15 +102,22 @@ class WindowShape:
         that is (L - mu)/(L + mu) (Nesterov, Introductory Lectures on Convex
         Optimization, 2004, Thm 2.1.15). The box projection is nonexpansive,
         so one iteration contracts the Euclidean distance in the free
-        coordinates v, to the optimum in particular, by this base.
+        coordinates v, to the optimum in particular, by this base. In the
+        lifted z the bound carries the factor lift_norm (see there).
         """
         mu, lip = self.curvature
         return (lip - mu) / (lip + mu)
 
     @cached_property
-    def weight_norm(self):
-        """||H||, the spectral norm of the weight."""
-        return float(np.linalg.norm(self.weight, 2))
+    def lift_norm(self):
+        """||Psi||, the gain from free-coordinate to lifted distances.
+
+        Two lifted points differ by z - z' = Psi (v - v'), so
+        ||z - z'|| <= ||Psi|| ||v - v'||. The free coordinates appear verbatim
+        in z, so ||Psi|| >= 1 and ||v - v'|| <= ||z - z'|| for any z, z' whose
+        free coordinates are v, v'.
+        """
+        return float(np.linalg.norm(self.lift_matrix, 2))
 
     @cached_property
     def weight_range(self):
@@ -183,15 +190,6 @@ class WindowShapes:
         cert.check_shapes(sys)
         self.sys, self.cert, self.M = sys, cert, int(M)
         self._shapes = [None] * (self.M + 1)
-
-    @classmethod
-    def of(cls, sys, cert, M, shapes=None):
-        """The caller's shapes for (sys, cert, M), or new ones if None."""
-        if shapes is None:
-            return cls(sys, cert, M)
-        if shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
-            raise ValueError("window shapes belong to another (system, certificate, M)")
-        return shapes
 
     @cached_property
     def plant_norms(self):
@@ -327,8 +325,8 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     m_eff = min(M, t)
     if shapes is None:
         cert.check_shapes(sys)
-    else:
-        WindowShapes.of(sys, cert, M, shapes)  # rejects another run's shapes
+    elif shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
+        raise ValueError("window shapes belong to another (system, certificate, M)")
     u_window = np.asarray(u_window, dtype=float).reshape(-1, n_u) if len(u_window) else \
         np.zeros((0, n_u))
     y_window = np.asarray(y_window, dtype=float).reshape(-1, n_y) if len(y_window) else \
@@ -435,7 +433,9 @@ def residual_sigma_parts(t, shapes, eta):
 
     Raw value is (1 - 1/eta) ||H|| + ||A|| + ||B|| + ||C|| + 2 for t <= M and
     0 afterwards, with H the weight of the length-t window of `shapes` (a
-    WindowShapes, which keeps both norms). The first coefficient is negative
+    WindowShapes, which keeps both norms). H is block-diagonal in P, Q and R,
+    all positive definite, so ||H|| is its largest eigenvalue, which the
+    shape keeps with its smallest. The first coefficient is negative
     for eta in (0, 1), so the raw value can be negative; it is clamped at
     zero because it enters the analysis as a disturbance magnitude.
     """
@@ -443,7 +443,7 @@ def residual_sigma_parts(t, shapes, eta):
         return 0.0, 0.0
     coeff = 0.0 if eta == 1.0 else (1.0 - 1.0 / eta if eta > 0.0 else -np.inf)
     norm_a, norm_b, norm_c = shapes.plant_norms
-    raw = coeff * shapes[t].weight_norm + norm_a + norm_b + norm_c + 2.0
+    raw = coeff * shapes[t].weight_range[1] + norm_a + norm_b + norm_c + 2.0
     return float(raw), float(max(raw, 0.0))
 
 

@@ -5,7 +5,8 @@ iteration (componentwise clamping is exact on boxes) and contracts the
 distance to the optimizer in the free coordinates. The iteration steps
 2/(L+mu), and its budget is the rate of that step: phi(K) = q^K with
 q = (L-mu)/(L+mu), so ||v_K - v*|| <= q^K ||v_0 - v*|| in the Euclidean
-norm of v (see mhe.WindowShape.contraction_base). The oracle is a primal
+norm of v (see mhe.WindowShape.contraction_base). In the lifted z the bound
+gains the factor ||Psi|| (mhe.WindowShape.lift_norm). The oracle is a primal
 active-set method used to measure the true optimizer and the sub-optimality
 error.
 

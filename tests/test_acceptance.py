@@ -17,7 +17,7 @@ from submhe.analysis import AnalysisParams
 from submhe.cli import run_cli
 from submhe.errors import ContractionViolated
 from submhe.harness import lipschitz_probe, run_closed_loop
-from submhe.mhe import expected_dim_z, sigma_lift
+from submhe.mhe import WindowShapes, expected_dim_z, sigma_lift
 from submhe.model import verify_ioss_lmi, w_delta
 from submhe.solver import (contraction_rate, run_pgd, solve_fixed_iters,
                            solve_oracle)
@@ -95,11 +95,11 @@ def test_criterion_2_lmi_implies_dissipation():
 def test_criterion_3_lyapunov_monitor_certified_run(certified_doc):
     doc = certified_doc
     cert = doc.certificate
-    params = build_params(doc.system, cert, doc.mhe["M"],
-                          L_phi=doc.analysis["L_Phi"], L_pi=2.65,
+    shapes = doc.window_shapes(cert)
+    params = build_params(shapes, L_phi=doc.analysis["L_Phi"], L_pi=2.65,
                           gamma13_slope=doc.gamma13_slope)
     k_star, _ = min_iterations(params, doc.analysis["K_max"])
-    cfg = doc.scenario_config(cert, K=k_star, steps=40,
+    cfg = doc.scenario_config(shapes, K=k_star, steps=40,
                               L_phi=doc.analysis["L_Phi"])
     log = run_closed_loop(cfg)
     assert log.certified
@@ -116,7 +116,7 @@ def test_criterion_4_case_study_reproduction(case_study_doc):
     doc = case_study_doc
     assert np.array_equal(doc.scenario["x0"], [12.0, -10.0, 10.0, -10.0])
     assert np.array_equal(doc.scenario["prior"], [7.0, -7.0, 3.0, -5.0])
-    cfg = doc.scenario_config(doc.certificate, K=25, steps=40,
+    cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=25, steps=40,
                               allow_uncertified=True,
                               L_phi=doc.analysis["L_Phi"])
     log = run_closed_loop(cfg)
@@ -148,7 +148,7 @@ def test_criterion_5_minimum_iteration_finder(certified_doc):
         p = AnalysisParams(
             L_phi=float(rng.uniform(1.1, 8)), L_pi=float(rng.uniform(0.1, 4)),
             gamma13_slope=float(rng.uniform(0.1, 50)), eta=eta, M=M,
-            phi_base=float(rng.uniform(0.3, 0.99)),
+            phi_base=float(rng.uniform(0.3, 0.99)), lift_gain=1.0,
             norm_C=float(rng.uniform(0.1, 2)), bar_H=float(rng.uniform(1, 5)),
             lam_HP=float(rng.uniform(1, 10)), lam_PP=float(rng.uniform(1, 5)),
             lam_QP=float(rng.uniform(0.5, 5)))
@@ -158,8 +158,8 @@ def test_criterion_5_minimum_iteration_finder(certified_doc):
             assert not ledger_at(k_star - 1, p).passed
     # paper-scalar reproduction at an order-of-magnitude level
     doc = certified_doc
-    params = build_params(doc.system, doc.certificate, 9, L_phi=5.32,
-                          L_pi=2.65, gamma13_slope=28.8)
+    params = build_params(WindowShapes(doc.system, doc.certificate, 9),
+                          L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
     k_paper, verdict = min_iterations(params, 100_000)
     assert verdict.passed
     assert 652 / 10 <= k_paper <= 652 * 10
@@ -178,7 +178,7 @@ def test_criterion_6_rho_validation():
 
 def test_criterion_7_lipschitz_probe(case_study):
     sys, cert, _ = case_study
-    probes = [lipschitz_probe(sys, cert, 5, n_trials=500, seed=seed,
+    probes = [lipschitz_probe(WindowShapes(sys, cert, 5), n_trials=500, seed=seed,
                               prior_scale=5.0, y_scale=2.0)
               for seed in (11, 12)]
     for p in probes:
@@ -208,7 +208,7 @@ def test_criterion_8_simulate_determinism(tmp_path, capsys):
 def test_criterion_9_warm_start_growing_phase(case_study_doc):
     doc = case_study_doc
     M = doc.mhe["M"]
-    cfg = doc.scenario_config(doc.certificate, K=40, steps=2 * M,
+    cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=40, steps=2 * M,
                               allow_uncertified=True,
                               L_phi=doc.analysis["L_Phi"])
     log = run_closed_loop(cfg)

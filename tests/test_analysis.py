@@ -14,11 +14,12 @@ from submhe.mhe import WindowShapes, compute_weight
 
 
 def params(L_phi=5.32, L_pi=2.65, gamma13=28.8, eta=0.5, M=5, q=0.98,
-           norm_C=math.sqrt(0.99), bar_H=2.0, lam_HP=4.0, lam_PP=1.04,
-           lam_QP=2.0):
+           lift_gain=1.0, norm_C=math.sqrt(0.99), bar_H=2.0, lam_HP=4.0,
+           lam_PP=1.04, lam_QP=2.0):
     return AnalysisParams(L_phi=L_phi, L_pi=L_pi, gamma13_slope=gamma13,
-                          eta=eta, M=M, phi_base=q, norm_C=norm_C, bar_H=bar_H,
-                          lam_HP=lam_HP, lam_PP=lam_PP, lam_QP=lam_QP)
+                          eta=eta, M=M, phi_base=q, lift_gain=lift_gain,
+                          norm_C=norm_C, bar_H=bar_H, lam_HP=lam_HP,
+                          lam_PP=lam_PP, lam_QP=lam_QP)
 
 
 class TestComputeRho:
@@ -203,6 +204,24 @@ class TestLedger:
         assert led.passed
         assert len(led.products) == 3 and len(led.margins) == 3
 
+    def test_lift_gain_scales_the_contract_the_constants_use(self):
+        plain, lifted = params(q=0.9), params(q=0.9, lift_gain=2.0)
+        c, c_plain = budget_constants(40, lifted), budget_constants(40, plain)
+        assert c.phi == 0.9 ** 40 == c_plain.phi  # the solver contract in v
+        assert c.phi_z == 2.0 * 0.9 ** 40
+        assert (c.C1, c.C2, c.C3) == tuple(2.0 * x for x in
+                                           (c_plain.C1, c_plain.C2, c_plain.C3))
+        assert ledger_at(40, lifted).beta2_base == c.phi_z
+
+    def test_no_ledger_passes_while_the_lifted_contract_expands(self):
+        p = params(q=0.9, lift_gain=2.0, gamma13=0.0, eta=0.1)
+        led = ledger_at(5, p)  # phi_z = 2 * 0.9^5 = 1.18
+        assert led.constants.phi_z >= 1.0
+        assert led.g21 == math.inf and not led.passed
+        k_star, led = min_iterations(p, 1000)
+        assert led.constants.phi_z < 1.0
+        assert not ledger_at(k_star - 1, p).passed
+
 
 class TestBuildParams:
     def test_weight_scan_matches_direct(self, case_study):
@@ -214,7 +233,7 @@ class TestBuildParams:
 
     def test_ratios(self, case_study):
         sys, cert, _ = case_study
-        p = build_params(sys, cert, 5, L_phi=5.32, L_pi=2.65,
+        p = build_params(WindowShapes(sys, cert, 5), L_phi=5.32, L_pi=2.65,
                          gamma13_slope=28.8)
         pw = np.linalg.eigvalsh(cert.P)
         assert p.lam_PP == pytest.approx(pw[-1] / pw[0], rel=1e-10)
@@ -232,17 +251,17 @@ class TestBuildParams:
         with pytest.raises(ValueError):
             params(lam_HP=0.0)
 
-    def test_caller_shapes_give_the_same_params(self, case_study):
+    def test_base_and_lift_gain_scan_all_shapes(self, case_study):
         sys, cert, _ = case_study
         shapes = WindowShapes(sys, cert, 5)
-        kw = dict(L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
-        assert (build_params(sys, cert, 5, shapes=shapes, **kw)
-                == build_params(sys, cert, 5, **kw))
-        q = worst_case_contraction(shapes)
-        assert q == max((L - mu) / (L + mu) for mu, L in
-                        (shapes[m].curvature for m in range(6)))
+        p = build_params(shapes, L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
+        assert p.phi_base == max((L - mu) / (L + mu) for mu, L in
+                                 (shapes[m].curvature for m in range(6)))
+        assert p.lift_gain == max(np.linalg.norm(shapes[m].lift_matrix, 2)
+                                  for m in range(6))
+        assert p.lift_gain > 1.0
         with pytest.raises(ValueError):
-            build_params(sys, cert, 4, shapes=shapes, **kw)
+            params(lift_gain=0.99)
 
     def test_worst_case_contraction_scans_all_shapes(self, case_study):
         sys, cert, _ = case_study
@@ -256,7 +275,8 @@ def test_random_certified_params_have_finite_budget():
     rng = np.random.default_rng(2)
     sys, cert = random_certified_setup(rng)
     M = minimal_contracting_horizon(cert.eta)
-    p = build_params(sys, cert, M, L_phi=3.0, L_pi=1.5, gamma13_slope=10.0)
+    p = build_params(WindowShapes(sys, cert, M), L_phi=3.0, L_pi=1.5,
+                     gamma13_slope=10.0)
     k_star, verdict = min_iterations(p, 10 ** 6)
     assert verdict.passed
     assert k_star >= 1

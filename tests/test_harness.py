@@ -9,13 +9,14 @@ from submhe.errors import (ContractionViolated, DegenerateDenominator,
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop, sample_disturbance,
                             sample_disturbance_arrays)
-from submhe.mhe import expected_dim_z
+from submhe.mhe import WindowShapes, expected_dim_z
 from submhe.model import Box
 
 
-def scenario(doc, cert, **kw):
-    defaults = dict(sys=doc.system, cert=cert, law=doc.controller,
-                    M=doc.mhe["M"], K=200, steps=12,
+def scenario(doc, cert, M=None, **kw):
+    M = doc.mhe["M"] if M is None else M
+    defaults = dict(shapes=WindowShapes(doc.system, cert, M),
+                    law=doc.controller, K=200, steps=12,
                     x0=np.array([1.0, -1.0, 1.0, -1.0]),
                     x_prior0=np.array([1.0, -1.0, 1.0, -1.0]),
                     seed=3, oracle=True, monitors=True,
@@ -94,7 +95,8 @@ class TestClosedLoop:
         ids=["no_L_phi", "zero_budget"])
     def test_no_ledger_is_uncertified(self, certified_doc, K, L_phi, cause):
         doc = certified_doc
-        cfg = doc.scenario_config(doc.certificate, K=K, steps=2, oracle=False,
+        cfg = doc.scenario_config(doc.window_shapes(doc.certificate),
+                                  K=K, steps=2, oracle=False,
                                   L_phi=L_phi)
         log = run_closed_loop(cfg)  # rho < 1 but no ledger: no raise
         assert not log.certified and log.ledger is None
@@ -140,13 +142,14 @@ class TestClosedLoop:
         assert counts["traj_err"]["fail"] == 0
 
     @pytest.mark.parametrize("K", [0, 1, 25])
-    def test_contraction_monitor_in_free_coordinates(self, certified_doc, K):
+    def test_contraction_monitor_holds_in_v_and_z(self, certified_doc, K):
         # At K = 0 the iterate is the box projection of the warm start, and
-        # phi(0) = 1: a projection never moves v away from v*, while in z the
+        # phi(0) = 1: a projection never moves v away from v*. In z the
         # zero-padded warm start (off the lift's range) can lie nearer to z*
-        # than its projection does.
+        # than its projection does, which phi_z(0) = lift gain allows for.
         doc = certified_doc
-        cfg = doc.scenario_config(doc.certificate, K=K, steps=10, oracle=True,
+        cfg = doc.scenario_config(doc.window_shapes(doc.certificate),
+                                  K=K, steps=10, oracle=True,
                                   allow_uncertified=True,
                                   L_phi=doc.analysis["L_Phi"])
         log = run_closed_loop(cfg)
@@ -163,7 +166,8 @@ class TestClosedLoop:
         else:
             # rho < 1, but K = 25 is far below K*: the ledger fails small gain
             doc = certified_doc
-            cfg = doc.scenario_config(doc.certificate, K=25, steps=6,
+            cfg = doc.scenario_config(doc.window_shapes(doc.certificate),
+                                      K=25, steps=6,
                                       oracle=True, allow_uncertified=True,
                                       L_phi=doc.analysis["L_Phi"])
         log = run_closed_loop(cfg)
@@ -249,9 +253,9 @@ from submhe.harness import run_closed_loop
 for arg in sys.argv[1:]:
     path, seed = arg.rsplit(":", 1)
     doc = load_config(path)
-    cfg = doc.scenario_config(doc.certificate, K=40, seed=int(seed),
-                              steps=2 * doc.mhe["M"] + 2, oracle=True,
-                              allow_uncertified=True)
+    cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=40,
+                              seed=int(seed), steps=2 * doc.mhe["M"] + 2,
+                              oracle=True, allow_uncertified=True)
     sys.stdout.write(run_closed_loop(cfg).to_csv_text())
 """
 
@@ -281,7 +285,7 @@ def test_no_window_state_shared_between_runs():
 
 class TestMonitorStep:
     def bundle(self, **kw):
-        defaults = dict(phi=0.5, L_phi=2.0, C1=1.0, C2=1.0, C3=1.0, bar_H=2.0,
+        defaults = dict(phi=0.5, phi_z=0.5, L_phi=2.0, C1=1.0, C2=1.0, C3=1.0, bar_H=2.0,
                         eta=0.8, ledger=None, rel_tol=1e-7)
         defaults.update(kw)
         return MonitorBundle(**defaults)
@@ -291,7 +295,8 @@ class TestMonitorStep:
                         e_norm_now=0.5, e0_norm=1.0, w_delta_now=1.0,
                         w_delta_anchor=1.0, w_recent_q=[0.01, 0.01, 0.01],
                         sup_x=1.0, sup_e=1.0, sup_w=0.1, sup_sigma=0.0,
-                        sup_eps=0.3, eps_v=0.1, warm_distance=0.5)
+                        sup_eps=0.3, eps_v=0.1, warm_distance=0.5,
+                        warm_distance_z=0.5)
         defaults.update(kw)
         return defaults
 
@@ -323,6 +328,13 @@ class TestMonitorStep:
         v = monitor_step(b, **self.common(eps_v=0.26, warm_distance=0.5))
         assert v.contraction == "fail"
 
+    def test_contraction_monitor_checks_z(self):
+        b = self.bundle(phi_z=0.8)
+        v = monitor_step(b, **self.common(eps=0.39, warm_distance_z=0.5))
+        assert v.contraction == "pass"
+        v = monitor_step(b, **self.common(eps=0.41, warm_distance_z=0.5))
+        assert v.contraction == "fail"
+
     def test_missing_constants_skip(self):
         b = self.bundle(C1=None, C2=None, C3=None, L_phi=None)
         v = monitor_step(b, **self.common())
@@ -333,9 +345,9 @@ class TestMonitorStep:
 class TestLipschitzProbe:
     def test_case_study_magnitude_and_stability(self, case_study):
         sys, cert, _ = case_study
-        a = lipschitz_probe(sys, cert, 5, n_trials=200, seed=0,
+        a = lipschitz_probe(WindowShapes(sys, cert, 5), n_trials=200, seed=0,
                             prior_scale=5.0, y_scale=2.0)
-        b = lipschitz_probe(sys, cert, 5, n_trials=200, seed=1,
+        b = lipschitz_probe(WindowShapes(sys, cert, 5), n_trials=200, seed=1,
                             prior_scale=5.0, y_scale=2.0)
         for probe in (a, b):
             assert np.isfinite(probe.value)
@@ -345,10 +357,10 @@ class TestLipschitzProbe:
 
     def test_scale_robustness(self, case_study):
         sys, cert, _ = case_study
-        a = lipschitz_probe(sys, cert, 5, n_trials=150, seed=2,
+        a = lipschitz_probe(WindowShapes(sys, cert, 5), n_trials=150, seed=2,
                             prior_scale=5.0, y_scale=2.0,
                             prior_step_scale=0.3)
-        b = lipschitz_probe(sys, cert, 5, n_trials=150, seed=2,
+        b = lipschitz_probe(WindowShapes(sys, cert, 5), n_trials=150, seed=2,
                             prior_scale=5.0, y_scale=2.0,
                             prior_step_scale=0.03)
         assert abs(a.max_ratio_raw - b.max_ratio_raw) \
@@ -365,4 +377,4 @@ class TestLipschitzProbe:
                         w2_box=Box.from_pairs([[0.0, 0.0]]))
         cert = simple_certificate(1, 1, P=100 * np.eye(1), eta=0.8)
         with pytest.raises(DegenerateDenominator):
-            lipschitz_probe(sys, cert, 2, n_trials=20, seed=0)
+            lipschitz_probe(WindowShapes(sys, cert, 2), n_trials=20, seed=0)
