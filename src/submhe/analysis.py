@@ -48,6 +48,7 @@ class AnalysisParams:
     lam_HP: float         # bar_H / min eig P
     lam_PP: float         # max eig P / min eig P
     lam_QP: float         # max eig Q / min eig P
+    sampled: tuple = ()   # inputs sampled or estimated, not derived or asserted
 
     def __post_init__(self):
         if not self.L_phi > 1.0:
@@ -145,6 +146,7 @@ class GainLedger:
                 "lift_gain": self.params.lift_gain, "norm_C": self.params.norm_C,
                 "bar_H": self.params.bar_H, "lam_HP": self.params.lam_HP,
                 "lam_PP": self.params.lam_PP, "lam_QP": self.params.lam_QP,
+                "sampled": list(self.params.sampled),
             },
         }
 
@@ -182,29 +184,37 @@ def recursion_constants(phi, L_phi, L_pi, norm_C, M):
 def budget_constants(K, params):
     """Literal evaluation of the six iteration-count constants.
 
-    They bound the lifted error eps, so they are built from phi_z(K).
+    They bound the lifted error eps, so they are built from phi_z(K). C1..C3
+    bound one step and hold for any rho; C_e, C_w and C_eps sum the M-step
+    decay and are infinite while rho >= 1.
     """
-    rho = compute_rho(params.eta, params.M)
+    try:
+        rho = compute_rho(params.eta, params.M)
+    except ContractionViolated as exc:
+        rho = exc.rho
     phi = params.phi_z(K)
     L_phi, L_pi, M = params.L_phi, params.L_pi, params.M
     sq = math.sqrt
     sqrt_rho = sq(rho)
     c1, c2, c3 = recursion_constants(phi, L_phi, L_pi, params.norm_C, M)
-    pref = sq(3.0 * params.lam_PP * params.lam_HP) * phi * L_phi
-    tail_sum = sum(sqrt_rho ** (-1 - i) for i in range(1, M))  # empty for M = 1
-    c_e = (2.0 * pref * (sqrt_rho ** (-M) + L_pi / sqrt_rho)
-           + 4.0 * pref * L_pi * tail_sum
-           + sq(6.0 * params.lam_PP)
-           + 2.0 * pref * (L_pi + 1.0) * sqrt_rho ** (-M - 1))
-    geo = 1.0 / (1.0 - sqrt_rho)
-    geo_m = 1.0 / (1.0 - sq(rho ** M))
-    c_w = (sq(2.0 * params.lam_HP) * c3
-           + sq(6.0 * params.lam_QP) * geo
-           + 4.0 * sq(3.0 * params.lam_HP * params.lam_QP) * phi * L_phi
-           * (L_pi * M + 1.0) * geo)
-    c_eps = (sq(2.0 * params.lam_HP) * phi
-             + sq(2.0 * params.lam_HP) * geo_m
-             + 4.0 * params.lam_HP * phi * L_phi * (L_pi * M + 1.0) * geo_m)
+    if rho >= 1.0:  # no M-step decay to sum over
+        c_e = c_w = c_eps = math.inf
+    else:
+        pref = sq(3.0 * params.lam_PP * params.lam_HP) * phi * L_phi
+        tail_sum = sum(sqrt_rho ** (-1 - i) for i in range(1, M))  # empty for M = 1
+        c_e = (2.0 * pref * (sqrt_rho ** (-M) + L_pi / sqrt_rho)
+               + 4.0 * pref * L_pi * tail_sum
+               + sq(6.0 * params.lam_PP)
+               + 2.0 * pref * (L_pi + 1.0) * sqrt_rho ** (-M - 1))
+        geo = 1.0 / (1.0 - sqrt_rho)
+        geo_m = 1.0 / (1.0 - sq(rho ** M))
+        c_w = (sq(2.0 * params.lam_HP) * c3
+               + sq(6.0 * params.lam_QP) * geo
+               + 4.0 * sq(3.0 * params.lam_HP * params.lam_QP) * phi * L_phi
+               * (L_pi * M + 1.0) * geo)
+        c_eps = (sq(2.0 * params.lam_HP) * phi
+                 + sq(2.0 * params.lam_HP) * geo_m
+                 + 4.0 * params.lam_HP * phi * L_phi * (L_pi * M + 1.0) * geo_m)
     return BudgetConstants(K=int(K), phi=params.phi(K), phi_z=phi, rho=rho,
                            C1=c1, C2=c2, C3=c3, C_e=c_e, C_w=c_w, C_eps=c_eps)
 
@@ -215,8 +225,9 @@ def ledger_at(K, params):
     With linear gains the composed class-K loop conditions reduce to strict
     slope products: (i) gamma13 * g31 < 1, (ii) g23 * g32 < 1,
     (iii) gamma13 * g32 * g21 < 1. A product of exactly 1 fails. While
-    phi_z(K) >= 1 the eps recursion does not contract: its gains are
-    infinite and the ledger fails.
+    phi_z(K) >= 1 the eps recursion does not contract, and while rho >= 1
+    the M-step decay does not: either way some gains are infinite and the
+    ledger fails.
     """
     c = budget_constants(K, params)
     phi = c.phi_z
@@ -272,13 +283,14 @@ def weight_eigen_range(shapes):
     return max(top for _, top in ranges), min(bottom for bottom, _ in ranges)
 
 
-def build_params(shapes, *, L_phi, L_pi, gamma13_slope):
+def build_params(shapes, *, L_phi, L_pi, gamma13_slope, sampled=()):
     """Assemble AnalysisParams from a run's window shapes and scalar inputs.
 
     `shapes` (a WindowShapes) carries the certified system, the certificate
     and M. The contraction base q of phi(K) = q^K and the lift gain are
     computed here, as worst cases over the window shapes; neither is an
-    input.
+    input. `sampled` names the scalar inputs that were sampled or estimated
+    rather than derived or asserted.
     """
     sys, cert = shapes.sys, shapes.cert
     bar_h, _ = weight_eigen_range(shapes)
@@ -295,6 +307,7 @@ def build_params(shapes, *, L_phi, L_pi, gamma13_slope):
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,
         lam_QP=float(qw[-1]) / lam_min_p,
+        sampled=tuple(sampled),
     )
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .controller import assert_stabilizing, estimate_closed_loop_gain, estimate_lipschitz
+from .controller import assert_stabilizing, estimate_closed_loop_gain
 from .errors import (ContractionViolated, MonitorViolation, NotFoundBelowCap,
                      ParseError, SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
@@ -44,45 +44,40 @@ def _resolve_certificate(doc):
     return cert, True
 
 
-def _resolve_l_pi(doc):
-    if doc.controller.declared_lipschitz is not None:
-        return doc.controller.declared_lipschitz
-    return float(np.linalg.norm(doc.controller.gain, 2))
+def _analysis_params(doc, shapes, *, search, probe=True):
+    """The run's AnalysisParams on `shapes` (a WindowShapes): every input of
+    the analysis is resolved here, once per run.
 
-
-def _resolve_l_phi(doc, shapes):
-    src = doc.analysis["L_Phi"]
-    if src != "probe":
-        return float(src), False
-    probe = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
-                            seed=doc.analysis["probe_seed"])
-    return probe.value, True
-
-
-def _resolve_gamma13(doc):
-    if doc.gamma13_slope is not None:
-        return doc.gamma13_slope, False
-    est = estimate_closed_loop_gain(doc.system, doc.controller)
-    return est.slope, True
-
-
-def _analysis_pipeline(doc, shapes):
-    """Shared by analyze-k and K='auto' simulation: params + minimum K.
-
-    `shapes` is the run's one WindowShapes, shared by the Lipschitz probe,
-    the analysis and (when simulating) the loop.
+    L_Phi, L_pi and gamma13_slope are taken from the config when it asserts
+    them. Otherwise L_pi is ||gain||, L_Phi is probed (lipschitz_probe) and
+    gamma13_slope is estimated (estimate_closed_loop_gain); the params name
+    the last two in `sampled`, so a ledger built on them certifies nothing.
+    `search` marks a search for K*, which the controller smoke test guards.
+    Without `probe`, an L_Phi left to the probe stays unresolved and there
+    are no params (None).
     """
-    assert_stabilizing(doc.system, doc.controller,
-                       radius=doc.analysis["smoke_radius"],
-                       horizon=doc.analysis["smoke_horizon"],
-                       n_samples=doc.analysis["smoke_samples"])
-    l_phi, l_phi_probed = _resolve_l_phi(doc, shapes)
-    gamma13, gamma13_heuristic = _resolve_gamma13(doc)
-    params = analysis.build_params(shapes, L_phi=l_phi, L_pi=_resolve_l_pi(doc),
-                                   gamma13_slope=gamma13)
-    k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
-    meta = {"L_Phi_probed": l_phi_probed, "gamma13_heuristic": gamma13_heuristic}
-    return k_star, ledger, params, meta
+    if search:
+        assert_stabilizing(doc.system, doc.controller,
+                           radius=doc.analysis["smoke_radius"],
+                           horizon=doc.analysis["smoke_horizon"],
+                           n_samples=doc.analysis["smoke_samples"])
+    sampled = []
+    l_phi = doc.analysis["L_Phi"]
+    if l_phi == "probe":
+        if not probe:
+            return None
+        l_phi = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
+                                seed=doc.analysis["probe_seed"]).value
+        sampled.append("L_Phi")
+    gamma13 = doc.gamma13_slope
+    if gamma13 is None:
+        gamma13 = estimate_closed_loop_gain(doc.system, doc.controller).slope
+        sampled.append("gamma13_slope")
+    l_pi = doc.controller.declared_lipschitz
+    if l_pi is None:
+        l_pi = float(np.linalg.norm(doc.controller.gain, 2))
+    return analysis.build_params(shapes, L_phi=l_phi, L_pi=l_pi,
+                                 gamma13_slope=gamma13, sampled=sampled)
 
 
 def cmd_certify(args):
@@ -105,7 +100,10 @@ def cmd_certify(args):
 def cmd_analyze_k(args):
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    k_star, ledger, _, meta = _analysis_pipeline(doc, doc.window_shapes(cert))
+    params = _analysis_params(doc, doc.window_shapes(cert), search=True)
+    k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
+    meta = {"L_Phi_probed": "L_Phi" in params.sampled,
+            "gamma13_heuristic": "gamma13_slope" in params.sampled}
     out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
     text = json.dumps(out, indent=2)
     print(text)
@@ -130,21 +128,19 @@ def cmd_simulate(args):
         oracle = args.oracle == "on"
     monitors_on = doc.scenario["monitors"] and (oracle is None or oracle)
     shapes = doc.window_shapes(cert)
-    l_phi = None
     if args.iters is None and doc.mhe["K"] == "auto":
-        k, _, params, _ = _analysis_pipeline(doc, shapes)
-        l_phi = params.L_phi
+        params = _analysis_params(doc, shapes, search=True)
+        k, _ = analysis.min_iterations(params, doc.analysis["K_max"])
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
-        if doc.analysis["L_Phi"] != "probe" or monitors_on:
-            try:
-                l_phi, _ = _resolve_l_phi(doc, shapes)
-            except SubmheError:
-                l_phi = None  # no ledger; monitors needing L_Phi are skipped
+        try:  # the probe runs only when monitors will use its ledger
+            params = _analysis_params(doc, shapes, search=False,
+                                      probe=monitors_on)
+        except SubmheError:
+            params = None  # no ledger; the monitors needing one skip
     cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
                               oracle=oracle, strict=args.strict,
-                              allow_uncertified=args.uncertified, L_phi=l_phi,
-                              L_pi=_resolve_l_pi(doc))
+                              allow_uncertified=args.uncertified, params=params)
     log = run_closed_loop(cfg)
     outdir = Path(args.out if args.out else doc.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -239,9 +235,17 @@ def cmd_verify(args):
         prob = make_problem(M)
         z_star = solve_oracle(prob, tol=1e-11)
         s, c = prob.reduced_gradient_terms()
-        alpha = contraction_rate(prob)[0]
-        v_pg = run_pgd(s, c, prob.lower, prob.upper,
-                       np.zeros(prob.dim_v), alpha, 200000)
+        alpha, q = contraction_rate(prob)
+        # The step contracts by q in v, so ||v_k - v*|| is at most
+        # ||v_{k+1} - v_k|| / (1 - q): stop once that bound is 1e-9.
+        chunk = 100
+        hist = np.empty((chunk + 1, prob.dim_v))
+        v_pg = np.zeros(prob.dim_v)
+        for _ in range(200000 // chunk):
+            v_pg = run_pgd(s, c, prob.lower, prob.upper, v_pg, alpha, chunk,
+                           history=hist)
+            if np.linalg.norm(hist[-1] - hist[-2]) / (1.0 - q) <= 1e-9:
+                break
         if np.linalg.norm(v_pg - z_star.v) > 1e-7:
             raise SubmheError(
                 f"oracle and long-run PGD disagree by "
@@ -261,13 +265,12 @@ def cmd_verify(args):
     check("controller-stability-smoke", smoke)
 
     def short_loop():
+        # the checks below read no ledger, so the loop runs without params
         cfg = doc.scenario_config(doc.window_shapes(cert),
                                   K=max(doc.mhe["K"], 5)
                                   if doc.mhe["K"] != "auto" else 50,
                                   steps=min(doc.scenario["steps"], 2 * M + 2),
-                                  allow_uncertified=True,
-                                  L_phi=(doc.analysis["L_Phi"]
-                                         if doc.analysis["L_Phi"] != "probe" else None))
+                                  allow_uncertified=True, params=None)
         log = run_closed_loop(cfg)
         from .mhe import expected_dim_z
         for row in log.rows:

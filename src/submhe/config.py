@@ -370,14 +370,12 @@ class ConfigDocument:
         return WindowShapes(self.system, cert, self.mhe["M"])
 
     def scenario_config(self, shapes, *, K, seed=None, steps=None, oracle=None,
-                        strict=False, allow_uncertified=False, L_phi=None,
-                        L_pi=None):
-        """The scenario run on `shapes`, from window_shapes(cert)."""
+                        strict=False, allow_uncertified=False, params=None):
+        """The scenario run on `shapes`, from window_shapes(cert), with the
+        AnalysisParams `params` built on the same shapes (None: no ledger)."""
         sc = self.scenario
-        law = self.controller
-        l_pi = L_pi if L_pi is not None else law.declared_lipschitz
         return ScenarioConfig(
-            shapes=shapes, law=law, K=K,
+            shapes=shapes, law=self.controller, K=K,
             steps=steps if steps is not None else sc["steps"],
             x0=sc["x0"], x_prior0=sc["prior"], z0_0=sc["z0"],
             w1_box=sc["w1_box"], w2_box=sc["w2_box"],
@@ -385,8 +383,7 @@ class ConfigDocument:
             oracle=oracle if oracle is not None else sc["oracle"],
             oracle_tol=sc["oracle_tol"], monitors=sc["monitors"],
             strict=strict, allow_uncertified=allow_uncertified,
-            L_phi=L_phi, L_pi=l_pi, gamma13_slope=self._gamma13,
-            config_hash=self.config_hash())
+            params=params, config_hash=self.config_hash())
 
 
 def load_config(path):

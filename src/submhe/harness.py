@@ -27,12 +27,14 @@ from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, UnboundedSampleBox)
 from .mhe import (build_problem, extract_estimate, residual_sigma_parts,
                   shift_window, sigma_lift, sigma_truncate)
-from .model import AugmentedDisturbance, validate_system, w_delta
+from .model import validate_system, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
 PRNG_NAME = "pcg64"
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+MONITOR_REL_TOL = 1e-7  # relative slack of every monitor inequality
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,7 @@ class ScenarioConfig:
     monitors: bool = True
     strict: bool = False
     allow_uncertified: bool = False
-    monitor_rel_tol: float = 1e-7
-    L_phi: float | None = None
-    L_pi: float | None = None
-    gamma13_slope: float | None = None
+    params: object = None               # AnalysisParams on shapes; None: no ledger
     config_hash: str = ""
 
     def __post_init__(self):
@@ -224,12 +223,6 @@ def sample_disturbance_arrays(seed, w1_box, w2_box, T):
     return w1s, w2s
 
 
-def sample_disturbance(seed, w1_box, w2_box, T):
-    """Seeded disturbance stream as a list of AugmentedDisturbance."""
-    w1s, w2s = sample_disturbance_arrays(seed, w1_box, w2_box, T)
-    return [AugmentedDisturbance(w1=w1, w2=w2) for w1, w2 in zip(w1s, w2s)]
-
-
 @dataclass(frozen=True)
 class MonitorBundle:
     """Constants the per-step monitors need, with None marking unavailability."""
@@ -243,11 +236,10 @@ class MonitorBundle:
     bar_H: float
     eta: float
     ledger: object | None      # full gain ledger; None on uncertified runs
-    rel_tol: float
 
 
-def _leq(lhs, rhs, rel_tol):
-    return lhs <= rhs + rel_tol * max(1.0, abs(rhs)) + 1e-12
+def _leq(lhs, rhs):
+    return lhs <= rhs + MONITOR_REL_TOL * max(1.0, abs(rhs)) + 1e-12
 
 
 def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
@@ -262,7 +254,6 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
     the decision vector; eps_v = ||v_K - v*|| and warm_distance =
     ||v0 - v*|| are the same distances in the free coordinates.
     """
-    rel = bundle.rel_tol
     verdicts = {}
 
     # (a) error recursion
@@ -271,7 +262,7 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
     else:
         rhs = (bundle.phi_z * eps_prev + bundle.C1 * sup_x + bundle.C2 * sup_e
                + bundle.C3 * sup_w + bundle.phi_z * bundle.L_phi * sup_sigma)
-        verdicts["eps_recursion"] = PASS if _leq(eps, rhs, rel) else FAIL
+        verdicts["eps_recursion"] = PASS if _leq(eps, rhs) else FAIL
 
     # (b) M-step Lyapunov decay
     if eps is None:
@@ -281,7 +272,7 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
                + 2.0 * bundle.bar_H * eps ** 2
                + 6.0 * sum(bundle.eta ** (j - 1) * wq
                            for j, wq in enumerate(w_recent_q, start=1)))
-        verdicts["lyapunov"] = PASS if _leq(w_delta_now, rhs, rel) else FAIL
+        verdicts["lyapunov"] = PASS if _leq(w_delta_now, rhs) else FAIL
 
     # (c) trajectory bounds; need the certified ledger
     led = bundle.ledger
@@ -292,11 +283,11 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
         rhs_eps = (led.beta2_base ** t * eps0 + led.g21 * sup_x
                    + led.g23 * sup_e + led.g2w * sup_w
                    + led.g2sigma * sup_sigma)
-        verdicts["traj_eps"] = PASS if _leq(eps, rhs_eps, rel) else FAIL
+        verdicts["traj_eps"] = PASS if _leq(eps, rhs_eps) else FAIL
         rhs_err = (led.beta3_coeff * led.beta3_base ** t * e0_norm
                    + led.g31 * sup_x + led.g32 * sup_eps
                    + led.g3w * sup_w + led.g3sigma * sup_sigma)
-        verdicts["traj_err"] = PASS if _leq(e_norm_now, rhs_err, rel) else FAIL
+        verdicts["traj_err"] = PASS if _leq(e_norm_now, rhs_err) else FAIL
 
     # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*|| and
     # ||z_K - z*|| <= phi_z(K) ||z0 - z*||
@@ -304,82 +295,77 @@ def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
         verdicts["contraction"] = SKIP
     else:
         verdicts["contraction"] = (
-            PASS if (_leq(eps_v, bundle.phi * warm_distance, rel)
-                     and _leq(eps, bundle.phi_z * warm_distance_z, rel))
+            PASS if (_leq(eps_v, bundle.phi * warm_distance)
+                     and _leq(eps, bundle.phi_z * warm_distance_z))
             else FAIL)
     return StepVerdicts(**verdicts)
+
+
+def _why_uncertified(K, params, ledger):
+    """Why a run with rho < 1 is not certified, or None when it is.
+
+    The trajectory bounds hold only for a ledger that passes on inputs that
+    were derived or asserted, not sampled.
+    """
+    if K == 0:
+        return "no gain ledger: K=0, the small-gain test needs K >= 1"
+    if params is None:
+        return "no gain ledger: no analysis params"
+    if not ledger.passed:
+        worst = int(np.argmax(ledger.products))
+        return (f"small-gain test fails at K={K}: largest product is condition "
+                f"{worst + 1}, {ledger.products[worst]:.6e} >= 1")
+    if params.sampled:
+        return ("ledger inputs sampled, not derived or asserted: "
+                + ", ".join(params.sampled))
+    return None
 
 
 def run_closed_loop(cfg):
     """Execute the warm-started fixed-budget estimation loop for cfg.steps.
 
-    The analysis and the loop share cfg.shapes, so each window shape and its
+    The loop runs on the analysis params it is handed (cfg.params) and
+    evaluates their ledger once, at K. The run is certified only when
+    rho < 1, that ledger passes and none of its inputs was sampled. The
+    analysis and the loop share cfg.shapes, so each window shape and its
     eigen terms are built once per run.
     """
     sys = validate_system(cfg.sys)
     T, M, K = cfg.steps, cfg.M, cfg.K
     eta = cfg.cert.eta
     shapes = cfg.shapes
+    params = cfg.params
 
-    certified = True
-    uncertified_reason = None
-    ledger = None
-    params = None
-    no_ledger = None  # why no ledger is built
-    missing = [name for name, value in (("L_Phi", cfg.L_phi), ("L_pi", cfg.L_pi),
-                                        ("gamma13_slope", cfg.gamma13_slope))
-               if value is None]
-    if missing:
-        no_ledger = f"no value for {', '.join(missing)}"
-    else:
-        try:
-            params = analysis.build_params(
-                shapes, L_phi=cfg.L_phi, L_pi=cfg.L_pi,
-                gamma13_slope=cfg.gamma13_slope)
-        except ValueError as exc:
-            no_ledger = str(exc)
-    if K == 0:
-        no_ledger = "K=0, the small-gain test needs K >= 1"
+    ledger = reported = (analysis.ledger_at(K, params)
+                         if K > 0 and params is not None else None)
+    try:
+        analysis.compute_rho(eta, M)
+        uncertified_reason = _why_uncertified(K, params, ledger)
+    except ContractionViolated as exc:
+        if not cfg.allow_uncertified:
+            raise
+        # as in analyze-k, no ledger is reported without the M-step decay;
+        # its one-step constants C1..C3 still feed the eps_recursion monitor
+        uncertified_reason, reported = str(exc), None
+    certified = uncertified_reason is None
+
     # read from the shapes' caches, with or without params
     phi = analysis.phi(analysis.worst_case_contraction(shapes), K)
     phi_z = analysis.lift_gain(shapes) * phi
     bar_h, _ = analysis.weight_eigen_range(shapes)
-
-    try:
-        analysis.compute_rho(eta, M)
-        if no_ledger is None:
-            ledger = analysis.ledger_at(K, params)
-    except ContractionViolated as exc:
-        certified = False
-        uncertified_reason = str(exc)
-        if not cfg.allow_uncertified:
-            raise
-    # the trajectory bounds hold only for a ledger that passes
-    if certified and ledger is None:
-        certified = False
-        uncertified_reason = f"no gain ledger: {no_ledger}"
-    elif ledger is not None and not ledger.passed:
-        certified = False
-        worst = int(np.argmax(ledger.products))
-        uncertified_reason = (
-            f"small-gain test fails at K={K}: largest product is condition "
-            f"{worst + 1}, {ledger.products[worst]:.6e} >= 1")
-
-    c1 = c2 = c3 = None
-    if cfg.L_phi is not None and cfg.L_pi is not None and K > 0:
-        c1, c2, c3 = analysis.recursion_constants(
-            phi_z, cfg.L_phi, cfg.L_pi, float(np.linalg.norm(sys.C, 2)), M)
-    bundle = MonitorBundle(phi=phi, phi_z=phi_z, L_phi=cfg.L_phi,
-                           C1=c1, C2=c2, C3=c3,
-                           bar_H=bar_h, eta=eta,
-                           ledger=ledger if certified else None,
-                           rel_tol=cfg.monitor_rel_tol)
+    c1 = c2 = c3 = l_phi = None
+    if ledger is not None:
+        c1, c2, c3 = ledger.constants.C1, ledger.constants.C2, ledger.constants.C3
+        l_phi = params.L_phi
+    bundle = MonitorBundle(phi=phi, phi_z=phi_z, L_phi=l_phi,
+                           C1=c1, C2=c2, C3=c3, bar_H=bar_h, eta=eta,
+                           ledger=ledger if certified else None)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, cfg.w1_box, cfg.w2_box, T)
 
     log = TrajectoryLog(config_hash=cfg.config_hash, seed=cfg.seed, M=M, K=K,
                         certified=certified, uncertified_reason=uncertified_reason,
-                        ledger=ledger)
+                        ledger=reported)
 
     x = cfg.x0.copy()
     x_hist = []

@@ -135,22 +135,6 @@ class LtiSystem:
 
 
 @dataclass(frozen=True)
-class AugmentedDisturbance:
-    """Process noise w1 and measurement noise w2, stacked as w = [w1; w2]."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w1", _frozen_array(self.w1, 1))
-        object.__setattr__(self, "w2", _frozen_array(self.w2, 1))
-
-    @property
-    def stacked(self):
-        return np.concatenate([self.w1, self.w2])
-
-
-@dataclass(frozen=True)
 class IossCertificate:
     """(P, Q, R, eta) certifying the detectability LMI within tolerance tol."""
 

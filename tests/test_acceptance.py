@@ -27,6 +27,11 @@ def _report(n, text):
     print(f"\nACCEPTANCE {n}: PASS — {text}")
 
 
+def _doc_params(doc, shapes):
+    return build_params(shapes, L_phi=doc.analysis["L_Phi"], L_pi=2.65,
+                        gamma13_slope=doc.gamma13_slope)
+
+
 def test_criterion_1_solver_contract():
     """Eq.-11 budget over >= 100 randomized problems, K in {1, 5, 20, 100}."""
     rng = np.random.default_rng(101)
@@ -47,9 +52,11 @@ def test_criterion_1_solver_contract():
             rep = solve_fixed_iters(prob, z0, K)
             d_z = np.linalg.norm(rep.point.z - z_star.z)
             d_v = np.linalg.norm(rep.point.v - z_star.v)
-            assert d_z <= q ** K * d0_z + 1e-9, \
+            # q^K is the theorem in v; in z it carries the lift norm ||Psi||
+            assert d_v <= q ** K * d0_v + 1e-9, \
+                f"v-space budget violated: problem {n_problems}, K={K}"
+            assert d_z <= prob.shape.lift_norm * q ** K * d0_z + 1e-9, \
                 f"z-space budget violated: problem {n_problems}, K={K}"
-            assert d_v <= q ** K * d0_v + 1e-9
             checked += 1
     # oracle cross-check against 1e6-iteration projected gradient
     rng2 = np.random.default_rng(102)
@@ -62,7 +69,8 @@ def test_criterion_1_solver_contract():
         v_pg = run_pgd(s, c, prob.lower, prob.upper,
                        np.zeros(prob.dim_v), alpha, 1_000_000)
         assert np.linalg.norm(v_pg - z_star.v) <= 1e-8
-    _report(1, f"{checked} (problem, K) pairs within q^K budget; oracle "
+    _report(1, f"{checked} (problem, K) pairs within q^K in v and "
+               f"||Psi|| q^K in z; oracle "
                "agrees with 1e6-iteration projected gradient to 1e-8")
 
 
@@ -96,11 +104,9 @@ def test_criterion_3_lyapunov_monitor_certified_run(certified_doc):
     doc = certified_doc
     cert = doc.certificate
     shapes = doc.window_shapes(cert)
-    params = build_params(shapes, L_phi=doc.analysis["L_Phi"], L_pi=2.65,
-                          gamma13_slope=doc.gamma13_slope)
+    params = _doc_params(doc, shapes)
     k_star, _ = min_iterations(params, doc.analysis["K_max"])
-    cfg = doc.scenario_config(shapes, K=k_star, steps=40,
-                              L_phi=doc.analysis["L_Phi"])
+    cfg = doc.scenario_config(shapes, K=k_star, steps=40, params=params)
     log = run_closed_loop(cfg)
     assert log.certified
     counts = log.monitor_counts()
@@ -116,9 +122,9 @@ def test_criterion_4_case_study_reproduction(case_study_doc):
     doc = case_study_doc
     assert np.array_equal(doc.scenario["x0"], [12.0, -10.0, 10.0, -10.0])
     assert np.array_equal(doc.scenario["prior"], [7.0, -7.0, 3.0, -5.0])
-    cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=25, steps=40,
-                              allow_uncertified=True,
-                              L_phi=doc.analysis["L_Phi"])
+    shapes = doc.window_shapes(doc.certificate)
+    cfg = doc.scenario_config(shapes, K=25, steps=40, allow_uncertified=True,
+                              params=_doc_params(doc, shapes))
     log = run_closed_loop(cfg)
     x_norms = [float(np.linalg.norm(r.x)) for r in log.rows]
     eps = [r.eps for r in log.rows]
@@ -208,9 +214,9 @@ def test_criterion_8_simulate_determinism(tmp_path, capsys):
 def test_criterion_9_warm_start_growing_phase(case_study_doc):
     doc = case_study_doc
     M = doc.mhe["M"]
-    cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=40, steps=2 * M,
-                              allow_uncertified=True,
-                              L_phi=doc.analysis["L_Phi"])
+    shapes = doc.window_shapes(doc.certificate)
+    cfg = doc.scenario_config(shapes, K=40, steps=2 * M, allow_uncertified=True,
+                              params=_doc_params(doc, shapes))
     log = run_closed_loop(cfg)
     for row in log.rows:
         assert row.dim_z0 == row.dim_z

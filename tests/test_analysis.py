@@ -186,6 +186,17 @@ class TestMinIterations:
 
 
 class TestLedger:
+    def test_no_decay_leaves_only_one_step_constants(self):
+        # rho = 6^(1/5) 0.8 >= 1: C1..C3 bound one step and stay those of a
+        # contracting horizon; the constants that sum the decay are infinite
+        p, contracting = params(eta=0.8, M=5), params(eta=0.5, M=5)
+        led = ledger_at(20, p)
+        c, ref = led.constants, budget_constants(20, contracting)
+        assert c.rho > 1.0
+        assert (c.C1, c.C2, c.C3) == (ref.C1, ref.C2, ref.C3)
+        assert c.C_e == c.C_w == c.C_eps == math.inf
+        assert not led.passed
+
     def test_deterministic(self):
         p = params(eta=0.5)
         a = ledger_at(37, p).to_dict()

@@ -163,6 +163,56 @@ class TestCli:
         assert out["meta"]["gamma13_heuristic"] is True
         assert out["meta"]["L_Phi_probed"] is True
         assert out["ledger"]["params"]["L_phi"] >= 1.0
+        assert out["ledger"]["params"]["sampled"] == ["L_Phi", "gamma13_slope"]
+
+    @pytest.mark.parametrize("block, key, value, name", [
+        ("controller", "gamma13_slope", None, "gamma13_slope"),
+        ("analysis", "L_Phi", "probe", "L_Phi")],
+        ids=["gamma13_heuristic", "L_Phi_probed"])
+    def test_simulate_sampled_input_is_uncertified(self, tmp_path, base_dict,
+                                                   capsys, block, key, value,
+                                                   name):
+        # the loop reports the ledger at the K it runs, and a passing ledger
+        # on a sampled input certifies nothing
+        doc = json.loads(json.dumps(base_dict))
+        doc["mhe"]["M"] = 9
+        doc["mhe"]["K"] = "auto"
+        doc["analysis"]["probe_trials"] = 60
+        doc[block][key] = value
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["simulate", "--config", str(path),
+                        "--out", str(tmp_path), "--steps", "12",
+                        "--oracle", "off"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["ledger"]["K"] == summary["K"]
+        assert summary["ledger"]["small_gain"]["passed"] is True
+        assert summary["ledger"]["params"]["sampled"] == [name]
+        assert summary["certified"] is False
+        assert summary["uncertified_reason"] == (
+            f"ledger inputs sampled, not derived or asserted: {name}")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "12", "--oracle", "off"], ["analyze-k"]],
+        ids=["simulate_auto", "analyze_k"])
+    def test_params_are_built_once(self, argv, tmp_path, capsys, monkeypatch):
+        import submhe.analysis as analysis
+        calls = []
+        real = analysis.build_params
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "build_params", counting)
+        code = run_cli([argv[0], "--config",
+                        str(CONFIG_DIR / "case_study_certified.json"),
+                        "--out", str(tmp_path), *argv[1:]])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 1
 
     def test_negative_seed_rejected(self, capsys):
         for flag, value in (("--seed", "-1"), ("--steps", "0"),

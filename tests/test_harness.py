@@ -3,24 +3,32 @@ import pytest
 
 from conftest import CONFIG_DIR, make_system, simple_certificate
 
+from submhe.analysis import build_params
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
                            MonitorViolation, UnboundedSampleBox)
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
-                            monitor_step, run_closed_loop, sample_disturbance,
+                            monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
 from submhe.mhe import WindowShapes, expected_dim_z
 from submhe.model import Box
 
 
+def doc_params(doc, shapes):
+    """AnalysisParams on `shapes` from the config's asserted scalars."""
+    return build_params(shapes, L_phi=doc.analysis["L_Phi"],
+                        L_pi=doc.controller.declared_lipschitz,
+                        gamma13_slope=doc.gamma13_slope)
+
+
 def scenario(doc, cert, M=None, **kw):
     M = doc.mhe["M"] if M is None else M
-    defaults = dict(shapes=WindowShapes(doc.system, cert, M),
-                    law=doc.controller, K=200, steps=12,
+    shapes = WindowShapes(doc.system, cert, M)
+    defaults = dict(shapes=shapes, law=doc.controller, K=200, steps=12,
                     x0=np.array([1.0, -1.0, 1.0, -1.0]),
                     x_prior0=np.array([1.0, -1.0, 1.0, -1.0]),
                     seed=3, oracle=True, monitors=True,
-                    L_phi=5.32, L_pi=2.65, gamma13_slope=28.8,
+                    params=doc_params(doc, shapes),
                     allow_uncertified=True)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
@@ -28,13 +36,10 @@ def scenario(doc, cert, M=None, **kw):
 
 class TestSampleDisturbance:
     def test_degenerate_box_gives_zeros(self):
-        seq = sample_disturbance(0, Box.from_pairs([[0.0, 0.0]] * 2),
-                                 Box.from_pairs([[0.0, 0.0]]), 5)
-        assert len(seq) == 5
-        for w in seq:
-            assert np.array_equal(w.w1, np.zeros(2))
-            assert np.array_equal(w.w2, np.zeros(1))
-            assert np.array_equal(w.stacked, np.zeros(3))
+        w1, w2 = sample_disturbance_arrays(0, Box.from_pairs([[0.0, 0.0]] * 2),
+                                           Box.from_pairs([[0.0, 0.0]]), 5)
+        assert np.array_equal(w1, np.zeros((5, 2)))
+        assert np.array_equal(w2, np.zeros((5, 1)))
 
     def test_same_seed_identical(self):
         box1 = Box.from_pairs([[-0.1, 0.1]] * 3)
@@ -44,8 +49,6 @@ class TestSampleDisturbance:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = sample_disturbance_arrays(43, box1, box2, 100)
         assert not np.array_equal(a[0], c[0])
-        seq = sample_disturbance(42, box1, box2, 100)
-        assert np.array_equal(np.array([w.w1 for w in seq]), a[0])
 
     def test_bounds_respected_and_mean(self):
         box1 = Box.from_pairs([[-0.1, 0.1]] * 2)
@@ -58,7 +61,8 @@ class TestSampleDisturbance:
 
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedSampleBox):
-            sample_disturbance(0, Box.unbounded(2), Box.from_pairs([[0, 1]]), 3)
+            sample_disturbance_arrays(0, Box.unbounded(2),
+                                      Box.from_pairs([[0, 1]]), 3)
 
 
 class TestClosedLoop:
@@ -89,15 +93,17 @@ class TestClosedLoop:
         eps = [r.eps for r in log.rows]
         assert max(eps) > 0.1  # warm start never improves
 
-    @pytest.mark.parametrize("K, L_phi, cause", [
-        (50, None, "no value for L_Phi"),
-        (0, 5.32, "K=0, the small-gain test needs K >= 1")],
+    @pytest.mark.parametrize("K, with_params, cause", [
+        (50, False, "no analysis params"),
+        (0, True, "K=0, the small-gain test needs K >= 1")],
         ids=["no_L_phi", "zero_budget"])
-    def test_no_ledger_is_uncertified(self, certified_doc, K, L_phi, cause):
+    def test_no_ledger_is_uncertified(self, certified_doc, K, with_params,
+                                      cause):
         doc = certified_doc
-        cfg = doc.scenario_config(doc.window_shapes(doc.certificate),
-                                  K=K, steps=2, oracle=False,
-                                  L_phi=L_phi)
+        shapes = doc.window_shapes(doc.certificate)
+        cfg = doc.scenario_config(shapes, K=K, steps=2, oracle=False,
+                                  params=(doc_params(doc, shapes)
+                                          if with_params else None))
         log = run_closed_loop(cfg)  # rho < 1 but no ledger: no raise
         assert not log.certified and log.ledger is None
         assert log.uncertified_reason == f"no gain ledger: {cause}"
@@ -148,10 +154,10 @@ class TestClosedLoop:
         # zero-padded warm start (off the lift's range) can lie nearer to z*
         # than its projection does, which phi_z(0) = lift gain allows for.
         doc = certified_doc
-        cfg = doc.scenario_config(doc.window_shapes(doc.certificate),
-                                  K=K, steps=10, oracle=True,
+        shapes = doc.window_shapes(doc.certificate)
+        cfg = doc.scenario_config(shapes, K=K, steps=10, oracle=True,
                                   allow_uncertified=True,
-                                  L_phi=doc.analysis["L_Phi"])
+                                  params=doc_params(doc, shapes))
         log = run_closed_loop(cfg)
         counts = log.monitor_counts()["contraction"]
         assert counts["fail"] == 0
@@ -166,12 +172,17 @@ class TestClosedLoop:
         else:
             # rho < 1, but K = 25 is far below K*: the ledger fails small gain
             doc = certified_doc
-            cfg = doc.scenario_config(doc.window_shapes(doc.certificate),
-                                      K=25, steps=6,
+            shapes = doc.window_shapes(doc.certificate)
+            cfg = doc.scenario_config(shapes, K=25, steps=6,
                                       oracle=True, allow_uncertified=True,
-                                      L_phi=doc.analysis["L_Phi"])
+                                      params=doc_params(doc, shapes))
         log = run_closed_loop(cfg)
         assert not log.certified
+        if source == "rho_violated":
+            # no ledger is reported, but its one-step constants still feed
+            # the error recursion monitor
+            assert log.ledger is None
+            assert log.monitor_counts()["eps_recursion"]["pass"] == 5
         if source == "small_gain_fails":
             assert not log.ledger.passed
             worst = max(log.ledger.products)
@@ -286,7 +297,7 @@ def test_no_window_state_shared_between_runs():
 class TestMonitorStep:
     def bundle(self, **kw):
         defaults = dict(phi=0.5, phi_z=0.5, L_phi=2.0, C1=1.0, C2=1.0, C3=1.0, bar_H=2.0,
-                        eta=0.8, ledger=None, rel_tol=1e-7)
+                        eta=0.8, ledger=None)
         defaults.update(kw)
         return MonitorBundle(**defaults)
 

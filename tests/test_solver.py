@@ -114,8 +114,9 @@ class TestSolveFixedIters:
             d0_v = np.linalg.norm(v0 - z_star.v)
             d0_z = np.linalg.norm(z0 - z_star.z)
             rep = solve_fixed_iters(prob, z0, 50)
+            phi_z = prob.shape.lift_norm * q ** 50  # q^K holds in v, not in z
             assert np.linalg.norm(rep.point.v - z_star.v) <= q ** 50 * d0_v + 1e-9
-            assert np.linalg.norm(rep.point.z - z_star.z) <= q ** 50 * d0_z + 1e-9
+            assert np.linalg.norm(rep.point.z - z_star.z) <= phi_z * d0_z + 1e-9
 
     def test_per_iteration_feasibility_and_monotone_cost(self):
         rng = np.random.default_rng(3)
