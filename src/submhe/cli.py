@@ -3,11 +3,14 @@
 Exit codes: 0 ok, 1 domain failure (LMI violation, no contracting horizon,
 no feasible iteration count, strict-mode monitor failure), 2 usage error
 (bad flags, unreadable or invalid config). Errors are emitted as one JSON
-object on stderr.
+object on stderr. Every JSON document the CLI writes is strict JSON: a
+non-finite number is written as the string "inf", "-inf" or "nan", as
+configs spell interval bounds.
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +25,22 @@ from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
 
 
+def _finite(obj):
+    """obj with each non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
+
+
+def _json_text(obj, **kwargs):
+    """Strict JSON text of obj: no Infinity or NaN tokens."""
+    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+
+
 def _error_json(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ContractionViolated):
@@ -32,7 +51,7 @@ def _error_json(exc):
         payload["best_margin"] = exc.best_margin
     if isinstance(exc, (ParseError, ValidationError)):
         payload["field"] = exc.path
-    print(json.dumps(payload), file=sys.stderr)
+    print(_json_text(payload), file=sys.stderr)
 
 
 def _resolve_certificate(doc):
@@ -93,7 +112,7 @@ def cmd_certify(args):
     }
     if searched:
         out["P"] = cert.P.tolist()
-    print(json.dumps(out, indent=2))
+    print(_json_text(out, indent=2))
     return 0 if verdict.passed else 1
 
 
@@ -105,7 +124,7 @@ def cmd_analyze_k(args):
     meta = {"L_Phi_probed": "L_Phi" in params.sampled,
             "gamma13_heuristic": "gamma13_slope" in params.sampled}
     out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
-    text = json.dumps(out, indent=2)
+    text = _json_text(out, indent=2)
     print(text)
     if args.out:
         outdir = Path(args.out)
@@ -148,7 +167,7 @@ def cmd_simulate(args):
     csv_path.write_text(log.to_csv_text())
     summary = log.summary_dict()
     summary_path = outdir / doc.output["summary"]
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    summary_path.write_text(_json_text(summary, indent=2) + "\n")
     counts = log.monitor_counts()
     fails = sum(c["fail"] for c in counts.values())
     print(f"simulated {len(log.rows)} steps (K={k}, M={log.M}, "

@@ -122,6 +122,7 @@ class LogRow:
     dim_z0: int
     z_k: np.ndarray
     warm_distance: float | None  # ||v0 - v*||, free coordinates of the warm start
+    looped: int                  # solver iterations run before its closed-form tail
     what_feasible: bool
     xhat_feasible: bool
     yhat_feasible: bool
@@ -192,6 +193,12 @@ class TrajectoryLog:
             "uncertified_reason": self.uncertified_reason,
             "ledger": self.ledger.to_dict() if self.ledger is not None else None,
             "monitors": self.monitor_counts(),
+            "solver": {
+                "solves": len(self.rows),
+                "tail_jumps": sum(r.looped < self.K for r in self.rows),
+                "looped_mean": (sum(r.looped for r in self.rows) / len(self.rows)
+                                if self.rows else None),
+            },
             "constraint_flags": {
                 "what_feasible": all(r.what_feasible for r in self.rows),
                 "xhat_feasible": all(r.xhat_feasible for r in self.rows),
@@ -442,6 +449,7 @@ def run_closed_loop(cfg):
                      sigma_raw=sigma_raw, sigma_clamped=sigma_clamped,
                      verdicts=verdicts, dim_z=problem.dim_z,
                      dim_z0=z0.shape[0], z_k=z_k, warm_distance=warm_distance,
+                     looped=report.looped,
                      what_feasible=what_ok, xhat_feasible=xhat_ok,
                      yhat_feasible=yhat_ok)
         log.rows.append(row)

@@ -18,7 +18,10 @@ so that warm-start padding and error norms are measured consistently.
 A problem is split along what changes from step to step. The lift Psi, the
 weight H, the box and the reduced Hessian S = 2 Psi^T H Psi depend only on
 the window length, and live in a WindowShape; a WindowShapes object holds
-the M+1 shapes of one run and builds each on first use. A step adds the
+the M+1 shapes of one run and builds each on first use. So does the one
+eigendecomposition of S, which gives the step, its contraction base and the
+spectrum of the step's linear part (StepSpectrum), from which the solver
+takes the clamp-free tail of its loop in closed form. A step adds the
 offset psi, the reference and with them the gradient's linear term c.
 """
 
@@ -53,9 +56,10 @@ class WindowShape:
     the certificate, m_eff) only, never on the window contents, and so do
     G = 2 Psi^T H and the reduced Hessian S = G Psi. A step adds only its
     offset psi and reference, which enter the gradient S v + c through
-    c = G (psi - ref). The PGD terms (curvature, step, contraction base and
-    the transition matrix I - step * S), the lift's norm and the weight's
-    extreme eigenvalues are computed on first use.
+    c = G (psi - ref). The PGD terms (the eigendecomposition of S, and from
+    it the curvature, step, contraction base, the transition matrix
+    I - step * S and its spectrum), the lift's norm and the weight's extreme
+    eigenvalues are computed on first use.
     """
 
     m_eff: int
@@ -76,10 +80,22 @@ class WindowShape:
         object.__setattr__(self, "hessian", s)
 
     @cached_property
+    def eigen(self):
+        """(lambda, U): S = U diag(lambda) U^T, lambda ascending, U orthogonal.
+
+        The one eigendecomposition of S; the curvature and the step's
+        spectrum read it.
+        """
+        lam, basis = eigh(self.hessian)
+        for arr in (lam, basis):
+            arr.setflags(write=False)
+        return lam, basis
+
+    @cached_property
     def curvature(self):
         """(mu, L): the extreme eigenvalues of S."""
-        w = np.linalg.eigvalsh(0.5 * (self.hessian + self.hessian.T))
-        mu, lip = float(w[0]), float(w[-1])
+        lam, _ = self.eigen
+        mu, lip = float(lam[0]), float(lam[-1])
         if mu <= 0.0 or not np.isfinite(lip):
             raise DegenerateHessian(
                 f"reduced Hessian has min eigenvalue {mu:.3e}; lift is rank-deficient")
@@ -131,6 +147,57 @@ class WindowShape:
         t = np.eye(self.hessian.shape[0]) - self.step * self.hessian
         t.setflags(write=False)
         return t
+
+    @cached_property
+    def spectrum(self):
+        """The transition's StepSpectrum, for the loop's closed-form tail."""
+        lam, basis = self.eigen
+        return step_spectrum(lam, basis, self.step)
+
+
+@dataclass(frozen=True, eq=False)
+class StepSpectrum:
+    """T = I - alpha S = U diag(tau) U^T, the linear part of one PGD step.
+
+    rate = alpha * lambda over the eigenvalues lambda of S and tau = 1 - rate;
+    max |tau| < 1 (see step_spectrum). Without a clamp the step is affine,
+    v -> T v + d, so from v_k the unclamped iterates are
+
+        v_{k+i} = v_u + U (tau^i * beta),  beta = U^T (v_k - v_u),
+
+    with v_u = U ((U^T d) / rate) the unconstrained fixed point. Envelope:
+    for every i >= 1 and every coordinate,
+
+        |v_{k+i} - v_u| <= |U| (|tau| * |beta|),
+
+    with absolute values taken entry by entry, because |tau|^i <= |tau|. It
+    bounds each coordinate separately, not a Euclidean norm, so it can be
+    compared with each side of the box. When it lies strictly inside every
+    finite side, then by induction on i each affine iterate is inside the
+    box, no clamp fires in any later iteration, and the projected-gradient
+    iterate v_{k+j} equals the affine one,
+    U (tau^j * U^T v_k + ((1 - tau^j) / rate) * U^T d).
+    """
+
+    rate: np.ndarray       # alpha * lambda, ascending
+    tau: np.ndarray        # 1 - rate, the eigenvalues of T
+    basis: np.ndarray      # U, the eigenvectors of S (and of T)
+    abs_basis: np.ndarray  # |U|, entry by entry
+    slow: np.ndarray       # rate < 1: there tau > 0 and 1 - tau^j is expm1'd
+    log_tau: np.ndarray    # log1p(-rate[slow])
+
+
+def step_spectrum(lam, basis, alpha):
+    """The StepSpectrum of I - alpha S for S = U diag(lam) U^T, or None when
+    max |1 - alpha * lam| >= 1 (or is not finite): then the unclamped tail
+    need not contract, and the loop has no closed form to jump to."""
+    rate = alpha * np.asarray(lam, dtype=float)
+    tau = 1.0 - rate
+    if not np.max(np.abs(tau)) < 1.0:
+        return None
+    slow = rate < 1.0
+    return StepSpectrum(rate=rate, tau=tau, basis=basis, abs_basis=np.abs(basis),
+                        slow=slow, log_tau=np.log1p(-rate[slow]))
 
 
 def window_shape(sys, cert, m_eff):

@@ -15,22 +15,41 @@ v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
 matrix-vector product of the augmented operator [T | d] with [v; 1] and two
 in-place clamps. T, S, the step and q come from the problem's window shape,
 which computes them once per window length; only d changes per step.
+
+Most solves stop clamping early, and from then on the loop is that affine
+recursion, which has a closed form (mhe.StepSpectrum). At the iterates
+k = 0, 1, 3, 7, ... the loop tests the envelope of every later unclamped
+iterate, |v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise (i >= 1,
+v_u the unconstrained fixed point). When it lies strictly inside every
+finite side of the box, with a relative margin of TAIL_MARGIN, no clamp can
+fire for the rest of the budget, and the loop returns the K-th iterate in
+closed form instead of running the remaining iterations. In exact arithmetic
+that is the same K-th iterate, so K, phi(K) and every bound on it are
+unchanged. The test is False whenever a NaN or inf enters it, and never
+holds for a pinned coordinate (lower == upper), so the loop then runs on.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MaxCyclesExceeded, NonfiniteIterate
-from .mhe import CondensedPoint
+from .linalg import eigh
+from .mhe import CondensedPoint, step_spectrum
 
 KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
+
+# Relative margin of the tail test: a side counts only when the envelope
+# stays inside it by 1e-9 (1 + |v_u| + |v_u - side|), far above the
+# rounding of v_u and of the envelope.
+TAIL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class SolveReport:
     point: CondensedPoint
     iterations: int
+    looped: int  # iterations run before the closed-form tail; K without a jump
     step_size: float
     contraction_base: float
     costs: np.ndarray | None = None
@@ -41,14 +60,17 @@ class SolveReport:
 def run_pgd(s, g, lo, hi, v0, alpha, iters, history=None):
     """Iterate v <- clip(v - alpha * (S v + g), lo, hi) exactly `iters` times.
 
-    The step is evaluated as (I - alpha S) v - alpha g, which rounds
-    differently from the formula above in the last bits. v0 is not
-    modified. If `history` (shape (iters + 1, n)) is given, row k receives
-    the k-th iterate, starting with v0.
+    S is symmetric. The step is evaluated as (I - alpha S) v - alpha g,
+    which rounds differently from the formula above in the last bits, and
+    the clamp-free tail is taken in closed form (see the module docstring).
+    v0 is not modified. If `history` (shape (iters + 1, n)) is given, row k
+    receives the k-th iterate, starting with v0.
     """
     n = s.shape[0]
-    return _iterate(_operator(np.eye(n) - alpha * s, -alpha * np.asarray(g)),
-                    lo, hi, v0, iters, history)
+    lam, basis = eigh(s)
+    v, _ = _iterate(_operator(np.eye(n) - alpha * s, -alpha * np.asarray(g)),
+                    lo, hi, v0, iters, history, step_spectrum(lam, basis, alpha))
+    return v
 
 
 def _operator(transition, shift):
@@ -60,12 +82,17 @@ def _operator(transition, shift):
     return op
 
 
-def _iterate(op, lo, hi, v0, iters, history):
+def _iterate(op, lo, hi, v0, iters, history, spectrum):
     """The one projected-gradient loop: v <- min(hi, max(lo, op [v; 1])).
 
-    The clamp order matches np.clip, NaN included; every array is reused.
+    Returns (v_K, looped). At k = 0, 1, 3, 7, ... the loop tries the
+    closed-form tail of `spectrum` (a StepSpectrum of op's T, or None for
+    no tail); looped is the number of iterations run before it took it, and
+    `iters` when it did not. The clamp order matches np.clip, NaN included;
+    every array is reused.
     """
     n = op.shape[0]
+    iters = int(iters)
     w = np.empty(n + 1)
     w[n] = 1.0
     v = w[:n]
@@ -73,13 +100,59 @@ def _iterate(op, lo, hi, v0, iters, history):
     buf = np.empty(n)
     if history is not None:
         history[0] = v
-    for k in range(int(iters)):
+    tail = None
+    if spectrum is not None and iters > 0:
+        tail = _Tail(spectrum, op[:, n], lo, hi)
+    probe = 0 if tail is not None else -1
+    for k in range(iters):
+        if k == probe:
+            if tail.settled(v):
+                return tail.finish(v, k, iters, history), k
+            probe = 2 * probe + 1
         np.dot(op, w, out=buf)
         np.maximum(lo, buf, out=buf)
         np.minimum(hi, buf, out=v)
         if history is not None:
             history[k + 1] = v
-    return v.copy()
+    return v.copy(), iters
+
+
+class _Tail:
+    """One solve's unclamped recursion v <- T v + d in closed form
+    (mhe.StepSpectrum), and the test that the loop has reached it."""
+
+    def __init__(self, spectrum, shift, lo, hi):
+        self.spectrum, self.lo, self.hi = spectrum, lo, hi
+        self.fixed = (spectrum.basis.T @ shift) / spectrum.rate  # U^T v_u
+        v_u = spectrum.basis @ self.fixed
+        # room left to each side; NaN, and so no jump, if anything is not finite
+        margin = TAIL_MARGIN * (1.0 + np.abs(v_u))
+        self.room = np.minimum(v_u - lo, hi - v_u) * (1.0 - TAIL_MARGIN) - margin
+
+    def settled(self, v):
+        """True when no clamp can fire in any iteration after v."""
+        s = self.spectrum
+        beta = s.basis.T @ v - self.fixed
+        return bool(np.all(s.abs_basis @ np.abs(s.tau * beta) < self.room))
+
+    def advance(self, v, j):
+        """The unclamped iterate j steps after v:
+        U (tau^j U^T v + (1 - tau^j) U^T v_u)."""
+        s = self.spectrum
+        power = s.tau ** j
+        one_minus = 1.0 - power                       # 1 - tau^j,
+        one_minus[s.slow] = -np.expm1(j * s.log_tau)  # without cancellation
+        return s.basis @ (power * (s.basis.T @ v) + one_minus * self.fixed)
+
+    def finish(self, v, k, iters, history):
+        """Iterate number `iters`, from v = v_k, clamped like every iterate (a
+        no-op in exact arithmetic); a recorded solve fills history rows
+        k+1..iters from the same formula."""
+        for i in range(1 if history is not None else iters - k, iters - k + 1):
+            out = np.minimum(self.hi, np.maximum(self.lo, self.advance(v, i)))
+            if history is not None:
+                history[k + i] = out
+        return out
 
 
 def contraction_rate(problem):
@@ -101,8 +174,10 @@ def solve_fixed_iters(problem, z0, K, record=False):
 
     The warm start enters through its free coordinates (initial-state and
     disturbance blocks of z0); derived output blocks are rebuilt by the lift.
-    K = 0 returns the box projection of the warm start. With record=True the
-    per-iteration costs and free-coordinate iterates are kept.
+    K = 0 returns the box projection of the warm start. The report's
+    `looped` counts the iterations run before the closed-form tail (K when
+    the loop ran them all). With record=True the per-iteration costs and
+    free-coordinate iterates are kept.
     """
     shape = problem.shape
     step = shape.step
@@ -113,10 +188,11 @@ def solve_fixed_iters(problem, z0, K, record=False):
     history = None
     if K == 0:
         v = np.clip(v0, lo, hi)
+        looped = 0
     else:
         history = np.empty((K + 1, v0.shape[0])) if record else None
         op = _operator(shape.transition, -step * problem.linear_term)
-        v = _iterate(op, lo, hi, v0, K, history)
+        v, looped = _iterate(op, lo, hi, v0, K, history, shape.spectrum)
         if record:
             costs = np.array([problem.cost(problem.lift(h)) for h in history])
     if not np.all(np.isfinite(v)):
@@ -124,7 +200,8 @@ def solve_fixed_iters(problem, z0, K, record=False):
                                "check problem conditioning")
     z = problem.lift(v)
     return SolveReport(point=CondensedPoint(z=z, v=v), iterations=K,
-                       step_size=step, contraction_base=shape.contraction_base,
+                       looped=looped, step_size=step,
+                       contraction_base=shape.contraction_base,
                        costs=costs, history=history)
 
 
@@ -135,11 +212,7 @@ def attach_distances(problem, report, z_star):
     z_star = z_star.z if isinstance(z_star, CondensedPoint) else np.asarray(z_star)
     dists = np.array([np.linalg.norm(problem.lift(h) - z_star)
                       for h in report.history])
-    return SolveReport(point=report.point, iterations=report.iterations,
-                       step_size=report.step_size,
-                       contraction_base=report.contraction_base,
-                       costs=report.costs, per_iteration_distances=dists,
-                       history=report.history)
+    return replace(report, per_iteration_distances=dists)
 
 
 def solve_oracle(problem, tol=1e-10, max_cycles=None):

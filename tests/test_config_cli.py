@@ -261,6 +261,36 @@ class TestCli:
         assert summary["certified"] is True
         assert summary["ledger"]["small_gain"]["passed"] is True
 
+    def test_certified_solves_take_the_closed_form_tail(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--config",
+                        str(CONFIG_DIR / "case_study_certified.json"),
+                        "--out", str(tmp_path), "--steps", "400",
+                        "--oracle", "off"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        solver = summary["solver"]
+        assert solver["solves"] == 400
+        assert solver["tail_jumps"] >= 0.9 * solver["solves"]
+        assert 0.0 <= solver["looped_mean"] < summary["K"]
+
+    def test_outputs_are_strict_json(self, tmp_path, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        # at K = 5 the lifted contract expands, so the ledger's gains are infinite
+        code = run_cli(["simulate", "--config",
+                        str(CONFIG_DIR / "case_study_certified.json"),
+                        "--out", str(tmp_path), "--steps", "5", "--iters", "5"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["ledger"]["slopes"]["g21"] == "inf"
+        for argv in (["analyze-k"], ["certify"]):
+            run_cli(argv + ["--config", str(CONFIG_DIR / "case_study_certified.json")])
+            json.loads(capsys.readouterr().out, parse_constant=reject)
+
     def test_simulate_builds_each_window_shape_once(self, tmp_path, capsys,
                                                     monkeypatch):
         import submhe.mhe as mhe

@@ -8,7 +8,7 @@ from conftest import (make_system, random_certified_setup, random_problem,
 
 from submhe.errors import (DegenerateHessian, MaxCyclesExceeded,
                            NonfiniteIterate)
-from submhe.mhe import MheProblem, WindowShape, build_problem
+from submhe.mhe import MheProblem, WindowShape, build_problem, step_spectrum
 from submhe.model import Box, IossCertificate, LtiSystem
 from submhe.solver import (attach_distances, contraction_rate, kkt_residual,
                            run_pgd, solve_fixed_iters, solve_oracle)
@@ -29,6 +29,17 @@ def plain_problem(weight, reference, lower=None, upper=None):
         reference=np.asarray(reference, dtype=float), lift_offset=np.zeros(n),
         x_prior=np.asarray(reference, dtype=float),
         u_window=np.zeros((0, 1)), y_window=np.zeros((0, 1)))
+
+
+def with_box(prob, lower, upper):
+    """prob with its free-variable box replaced."""
+    shape = WindowShape(m_eff=prob.m_eff, lift_matrix=prob.lift_matrix,
+                        weight=prob.weight, lower=lower, upper=upper,
+                        input_map=prob.shape.input_map)
+    return MheProblem(sys=prob.sys, t=prob.t, horizon=prob.horizon,
+                      shape=shape, reference=prob.reference,
+                      lift_offset=prob.lift_offset, x_prior=prob.x_prior,
+                      u_window=prob.u_window, y_window=prob.y_window)
 
 
 class TestProjectBox:
@@ -170,6 +181,7 @@ class TestSolveFixedIters:
         z0 = prob.lift(v0)
         plain = solve_fixed_iters(prob, z0, K)
         rec = solve_fixed_iters(prob, z0, K, record=True)
+        assert rec.looped == plain.looped
         assert np.array_equal(rec.point.v, plain.point.v)
         assert np.array_equal(rec.point.z, plain.point.z)
         if K == 0:
@@ -185,16 +197,8 @@ class TestSolveOracle:
         rng = np.random.default_rng(6)
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
-        shape = WindowShape(m_eff=prob.m_eff, lift_matrix=prob.lift_matrix,
-                            weight=prob.weight,
-                            lower=np.full(prob.dim_v, -np.inf),
-                            upper=np.full(prob.dim_v, np.inf),
-                            input_map=prob.shape.input_map)
-        wide = MheProblem(sys=prob.sys, t=prob.t, horizon=prob.horizon,
-                          shape=shape, reference=prob.reference,
-                          lift_offset=prob.lift_offset,
-                          x_prior=prob.x_prior, u_window=prob.u_window,
-                          y_window=prob.y_window)
+        wide = with_box(prob, np.full(prob.dim_v, -np.inf),
+                        np.full(prob.dim_v, np.inf))
         s, c = wide.reduced_gradient_terms()
         expected = np.linalg.solve(s, -c)
         got = solve_oracle(wide, tol=1e-12)
@@ -378,3 +382,95 @@ class TestContractionProperty:
                         alpha * float(np.max(np.abs(prob.linear_term))))
             bound = r ** K * d0 * (1.0 + PAIR_RTOL) + PAIR_ATOL * scale
             assert np.linalg.norm(u_k - v_k) <= bound, (K, r)
+
+
+@st.composite
+def open_box_problems(draw):
+    """lifted_problems re-boxed around the unconstrained optimum v_u: each side
+    wide (1/2 to 10 times 1 + |v_u| away) or open, with v0 up to twice the
+    width from v_u, so the loop clamps for a while or not at all."""
+    prob, _ = draw(lifted_problems())
+    s, c = prob.reduced_gradient_terms()
+    v_u = np.linalg.solve(s, -c)
+    n = prob.dim_v
+    kinds = draw(st.lists(st.sampled_from(["wide", "no_lower", "no_upper", "free"]),
+                          min_size=n, max_size=n))
+    width = draw(st.floats(0.5, 10.0)) * (1.0 + np.abs(v_u))
+    lower = np.where([k in ("wide", "no_upper") for k in kinds], v_u - width, -np.inf)
+    upper = np.where([k in ("wide", "no_lower") for k in kinds], v_u + width, np.inf)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v0 = v_u + draw(st.floats(0.0, 2.0)) * width * rng.uniform(-1.0, 1.0, n)
+    return with_box(prob, lower, upper), v0
+
+
+class TestClosedFormTail:
+    """The loop's closed-form tail gives the K-th iterate of the clip loop."""
+
+    def test_open_boxes_match_clip_loop(self):
+        jumped = []
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(case=open_box_problems(), K=st.sampled_from([1, 5, 200, 228]))
+        def check(case, K):
+            prob, v0 = case
+            s, c = prob.reduced_gradient_terms()
+            alpha = prob.shape.step
+            ref = reference_pgd(s, c, prob.lower, prob.upper, v0, alpha, K)
+            scale = max(1.0, float(np.max(np.abs(ref))),
+                        alpha * float(np.max(np.abs(c))))
+            rep = solve_fixed_iters(prob, prob.lift(v0), K, record=True)
+            assert np.max(np.abs(rep.history - ref)) <= KERNEL_RTOL * scale
+            assert np.array_equal(rep.history[-1], rep.point.v)
+            jumped.append(rep.looped < K)
+
+        check()
+        # 110 of these 120 draws jump, and 90 % of 1,500 random ones
+        assert sum(jumped) >= 0.75 * len(jumped)
+
+    def test_later_crossing_blocks_the_jump(self):
+        # S = U diag(1, 5, 9) U^T, so tau = (0.8, 0, -0.8). Coordinate 0 of the
+        # unclamped iterates is 0.5 * 0.8^i + 0.5 * (-0.8)^i - 0^i: 0 at
+        # i = 0 and 1, then 0.64 at i = 2, above its upper side 0.5.
+        basis = np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))  # symmetric, orthogonal
+        s = basis @ np.diag([1.0, 5.0, 9.0]) @ basis.T
+        prob = plain_problem(s / 2.0, np.zeros(3),
+                             lower=np.full(3, -np.inf),
+                             upper=np.array([0.5, np.inf, np.inf]))
+        assert np.allclose(prob.shape.spectrum.tau, [0.8, 0.0, -0.8])
+        v0 = basis @ (np.array([0.5, -1.0, 0.5]) / basis[0])
+        free = reference_pgd(s, np.zeros(3), -np.inf, np.inf, v0, 0.2, 2)
+        assert np.allclose(free[:, 0], [0.0, 0.0, 0.64])
+        ref = reference_pgd(s, np.zeros(3), prob.lower, prob.upper, v0, 0.2, 2)
+        rep = solve_fixed_iters(prob, v0, 2)
+        assert rep.looped == 2
+        assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL
+        assert rep.point.v[0] == 0.5
+
+    @pytest.mark.parametrize("lower0", [1.0, -np.inf],
+                             ids=["pinned", "optimum_on_side"])
+    def test_no_jump_without_room(self, lower0):
+        # v_u = (1, -2): coordinate 0 pinned at 1, or a side through v_u
+        weight = np.array([[2.0, 0.5], [0.5, 1.0]])
+        prob = plain_problem(weight, np.array([1.0, -2.0]),
+                             lower=np.array([lower0, -np.inf]),
+                             upper=np.array([1.0, np.inf]))
+        s, c = prob.reduced_gradient_terms()
+        v0 = np.array([0.5, -1.0])
+        for K in (1, 5, 50):
+            rep = solve_fixed_iters(prob, v0, K)
+            ref = reference_pgd(s, c, prob.lower, prob.upper, v0, prob.shape.step, K)
+            assert rep.looped == K
+            assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL * 2.0
+
+    def test_no_tail_for_a_step_that_does_not_contract(self):
+        lam, basis = np.array([1.0, 9.0]), np.eye(2)
+        assert step_spectrum(lam, basis, 0.2) is not None
+        for alpha in (2.0 / 9.0, 0.3, np.nan):  # max |1 - alpha lambda| >= 1
+            assert step_spectrum(lam, basis, alpha) is None
+        # the loop then runs every iteration: on a box the iterates stay bounded
+        s, g = np.diag(lam), np.array([1.0, -1.0])
+        lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+        v0 = np.array([0.3, 0.2])
+        got = run_pgd(s, g, lo, hi, v0, 0.3, 40)
+        ref = reference_pgd(s, g, lo, hi, v0, 0.3, 40)
+        assert np.max(np.abs(got - ref[-1])) <= KERNEL_RTOL
