@@ -16,11 +16,11 @@ from .harness import (LipschitzProbe, ScenarioConfig, TrajectoryLog,
                       lipschitz_probe, monitor_step, run_closed_loop,
                       sample_disturbance_arrays)
 from .mhe import (CondensedPoint, MheProblem, build_problem, compute_weight,
-                  extract_estimate, residual_sigma, shift_window, sigma_lift)
+                  extract_estimate, shift_window, sigma_lift)
 from .model import (Box, IossCertificate, LtiSystem, find_certificate,
                     validate_system, verify_ioss_lmi, w_delta)
-from .solver import (KERNEL_BACKEND, SolveReport, contraction_rate,
-                     solve_fixed_iters, solve_oracle)
+from .solver import (KERNEL_BACKEND, SolveReport, solve_fixed_iters,
+                     solve_oracle)
 from .config import ConfigDocument, load_config
 
 __version__ = "0.1.0"
@@ -30,11 +30,10 @@ __all__ = [
     "GainLedger", "IossCertificate", "KERNEL_BACKEND", "LipschitzProbe",
     "LtiSystem", "MheProblem", "ScenarioConfig", "SolveReport", "TrajectoryLog",
     "budget_constants", "assert_stabilizing", "build_params", "build_problem",
-    "compute_rho", "compute_weight", "contraction_rate",
-    "estimate_closed_loop_gain", "estimate_lipschitz", "evaluate",
-    "extract_estimate", "find_certificate", "ledger_at", "lipschitz_probe",
-    "load_config", "min_iterations", "monitor_step", "residual_sigma",
-    "run_closed_loop", "sample_disturbance_arrays", "shift_window",
-    "sigma_lift", "solve_fixed_iters", "solve_oracle", "validate_system",
-    "verify_ioss_lmi", "w_delta",
+    "compute_rho", "compute_weight", "estimate_closed_loop_gain",
+    "estimate_lipschitz", "evaluate", "extract_estimate", "find_certificate",
+    "ledger_at", "lipschitz_probe", "load_config", "min_iterations",
+    "monitor_step", "run_closed_loop", "sample_disturbance_arrays",
+    "shift_window", "sigma_lift", "solve_fixed_iters", "solve_oracle",
+    "validate_system", "verify_ioss_lmi", "w_delta",
 ]

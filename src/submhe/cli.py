@@ -212,8 +212,7 @@ def cmd_verify(args):
     check("dissipation-inequality", dissipation)
 
     from .mhe import build_problem
-    from .solver import (contraction_rate, run_pgd, solve_fixed_iters,
-                         solve_oracle)
+    from .solver import run_pgd, solve_fixed_iters, solve_oracle
 
     M = doc.mhe["M"]
 
@@ -246,7 +245,7 @@ def cmd_verify(args):
 
     def convexity():
         for t in range(M + 1):
-            contraction_rate(make_problem(t))
+            make_problem(t).shape.curvature  # DegenerateHessian unless mu > 0
 
     check("strong-convexity", convexity)
 
@@ -254,7 +253,7 @@ def cmd_verify(args):
         prob = make_problem(M)
         z_star = solve_oracle(prob, tol=1e-11)
         s, c = prob.reduced_gradient_terms()
-        alpha, q = contraction_rate(prob)
+        alpha, q = prob.shape.step, prob.shape.contraction_base
         # The step contracts by q in v, so ||v_k - v*|| is at most
         # ||v_{k+1} - v_k|| / (1 - q): stop once that bound is 1e-9.
         chunk = 100
@@ -291,11 +290,10 @@ def cmd_verify(args):
                                   steps=min(doc.scenario["steps"], 2 * M + 2),
                                   allow_uncertified=True, params=None)
         log = run_closed_loop(cfg)
-        from .mhe import expected_dim_z
         for row in log.rows:
             if row.dim_z0 != row.dim_z:
                 raise SubmheError(f"warm-start dimension law broken at t={row.t}")
-            if row.dim_z != expected_dim_z(sys_.n_x, sys_.n_y, M, row.t):
+            if row.dim_z != sys_.n_x + min(M, row.t) * (sys_.n_w + sys_.n_y):
                 raise SubmheError(f"decision dimension wrong at t={row.t}")
             if not row.what_feasible:
                 raise SubmheError(f"disturbance estimate left its box at t={row.t}")
@@ -327,40 +325,32 @@ def _check_dissipation(sys_, cert, rng, n_pairs, rel_tol):
 
 
 def _check_lift_consistency(prob, v, atol):
+    """The lifted point and its window states obey the plant equations."""
+    from .mhe import extract_estimate
     sys_ = prob.sys
     z = prob.lift(v)
-    n_x, n_w, n_y = sys_.n_x, sys_.n_w, sys_.n_y
-    from .mhe import extract_estimate
     states = extract_estimate(prob, z)
-    off = n_x
-    for j in range(prob.m_eff):
-        w_blk = z[off:off + n_w]
-        y_blk = z[off + n_w:off + n_w + n_y]
-        resid_dyn = states[j + 1] - (sys_.A @ states[j]
-                                     + sys_.B @ prob.u_window[j] + w_blk[:n_x])
-        resid_out = y_blk - (sys_.C @ states[j] + w_blk[n_x:])
-        if np.max(np.abs(resid_dyn)) > atol or np.max(np.abs(resid_out)) > atol:
-            raise SubmheError("lifted point violates the window dynamics")
-        off += n_w + n_y
+    slots = prob.window_slots(z)
+    w1, w2, yhat = (slots[:, :sys_.n_x], slots[:, sys_.n_x:sys_.n_w],
+                    slots[:, sys_.n_w:])
+    resid_dyn = states[1:] - (states[:-1] @ sys_.A.T
+                              + prob.u_window @ sys_.B.T + w1)
+    resid_out = yhat - (states[:-1] @ sys_.C.T + w2)
+    if max(np.abs(resid_dyn).max(initial=0.0),
+           np.abs(resid_out).max(initial=0.0)) > atol:
+        raise SubmheError("lifted point violates the window dynamics")
 
 
 def _direct_cost(prob, cert, v):
-    """Window cost evaluated from the reconstructed trajectory."""
-    from .mhe import extract_estimate
+    """Window cost evaluated slot by slot from the lifted point."""
     z = prob.lift(v)
-    sys_ = prob.sys
-    states = extract_estimate(prob, z)
-    m_eff = prob.m_eff
-    total = 2.0 * cert.eta ** m_eff * w_delta(cert, states[0], prob.x_prior)
-    n_x, n_w, n_y = sys_.n_x, sys_.n_w, sys_.n_y
-    for i in range(1, m_eff + 1):
-        j = m_eff - i  # window slot holding time t - i
-        off = n_x + j * (n_w + n_y)
-        w_blk = z[off:off + n_w]
-        y_blk = z[off + n_w:off + n_w + n_y]
-        dy = y_blk - prob.y_window[j]
-        total += cert.eta ** (i - 1) * (2.0 * w_blk @ cert.Q @ w_blk
-                                        + dy @ cert.R @ dy)
+    slots = prob.window_slots(z)
+    m_eff, n_w = prob.m_eff, prob.sys.n_w
+    total = 2.0 * cert.eta ** m_eff * w_delta(cert, z[:prob.sys.n_x], prob.x_prior)
+    for j in range(m_eff):  # slot j holds time t - (m_eff - j)
+        w, dy = slots[j, :n_w], slots[j, n_w:] - prob.y_window[j]
+        total += cert.eta ** (m_eff - 1 - j) * (2.0 * w @ cert.Q @ w
+                                                + dy @ cert.R @ dy)
     return float(total)
 
 

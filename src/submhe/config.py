@@ -182,14 +182,14 @@ class ConfigDocument:
                     rows=n_x + n_y, cols=n_x + n_y)
         R = _matrix(_require(cblock, "R", "$.certificate"), "$.certificate.R",
                     rows=n_y, cols=n_y)
+        budget = _integer(cblock.get("search_budget", 500),
+                          "$.certificate.search_budget", minimum=1)
         p_val = _require(cblock, "P", "$.certificate")
         cert = None
         cert_search = None
         if p_val == "search":
             cert_search = {"Q": Q, "R": R, "eta": eta, "tol": tol,
-                           "budget": _integer(cblock.get("search_budget", 500),
-                                              "$.certificate.search_budget",
-                                              minimum=1)}
+                           "budget": budget}
         else:
             P = _matrix(p_val, "$.certificate.P", rows=n_x, cols=n_x)
             cert = IossCertificate(P=P, Q=Q, R=R, eta=eta, tol=tol)
@@ -281,6 +281,7 @@ class ConfigDocument:
         out = cls(sys, cert, cert_search, law, mhe, scenario, analysis_block,
                   output)
         out._gamma13 = gamma13
+        out._search_budget = budget
         return out
 
     # -- serialization ----------------------------------------------------
@@ -309,12 +310,11 @@ class ConfigDocument:
             cert_block["P"] = self.certificate.P.tolist()
             cert_block["Q"] = self.certificate.Q.tolist()
             cert_block["R"] = self.certificate.R.tolist()
-            cert_block["search_budget"] = 500
         else:
             cert_block["P"] = "search"
             cert_block["Q"] = self.certificate_search["Q"].tolist()
             cert_block["R"] = self.certificate_search["R"].tolist()
-            cert_block["search_budget"] = self.certificate_search["budget"]
+        cert_block["search_budget"] = self._search_budget
         sc = self.scenario
         return {
             "schema_version": SCHEMA_VERSION,

@@ -37,6 +37,11 @@ class MaxCyclesExceeded(SubmheError):
     pass
 
 
+class OracleStalled(SubmheError):
+    """The oracle's active set is final, but its KKT residual is above both
+    the tolerance and the rounding floor of the restricted solve."""
+
+
 class ContractionViolated(SubmheError):
     """rho = 6^{1/M} * eta >= 1: the M-step decay base does not contract."""
 

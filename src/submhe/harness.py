@@ -394,7 +394,7 @@ def run_closed_loop(cfg):
         if t == 0:
             z0 = cfg.z0_0.copy()
         else:
-            z0 = sigma_lift(z_prev, t, M, (sys.n_x, sys.n_y))
+            z0 = sigma_lift(z_prev, t, shapes)
         report = solve_fixed_iters(problem, z0, K)
         z_k = report.point.z
         states = extract_estimate(problem, z_k)
@@ -499,7 +499,6 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, oracle_tol=1e-10,
     """
     sys, cert, M = shapes.sys, shapes.cert, shapes.M
     rng = np.random.default_rng(seed)
-    dims = (sys.n_x, sys.n_y)
     best = 0.0
     used = skipped = 0
     for _ in range(n_trials):
@@ -522,14 +521,14 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, oracle_tol=1e-10,
         p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
         _, sigma_t = residual_sigma_parts(t, shapes, cert.eta)
         denom = (np.linalg.norm(p1.reference
-                                - sigma_truncate(p2.reference, t, M, dims))
+                                - sigma_truncate(p2.reference, t, shapes))
                  + sigma_t)
         if denom <= 1e-9 * max(1.0, float(np.linalg.norm(p1.reference))):
             skipped += 1
             continue
         z1 = solve_oracle(p1, tol=oracle_tol).z
         z2 = solve_oracle(p2, tol=oracle_tol).z
-        ratio = float(np.linalg.norm(sigma_lift(z1, t, M, dims) - z2)) / denom
+        ratio = float(np.linalg.norm(sigma_lift(z1, t, shapes) - z2)) / denom
         best = max(best, ratio)
         used += 1
     if used == 0:

@@ -21,7 +21,9 @@ the window length, and live in a WindowShape; a WindowShapes object holds
 the M+1 shapes of one run and builds each on first use. So does the one
 eigendecomposition of S, which gives the step, its contraction base and the
 spectrum of the step's linear part (StepSpectrum), from which the solver
-takes the clamp-free tail of its loop in closed form. A step adds the
+takes the clamp-free tail of its loop in closed form. The shape also keeps
+the window-state map: the states xhat_0..xhat_Mt are affine in v and the
+input window, so the estimate is one product with it. A step adds the
 offset psi, the reference and with them the gradient's linear term c.
 """
 
@@ -59,7 +61,9 @@ class WindowShape:
     c = G (psi - ref). The PGD terms (the eigendecomposition of S, and from
     it the curvature, step, contraction base, the transition matrix
     I - step * S and its spectrum), the lift's norm and the weight's extreme
-    eigenvalues are computed on first use.
+    eigenvalues are computed on first use. The window states are affine in
+    (v, u_window) as well: stacked oldest first, they are
+    state_map @ [v; u_window.ravel()].
     """
 
     m_eff: int
@@ -68,6 +72,7 @@ class WindowShape:
     lower: np.ndarray        # free-variable box, componentwise
     upper: np.ndarray
     input_map: np.ndarray    # psi = input_map @ u_window.ravel()
+    state_map: np.ndarray    # (v, u_window) -> xhat_0, ..., xhat_{m_eff}
     gradient_map: np.ndarray = field(init=False)  # G = 2 Psi^T H
     hessian: np.ndarray = field(init=False)       # S = G Psi
 
@@ -78,6 +83,14 @@ class WindowShape:
             arr.setflags(write=False)
         object.__setattr__(self, "gradient_map", g)
         object.__setattr__(self, "hessian", s)
+
+    @property
+    def dim_z(self):
+        return self.lift_matrix.shape[0]
+
+    @property
+    def dim_v(self):
+        return self.lift_matrix.shape[1]
 
     @cached_property
     def eigen(self):
@@ -208,10 +221,12 @@ def window_shape(sys, cert, m_eff):
     psi = np.zeros((dim_z, dim_v))
     input_map = np.zeros((dim_z, m_eff * n_u))
 
-    # running affine map (v, u) -> xhat_j: state_map @ v + state_in @ u
+    # running affine map (v, u) -> xhat_j: state_map @ v + state_in @ u,
+    # kept for every j as row block j of the window-state map
     state_map = np.zeros((n_x, dim_v))
     state_map[:, :n_x] = np.eye(n_x)
     state_in = np.zeros((n_x, m_eff * n_u))
+    states = [np.hstack([state_map, state_in])]
 
     psi[:n_x, :n_x] = np.eye(n_x)
 
@@ -231,6 +246,8 @@ def window_shape(sys, cert, m_eff):
         state_map[:, w_col:w_col + n_x] += np.eye(n_x)
         state_in = sys.A @ state_in
         state_in[:, j * n_u:(j + 1) * n_u] += sys.B
+        states.append(np.hstack([state_map, state_in]))
+    states = np.vstack(states)
 
     lower = np.concatenate(
         [sys.x_box.lower] + [np.concatenate([sys.w1_box.lower, sys.w2_box.lower])
@@ -240,10 +257,11 @@ def window_shape(sys, cert, m_eff):
                              for _ in range(m_eff)])
 
     weight = compute_weight(m_eff, cert)
-    for arr in (weight, psi, input_map, lower, upper):
+    for arr in (weight, psi, input_map, states, lower, upper):
         arr.setflags(write=False)
     return WindowShape(m_eff=m_eff, lift_matrix=psi, weight=weight,
-                       lower=lower, upper=upper, input_map=input_map)
+                       lower=lower, upper=upper, input_map=input_map,
+                       state_map=states)
 
 
 class WindowShapes:
@@ -316,11 +334,11 @@ class MheProblem:
 
     @property
     def dim_z(self):
-        return self.reference.shape[0]
+        return self.shape.dim_z
 
     @property
     def dim_v(self):
-        return self.lift_matrix.shape[1]
+        return self.shape.dim_v
 
     def lift(self, v):
         return self.lift_matrix @ np.asarray(v, dtype=float) + self.lift_offset
@@ -335,8 +353,7 @@ class MheProblem:
         if z.shape[0] != self.dim_z:
             raise DimensionMismatch(
                 f"z has length {z.shape[0]}, expected {self.dim_z}")
-        n_x, n_y = self.sys.n_x, self.sys.n_y
-        return z[n_x:].reshape(self.m_eff, window_slot_width(n_x, n_y))
+        return z[self.sys.n_x:].reshape(self.m_eff, self.sys.n_w + self.sys.n_y)
 
     def select_v(self, z):
         """Read the free coordinates (initial state + disturbance blocks) off z.
@@ -348,9 +365,6 @@ class MheProblem:
         z = np.asarray(z, dtype=float)
         slots = self.window_slots(z)
         return np.concatenate([z[:self.sys.n_x], slots[:, :self.sys.n_w].ravel()])
-
-    def reduced_hessian(self):
-        return self.shape.hessian
 
     def reduced_gradient_terms(self):
         """(S, c) with grad f(v) = S v + c for f = ||Psi v + psi - ref||^2_H."""
@@ -408,7 +422,7 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
 
     shape = window_shape(sys, cert, m_eff) if shapes is None else shapes[m_eff]
     offset = shape.input_map @ u_window.ravel()
-    reference = np.zeros(n_x + m_eff * (n_w + n_y))
+    reference = np.zeros(shape.dim_z)
     reference[:n_x] = x_prior
     reference[n_x:].reshape(m_eff, n_w + n_y)[:, n_w:] = y_window
     for arr in (reference, offset):
@@ -418,45 +432,34 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
                       x_prior=x_prior, u_window=u_window, y_window=y_window)
 
 
-def window_slot_width(n_x, n_y):
-    """Width of one (disturbance, output) window slot in the decision vector."""
-    n_w = n_x + n_y
-    return n_w + n_y
+def _window_vector(z, t, shapes, name):
+    """z as a float array, checked against the step-t decision dimension."""
+    z = np.asarray(z, dtype=float)
+    expect = shapes[min(shapes.M, t)].dim_z
+    if z.shape[0] != expect:
+        raise DimensionMismatch(
+            f"{name} has length {z.shape[0]}, expected {expect} at step {t}")
+    return z
 
 
-def expected_dim_z(n_x, n_y, M, t):
-    return n_x + min(M, t) * window_slot_width(n_x, n_y)
-
-
-def sigma_lift(z_prev, t, M, dims):
+def sigma_lift(z_prev, t, shapes):
     """Warm-start lift from the step t-1 solution to the step-t dimension.
 
-    During the growing phase (t - 1 < M) appends one zeroed (disturbance,
-    output) slot; afterwards it is the identity. Zero padding preserves the
-    norm, so the lift has unit operator norm.
+    `shapes` is the run's WindowShapes. During the growing phase (t - 1 < M)
+    the lift appends one zeroed (disturbance, output) slot; afterwards it is
+    the identity. Zero padding preserves the norm, so the lift has unit
+    operator norm.
     """
-    n_x, n_y = dims
-    z_prev = np.asarray(z_prev, dtype=float)
-    expect_prev = expected_dim_z(n_x, n_y, M, t - 1)
-    if z_prev.shape[0] != expect_prev:
-        raise DimensionMismatch(
-            f"warm start has length {z_prev.shape[0]}, expected {expect_prev} at step {t - 1}")
-    if t - 1 >= M:
-        return z_prev.copy()
-    return np.concatenate([z_prev, np.zeros(window_slot_width(n_x, n_y))])
+    z_prev = _window_vector(z_prev, t - 1, shapes, "warm start")
+    out = np.zeros(shapes[min(shapes.M, t)].dim_z)
+    out[:z_prev.shape[0]] = z_prev
+    return out
 
 
-def sigma_truncate(z_curr, t, M, dims):
+def sigma_truncate(z_curr, t, shapes):
     """Adjoint of sigma_lift: drop the newest slot during the growing phase."""
-    n_x, n_y = dims
-    z_curr = np.asarray(z_curr, dtype=float)
-    expect = expected_dim_z(n_x, n_y, M, t)
-    if z_curr.shape[0] != expect:
-        raise DimensionMismatch(
-            f"vector has length {z_curr.shape[0]}, expected {expect} at step {t}")
-    if t - 1 >= M:
-        return z_curr.copy()
-    return z_curr[:-window_slot_width(n_x, n_y)].copy()
+    z_curr = _window_vector(z_curr, t, shapes, "vector")
+    return z_curr[:shapes[min(shapes.M, t - 1)].dim_z].copy()
 
 
 def shift_window(seq, new_item, t, M):
@@ -479,20 +482,15 @@ def shift_window(seq, new_item, t, M):
 
 
 def extract_estimate(problem, z):
-    """Forward-simulate the window dynamics from z's free blocks.
+    """The m_eff + 1 window states of z, oldest first; the last entry is the
+    current estimate.
 
-    Returns the m_eff + 1 window states; the last entry is the current
-    estimate.
+    They are the window-state map of the problem's shape applied to z's free
+    coordinates and the input window.
     """
-    sys = problem.sys
-    z = np.asarray(z, dtype=float)
-    slots = problem.window_slots(z)
-    states = np.zeros((problem.m_eff + 1, sys.n_x))
-    states[0] = z[:sys.n_x]
-    for j in range(problem.m_eff):
-        w1 = slots[j, :sys.n_x]
-        states[j + 1] = sys.A @ states[j] + sys.B @ problem.u_window[j] + w1
-    return states
+    v = problem.select_v(z)
+    states = problem.shape.state_map @ np.concatenate([v, problem.u_window.ravel()])
+    return states.reshape(problem.m_eff + 1, problem.sys.n_x)
 
 
 def residual_sigma_parts(t, shapes, eta):
@@ -513,7 +511,3 @@ def residual_sigma_parts(t, shapes, eta):
     raw = coeff * shapes[t].weight_range[1] + norm_a + norm_b + norm_c + 2.0
     return float(raw), float(max(raw, 0.0))
 
-
-def residual_sigma(t, shapes, eta):
-    """Clamped residual magnitude sigma_t (see residual_sigma_parts)."""
-    return residual_sigma_parts(t, shapes, eta)[1]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MaxCyclesExceeded, NonfiniteIterate
+from .errors import MaxCyclesExceeded, NonfiniteIterate, OracleStalled
 from .linalg import eigh
 from .mhe import CondensedPoint, step_spectrum
 
@@ -48,10 +48,7 @@ TAIL_MARGIN = 1e-9
 @dataclass(frozen=True)
 class SolveReport:
     point: CondensedPoint
-    iterations: int
     looped: int  # iterations run before the closed-form tail; K without a jump
-    step_size: float
-    contraction_base: float
     costs: np.ndarray | None = None
     per_iteration_distances: np.ndarray | None = None
     history: np.ndarray | None = None  # free-coordinate iterates, recorded runs only
@@ -155,14 +152,6 @@ class _Tail:
         return out
 
 
-def contraction_rate(problem):
-    """(step, q): the iteration's step 2/(L+mu) and its certified
-    per-iteration contraction base q = (L-mu)/(L+mu) in the free coordinates.
-    """
-    shape = problem.shape
-    return shape.step, shape.contraction_base
-
-
 def _as_v(problem, z0):
     if isinstance(z0, CondensedPoint):
         z0 = z0.z
@@ -199,9 +188,7 @@ def solve_fixed_iters(problem, z0, K, record=False):
         raise NonfiniteIterate("projected-gradient iterate overflowed; "
                                "check problem conditioning")
     z = problem.lift(v)
-    return SolveReport(point=CondensedPoint(z=z, v=v), iterations=K,
-                       looped=looped, step_size=step,
-                       contraction_base=shape.contraction_base,
+    return SolveReport(point=CondensedPoint(z=z, v=v), looped=looped,
                        costs=costs, history=history)
 
 
@@ -222,6 +209,15 @@ def solve_oracle(problem, tol=1e-10, max_cycles=None):
     bounds, solve the equality-restricted system, then either bind the most
     violated bound or release the most negative multiplier. Ties break by
     lowest index; deterministic throughout.
+
+    A cycle that neither binds nor releases has found the final active set:
+    the next cycle would repeat it. It returns when the KKT residual is at
+    most max(tol, floor), and otherwise raises OracleStalled. The floor
+    n * eps * max(1, |c|, |S|) * max(1, ||v||_inf), with eps the float64
+    machine epsilon, is the rounding of the restricted solve and of S v + c
+    at the scale the bind and release tests use; an absolute tol below it
+    can be out of reach on an ill-conditioned S. max_cycles bounds the
+    binds and releases.
     """
     s, c = problem.reduced_gradient_terms()
     lo, hi = problem.lower, problem.upper
@@ -268,8 +264,12 @@ def solve_oracle(problem, tol=1e-10, max_cycles=None):
             continue
 
         residual = np.max(np.abs(v - np.clip(v - grad, lo, hi)))
-        if residual <= tol:
+        floor = n * np.finfo(float).eps * scale * max(1.0, float(np.abs(v).max()))
+        if residual <= max(tol, floor):
             return CondensedPoint(z=problem.lift(v), v=v)
+        raise OracleStalled(
+            f"active-set oracle: final active set has KKT residual "
+            f"{residual:.3e}, above tol {tol:.3e} and rounding floor {floor:.3e}")
     raise MaxCyclesExceeded(
         f"active-set oracle exceeded {max_cycles} cycles")
 

@@ -9,7 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, random_certified_setup, random_problem
+from conftest import (CONFIG_DIR, certified_pgd, random_certified_setup,
+                      random_problem)
 
 from submhe.analysis import (build_params, compute_rho, ledger_at,
                              min_iterations, minimal_contracting_horizon)
@@ -17,10 +18,9 @@ from submhe.analysis import AnalysisParams
 from submhe.cli import run_cli
 from submhe.errors import ContractionViolated
 from submhe.harness import lipschitz_probe, run_closed_loop
-from submhe.mhe import WindowShapes, expected_dim_z, sigma_lift
+from submhe.mhe import WindowShapes, sigma_lift
 from submhe.model import verify_ioss_lmi, w_delta
-from submhe.solver import (contraction_rate, run_pgd, solve_fixed_iters,
-                           solve_oracle)
+from submhe.solver import solve_fixed_iters, solve_oracle
 
 
 def _report(n, text):
@@ -41,7 +41,7 @@ def test_criterion_1_solver_contract():
         sys, cert = random_certified_setup(rng, n_x_max=6)
         prob = random_problem(rng, sys, cert, M=int(rng.integers(1, 6)))
         n_problems += 1
-        _, q = contraction_rate(prob)
+        q = prob.shape.contraction_base
         z_star = solve_oracle(prob, tol=1e-11)
         v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower,
                      prob.upper)
@@ -58,20 +58,21 @@ def test_criterion_1_solver_contract():
             assert d_z <= prob.shape.lift_norm * q ** K * d0_z + 1e-9, \
                 f"z-space budget violated: problem {n_problems}, K={K}"
             checked += 1
-    # oracle cross-check against 1e6-iteration projected gradient
+    # oracle cross-check against projected gradient at step 1/L, run for up
+    # to 1e6 iterations and stopped once within 1e-11 of the optimum
     rng2 = np.random.default_rng(102)
     for _ in range(3):
         sys, cert = random_certified_setup(rng2, n_x_max=3)
         prob = random_problem(rng2, sys, cert, M=2, t=3)
         z_star = solve_oracle(prob, tol=1e-12)
         s, c = prob.reduced_gradient_terms()
-        alpha = 1.0 / np.linalg.eigvalsh(s)[-1]
-        v_pg = run_pgd(s, c, prob.lower, prob.upper,
-                       np.zeros(prob.dim_v), alpha, 1_000_000)
+        lam = np.linalg.eigvalsh(s)
+        v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
+                             1.0 - lam[0] / lam[-1], 1e-11, 1_000_000)
         assert np.linalg.norm(v_pg - z_star.v) <= 1e-8
     _report(1, f"{checked} (problem, K) pairs within q^K in v and "
                f"||Psi|| q^K in z; oracle "
-               "agrees with 1e6-iteration projected gradient to 1e-8")
+               "agrees with certified projected gradient to 1e-8")
 
 
 def test_criterion_2_lmi_implies_dissipation():
@@ -220,11 +221,11 @@ def test_criterion_9_warm_start_growing_phase(case_study_doc):
     log = run_closed_loop(cfg)
     for row in log.rows:
         assert row.dim_z0 == row.dim_z
-        assert row.dim_z == expected_dim_z(4, 1, M, row.t)
+        assert row.dim_z == 4 + min(M, row.t) * (5 + 1)
     rng = np.random.default_rng(901)
     for t in range(1, M + 1):
-        z = rng.standard_normal(expected_dim_z(4, 1, M, t - 1))
-        lifted = sigma_lift(z, t, M, (4, 1))
+        z = rng.standard_normal(4 + (t - 1) * (5 + 1))
+        lifted = sigma_lift(z, t, shapes)
         assert np.linalg.norm(lifted) == np.linalg.norm(z)
     _report(9, f"warm-start dimension law holds for all {2 * M} steps; "
                "zero-padding preserves norms exactly")

@@ -99,6 +99,15 @@ class TestLoadConfig:
         text = loaded.canonical_json()
         assert loads_config(text).canonical_json() == text
 
+    def test_search_budget_checked_beside_explicit_p(self, base_dict):
+        doc = json.loads(json.dumps(base_dict))
+        doc["certificate"]["search_budget"] = 77
+        loaded = loads_config(json.dumps(doc))
+        assert loaded.certificate is not None
+        text = loaded.canonical_json()
+        assert json.loads(text)["certificate"]["search_budget"] == 77
+        assert loads_config(text).canonical_json() == text
+
     def test_nonnumber_matrix_entry(self, base_dict):
         broken = json.loads(json.dumps(base_dict))
         broken["system"]["A"][0][0] = "zero"
@@ -224,6 +233,19 @@ class TestCli:
             assert code == 2
             assert err["error"] == "ValidationError"
             assert err["field"] == flag
+
+    @pytest.mark.parametrize("budget", ["abc", -5, 1.5, None, 0, True])
+    def test_bad_search_budget_exits_two(self, budget, base_dict, tmp_path,
+                                         capsys):
+        doc = json.loads(json.dumps(base_dict))
+        doc["certificate"]["search_budget"] = budget  # beside an explicit P
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["certify", "--config", str(path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "$.certificate.search_budget"
 
     def test_simulate_requires_uncertified_gate(self, tmp_path, capsys):
         code = run_cli(["simulate", "--config",

@@ -10,7 +10,7 @@ from submhe.errors import (ContractionViolated, DegenerateDenominator,
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
-from submhe.mhe import WindowShapes, expected_dim_z
+from submhe.mhe import WindowShapes
 from submhe.model import Box
 
 
@@ -125,7 +125,7 @@ class TestClosedLoop:
         log = run_closed_loop(cfg)
         for row in log.rows:
             assert row.dim_z0 == row.dim_z
-            assert row.dim_z == expected_dim_z(4, 1, M, row.t)
+            assert row.dim_z == 4 + min(M, row.t) * (5 + 1)
 
     def test_disturbance_estimates_stay_feasible(self, case_study_doc):
         doc = case_study_doc

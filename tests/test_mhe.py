@@ -6,9 +6,8 @@ from conftest import (make_system, random_certified_setup, random_problem,
 
 from submhe.errors import DimensionMismatch, WindowLengthMismatch
 from submhe.mhe import (WindowShapes, build_problem, compute_weight,
-                        expected_dim_z, extract_estimate, residual_sigma,
-                        residual_sigma_parts, shift_window, sigma_lift,
-                        sigma_truncate)
+                        extract_estimate, residual_sigma_parts, shift_window,
+                        sigma_lift, sigma_truncate)
 from submhe.model import Box, IossCertificate, LtiSystem, w_delta
 from submhe.solver import solve_oracle
 
@@ -128,7 +127,7 @@ class TestBuildProblem:
             m_eff = min(5, t)
             prob = build_problem(sys, cert, np.zeros(4),
                                  np.zeros((m_eff, 2)), np.zeros((m_eff, 1)), 5, t)
-            assert np.linalg.eigvalsh(prob.reduced_hessian())[0] > 0
+            assert np.linalg.eigvalsh(prob.shape.hessian)[0] > 0
 
     def test_ground_truth_feasible_and_upper_bounds_optimum(self):
         rng = np.random.default_rng(23)
@@ -182,7 +181,9 @@ class TestWindowShapes:
             for name in ("lift_matrix", "weight", "lower", "upper", "lift_offset",
                          "reference", "linear_term"):
                 assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-            assert np.array_equal(reused.reduced_hessian(), fresh.reduced_hessian())
+            for name in ("hessian", "state_map"):
+                assert np.array_equal(getattr(reused.shape, name),
+                                      getattr(fresh.shape, name)), name
 
     def test_foreign_shapes_rejected(self, case_study):
         sys, cert, _ = case_study
@@ -194,39 +195,48 @@ class TestWindowShapes:
             shapes[6]
 
 
+def shapes_2_1(M=3):
+    """WindowShapes of a plant with n_x = 2, n_y = 1: slots of width 4."""
+    sys = make_system(np.eye(2), np.zeros((2, 1)), np.ones((1, 2)))
+    return WindowShapes(sys, simple_certificate(2, 1), M)
+
+
 class TestSigmaLift:
     def test_identity_after_growing_phase(self):
-        z = np.arange(4 + 2 * 5, dtype=float)  # n_x=2, n_y=1, M=3... sized below
-        # n_x = 2, n_y = 1: slot width 4, M = 3, t - 1 = 3 >= M: dim = 2 + 3*4
+        # M = 3 and t - 1 = 3 >= M: dim = 2 + 3 * 4 on both steps
         z = np.arange(2 + 3 * 4, dtype=float)
-        out = sigma_lift(z, 4, 3, (2, 1))
+        out = sigma_lift(z, 4, shapes_2_1())
         assert np.array_equal(out, z)
 
     def test_growing_phase_pads_one_slot(self):
         z = np.array([1.0, 2.0])
-        out = sigma_lift(z, 1, 3, (2, 1))
+        out = sigma_lift(z, 1, shapes_2_1())
         assert np.array_equal(out, [1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(9)
+        shapes = shapes_2_1()
         for t in range(1, 4):
-            dim = expected_dim_z(2, 1, 3, t - 1)
-            z = rng.standard_normal(dim)
-            out = sigma_lift(z, t, 3, (2, 1))
+            z = rng.standard_normal(2 + (t - 1) * 4)
+            out = sigma_lift(z, t, shapes)
             assert np.linalg.norm(out) == np.linalg.norm(z)
-            assert out.shape[0] == expected_dim_z(2, 1, 3, t)
+            assert out.shape[0] == 2 + t * 4
 
     def test_dim_check(self):
+        shapes = shapes_2_1()
         with pytest.raises(DimensionMismatch):
-            sigma_lift(np.zeros(3), 1, 3, (2, 1))
+            sigma_lift(np.zeros(3), 1, shapes)
+        with pytest.raises(DimensionMismatch):
+            sigma_truncate(np.zeros(3), 1, shapes)
 
     def test_truncate_is_adjoint(self):
         rng = np.random.default_rng(10)
-        for t in [1, 2, 3]:
-            a = rng.standard_normal(expected_dim_z(2, 1, 3, t - 1))
-            b = rng.standard_normal(expected_dim_z(2, 1, 3, t))
-            lifted = sigma_lift(a, t, 3, (2, 1))
-            truncated = sigma_truncate(b, t, 3, (2, 1))
+        shapes = shapes_2_1()
+        for t in [1, 2, 3, 4, 5]:
+            a = rng.standard_normal(2 + min(3, t - 1) * 4)
+            b = rng.standard_normal(2 + min(3, t) * 4)
+            lifted = sigma_lift(a, t, shapes)
+            truncated = sigma_truncate(b, t, shapes)
             assert np.dot(lifted, b) == pytest.approx(np.dot(a, truncated))
 
 
@@ -255,7 +265,63 @@ class TestShiftWindow:
             assert seq.shape[0] == min(4, t + 1)
 
 
+def forward_states(prob, z):
+    """The window states by forward simulation from z's initial state and
+    disturbances, x_{j+1} = A x_j + B u_j + w1_j: the reference for the
+    window-state map."""
+    sys = prob.sys
+    slots = prob.window_slots(z)
+    states = np.zeros((prob.m_eff + 1, sys.n_x))
+    states[0] = z[:sys.n_x]
+    for j in range(prob.m_eff):
+        states[j + 1] = (sys.A @ states[j] + sys.B @ prob.u_window[j]
+                         + slots[j, :sys.n_x])
+    return states
+
+
+def assert_matches_forward_states(prob, z):
+    ref = forward_states(prob, z)
+    got = extract_estimate(prob, z)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 class TestExtractEstimate:
+    def test_matches_forward_simulation(self):
+        rng = np.random.default_rng(25)
+        for _ in range(5):
+            sys, cert = random_certified_setup(rng)
+            M = int(rng.integers(1, 6))
+            for t in range(M + 1):  # every window length 0..M
+                prob = random_problem(rng, sys, cert, M=M, t=t)
+                v = rng.uniform(-2, 2, size=prob.dim_v)
+                assert_matches_forward_states(prob, prob.lift(v))
+
+    @pytest.mark.parametrize("plant", [
+        (np.eye(2), np.zeros((2, 1)), np.ones((1, 2))),
+        ([[2.0]], [[0.0]], [[1.0]]),
+        ([[2.0]], [[1.0]], [[1.0]]),
+    ], ids=["identity", "doubling", "doubling_with_input"])
+    def test_hand_plants_match_forward_simulation(self, plant):
+        sys = make_system(*plant)
+        cert = simple_certificate(sys.n_x, sys.n_y, eta=0.9)
+        rng = np.random.default_rng(26)
+        for t in range(6):  # every window length 0..M, M = 5
+            prob = build_problem(sys, cert, np.zeros(sys.n_x),
+                                 rng.uniform(-1, 1, (t, sys.n_u)),
+                                 rng.uniform(-1, 1, (t, sys.n_y)), 5, t)
+            v = rng.uniform(-2, 2, size=prob.dim_v)
+            assert_matches_forward_states(prob, prob.lift(v))
+
+    def test_input_enters_through_state_map(self):
+        sys = make_system([[2.0]], [[1.0]], [[1.0]])
+        cert = simple_certificate(1, 1, eta=0.9)
+        prob = build_problem(sys, cert, [1.0], np.ones((2, 1)),
+                             np.zeros((2, 1)), 5, 2)
+        v = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        states = extract_estimate(prob, prob.lift(v))
+        assert np.array_equal(states.ravel(), [1.0, 3.0, 7.0])
+
     def test_constant_under_identity_dynamics(self):
         sys = make_system(np.eye(2), np.zeros((2, 1)), np.ones((1, 2)))
         cert = simple_certificate(2, 1, eta=0.9)
@@ -284,14 +350,15 @@ class TestExtractEstimate:
 class TestResidualSigma:
     def test_zero_after_growing_phase(self, case_study):
         sys, cert, _ = case_study
-        assert residual_sigma(6, WindowShapes(sys, cert, 5), cert.eta) == 0.0
+        assert residual_sigma_parts(6, WindowShapes(sys, cert, 5),
+                                    cert.eta) == (0.0, 0.0)
 
     def test_eta_one_limit(self, case_study):
         sys, cert, _ = case_study
         expected = (np.linalg.norm(sys.A, 2) + np.linalg.norm(sys.B, 2)
                     + np.linalg.norm(sys.C, 2) + 2.0)
-        assert residual_sigma(3, WindowShapes(sys, cert, 5), 1.0) == \
-            pytest.approx(expected, rel=1e-12)
+        _, clamped = residual_sigma_parts(3, WindowShapes(sys, cert, 5), 1.0)
+        assert clamped == pytest.approx(expected, rel=1e-12)
 
     def test_case_study_value_finite_and_clamp_flagged(self, case_study):
         sys, cert, _ = case_study

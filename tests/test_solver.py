@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_system, random_certified_setup, random_problem,
-                      simple_certificate)
+from conftest import (certified_pgd, make_system, random_certified_setup,
+                      random_problem, simple_certificate)
 
 from submhe.errors import (DegenerateHessian, MaxCyclesExceeded,
-                           NonfiniteIterate)
+                           NonfiniteIterate, OracleStalled)
 from submhe.mhe import MheProblem, WindowShape, build_problem, step_spectrum
 from submhe.model import Box, IossCertificate, LtiSystem
-from submhe.solver import (attach_distances, contraction_rate, kkt_residual,
-                           run_pgd, solve_fixed_iters, solve_oracle)
+from submhe.solver import (attach_distances, kkt_residual, run_pgd,
+                           solve_fixed_iters, solve_oracle)
 
 
 def plain_problem(weight, reference, lower=None, upper=None):
@@ -23,7 +23,7 @@ def plain_problem(weight, reference, lower=None, upper=None):
         m_eff=0, lift_matrix=np.eye(n), weight=weight,
         lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, float),
-        input_map=np.zeros((n, 0)))
+        input_map=np.zeros((n, 0)), state_map=np.eye(n))
     return MheProblem(
         sys=sys, t=0, horizon=1, shape=shape,
         reference=np.asarray(reference, dtype=float), lift_offset=np.zeros(n),
@@ -35,7 +35,8 @@ def with_box(prob, lower, upper):
     """prob with its free-variable box replaced."""
     shape = WindowShape(m_eff=prob.m_eff, lift_matrix=prob.lift_matrix,
                         weight=prob.weight, lower=lower, upper=upper,
-                        input_map=prob.shape.input_map)
+                        input_map=prob.shape.input_map,
+                        state_map=prob.shape.state_map)
     return MheProblem(sys=prob.sys, t=prob.t, horizon=prob.horizon,
                       shape=shape, reference=prob.reference,
                       lift_offset=prob.lift_offset, x_prior=prob.x_prior,
@@ -70,13 +71,13 @@ class TestProjectBox:
 class TestContractionRate:
     def test_identity_weight_one_step(self):
         prob = plain_problem(np.eye(3), np.zeros(3))
-        alpha, q = contraction_rate(prob)
+        alpha, q = prob.shape.step, prob.shape.contraction_base
         assert alpha == pytest.approx(0.5)
         assert q == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_conditioned(self):
         prob = plain_problem(np.diag([0.5, 2.0]), np.zeros(2))
-        alpha, q = contraction_rate(prob)
+        alpha, q = prob.shape.step, prob.shape.contraction_base
         assert alpha == pytest.approx(0.4)
         assert q == pytest.approx(0.6)
 
@@ -87,13 +88,13 @@ class TestContractionRate:
             m_eff = min(5, t)
             prob = build_problem(sys, cert, np.zeros(4), np.zeros((m_eff, 2)),
                                  np.zeros((m_eff, 1)), 5, t)
-            worst = max(worst, contraction_rate(prob)[1])
+            worst = max(worst, prob.shape.contraction_base)
         assert worst <= 0.98
 
     def test_degenerate_weight_raises(self):
         prob = plain_problem(np.diag([1.0, 0.0]), np.zeros(2))
         with pytest.raises(DegenerateHessian):
-            contraction_rate(prob)
+            prob.shape.contraction_base
 
 
 class TestSolveFixedIters:
@@ -117,7 +118,7 @@ class TestSolveFixedIters:
         for _ in range(10):
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
-            _, q = contraction_rate(prob)
+            q = prob.shape.contraction_base
             z_star = solve_oracle(prob, tol=1e-11)
             v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
                          prob.lower, prob.upper)
@@ -146,7 +147,7 @@ class TestSolveFixedIters:
         for _ in range(5):
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
-            _, q = contraction_rate(prob)
+            q = prob.shape.contraction_base
             z_star = solve_oracle(prob, tol=1e-12)
             v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
                          prob.lower, prob.upper)
@@ -249,6 +250,47 @@ class TestSolveOracle:
         got = solve_oracle(prob, tol=1e-12)
         assert got.v[0] == 0.0
         assert got.v[1] == -1.0
+
+    def test_final_active_set_within_rounding_floor(self):
+        # A lifted_problems draw (hypothesis seed 1, dim_v 14, cond(S) 6.7e4,
+        # max(1, |c|, |S|) 1.6e5). Its active set is final after 7 binds with
+        # a KKT residual of 1.09e-11: above tol 1e-11, within the rounding
+        # floor of the restricted solve (1.6e-9).
+        inf = np.inf
+        sys = LtiSystem(
+            A=np.array([[0.3940512773751339, -2.473892445096244],
+                        [-1.6156207992673053, -1.541989622712623]]),
+            B=np.array([[-0.20748663558235425, -1.846295775115807],
+                        [0.9231793133646565, 0.20391540402250088]]),
+            C=np.array([[-0.4821479570086963, 2.3775546373058702]]),
+            x_box=Box(np.array([-1.4199649733067403, -0.8808178328047278]),
+                      np.array([inf, -0.8808178328047278])),
+            u_box=Box.unbounded(2), y_box=Box.unbounded(1),
+            w1_box=Box(np.array([-1.7007582751375288, -inf]),
+                       np.array([inf, 1.9895538595121303])),
+            w2_box=Box(np.array([-inf]), np.array([-1.0609788923011871])))
+        cert = IossCertificate(
+            P=np.diag([19.6025390388723, 0.5]),
+            Q=np.diag([62.419073954108036, 2.257137167663587, 96.54795175488445]),
+            R=np.diag([94.16329971638191]), eta=0.6291886074613529)
+        prob = build_problem(
+            sys, cert, [-3.2231715785791337, -0.24210010187126763],
+            [[0.17979644254890736, -0.14165715536039758],
+             [0.9808945829103299, -0.8358015263935816],
+             [-0.3998691936998884, -0.9631501140783538],
+             [-0.46957345730724853, 0.2805702792321605]],
+            [[-1.1518153183566384], [-0.6302935796434976],
+             [1.7141243063027325], [1.0707235296094826]], 4, 4)
+        got = solve_oracle(prob, tol=1e-11)
+        s, c = prob.reduced_gradient_terms()
+        v_pg = certified_pgd(s, c, prob.lower, prob.upper, prob.shape.step,
+                             prob.shape.contraction_base, 1e-11, 1_000_000)
+        assert np.linalg.norm(v_pg - got.v) <= 1e-8
+
+    def test_final_active_set_above_floor_raises_at_once(self):
+        prob = plain_problem(np.eye(2), np.array([np.nan, 0.0]))
+        with pytest.raises(OracleStalled, match="residual nan"):
+            solve_oracle(prob, max_cycles=10 ** 9)
 
     def test_cycle_cap(self):
         prob = plain_problem(np.eye(2), np.array([3.0, 3.0]),
@@ -368,7 +410,7 @@ class TestContractionProperty:
     @given(case=lifted_problems(), seed=st.integers(0, 2 ** 32 - 1))
     def test_two_starts_contract_at_certified_rate(self, case, seed):
         prob, v0 = case
-        alpha, r = contraction_rate(prob)
+        alpha, r = prob.shape.step, prob.shape.contraction_base
         rng = np.random.default_rng(seed)
         u0 = np.clip(rng.uniform(-3.0, 3.0, size=prob.dim_v),
                      prob.lower, prob.upper)
