@@ -16,7 +16,7 @@ from .harness import (LipschitzProbe, ScenarioConfig, TrajectoryLog,
                       lipschitz_probe, monitor_step, run_closed_loop,
                       sample_disturbance_arrays)
 from .mhe import (CondensedPoint, MheProblem, build_problem, compute_weight,
-                  extract_estimate, shift_window, sigma_lift)
+                  extract_estimate, sigma_lift)
 from .model import (Box, IossCertificate, LtiSystem, find_certificate,
                     validate_system, verify_ioss_lmi, w_delta)
 from .solver import (KERNEL_BACKEND, SolveReport, solve_fixed_iters,
@@ -34,6 +34,6 @@ __all__ = [
     "estimate_lipschitz", "evaluate", "extract_estimate", "find_certificate",
     "ledger_at", "lipschitz_probe", "load_config", "min_iterations",
     "monitor_step", "run_closed_loop", "sample_disturbance_arrays",
-    "shift_window", "sigma_lift", "solve_fixed_iters", "solve_oracle",
+    "sigma_lift", "solve_fixed_iters", "solve_oracle",
     "validate_system", "verify_ioss_lmi", "w_delta",
 ]

@@ -2,10 +2,13 @@
 
 Per step: solve the window QP for exactly K projected-gradient iterations
 from the padded warm start, feed the current estimate to the feedback law,
-apply the input to the plant under sampled disturbances, and shift the
-windows. The prior for a full window is the buffered current-time estimate
-from M steps ago; during the growing phase it stays at the configured
-initial prior (this is what makes the per-step inequalities theorems).
+and apply the input to the plant under sampled disturbances. The windows
+are views of the run's input and output histories. The prior for a full
+window is the logged current-time estimate from M steps ago; during the
+growing phase it stays at the configured initial prior (this is what makes
+the per-step inequalities theorems). What a step needs of an earlier step
+(its estimate, its Lyapunov value w_delta) is read from that step's log
+row, not recomputed.
 
 When the oracle is enabled, every step also measures the sub-optimality
 error and checks the per-step inequalities of the analysis as monitors:
@@ -26,7 +29,7 @@ from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, UnboundedSampleBox)
 from .mhe import (build_problem, extract_estimate, residual_sigma_parts,
-                  shift_window, sigma_lift, sigma_truncate)
+                  sigma_lift, sigma_truncate)
 from .model import validate_system, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
@@ -35,6 +38,11 @@ PRNG_NAME = "pcg64"
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 MONITOR_REL_TOL = 1e-7  # relative slack of every monitor inequality
+
+# Box.contains tolerances of the feasibility flags: disturbance estimates,
+# and estimated outputs and states
+WHAT_ATOL = 1e-12
+OUTPUT_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,7 @@ class LogRow:
     u: np.ndarray
     xhat: np.ndarray
     e: np.ndarray
+    e_norm: float
     eps: float | None
     w_delta: float
     sigma_raw: float
@@ -126,10 +135,6 @@ class LogRow:
     what_feasible: bool
     xhat_feasible: bool
     yhat_feasible: bool
-
-    @property
-    def e_norm(self):
-        return float(np.linalg.norm(self.e))
 
 
 @dataclass
@@ -167,13 +172,11 @@ class TrajectoryLog:
         for row in self.rows:
             cells = [str(row.t)]
             for vec in (row.x, row.y, row.u, row.xhat):
-                cells.extend(repr(float(v)) for v in vec)
-            cells.append(repr(row.e_norm))
-            cells.append("" if row.eps is None else repr(float(row.eps)))
-            cells.append(repr(float(row.w_delta)))
-            cells.append(repr(float(row.sigma_raw)))
-            cells.append(repr(float(row.sigma_clamped)))
-            cells.extend(row.verdicts.as_tuple())
+                cells.extend(map(repr, vec.tolist()))
+            cells += [repr(row.e_norm),
+                      "" if row.eps is None else repr(row.eps),
+                      repr(row.w_delta), repr(row.sigma_raw),
+                      repr(row.sigma_clamped), *row.verdicts.as_tuple()]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -328,6 +331,32 @@ def _why_uncertified(K, params, ledger):
     return None
 
 
+class _FeasibilityBounds:
+    """The feasibility flags of one run's steps.
+
+    Each flag is Box.contains of the system's boxes with its tolerance. The
+    widened bounds are built once, as one row over a window slot
+    (what = [w1, w2], then yhat) and one over a state, so that a step's
+    flags take one broadcast compare on its slots and one on its states.
+    """
+
+    def __init__(self, sys):
+        slot_boxes = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL),
+                      (sys.y_box, OUTPUT_ATOL))
+        self.slot_lower = np.concatenate([b.lower - tol for b, tol in slot_boxes])
+        self.slot_upper = np.concatenate([b.upper + tol for b, tol in slot_boxes])
+        self.state_lower = sys.x_box.lower - OUTPUT_ATOL
+        self.state_upper = sys.x_box.upper + OUTPUT_ATOL
+        self.n_w = sys.n_w
+
+    def check(self, slots, states):
+        """(what, xhat, yhat) feasible for the (m_eff, n_w + n_y) slot view
+        of z_k and the window states; False wherever an entry is NaN."""
+        cols = ((slots >= self.slot_lower) & (slots <= self.slot_upper)).all(axis=0)
+        states_ok = ((states >= self.state_lower) & (states <= self.state_upper)).all()
+        return bool(cols[:self.n_w].all()), bool(states_ok), bool(cols[self.n_w:].all())
+
+
 def run_closed_loop(cfg):
     """Execute the warm-started fixed-budget estimation loop for cfg.steps.
 
@@ -369,38 +398,38 @@ def run_closed_loop(cfg):
                            ledger=ledger if certified else None)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, cfg.w1_box, cfg.w2_box, T)
+    monitoring = cfg.monitors and cfg.oracle
+    flags = _FeasibilityBounds(sys)
 
     log = TrajectoryLog(config_hash=cfg.config_hash, seed=cfg.seed, M=M, K=K,
                         certified=certified, uncertified_reason=uncertified_reason,
                         ledger=reported)
+    rows = log.rows
 
+    # applied inputs and measured outputs, one row per step: the step-t
+    # windows are rows t - min(M, t) .. t - 1
+    u_hist = np.empty((T, sys.n_u))
+    y_hist = np.empty((T, sys.n_y))
+    w_q = []  # ||w_t||_Q^2 of each step, on monitored runs
     x = cfg.x0.copy()
-    x_hist = []
-    filtered = []
-    u_win = np.zeros((0, sys.n_u))
-    y_win = np.zeros((0, sys.n_y))
     z_prev = None
     eps_prev = None
-    eps0 = None
-    e0_norm = None
     sup_x = sup_e = sup_w = sup_sigma = sup_eps = 0.0
 
     for t in range(T):
-        y = sys.output(x, w2s[t])
+        y = y_hist[t] = sys.output(x, w2s[t])
         m_eff = min(M, t)
-        prior = cfg.x_prior0 if t <= M else filtered[t - M]
-        problem = build_problem(sys, cfg.cert, prior, u_win, y_win, M, t,
-                                shapes=shapes)
-        if t == 0:
-            z0 = cfg.z0_0.copy()
-        else:
-            z0 = sigma_lift(z_prev, t, shapes)
+        # the prior of a full window is the estimate from M steps ago
+        prior = cfg.x_prior0 if t <= M else rows[t - M].xhat
+        problem = build_problem(sys, cfg.cert, prior, u_hist[t - m_eff:t],
+                                y_hist[t - m_eff:t], M, t, shapes=shapes)
+        z0 = cfg.z0_0.copy() if t == 0 else sigma_lift(z_prev, t, shapes)
         report = solve_fixed_iters(problem, z0, K)
         z_k = report.point.z
-        states = extract_estimate(problem, z_k)
+        states = extract_estimate(problem, report.point)
         xhat = states[-1]
-        filtered.append(xhat)
-        x_hist.append(x.copy())
+        e = xhat - x
+        e_norm = float(np.linalg.norm(e))
 
         eps = eps_v = warm_distance = warm_distance_z = None
         if cfg.oracle:
@@ -409,50 +438,37 @@ def run_closed_loop(cfg):
             eps_v = float(np.linalg.norm(report.point.v - z_star.v))
             warm_distance = float(np.linalg.norm(problem.select_v(z0) - z_star.v))
             warm_distance_z = float(np.linalg.norm(z0 - z_star.z))
-            if eps0 is None:
-                eps0 = eps
-        if e0_norm is None:
-            e0_norm = float(np.linalg.norm(xhat - x))
 
         sigma_raw, sigma_clamped = residual_sigma_parts(t, shapes, eta)
         wd_now = w_delta(cfg.cert, xhat, x)
-        anchor_idx = t - m_eff
-        wd_anchor = w_delta(cfg.cert, filtered[anchor_idx], x_hist[anchor_idx])
 
-        if cfg.monitors and cfg.oracle:
-            w_recent_q = []
-            for j in range(1, m_eff + 1):
-                w_stack = np.concatenate([w1s[t - j], w2s[t - j]])
-                w_recent_q.append(float(w_stack @ cfg.cert.Q @ w_stack))
+        if t == 0:
+            eps0, e0_norm = eps, e_norm
+
+        if monitoring:
+            # the anchor is step t - m_eff's own w_delta; sup_* cover steps < t
             verdicts = monitor_step(
                 bundle, t=t, m_eff=m_eff, eps=eps, eps_prev=eps_prev,
-                eps0=eps0, e_norm_now=float(np.linalg.norm(xhat - x)),
-                e0_norm=e0_norm, w_delta_now=wd_now,
-                w_delta_anchor=wd_anchor, w_recent_q=w_recent_q,
+                eps0=eps0, e_norm_now=e_norm, e0_norm=e0_norm,
+                w_delta_now=wd_now,
+                w_delta_anchor=rows[t - m_eff].w_delta if m_eff else wd_now,
+                w_recent_q=w_q[t - m_eff:t][::-1],
                 sup_x=sup_x, sup_e=sup_e, sup_w=sup_w, sup_sigma=sup_sigma,
                 sup_eps=sup_eps, eps_v=eps_v, warm_distance=warm_distance,
                 warm_distance_z=warm_distance_z)
         else:
             verdicts = StepVerdicts()
 
-        u = evaluate(cfg.law, xhat)
+        u = u_hist[t] = evaluate(cfg.law, xhat)
 
-        n_x, n_w = sys.n_x, sys.n_w
-        slots = problem.window_slots(z_k)
-        what_ok = (sys.w1_box.contains(slots[:, :n_x], atol=1e-12)
-                   and sys.w2_box.contains(slots[:, n_x:n_w], atol=1e-12))
-        yhat_ok = sys.y_box.contains(slots[:, n_w:], atol=1e-9)
-        xhat_ok = sys.x_box.contains(states, atol=1e-9)
-
-        row = LogRow(t=t, x=x.copy(), y=y.copy(), u=u.copy(), xhat=xhat.copy(),
-                     e=(xhat - x), eps=eps, w_delta=wd_now,
-                     sigma_raw=sigma_raw, sigma_clamped=sigma_clamped,
-                     verdicts=verdicts, dim_z=problem.dim_z,
-                     dim_z0=z0.shape[0], z_k=z_k, warm_distance=warm_distance,
-                     looped=report.looped,
-                     what_feasible=what_ok, xhat_feasible=xhat_ok,
-                     yhat_feasible=yhat_ok)
-        log.rows.append(row)
+        what_ok, xhat_ok, yhat_ok = flags.check(problem.window_slots(z_k), states)
+        rows.append(LogRow(t=t, x=x, y=y, u=u, xhat=xhat, e=e, e_norm=e_norm,
+                           eps=eps, w_delta=wd_now, sigma_raw=sigma_raw,
+                           sigma_clamped=sigma_clamped, verdicts=verdicts,
+                           dim_z=problem.dim_z, dim_z0=z0.shape[0], z_k=z_k,
+                           warm_distance=warm_distance, looped=report.looped,
+                           what_feasible=what_ok, xhat_feasible=xhat_ok,
+                           yhat_feasible=yhat_ok))
 
         if cfg.strict and FAIL in verdicts.as_tuple():
             failed = [name for name, v in zip(MONITOR_NAMES, verdicts.as_tuple())
@@ -460,16 +476,16 @@ def run_closed_loop(cfg):
             raise MonitorViolation(
                 f"monitor(s) {', '.join(failed)} failed at step {t}")
 
-        sup_x = max(sup_x, float(np.linalg.norm(x)))
-        sup_e = max(sup_e, float(np.linalg.norm(xhat - x)))
-        sup_w = max(sup_w, float(np.linalg.norm(np.concatenate([w1s[t], w2s[t]]))))
-        sup_sigma = max(sup_sigma, sigma_clamped)
-        if eps is not None:
+        if monitoring:
+            w_stack = np.concatenate([w1s[t], w2s[t]])
+            w_q.append(float(w_stack @ cfg.cert.Q @ w_stack))
+            sup_x = max(sup_x, float(np.linalg.norm(x)))
+            sup_e = max(sup_e, e_norm)
+            sup_w = max(sup_w, float(np.linalg.norm(w_stack)))
+            sup_sigma = max(sup_sigma, sigma_clamped)
             sup_eps = max(sup_eps, eps)
             eps_prev = eps
 
-        u_win = shift_window(u_win, u, t, M)
-        y_win = shift_window(y_win, y, t, M)
         x = sys.step(x, u, w1s[t])
         z_prev = z_k
 

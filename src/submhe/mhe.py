@@ -462,33 +462,15 @@ def sigma_truncate(z_curr, t, shapes):
     return z_curr[:shapes[min(shapes.M, t - 1)].dim_z].copy()
 
 
-def shift_window(seq, new_item, t, M):
-    """Append the newest item; drop the oldest whenever the window is full.
-
-    Input has length min(M, t); the result has length min(M, t + 1), which
-    means the first element is discarded exactly when t >= M.
-    """
-    new_item = np.atleast_1d(np.asarray(new_item, dtype=float))
-    seq = np.asarray(seq, dtype=float)
-    if seq.size == 0:
-        seq = np.zeros((0, new_item.shape[0]))
-    if seq.shape[0] != min(M, t):
-        raise WindowLengthMismatch(
-            f"window has length {seq.shape[0]}, expected min(M, t) = {min(M, t)}")
-    out = np.vstack([seq, new_item[None, :]])
-    if out.shape[0] > min(M, t + 1):
-        out = out[1:]
-    return out
-
-
 def extract_estimate(problem, z):
     """The m_eff + 1 window states of z, oldest first; the last entry is the
     current estimate.
 
     They are the window-state map of the problem's shape applied to z's free
-    coordinates and the input window.
+    coordinates and the input window. A CondensedPoint (a solver's result)
+    gives its free coordinates v directly.
     """
-    v = problem.select_v(z)
+    v = z.v if isinstance(z, CondensedPoint) else problem.select_v(z)
     states = problem.shape.state_map @ np.concatenate([v, problem.u_window.ravel()])
     return states.reshape(problem.m_eff + 1, problem.sys.n_x)
 

@@ -14,7 +14,8 @@ There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
 matrix-vector product of the augmented operator [T | d] with [v; 1] and two
 in-place clamps. T, S, the step and q come from the problem's window shape,
-which computes them once per window length; only d changes per step.
+which computes them once per window length; only d changes per step, and
+[T | d] is built only when the loop runs an iteration.
 
 Most solves stop clamping early, and from then on the loop is that affine
 recursion, which has a closed form (mhe.StepSpectrum). At the iterates
@@ -63,44 +64,41 @@ def run_pgd(s, g, lo, hi, v0, alpha, iters, history=None):
     v0 is not modified. If `history` (shape (iters + 1, n)) is given, row k
     receives the k-th iterate, starting with v0.
     """
-    n = s.shape[0]
     lam, basis = eigh(s)
-    v, _ = _iterate(_operator(np.eye(n) - alpha * s, -alpha * np.asarray(g)),
+    v, _ = _iterate(np.eye(s.shape[0]) - alpha * s, -alpha * np.asarray(g),
                     lo, hi, v0, iters, history, step_spectrum(lam, basis, alpha))
     return v
 
 
-def _operator(transition, shift):
-    """The augmented step operator [T | d]: one step maps [v; 1] to T v + d."""
-    n = transition.shape[0]
-    op = np.empty((n, n + 1))
-    op[:, :n] = transition
-    op[:, n] = shift
-    return op
-
-
-def _iterate(op, lo, hi, v0, iters, history, spectrum):
-    """The one projected-gradient loop: v <- min(hi, max(lo, op [v; 1])).
+def _iterate(transition, shift, lo, hi, v0, iters, history, spectrum):
+    """The one projected-gradient loop: v <- min(hi, max(lo, T v + d)), for
+    T = transition and d = shift.
 
     Returns (v_K, looped). At k = 0, 1, 3, 7, ... the loop tries the
-    closed-form tail of `spectrum` (a StepSpectrum of op's T, or None for
-    no tail); looped is the number of iterations run before it took it, and
-    `iters` when it did not. The clamp order matches np.clip, NaN included;
-    every array is reused.
+    closed-form tail of `spectrum` (a StepSpectrum of T, or None for no
+    tail); looped is the number of iterations run before it took it, and
+    `iters` when it did not. The probe at k = 0 needs only d, so a solve
+    that settles there builds no operator. The clamp order matches np.clip,
+    NaN included; every array is reused.
     """
-    n = op.shape[0]
+    n = transition.shape[0]
     iters = int(iters)
     w = np.empty(n + 1)
     w[n] = 1.0
     v = w[:n]
     v[:] = v0
-    buf = np.empty(n)
     if history is not None:
         history[0] = v
     tail = None
     if spectrum is not None and iters > 0:
-        tail = _Tail(spectrum, op[:, n], lo, hi)
-    probe = 0 if tail is not None else -1
+        tail = _Tail(spectrum, shift, lo, hi)
+        if tail.settled(v):
+            return tail.finish(v, 0, iters, history), 0
+    op = np.empty((n, n + 1))  # [T | d] maps [v; 1] to T v + d
+    op[:, :n] = transition
+    op[:, n] = shift
+    buf = np.empty(n)
+    probe = 1 if tail is not None else -1
     for k in range(iters):
         if k == probe:
             if tail.settled(v):
@@ -180,8 +178,8 @@ def solve_fixed_iters(problem, z0, K, record=False):
         looped = 0
     else:
         history = np.empty((K + 1, v0.shape[0])) if record else None
-        op = _operator(shape.transition, -step * problem.linear_term)
-        v, looped = _iterate(op, lo, hi, v0, K, history, shape.spectrum)
+        v, looped = _iterate(shape.transition, -step * problem.linear_term,
+                             lo, hi, v0, K, history, shape.spectrum)
         if record:
             costs = np.array([problem.cost(problem.lift(h)) for h in history])
     if not np.all(np.isfinite(v)):

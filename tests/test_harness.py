@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, make_system, simple_certificate
 
+import submhe.harness as harness
 from submhe.analysis import build_params
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
@@ -10,8 +13,8 @@ from submhe.errors import (ContractionViolated, DegenerateDenominator,
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
-from submhe.mhe import WindowShapes
-from submhe.model import Box
+from submhe.mhe import CondensedPoint, WindowShapes
+from submhe.model import Box, LtiSystem
 
 
 def doc_params(doc, shapes):
@@ -32,6 +35,43 @@ def scenario(doc, cert, M=None, **kw):
                     allow_uncertified=True)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def record_calls(monkeypatch, name, copy_args=False):
+    """Wrap harness.<name> where the loop looks it up; returns the list of
+    (args, result) of its calls, with array arguments copied at the call
+    when copy_args is set."""
+    calls = []
+    orig = getattr(harness, name)
+
+    def recorded(*args, **kwargs):
+        result = orig(*args, **kwargs)
+        if copy_args:
+            args = tuple(np.array(a) if isinstance(a, np.ndarray) else a
+                         for a in args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(harness, name, recorded)
+    return calls
+
+
+def append_and_drop(window, item, t, M):
+    """Reference window recurrence: append the step-t item and drop the
+    oldest whenever the window would exceed min(M, t + 1) items."""
+    out = np.vstack([window, np.asarray(item, dtype=float)[None, :]])
+    return out[1:] if out.shape[0] > min(M, t + 1) else out
+
+
+def box_contains_flags(sys, problem, z_k, states):
+    """(what, xhat, yhat) feasible as four Box.contains calls on the
+    step's z_k slots and window states: the reference for the loop's flags."""
+    n_x, n_w = sys.n_x, sys.n_w
+    slots = problem.window_slots(z_k)
+    what = (sys.w1_box.contains(slots[:, :n_x], atol=1e-12)
+            and sys.w2_box.contains(slots[:, n_x:n_w], atol=1e-12))
+    return (what, sys.x_box.contains(states, atol=1e-9),
+            sys.y_box.contains(slots[:, n_w:], atol=1e-9))
 
 
 class TestSampleDisturbance:
@@ -126,6 +166,94 @@ class TestClosedLoop:
         for row in log.rows:
             assert row.dim_z0 == row.dim_z
             assert row.dim_z == 4 + min(M, row.t) * (5 + 1)
+
+    def test_windows_are_the_last_inputs_and_outputs(self, certified_doc,
+                                                     monkeypatch):
+        doc = certified_doc
+        M = 4
+        built = record_calls(monkeypatch, "build_problem", copy_args=True)
+        log = run_closed_loop(scenario(doc, doc.certificate, M=M, K=30,
+                                       steps=3 * M, oracle=False))
+        sys = doc.system
+        u_ref, y_ref = np.zeros((0, sys.n_u)), np.zeros((0, sys.n_y))
+        assert len(built) == len(log.rows)
+        for (args, problem), row in zip(built, log.rows):
+            t = row.t
+            _, _, _, u_win, y_win, M_arg, t_arg = args
+            assert (M_arg, t_arg) == (M, t)
+            assert u_win.shape == (min(M, t), sys.n_u)
+            assert np.array_equal(u_win, u_ref)
+            assert np.array_equal(y_win, y_ref)
+            u_ref = append_and_drop(u_ref, row.u, t, M)
+            y_ref = append_and_drop(y_ref, row.y, t, M)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    def test_one_build_and_one_evaluate_per_step(self, certified_doc,
+                                                 monkeypatch, oracle):
+        # perfbench times a step between consecutive harness.evaluate calls
+        # and reports mhe.build_problem per-call costs and counts
+        doc = certified_doc
+        built = record_calls(monkeypatch, "build_problem")
+        evaluated = record_calls(monkeypatch, "evaluate")
+        log = run_closed_loop(scenario(doc, doc.certificate, K=25, steps=30,
+                                       oracle=oracle))
+        assert len(log.rows) == len(built) == len(evaluated) == 30
+        assert [p.t for _, p in built] == list(range(30))
+
+    def test_flags_match_box_contains(self, monkeypatch):
+        # the true state starts outside the tight x and y boxes, so the
+        # estimated states and outputs leave them early on. The solver clamps
+        # the disturbance estimates into their box, so the test perturbs its
+        # point: at step 5 a disturbance estimate leaves its box, at step 12
+        # the oldest window state alone leaves the x box, and the last step
+        # gets a NaN disturbance estimate
+        box = lambda b, n: Box(np.full(n, -b), np.full(n, b))
+        sys = LtiSystem(A=[[0.9, 0.3], [0.0, 0.7]], B=[[0.0], [1.0]],
+                        C=[[1.0, 0.0]], x_box=box(1.0, 2), u_box=box(1.0, 1),
+                        y_box=box(0.8, 1), w1_box=box(0.05, 2),
+                        w2_box=box(0.05, 1))
+        cert = simple_certificate(2, 1, eta=0.5)
+        steps, n_x = 20, sys.n_x
+        cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, 4),
+                             law=FeedbackLaw(np.array([[0.2, 0.3]]), box(1.0, 1)),
+                             K=50, steps=steps, x0=np.array([3.0, -2.0]),
+                             x_prior0=np.zeros(2), oracle=False, monitors=False,
+                             allow_uncertified=True)
+        solve = harness.solve_fixed_iters
+
+        def perturbed(problem, z0, K):
+            report = solve(problem, z0, K)
+            v = report.point.v.copy()
+            if problem.t == 5:
+                v[n_x] += 1.0
+            elif problem.t == 12:  # shift xhat_0; w1_0 cancels it in xhat_1
+                v[:n_x] += [2.2, 0.0]
+                v[n_x:2 * n_x] -= sys.A @ [2.2, 0.0]
+            elif problem.t == steps - 1:
+                v[n_x + 1] = np.nan
+            else:
+                return report
+            return replace(report, point=CondensedPoint(z=problem.lift(v), v=v))
+
+        monkeypatch.setattr(harness, "solve_fixed_iters", perturbed)
+        built = record_calls(monkeypatch, "build_problem")
+        estimated = record_calls(monkeypatch, "extract_estimate")
+        log = run_closed_loop(cfg)
+        flags = [(r.what_feasible, r.xhat_feasible, r.yhat_feasible)
+                 for r in log.rows]
+        for row, got, (_, problem), (_, states) in zip(log.rows, flags, built,
+                                                       estimated):
+            assert got == box_contains_flags(sys, problem, row.z_k, states)
+        for i in range(3):
+            assert any(f[i] for f in flags) and not all(f[i] for f in flags)
+        # the tight boxes alone, before any perturbation
+        assert not all(f[1] for f in flags[:5])
+        assert not all(f[2] for f in flags[:5])
+        assert not flags[5][0]
+        states_12 = estimated[12][1]
+        assert not flags[12][1] and sys.x_box.contains(states_12[1:])
+        assert flags[-1] == (False, False, False)
 
     def test_disturbance_estimates_stay_feasible(self, case_study_doc):
         doc = case_study_doc

@@ -6,10 +6,10 @@ from conftest import (make_system, random_certified_setup, random_problem,
 
 from submhe.errors import DimensionMismatch, WindowLengthMismatch
 from submhe.mhe import (WindowShapes, build_problem, compute_weight,
-                        extract_estimate, residual_sigma_parts, shift_window,
-                        sigma_lift, sigma_truncate)
+                        extract_estimate, residual_sigma_parts, sigma_lift,
+                        sigma_truncate)
 from submhe.model import Box, IossCertificate, LtiSystem, w_delta
-from submhe.solver import solve_oracle
+from submhe.solver import solve_fixed_iters, solve_oracle
 
 
 def reference_window_cost(sys, cert, prob, z):
@@ -240,31 +240,6 @@ class TestSigmaLift:
             assert np.dot(lifted, b) == pytest.approx(np.dot(a, truncated))
 
 
-class TestShiftWindow:
-    def test_first_append(self):
-        out = shift_window(np.zeros((0, 2)), [1.0, 2.0], 0, 5)
-        assert np.array_equal(out, [[1.0, 2.0]])
-
-    def test_full_window_drops_first(self):
-        seq = np.arange(10, dtype=float).reshape(5, 2)
-        out = shift_window(seq, [99.0, 98.0], 5, 5)
-        assert out.shape == (5, 2)
-        assert np.array_equal(out[-1], [99.0, 98.0])
-        assert np.array_equal(out[0], seq[1])
-
-    def test_growing_phase_keeps_all(self):
-        seq = np.arange(4, dtype=float).reshape(2, 2)
-        out = shift_window(seq, [9.0, 9.0], 2, 5)
-        assert out.shape == (3, 2)
-        assert np.array_equal(out[:2], seq)
-
-    def test_length_law(self):
-        seq = np.zeros((0, 1))
-        for t in range(12):
-            seq = shift_window(seq, [float(t)], t, 4)
-            assert seq.shape[0] == min(4, t + 1)
-
-
 def forward_states(prob, z):
     """The window states by forward simulation from z's initial state and
     disturbances, x_{j+1} = A x_j + B u_j + w1_j: the reference for the
@@ -339,6 +314,19 @@ class TestExtractEstimate:
         v = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         states = extract_estimate(prob, prob.lift(v))
         assert np.allclose(states.ravel(), [1.0, 2.0, 4.0])
+
+    def test_solver_point_reads_its_free_coordinates(self):
+        # a solver's point gives v directly; the states equal those read
+        # off its z, bit for bit
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            sys, cert = random_certified_setup(rng)
+            M = int(rng.integers(1, 6))
+            for t in range(M + 2):
+                prob = random_problem(rng, sys, cert, M=M, t=t)
+                rep = solve_fixed_iters(prob, np.zeros(prob.dim_z), 20)
+                assert np.array_equal(extract_estimate(prob, rep.point),
+                                      extract_estimate(prob, rep.point.z))
 
     def test_dim_check(self, case_study):
         sys, cert, _ = case_study

@@ -219,9 +219,9 @@ class TestSolveOracle:
                              lower=-rng.random(10), upper=rng.random(10))
         z_star = solve_oracle(prob, tol=1e-12)
         s, c = prob.reduced_gradient_terms()
-        alpha = 1.0 / np.linalg.eigvalsh(s)[-1]
-        v_pg = run_pgd(s, c, prob.lower, prob.upper, np.zeros(10), alpha,
-                       1_000_000)
+        lam = np.linalg.eigvalsh(s)
+        v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
+                             1.0 - lam[0] / lam[-1], 1e-11, 1_000_000)
         assert np.linalg.norm(v_pg - z_star.v) <= 1e-8
 
     def test_kkt_residual_below_tol(self):
