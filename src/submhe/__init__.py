@@ -10,8 +10,7 @@ interconnection and checks the per-step inequalities as runtime monitors.
 from .analysis import (AnalysisParams, GainLedger, budget_constants,
                        build_params, compute_rho, ledger_at, min_iterations)
 from .controller import (FeedbackLaw, assert_stabilizing,
-                         estimate_closed_loop_gain, estimate_lipschitz,
-                         evaluate)
+                         estimate_closed_loop_gain, evaluate)
 from .harness import (LipschitzProbe, ScenarioConfig, TrajectoryLog,
                       lipschitz_probe, monitor_step, run_closed_loop,
                       sample_disturbance_arrays)
@@ -30,10 +29,9 @@ __all__ = [
     "GainLedger", "IossCertificate", "KERNEL_BACKEND", "LipschitzProbe",
     "LtiSystem", "MheProblem", "ScenarioConfig", "SolveReport", "TrajectoryLog",
     "budget_constants", "assert_stabilizing", "build_params", "build_problem",
-    "compute_rho", "compute_weight", "estimate_closed_loop_gain",
-    "estimate_lipschitz", "evaluate", "extract_estimate", "find_certificate",
-    "ledger_at", "lipschitz_probe", "load_config", "min_iterations",
-    "monitor_step", "run_closed_loop", "sample_disturbance_arrays",
-    "sigma_lift", "solve_fixed_iters", "solve_oracle",
-    "validate_system", "verify_ioss_lmi", "w_delta",
+    "compute_rho", "compute_weight", "estimate_closed_loop_gain", "evaluate",
+    "extract_estimate", "find_certificate", "ledger_at", "lipschitz_probe",
+    "load_config", "min_iterations", "monitor_step", "run_closed_loop",
+    "sample_disturbance_arrays", "sigma_lift", "solve_fixed_iters",
+    "solve_oracle", "validate_system", "verify_ioss_lmi", "w_delta",
 ]

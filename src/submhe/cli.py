@@ -282,14 +282,17 @@ def cmd_verify(args):
 
     check("controller-stability-smoke", smoke)
 
+    def short_config(oracle=None):
+        # the loop checks read no ledger, so the loop runs without params
+        return doc.scenario_config(doc.window_shapes(cert),
+                                   K=max(doc.mhe["K"], 5)
+                                   if doc.mhe["K"] != "auto" else 50,
+                                   steps=min(doc.scenario["steps"], 2 * M + 2),
+                                   oracle=oracle, allow_uncertified=True,
+                                   params=None)
+
     def short_loop():
-        # the checks below read no ledger, so the loop runs without params
-        cfg = doc.scenario_config(doc.window_shapes(cert),
-                                  K=max(doc.mhe["K"], 5)
-                                  if doc.mhe["K"] != "auto" else 50,
-                                  steps=min(doc.scenario["steps"], 2 * M + 2),
-                                  allow_uncertified=True, params=None)
-        log = run_closed_loop(cfg)
+        log = run_closed_loop(short_config())
         for row in log.rows:
             if row.dim_z0 != row.dim_z:
                 raise SubmheError(f"warm-start dimension law broken at t={row.t}")
@@ -299,6 +302,23 @@ def cmd_verify(args):
                 raise SubmheError(f"disturbance estimate left its box at t={row.t}")
 
     check("short-closed-loop", short_loop)
+
+    def tail_optimum():
+        # a settled solve's v* (the tail's fixed point) against the oracle,
+        # on the loop's own windows
+        solves = []
+        run_closed_loop(short_config(oracle=True),
+                        observe=lambda prob, rep: solves.append((prob, rep)))
+        for prob, rep in solves:
+            if rep.optimum is None:
+                continue
+            v_star = solve_oracle(prob, tol=doc.scenario["oracle_tol"]).v
+            gap = float(np.linalg.norm(rep.optimum - v_star))
+            if gap > 1e-12 * max(1.0, float(np.linalg.norm(v_star))):
+                raise SubmheError(f"tail optimum and oracle disagree by "
+                                  f"{gap:.2e} at t={prob.t}")
+
+    check("tail-optimum", tail_optimum)
 
     failed = [name for name, ok, _ in checks if not ok]
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")

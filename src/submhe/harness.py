@@ -11,7 +11,11 @@ the per-step inequalities theorems). What a step needs of an earlier step
 row, not recomputed.
 
 When the oracle is enabled, every step also measures the sub-optimality
-error and checks the per-step inequalities of the analysis as monitors:
+error against the window optimum v* and checks the per-step inequalities of
+the analysis as monitors. v* is the fixed point of the solver's closed-form
+tail when the solve settled on it (a theorem, see mhe.StepSpectrum); on
+every other step (a solve that clamps to the end, or K = 0) the active-set
+oracle computes it. The monitors are
 (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
 trajectory bounds (certified runs only), (d) the solver contraction budget,
 both in the free coordinates v (phi(K)) and in the decision vector z
@@ -28,8 +32,8 @@ from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, UnboundedSampleBox)
-from .mhe import (build_problem, extract_estimate, residual_sigma_parts,
-                  sigma_lift, sigma_truncate)
+from .mhe import (CondensedPoint, build_problem, extract_estimate,
+                  residual_sigma_parts, sigma_lift, sigma_truncate)
 from .model import validate_system, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
@@ -149,6 +153,7 @@ class TrajectoryLog:
     rows: list = field(default_factory=list)
     prng: str = PRNG_NAME
     backend: str = KERNEL_BACKEND
+    oracle_solves: int = 0  # steps whose v* came from the active-set oracle
 
     def monitor_counts(self):
         counts = {name: {PASS: 0, FAIL: 0, SKIP: 0} for name in MONITOR_NAMES}
@@ -201,6 +206,7 @@ class TrajectoryLog:
                 "tail_jumps": sum(r.looped < self.K for r in self.rows),
                 "looped_mean": (sum(r.looped for r in self.rows) / len(self.rows)
                                 if self.rows else None),
+                "oracle_solves": self.oracle_solves,
             },
             "constraint_flags": {
                 "what_feasible": all(r.what_feasible for r in self.rows),
@@ -357,14 +363,15 @@ class _FeasibilityBounds:
         return bool(cols[:self.n_w].all()), bool(states_ok), bool(cols[self.n_w:].all())
 
 
-def run_closed_loop(cfg):
+def run_closed_loop(cfg, observe=None):
     """Execute the warm-started fixed-budget estimation loop for cfg.steps.
 
     The loop runs on the analysis params it is handed (cfg.params) and
     evaluates their ledger once, at K. The run is certified only when
     rho < 1, that ledger passes and none of its inputs was sampled. The
     analysis and the loop share cfg.shapes, so each window shape and its
-    eigen terms are built once per run.
+    eigen terms are built once per run. observe(problem, report), when
+    given, is called with each step's window problem and solve report.
     """
     sys = validate_system(cfg.sys)
     T, M, K = cfg.steps, cfg.M, cfg.K
@@ -425,6 +432,8 @@ def run_closed_loop(cfg):
                                 y_hist[t - m_eff:t], M, t, shapes=shapes)
         z0 = cfg.z0_0.copy() if t == 0 else sigma_lift(z_prev, t, shapes)
         report = solve_fixed_iters(problem, z0, K)
+        if observe is not None:
+            observe(problem, report)
         z_k = report.point.z
         states = extract_estimate(problem, report.point)
         xhat = states[-1]
@@ -433,7 +442,12 @@ def run_closed_loop(cfg):
 
         eps = eps_v = warm_distance = warm_distance_z = None
         if cfg.oracle:
-            z_star = solve_oracle(problem, tol=cfg.oracle_tol)
+            if report.optimum is None:
+                z_star = solve_oracle(problem, tol=cfg.oracle_tol)
+                log.oracle_solves += 1
+            else:
+                z_star = CondensedPoint(z=problem.lift(report.optimum),
+                                        v=report.optimum)
             eps = float(np.linalg.norm(z_k - z_star.z))
             eps_v = float(np.linalg.norm(report.point.v - z_star.v))
             warm_distance = float(np.linalg.norm(problem.select_v(z0) - z_star.v))

@@ -190,6 +190,16 @@ class StepSpectrum:
     box, no clamp fires in any later iteration, and the projected-gradient
     iterate v_{k+j} equals the affine one,
     U (tau^j * U^T v_k + ((1 - tau^j) / rate) * U^T d).
+
+    Then v_u is also the window optimum v*. The envelope is nonnegative, so
+    lying strictly inside a finite side puts v_u strictly inside it too:
+    v_u is feasible. With d = -alpha c and rate = alpha * lambda,
+    v_u = -U diag(1/lambda) U^T c = -S^{-1} c, the unconstrained minimiser
+    of the window cost, whose gradient is S v + c. S is positive definite,
+    so the cost is strictly convex and v_u is its unique minimiser over all
+    of R^n; being feasible, it is the unique minimiser over the box as well,
+    v* = v_u. The sub-optimality error of the j-th iterate is therefore
+    v_{k+j} - v* = U (tau^j * beta) exactly, with no separate solve for v*.
     """
 
     rate: np.ndarray       # alpha * lambda, ascending

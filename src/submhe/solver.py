@@ -28,6 +28,9 @@ closed form instead of running the remaining iterations. In exact arithmetic
 that is the same K-th iterate, so K, phi(K) and every bound on it are
 unchanged. The test is False whenever a NaN or inf enters it, and never
 holds for a pinned coordinate (lower == upper), so the loop then runs on.
+When it holds, v_u lies strictly inside the box and is therefore the window
+optimum v*; the solve reports it, and the active-set oracle is needed only
+for solves that clamp to the end.
 """
 
 from dataclasses import dataclass, replace
@@ -50,6 +53,10 @@ TAIL_MARGIN = 1e-9
 class SolveReport:
     point: CondensedPoint
     looped: int  # iterations run before the closed-form tail; K without a jump
+    # the window optimum v*: the tail's fixed point v_u when the solve settled
+    # (mhe.StepSpectrum), None for K = 0, a solve that ran all K iterations,
+    # or a step without a spectrum
+    optimum: np.ndarray | None = None
     costs: np.ndarray | None = None
     per_iteration_distances: np.ndarray | None = None
     history: np.ndarray | None = None  # free-coordinate iterates, recorded runs only
@@ -65,8 +72,8 @@ def run_pgd(s, g, lo, hi, v0, alpha, iters, history=None):
     receives the k-th iterate, starting with v0.
     """
     lam, basis = eigh(s)
-    v, _ = _iterate(np.eye(s.shape[0]) - alpha * s, -alpha * np.asarray(g),
-                    lo, hi, v0, iters, history, step_spectrum(lam, basis, alpha))
+    v, _, _ = _iterate(np.eye(s.shape[0]) - alpha * s, -alpha * np.asarray(g),
+                       lo, hi, v0, iters, history, step_spectrum(lam, basis, alpha))
     return v
 
 
@@ -74,10 +81,11 @@ def _iterate(transition, shift, lo, hi, v0, iters, history, spectrum):
     """The one projected-gradient loop: v <- min(hi, max(lo, T v + d)), for
     T = transition and d = shift.
 
-    Returns (v_K, looped). At k = 0, 1, 3, 7, ... the loop tries the
+    Returns (v_K, looped, tail). At k = 0, 1, 3, 7, ... the loop tries the
     closed-form tail of `spectrum` (a StepSpectrum of T, or None for no
     tail); looped is the number of iterations run before it took it, and
-    `iters` when it did not. The probe at k = 0 needs only d, so a solve
+    `iters` when it did not. tail is the _Tail the loop settled on, and None
+    when it did not settle. The probe at k = 0 needs only d, so a solve
     that settles there builds no operator. The clamp order matches np.clip,
     NaN included; every array is reused.
     """
@@ -93,7 +101,7 @@ def _iterate(transition, shift, lo, hi, v0, iters, history, spectrum):
     if spectrum is not None and iters > 0:
         tail = _Tail(spectrum, shift, lo, hi)
         if tail.settled(v):
-            return tail.finish(v, 0, iters, history), 0
+            return tail.finish(v, 0, iters, history), 0, tail
     op = np.empty((n, n + 1))  # [T | d] maps [v; 1] to T v + d
     op[:, :n] = transition
     op[:, n] = shift
@@ -102,24 +110,25 @@ def _iterate(transition, shift, lo, hi, v0, iters, history, spectrum):
     for k in range(iters):
         if k == probe:
             if tail.settled(v):
-                return tail.finish(v, k, iters, history), k
+                return tail.finish(v, k, iters, history), k, tail
             probe = 2 * probe + 1
         np.dot(op, w, out=buf)
         np.maximum(lo, buf, out=buf)
         np.minimum(hi, buf, out=v)
         if history is not None:
             history[k + 1] = v
-    return v.copy(), iters
+    return v.copy(), iters, None
 
 
 class _Tail:
     """One solve's unclamped recursion v <- T v + d in closed form
-    (mhe.StepSpectrum), and the test that the loop has reached it."""
+    (mhe.StepSpectrum), and the test that the loop has reached it. Once
+    settled holds, the fixed point v_u is the window optimum v*."""
 
     def __init__(self, spectrum, shift, lo, hi):
         self.spectrum, self.lo, self.hi = spectrum, lo, hi
         self.fixed = (spectrum.basis.T @ shift) / spectrum.rate  # U^T v_u
-        v_u = spectrum.basis @ self.fixed
+        v_u = self.v_u = spectrum.basis @ self.fixed
         # room left to each side; NaN, and so no jump, if anything is not finite
         margin = TAIL_MARGIN * (1.0 + np.abs(v_u))
         self.room = np.minimum(v_u - lo, hi - v_u) * (1.0 - TAIL_MARGIN) - margin
@@ -163,8 +172,9 @@ def solve_fixed_iters(problem, z0, K, record=False):
     disturbance blocks of z0); derived output blocks are rebuilt by the lift.
     K = 0 returns the box projection of the warm start. The report's
     `looped` counts the iterations run before the closed-form tail (K when
-    the loop ran them all). With record=True the per-iteration costs and
-    free-coordinate iterates are kept.
+    the loop ran them all); a solve that took the tail also reports the
+    window optimum v* as `optimum` (mhe.StepSpectrum). With record=True the
+    per-iteration costs and free-coordinate iterates are kept.
     """
     shape = problem.shape
     step = shape.step
@@ -173,13 +183,14 @@ def solve_fixed_iters(problem, z0, K, record=False):
     K = int(K)
     costs = None
     history = None
+    tail = None
     if K == 0:
         v = np.clip(v0, lo, hi)
         looped = 0
     else:
         history = np.empty((K + 1, v0.shape[0])) if record else None
-        v, looped = _iterate(shape.transition, -step * problem.linear_term,
-                             lo, hi, v0, K, history, shape.spectrum)
+        v, looped, tail = _iterate(shape.transition, -step * problem.linear_term,
+                                   lo, hi, v0, K, history, shape.spectrum)
         if record:
             costs = np.array([problem.cost(problem.lift(h)) for h in history])
     if not np.all(np.isfinite(v)):
@@ -187,6 +198,7 @@ def solve_fixed_iters(problem, z0, K, record=False):
                                "check problem conditioning")
     z = problem.lift(v)
     return SolveReport(point=CondensedPoint(z=z, v=v), looped=looped,
+                       optimum=None if tail is None else tail.v_u,
                        costs=costs, history=history)
 
 

@@ -295,6 +295,7 @@ class TestCli:
         assert solver["solves"] == 400
         assert solver["tail_jumps"] >= 0.9 * solver["solves"]
         assert 0.0 <= solver["looped_mean"] < summary["K"]
+        assert solver["oracle_solves"] == 0
 
     def test_outputs_are_strict_json(self, tmp_path, capsys):
         def reject(token):
@@ -377,7 +378,8 @@ class TestCli:
                         str(CONFIG_DIR / "case_study_certified.json")])
         out = capsys.readouterr().out
         assert code == 0
-        assert "8/8 checks passed" in out
+        assert "PASS tail-optimum" in out
+        assert "9/9 checks passed" in out
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         assert run_cli(["simulate", "--config",

@@ -4,8 +4,8 @@ import pytest
 from conftest import make_system
 
 from submhe.controller import (FeedbackLaw, assert_stabilizing,
-                               estimate_closed_loop_gain, estimate_lipschitz,
-                               evaluate, simulate_with_error)
+                               estimate_closed_loop_gain, evaluate,
+                               simulate_with_error)
 from submhe.errors import (DimensionMismatch, DivergentTrajectory,
                            StabilityAssumptionViolated)
 from submhe.model import Box
@@ -45,47 +45,6 @@ class TestEvaluate:
     def test_dim_check(self, scalar_law):
         with pytest.raises(DimensionMismatch):
             evaluate(scalar_law, np.zeros(2))
-
-
-class TestEstimateLipschitz:
-    def test_case_study_analytic_bound(self, case_study):
-        _, _, law = case_study
-        est = estimate_lipschitz(law, Box.from_pairs([[-5, 5]] * 4),
-                                 n_samples=2000, seed=1)
-        assert est.analytic_bound == pytest.approx(2.65, abs=1e-9)
-        assert est.sampled_max <= est.analytic_bound + 1e-9
-        assert est.value == pytest.approx(2.65, abs=1e-9)
-
-    def test_zero_gain(self):
-        law = FeedbackLaw(gain=np.zeros((1, 2)), u_box=Box.from_pairs([[-1, 1]]))
-        est = estimate_lipschitz(law, Box.from_pairs([[-1, 1]] * 2), seed=0)
-        assert est.value == 0.0
-
-    def test_scalar_gain_in_linear_region(self):
-        law = FeedbackLaw(gain=np.array([[3.0]]),
-                          u_box=Box.from_pairs([[-100.0, 100.0]]))
-        est = estimate_lipschitz(law, Box.from_pairs([[-1.0, 1.0]]),
-                                 n_samples=500, seed=2)
-        assert est.sampled_max == pytest.approx(3.0, abs=1e-6)
-        assert est.value == pytest.approx(3.0, abs=1e-9)
-
-    def test_sampled_ratios_never_exceed_reported(self, case_study):
-        _, _, law = case_study
-        box = Box.from_pairs([[-3, 3]] * 4)
-        est = estimate_lipschitz(law, box, n_samples=1000, seed=3)
-        rng = np.random.default_rng(3)
-        xs = box.sample(rng, size=1000)
-        xps = box.sample(rng, size=1000)
-        for x, xp in zip(xs, xps):
-            dx = np.linalg.norm(x - xp)
-            if dx < 1e-12:
-                continue
-            ratio = np.linalg.norm(evaluate(law, x) - evaluate(law, xp)) / dx
-            assert ratio <= est.value + 1e-12
-
-    def test_requires_two_samples(self, scalar_law):
-        with pytest.raises(ValueError):
-            estimate_lipschitz(scalar_law, Box.from_pairs([[-1, 1]]), n_samples=1)
 
 
 class TestClosedLoopGain:
@@ -131,9 +90,34 @@ class TestStabilitySmoke:
     def test_divergence_becomes_stability_error(self):
         sys = make_system(1.5 * np.eye(1), [[0.0]], [[1.0]])
         law = FeedbackLaw(gain=np.zeros((1, 1)), u_box=sys.u_box)
-        with pytest.raises(StabilityAssumptionViolated):
+        with pytest.raises(StabilityAssumptionViolated, match="sample 0:"):
             assert_stabilizing(sys, law, radius=1.0, horizon=400, n_samples=3,
                                seed=0)
+
+    def test_names_the_first_sample_the_loop_reference_fails(self):
+        # a rotating, saturated plant; each sample's final state is rolled
+        # by simulate_with_error from the draws of the documented rng order
+        c, s_ = np.cos(0.3), np.sin(0.3)
+        sys = make_system(0.97 * np.array([[c, -s_], [s_, c]]),
+                          [[1.0], [0.5]], [[1.0, 0.0]], u_bound=0.02)
+        law = FeedbackLaw(gain=np.array([[0.3, -0.1]]), u_box=sys.u_box)
+        rng = np.random.default_rng(6)
+        finals = []
+        for _ in range(10):
+            d = rng.standard_normal(2)
+            d *= 2.0 * rng.uniform(0, 1) ** 0.5 / max(np.linalg.norm(d), 1e-12)
+            traj = simulate_with_error(sys, law, d, np.zeros((60, 2)))
+            finals.append(float(np.linalg.norm(traj[-1])))
+        threshold = float(np.median(finals))
+        first = next(i for i, f in enumerate(finals) if f > threshold)
+        assert first > 0 and min(abs(f - threshold) for f in finals) > 1e-9
+        with pytest.raises(StabilityAssumptionViolated,
+                           match=f"sample {first} only decayed"):
+            assert_stabilizing(sys, law, radius=2.0, horizon=60, n_samples=10,
+                               seed=6, threshold=threshold)
+        assert assert_stabilizing(sys, law, radius=2.0, horizon=60,
+                                  n_samples=10, seed=6,
+                                  threshold=max(finals) * (1 + 1e-9))
 
 
 def test_simulate_with_error_tracks_dynamics(case_study):

@@ -332,6 +332,35 @@ class TestClosedLoop:
         log = run_closed_loop(relaxed)
         assert log.monitor_counts()["contraction"]["fail"] > 0
 
+    def test_oracle_only_where_the_tail_did_not_settle(self, certified_doc,
+                                                      monkeypatch):
+        doc = certified_doc
+        shapes = doc.window_shapes(doc.certificate)
+        cfg = doc.scenario_config(shapes, K=25, steps=60, oracle=True,
+                                  allow_uncertified=True,
+                                  params=doc_params(doc, shapes))
+        oracle_calls = record_calls(monkeypatch, "solve_oracle")
+        log = run_closed_loop(cfg)
+        solver = log.summary_dict()["solver"]
+        assert len(oracle_calls) == solver["oracle_solves"]
+        assert solver["oracle_solves"] == solver["solves"] - solver["tail_jumps"]
+        assert 0 < solver["oracle_solves"] < solver["solves"]
+
+        # the reference run takes v* from the oracle on every step
+        solve = harness.solve_fixed_iters
+        monkeypatch.setattr(harness, "solve_fixed_iters",
+                            lambda *a: replace(solve(*a), optimum=None))
+        oracle_calls.clear()
+        ref = run_closed_loop(cfg)
+        assert len(oracle_calls) == 60
+        for row, ref_row, (_, z_star) in zip(log.rows, ref.rows, oracle_calls):
+            assert abs(row.eps - ref_row.eps) <= (
+                1e-12 * max(1.0, float(np.linalg.norm(z_star.z))))
+            assert row.verdicts == ref_row.verdicts
+            assert np.array_equal(row.xhat, ref_row.xhat)
+            assert row.warm_distance == pytest.approx(ref_row.warm_distance,
+                                                      rel=1e-12, abs=1e-12)
+
     def test_oracle_off_skips_everything(self, case_study_doc):
         doc = case_study_doc
         log = run_closed_loop(scenario(doc, doc.certificate, steps=5,
