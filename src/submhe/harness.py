@@ -124,7 +124,6 @@ class LogRow:
     y: np.ndarray
     u: np.ndarray
     xhat: np.ndarray
-    e: np.ndarray
     e_norm: float
     eps: float | None
     w_delta: float
@@ -437,8 +436,7 @@ def run_closed_loop(cfg, observe=None):
         z_k = report.point.z
         states = extract_estimate(problem, report.point)
         xhat = states[-1]
-        e = xhat - x
-        e_norm = float(np.linalg.norm(e))
+        e_norm = float(np.linalg.norm(xhat - x))
 
         eps = eps_v = warm_distance = warm_distance_z = None
         if cfg.oracle:
@@ -476,7 +474,7 @@ def run_closed_loop(cfg, observe=None):
         u = u_hist[t] = evaluate(cfg.law, xhat)
 
         what_ok, xhat_ok, yhat_ok = flags.check(problem.window_slots(z_k), states)
-        rows.append(LogRow(t=t, x=x, y=y, u=u, xhat=xhat, e=e, e_norm=e_norm,
+        rows.append(LogRow(t=t, x=x, y=y, u=u, xhat=xhat, e_norm=e_norm,
                            eps=eps, w_delta=wd_now, sigma_raw=sigma_raw,
                            sigma_clamped=sigma_clamped, verdicts=verdicts,
                            dim_z=problem.dim_z, dim_z0=z0.shape[0], z_k=z_k,

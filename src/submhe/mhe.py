@@ -415,7 +415,7 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     n_x, n_u, n_y, n_w = sys.n_x, sys.n_u, sys.n_y, sys.n_w
     m_eff = min(M, t)
     if shapes is None:
-        cert.check_shapes(sys)
+        shapes = WindowShapes(sys, cert, M)
     elif shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
         raise ValueError("window shapes belong to another (system, certificate, M)")
     u_window = np.asarray(u_window, dtype=float).reshape(-1, n_u) if len(u_window) else \
@@ -430,7 +430,7 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     if x_prior.shape != (n_x,):
         raise DimensionMismatch(f"prior has shape {x_prior.shape}, expected ({n_x},)")
 
-    shape = window_shape(sys, cert, m_eff) if shapes is None else shapes[m_eff]
+    shape = shapes[m_eff]
     offset = shape.input_map @ u_window.ravel()
     reference = np.zeros(shape.dim_z)
     reference[:n_x] = x_prior

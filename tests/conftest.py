@@ -7,7 +7,6 @@ from submhe.config import load_config
 from submhe.errors import CertificateNotFound
 from submhe.mhe import build_problem
 from submhe.model import Box, IossCertificate, LtiSystem, find_certificate
-from submhe.solver import run_pgd
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -83,19 +82,18 @@ def simple_certificate(n_x, n_y, P=None, Q=None, R=None, eta=0.5):
     )
 
 
-def certified_pgd(s, c, lo, hi, alpha, q, dist, cap, chunk=1000):
-    """Projected gradient at step alpha from v = 0, stopped at the end of the
-    first chunk whose last step certifies the iterate within `dist` of the
-    optimum, and after `cap` iterations at the latest.
+def certified_pgd(s, c, lo, hi, alpha, q, dist, cap):
+    """The literal projected-gradient loop at step alpha from v = 0, stopped
+    at the first iterate certified within `dist` of the optimum, and after
+    `cap` iterations at the latest.
 
     q is the step's contraction base; for a q-contraction T,
     ||v - v*|| <= ||T v - v|| + ||T v - T v*|| <= ||T v - v|| + q ||v - v*||
     at every v, so ||v_k - v*|| <= ||v_{k+1} - v_k|| / (1 - q).
     """
-    hist = np.empty((chunk + 1, s.shape[0]))
     v = np.zeros(s.shape[0])
-    for _ in range(cap // chunk):
-        v = run_pgd(s, c, lo, hi, v, alpha, chunk, history=hist)
-        if np.linalg.norm(hist[-1] - hist[-2]) / (1.0 - q) <= dist:
+    for _ in range(cap):
+        v, v_prev = np.clip(v - alpha * (s @ v + c), lo, hi), v
+        if np.linalg.norm(v - v_prev) / (1.0 - q) <= dist:
             break
     return v
