@@ -76,10 +76,7 @@ def _analysis_params(doc, shapes, *, search, probe=True):
     are no params (None).
     """
     if search:
-        assert_stabilizing(doc.system, doc.controller,
-                           radius=doc.analysis["smoke_radius"],
-                           horizon=doc.analysis["smoke_horizon"],
-                           n_samples=doc.analysis["smoke_samples"])
+        assert_stabilizing(doc.system, doc.controller)
     sampled = []
     l_phi = doc.analysis["L_Phi"]
     if l_phi == "probe":
@@ -142,19 +139,16 @@ def cmd_simulate(args):
         raise ValidationError("--iters", "must be nonnegative")
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    oracle = None
-    if args.oracle is not None:
-        oracle = args.oracle == "on"
-    monitors_on = doc.scenario["monitors"] and (oracle is None or oracle)
+    oracle = (doc.scenario["oracle"] if args.oracle is None
+              else args.oracle == "on")
     shapes = doc.window_shapes(cert)
     if args.iters is None and doc.mhe["K"] == "auto":
         params = _analysis_params(doc, shapes, search=True)
         k, _ = analysis.min_iterations(params, doc.analysis["K_max"])
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
-        try:  # the probe runs only when monitors will use its ledger
-            params = _analysis_params(doc, shapes, search=False,
-                                      probe=monitors_on)
+        try:  # the probe runs only when the monitors will use its ledger
+            params = _analysis_params(doc, shapes, search=False, probe=oracle)
         except SubmheError:
             params = None  # no ledger; the monitors needing one skip
     cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
@@ -273,10 +267,7 @@ def cmd_verify(args):
     check("oracle-agreement", oracle_agreement)
 
     def smoke():
-        assert_stabilizing(sys_, doc.controller,
-                           radius=doc.analysis["smoke_radius"],
-                           horizon=doc.analysis["smoke_horizon"],
-                           n_samples=min(doc.analysis["smoke_samples"], 5))
+        assert_stabilizing(sys_, doc.controller, n_samples=5)
 
     check("controller-stability-smoke", smoke)
 
@@ -310,7 +301,7 @@ def cmd_verify(args):
         for prob, rep in solves:
             if rep.optimum is None:
                 continue
-            v_star = solve_oracle(prob, tol=doc.scenario["oracle_tol"]).v
+            v_star = solve_oracle(prob).v
             gap = float(np.linalg.norm(rep.optimum - v_star))
             if gap > optimum_tolerance(prob.shape, v_star):
                 raise SubmheError(f"tail optimum and oracle disagree by "

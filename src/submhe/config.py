@@ -4,7 +4,8 @@ The document is schema-versioned JSON with matrices as nested row arrays and
 interval bounds as numbers or the sentinels "inf" / "-inf" (null also means
 unbounded on that side). Unknown keys are rejected; every error carries the
 offending field path. Loading applies defaults, so a loaded document
-re-serialized and re-loaded is identical (canonical form).
+re-serialized and re-loaded is identical (canonical form). The canonical
+form is the encoding of the parsed blocks, so it names every accepted key.
 """
 
 import hashlib
@@ -21,12 +22,9 @@ from .model import Box, IossCertificate, LtiSystem, validate_system
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {"schema_version", "system", "certificate", "controller", "mhe",
-             "scenario", "analysis", "output"}
-
 
 def _check_keys(d, allowed, path):
-    unknown = set(d) - allowed
+    unknown = set(d).difference(allowed)
     if unknown:
         raise ValidationError(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
@@ -35,6 +33,30 @@ def _require(d, key, path):
     if key not in d:
         raise ValidationError(f"{path}.{key}", "missing required field")
     return d[key]
+
+
+def _block(doc, key, required=True):
+    """The object at $.key; an optional block left out is empty."""
+    value = _require(doc, key, "$") if required else doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"$.{key}", "expected an object")
+    return value
+
+
+def _encode(value):
+    """The JSON form of a parsed value: a Box as [lo, hi] pairs, an array as
+    nested lists, an infinite number as "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {key: _encode(val) for key, val in value.items()}
+    if isinstance(value, Box):
+        value = np.column_stack([value.lower, value.upper])
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return [_encode(val) for val in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
 
 
 def _bound(value, path):
@@ -122,18 +144,22 @@ def _boolean(value, path):
 
 
 class ConfigDocument:
-    """Validated configuration with canonical serialization."""
+    """Validated configuration with canonical serialization.
 
-    def __init__(self, sys, cert, cert_search, law, mhe, scenario, analysis_block,
-                 output):
-        self.system = sys
-        self.certificate = cert          # IossCertificate or None when searching
-        self.certificate_search = cert_search  # dict or None
-        self.controller = law
-        self.mhe = mhe                   # {"M", "K"}
-        self.scenario = scenario
-        self.analysis = analysis_block
-        self.output = output
+    `blocks` holds the parsed value of every accepted key, defaults applied,
+    block by block. The canonical form is their encoding, so a key is hashed
+    exactly when it is accepted.
+    """
+
+    def __init__(self, blocks, system, certificate, controller):
+        self.blocks = blocks
+        self.system = system
+        self.certificate = certificate   # IossCertificate, or None when searching
+        self.controller = controller
+        self.mhe = blocks["mhe"]         # {"M", "K"}
+        self.scenario = blocks["scenario"]
+        self.analysis = blocks["analysis"]
+        self.output = blocks["output"]
 
     # -- construction -----------------------------------------------------
 
@@ -141,15 +167,12 @@ class ConfigDocument:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ValidationError("$", "top level must be an object")
-        _check_keys(doc, _TOP_KEYS, "$")
         version = _require(doc, "schema_version", "$")
         if version != SCHEMA_VERSION:
             raise ValidationError("$.schema_version",
                                   f"unsupported version {version!r}")
 
-        sblock = _require(doc, "system", "$")
-        _check_keys(sblock, {"A", "B", "C", "x_box", "u_box", "y_box",
-                             "w1_box", "w2_box"}, "$.system")
+        sblock = _block(doc, "system")
         A = _matrix(_require(sblock, "A", "$.system"), "$.system.A")
         n_x = A.shape[0]
         if A.shape[1] != n_x:
@@ -157,200 +180,117 @@ class ConfigDocument:
         B = _matrix(_require(sblock, "B", "$.system"), "$.system.B", rows=n_x)
         C = _matrix(_require(sblock, "C", "$.system"), "$.system.C", cols=n_x)
         n_u, n_y = B.shape[1], C.shape[0]
-        sys = LtiSystem(
-            A=A, B=B, C=C,
-            x_box=_box(_require(sblock, "x_box", "$.system"), n_x, "$.system.x_box"),
-            u_box=_box(_require(sblock, "u_box", "$.system"), n_u, "$.system.u_box"),
-            y_box=_box(_require(sblock, "y_box", "$.system"), n_y, "$.system.y_box"),
-            w1_box=_box(_require(sblock, "w1_box", "$.system"), n_x, "$.system.w1_box"),
-            w2_box=_box(_require(sblock, "w2_box", "$.system"), n_y, "$.system.w2_box"),
-        )
+        system = {"A": A, "B": B, "C": C}
+        for key, dim in (("x_box", n_x), ("u_box", n_u), ("y_box", n_y),
+                         ("w1_box", n_x), ("w2_box", n_y)):
+            system[key] = _box(_require(sblock, key, "$.system"), dim,
+                               f"$.system.{key}")
+        _check_keys(sblock, system, "$.system")
+        sys = LtiSystem(**system)
         try:
             validate_system(sys)
         except Exception as exc:
             raise ValidationError("$.system", str(exc)) from exc
 
-        cblock = _require(doc, "certificate", "$")
-        _check_keys(cblock, {"P", "Q", "R", "eta", "tol", "search_budget"},
-                    "$.certificate")
+        cblock = _block(doc, "certificate")
         eta = _number(_require(cblock, "eta", "$.certificate"), "$.certificate.eta",
                       minimum=0.0)
         if eta >= 1.0:
             raise ValidationError("$.certificate.eta", "must be < 1")
-        tol = _number(cblock.get("tol", 1e-8), "$.certificate.tol", minimum=0.0)
-        Q = _matrix(_require(cblock, "Q", "$.certificate"), "$.certificate.Q",
-                    rows=n_x + n_y, cols=n_x + n_y)
-        R = _matrix(_require(cblock, "R", "$.certificate"), "$.certificate.R",
-                    rows=n_y, cols=n_y)
-        budget = _integer(cblock.get("search_budget", 500),
-                          "$.certificate.search_budget", minimum=1)
         p_val = _require(cblock, "P", "$.certificate")
+        if p_val != "search":
+            p_val = _matrix(p_val, "$.certificate.P", rows=n_x, cols=n_x)
+        certificate = {
+            "P": p_val,
+            "Q": _matrix(_require(cblock, "Q", "$.certificate"), "$.certificate.Q",
+                         rows=n_x + n_y, cols=n_x + n_y),
+            "R": _matrix(_require(cblock, "R", "$.certificate"), "$.certificate.R",
+                         rows=n_y, cols=n_y),
+            "eta": eta,
+            "tol": _number(cblock.get("tol", 1e-8), "$.certificate.tol",
+                           minimum=0.0),
+            "search_budget": _integer(cblock.get("search_budget", 500),
+                                      "$.certificate.search_budget", minimum=1),
+        }
+        _check_keys(cblock, certificate, "$.certificate")
         cert = None
-        cert_search = None
-        if p_val == "search":
-            cert_search = {"Q": Q, "R": R, "eta": eta, "tol": tol,
-                           "budget": budget}
-        else:
-            P = _matrix(p_val, "$.certificate.P", rows=n_x, cols=n_x)
-            cert = IossCertificate(P=P, Q=Q, R=R, eta=eta, tol=tol)
+        if not isinstance(p_val, str):
+            cert = IossCertificate(P=p_val, Q=certificate["Q"], R=certificate["R"],
+                                   eta=eta, tol=certificate["tol"])
             try:
                 cert.check_definiteness()
             except Exception as exc:
                 raise ValidationError("$.certificate", str(exc)) from exc
 
-        kblock = _require(doc, "controller", "$")
-        _check_keys(kblock, {"gain", "u_box", "L_pi", "gamma13_slope"},
-                    "$.controller")
-        gain = _matrix(_require(kblock, "gain", "$.controller"),
-                       "$.controller.gain", rows=n_u, cols=n_x)
-        u_box = sys.u_box
-        if "u_box" in kblock and kblock["u_box"] is not None:
-            u_box = _box(kblock["u_box"], n_u, "$.controller.u_box")
-        L_pi = kblock.get("L_pi")
-        if L_pi is not None:
-            L_pi = _number(L_pi, "$.controller.L_pi", strict_min=0.0)
-        gamma13 = kblock.get("gamma13_slope")
-        if gamma13 is not None:
-            gamma13 = _number(gamma13, "$.controller.gamma13_slope", minimum=0.0)
-        law = FeedbackLaw(gain=gain, u_box=u_box, declared_lipschitz=L_pi)
+        kblock = _block(doc, "controller")
+        L_pi, gamma13 = kblock.get("L_pi"), kblock.get("gamma13_slope")
+        controller = {
+            "gain": _matrix(_require(kblock, "gain", "$.controller"),
+                            "$.controller.gain", rows=n_u, cols=n_x),
+            "L_pi": (None if L_pi is None else
+                     _number(L_pi, "$.controller.L_pi", strict_min=0.0)),
+            "gamma13_slope": (None if gamma13 is None else
+                              _number(gamma13, "$.controller.gamma13_slope",
+                                      minimum=0.0)),
+        }
+        _check_keys(kblock, controller, "$.controller")
+        law = FeedbackLaw(gain=controller["gain"], u_box=sys.u_box,
+                          declared_lipschitz=controller["L_pi"])
 
-        mblock = _require(doc, "mhe", "$")
-        _check_keys(mblock, {"M", "K"}, "$.mhe")
-        M = _integer(_require(mblock, "M", "$.mhe"), "$.mhe.M", minimum=1)
+        mblock = _block(doc, "mhe")
         K = _require(mblock, "K", "$.mhe")
-        if K != "auto":
-            K = _integer(K, "$.mhe.K", minimum=0)
-        mhe = {"M": M, "K": K}
+        mhe = {
+            "M": _integer(_require(mblock, "M", "$.mhe"), "$.mhe.M", minimum=1),
+            "K": K if K == "auto" else _integer(K, "$.mhe.K", minimum=0),
+        }
+        _check_keys(mblock, mhe, "$.mhe")
 
-        scblock = _require(doc, "scenario", "$")
-        _check_keys(scblock, {"x0", "prior", "z0", "steps", "seed", "w1_box",
-                              "w2_box", "oracle", "oracle_tol", "monitors"},
-                    "$.scenario")
+        scblock = _block(doc, "scenario")
         scenario = {
             "x0": _vector(_require(scblock, "x0", "$.scenario"), n_x,
                           "$.scenario.x0"),
             "prior": _vector(_require(scblock, "prior", "$.scenario"), n_x,
                              "$.scenario.prior"),
-            "z0": (_vector(scblock["z0"], n_x, "$.scenario.z0")
-                   if scblock.get("z0") is not None else None),
             "steps": _integer(_require(scblock, "steps", "$.scenario"),
                               "$.scenario.steps", minimum=1),
             "seed": _integer(_require(scblock, "seed", "$.scenario"),
                              "$.scenario.seed", minimum=0),
-            "w1_box": (_box(scblock["w1_box"], n_x, "$.scenario.w1_box")
-                       if scblock.get("w1_box") is not None else None),
-            "w2_box": (_box(scblock["w2_box"], n_y, "$.scenario.w2_box")
-                       if scblock.get("w2_box") is not None else None),
             "oracle": _boolean(scblock.get("oracle", True), "$.scenario.oracle"),
-            "oracle_tol": _number(scblock.get("oracle_tol", 1e-10),
-                                  "$.scenario.oracle_tol", strict_min=0.0),
-            "monitors": _boolean(scblock.get("monitors", True),
-                                 "$.scenario.monitors"),
         }
+        _check_keys(scblock, scenario, "$.scenario")
 
-        ablock = doc.get("analysis", {})
-        _check_keys(ablock, {"K_max", "L_Phi", "probe_trials", "probe_seed",
-                             "smoke_radius", "smoke_horizon", "smoke_samples"},
-                    "$.analysis")
+        ablock = _block(doc, "analysis", required=False)
         L_phi_src = ablock.get("L_Phi", "probe")
-        if L_phi_src != "probe":
-            L_phi_src = _number(L_phi_src, "$.analysis.L_Phi", strict_min=1.0)
         analysis_block = {
             "K_max": _integer(ablock.get("K_max", 5000), "$.analysis.K_max",
                               minimum=1),
-            "L_Phi": L_phi_src,
+            "L_Phi": (L_phi_src if L_phi_src == "probe" else
+                      _number(L_phi_src, "$.analysis.L_Phi", strict_min=1.0)),
             "probe_trials": _integer(ablock.get("probe_trials", 200),
                                      "$.analysis.probe_trials", minimum=1),
             "probe_seed": _integer(ablock.get("probe_seed", 1),
                                    "$.analysis.probe_seed", minimum=0),
-            "smoke_radius": _number(ablock.get("smoke_radius", 1.0),
-                                    "$.analysis.smoke_radius", strict_min=0.0),
-            "smoke_horizon": _integer(ablock.get("smoke_horizon", 300),
-                                      "$.analysis.smoke_horizon", minimum=1),
-            "smoke_samples": _integer(ablock.get("smoke_samples", 10),
-                                      "$.analysis.smoke_samples", minimum=1),
         }
+        _check_keys(ablock, analysis_block, "$.analysis")
 
-        oblock = doc.get("output", {})
-        _check_keys(oblock, {"dir", "csv", "summary"}, "$.output")
+        oblock = _block(doc, "output", required=False)
         output = {
             "dir": str(oblock.get("dir", ".")),
             "csv": str(oblock.get("csv", "trajectory.csv")),
             "summary": str(oblock.get("summary", "summary.json")),
         }
-        out = cls(sys, cert, cert_search, law, mhe, scenario, analysis_block,
-                  output)
-        out._gamma13 = gamma13
-        out._search_budget = budget
-        return out
+        _check_keys(oblock, output, "$.output")
+
+        blocks = {"system": system, "certificate": certificate,
+                  "controller": controller, "mhe": mhe, "scenario": scenario,
+                  "analysis": analysis_block, "output": output}
+        _check_keys(doc, {"schema_version", *blocks}, "$")
+        return cls(blocks, sys, cert, law)
 
     # -- serialization ----------------------------------------------------
 
-    @staticmethod
-    def _encode_bound(x):
-        if x == math.inf:
-            return "inf"
-        if x == -math.inf:
-            return "-inf"
-        return x
-
-    def _encode_box(self, box):
-        return [[self._encode_bound(lo), self._encode_bound(hi)]
-                for lo, hi in zip(box.lower.tolist(), box.upper.tolist())]
-
     def to_dict(self):
-        sys = self.system
-        cert_block = {
-            "eta": (self.certificate.eta if self.certificate is not None
-                    else self.certificate_search["eta"]),
-            "tol": (self.certificate.tol if self.certificate is not None
-                    else self.certificate_search["tol"]),
-        }
-        if self.certificate is not None:
-            cert_block["P"] = self.certificate.P.tolist()
-            cert_block["Q"] = self.certificate.Q.tolist()
-            cert_block["R"] = self.certificate.R.tolist()
-        else:
-            cert_block["P"] = "search"
-            cert_block["Q"] = self.certificate_search["Q"].tolist()
-            cert_block["R"] = self.certificate_search["R"].tolist()
-        cert_block["search_budget"] = self._search_budget
-        sc = self.scenario
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "system": {
-                "A": sys.A.tolist(), "B": sys.B.tolist(), "C": sys.C.tolist(),
-                "x_box": self._encode_box(sys.x_box),
-                "u_box": self._encode_box(sys.u_box),
-                "y_box": self._encode_box(sys.y_box),
-                "w1_box": self._encode_box(sys.w1_box),
-                "w2_box": self._encode_box(sys.w2_box),
-            },
-            "certificate": cert_block,
-            "controller": {
-                "gain": self.controller.gain.tolist(),
-                "u_box": self._encode_box(self.controller.u_box),
-                "L_pi": self.controller.declared_lipschitz,
-                "gamma13_slope": self._gamma13,
-            },
-            "mhe": dict(self.mhe),
-            "scenario": {
-                "x0": sc["x0"].tolist(),
-                "prior": sc["prior"].tolist(),
-                "z0": sc["z0"].tolist() if sc["z0"] is not None else None,
-                "steps": sc["steps"],
-                "seed": sc["seed"],
-                "w1_box": (self._encode_box(sc["w1_box"])
-                           if sc["w1_box"] is not None else None),
-                "w2_box": (self._encode_box(sc["w2_box"])
-                           if sc["w2_box"] is not None else None),
-                "oracle": sc["oracle"],
-                "oracle_tol": sc["oracle_tol"],
-                "monitors": sc["monitors"],
-            },
-            "analysis": dict(self.analysis),
-            "output": dict(self.output),
-        }
+        return {"schema_version": SCHEMA_VERSION, **_encode(self.blocks)}
 
     def canonical_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
@@ -361,7 +301,16 @@ class ConfigDocument:
 
     @property
     def gamma13_slope(self):
-        return self._gamma13
+        return self.blocks["controller"]["gamma13_slope"]
+
+    @property
+    def certificate_search(self):
+        """The inputs of the certificate search when P is "search", else None."""
+        if self.certificate is not None:
+            return None
+        c = self.blocks["certificate"]
+        return {"Q": c["Q"], "R": c["R"], "eta": c["eta"], "tol": c["tol"],
+                "budget": c["search_budget"]}
 
     # -- adapters ----------------------------------------------------------
 
@@ -377,11 +326,9 @@ class ConfigDocument:
         return ScenarioConfig(
             shapes=shapes, law=self.controller, K=K,
             steps=steps if steps is not None else sc["steps"],
-            x0=sc["x0"], x_prior0=sc["prior"], z0_0=sc["z0"],
-            w1_box=sc["w1_box"], w2_box=sc["w2_box"],
+            x0=sc["x0"], x_prior0=sc["prior"],
             seed=seed if seed is not None else sc["seed"],
             oracle=oracle if oracle is not None else sc["oracle"],
-            oracle_tol=sc["oracle_tol"], monitors=sc["monitors"],
             strict=strict, allow_uncertified=allow_uncertified,
             params=params, config_hash=self.config_hash())
 
@@ -393,11 +340,7 @@ def load_config(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError("$", f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"invalid JSON: {exc}") from exc
-    return ConfigDocument.from_dict(doc)
+    return loads_config(text)
 
 
 def loads_config(text):

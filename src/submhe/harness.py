@@ -1,8 +1,11 @@
 """Closed-loop execution of the sub-optimal estimator with runtime monitors.
 
 Per step: solve the window QP for exactly K projected-gradient iterations
-from the padded warm start, feed the current estimate to the feedback law,
-and apply the input to the plant under sampled disturbances. The windows
+from the padded warm start (the initial prior at t = 0), feed the current
+estimate to the feedback law, and apply the input to the plant under
+disturbances drawn uniformly from the system's W = w1_box x w2_box. That is
+the set the certificate and the bounds assume: the true disturbances lie in
+it, so the true trajectory is a feasible window candidate. The windows
 are views of the run's input and output histories. The prior for a full
 window is the logged current-time estimate from M steps ago; during the
 growing phase it stays at the configured initial prior (this is what makes
@@ -10,12 +13,12 @@ the per-step inequalities theorems). What a step needs of an earlier step
 (its estimate, its Lyapunov value w_delta) is read from that step's log
 row, not recomputed.
 
-When the oracle is enabled, every step also measures the sub-optimality
-error against the window optimum v* and checks the per-step inequalities of
-the analysis as monitors. v* is the fixed point of the solver's closed-form
-tail when the solve settled on it (a theorem, see mhe.StepSpectrum); on
-every other step (a solve that clamps to the end, or K = 0) the active-set
-oracle computes it. The monitors are
+When the oracle is enabled, and only then, every step also measures the
+sub-optimality error against the window optimum v* and checks the per-step
+inequalities of the analysis as monitors. v* is the fixed point of the
+solver's closed-form tail when the solve settled on it (a theorem, see
+mhe.StepSpectrum); on every other step (a solve that clamps to the end, or
+K = 0) the active-set oracle computes it. The monitors are
 (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
 trajectory bounds (certified runs only), (d) the solver contraction budget,
 both in the free coordinates v (phi(K)) and in the decision vector z
@@ -56,14 +59,9 @@ class ScenarioConfig:
     K: int
     steps: int
     x0: np.ndarray
-    x_prior0: np.ndarray
-    z0_0: np.ndarray | None = None      # defaults to x_prior0
-    w1_box: object = None               # defaults to sys.w1_box
-    w2_box: object = None
+    x_prior0: np.ndarray                # also the warm start at t = 0
     seed: int = 0
-    oracle: bool = True
-    oracle_tol: float = 1e-10
-    monitors: bool = True
+    oracle: bool = True                 # the monitors run exactly when it is on
     strict: bool = False
     allow_uncertified: bool = False
     params: object = None               # AnalysisParams on shapes; None: no ledger
@@ -76,17 +74,11 @@ class ScenarioConfig:
             raise ValueError("K must be nonnegative")
         x0 = np.asarray(self.x0, dtype=float)
         prior = np.asarray(self.x_prior0, dtype=float)
-        z0 = prior.copy() if self.z0_0 is None else np.asarray(self.z0_0, dtype=float)
-        for name, vec in (("x0", x0), ("x_prior0", prior), ("z0_0", z0)):
+        for name, vec in (("x0", x0), ("x_prior0", prior)):
             if vec.shape != (self.sys.n_x,):
                 raise ValueError(f"{name} must have length n_x = {self.sys.n_x}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x_prior0", prior)
-        object.__setattr__(self, "z0_0", z0)
-        object.__setattr__(self, "w1_box",
-                           self.w1_box if self.w1_box is not None else self.sys.w1_box)
-        object.__setattr__(self, "w2_box",
-                           self.w2_box if self.w2_box is not None else self.sys.w2_box)
 
     @property
     def sys(self):
@@ -150,8 +142,6 @@ class TrajectoryLog:
     uncertified_reason: str | None
     ledger: object | None
     rows: list = field(default_factory=list)
-    prng: str = PRNG_NAME
-    backend: str = KERNEL_BACKEND
     oracle_solves: int = 0  # steps whose v* came from the active-set oracle
 
     def monitor_counts(self):
@@ -190,9 +180,9 @@ class TrajectoryLog:
         return {
             "schema_version": 1,
             "config_hash": self.config_hash,
-            "prng": self.prng,
+            "prng": PRNG_NAME,
             "seed": self.seed,
-            "solver_backend": self.backend,
+            "solver_backend": KERNEL_BACKEND,
             "steps": len(self.rows),
             "M": self.M,
             "K": self.K,
@@ -403,8 +393,7 @@ def run_closed_loop(cfg, observe=None):
                            C1=c1, C2=c2, C3=c3, bar_H=bar_h, eta=eta,
                            ledger=ledger if certified else None)
 
-    w1s, w2s = sample_disturbance_arrays(cfg.seed, cfg.w1_box, cfg.w2_box, T)
-    monitoring = cfg.monitors and cfg.oracle
+    w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
     flags = _FeasibilityBounds(sys)
 
     log = TrajectoryLog(config_hash=cfg.config_hash, seed=cfg.seed, M=M, K=K,
@@ -429,7 +418,7 @@ def run_closed_loop(cfg, observe=None):
         prior = cfg.x_prior0 if t <= M else rows[t - M].xhat
         problem = build_problem(sys, cfg.cert, prior, u_hist[t - m_eff:t],
                                 y_hist[t - m_eff:t], M, t, shapes=shapes)
-        z0 = cfg.z0_0.copy() if t == 0 else sigma_lift(z_prev, t, shapes)
+        z0 = cfg.x_prior0.copy() if t == 0 else sigma_lift(z_prev, t, shapes)
         report = solve_fixed_iters(problem, z0, K)
         if observe is not None:
             observe(problem, report)
@@ -441,7 +430,7 @@ def run_closed_loop(cfg, observe=None):
         eps = eps_v = warm_distance = warm_distance_z = None
         if cfg.oracle:
             if report.optimum is None:
-                z_star = solve_oracle(problem, tol=cfg.oracle_tol)
+                z_star = solve_oracle(problem)
                 log.oracle_solves += 1
             else:
                 z_star = CondensedPoint(z=problem.lift(report.optimum),
@@ -457,7 +446,7 @@ def run_closed_loop(cfg, observe=None):
         if t == 0:
             eps0, e0_norm = eps, e_norm
 
-        if monitoring:
+        if cfg.oracle:
             # the anchor is step t - m_eff's own w_delta; sup_* cover steps < t
             verdicts = monitor_step(
                 bundle, t=t, m_eff=m_eff, eps=eps, eps_prev=eps_prev,
@@ -488,7 +477,7 @@ def run_closed_loop(cfg, observe=None):
             raise MonitorViolation(
                 f"monitor(s) {', '.join(failed)} failed at step {t}")
 
-        if monitoring:
+        if cfg.oracle:
             w_stack = np.concatenate([w1s[t], w2s[t]])
             w_q.append(float(w_stack @ cfg.cert.Q @ w_stack))
             sup_x = max(sup_x, float(np.linalg.norm(x)))
@@ -512,8 +501,8 @@ class LipschitzProbe:
     max_ratio_raw: float
 
 
-def lipschitz_probe(shapes, n_trials=500, seed=0, oracle_tol=1e-10,
-                    prior_scale=1.0, y_scale=1.0, prior_step_scale=0.3):
+def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
+                    prior_step_scale=0.3):
     """Empirical Lipschitz constant of the optimal-solution map.
 
     Samples consecutive-step problem pairs (shared window content, shifted by
@@ -554,8 +543,8 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, oracle_tol=1e-10,
         if denom <= 1e-9 * max(1.0, float(np.linalg.norm(p1.reference))):
             skipped += 1
             continue
-        z1 = solve_oracle(p1, tol=oracle_tol).z
-        z2 = solve_oracle(p2, tol=oracle_tol).z
+        z1 = solve_oracle(p1).z
+        z2 = solve_oracle(p2).z
         ratio = float(np.linalg.norm(sigma_lift(z1, t, shapes) - z2)) / denom
         best = max(best, ratio)
         used += 1

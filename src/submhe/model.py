@@ -88,9 +88,6 @@ class Box:
         shape = (self.dim,) if size is None else (size, self.dim)
         return rng.uniform(lo, hi, size=shape)
 
-    def pairs(self):
-        return [[float(lo), float(hi)] for lo, hi in zip(self.lower, self.upper)]
-
 
 @dataclass(frozen=True)
 class LtiSystem:

@@ -16,6 +16,38 @@ def base_dict():
         return json.load(fh)
 
 
+# keys that are no longer accepted, each with a value the old schema took
+DELETED_KEYS = [
+    # the contraction base q is computed from the window shapes
+    ("mhe", "phi_base", 0.98),
+    # the t = 0 warm start is the prior
+    ("scenario", "z0", [0.0, 0.0, 0.0, 0.0]),
+    # disturbances are drawn from the system's W, the set the bounds assume
+    ("scenario", "w1_box", [[-1.0, 1.0]] * 4),
+    ("scenario", "w2_box", [[-1.0, 1.0]]),
+    ("scenario", "oracle_tol", 1e-10),
+    # the monitors run exactly when the oracle does
+    ("scenario", "monitors", True),
+    # the law saturates at system.u_box
+    ("controller", "u_box", [[-1.0, 1.0]] * 2),
+    # the controller smoke test runs with fixed settings
+    ("analysis", "smoke_radius", 1.0),
+    ("analysis", "smoke_horizon", 300),
+    ("analysis", "smoke_samples", 10),
+]
+
+# every key the schema accepts, block by block
+ACCEPTED_KEYS = {
+    "system": {"A", "B", "C", "x_box", "u_box", "y_box", "w1_box", "w2_box"},
+    "certificate": {"P", "Q", "R", "eta", "tol", "search_budget"},
+    "controller": {"gain", "L_pi", "gamma13_slope"},
+    "mhe": {"M", "K"},
+    "scenario": {"x0", "prior", "steps", "seed", "oracle"},
+    "analysis": {"K_max", "L_Phi", "probe_trials", "probe_seed"},
+    "output": {"dir", "csv", "summary"},
+}
+
+
 class TestLoadConfig:
     def test_case_study_values(self, case_study_doc):
         doc = case_study_doc
@@ -47,13 +79,35 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as err:
             loads_config(json.dumps(broken))
         assert "unknown key" in err.value.reason
-        # the contraction base q is computed from the window shapes
-        broken = json.loads(json.dumps(base_dict))
-        broken["mhe"]["phi_base"] = 0.98
-        with pytest.raises(ValidationError) as err:
-            loads_config(json.dumps(broken))
-        assert err.value.path == "$.mhe.phi_base"
-        assert "unknown key" in err.value.reason
+        for block, key, value in DELETED_KEYS:
+            broken = json.loads(json.dumps(base_dict))
+            broken[block][key] = value
+            with pytest.raises(ValidationError) as err:
+                loads_config(json.dumps(broken))
+            assert err.value.path == f"$.{block}.{key}"
+            assert "unknown key" in err.value.reason
+
+    def test_block_must_be_an_object(self, base_dict):
+        for block in ("system", "analysis"):
+            broken = json.loads(json.dumps(base_dict))
+            broken[block] = 5
+            with pytest.raises(ValidationError) as err:
+                loads_config(json.dumps(broken))
+            assert err.value.path == f"$.{block}"
+
+    def test_canonical_form_names_every_accepted_key(self, base_dict):
+        full = json.loads(json.dumps(base_dict))
+        full["certificate"]["search_budget"] = 123
+        full["analysis"].update(probe_trials=60, probe_seed=4)
+        assert {block: set(full[block]) for block in ACCEPTED_KEYS} == ACCEPTED_KEYS
+        doc = loads_config(json.dumps(full))
+        encoded = doc.to_dict()
+        assert set(encoded) == {"schema_version", *ACCEPTED_KEYS}
+        for block, keys in ACCEPTED_KEYS.items():
+            assert set(encoded[block]) == keys
+        assert encoded == full
+        text = doc.canonical_json()
+        assert loads_config(text).canonical_json() == text
 
     def test_box_excluding_origin_rejected(self, base_dict):
         broken = json.loads(json.dumps(base_dict))
@@ -381,7 +435,38 @@ class TestCli:
         assert "PASS tail-optimum" in out
         assert "9/9 checks passed" in out
 
-    def test_usage_errors_exit_two(self, tmp_path, capsys):
+    def test_oracle_off_in_config_skips_the_probe(self, tmp_path, base_dict,
+                                                  capsys, monkeypatch):
+        # a fixed-K run probes L_Phi only for the monitors, which run only
+        # with the oracle
+        import submhe.cli as cli
+        probes = []
+        real = cli.lipschitz_probe
+
+        def counting(*args, **kwargs):
+            probes.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lipschitz_probe", counting)
+        doc = json.loads(json.dumps(base_dict))
+        doc["mhe"].update(M=9, K=25)
+        doc["scenario"]["oracle"] = False
+        doc["analysis"].update(L_Phi="probe", probe_trials=20)
+        path = tmp_path / "oracle_off.json"
+        path.write_text(json.dumps(doc))
+        summaries = {}
+        for name, flags in (("config", []), ("flag", ["--oracle", "off"]),
+                            ("on", ["--oracle", "on"])):
+            code = run_cli(["simulate", "--config", str(path), "--out",
+                            str(tmp_path / name), "--steps", "12", *flags])
+            assert code == 0
+            summaries[name] = (tmp_path / name / "summary.json").read_text()
+            assert len(probes) == (1 if name == "on" else 0)
+        capsys.readouterr()
+        assert summaries["config"] == summaries["flag"]
+        assert json.loads(summaries["on"])["ledger"] is not None
+
+    def test_usage_errors_exit_two(self, tmp_path, base_dict, capsys):
         assert run_cli(["simulate", "--config",
                         str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
@@ -389,6 +474,11 @@ class TestCli:
         bad.write_text("{}")
         assert run_cli(["certify", "--config", str(bad)]) == 2
         capsys.readouterr()
+        deleted = json.loads(json.dumps(base_dict))
+        deleted["scenario"]["monitors"] = True
+        bad.write_text(json.dumps(deleted))
+        assert run_cli(["simulate", "--config", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "$.scenario.monitors"
         assert run_cli(["bogus-subcommand"]) == 2
 
 

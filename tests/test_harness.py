@@ -30,7 +30,7 @@ def scenario(doc, cert, M=None, **kw):
     defaults = dict(shapes=shapes, law=doc.controller, K=200, steps=12,
                     x0=np.array([1.0, -1.0, 1.0, -1.0]),
                     x_prior0=np.array([1.0, -1.0, 1.0, -1.0]),
-                    seed=3, oracle=True, monitors=True,
+                    seed=3, oracle=True,
                     params=doc_params(doc, shapes),
                     allow_uncertified=True)
     defaults.update(kw)
@@ -106,11 +106,14 @@ class TestSampleDisturbance:
 
 
 class TestClosedLoop:
-    def test_nominal_exact_information_decays(self, case_study_doc):
+    def test_nominal_exact_information_decays(self, case_study_doc,
+                                              monkeypatch):
         doc = case_study_doc
-        cfg = scenario(doc, doc.certificate, steps=30, K=300,
-                       w1_box=Box.from_pairs([[0.0, 0.0]] * 4),
-                       w2_box=Box.from_pairs([[0.0, 0.0]]))
+        monkeypatch.setattr(
+            harness, "sample_disturbance_arrays",
+            lambda seed, w1_box, w2_box, T: (np.zeros((T, w1_box.dim)),
+                                             np.zeros((T, w2_box.dim))))
+        cfg = scenario(doc, doc.certificate, steps=30, K=300)
         log = run_closed_loop(cfg)
         e_norms = [r.e_norm for r in log.rows]
         x_norms = [float(np.linalg.norm(r.x)) for r in log.rows]
@@ -218,7 +221,7 @@ class TestClosedLoop:
         cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, 4),
                              law=FeedbackLaw(np.array([[0.2, 0.3]]), box(1.0, 1)),
                              K=50, steps=steps, x0=np.array([3.0, -2.0]),
-                             x_prior0=np.zeros(2), oracle=False, monitors=False,
+                             x_prior0=np.zeros(2), oracle=False,
                              allow_uncertified=True)
         solve = harness.solve_fixed_iters
 
