@@ -343,9 +343,19 @@ def load_config(path):
     return loads_config(text)
 
 
+def _finite_number(token):
+    """Decode hook for float literals and the NaN / Infinity / -Infinity
+    tokens: a config number is finite (a box side is unbounded as "inf")."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError("$", f"invalid JSON: {token} is not a finite number")
+    return value
+
+
 def loads_config(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_number,
+                         parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     return ConfigDocument.from_dict(doc)

@@ -51,20 +51,19 @@ def evaluate(law, xhat):
     return law.u_box.project(-law.gain @ xhat)
 
 
-def simulate_with_error(sys, law, x0, errors, disturbances=None,
-                        divergence_limit=DIVERGENCE_LIMIT):
-    """Roll the closed loop x+ = A x + B pi(x + e) + w1 for len(errors) steps."""
+def simulate_with_error(sys, law, x0, errors):
+    """Roll the undisturbed closed loop x+ = A x + B pi(x + e) for
+    len(errors) steps."""
     x = np.asarray(x0, dtype=float).copy()
     T = len(errors)
     traj = np.zeros((T + 1, sys.n_x))
     traj[0] = x
     for t in range(T):
         u = evaluate(law, x + errors[t])
-        w1 = disturbances[t] if disturbances is not None else np.zeros(sys.n_x)
-        x = sys.step(x, u, w1)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > divergence_limit:
+        x = sys.step(x, u, np.zeros(sys.n_x))
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
             raise DivergentTrajectory(
-                f"state norm exceeded {divergence_limit:.1e} at step {t + 1}; "
+                f"state norm exceeded {DIVERGENCE_LIMIT:.1e} at step {t + 1}; "
                 "the feedback law does not stabilize this plant")
         traj[t + 1] = x
     return traj

@@ -9,22 +9,22 @@ it, so the true trajectory is a feasible window candidate. The windows
 are views of the run's input and output histories. The prior for a full
 window is the logged current-time estimate from M steps ago; during the
 growing phase it stays at the configured initial prior (this is what makes
-the per-step inequalities theorems). What a step needs of an earlier step
-(its estimate, its Lyapunov value w_delta) is read from that step's log
-row, not recomputed.
+the per-step inequalities theorems).
 
 When the oracle is enabled, and only then, every step also measures the
-sub-optimality error against the window optimum v* and checks the per-step
-inequalities of the analysis as monitors. v* is the fixed point of the
+sub-optimality error against the window optimum v* and records it, with the
+warm start's distance to v*, in its log row. v* is the fixed point of the
 solver's closed-form tail when the solve settled on it (a theorem, see
 mhe.StepSpectrum); on every other step (a solve that clamps to the end, or
-K = 0) the active-set oracle computes it. The monitors are
-(a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
+K = 0) the active-set oracle computes it. After the last step, monitor_step
+checks the per-step inequalities of the analysis on the recorded series in
+one pass: (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
 trajectory bounds (certified runs only), (d) the solver contraction budget,
 both in the free coordinates v (phi(K)) and in the decision vector z
 (phi_z(K), which carries the lift gain). The sub-optimality error eps itself
-is measured in z. Monitor failures are recorded, not fatal, unless strict
-mode is on.
+is measured in z. Monitor failures are recorded in each row's verdicts, not
+fatal; in strict mode the run raises MonitorViolation after the pass,
+naming the first failing step.
 """
 
 from dataclasses import dataclass, field
@@ -93,19 +93,6 @@ class ScenarioConfig:
         return self.shapes.M
 
 
-@dataclass(frozen=True)
-class StepVerdicts:
-    eps_recursion: str = SKIP
-    lyapunov: str = SKIP
-    traj_eps: str = SKIP
-    traj_err: str = SKIP
-    contraction: str = SKIP
-
-    def as_tuple(self):
-        return (self.eps_recursion, self.lyapunov, self.traj_eps,
-                self.traj_err, self.contraction)
-
-
 MONITOR_NAMES = ("eps_recursion", "lyapunov", "traj_eps", "traj_err", "contraction")
 
 
@@ -121,15 +108,17 @@ class LogRow:
     w_delta: float
     sigma_raw: float
     sigma_clamped: float
-    verdicts: StepVerdicts
     dim_z: int
     dim_z0: int
     z_k: np.ndarray
-    warm_distance: float | None  # ||v0 - v*||, free coordinates of the warm start
-    looped: int                  # solver iterations run before its closed-form tail
+    eps_v: float | None            # ||v_K - v*||, eps in the free coordinates
+    warm_distance: float | None    # ||v0 - v*||, free coordinates of the warm start
+    warm_distance_z: float | None  # ||z0 - z*||
+    looped: int                    # solver iterations run before its closed-form tail
     what_feasible: bool
     xhat_feasible: bool
     yhat_feasible: bool
+    verdicts: tuple = (SKIP,) * len(MONITOR_NAMES)  # filled in by monitor_step
 
 
 @dataclass
@@ -147,7 +136,7 @@ class TrajectoryLog:
     def monitor_counts(self):
         counts = {name: {PASS: 0, FAIL: 0, SKIP: 0} for name in MONITOR_NAMES}
         for row in self.rows:
-            for name, verdict in zip(MONITOR_NAMES, row.verdicts.as_tuple()):
+            for name, verdict in zip(MONITOR_NAMES, row.verdicts):
                 counts[name][verdict] += 1
         return counts
 
@@ -170,7 +159,7 @@ class TrajectoryLog:
             cells += [repr(row.e_norm),
                       "" if row.eps is None else repr(row.eps),
                       repr(row.w_delta), repr(row.sigma_raw),
-                      repr(row.sigma_clamped), *row.verdicts.as_tuple()]
+                      repr(row.sigma_clamped), *row.verdicts]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -230,7 +219,7 @@ def sample_disturbance_arrays(seed, w1_box, w2_box, T):
 
 @dataclass(frozen=True)
 class MonitorBundle:
-    """Constants the per-step monitors need, with None marking unavailability."""
+    """Constants of the monitor pass, with None marking unavailability."""
 
     phi: float                 # phi(K) = q^K in v, from analysis.phi
     phi_z: float               # phi_z(K) = lift gain * phi(K), in z
@@ -244,66 +233,72 @@ class MonitorBundle:
 
 
 def _leq(lhs, rhs):
-    return lhs <= rhs + MONITOR_REL_TOL * max(1.0, abs(rhs)) + 1e-12
+    return lhs <= rhs + MONITOR_REL_TOL * np.maximum(1.0, np.abs(rhs)) + 1e-12
 
 
-def monitor_step(bundle, *, t, m_eff, eps, eps_prev, eps0, e_norm_now, e0_norm,
-                 w_delta_now, w_delta_anchor, w_recent_q, sup_x, sup_e,
-                 sup_w, sup_sigma, sup_eps, eps_v, warm_distance,
-                 warm_distance_z):
-    """Evaluate the per-step inequality monitors from measured quantities.
+def _sup_before(series):
+    """sup of series over steps [0, t-1] at each step t, 0 at t = 0. A NaN
+    step fails its own inequalities and is left out of the later sups."""
+    return np.fmax.accumulate(np.concatenate(([0.0], series[:-1])))
 
-    sup_* are running sup-norms over steps [0, t-1]; w_recent_q lists the
-    Q-weighted squared disturbance norms ||w_{t-j}||_Q^2 for j = 1..m_eff.
-    eps = ||z_K - z*|| and warm_distance_z = ||z0 - z*|| are distances in
-    the decision vector; eps_v = ||v_K - v*|| and warm_distance =
-    ||v0 - v*|| are the same distances in the free coordinates.
+
+def monitor_step(bundle, M, x_norm, e_norm, w_norm, w_q, sigma, eps, eps_v,
+                 warm_v, warm_z, w_delta):
+    """Verdicts of the per-step inequality monitors over one run.
+
+    Each series is an array over the steps t = 0..T-1 of a window-length-M
+    run: ||x_t||, ||e_t|| = ||xhat_t - x_t||, ||w_t|| and ||w_t||_Q^2 of the
+    step's disturbance, sigma_clamped and w_delta = W(xhat_t, x_t).
+    eps = ||z_K - z*|| and warm_z = ||z0 - z*|| are distances in the decision
+    vector; eps_v = ||v_K - v*|| and warm_v = ||v0 - v*|| are the same
+    distances in the free coordinates. Returns one tuple of verdicts per
+    step, in MONITOR_NAMES order.
     """
-    verdicts = {}
+    T = len(eps)
+    t = np.arange(T)
+    m_eff = np.minimum(M, t)
+    sup_x, sup_e, sup_w, sup_sigma, sup_eps = map(
+        _sup_before, (x_norm, e_norm, w_norm, sigma, eps))
+    skip = [SKIP] * T
 
-    # (a) error recursion
-    if t == 0 or eps is None or bundle.C1 is None:
-        verdicts["eps_recursion"] = SKIP
+    def verdict(ok):
+        return [PASS if v else FAIL for v in ok.tolist()]
+
+    # (a) error recursion, from step 1 on
+    if bundle.C1 is None:
+        recursion = skip
     else:
+        eps_prev = np.concatenate(([0.0], eps[:-1]))
         rhs = (bundle.phi_z * eps_prev + bundle.C1 * sup_x + bundle.C2 * sup_e
                + bundle.C3 * sup_w + bundle.phi_z * bundle.L_phi * sup_sigma)
-        verdicts["eps_recursion"] = PASS if _leq(eps, rhs) else FAIL
+        recursion = [SKIP] + verdict(_leq(eps, rhs))[1:]
 
-    # (b) M-step Lyapunov decay
-    if eps is None:
-        verdicts["lyapunov"] = SKIP
-    else:
-        rhs = (6.0 * bundle.eta ** m_eff * w_delta_anchor
-               + 2.0 * bundle.bar_H * eps ** 2
-               + 6.0 * sum(bundle.eta ** (j - 1) * wq
-                           for j, wq in enumerate(w_recent_q, start=1)))
-        verdicts["lyapunov"] = PASS if _leq(w_delta_now, rhs) else FAIL
+    # (b) M-step Lyapunov decay from step t - m_eff's own w_delta
+    recent = np.zeros(T)  # sum over j = 1..m_eff of eta^(j-1) ||w_{t-j}||_Q^2
+    for j in range(1, M + 1):
+        recent[j:] += bundle.eta ** (j - 1) * w_q[:-j]
+    rhs = (6.0 * bundle.eta ** m_eff * w_delta[t - m_eff]
+           + 2.0 * bundle.bar_H * eps ** 2 + 6.0 * recent)
+    lyapunov = verdict(_leq(w_delta, rhs))
 
     # (c) trajectory bounds; need the certified ledger
     led = bundle.ledger
-    if led is None or eps is None:
-        verdicts["traj_eps"] = SKIP
-        verdicts["traj_err"] = SKIP
+    if led is None:
+        traj_eps = traj_err = skip
     else:
-        rhs_eps = (led.beta2_base ** t * eps0 + led.g21 * sup_x
-                   + led.g23 * sup_e + led.g2w * sup_w
-                   + led.g2sigma * sup_sigma)
-        verdicts["traj_eps"] = PASS if _leq(eps, rhs_eps) else FAIL
-        rhs_err = (led.beta3_coeff * led.beta3_base ** t * e0_norm
-                   + led.g31 * sup_x + led.g32 * sup_eps
-                   + led.g3w * sup_w + led.g3sigma * sup_sigma)
-        verdicts["traj_err"] = PASS if _leq(e_norm_now, rhs_err) else FAIL
+        traj_eps = verdict(_leq(eps, led.beta2_base ** t * eps[0]
+                                + led.g21 * sup_x + led.g23 * sup_e
+                                + led.g2w * sup_w + led.g2sigma * sup_sigma))
+        traj_err = verdict(_leq(e_norm,
+                                led.beta3_coeff * led.beta3_base ** t * e_norm[0]
+                                + led.g31 * sup_x + led.g32 * sup_eps
+                                + led.g3w * sup_w + led.g3sigma * sup_sigma))
 
     # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*|| and
     # ||z_K - z*|| <= phi_z(K) ||z0 - z*||
-    if eps is None or eps_v is None:
-        verdicts["contraction"] = SKIP
-    else:
-        verdicts["contraction"] = (
-            PASS if (_leq(eps_v, bundle.phi * warm_distance)
-                     and _leq(eps, bundle.phi_z * warm_distance_z))
-            else FAIL)
-    return StepVerdicts(**verdicts)
+    contraction = verdict(_leq(eps_v, bundle.phi * warm_v)
+                          & _leq(eps, bundle.phi_z * warm_z))
+    return list(zip(recursion, lyapunov, traj_eps, traj_err, contraction))
 
 
 def _why_uncertified(K, params, ledger):
@@ -405,11 +400,8 @@ def run_closed_loop(cfg, observe=None):
     # windows are rows t - min(M, t) .. t - 1
     u_hist = np.empty((T, sys.n_u))
     y_hist = np.empty((T, sys.n_y))
-    w_q = []  # ||w_t||_Q^2 of each step, on monitored runs
     x = cfg.x0.copy()
     z_prev = None
-    eps_prev = None
-    sup_x = sup_e = sup_w = sup_sigma = sup_eps = 0.0
 
     for t in range(T):
         y = y_hist[t] = sys.output(x, w2s[t])
@@ -442,54 +434,38 @@ def run_closed_loop(cfg, observe=None):
 
         sigma_raw, sigma_clamped = residual_sigma_parts(t, shapes, eta)
         wd_now = w_delta(cfg.cert, xhat, x)
-
-        if t == 0:
-            eps0, e0_norm = eps, e_norm
-
-        if cfg.oracle:
-            # the anchor is step t - m_eff's own w_delta; sup_* cover steps < t
-            verdicts = monitor_step(
-                bundle, t=t, m_eff=m_eff, eps=eps, eps_prev=eps_prev,
-                eps0=eps0, e_norm_now=e_norm, e0_norm=e0_norm,
-                w_delta_now=wd_now,
-                w_delta_anchor=rows[t - m_eff].w_delta if m_eff else wd_now,
-                w_recent_q=w_q[t - m_eff:t][::-1],
-                sup_x=sup_x, sup_e=sup_e, sup_w=sup_w, sup_sigma=sup_sigma,
-                sup_eps=sup_eps, eps_v=eps_v, warm_distance=warm_distance,
-                warm_distance_z=warm_distance_z)
-        else:
-            verdicts = StepVerdicts()
-
         u = u_hist[t] = evaluate(cfg.law, xhat)
 
         what_ok, xhat_ok, yhat_ok = flags.check(problem.window_slots(z_k), states)
         rows.append(LogRow(t=t, x=x, y=y, u=u, xhat=xhat, e_norm=e_norm,
                            eps=eps, w_delta=wd_now, sigma_raw=sigma_raw,
-                           sigma_clamped=sigma_clamped, verdicts=verdicts,
-                           dim_z=problem.dim_z, dim_z0=z0.shape[0], z_k=z_k,
-                           warm_distance=warm_distance, looped=report.looped,
+                           sigma_clamped=sigma_clamped, dim_z=problem.dim_z,
+                           dim_z0=z0.shape[0], z_k=z_k, eps_v=eps_v,
+                           warm_distance=warm_distance,
+                           warm_distance_z=warm_distance_z, looped=report.looped,
                            what_feasible=what_ok, xhat_feasible=xhat_ok,
                            yhat_feasible=yhat_ok))
-
-        if cfg.strict and FAIL in verdicts.as_tuple():
-            failed = [name for name, v in zip(MONITOR_NAMES, verdicts.as_tuple())
-                      if v == FAIL]
-            raise MonitorViolation(
-                f"monitor(s) {', '.join(failed)} failed at step {t}")
-
-        if cfg.oracle:
-            w_stack = np.concatenate([w1s[t], w2s[t]])
-            w_q.append(float(w_stack @ cfg.cert.Q @ w_stack))
-            sup_x = max(sup_x, float(np.linalg.norm(x)))
-            sup_e = max(sup_e, e_norm)
-            sup_w = max(sup_w, float(np.linalg.norm(w_stack)))
-            sup_sigma = max(sup_sigma, sigma_clamped)
-            sup_eps = max(sup_eps, eps)
-            eps_prev = eps
 
         x = sys.step(x, u, w1s[t])
         z_prev = z_k
 
+    if cfg.oracle:
+        w = np.hstack([w1s, w2s])
+        column = lambda name: np.array([getattr(r, name) for r in rows])
+        verdicts = monitor_step(
+            bundle, M, x_norm=np.linalg.norm([r.x for r in rows], axis=1),
+            e_norm=column("e_norm"), w_norm=np.linalg.norm(w, axis=1),
+            w_q=((w @ cfg.cert.Q) * w).sum(axis=1),
+            sigma=column("sigma_clamped"), eps=column("eps"),
+            eps_v=column("eps_v"), warm_v=column("warm_distance"),
+            warm_z=column("warm_distance_z"), w_delta=column("w_delta"))
+        for row, row_verdicts in zip(rows, verdicts):
+            row.verdicts = row_verdicts
+            if cfg.strict and FAIL in row_verdicts:
+                failed = [name for name, v in zip(MONITOR_NAMES, row_verdicts)
+                          if v == FAIL]
+                raise MonitorViolation(
+                    f"monitor(s) {', '.join(failed)} failed at step {row.t}")
     return log
 
 

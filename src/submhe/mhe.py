@@ -308,7 +308,6 @@ class MheProblem:
 
     sys: object
     t: int
-    horizon: int
     shape: WindowShape
     reference: np.ndarray    # target vector in the full ordering
     lift_offset: np.ndarray  # psi (input-sequence contribution)
@@ -437,7 +436,7 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     reference[n_x:].reshape(m_eff, n_w + n_y)[:, n_w:] = y_window
     for arr in (reference, offset):
         arr.setflags(write=False)
-    return MheProblem(sys=sys, t=t, horizon=M, shape=shape,
+    return MheProblem(sys=sys, t=t, shape=shape,
                       reference=reference, lift_offset=offset,
                       x_prior=x_prior, u_window=u_window, y_window=y_window)
 

@@ -17,6 +17,11 @@ import numpy as np
 from .errors import BoxExcludesOrigin, CertificateNotFound, DimensionMismatch
 from .linalg import eigh, symmetrize
 
+# find_certificate aims the LMI eigenvalue below -SEARCH_MARGIN and keeps
+# P's eigenvalues above SEARCH_EIG_FLOOR * max(1, largest eigenvalue)
+SEARCH_MARGIN = 1e-6
+SEARCH_EIG_FLOOR = 1e-6
+
 
 def _frozen_array(a, ndim):
     out = np.array(a, dtype=float)
@@ -179,9 +184,6 @@ class LmiVerdict:
     tol: float
     report: str = field(default="")
 
-    def __bool__(self):
-        return self.passed
-
 
 def validate_system(sys):
     """Check dimension consistency and origin membership of every box."""
@@ -242,21 +244,20 @@ def verify_ioss_lmi(sys, cert):
     return LmiVerdict(passed=passed, max_eigenvalue=lam, tol=cert.tol, report=report)
 
 
-def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8, margin=1e-6,
-                     initial_P=None, eig_floor=1e-6):
+def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8):
     """Search for P > 0 satisfying the detectability LMI.
 
-    Eigenvalue-cut iteration: take the most-positive eigenvector of the LMI
-    block matrix, step P against the induced low-rank subgradient (Polyak
-    step toward -margin), and project back onto the positive-definite cone
-    with a minimum-eigenvalue floor. Best effort; the primary path is a
-    config-supplied P.
+    Eigenvalue-cut iteration from P = I: take the most-positive eigenvector
+    of the LMI block matrix, step P against the induced low-rank subgradient
+    (Polyak step toward -SEARCH_MARGIN), and project back onto the
+    positive-definite cone with a minimum-eigenvalue floor. Best effort; the
+    primary path is a config-supplied P.
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     n_x = sys.n_x
-    P = np.eye(n_x) if initial_P is None else symmetrize(initial_P)
-    target = min(float(tol), -float(margin))
+    P = np.eye(n_x)
+    target = min(float(tol), -SEARCH_MARGIN)
     best_lam = np.inf
     best_P = P
     for _ in range(int(budget)):
@@ -279,9 +280,10 @@ def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8, margin=1e-6,
             break
         P = symmetrize(P - ((lam - target) / gn) * grad)
         pw, pV = eigh(P)
-        floor = eig_floor * max(1.0, float(pw[-1]))
+        floor = SEARCH_EIG_FLOOR * max(1.0, float(pw[-1]))
         P = symmetrize((pV * np.maximum(pw, floor)) @ pV.T)
-    # one last chance: the best iterate may pass at tol even if not at -margin
+    # one last chance: the best iterate may pass at tol even if not below
+    # -SEARCH_MARGIN
     cert = IossCertificate(P=best_P, Q=Q, R=R, eta=eta, tol=tol)
     try:
         cert.check_definiteness()

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from submhe.mhe import build_problem
 from submhe.model import Box, IossCertificate, LtiSystem, find_certificate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
+
+
+def child_env():
+    """Environment for a test's child interpreter: the package under test
+    first on its path, as pyproject's pytest pythonpath puts it on ours."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, child_env
 
 from submhe.cli import run_cli
 from submhe.config import load_config, loads_config
@@ -128,6 +128,26 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_config(path)
+
+    @pytest.mark.parametrize("block, key, token", [
+        ("certificate", "eta", "NaN"),
+        ("analysis", "L_Phi", "NaN"),
+        ("controller", "gamma13_slope", "NaN"),
+        ("controller", "L_pi", "Infinity"),
+        ("controller", "L_pi", "-Infinity"),
+        ("certificate", "eta", "1e999")])
+    def test_nonfinite_number_is_parse_error(self, base_dict, tmp_path, capsys,
+                                             block, key, token):
+        doc = json.loads(json.dumps(base_dict))
+        doc[block][key] = "TOKEN"
+        text = json.dumps(doc).replace('"TOKEN"', token)
+        with pytest.raises(ParseError) as err:
+            loads_config(text)
+        assert token in err.value.reason
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        assert run_cli(["analyze-k", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -415,6 +435,8 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert code == 1
         assert err["error"] == "MonitorViolation"
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -488,6 +510,6 @@ def test_module_entrypoint(tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "submhe.cli", "certify", "--config",
          str(CONFIG_DIR / "case_study.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert json.loads(res.stdout)["passed"] is True

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, make_system, simple_certificate
+from conftest import CONFIG_DIR, child_env, make_system, simple_certificate
 
 import submhe.harness as harness
 from submhe.analysis import build_params
@@ -328,12 +328,18 @@ class TestClosedLoop:
         # an absurdly optimistic rate makes the contraction monitor fail
         monkeypatch.setattr("submhe.analysis.worst_case_contraction",
                             lambda shapes: 1e-6)
-        cfg = scenario(doc, doc.certificate, K=1, steps=6, strict=True)
-        with pytest.raises(MonitorViolation):
-            run_closed_loop(cfg)
-        relaxed = scenario(doc, doc.certificate, K=1, steps=6, strict=False)
-        log = run_closed_loop(relaxed)
-        assert log.monitor_counts()["contraction"]["fail"] > 0
+        relaxed = run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6))
+        first = next(r for r in relaxed.rows if "fail" in r.verdicts)
+        failed = [name for name, v in zip(harness.MONITOR_NAMES, first.verdicts)
+                  if v == "fail"]
+        assert "contraction" in failed
+        evaluated = record_calls(monkeypatch, "evaluate")
+        with pytest.raises(MonitorViolation) as exc:
+            run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6,
+                                     strict=True))
+        assert str(exc.value) == (f"monitor(s) {', '.join(failed)} failed at "
+                                  f"step {first.t}")
+        assert len(evaluated) == 6  # every step ran before the raise
 
     def test_oracle_only_where_the_tail_did_not_settle(self, certified_doc,
                                                       monkeypatch):
@@ -445,7 +451,8 @@ def test_no_window_state_shared_between_runs():
 
     def csv_text(args):
         res = subprocess.run([sys.executable, "-c", LOOP_CSV_SCRIPT, *args],
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, text=True, check=True,
+                             env=child_env())
         return res.stdout
 
     together = csv_text(runs)
@@ -455,62 +462,98 @@ def test_no_window_state_shared_between_runs():
 
 
 class TestMonitorStep:
+    """monitor_step on short hand-made series. Most cases read the last
+    step, t = 5 of a window-length-3 run: its sups cover steps 0..4, its
+    Lyapunov anchor is w_delta[2] and its disturbance sum j = 1..3."""
+
+    M = 3
+
     def bundle(self, **kw):
         defaults = dict(phi=0.5, phi_z=0.5, L_phi=2.0, C1=1.0, C2=1.0, C3=1.0, bar_H=2.0,
                         eta=0.8, ledger=None)
         defaults.update(kw)
         return MonitorBundle(**defaults)
 
-    def common(self, **kw):
-        defaults = dict(t=3, m_eff=3, eps=0.1, eps_prev=0.2, eps0=0.3,
-                        e_norm_now=0.5, e0_norm=1.0, w_delta_now=1.0,
-                        w_delta_anchor=1.0, w_recent_q=[0.01, 0.01, 0.01],
-                        sup_x=1.0, sup_e=1.0, sup_w=0.1, sup_sigma=0.0,
-                        sup_eps=0.3, eps_v=0.1, warm_distance=0.5,
-                        warm_distance_z=0.5)
-        defaults.update(kw)
-        return defaults
+    def series(self, **last):
+        """Six steps of series; `last` overrides the values at t = 5."""
+        s = dict(x_norm=[1.0] * 6, e_norm=[1.0] * 5 + [0.5],
+                 w_norm=[0.1] * 6, w_q=[0.01] * 6, sigma=[0.0] * 6,
+                 eps=[0.3] * 4 + [0.2, 0.1], eps_v=[0.1] * 6,
+                 warm_v=[0.5] * 6, warm_z=[0.5] * 6, w_delta=[1.0] * 6)
+        s = {name: np.array(vals) for name, vals in s.items()}
+        for name, value in last.items():
+            s[name][-1] = value
+        return s
+
+    def verdicts(self, bundle=None, M=None, **series):
+        """{monitor name: verdict list over the steps}."""
+        rows = monitor_step(bundle or self.bundle(),
+                            self.M if M is None else M, **series)
+        return dict(zip(harness.MONITOR_NAMES, map(list, zip(*rows))))
+
+    def last(self, bundle=None, **last):
+        return {name: v[-1] for name, v in
+                self.verdicts(bundle, **self.series(**last)).items()}
 
     def test_recursion_pass_and_fail(self):
-        b = self.bundle()
-        v = monitor_step(b, **self.common())
-        assert v.eps_recursion == "pass"
-        v = monitor_step(b, **self.common(eps=10.0))
-        assert v.eps_recursion == "fail"
+        # rhs = 0.5 * 0.2 + 1 + 1 + 0.1 + 0 = 2.2
+        assert self.last()["eps_recursion"] == "pass"
+        assert self.last(eps=10.0)["eps_recursion"] == "fail"
 
     def test_skip_at_origin_step(self):
-        v = monitor_step(self.bundle(), **self.common(t=0, m_eff=0,
-                                                      w_recent_q=[]))
-        assert v.eps_recursion == "skip"
+        v = self.verdicts(**self.series())
+        assert v["eps_recursion"] == ["skip"] + ["pass"] * 5
+
+    @pytest.mark.parametrize("name", ["x_norm", "w_norm"])
+    def test_sups_stop_before_the_step(self, name):
+        # eps_t = 3 breaks rhs = 2.2 unless the bound's sup counts a large
+        # norm: one at step t - 1 counts, one at step t itself does not
+        s = self.series(eps=3.0)
+        s[name][-2] = 100.0
+        assert self.verdicts(**s)["eps_recursion"][-1] == "pass"
+        s = self.series(eps=3.0, **{name: 100.0})
+        assert self.verdicts(**s)["eps_recursion"][-1] == "fail"
 
     def test_lyapunov_inequality(self):
-        b = self.bundle()
-        # rhs = 6 * 0.8^3 * 1 + 2*2*eps^2 + 6*sum(eta^{j-1} wq)
-        rhs = 6 * 0.8 ** 3 + 4 * 0.01 + 6 * (0.01 + 0.8 * 0.01 + 0.64 * 0.01)
-        v = monitor_step(b, **self.common(w_delta_now=rhs - 1e-3))
-        assert v.lyapunov == "pass"
-        v = monitor_step(b, **self.common(w_delta_now=rhs + 1e-3))
-        assert v.lyapunov == "fail"
+        # rhs = 6 * 0.8^3 * w_delta[2] + 2*2*eps^2 + 6*sum(eta^{j-1} w_q[5-j]);
+        # in the second case only w_q[2..4] enter, w_q[0..1] lie before the
+        # window of t = 5
+        for w_q, window_sum in (
+                ([0.01] * 6, 0.01 + 0.8 * 0.01 + 0.64 * 0.01),
+                ([50.0, 50.0, 0.03, 0.02, 0.01, 0.0],
+                 0.01 + 0.8 * 0.02 + 0.64 * 0.03)):
+            rhs = 6 * 0.8 ** 3 + 4 * 0.01 + 6 * window_sum
+            for w_delta, expect in ((rhs - 1e-3, "pass"), (rhs + 1e-3, "fail")):
+                s = self.series(w_delta=w_delta)
+                s["w_q"] = np.array(w_q)
+                assert self.verdicts(**s)["lyapunov"][-1] == expect
+
+    def test_lyapunov_anchor(self):
+        # M = 2, eta = 0.5, no eps or disturbance terms: rhs_t =
+        # 6 * 0.5^m_eff * w_delta[t - m_eff], m_eff = min(2, t). The anchor
+        # stays at step 0 while the window grows (t <= 2) and then trails
+        # two steps behind: 6 | 3 | 1.5 | 1.5*2 | 1.5*1.8 | 1.5*2.8
+        s = self.series()
+        s["eps"] = np.zeros(6)
+        s["w_q"] = np.zeros(6)
+        s["w_delta"] = np.array([1.0, 2.0, 1.8, 2.8, 3.0, 4.0])
+        v = self.verdicts(self.bundle(eta=0.5, bar_H=0.0), M=2, **s)
+        assert v["lyapunov"] == ["pass", "pass", "fail", "pass", "fail", "pass"]
 
     def test_contraction_monitor(self):
-        b = self.bundle()
-        v = monitor_step(b, **self.common(eps_v=0.24, warm_distance=0.5))
-        assert v.contraction == "pass"
-        v = monitor_step(b, **self.common(eps_v=0.26, warm_distance=0.5))
-        assert v.contraction == "fail"
+        assert self.last(eps_v=0.24)["contraction"] == "pass"
+        assert self.last(eps_v=0.26)["contraction"] == "fail"
 
     def test_contraction_monitor_checks_z(self):
         b = self.bundle(phi_z=0.8)
-        v = monitor_step(b, **self.common(eps=0.39, warm_distance_z=0.5))
-        assert v.contraction == "pass"
-        v = monitor_step(b, **self.common(eps=0.41, warm_distance_z=0.5))
-        assert v.contraction == "fail"
+        assert self.last(b, eps=0.39)["contraction"] == "pass"
+        assert self.last(b, eps=0.41)["contraction"] == "fail"
 
     def test_missing_constants_skip(self):
         b = self.bundle(C1=None, C2=None, C3=None, L_phi=None)
-        v = monitor_step(b, **self.common())
-        assert v.eps_recursion == "skip"
-        assert v.lyapunov == "pass"  # rho- and L_phi-free
+        v = self.verdicts(b, **self.series())
+        assert v["eps_recursion"] == ["skip"] * 6
+        assert v["lyapunov"] == ["pass"] * 6  # rho- and L_phi-free
 
 
 class TestLipschitzProbe:

@@ -25,7 +25,7 @@ def plain_problem(weight, reference, lower=None, upper=None):
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, float),
         input_map=np.zeros((n, 0)), state_map=np.eye(n))
     return MheProblem(
-        sys=sys, t=0, horizon=1, shape=shape,
+        sys=sys, t=0, shape=shape,
         reference=np.asarray(reference, dtype=float), lift_offset=np.zeros(n),
         x_prior=np.asarray(reference, dtype=float),
         u_window=np.zeros((0, 1)), y_window=np.zeros((0, 1)))
@@ -37,8 +37,8 @@ def with_box(prob, lower, upper):
                         weight=prob.weight, lower=lower, upper=upper,
                         input_map=prob.shape.input_map,
                         state_map=prob.shape.state_map)
-    return MheProblem(sys=prob.sys, t=prob.t, horizon=prob.horizon,
-                      shape=shape, reference=prob.reference,
+    return MheProblem(sys=prob.sys, t=prob.t, shape=shape,
+                      reference=prob.reference,
                       lift_offset=prob.lift_offset, x_prior=prob.x_prior,
                       u_window=prob.u_window, y_window=prob.y_window)
 
