@@ -164,7 +164,7 @@ def cmd_simulate(args):
     summary_path.write_text(_json_text(summary, indent=2) + "\n")
     counts = log.monitor_counts()
     fails = sum(c["fail"] for c in counts.values())
-    print(f"simulated {len(log.rows)} steps (K={k}, M={log.M}, "
+    print(f"simulated {log.steps} steps (K={k}, M={log.M}, "
           f"certified={log.certified}); monitor failures: {fails}; "
           f"wrote {csv_path} and {summary_path}")
     return 0
@@ -281,14 +281,14 @@ def cmd_verify(args):
                                    params=None)
 
     def short_loop():
-        log = run_closed_loop(short_config())
-        for row in log.rows:
-            if row.dim_z0 != row.dim_z:
-                raise SubmheError(f"warm-start dimension law broken at t={row.t}")
-            if row.dim_z != sys_.n_x + min(M, row.t) * (sys_.n_w + sys_.n_y):
-                raise SubmheError(f"decision dimension wrong at t={row.t}")
-            if not row.what_feasible:
-                raise SubmheError(f"disturbance estimate left its box at t={row.t}")
+        dims = []
+        log = run_closed_loop(short_config(),
+                              observe=lambda prob, rep: dims.append(prob.dim_z))
+        for t, (dim_z, (what_ok, _, _)) in enumerate(zip(dims, log.feasible)):
+            if dim_z != sys_.n_x + min(M, t) * (sys_.n_w + sys_.n_y):
+                raise SubmheError(f"decision dimension wrong at t={t}")
+            if not what_ok:
+                raise SubmheError(f"disturbance estimate left its box at t={t}")
 
     check("short-closed-loop", short_loop)
 
@@ -372,7 +372,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=None, help="output directory")
 
     p_cert = sub.add_parser("certify", help="verify or search the detectability "
                                             "certificate; print the LMI eigenvalue")
@@ -382,11 +381,13 @@ def build_parser():
     p_an = sub.add_parser("analyze-k", help="compute the gain ledger and the "
                                             "minimum certified iteration count")
     common(p_an)
+    p_an.add_argument("--out", default=None, help="output directory")
     p_an.set_defaults(fn=cmd_analyze_k)
 
     p_sim = sub.add_parser("simulate", help="run the closed loop; write CSV "
                                             "trajectory and JSON summary")
     common(p_sim)
+    p_sim.add_argument("--out", default=None, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--steps", type=int, default=None)
     p_sim.add_argument("--iters", type=int, default=None)

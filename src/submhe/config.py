@@ -143,6 +143,12 @@ def _boolean(value, path):
     return value
 
 
+def _path_name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ValidationError(path, f"not a non-empty string: {value!r}")
+    return value
+
+
 class ConfigDocument:
     """Validated configuration with canonical serialization.
 
@@ -274,12 +280,13 @@ class ConfigDocument:
         _check_keys(ablock, analysis_block, "$.analysis")
 
         oblock = _block(doc, "output", required=False)
-        output = {
-            "dir": str(oblock.get("dir", ".")),
-            "csv": str(oblock.get("csv", "trajectory.csv")),
-            "summary": str(oblock.get("summary", "summary.json")),
-        }
+        output = {key: _path_name(oblock.get(key, default), f"$.output.{key}")
+                  for key, default in (("dir", "."), ("csv", "trajectory.csv"),
+                                       ("summary", "summary.json"))}
         _check_keys(oblock, output, "$.output")
+        if output["summary"] == output["csv"]:
+            raise ValidationError("$.output.summary",
+                                  "names the same file as $.output.csv")
 
         blocks = {"system": system, "certificate": certificate,
                   "controller": controller, "mhe": mhe, "scenario": scenario,

@@ -5,29 +5,32 @@ from the padded warm start (the initial prior at t = 0), feed the current
 estimate to the feedback law, and apply the input to the plant under
 disturbances drawn uniformly from the system's W = w1_box x w2_box. That is
 the set the certificate and the bounds assume: the true disturbances lie in
-it, so the true trajectory is a feasible window candidate. The windows
-are views of the run's input and output histories. The prior for a full
-window is the logged current-time estimate from M steps ago; during the
-growing phase it stays at the configured initial prior (this is what makes
-the per-step inequalities theorems).
+it, so the true trajectory is a feasible window candidate.
+
+The run has one record, a TrajectoryLog of per-run arrays in which row t is
+step t; the loop writes each value once, into its row. The windows are
+views of the record's input and output rows. The prior for a full window is
+the recorded current-time estimate from M steps ago; during the growing
+phase it stays at the configured initial prior (this is what makes the
+per-step inequalities theorems).
 
 When the oracle is enabled, and only then, every step also measures the
 sub-optimality error against the window optimum v* and records it, with the
-warm start's distance to v*, in its log row. v* is the fixed point of the
-solver's closed-form tail when the solve settled on it (a theorem, see
+warm start's distance to v*. v* is the fixed point of the solver's
+closed-form tail when the solve settled on it (a theorem, see
 mhe.StepSpectrum); on every other step (a solve that clamps to the end, or
 K = 0) the active-set oracle computes it. After the last step, monitor_step
-checks the per-step inequalities of the analysis on the recorded series in
+checks the per-step inequalities of the analysis on the recorded columns in
 one pass: (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
 trajectory bounds (certified runs only), (d) the solver contraction budget,
 both in the free coordinates v (phi(K)) and in the decision vector z
 (phi_z(K), which carries the lift gain). The sub-optimality error eps itself
-is measured in z. Monitor failures are recorded in each row's verdicts, not
-fatal; in strict mode the run raises MonitorViolation after the pass,
+is measured in z. Monitor failures are recorded in the record's verdicts,
+not fatal; in strict mode the run raises MonitorViolation after the pass,
 naming the first failing step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,32 +100,14 @@ MONITOR_NAMES = ("eps_recursion", "lyapunov", "traj_eps", "traj_err", "contracti
 
 
 @dataclass
-class LogRow:
-    t: int
-    x: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    xhat: np.ndarray
-    e_norm: float
-    eps: float | None
-    w_delta: float
-    sigma_raw: float
-    sigma_clamped: float
-    dim_z: int
-    dim_z0: int
-    z_k: np.ndarray
-    eps_v: float | None            # ||v_K - v*||, eps in the free coordinates
-    warm_distance: float | None    # ||v0 - v*||, free coordinates of the warm start
-    warm_distance_z: float | None  # ||z0 - z*||
-    looped: int                    # solver iterations run before its closed-form tail
-    what_feasible: bool
-    xhat_feasible: bool
-    yhat_feasible: bool
-    verdicts: tuple = (SKIP,) * len(MONITOR_NAMES)  # filled in by monitor_step
-
-
-@dataclass
 class TrajectoryLog:
+    """The record of one run: one array per quantity, row t is step t.
+
+    The loop writes each value once, into its row; the windows, the priors,
+    the monitor pass, the CSV and the summary all read these columns. The
+    four oracle columns are None when the oracle is off.
+    """
+
     config_hash: str
     seed: int
     M: int
@@ -130,20 +115,45 @@ class TrajectoryLog:
     certified: bool
     uncertified_reason: str | None
     ledger: object | None
-    rows: list = field(default_factory=list)
-    oracle_solves: int = 0  # steps whose v* came from the active-set oracle
+    x: np.ndarray                # (T, n_x) true states
+    y: np.ndarray                # (T, n_y) measured outputs
+    u: np.ndarray                # (T, n_u) applied inputs
+    xhat: np.ndarray             # (T, n_x) current-time estimates
+    e_norm: np.ndarray           # ||xhat_t - x_t||
+    w_delta: np.ndarray          # W(xhat_t, x_t)
+    sigma_raw: np.ndarray        # residual magnitude sigma_t, and
+    sigma_clamped: np.ndarray    # the same clamped at zero
+    looped: np.ndarray           # solver iterations run before its closed-form tail
+    feasible: np.ndarray         # (T, 3) bool: what, xhat, yhat inside their boxes
+    eps: np.ndarray | None       # ||z_K - z*||
+    eps_v: np.ndarray | None     # ||v_K - v*||, eps in the free coordinates
+    warm_v: np.ndarray | None    # ||v0 - v*||, free coordinates of the warm start
+    warm_z: np.ndarray | None    # ||z0 - z*||
+    verdicts: np.ndarray         # (T, len(MONITOR_NAMES)), filled in by monitor_step
+    oracle_solves: int = 0       # steps whose v* came from the active-set oracle
+
+    @classmethod
+    def empty(cls, T, sys, oracle, **meta):
+        """The record of a T-step run of sys, every monitor at SKIP."""
+        col = lambda *dims, dtype=float: np.empty((T, *dims), dtype=dtype)
+        ocol = lambda: col() if oracle else None
+        return cls(**meta, x=col(sys.n_x), y=col(sys.n_y), u=col(sys.n_u),
+                   xhat=col(sys.n_x), e_norm=col(), w_delta=col(),
+                   sigma_raw=col(), sigma_clamped=col(), looped=col(dtype=int),
+                   feasible=col(3, dtype=bool), eps=ocol(), eps_v=ocol(),
+                   warm_v=ocol(), warm_z=ocol(),
+                   verdicts=np.full((T, len(MONITOR_NAMES)), SKIP))
+
+    @property
+    def steps(self):
+        return len(self.x)
 
     def monitor_counts(self):
-        counts = {name: {PASS: 0, FAIL: 0, SKIP: 0} for name in MONITOR_NAMES}
-        for row in self.rows:
-            for name, verdict in zip(MONITOR_NAMES, row.verdicts):
-                counts[name][verdict] += 1
-        return counts
+        return {name: {v: int((col == v).sum()) for v in (PASS, FAIL, SKIP)}
+                for name, col in zip(MONITOR_NAMES, self.verdicts.T)}
 
     def to_csv_text(self):
-        n_x = self.rows[0].x.shape[0]
-        n_y = self.rows[0].y.shape[0]
-        n_u = self.rows[0].u.shape[0]
+        n_x, n_y, n_u = self.x.shape[1], self.y.shape[1], self.u.shape[1]
         header = (["t"]
                   + [f"x{i}" for i in range(n_x)]
                   + [f"y{i}" for i in range(n_y)]
@@ -151,28 +161,24 @@ class TrajectoryLog:
                   + [f"xhat{i}" for i in range(n_x)]
                   + ["e_norm", "eps", "w_delta", "sigma_raw", "sigma_clamped"]
                   + [f"mon_{name}" for name in MONITOR_NAMES])
+        head = np.column_stack([self.x, self.y, self.u, self.xhat, self.e_norm])
+        tail = np.column_stack([self.w_delta, self.sigma_raw, self.sigma_clamped])
+        eps = [""] * self.steps if self.eps is None else map(repr, self.eps.tolist())
         lines = [",".join(header)]
-        for row in self.rows:
-            cells = [str(row.t)]
-            for vec in (row.x, row.y, row.u, row.xhat):
-                cells.extend(map(repr, vec.tolist()))
-            cells += [repr(row.e_norm),
-                      "" if row.eps is None else repr(row.eps),
-                      repr(row.w_delta), repr(row.sigma_raw),
-                      repr(row.sigma_clamped), *row.verdicts]
-            lines.append(",".join(cells))
+        for t, (h, eps_t, tl, verdicts) in enumerate(zip(
+                head.tolist(), eps, tail.tolist(), self.verdicts.tolist())):
+            lines.append(",".join([str(t), *map(repr, h), eps_t, *map(repr, tl),
+                                   *verdicts]))
         return "\n".join(lines) + "\n"
 
     def summary_dict(self):
-        sup = lambda vals: max(vals) if vals else None
-        eps_vals = [row.eps for row in self.rows if row.eps is not None]
         return {
             "schema_version": 1,
             "config_hash": self.config_hash,
             "prng": PRNG_NAME,
             "seed": self.seed,
             "solver_backend": KERNEL_BACKEND,
-            "steps": len(self.rows),
+            "steps": self.steps,
             "M": self.M,
             "K": self.K,
             "certified": self.certified,
@@ -180,21 +186,18 @@ class TrajectoryLog:
             "ledger": self.ledger.to_dict() if self.ledger is not None else None,
             "monitors": self.monitor_counts(),
             "solver": {
-                "solves": len(self.rows),
-                "tail_jumps": sum(r.looped < self.K for r in self.rows),
-                "looped_mean": (sum(r.looped for r in self.rows) / len(self.rows)
-                                if self.rows else None),
+                "solves": self.steps,
+                "tail_jumps": int((self.looped < self.K).sum()),
+                "looped_mean": int(self.looped.sum()) / self.steps,
                 "oracle_solves": self.oracle_solves,
             },
-            "constraint_flags": {
-                "what_feasible": all(r.what_feasible for r in self.rows),
-                "xhat_feasible": all(r.xhat_feasible for r in self.rows),
-                "yhat_feasible": all(r.yhat_feasible for r in self.rows),
-            },
+            "constraint_flags": dict(zip(
+                ("what_feasible", "xhat_feasible", "yhat_feasible"),
+                map(bool, self.feasible.all(axis=0)))),
             "sup_norms": {
-                "x": sup([float(np.linalg.norm(r.x)) for r in self.rows]),
-                "e": sup([r.e_norm for r in self.rows]),
-                "eps": sup([float(v) for v in eps_vals]) if eps_vals else None,
+                "x": max(float(np.linalg.norm(x)) for x in self.x),
+                "e": float(self.e_norm.max()),
+                "eps": None if self.eps is None else float(self.eps.max()),
             },
         }
 
@@ -355,7 +358,8 @@ def run_closed_loop(cfg, observe=None):
     rho < 1, that ledger passes and none of its inputs was sampled. The
     analysis and the loop share cfg.shapes, so each window shape and its
     eigen terms are built once per run. observe(problem, report), when
-    given, is called with each step's window problem and solve report.
+    given, is called with each step's window problem and solve report, in
+    step order. Returns the run's TrajectoryLog.
     """
     sys = validate_system(cfg.sys)
     T, M, K = cfg.steps, cfg.M, cfg.K
@@ -391,35 +395,31 @@ def run_closed_loop(cfg, observe=None):
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
     flags = _FeasibilityBounds(sys)
 
-    log = TrajectoryLog(config_hash=cfg.config_hash, seed=cfg.seed, M=M, K=K,
-                        certified=certified, uncertified_reason=uncertified_reason,
-                        ledger=reported)
-    rows = log.rows
-
-    # applied inputs and measured outputs, one row per step: the step-t
-    # windows are rows t - min(M, t) .. t - 1
-    u_hist = np.empty((T, sys.n_u))
-    y_hist = np.empty((T, sys.n_y))
-    x = cfg.x0.copy()
+    log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
+                              seed=cfg.seed, M=M, K=K, certified=certified,
+                              uncertified_reason=uncertified_reason,
+                              ledger=reported)
+    log.x[0] = cfg.x0
     z_prev = None
 
     for t in range(T):
-        y = y_hist[t] = sys.output(x, w2s[t])
-        m_eff = min(M, t)
+        x = log.x[t]
+        log.y[t] = sys.output(x, w2s[t])
+        # the step-t windows are rows t - min(M, t) .. t - 1 of the record;
         # the prior of a full window is the estimate from M steps ago
-        prior = cfg.x_prior0 if t <= M else rows[t - M].xhat
-        problem = build_problem(sys, cfg.cert, prior, u_hist[t - m_eff:t],
-                                y_hist[t - m_eff:t], M, t, shapes=shapes)
+        m_eff = min(M, t)
+        prior = cfg.x_prior0 if t <= M else log.xhat[t - M]
+        problem = build_problem(sys, cfg.cert, prior, log.u[t - m_eff:t],
+                                log.y[t - m_eff:t], M, t, shapes=shapes)
         z0 = cfg.x_prior0.copy() if t == 0 else sigma_lift(z_prev, t, shapes)
         report = solve_fixed_iters(problem, z0, K)
         if observe is not None:
             observe(problem, report)
         z_k = report.point.z
         states = extract_estimate(problem, report.point)
-        xhat = states[-1]
-        e_norm = float(np.linalg.norm(xhat - x))
+        xhat = log.xhat[t] = states[-1]
+        log.e_norm[t] = np.linalg.norm(xhat - x)
 
-        eps = eps_v = warm_distance = warm_distance_z = None
         if cfg.oracle:
             if report.optimum is None:
                 z_star = solve_oracle(problem)
@@ -427,45 +427,36 @@ def run_closed_loop(cfg, observe=None):
             else:
                 z_star = CondensedPoint(z=problem.lift(report.optimum),
                                         v=report.optimum)
-            eps = float(np.linalg.norm(z_k - z_star.z))
-            eps_v = float(np.linalg.norm(report.point.v - z_star.v))
-            warm_distance = float(np.linalg.norm(problem.select_v(z0) - z_star.v))
-            warm_distance_z = float(np.linalg.norm(z0 - z_star.z))
+            log.eps[t] = np.linalg.norm(z_k - z_star.z)
+            log.eps_v[t] = np.linalg.norm(report.point.v - z_star.v)
+            log.warm_v[t] = np.linalg.norm(problem.select_v(z0) - z_star.v)
+            log.warm_z[t] = np.linalg.norm(z0 - z_star.z)
 
-        sigma_raw, sigma_clamped = residual_sigma_parts(t, shapes, eta)
-        wd_now = w_delta(cfg.cert, xhat, x)
-        u = u_hist[t] = evaluate(cfg.law, xhat)
+        log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
+        log.w_delta[t] = w_delta(cfg.cert, xhat, x)
+        u = log.u[t] = evaluate(cfg.law, xhat)
+        log.looped[t] = report.looped
+        log.feasible[t] = flags.check(problem.window_slots(z_k), states)
 
-        what_ok, xhat_ok, yhat_ok = flags.check(problem.window_slots(z_k), states)
-        rows.append(LogRow(t=t, x=x, y=y, u=u, xhat=xhat, e_norm=e_norm,
-                           eps=eps, w_delta=wd_now, sigma_raw=sigma_raw,
-                           sigma_clamped=sigma_clamped, dim_z=problem.dim_z,
-                           dim_z0=z0.shape[0], z_k=z_k, eps_v=eps_v,
-                           warm_distance=warm_distance,
-                           warm_distance_z=warm_distance_z, looped=report.looped,
-                           what_feasible=what_ok, xhat_feasible=xhat_ok,
-                           yhat_feasible=yhat_ok))
-
-        x = sys.step(x, u, w1s[t])
+        if t + 1 < T:
+            log.x[t + 1] = sys.step(x, u, w1s[t])
         z_prev = z_k
 
     if cfg.oracle:
         w = np.hstack([w1s, w2s])
-        column = lambda name: np.array([getattr(r, name) for r in rows])
-        verdicts = monitor_step(
-            bundle, M, x_norm=np.linalg.norm([r.x for r in rows], axis=1),
-            e_norm=column("e_norm"), w_norm=np.linalg.norm(w, axis=1),
-            w_q=((w @ cfg.cert.Q) * w).sum(axis=1),
-            sigma=column("sigma_clamped"), eps=column("eps"),
-            eps_v=column("eps_v"), warm_v=column("warm_distance"),
-            warm_z=column("warm_distance_z"), w_delta=column("w_delta"))
-        for row, row_verdicts in zip(rows, verdicts):
-            row.verdicts = row_verdicts
-            if cfg.strict and FAIL in row_verdicts:
-                failed = [name for name, v in zip(MONITOR_NAMES, row_verdicts)
-                          if v == FAIL]
-                raise MonitorViolation(
-                    f"monitor(s) {', '.join(failed)} failed at step {row.t}")
+        log.verdicts[:] = monitor_step(
+            bundle, M, x_norm=np.linalg.norm(log.x, axis=1), e_norm=log.e_norm,
+            w_norm=np.linalg.norm(w, axis=1),
+            w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
+            eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, warm_z=log.warm_z,
+            w_delta=log.w_delta)
+        failing = (log.verdicts == FAIL).any(axis=1)
+        if cfg.strict and failing.any():
+            t = int(np.argmax(failing))
+            failed = [name for name, v in zip(MONITOR_NAMES, log.verdicts[t])
+                      if v == FAIL]
+            raise MonitorViolation(
+                f"monitor(s) {', '.join(failed)} failed at step {t}")
     return log
 
 

@@ -126,22 +126,23 @@ def test_criterion_4_case_study_reproduction(case_study_doc):
     shapes = doc.window_shapes(doc.certificate)
     cfg = doc.scenario_config(shapes, K=25, steps=40, allow_uncertified=True,
                               params=_doc_params(doc, shapes))
-    log = run_closed_loop(cfg)
-    x_norms = [float(np.linalg.norm(r.x)) for r in log.rows]
-    eps = [r.eps for r in log.rows]
+    z_ks = []
+    log = run_closed_loop(cfg, observe=lambda prob, rep: z_ks.append(rep.point.z))
+    x_norms = np.linalg.norm(log.x, axis=1)
+    eps = log.eps
     x_ratio = max(x_norms[-10:]) / max(x_norms[:10])
     eps_ratio = max(eps[-10:]) / max(eps[:10])
     assert x_ratio < 0.10, f"state sup-norm ratio {x_ratio:.2%}"
     assert eps_ratio < 0.10, f"sub-optimality ratio {eps_ratio:.2%}"
     n_x, n_w, n_y = 4, 5, 1
-    for row in log.rows:
-        m_eff = min(5, row.t)
+    for t, z_k in enumerate(z_ks):
+        m_eff = min(5, t)
         for j in range(m_eff):
             off = n_x + j * (n_w + n_y)
-            w2_hat = row.z_k[off + n_x:off + n_w]
+            w2_hat = z_k[off + n_x:off + n_w]
             assert np.all(w2_hat >= -0.1 - 1e-12)
             assert np.all(w2_hat <= 0.1 + 1e-12)
-    assert all(r.what_feasible for r in log.rows)
+    assert log.feasible[:, 0].all()
     _report(4, f"state ratio {x_ratio:.2%}, sub-optimality ratio "
                f"{eps_ratio:.2%} (both < 10%), every estimated measurement "
                "noise inside [-0.1, 0.1]")
@@ -218,10 +219,10 @@ def test_criterion_9_warm_start_growing_phase(case_study_doc):
     shapes = doc.window_shapes(doc.certificate)
     cfg = doc.scenario_config(shapes, K=40, steps=2 * M, allow_uncertified=True,
                               params=_doc_params(doc, shapes))
-    log = run_closed_loop(cfg)
-    for row in log.rows:
-        assert row.dim_z0 == row.dim_z
-        assert row.dim_z == 4 + min(M, row.t) * (5 + 1)
+    dims = []
+    run_closed_loop(cfg, observe=lambda prob, rep: dims.append(prob.dim_z))
+    # a warm start of another length would raise DimensionMismatch in the solve
+    assert dims == [4 + min(M, t) * (5 + 1) for t in range(2 * M)]
     rng = np.random.default_rng(901)
     for t in range(1, M + 1):
         z = rng.standard_normal(4 + (t - 1) * (5 + 1))

@@ -488,6 +488,38 @@ class TestCli:
         assert summaries["config"] == summaries["flag"]
         assert json.loads(summaries["on"])["ledger"] is not None
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("csv", None, "$.output.csv"),
+        ("summary", 5, "$.output.summary"),
+        ("dir", ["x"], "$.output.dir"),
+        ("csv", "", "$.output.csv"),
+        ("csv", "summary.json", "$.output.summary")],
+        ids=["csv_null", "summary_number", "dir_list", "csv_empty",
+             "csv_is_summary"])
+    def test_bad_output_names_exit_two(self, key, value, field, base_dict,
+                                       tmp_path, capsys, monkeypatch):
+        doc = json.loads(json.dumps(base_dict))
+        doc["output"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["simulate", "--config", str(path), "--steps", "3",
+                        "--oracle", "off", "--uncertified"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == field
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    def test_out_flag_only_where_something_is_written(self, command, tmp_path,
+                                                      capsys):
+        code = run_cli([command, "--config", str(CONFIG_DIR / "case_study.json"),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_errors_exit_two(self, tmp_path, base_dict, capsys):
         assert run_cli(["simulate", "--config",
                         str(tmp_path / "missing.json")]) == 2

@@ -9,12 +9,14 @@ import submhe.harness as harness
 from submhe.analysis import build_params
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
-                           MonitorViolation, UnboundedSampleBox)
+                           DimensionMismatch, MonitorViolation,
+                           UnboundedSampleBox)
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
-from submhe.mhe import CondensedPoint, WindowShapes
+from submhe.mhe import CondensedPoint, WindowShapes, build_problem
 from submhe.model import Box, LtiSystem
+from submhe.solver import solve_fixed_iters
 
 
 def doc_params(doc, shapes):
@@ -115,8 +117,8 @@ class TestClosedLoop:
                                              np.zeros((T, w2_box.dim))))
         cfg = scenario(doc, doc.certificate, steps=30, K=300)
         log = run_closed_loop(cfg)
-        e_norms = [r.e_norm for r in log.rows]
-        x_norms = [float(np.linalg.norm(r.x)) for r in log.rows]
+        e_norms = log.e_norm
+        x_norms = np.linalg.norm(log.x, axis=1)
         assert e_norms[-1] <= 1e-8
         assert x_norms[-1] <= 1e-5
         assert x_norms[-1] < x_norms[0]
@@ -132,9 +134,8 @@ class TestClosedLoop:
         cfg = scenario(doc, doc.certificate, K=0, steps=8)
         log = run_closed_loop(cfg)
         assert not log.certified
-        assert len(log.rows) == 8
-        eps = [r.eps for r in log.rows]
-        assert max(eps) > 0.1  # warm start never improves
+        assert log.steps == 8
+        assert log.eps.max() > 0.1  # warm start never improves
 
     @pytest.mark.parametrize("K, with_params, cause", [
         (50, False, "no analysis params"),
@@ -162,13 +163,60 @@ class TestClosedLoop:
         assert a != c
 
     def test_warm_start_dimension_law(self, case_study_doc):
+        # a warm start of the wrong length would raise in the solve
         doc = case_study_doc
         M = doc.mhe["M"]
         cfg = scenario(doc, doc.certificate, steps=2 * M)
-        log = run_closed_loop(cfg)
-        for row in log.rows:
-            assert row.dim_z0 == row.dim_z
-            assert row.dim_z == 4 + min(M, row.t) * (5 + 1)
+        dims = []
+        run_closed_loop(cfg, observe=lambda prob, rep: dims.append(prob.dim_z))
+        assert dims == [4 + min(M, t) * (5 + 1) for t in range(2 * M)]
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_warm_start_of_wrong_length_raises(self, case_study_doc, extra):
+        doc = case_study_doc
+        sys, M = doc.system, doc.mhe["M"]
+        rng = np.random.default_rng(5)
+        prob = build_problem(sys, doc.certificate, np.zeros(sys.n_x),
+                             rng.uniform(-1, 1, (M, sys.n_u)),
+                             rng.uniform(-1, 1, (M, sys.n_y)), M, M)
+        with pytest.raises(DimensionMismatch):
+            solve_fixed_iters(prob, np.zeros(prob.dim_z + extra), 3)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    def test_record_columns(self, certified_doc, oracle):
+        doc = certified_doc
+        sys, T = doc.system, 7
+        log = run_closed_loop(scenario(doc, doc.certificate, K=25, steps=T,
+                                       oracle=oracle))
+        assert log.steps == T
+        for name, cols in (("x", sys.n_x), ("y", sys.n_y), ("u", sys.n_u),
+                           ("xhat", sys.n_x)):
+            arr = getattr(log, name)
+            assert arr.shape == (T, cols) and arr.dtype == np.float64
+        for name in ("e_norm", "w_delta", "sigma_raw", "sigma_clamped"):
+            arr = getattr(log, name)
+            assert arr.shape == (T,) and arr.dtype == np.float64
+        assert log.looped.shape == (T,)
+        assert np.issubdtype(log.looped.dtype, np.integer)
+        assert log.feasible.shape == (T, 3) and log.feasible.dtype == bool
+        assert log.verdicts.shape == (T, len(harness.MONITOR_NAMES))
+        for name in ("eps", "eps_v", "warm_v", "warm_z"):
+            arr = getattr(log, name)
+            if oracle:
+                assert arr.shape == (T,) and arr.dtype == np.float64
+            else:
+                assert arr is None
+        if not oracle:
+            assert np.all(log.verdicts == "skip")
+
+    def test_observe_sees_every_step_in_order(self, certified_doc):
+        doc = certified_doc
+        seen = []
+        log = run_closed_loop(scenario(doc, doc.certificate, K=25, steps=9),
+                              observe=lambda prob, rep: seen.append((prob, rep)))
+        assert [prob.t for prob, _ in seen] == list(range(9))
+        assert [rep.looped for _, rep in seen] == log.looped.tolist()
 
     def test_windows_are_the_last_inputs_and_outputs(self, certified_doc,
                                                      monkeypatch):
@@ -179,16 +227,22 @@ class TestClosedLoop:
                                        steps=3 * M, oracle=False))
         sys = doc.system
         u_ref, y_ref = np.zeros((0, sys.n_u)), np.zeros((0, sys.n_y))
-        assert len(built) == len(log.rows)
-        for (args, problem), row in zip(built, log.rows):
-            t = row.t
+        assert len(built) == log.steps
+        for t, (args, problem) in enumerate(built):
             _, _, _, u_win, y_win, M_arg, t_arg = args
             assert (M_arg, t_arg) == (M, t)
             assert u_win.shape == (min(M, t), sys.n_u)
             assert np.array_equal(u_win, u_ref)
             assert np.array_equal(y_win, y_ref)
-            u_ref = append_and_drop(u_ref, row.u, t, M)
-            y_ref = append_and_drop(y_ref, row.y, t, M)
+            # the windows are views of the record's rows t - min(M, t) .. t - 1
+            rows = slice(t - min(M, t), t)
+            assert np.array_equal(problem.u_window, log.u[rows])
+            assert np.array_equal(problem.y_window, log.y[rows])
+            if t > 0:
+                assert np.shares_memory(problem.u_window, log.u)
+                assert np.shares_memory(problem.y_window, log.y)
+            u_ref = append_and_drop(u_ref, log.u[t], t, M)
+            y_ref = append_and_drop(y_ref, log.y[t], t, M)
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])
@@ -201,7 +255,7 @@ class TestClosedLoop:
         evaluated = record_calls(monkeypatch, "evaluate")
         log = run_closed_loop(scenario(doc, doc.certificate, K=25, steps=30,
                                        oracle=oracle))
-        assert len(log.rows) == len(built) == len(evaluated) == 30
+        assert log.steps == len(built) == len(evaluated) == 30
         assert [p.t for _, p in built] == list(range(30))
 
     def test_flags_match_box_contains(self, monkeypatch):
@@ -242,12 +296,13 @@ class TestClosedLoop:
         monkeypatch.setattr(harness, "solve_fixed_iters", perturbed)
         built = record_calls(monkeypatch, "build_problem")
         estimated = record_calls(monkeypatch, "extract_estimate")
-        log = run_closed_loop(cfg)
-        flags = [(r.what_feasible, r.xhat_feasible, r.yhat_feasible)
-                 for r in log.rows]
-        for row, got, (_, problem), (_, states) in zip(log.rows, flags, built,
+        z_ks = []
+        log = run_closed_loop(cfg,
+                              observe=lambda prob, rep: z_ks.append(rep.point.z))
+        flags = [tuple(f) for f in log.feasible.tolist()]
+        for got, z_k, (_, problem), (_, states) in zip(flags, z_ks, built,
                                                        estimated):
-            assert got == box_contains_flags(sys, problem, row.z_k, states)
+            assert got == box_contains_flags(sys, problem, z_k, states)
         for i in range(3):
             assert any(f[i] for f in flags) and not all(f[i] for f in flags)
         # the tight boxes alone, before any perturbation
@@ -261,7 +316,7 @@ class TestClosedLoop:
     def test_disturbance_estimates_stay_feasible(self, case_study_doc):
         doc = case_study_doc
         log = run_closed_loop(scenario(doc, doc.certificate, steps=15))
-        assert all(r.what_feasible for r in log.rows)
+        assert log.feasible[:, 0].all()
 
     def test_certified_run_monitors_all_pass(self, certified_doc):
         doc = certified_doc
@@ -329,8 +384,10 @@ class TestClosedLoop:
         monkeypatch.setattr("submhe.analysis.worst_case_contraction",
                             lambda shapes: 1e-6)
         relaxed = run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6))
-        first = next(r for r in relaxed.rows if "fail" in r.verdicts)
-        failed = [name for name, v in zip(harness.MONITOR_NAMES, first.verdicts)
+        first = next(t for t, verdicts in enumerate(relaxed.verdicts.tolist())
+                     if "fail" in verdicts)
+        failed = [name for name, v in zip(harness.MONITOR_NAMES,
+                                          relaxed.verdicts[first])
                   if v == "fail"]
         assert "contraction" in failed
         evaluated = record_calls(monkeypatch, "evaluate")
@@ -338,7 +395,7 @@ class TestClosedLoop:
             run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6,
                                      strict=True))
         assert str(exc.value) == (f"monitor(s) {', '.join(failed)} failed at "
-                                  f"step {first.t}")
+                                  f"step {first}")
         assert len(evaluated) == 6  # every step ran before the raise
 
     def test_oracle_only_where_the_tail_did_not_settle(self, certified_doc,
@@ -362,19 +419,18 @@ class TestClosedLoop:
         oracle_calls.clear()
         ref = run_closed_loop(cfg)
         assert len(oracle_calls) == 60
-        for row, ref_row, (_, z_star) in zip(log.rows, ref.rows, oracle_calls):
-            assert abs(row.eps - ref_row.eps) <= (
+        for t, (_, z_star) in enumerate(oracle_calls):
+            assert abs(log.eps[t] - ref.eps[t]) <= (
                 1e-12 * max(1.0, float(np.linalg.norm(z_star.z))))
-            assert row.verdicts == ref_row.verdicts
-            assert np.array_equal(row.xhat, ref_row.xhat)
-            assert row.warm_distance == pytest.approx(ref_row.warm_distance,
-                                                      rel=1e-12, abs=1e-12)
+        assert np.array_equal(log.verdicts, ref.verdicts)
+        assert np.array_equal(log.xhat, ref.xhat)
+        assert log.warm_v == pytest.approx(ref.warm_v, rel=1e-12, abs=1e-12)
 
     def test_oracle_off_skips_everything(self, case_study_doc):
         doc = case_study_doc
         log = run_closed_loop(scenario(doc, doc.certificate, steps=5,
                                        oracle=False))
-        assert all(r.eps is None for r in log.rows)
+        assert log.eps is None
         counts = log.monitor_counts()
         for name in counts:
             assert counts[name]["skip"] == 5
@@ -404,10 +460,8 @@ class TestClosedLoop:
                        x0=np.array([12.0, -10.0, 10.0, -10.0]),
                        x_prior0=np.array([7.0, -7.0, 3.0, -5.0]))
         log = run_closed_loop(cfg)
-        x_norms = [float(np.linalg.norm(r.x)) for r in log.rows]
-        e_norms = [r.e_norm for r in log.rows]
-        eps = [r.eps for r in log.rows]
-        for series in (x_norms, e_norms, eps):
+        x_norms = np.linalg.norm(log.x, axis=1)
+        for series in (x_norms, log.e_norm, log.eps):
             assert np.all(np.isfinite(series))
             assert max(series[-10:]) < max(series[:10])
 
