@@ -18,8 +18,8 @@ from .mhe import (CondensedPoint, MheProblem, build_problem, compute_weight,
                   extract_estimate, sigma_lift)
 from .model import (Box, IossCertificate, LtiSystem, find_certificate,
                     validate_system, verify_ioss_lmi, w_delta)
-from .solver import (KERNEL_BACKEND, SolveReport, solve_fixed_iters,
-                     solve_oracle)
+from .solver import (KERNEL_BACKEND, OracleReport, SolveReport,
+                     solve_fixed_iters, solve_oracle)
 from .config import ConfigDocument, load_config
 
 __version__ = "0.1.0"
@@ -27,7 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisParams", "Box", "CondensedPoint", "ConfigDocument", "FeedbackLaw",
     "GainLedger", "IossCertificate", "KERNEL_BACKEND", "LipschitzProbe",
-    "LtiSystem", "MheProblem", "ScenarioConfig", "SolveReport", "TrajectoryLog",
+    "LtiSystem", "MheProblem", "OracleReport", "ScenarioConfig", "SolveReport",
+    "TrajectoryLog",
     "budget_constants", "assert_stabilizing", "build_params", "build_problem",
     "compute_rho", "compute_weight", "estimate_closed_loop_gain", "evaluate",
     "extract_estimate", "find_certificate", "ledger_at", "lipschitz_probe",

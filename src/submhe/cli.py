@@ -245,7 +245,7 @@ def cmd_verify(args):
 
     def oracle_agreement():
         prob = make_problem(M)
-        z_star = solve_oracle(prob, tol=1e-11)
+        z_star = solve_oracle(prob).point
         q = prob.shape.contraction_base
         # The step contracts by q in v, so ||v_k - v*|| is at most
         # ||v_{k+1} - v_k|| / (1 - q): stop once that bound is 1e-9.
@@ -301,7 +301,7 @@ def cmd_verify(args):
         for prob, rep in solves:
             if rep.optimum is None:
                 continue
-            v_star = solve_oracle(prob).v
+            v_star = solve_oracle(prob).point.v
             gap = float(np.linalg.norm(rep.optimum - v_star))
             if gap > optimum_tolerance(prob.shape, v_star):
                 raise SubmheError(f"tail optimum and oracle disagree by "

@@ -149,6 +149,14 @@ def _path_name(value, path):
     return value
 
 
+def _file_name(value, path):
+    """A file name inside the output dir: no '.', '..' or path separator."""
+    name = _path_name(value, path)
+    if name in (".", "..") or "/" in name or "\\" in name:
+        raise ValidationError(path, f"not a file name in $.output.dir: {name!r}")
+    return name
+
+
 class ConfigDocument:
     """Validated configuration with canonical serialization.
 
@@ -280,9 +288,11 @@ class ConfigDocument:
         _check_keys(ablock, analysis_block, "$.analysis")
 
         oblock = _block(doc, "output", required=False)
-        output = {key: _path_name(oblock.get(key, default), f"$.output.{key}")
-                  for key, default in (("dir", "."), ("csv", "trajectory.csv"),
-                                       ("summary", "summary.json"))}
+        output = {key: check(oblock.get(key, default), f"$.output.{key}")
+                  for key, default, check in (
+                      ("dir", ".", _path_name),
+                      ("csv", "trajectory.csv", _file_name),
+                      ("summary", "summary.json", _file_name))}
         _check_keys(oblock, output, "$.output")
         if output["summary"] == output["csv"]:
             raise ValidationError("$.output.summary",

@@ -33,13 +33,9 @@ class NonfiniteIterate(SubmheError):
     pass
 
 
-class MaxCyclesExceeded(SubmheError):
-    pass
-
-
 class OracleStalled(SubmheError):
-    """The oracle's active set is final, but its KKT residual is above both
-    the tolerance and the rounding floor of the restricted solve."""
+    """The oracle's error bound is above its tolerance one chunk past the
+    iteration count by which the contraction puts it below: rounding."""
 
 
 class ContractionViolated(SubmheError):

@@ -19,18 +19,22 @@ sub-optimality error against the window optimum v* and records it, with the
 warm start's distance to v*. v* is the fixed point of the solver's
 closed-form tail when the solve settled on it (a theorem, see
 mhe.StepSpectrum); on every other step (a solve that clamps to the end, or
-K = 0) the active-set oracle computes it. After the last step, monitor_step
-checks the per-step inequalities of the analysis on the recorded columns in
-one pass: (a) the error recursion, (b) the M-step Lyapunov decay, (c) the two
-trajectory bounds (certified runs only), (d) the solver contraction budget,
-both in the free coordinates v (phi(K)) and in the decision vector z
-(phi_z(K), which carries the lift gain). The sub-optimality error eps itself
-is measured in z. Monitor failures are recorded in the record's verdicts,
-not fatal; in strict mode the run raises MonitorViolation after the pass,
-naming the first failing step.
+K = 0) solver.solve_oracle computes it, starting from the step's K-th
+iterate and accepting on a certified error bound. The summary reports the
+largest accepted bound and the kernel iterations the oracle ran beyond K.
+After the last step, monitor_step checks the per-step inequalities of the
+analysis on the recorded columns in one pass: (a) the error recursion,
+(b) the M-step Lyapunov decay, (c) the two trajectory bounds (certified
+runs only), (d) the solver contraction budget, both in the free coordinates
+v (phi(K)) and in the decision vector z (phi_z(K), which carries the lift
+gain). The sub-optimality error eps itself is measured in z. Monitor
+failures are recorded in the record's verdicts, not fatal; in strict mode
+the run raises MonitorViolation after the pass, naming the first failing
+step.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,7 +134,9 @@ class TrajectoryLog:
     warm_v: np.ndarray | None    # ||v0 - v*||, free coordinates of the warm start
     warm_z: np.ndarray | None    # ||z0 - z*||
     verdicts: np.ndarray         # (T, len(MONITOR_NAMES)), filled in by monitor_step
-    oracle_solves: int = 0       # steps whose v* came from the active-set oracle
+    oracle_solves: int = 0       # steps whose v* came from solver.solve_oracle
+    oracle_extra_iters: int = 0  # kernel iterations those solves ran beyond K
+    oracle_bound_max: float | None = None  # largest certified ||v - v*|| they accepted
 
     @classmethod
     def empty(cls, T, sys, oracle, **meta):
@@ -147,6 +153,11 @@ class TrajectoryLog:
     @property
     def steps(self):
         return len(self.x)
+
+    @cached_property
+    def x_norm(self):
+        """||x_t|| per step, read after the run by the monitors and the summary."""
+        return np.linalg.norm(self.x, axis=1)
 
     def monitor_counts(self):
         return {name: {v: int((col == v).sum()) for v in (PASS, FAIL, SKIP)}
@@ -190,12 +201,14 @@ class TrajectoryLog:
                 "tail_jumps": int((self.looped < self.K).sum()),
                 "looped_mean": int(self.looped.sum()) / self.steps,
                 "oracle_solves": self.oracle_solves,
+                "oracle_extra_iters": self.oracle_extra_iters,
+                "oracle_bound_max": self.oracle_bound_max,
             },
             "constraint_flags": dict(zip(
                 ("what_feasible", "xhat_feasible", "yhat_feasible"),
                 map(bool, self.feasible.all(axis=0)))),
             "sup_norms": {
-                "x": max(float(np.linalg.norm(x)) for x in self.x),
+                "x": float(self.x_norm.max()),
                 "e": float(self.e_norm.max()),
                 "eps": None if self.eps is None else float(self.eps.max()),
             },
@@ -422,8 +435,11 @@ def run_closed_loop(cfg, observe=None):
 
         if cfg.oracle:
             if report.optimum is None:
-                z_star = solve_oracle(problem)
+                oracle = solve_oracle(problem, start=report.point.v)
+                z_star = oracle.point
                 log.oracle_solves += 1
+                log.oracle_extra_iters += oracle.iters
+                log.oracle_bound_max = max(log.oracle_bound_max or 0.0, oracle.bound)
             else:
                 z_star = CondensedPoint(z=problem.lift(report.optimum),
                                         v=report.optimum)
@@ -445,7 +461,7 @@ def run_closed_loop(cfg, observe=None):
     if cfg.oracle:
         w = np.hstack([w1s, w2s])
         log.verdicts[:] = monitor_step(
-            bundle, M, x_norm=np.linalg.norm(log.x, axis=1), e_norm=log.e_norm,
+            bundle, M, x_norm=log.x_norm, e_norm=log.e_norm,
             w_norm=np.linalg.norm(w, axis=1),
             w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
             eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, warm_z=log.warm_z,
@@ -510,8 +526,8 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
         if denom <= 1e-9 * max(1.0, float(np.linalg.norm(p1.reference))):
             skipped += 1
             continue
-        z1 = solve_oracle(p1).z
-        z2 = solve_oracle(p2).z
+        z1 = solve_oracle(p1).point.z
+        z2 = solve_oracle(p2).point.z
         ratio = float(np.linalg.norm(sigma_lift(z1, t, shapes) - z2)) / denom
         best = max(best, ratio)
         used += 1

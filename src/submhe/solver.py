@@ -1,4 +1,4 @@
-"""Fixed-iteration projected-gradient solver and a high-accuracy oracle.
+"""Fixed-iteration projected-gradient solver and the window-optimum oracle.
 
 The projected-gradient map on the condensed QP is feasible after every
 iteration (componentwise clamping is exact on boxes) and contracts the
@@ -6,9 +6,10 @@ distance to the optimizer in the free coordinates. The iteration steps
 2/(L+mu), and its budget is the rate of that step: phi(K) = q^K with
 q = (L-mu)/(L+mu), so ||v_K - v*|| <= q^K ||v_0 - v*|| in the Euclidean
 norm of v (see mhe.WindowShape.contraction_base). In the lifted z the bound
-gains the factor ||Psi|| (mhe.WindowShape.lift_norm). The oracle is a primal
-active-set method used to measure the true optimizer and the sub-optimality
-error.
+gains the factor ||Psi|| (mhe.WindowShape.lift_norm). The oracle measures
+v*, and with it the sub-optimality error, with the same kernel: it runs
+the loop on, polishes the iterate on its active set and accepts on a
+certified error bound (solve_oracle).
 
 There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
@@ -24,20 +25,18 @@ iterate, |v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise (i >= 1,
 v_u the unconstrained fixed point). When it lies strictly inside every
 finite side of the box, with a relative margin of TAIL_MARGIN, no clamp can
 fire for the rest of the budget, and the loop returns the K-th iterate in
-closed form instead of running the remaining iterations. In exact arithmetic
-that is the same K-th iterate, so K, phi(K) and every bound on it are
-unchanged. The test is False whenever a NaN or inf enters it, and never
-holds for a pinned coordinate (lower == upper), so the loop then runs on.
-When it holds, v_u lies strictly inside the box and is therefore the window
-optimum v*; the solve reports it, and the active-set oracle is needed only
-for solves that clamp to the end.
+closed form: in exact arithmetic the same iterate, so K, phi(K) and every
+bound on it are unchanged. The test is False whenever a NaN or inf enters
+it, and never holds for a pinned coordinate (lower == upper). When it
+holds, v_u is the window optimum v*; the solve reports it, and the oracle
+is needed only for solves that clamp to the end.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxCyclesExceeded, NonfiniteIterate, OracleStalled
+from .errors import NonfiniteIterate, OracleStalled
 from .mhe import CondensedPoint
 
 KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
@@ -46,6 +45,7 @@ KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one k
 # stays inside it by 1e-9 (1 + |v_u| + |v_u - side|), far above the
 # rounding of v_u and of the envelope.
 TAIL_MARGIN = 1e-9
+ORACLE_CHUNK = 256  # the longest kernel run between two of the oracle's tests
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,13 @@ class SolveReport:
     # (mhe.StepSpectrum), None for K = 0, a solve that ran all K iterations,
     # or a step without a spectrum
     optimum: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    point: CondensedPoint  # the window optimum v* and its lift
+    bound: float           # the certified error bound on ||point.v - v*||
+    iters: int             # kernel iterations run from the start
 
 
 def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
@@ -141,10 +148,8 @@ def solve_fixed_iters(problem, z0, K):
     v0 = problem.select_v(z0)
     lo, hi = problem.lower, problem.upper
     K = int(K)
-    tail = None
     if K == 0:
-        v = np.clip(v0, lo, hi)
-        looped = 0
+        v, looped, tail = np.clip(v0, lo, hi), 0, None
     else:
         v, looped, tail = _iterate(shape.transition, -shape.step * problem.linear_term,
                                    lo, hi, v0, K, shape.spectrum)
@@ -172,74 +177,72 @@ def optimum_tolerance(shape, v_star):
     return max(1e-12, rounding) * max(1.0, float(np.linalg.norm(v_star)))
 
 
-def solve_oracle(problem, tol=1e-10, max_cycles=None):
-    """Solve the box-constrained QP to KKT residual <= tol (active set).
+def solve_oracle(problem, start=None):
+    """The window optimum v*: iterate, polish, certify. Returns an OracleReport.
 
-    Classic primal scheme for a strictly convex objective: fix the active
-    bounds, solve the equality-restricted system, then either bind the most
-    violated bound or release the most negative multiplier. Ties break by
-    lowest index; deterministic throughout.
+    From v = `start` (or 0) clipped to the box, with g = S v + c, let A be
+    the pinned coordinates and those at a bound whose g points out of the
+    box, and F the rest. The polish w keeps w_A at its bounds and solves
+    S_FF w_F = -(c_F + S_FA w_A). The first of w (if inside the box) and v
+    whose error bound B(u) = gain ||u - clip(u - alpha (S u + c))||, with
+    gain = (1 + alpha L)/(alpha mu), is at most optimum_tolerance(shape, u)
+    is accepted; v covers degenerate complementarity. Otherwise the kernel
+    runs 8 more iterations (doubling, up to ORACLE_CHUNK) and the test
+    repeats. The kernel skips its closed-form tail (where that would settle,
+    A is empty and w = v_u), and solve_fixed_iters counts loop solves only.
 
-    A cycle that neither binds nor releases has found the final active set:
-    the next cycle would repeat it. It returns when the KKT residual is at
-    most max(tol, floor), and otherwise raises OracleStalled. The floor
-    n * eps * max(1, |c|, |S|) * max(1, ||v||_inf), with eps the float64
-    machine epsilon, is the rounding of the restricted solve and of S v + c
-    at the scale the bind and release tests use; an absolute tol below it
-    can be out of reach on an ill-conditioned S. max_cycles bounds the
-    binds and releases.
+    B(u) >= ||u - v*|| for every u (Pang, Math. Oper. Res. 12, 1987). Let
+    r = u - p, p = clip(u - alpha F(u)), F(u) = S u + c and e = u - v*. The
+    projection gives (r - alpha F(u))^T (v* - p) <= 0 and the optimality of
+    v* gives alpha F(v*)^T (p - v*) >= 0. Their sum, with v* - p = r - e, is
+    alpha e^T S e <= alpha (S e)^T r + r^T e - ||r||^2, so
+    alpha mu ||e||^2 <= (1 + alpha L) ||r|| ||e||. At the kernel's step the
+    gain is (3 L + mu)/(2 mu) at every scale of S; at the unit step, one
+    rounding of u in r, eps |u|, would give (1 + L) eps |u| / mu, above the
+    tolerance 4 n (L/mu) eps |u| once L < 1/(4 n).
+
+    It ends: r = I - G for the kernel's q-contraction G, so r is
+    (1 + q)-Lipschitz with r(v*) = 0 and B(v_k) <= gain (1 + q) q^k B(v_0).
+    The plain iterate passes by the k at which that is below
+    optimum_tolerance(shape, 0); a solve unaccepted one chunk later is held
+    up by rounding and raises OracleStalled. A non-finite c, start or
+    iterate raises NonfiniteIterate.
     """
+    shape = problem.shape
     s, c = problem.reduced_gradient_terms()
     lo, hi = problem.lower, problem.upper
-    n = s.shape[0]
-    if max_cycles is None:
-        max_cycles = 100 + 20 * n
-
-    # side[i]: 0 free, -1 at lower, +1 at upper; pinned intervals stay fixed
-    side = np.zeros(n, dtype=int)
-    pinned = lo == hi
-    side[pinned] = -1
-
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)), float(np.abs(s).max()))
-    v = np.empty(n)
-    for _ in range(max_cycles):
-        free = np.flatnonzero(side == 0)
-        bound_val = np.where(side < 0, lo, np.where(side > 0, hi, 0.0))
-        v = bound_val.copy()
-        if free.size:
-            rhs = -(c[free] + s[np.ix_(free, np.flatnonzero(side != 0))]
-                    @ bound_val[side != 0])
-            v[free] = np.linalg.solve(s[np.ix_(free, free)], rhs)
-
-        # bind the most violated free bound, if any
-        if free.size:
-            viol_lo = lo[free] - v[free]
-            viol_hi = v[free] - hi[free]
-            worst = np.maximum(viol_lo, viol_hi)
-            k = int(np.argmax(worst))
-            if worst[k] > 1e-12 * scale:
-                idx = free[k]
-                side[idx] = -1 if viol_lo[k] >= viol_hi[k] else 1
-                continue
-            v[free] = np.clip(v[free], lo[free], hi[free])
-
-        # multipliers: at a lower bound grad >= 0, at an upper bound grad <= 0
+    v = np.clip(np.zeros(shape.dim_v) if start is None else start, lo, hi)
+    if not (np.isfinite(c).all() and np.isfinite(v).all()):
+        raise NonfiniteIterate("oracle: non-finite linear term or start")
+    mu, lip = shape.curvature
+    alpha, q = shape.step, shape.contraction_base
+    gain = (1.0 + alpha * lip) / (alpha * mu)
+    iters, chunk, stall_at = 0, 8, None
+    while True:
         grad = s @ v + c
-        lam = np.zeros(n)
-        active = (side != 0) & ~pinned
-        lam[active] = np.where(side[active] < 0, grad[active], -grad[active])
-        releasable = np.flatnonzero(active & (lam < -1e-12 * scale))
-        if releasable.size:
-            side[releasable[np.argmin(lam[releasable])]] = 0
-            continue
-
-        residual = np.max(np.abs(v - np.clip(v - grad, lo, hi)))
-        floor = n * np.finfo(float).eps * scale * max(1.0, float(np.abs(v).max()))
-        if residual <= max(tol, floor):
-            return CondensedPoint(z=problem.lift(v), v=v)
-        raise OracleStalled(
-            f"active-set oracle: final active set has KKT residual "
-            f"{residual:.3e}, above tol {tol:.3e} and rounding floor {floor:.3e}")
-    raise MaxCyclesExceeded(
-        f"active-set oracle exceeded {max_cycles} cycles")
-
+        active = (lo == hi) | ((v == lo) & (grad > 0.0)) | ((v == hi) & (grad < 0.0))
+        free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
+        w = v.copy()
+        if free.size:
+            rhs = -(c[free] + s[np.ix_(free, fixed)] @ w[fixed])
+            w[free] = np.linalg.solve(s[np.ix_(free, free)], rhs)
+        in_box = ((w >= lo) & (w <= hi)).all()
+        for u, g in ([(w, s @ w + c)] if in_box else []) + [(v, grad)]:
+            bound = gain * float(np.linalg.norm(u - np.clip(u - alpha * g, lo, hi)))
+            if bound <= optimum_tolerance(shape, u):
+                return OracleReport(CondensedPoint(z=problem.lift(u), v=u),
+                                    bound, iters)
+        if stall_at is None:  # bound is B(v_0); at q = 0, v_1 = v*
+            ratio = optimum_tolerance(shape, 0.0) / (gain * (1.0 + q) * bound)
+            stall_at = ORACLE_CHUNK + (int(np.ceil(np.log(ratio) / np.log(q)))
+                                       if q > 0.0 else 1)
+        if iters > stall_at:
+            raise OracleStalled(
+                f"oracle: error bound {bound:.3e} still above tolerance after "
+                f"{iters} iterations; the contraction puts it below by "
+                f"{stall_at - ORACLE_CHUNK}")
+        v = _iterate(shape.transition, -alpha * c, lo, hi, v, chunk, None)[0]
+        iters += chunk
+        if not np.isfinite(v).all():
+            raise NonfiniteIterate("oracle: projected-gradient iterate overflowed")
+        chunk = min(2 * chunk, ORACLE_CHUNK)

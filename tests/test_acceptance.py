@@ -42,7 +42,7 @@ def test_criterion_1_solver_contract():
         prob = random_problem(rng, sys, cert, M=int(rng.integers(1, 6)))
         n_problems += 1
         q = prob.shape.contraction_base
-        z_star = solve_oracle(prob, tol=1e-11)
+        z_star = solve_oracle(prob).point
         v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower,
                      prob.upper)
         z0 = prob.lift(v0)
@@ -64,7 +64,7 @@ def test_criterion_1_solver_contract():
     for _ in range(3):
         sys, cert = random_certified_setup(rng2, n_x_max=3)
         prob = random_problem(rng2, sys, cert, M=2, t=3)
-        z_star = solve_oracle(prob, tol=1e-12)
+        z_star = solve_oracle(prob).point
         s, c = prob.reduced_gradient_terms()
         lam = np.linalg.eigvalsh(s)
         v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],

@@ -493,9 +493,12 @@ class TestCli:
         ("summary", 5, "$.output.summary"),
         ("dir", ["x"], "$.output.dir"),
         ("csv", "", "$.output.csv"),
-        ("csv", "summary.json", "$.output.summary")],
+        ("csv", "summary.json", "$.output.summary"),
+        ("csv", ".", "$.output.csv"),
+        ("csv", "nodir/t.csv", "$.output.csv"),
+        ("summary", "..", "$.output.summary")],
         ids=["csv_null", "summary_number", "dir_list", "csv_empty",
-             "csv_is_summary"])
+             "csv_is_summary", "csv_dot", "csv_in_subdir", "summary_dotdot"])
     def test_bad_output_names_exit_two(self, key, value, field, base_dict,
                                        tmp_path, capsys, monkeypatch):
         doc = json.loads(json.dumps(base_dict))

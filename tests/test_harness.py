@@ -16,7 +16,7 @@ from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             sample_disturbance_arrays)
 from submhe.mhe import CondensedPoint, WindowShapes, build_problem
 from submhe.model import Box, LtiSystem
-from submhe.solver import solve_fixed_iters
+from submhe.solver import optimum_tolerance, solve_fixed_iters
 
 
 def doc_params(doc, shapes):
@@ -419,12 +419,32 @@ class TestClosedLoop:
         oracle_calls.clear()
         ref = run_closed_loop(cfg)
         assert len(oracle_calls) == 60
-        for t, (_, z_star) in enumerate(oracle_calls):
+        for t, (_, oracle) in enumerate(oracle_calls):
             assert abs(log.eps[t] - ref.eps[t]) <= (
-                1e-12 * max(1.0, float(np.linalg.norm(z_star.z))))
+                1e-12 * max(1.0, float(np.linalg.norm(oracle.point.z))))
         assert np.array_equal(log.verdicts, ref.verdicts)
         assert np.array_equal(log.xhat, ref.xhat)
         assert log.warm_v == pytest.approx(ref.warm_v, rel=1e-12, abs=1e-12)
+
+    def test_summary_reports_the_oracle_bound_and_extra_iterations(
+            self, certified_doc, monkeypatch):
+        doc = certified_doc
+        shapes = doc.window_shapes(doc.certificate)
+        cfg = doc.scenario_config(shapes, K=25, steps=60, oracle=True,
+                                  allow_uncertified=True,
+                                  params=doc_params(doc, shapes))
+        oracle_calls = record_calls(monkeypatch, "solve_oracle")
+        solver = run_closed_loop(cfg).summary_dict()["solver"]
+        reports = [oracle for _, oracle in oracle_calls]
+        assert reports
+        assert solver["oracle_extra_iters"] == sum(r.iters for r in reports)
+        assert solver["oracle_bound_max"] == max(r.bound for r in reports)
+        for (problem,), oracle in oracle_calls:
+            assert oracle.bound <= optimum_tolerance(problem.shape, oracle.point.v)
+
+        off = run_closed_loop(replace(cfg, oracle=False)).summary_dict()["solver"]
+        assert off["oracle_extra_iters"] == 0
+        assert off["oracle_bound_max"] is None
 
     def test_oracle_off_skips_everything(self, case_study_doc):
         doc = case_study_doc

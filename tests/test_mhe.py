@@ -69,7 +69,7 @@ class TestBuildProblem:
         prior = np.array([1.0, -2.0, 3.0, 0.5])
         prob = build_problem(sys, cert, prior, [], [], 5, 0)
         assert prob.dim_z == sys.n_x and prob.dim_v == sys.n_x
-        opt = solve_oracle(prob, tol=1e-12)
+        opt = solve_oracle(prob).point
         assert np.allclose(opt.v, prior, atol=1e-10)
 
     def test_output_block_forced_by_measurement_equation(self):
@@ -154,7 +154,7 @@ class TestBuildProblem:
                                for s in range(t - m_eff, t)])
         assert np.all(v_truth >= prob.lower - 1e-12)
         assert np.all(v_truth <= prob.upper + 1e-12)
-        opt = solve_oracle(prob, tol=1e-11)
+        opt = solve_oracle(prob).point
         assert prob.cost(prob.lift(v_truth)) >= prob.cost(opt.z) - 1e-10
 
 

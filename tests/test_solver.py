@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from conftest import (certified_pgd, make_system, random_certified_setup,
                       random_problem, simple_certificate)
 
-from submhe.errors import (DegenerateHessian, MaxCyclesExceeded,
-                           NonfiniteIterate, OracleStalled)
+from submhe.errors import DegenerateHessian, NonfiniteIterate, OracleStalled
 from submhe.mhe import MheProblem, WindowShape, build_problem, step_spectrum
 from submhe.model import Box, IossCertificate, LtiSystem
+import submhe.solver as solver
 from submhe.solver import (_iterate, optimum_tolerance, solve_fixed_iters,
                            solve_oracle)
 
@@ -102,7 +102,7 @@ class TestSolveFixedIters:
         rng = np.random.default_rng(1)
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
-        z_star = solve_oracle(prob, tol=1e-12)
+        z_star = solve_oracle(prob).point
         rep = solve_fixed_iters(prob, z_star.z, 25)
         assert np.linalg.norm(rep.point.z - z_star.z) <= 1e-12
 
@@ -120,7 +120,7 @@ class TestSolveFixedIters:
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
             q = prob.shape.contraction_base
-            z_star = solve_oracle(prob, tol=1e-11)
+            z_star = solve_oracle(prob).point
             v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
                          prob.lower, prob.upper)
             z0 = prob.lift(v0)
@@ -153,7 +153,7 @@ class TestSolveFixedIters:
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
             q = prob.shape.contraction_base
-            z_star = solve_oracle(prob, tol=1e-12)
+            z_star = solve_oracle(prob).point
             v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
                          prob.lower, prob.upper)
             z, dv = prob.lift(v0), [np.linalg.norm(v0 - z_star.v)]
@@ -181,14 +181,14 @@ class TestSolveOracle:
                         np.full(prob.dim_v, np.inf))
         s, c = wide.reduced_gradient_terms()
         expected = np.linalg.solve(s, -c)
-        got = solve_oracle(wide, tol=1e-12)
+        got = solve_oracle(wide).point
         assert np.allclose(got.v, expected, atol=1e-10)
 
     def test_scalar_active_bound(self):
         # min (v - 3)^2 over [-1, 1] -> v* = 1
         prob = plain_problem(np.eye(1), np.array([3.0]),
                              lower=np.array([-1.0]), upper=np.array([1.0]))
-        assert solve_oracle(prob, tol=1e-12).v[0] == 1.0
+        assert solve_oracle(prob).point.v[0] == 1.0
 
     def test_agrees_with_long_projected_gradient(self):
         rng = np.random.default_rng(7)
@@ -196,7 +196,7 @@ class TestSolveOracle:
         weight = m @ m.T / 10 + 0.3 * np.eye(10)
         prob = plain_problem(weight, rng.standard_normal(10) * 2,
                              lower=-rng.random(10), upper=rng.random(10))
-        z_star = solve_oracle(prob, tol=1e-12)
+        z_star = solve_oracle(prob).point
         s, c = prob.reduced_gradient_terms()
         lam = np.linalg.eigvalsh(s)
         v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
@@ -208,7 +208,7 @@ class TestSolveOracle:
         for _ in range(10):
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
-            z_star = solve_oracle(prob, tol=1e-10)
+            z_star = solve_oracle(prob).point
             s, c = prob.reduced_gradient_terms()
             v = z_star.v
             grad_step = np.clip(v - (s @ v + c), prob.lower, prob.upper)
@@ -218,7 +218,7 @@ class TestSolveOracle:
         rng = np.random.default_rng(9)
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
-        z_star = solve_oracle(prob, tol=1e-11)
+        z_star = solve_oracle(prob).point
         best = prob.cost(z_star.z)
         v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower, prob.upper)
         for K in (0, 1, 5, 20):
@@ -229,15 +229,15 @@ class TestSolveOracle:
         prob = plain_problem(np.eye(2), np.array([1.0, -4.0]),
                              lower=np.array([0.0, -1.0]),
                              upper=np.array([0.0, 1.0]))
-        got = solve_oracle(prob, tol=1e-12)
+        got = solve_oracle(prob).point
         assert got.v[0] == 0.0
         assert got.v[1] == -1.0
 
     def test_final_active_set_within_rounding_floor(self):
         # A lifted_problems draw (hypothesis seed 1, dim_v 14, cond(S) 6.7e4,
-        # max(1, |c|, |S|) 1.6e5). Its active set is final after 7 binds with
-        # a KKT residual of 1.09e-11: above tol 1e-11, within the rounding
-        # floor of the restricted solve (1.6e-9).
+        # max(1, |c|, |S|) 1.6e5). The bind/release method this oracle
+        # replaced ended here with a KKT residual of 1.09e-11, within the
+        # rounding of its restricted solve but above a flat 1e-11.
         inf = np.inf
         sys = LtiSystem(
             A=np.array([[0.3940512773751339, -2.473892445096244],
@@ -263,23 +263,62 @@ class TestSolveOracle:
              [-0.46957345730724853, 0.2805702792321605]],
             [[-1.1518153183566384], [-0.6302935796434976],
              [1.7141243063027325], [1.0707235296094826]], 4, 4)
-        got = solve_oracle(prob, tol=1e-11)
+        got = solve_oracle(prob).point
         s, c = prob.reduced_gradient_terms()
         v_pg = certified_pgd(s, c, prob.lower, prob.upper, prob.shape.step,
                              prob.shape.contraction_base, 1e-11, 1_000_000)
         assert np.linalg.norm(v_pg - got.v) <= 1e-8
 
-    def test_final_active_set_above_floor_raises_at_once(self):
+    def test_nonfinite_linear_term_raises_at_once(self, monkeypatch):
         prob = plain_problem(np.eye(2), np.array([np.nan, 0.0]))
-        with pytest.raises(OracleStalled, match="residual nan"):
-            solve_oracle(prob, max_cycles=10 ** 9)
+        monkeypatch.setattr(solver, "_iterate", None)  # no iteration runs
+        with pytest.raises(NonfiniteIterate):
+            solve_oracle(prob)
 
-    def test_cycle_cap(self):
-        prob = plain_problem(np.eye(2), np.array([3.0, 3.0]),
-                             lower=np.array([-1.0, -1.0]),
-                             upper=np.array([1.0, 1.0]))
-        with pytest.raises(MaxCyclesExceeded):
-            solve_oracle(prob, max_cycles=0)
+    def test_optimum_on_a_side_with_zero_multiplier(self):
+        # v* = (1, -2) is the unconstrained minimiser, and coordinate 0's
+        # upper side passes through it: active, with multiplier 0
+        prob = plain_problem(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                             np.array([1.0, -2.0]),
+                             upper=np.array([1.0, np.inf]))
+        for start in (None, np.array([1.0, 5.0]), np.array([-3.0, -2.0])):
+            got = solve_oracle(prob, start=start)
+            assert got.bound <= optimum_tolerance(prob.shape, got.point.v)
+            assert np.linalg.norm(got.point.v - [1.0, -2.0]) <= 1e-12
+            assert got.point.v[0] <= 1.0
+
+    def test_zero_multiplier_sides_stay_in_the_box(self):
+        # Random windows whose minimiser v_u lies on coordinate 0's upper
+        # side. A polish that frees that coordinate lands on the side only to
+        # rounding (the full solve lands outside on 19 of these 40 draws),
+        # and outside it must not be accepted: v* is feasible.
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            m = rng.standard_normal((n, n))
+            ref = rng.uniform(-3.0, 3.0, size=n)
+            upper = np.full(n, np.inf)
+            upper[0] = ref[0]
+            prob = plain_problem(m @ m.T / n + 0.5 * np.eye(n), ref, upper=upper)
+            got = solve_oracle(prob)
+            assert np.all(got.point.v <= upper)
+            tol = optimum_tolerance(prob.shape, got.point.v)
+            assert got.bound <= tol
+            assert np.linalg.norm(got.point.v - ref) <= got.bound + tol
+
+    def test_kernel_without_progress_stalls(self, monkeypatch):
+        # min (v - 3)^2 over [-1, 1]: the polish of the cold start frees v
+        # and lands at 3, outside the box, and a kernel that returns its
+        # start never brings the plain iterate closer. With q = 0 the
+        # theorem accepts by iteration 1; the oracle gives up one full chunk
+        # later instead of looping.
+        prob = plain_problem(np.eye(1), np.array([3.0]),
+                             lower=np.array([-1.0]), upper=np.array([1.0]))
+        monkeypatch.setattr(solver, "_iterate",
+                            lambda t, d, lo, hi, v0, iters, spectrum:
+                            (v0.copy(), iters, None))
+        with pytest.raises(OracleStalled, match="below by 1$"):
+            solve_oracle(prob)
 
 
 class TestRunPgd:
@@ -406,6 +445,28 @@ class TestContractionProperty:
                         alpha * float(np.max(np.abs(prob.linear_term))))
             bound = r ** K * d0 * (1.0 + PAIR_RTOL) + PAIR_ATOL * scale
             assert np.linalg.norm(u_k - v_k) <= bound, (K, r)
+
+
+class TestOracleProperty:
+    """solve_oracle ends on every window QP, cold or warm, within its bound."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=lifted_problems(), warm=st.booleans())
+    def test_agrees_with_certified_pgd(self, case, warm):
+        prob, v0 = case
+        got = solve_oracle(prob, start=v0 if warm else None)
+        v = got.point.v
+        lo, hi = prob.lower, prob.upper
+        assert np.all((lo <= v) & (v <= hi))
+        tol = optimum_tolerance(prob.shape, v)
+        assert got.bound <= tol
+        # the literal loop's own certified distance to v*, at its last
+        # iterate: ||u - v*|| <= ||G(u) - u|| / (1 - q) for the step G
+        s, c = prob.reduced_gradient_terms()
+        alpha, q = prob.shape.step, prob.shape.contraction_base
+        u = certified_pgd(s, c, lo, hi, alpha, q, 1e-9, 2_000)
+        dist = np.linalg.norm(np.clip(u - alpha * (s @ u + c), lo, hi) - u) / (1.0 - q)
+        assert np.linalg.norm(v - u) <= got.bound + dist + tol
 
 
 @st.composite
@@ -538,7 +599,7 @@ class TestTailOptimum:
             if rep.looped == K:
                 assert rep.optimum is None
                 return
-            v_star = solve_oracle(prob).v
+            v_star = solve_oracle(prob).point.v
             gap = np.linalg.norm(rep.optimum - v_star)
             assert gap <= optimum_tolerance(prob.shape, v_star)
 
