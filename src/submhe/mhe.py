@@ -21,10 +21,12 @@ the window length, and live in a WindowShape; a WindowShapes object holds
 the M+1 shapes of one run and builds each on first use. So does the one
 eigendecomposition of S, which gives the step, its contraction base and the
 spectrum of the step's linear part (StepSpectrum), from which the solver
-takes the clamp-free tail of its loop in closed form. The shape also keeps
-the window-state map: the states xhat_0..xhat_Mt are affine in v and the
-input window, so the estimate is one product with it. A step adds the
-offset psi, the reference and with them the gradient's linear term c.
+takes the clamp-free tail of its loop in closed form. The oracle's search
+runs on the Jacobi-scaled problem (JacobiScaling), which the shape also
+builds on first use. The shape keeps the window-state map too: the states
+xhat_0..xhat_Mt are affine in v and the input window, so the estimate is
+one product with it. A step adds the offset psi, the reference and with
+them the gradient's linear term c.
 """
 
 from dataclasses import dataclass, field
@@ -166,6 +168,53 @@ class WindowShape:
         """The transition's StepSpectrum, for the loop's closed-form tail."""
         lam, basis = self.eigen
         return step_spectrum(lam, basis, self.step)
+
+    @cached_property
+    def jacobi(self):
+        """The Jacobi-scaled problem the oracle's search runs on (JacobiScaling).
+
+        Built on the oracle's first kernel chunk for this shape, so a run that
+        never calls the oracle's kernel never builds it.
+        """
+        d = 1.0 / np.sqrt(np.diag(self.hessian))
+        scaled = d[:, None] * self.hessian * d
+        lam, _ = eigh(scaled)
+        mu, lip = float(lam[0]), float(lam[-1])
+        if not (mu > 0.0 and np.isfinite(lip)):
+            raise DegenerateHessian(
+                f"Jacobi-scaled Hessian has min eigenvalue {mu:.3e}")
+        step = 2.0 / (lip + mu)
+        transition = np.eye(d.shape[0]) - step * scaled
+        lower, upper = self.lower / d, self.upper / d
+        for arr in (d, lower, upper, transition):
+            arr.setflags(write=False)
+        return JacobiScaling(scale=d, lower=lower, upper=upper, transition=transition,
+                             step=step, contraction_base=(lip - mu) / (lip + mu),
+                             condition=float(d.max() / d.min()))
+
+
+@dataclass(frozen=True, eq=False)
+class JacobiScaling:
+    """The window QP in v~ = v / d, for d = diag(S)^(-1/2) and D = diag(d).
+
+    The cost in v~ has the Hessian S~ = D S D, whose diagonal is all ones,
+    and the gradient S~ v~ + d * c. A diagonal scaling maps the box to the
+    box [lower / d, upper / d], so the projection stays a clamp (Bertsekas,
+    SIAM J. Control Optim. 20(2), 1982), and Jacobi's d is within a factor n
+    of the best diagonal scaling's condition number (van der Sluis, Numer.
+    Math. 14, 1969). The projected-gradient step 2/(L~ + mu~) on S~
+    contracts v~ at q~ = (L~ - mu~)/(L~ + mu~), as WindowShape's step does v
+    at q; in v the distance gains at most condition = max d / min d, since
+    ||D x|| <= max d ||x|| and ||D^-1 x|| <= ||x|| / min d.
+    """
+
+    scale: np.ndarray        # d
+    lower: np.ndarray        # the box in v~
+    upper: np.ndarray
+    transition: np.ndarray   # I - step * S~
+    step: float              # 2/(L~ + mu~)
+    contraction_base: float  # (L~ - mu~)/(L~ + mu~)
+    condition: float         # max d / min d, the gain from v~ to v distances
 
 
 @dataclass(frozen=True, eq=False)

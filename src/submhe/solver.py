@@ -7,9 +7,12 @@ distance to the optimizer in the free coordinates. The iteration steps
 q = (L-mu)/(L+mu), so ||v_K - v*|| <= q^K ||v_0 - v*|| in the Euclidean
 norm of v (see mhe.WindowShape.contraction_base). In the lifted z the bound
 gains the factor ||Psi|| (mhe.WindowShape.lift_norm). The oracle measures
-v*, and with it the sub-optimality error, with the same kernel: it runs
-the loop on, polishes the iterate on its active set and accepts on a
-certified error bound (solve_oracle).
+v*, and with it the sub-optimality error, with the same kernel, on the
+Jacobi-scaled problem (mhe.JacobiScaling): it runs the loop on from the
+step's iterate, polishes the iterate on its active set and accepts on a
+certified error bound in the plain problem (solve_oracle). The scaling
+serves the oracle's search only; the estimator, its budget K and every
+bound on it stay the plain iteration's.
 
 There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
@@ -177,6 +180,22 @@ def optimum_tolerance(shape, v_star):
     return max(1e-12, rounding) * max(1.0, float(np.linalg.norm(v_star)))
 
 
+def oracle_iterations(shape, ratio):
+    """The iterations of the oracle's search that shrink ||v - v*|| by `ratio`.
+
+    The search runs the kernel on the Jacobi-scaled problem
+    (shape.jacobi), whose step contracts v~ = v / d at q~; in v that is
+    ||v_k - v*|| <= kappa(D) q~^k ||v_0 - v*|| with kappa(D) = max d / min d
+    (mhe.JacobiScaling). Returns the smallest k >= 0 with
+    kappa(D) q~^k <= ratio, and 1 at q~ = 0, where v_1 = v*.
+    """
+    scaling = shape.jacobi
+    q = scaling.contraction_base
+    if q == 0.0:
+        return 1
+    return max(0, int(np.ceil(np.log(ratio / scaling.condition) / np.log(q))))
+
+
 def solve_oracle(problem, start=None):
     """The window optimum v*: iterate, polish, certify. Returns an OracleReport.
 
@@ -191,6 +210,16 @@ def solve_oracle(problem, start=None):
     repeats. The kernel skips its closed-form tail (where that would settle,
     A is empty and w = v_u), and solve_fixed_iters counts loop solves only.
 
+    The search is the same kernel, on the Jacobi-scaled problem
+    (shape.jacobi): it iterates v~ = v / d on S~ = D S D with the linear term
+    d * c, the box [lo / d, hi / d] and its own step 2/(L~ + mu~), and v is
+    d * v~. A coordinate the kernel clamped to a scaled side is set to that
+    side exactly (d * (lo / d) may round off lo), so the active-set test
+    `v == lo` sees it, and v is clipped to the box against outward rounding.
+    Only the search is scaled: the active set, the polish and B(u) use S, c,
+    the plain step alpha, mu and L, so an iterate with the same active set
+    gives the same w.
+
     B(u) >= ||u - v*|| for every u (Pang, Math. Oper. Res. 12, 1987). Let
     r = u - p, p = clip(u - alpha F(u)), F(u) = S u + c and e = u - v*. The
     projection gives (r - alpha F(u))^T (v* - p) <= 0 and the optimality of
@@ -201,12 +230,15 @@ def solve_oracle(problem, start=None):
     rounding of u in r, eps |u|, would give (1 + L) eps |u| / mu, above the
     tolerance 4 n (L/mu) eps |u| once L < 1/(4 n).
 
-    It ends: r = I - G for the kernel's q-contraction G, so r is
-    (1 + q)-Lipschitz with r(v*) = 0 and B(v_k) <= gain (1 + q) q^k B(v_0).
-    The plain iterate passes by the k at which that is below
-    optimum_tolerance(shape, 0); a solve unaccepted one chunk later is held
-    up by rounding and raises OracleStalled. A non-finite c, start or
-    iterate raises NonfiniteIterate.
+    It ends: r = I - G for the plain step's q-contraction G, so r is
+    (1 + q)-Lipschitz with r(v*) = 0, and B(u) <= gain (1 + q) ||u - v*||.
+    The scaled iterates satisfy ||v_k - v*|| <= kappa(D) q~^k ||v_0 - v*||
+    (oracle_iterations), and ||v_0 - v*|| <= B(v_0), so
+    B(v_k) <= gain (1 + q) kappa(D) q~^k B(v_0). The plain iterate passes by
+    the k at which that is below optimum_tolerance(shape, 0); a solve
+    unaccepted one chunk later is held up by rounding and raises
+    OracleStalled. A non-finite c, scaled start or scaled iterate raises
+    NonfiniteIterate.
     """
     shape = problem.shape
     s, c = problem.reduced_gradient_terms()
@@ -232,17 +264,25 @@ def solve_oracle(problem, start=None):
             if bound <= optimum_tolerance(shape, u):
                 return OracleReport(CondensedPoint(z=problem.lift(u), v=u),
                                     bound, iters)
-        if stall_at is None:  # bound is B(v_0); at q = 0, v_1 = v*
+        if stall_at is None:  # bound is B(v_0)
             ratio = optimum_tolerance(shape, 0.0) / (gain * (1.0 + q) * bound)
-            stall_at = ORACLE_CHUNK + (int(np.ceil(np.log(ratio) / np.log(q)))
-                                       if q > 0.0 else 1)
+            stall_at = ORACLE_CHUNK + oracle_iterations(shape, ratio)
+            scaling = shape.jacobi
+            d = scaling.scale
+            shift = -scaling.step * (d * c)
+            v_scaled = v / d
+            if not np.isfinite(v_scaled).all():
+                raise NonfiniteIterate("oracle: non-finite scaled start")
         if iters > stall_at:
             raise OracleStalled(
                 f"oracle: error bound {bound:.3e} still above tolerance after "
                 f"{iters} iterations; the contraction puts it below by "
                 f"{stall_at - ORACLE_CHUNK}")
-        v = _iterate(shape.transition, -alpha * c, lo, hi, v, chunk, None)[0]
+        v_scaled = _iterate(scaling.transition, shift, scaling.lower, scaling.upper,
+                            v_scaled, chunk, None)[0]
         iters += chunk
-        if not np.isfinite(v).all():
+        if not np.isfinite(v_scaled).all():
             raise NonfiniteIterate("oracle: projected-gradient iterate overflowed")
+        v = np.where(v_scaled == scaling.lower, lo,
+                     np.where(v_scaled == scaling.upper, hi, np.clip(d * v_scaled, lo, hi)))
         chunk = min(2 * chunk, ORACLE_CHUNK)

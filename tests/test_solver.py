@@ -307,18 +307,75 @@ class TestSolveOracle:
             assert np.linalg.norm(got.point.v - ref) <= got.bound + tol
 
     def test_kernel_without_progress_stalls(self, monkeypatch):
-        # min (v - 3)^2 over [-1, 1]: the polish of the cold start frees v
-        # and lands at 3, outside the box, and a kernel that returns its
-        # start never brings the plain iterate closer. With q = 0 the
-        # theorem accepts by iteration 1; the oracle gives up one full chunk
-        # later instead of looping.
-        prob = plain_problem(np.eye(1), np.array([3.0]),
-                             lower=np.array([-1.0]), upper=np.array([1.0]))
+        # min (v - r)^T W (v - r) over [-1, 1]^2 with r outside the box: the
+        # polish of the cold start frees both coordinates and lands at r,
+        # and a kernel that returns its start never brings the plain iterate
+        # closer. The count is the theorem's, from numpy alone: S = 2 W has
+        # d = (8, 2)^(-1/2), kappa(D) = 2 and D S D = [[1, 3/4], [3/4, 1]],
+        # so q~ = 3/4. The oracle gives up one full chunk past it.
+        weight = np.array([[4.0, 1.5], [1.5, 1.0]])
+        prob = plain_problem(weight, np.array([3.0, -3.0]),
+                             lower=np.full(2, -1.0), upper=np.full(2, 1.0))
+        s, c = prob.reduced_gradient_terms()
+        lo, hi = prob.lower, prob.upper
+        lam = np.linalg.eigvalsh(s)
+        alpha, q = 2.0 / (lam[-1] + lam[0]), (lam[-1] - lam[0]) / (lam[-1] + lam[0])
+        gain = (1.0 + alpha * lam[-1]) / (alpha * lam[0])
+        b0 = gain * np.linalg.norm(np.clip(-alpha * c, lo, hi))  # B(0)
+        d = 1.0 / np.sqrt(np.diag(s))
+        lam_s = np.linalg.eigvalsh(d[:, None] * s * d)
+        q_s = (lam_s[-1] - lam_s[0]) / (lam_s[-1] + lam_s[0])
+        ratio = optimum_tolerance(prob.shape, 0.0) / (gain * (1.0 + q) * b0)
+        count = int(np.ceil(np.log(ratio / (d.max() / d.min())) / np.log(q_s)))
+        iters, chunk = 0, 8
+        while iters <= count + solver.ORACLE_CHUNK:
+            iters, chunk = iters + chunk, min(2 * chunk, solver.ORACLE_CHUNK)
         monkeypatch.setattr(solver, "_iterate",
                             lambda t, d, lo, hi, v0, iters, spectrum:
                             (v0.copy(), iters, None))
-        with pytest.raises(OracleStalled, match="below by 1$"):
+        with pytest.raises(OracleStalled,
+                           match=f"after {iters} iterations; .* below by {count}$"):
             solve_oracle(prob)
+
+    def test_bound_clamped_in_scaled_coordinates_is_exact(self):
+        # S = 10: d = 10^(-1/2), and d * (0.7 / d) rounds to 0.7 + 1.1e-16,
+        # inside the box. v* = 0.7 is on the lower side; from 1.5 the scaled
+        # kernel clamps there, the oracle maps it to 0.7 exactly, the active
+        # set holds it and the polish is exact.
+        prob = plain_problem(np.array([[5.0]]), np.array([-1.0]),
+                             lower=np.array([0.7]), upper=np.array([2.0]))
+        d = prob.shape.jacobi.scale
+        assert d * (0.7 / d) != 0.7
+        got = solve_oracle(prob, start=np.array([1.5]))
+        assert got.iters > 0
+        assert got.point.v[0] == 0.7
+        assert got.bound == 0.0
+
+    @pytest.mark.parametrize("hessian, direction", [
+        # D S D = [[1, 1/2], [1/2, 1]], kappa(D) = 10: T~ swaps the two
+        # coordinates, so an error on the small-d side returns on the large
+        # one and ||v_k - v*|| = kappa(D) q~^k ||v_0 - v*|| at odd k
+        (np.array([[100.0, 5.0], [5.0, 1.0]]), "first"),
+        # Jacobi scaling slows this one, q = 0.761 < q~ = 7/9, and an error
+        # along the slowest direction of T~ shrinks by q~ per iteration
+        (np.array([[4.0, 3.0, 1.0], [3.0, 4.0, 1.0], [1.0, 1.0, 2.0]]), "slowest"),
+    ])
+    def test_count_bounds_the_scaled_search(self, hessian, direction):
+        prob = plain_problem(hessian / 2.0, np.ones(hessian.shape[0]))
+        scaling = prob.shape.jacobi
+        d = scaling.scale
+        s, c = prob.reduced_gradient_terms()
+        v_star = np.linalg.solve(s, -c)
+        if direction == "first":
+            error = np.eye(len(d))[0] * d
+        else:
+            error = d * np.linalg.eigh(d[:, None] * s * d)[1][:, 0]
+        for ratio in (0.2, 0.05, 1e-3, 1e-6):
+            k = solver.oracle_iterations(prob.shape, ratio)
+            v_k = d * _iterate(scaling.transition, -scaling.step * d * c,
+                               scaling.lower, scaling.upper,
+                               (v_star + error) / d, k, None)[0]
+            assert np.linalg.norm(v_k - v_star) <= ratio * np.linalg.norm(error), (ratio, k)
 
 
 class TestRunPgd:
@@ -467,6 +524,18 @@ class TestOracleProperty:
         u = certified_pgd(s, c, lo, hi, alpha, q, 1e-9, 2_000)
         dist = np.linalg.norm(np.clip(u - alpha * (s @ u + c), lo, hi) - u) / (1.0 - q)
         assert np.linalg.norm(v - u) <= got.bound + dist + tol
+        # the termination theorem: the plain iterate passes at the first test
+        # (iterations 0, 8, 24, 56, ...) at or after the scaled search's count
+        v0 = np.clip(v0 if warm else np.zeros(prob.dim_v), lo, hi)
+        mu, lip = prob.shape.curvature
+        gain = (1.0 + alpha * lip) / (alpha * mu)
+        b0 = gain * np.linalg.norm(v0 - np.clip(v0 - alpha * (s @ v0 + c), lo, hi))
+        tol0, scale = optimum_tolerance(prob.shape, 0.0), gain * (1.0 + q) * b0
+        count = solver.oracle_iterations(prob.shape, tol0 / scale) if scale > tol0 else 0
+        test_at, chunk = 0, 8
+        while test_at < count:
+            test_at, chunk = test_at + chunk, min(2 * chunk, solver.ORACLE_CHUNK)
+        assert got.iters <= test_at, (got.iters, count)
 
 
 @st.composite
