@@ -292,7 +292,7 @@ def build_params(shapes, *, L_phi, L_pi, gamma13_slope, sampled=()):
     input. `sampled` names the scalar inputs that were sampled or estimated
     rather than derived or asserted.
     """
-    sys, cert = shapes.sys, shapes.cert
+    cert = shapes.cert
     bar_h, _ = weight_eigen_range(shapes)
     pw, _ = eigh(cert.P)
     qw, _ = eigh(cert.Q)
@@ -303,7 +303,7 @@ def build_params(shapes, *, L_phi, L_pi, gamma13_slope, sampled=()):
         eta=cert.eta, M=shapes.M,
         phi_base=float(worst_case_contraction(shapes)),
         lift_gain=lift_gain(shapes),
-        norm_C=float(np.linalg.norm(sys.C, 2)), bar_H=bar_h,
+        norm_C=shapes.plant_norms[2], bar_H=bar_h,
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,
         lam_QP=float(qw[-1]) / lam_min_p,

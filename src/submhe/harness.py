@@ -109,7 +109,7 @@ class TrajectoryLog:
 
     The loop writes each value once, into its row; the windows, the priors,
     the monitor pass, the CSV and the summary all read these columns. The
-    four oracle columns are None when the oracle is off.
+    three oracle columns are None when the oracle is off.
     """
 
     config_hash: str
@@ -132,7 +132,6 @@ class TrajectoryLog:
     eps: np.ndarray | None       # ||z_K - z*||
     eps_v: np.ndarray | None     # ||v_K - v*||, eps in the free coordinates
     warm_v: np.ndarray | None    # ||v0 - v*||, free coordinates of the warm start
-    warm_z: np.ndarray | None    # ||z0 - z*||
     verdicts: np.ndarray         # (T, len(MONITOR_NAMES)), filled in by monitor_step
     oracle_solves: int = 0       # steps whose v* came from solver.solve_oracle
     oracle_extra_iters: int = 0  # kernel iterations those solves ran beyond K
@@ -147,7 +146,7 @@ class TrajectoryLog:
                    xhat=col(sys.n_x), e_norm=col(), w_delta=col(),
                    sigma_raw=col(), sigma_clamped=col(), looped=col(dtype=int),
                    feasible=col(3, dtype=bool), eps=ocol(), eps_v=ocol(),
-                   warm_v=ocol(), warm_z=ocol(),
+                   warm_v=ocol(),
                    verdicts=np.full((T, len(MONITOR_NAMES)), SKIP))
 
     @property
@@ -259,15 +258,15 @@ def _sup_before(series):
 
 
 def monitor_step(bundle, M, x_norm, e_norm, w_norm, w_q, sigma, eps, eps_v,
-                 warm_v, warm_z, w_delta):
+                 warm_v, w_delta):
     """Verdicts of the per-step inequality monitors over one run.
 
     Each series is an array over the steps t = 0..T-1 of a window-length-M
     run: ||x_t||, ||e_t|| = ||xhat_t - x_t||, ||w_t|| and ||w_t||_Q^2 of the
     step's disturbance, sigma_clamped and w_delta = W(xhat_t, x_t).
-    eps = ||z_K - z*|| and warm_z = ||z0 - z*|| are distances in the decision
-    vector; eps_v = ||v_K - v*|| and warm_v = ||v0 - v*|| are the same
-    distances in the free coordinates. Returns one tuple of verdicts per
+    eps = ||z_K - z*|| is a distance in the decision vector; eps_v =
+    ||v_K - v*|| is the same distance and warm_v = ||v0 - v*|| the warm
+    start's, in the free coordinates. Returns one tuple of verdicts per
     step, in MONITOR_NAMES order.
     """
     T = len(eps)
@@ -311,9 +310,10 @@ def monitor_step(bundle, M, x_norm, e_norm, w_norm, w_q, sigma, eps, eps_v,
                                 + led.g3w * sup_w + led.g3sigma * sup_sigma))
 
     # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*|| and
-    # ||z_K - z*|| <= phi_z(K) ||z0 - z*||
+    # ||z_K - z*|| <= ||Psi|| ||v_K - v*|| <= phi_z(K) ||v0 - v*||, which is
+    # at most phi_z(K) ||z0 - z*||: the free coordinates appear verbatim in z
     contraction = verdict(_leq(eps_v, bundle.phi * warm_v)
-                          & _leq(eps, bundle.phi_z * warm_z))
+                          & _leq(eps, bundle.phi_z * warm_v))
     return list(zip(recursion, lyapunov, traj_eps, traj_err, contraction))
 
 
@@ -446,7 +446,6 @@ def run_closed_loop(cfg, observe=None):
             log.eps[t] = np.linalg.norm(z_k - z_star.z)
             log.eps_v[t] = np.linalg.norm(report.point.v - z_star.v)
             log.warm_v[t] = np.linalg.norm(problem.select_v(z0) - z_star.v)
-            log.warm_z[t] = np.linalg.norm(z0 - z_star.z)
 
         log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
         log.w_delta[t] = w_delta(cfg.cert, xhat, x)
@@ -464,8 +463,7 @@ def run_closed_loop(cfg, observe=None):
             bundle, M, x_norm=log.x_norm, e_norm=log.e_norm,
             w_norm=np.linalg.norm(w, axis=1),
             w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
-            eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, warm_z=log.warm_z,
-            w_delta=log.w_delta)
+            eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, w_delta=log.w_delta)
         failing = (log.verdicts == FAIL).any(axis=1)
         if cfg.strict and failing.any():
             t = int(np.argmax(failing))

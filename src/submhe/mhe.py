@@ -22,14 +22,14 @@ the M+1 shapes of one run and builds each on first use. So does the one
 eigendecomposition of S, which gives the step, its contraction base and the
 spectrum of the step's linear part (StepSpectrum), from which the solver
 takes the clamp-free tail of its loop in closed form. The oracle's search
-runs on the Jacobi-scaled problem (JacobiScaling), which the shape also
-builds on first use. The shape keeps the window-state map too: the states
-xhat_0..xhat_Mt are affine in v and the input window, so the estimate is
-one product with it. A step adds the offset psi, the reference and with
-them the gradient's linear term c.
+runs on the same window in Jacobi-scaled coordinates, itself a WindowShape
+(WindowShape.jacobi) that the shape also builds on first use. The shape
+keeps the window-state map too: the states xhat_0..xhat_Mt are affine in v
+and the input window, so the estimate is one product with it. A step adds
+the offset psi, the reference and with them the gradient's linear term c.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -144,9 +144,12 @@ class WindowShape:
         """||Psi||, the gain from free-coordinate to lifted distances.
 
         Two lifted points differ by z - z' = Psi (v - v'), so
-        ||z - z'|| <= ||Psi|| ||v - v'||. The free coordinates appear verbatim
-        in z, so ||Psi|| >= 1 and ||v - v'|| <= ||z - z'|| for any z, z' whose
-        free coordinates are v, v'.
+        ||z - z'|| <= ||Psi|| ||v - v'||. In the original coordinates the
+        free coordinates appear verbatim in z, so ||Psi|| >= 1 and
+        ||v - v'|| <= ||z - z'|| for any z, z' whose free coordinates are
+        v, v'. On the Jacobi-scaled shape (jacobi) the value is ||Psi D||,
+        which can lie below 1; it is the first factor of the scaled lift gain
+        ||Psi D|| ||D^-1||.
         """
         return float(np.linalg.norm(self.lift_matrix, 2))
 
@@ -171,50 +174,34 @@ class WindowShape:
 
     @cached_property
     def jacobi(self):
-        """The Jacobi-scaled problem the oracle's search runs on (JacobiScaling).
+        """(d, shape): this window in the Jacobi-scaled coordinates v~ = v / d.
 
-        Built on the oracle's first kernel chunk for this shape, so a run that
-        never calls the oracle's kernel never builds it.
+        d = diag(S)^(-1/2) and D = diag(d). With v = D v~ the window is the
+        same QP in v~: the lift is Psi D, the weight H and the input map are
+        unchanged, the box is [lower / d, upper / d] and the state map's v
+        columns are scaled by d. So shape is a WindowShape with G~ = D G,
+        S~ = D S D (whose diagonal is all ones) and the linear term d * c;
+        its curvature, step, contraction base q~, transition and spectrum are
+        the ones every shape computes. A diagonal scaling maps the box to a
+        box, so the projection stays a clamp (Bertsekas, SIAM J. Control
+        Optim. 20(2), 1982), and Jacobi's d is within a factor n of the best
+        diagonal scaling's condition number (van der Sluis, Numer. Math. 14,
+        1969). The step 2/(L~ + mu~) contracts v~ at q~; in v the distance
+        gains at most kappa(D) = max d / min d, since ||D x|| <= max d ||x||
+        and ||D^-1 x|| <= ||x|| / min d.
+
+        No MheProblem is built on shape: select_v and window_slots read v
+        verbatim from z, and z holds v, not v~. Built on the oracle's first
+        kernel chunk for this shape, so a run that never calls the oracle's
+        kernel never builds it.
         """
         d = 1.0 / np.sqrt(np.diag(self.hessian))
-        scaled = d[:, None] * self.hessian * d
-        lam, _ = eigh(scaled)
-        mu, lip = float(lam[0]), float(lam[-1])
-        if not (mu > 0.0 and np.isfinite(lip)):
-            raise DegenerateHessian(
-                f"Jacobi-scaled Hessian has min eigenvalue {mu:.3e}")
-        step = 2.0 / (lip + mu)
-        transition = np.eye(d.shape[0]) - step * scaled
-        lower, upper = self.lower / d, self.upper / d
-        for arr in (d, lower, upper, transition):
+        lift, lower, upper = self.lift_matrix * d, self.lower / d, self.upper / d
+        state_map = self.state_map * np.concatenate([d, np.ones(self.input_map.shape[1])])
+        for arr in (d, lift, lower, upper, state_map):
             arr.setflags(write=False)
-        return JacobiScaling(scale=d, lower=lower, upper=upper, transition=transition,
-                             step=step, contraction_base=(lip - mu) / (lip + mu),
-                             condition=float(d.max() / d.min()))
-
-
-@dataclass(frozen=True, eq=False)
-class JacobiScaling:
-    """The window QP in v~ = v / d, for d = diag(S)^(-1/2) and D = diag(d).
-
-    The cost in v~ has the Hessian S~ = D S D, whose diagonal is all ones,
-    and the gradient S~ v~ + d * c. A diagonal scaling maps the box to the
-    box [lower / d, upper / d], so the projection stays a clamp (Bertsekas,
-    SIAM J. Control Optim. 20(2), 1982), and Jacobi's d is within a factor n
-    of the best diagonal scaling's condition number (van der Sluis, Numer.
-    Math. 14, 1969). The projected-gradient step 2/(L~ + mu~) on S~
-    contracts v~ at q~ = (L~ - mu~)/(L~ + mu~), as WindowShape's step does v
-    at q; in v the distance gains at most condition = max d / min d, since
-    ||D x|| <= max d ||x|| and ||D^-1 x|| <= ||x|| / min d.
-    """
-
-    scale: np.ndarray        # d
-    lower: np.ndarray        # the box in v~
-    upper: np.ndarray
-    transition: np.ndarray   # I - step * S~
-    step: float              # 2/(L~ + mu~)
-    contraction_base: float  # (L~ - mu~)/(L~ + mu~)
-    condition: float         # max d / min d, the gain from v~ to v distances
+        return d, replace(self, lift_matrix=lift, lower=lower, upper=upper,
+                          state_map=state_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,10 +453,8 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
         shapes = WindowShapes(sys, cert, M)
     elif shapes.sys is not sys or shapes.cert is not cert or shapes.M != M:
         raise ValueError("window shapes belong to another (system, certificate, M)")
-    u_window = np.asarray(u_window, dtype=float).reshape(-1, n_u) if len(u_window) else \
-        np.zeros((0, n_u))
-    y_window = np.asarray(y_window, dtype=float).reshape(-1, n_y) if len(y_window) else \
-        np.zeros((0, n_y))
+    u_window = np.asarray(u_window, dtype=float).reshape(-1, n_u)
+    y_window = np.asarray(y_window, dtype=float).reshape(-1, n_y)
     if u_window.shape[0] != m_eff or y_window.shape[0] != m_eff:
         raise WindowLengthMismatch(
             f"windows must have length min(M, t) = {m_eff}, "

@@ -8,11 +8,12 @@ q = (L-mu)/(L+mu), so ||v_K - v*|| <= q^K ||v_0 - v*|| in the Euclidean
 norm of v (see mhe.WindowShape.contraction_base). In the lifted z the bound
 gains the factor ||Psi|| (mhe.WindowShape.lift_norm). The oracle measures
 v*, and with it the sub-optimality error, with the same kernel, on the
-Jacobi-scaled problem (mhe.JacobiScaling): it runs the loop on from the
-step's iterate, polishes the iterate on its active set and accepts on a
-certified error bound in the plain problem (solve_oracle). The scaling
-serves the oracle's search only; the estimator, its budget K and every
-bound on it stay the plain iteration's.
+same window in Jacobi-scaled coordinates (mhe.WindowShape.jacobi, itself a
+window shape): it runs the loop on from the step's iterate, polishes the
+iterate on its active set and accepts on a certified error bound in the
+plain problem (solve_oracle). The scaling serves the oracle's search only;
+the estimator, its budget K and every bound on it stay the plain
+iteration's.
 
 There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
@@ -183,17 +184,18 @@ def optimum_tolerance(shape, v_star):
 def oracle_iterations(shape, ratio):
     """The iterations of the oracle's search that shrink ||v - v*|| by `ratio`.
 
-    The search runs the kernel on the Jacobi-scaled problem
-    (shape.jacobi), whose step contracts v~ = v / d at q~; in v that is
+    The search runs the kernel on the Jacobi-scaled shape (d, scaled) =
+    shape.jacobi, whose step contracts v~ = v / d at q~ =
+    scaled.contraction_base; in v that is
     ||v_k - v*|| <= kappa(D) q~^k ||v_0 - v*|| with kappa(D) = max d / min d
-    (mhe.JacobiScaling). Returns the smallest k >= 0 with
+    (mhe.WindowShape.jacobi). Returns the smallest k >= 0 with
     kappa(D) q~^k <= ratio, and 1 at q~ = 0, where v_1 = v*.
     """
-    scaling = shape.jacobi
-    q = scaling.contraction_base
+    d, scaled = shape.jacobi
+    q = scaled.contraction_base
     if q == 0.0:
         return 1
-    return max(0, int(np.ceil(np.log(ratio / scaling.condition) / np.log(q))))
+    return max(0, int(np.ceil(np.log(ratio / (d.max() / d.min())) / np.log(q))))
 
 
 def solve_oracle(problem, start=None):
@@ -210,12 +212,13 @@ def solve_oracle(problem, start=None):
     repeats. The kernel skips its closed-form tail (where that would settle,
     A is empty and w = v_u), and solve_fixed_iters counts loop solves only.
 
-    The search is the same kernel, on the Jacobi-scaled problem
-    (shape.jacobi): it iterates v~ = v / d on S~ = D S D with the linear term
-    d * c, the box [lo / d, hi / d] and its own step 2/(L~ + mu~), and v is
-    d * v~. A coordinate the kernel clamped to a scaled side is set to that
-    side exactly (d * (lo / d) may round off lo), so the active-set test
-    `v == lo` sees it, and v is clipped to the box against outward rounding.
+    The search is the same kernel, on the Jacobi-scaled shape (d, scaled) =
+    shape.jacobi: it iterates v~ = v / d on S~ = D S D with the linear term
+    d * c, the box [lo / d, hi / d] and the scaled shape's own step
+    2/(L~ + mu~), and v is d * v~. A coordinate the kernel clamped to a
+    scaled side is set to that side exactly (d * (lo / d) may round off lo),
+    so the active-set test `v == lo` sees it, and v is clipped to the box
+    against outward rounding.
     Only the search is scaled: the active set, the polish and B(u) use S, c,
     the plain step alpha, mu and L, so an iterate with the same active set
     gives the same w.
@@ -267,9 +270,8 @@ def solve_oracle(problem, start=None):
         if stall_at is None:  # bound is B(v_0)
             ratio = optimum_tolerance(shape, 0.0) / (gain * (1.0 + q) * bound)
             stall_at = ORACLE_CHUNK + oracle_iterations(shape, ratio)
-            scaling = shape.jacobi
-            d = scaling.scale
-            shift = -scaling.step * (d * c)
+            d, scaled = shape.jacobi
+            shift = -scaled.step * (d * c)
             v_scaled = v / d
             if not np.isfinite(v_scaled).all():
                 raise NonfiniteIterate("oracle: non-finite scaled start")
@@ -278,11 +280,11 @@ def solve_oracle(problem, start=None):
                 f"oracle: error bound {bound:.3e} still above tolerance after "
                 f"{iters} iterations; the contraction puts it below by "
                 f"{stall_at - ORACLE_CHUNK}")
-        v_scaled = _iterate(scaling.transition, shift, scaling.lower, scaling.upper,
+        v_scaled = _iterate(scaled.transition, shift, scaled.lower, scaled.upper,
                             v_scaled, chunk, None)[0]
         iters += chunk
         if not np.isfinite(v_scaled).all():
             raise NonfiniteIterate("oracle: projected-gradient iterate overflowed")
-        v = np.where(v_scaled == scaling.lower, lo,
-                     np.where(v_scaled == scaling.upper, hi, np.clip(d * v_scaled, lo, hi)))
+        v = np.where(v_scaled == scaled.lower, lo,
+                     np.where(v_scaled == scaled.upper, hi, np.clip(d * v_scaled, lo, hi)))
         chunk = min(2 * chunk, ORACLE_CHUNK)

@@ -1,6 +1,8 @@
 """The names perfbench/child.py hooks into submhe still exist and still count
-what it counts. child.py is loaded by path, as it stands."""
+what it counts, and its kernel sweep still runs. child.py is loaded by path,
+as it stands."""
 
+import argparse
 import importlib
 import importlib.util
 
@@ -59,3 +61,14 @@ def test_residual_sigma_parts_stamps_one_probe_trial(certified_doc,
                             seed=0)
     assert np.isfinite(probe.value)
     assert len(calls) == 3
+
+
+def test_kernel_sweep_runs_in_process(monkeypatch):
+    # The sweep's solve_fixed_iters(prob, zeros(dim_z), K) and rep.point.z,
+    # which only traced benchmark runs reach otherwise
+    child = load_child()
+    monkeypatch.setattr(child, "SWEEP_ROUNDS", 1)
+    args = argparse.Namespace(config=CONFIG_DIR / "case_study_certified.json", seed=0)
+    rc, result = child.run_sweep_mode(args)
+    assert rc == 0, result
+    assert set(result["us_per_iter"]) == {"29", "49", "119"}

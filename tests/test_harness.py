@@ -201,7 +201,7 @@ class TestClosedLoop:
         assert np.issubdtype(log.looped.dtype, np.integer)
         assert log.feasible.shape == (T, 3) and log.feasible.dtype == bool
         assert log.verdicts.shape == (T, len(harness.MONITOR_NAMES))
-        for name in ("eps", "eps_v", "warm_v", "warm_z"):
+        for name in ("eps", "eps_v", "warm_v"):
             arr = getattr(log, name)
             if oracle:
                 assert arr.shape == (T,) and arr.dtype == np.float64
@@ -553,7 +553,7 @@ class TestMonitorStep:
         s = dict(x_norm=[1.0] * 6, e_norm=[1.0] * 5 + [0.5],
                  w_norm=[0.1] * 6, w_q=[0.01] * 6, sigma=[0.0] * 6,
                  eps=[0.3] * 4 + [0.2, 0.1], eps_v=[0.1] * 6,
-                 warm_v=[0.5] * 6, warm_z=[0.5] * 6, w_delta=[1.0] * 6)
+                 warm_v=[0.5] * 6, w_delta=[1.0] * 6)
         s = {name: np.array(vals) for name, vals in s.items()}
         for name, value in last.items():
             s[name][-1] = value
@@ -619,9 +619,11 @@ class TestMonitorStep:
         assert self.last(eps_v=0.26)["contraction"] == "fail"
 
     def test_contraction_monitor_checks_z(self):
+        # eps_v = 0.1 <= phi * warm_v = 0.2 passes in v; in z the bound is
+        # phi_z * warm_v = 0.32, so only the z form fails
         b = self.bundle(phi_z=0.8)
-        assert self.last(b, eps=0.39)["contraction"] == "pass"
-        assert self.last(b, eps=0.41)["contraction"] == "fail"
+        assert self.last(b, warm_v=0.4, eps=0.31)["contraction"] == "pass"
+        assert self.last(b, warm_v=0.4, eps=0.33)["contraction"] == "fail"
 
     def test_missing_constants_skip(self):
         b = self.bundle(C1=None, C2=None, C3=None, L_phi=None)

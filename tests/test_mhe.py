@@ -65,12 +65,17 @@ class TestComputeWeight:
 
 class TestBuildProblem:
     def test_prior_only_step(self, case_study):
+        # at t = 0 a list and a (0, n) array are the same empty window
         sys, cert, _ = case_study
         prior = np.array([1.0, -2.0, 3.0, 0.5])
-        prob = build_problem(sys, cert, prior, [], [], 5, 0)
-        assert prob.dim_z == sys.n_x and prob.dim_v == sys.n_x
-        opt = solve_oracle(prob).point
-        assert np.allclose(opt.v, prior, atol=1e-10)
+        for u_window, y_window in (([], []), (np.zeros((0, sys.n_u)),
+                                               np.zeros((0, sys.n_y)))):
+            prob = build_problem(sys, cert, prior, u_window, y_window, 5, 0)
+            assert prob.u_window.shape == (0, sys.n_u)
+            assert prob.y_window.shape == (0, sys.n_y)
+            assert prob.dim_z == sys.n_x and prob.dim_v == sys.n_x
+            opt = solve_oracle(prob).point
+            assert np.allclose(opt.v, prior, atol=1e-10)
 
     def test_output_block_forced_by_measurement_equation(self):
         sys = make_system([[1.0]], [[0.0]], [[1.0]], w_bound=0.0)

@@ -344,7 +344,7 @@ class TestSolveOracle:
         # set holds it and the polish is exact.
         prob = plain_problem(np.array([[5.0]]), np.array([-1.0]),
                              lower=np.array([0.7]), upper=np.array([2.0]))
-        d = prob.shape.jacobi.scale
+        d, _ = prob.shape.jacobi
         assert d * (0.7 / d) != 0.7
         got = solve_oracle(prob, start=np.array([1.5]))
         assert got.iters > 0
@@ -362,8 +362,7 @@ class TestSolveOracle:
     ])
     def test_count_bounds_the_scaled_search(self, hessian, direction):
         prob = plain_problem(hessian / 2.0, np.ones(hessian.shape[0]))
-        scaling = prob.shape.jacobi
-        d = scaling.scale
+        d, scaled = prob.shape.jacobi
         s, c = prob.reduced_gradient_terms()
         v_star = np.linalg.solve(s, -c)
         if direction == "first":
@@ -372,13 +371,13 @@ class TestSolveOracle:
             error = d * np.linalg.eigh(d[:, None] * s * d)[1][:, 0]
         for ratio in (0.2, 0.05, 1e-3, 1e-6):
             k = solver.oracle_iterations(prob.shape, ratio)
-            v_k = d * _iterate(scaling.transition, -scaling.step * d * c,
-                               scaling.lower, scaling.upper,
+            v_k = d * _iterate(scaled.transition, -scaled.step * d * c,
+                               scaled.lower, scaled.upper,
                                (v_star + error) / d, k, None)[0]
             assert np.linalg.norm(v_k - v_star) <= ratio * np.linalg.norm(error), (ratio, k)
 
 
-class TestRunPgd:
+class TestIterate:
     """The projected-gradient kernel, solver._iterate."""
 
     def test_kernel_does_not_mutate_input(self):
@@ -469,6 +468,73 @@ class TestKernelReference:
         assert np.array_equal(v0, v0_copy)
         expect = ref[-1] if K else np.clip(v0, prob.lower, prob.upper)
         assert np.max(np.abs(rep.point.v - expect)) <= KERNEL_RTOL * scale
+
+
+# Two ways of forming one product, tolerance set from float64 before the test
+# was run: an entry that sums n products rounds by at most n unit roundoffs
+# (1.1e-16) of the sum of their magnitudes (|A| |B|). Here n <= 36, and
+# S~ = G~ Psi~ chains two such sums, so both sides together stay below
+# 4 * 36 * 1.1e-16 < 1e-13 of that magnitude.
+PRODUCT_RTOL = 1e-13
+
+
+class TestJacobiShape:
+    """shape.jacobi is the same window in v~ = v / d, and the kernel runs on
+    it as on any window shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lifted_problems())
+    def test_scaled_shape_is_the_same_window(self, case):
+        prob, v0 = case
+        shape = prob.shape
+        d, scaled = shape.jacobi
+        assert np.array_equal(d, 1.0 / np.sqrt(np.diag(shape.hessian)))
+        assert scaled.weight is shape.weight and scaled.input_map is shape.input_map
+        assert np.array_equal(scaled.lower, shape.lower / d)
+        assert np.array_equal(scaled.upper, shape.upper / d)
+
+        def close(got, want, magnitude):
+            assert np.all(np.abs(got - want) <= PRODUCT_RTOL * magnitude)
+
+        # the lift and the state map agree at v = d * v~
+        v_tilde = v0 / d
+        v = d * v_tilde
+        close(scaled.lift_matrix @ v_tilde, shape.lift_matrix @ v,
+              np.abs(shape.lift_matrix) @ np.abs(v))
+        u = prob.u_window.ravel()
+        close(scaled.state_map @ np.concatenate([v_tilde, u]),
+              shape.state_map @ np.concatenate([v, u]),
+              np.abs(shape.state_map) @ np.abs(np.concatenate([v, u])))
+        # G~ = D G, S~ = D S D, and the linear term in v~ is d * c
+        g_mag = 2.0 * np.abs(shape.lift_matrix.T) @ np.abs(shape.weight)
+        close(scaled.gradient_map, d[:, None] * shape.gradient_map,
+              d[:, None] * g_mag)
+        close(scaled.hessian, d[:, None] * shape.hessian * d,
+              d[:, None] * (g_mag @ np.abs(shape.lift_matrix)) * d)
+        offset = prob.lift_offset - prob.reference
+        close(scaled.gradient_map @ offset, d * prob.linear_term,
+              d * (g_mag @ np.abs(offset)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lifted_problems(), K=st.sampled_from([1, 2, 3, 4, 7, 8, 200]))
+    def test_kernel_matches_clip_loop_in_scaled_coordinates(self, case, K):
+        # The probes of the closed-form tail run at k = 0, 1, 3, 7, as in
+        # TestKernelReference; the kernel runs with the scaled shape's tail
+        # and without one
+        prob, v0 = case
+        d, scaled = prob.shape.jacobi
+        c = d * prob.linear_term
+        alpha = scaled.step
+        v0 = v0 / d
+        ref = reference_pgd(scaled.hessian, c, scaled.lower, scaled.upper, v0,
+                            alpha, K)
+        scale = max(1.0, float(np.max(np.abs(ref))), alpha * float(np.max(np.abs(c))))
+        for spectrum in (scaled.spectrum, None):
+            got, looped, _ = _iterate(scaled.transition, -alpha * c, scaled.lower,
+                                      scaled.upper, v0, K, spectrum)
+            assert np.max(np.abs(got - ref[-1])) <= KERNEL_RTOL * scale
+            if spectrum is None:
+                assert looped == K
 
 
 # Two trajectories of the same problem, tolerance set from float64 before the
