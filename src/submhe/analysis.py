@@ -57,8 +57,8 @@ class AnalysisParams:
             raise ValueError(f"phi_base must lie in (0, 1), got {self.phi_base}")
         if not self.lift_gain >= 1.0:
             raise ValueError(f"lift_gain must be at least 1, got {self.lift_gain}")
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
+        if not 0.0 < self.eta < 1.0:
+            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.M < 1:
             raise ValueError("M must be at least 1")
         for name in ("gamma13_slope", "norm_C"):

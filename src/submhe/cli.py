@@ -5,7 +5,10 @@ no feasible iteration count, strict-mode monitor failure), 2 usage error
 (bad flags, unreadable or invalid config). Errors are emitted as one JSON
 object on stderr. Every JSON document the CLI writes is strict JSON: a
 non-finite number is written as the string "inf", "-inf" or "nan", as
-configs spell interval bounds.
+configs spell interval bounds. The run policy is simulate's: the library
+loop always runs and records, and simulate refuses rho >= 1 before it
+probes anything (unless --uncertified) and, with --strict, raises on the
+first monitor failure after the run, before it writes anything.
 """
 
 import argparse
@@ -20,7 +23,7 @@ from . import analysis
 from .controller import assert_stabilizing, estimate_closed_loop_gain
 from .errors import (ContractionViolated, MonitorViolation, NotFoundBelowCap,
                      ParseError, SubmheError, ValidationError)
-from .harness import lipschitz_probe, run_closed_loop
+from .harness import FAIL, MONITOR_NAMES, lipschitz_probe, run_closed_loop
 from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
 
@@ -63,20 +66,21 @@ def _resolve_certificate(doc):
     return cert, True
 
 
-def _analysis_params(doc, shapes, *, search, probe=True):
+def _analysis_params(doc, shapes, *, probe=True):
     """The run's AnalysisParams on `shapes` (a WindowShapes): every input of
     the analysis is resolved here, once per run.
 
-    L_Phi, L_pi and gamma13_slope are taken from the config when it asserts
-    them. Otherwise L_pi is ||gain||, L_Phi is probed (lipschitz_probe) and
-    gamma13_slope is estimated (estimate_closed_loop_gain); the params name
-    the last two in `sampled`, so a ledger built on them certifies nothing.
-    `search` marks a search for K*, which the controller smoke test guards.
-    Without `probe`, an L_Phi left to the probe stays unresolved and there
-    are no params (None).
+    L_Phi and gamma13_slope are taken from the config when it asserts them.
+    Otherwise L_Phi is probed (lipschitz_probe) and gamma13_slope is
+    estimated (estimate_closed_loop_gain); the params name them in
+    `sampled`, so a ledger built on them certifies nothing. Without `probe`,
+    an L_Phi left to the probe stays unresolved and there are no params.
+
+    L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is the
+    Euclidean projection onto a convex set, which is nonexpansive (Bauschke
+    & Combettes 2011, Prop. 4.16), so ||pi(x) - pi(x')|| <= ||G||_2 ||x - x'||.
+    It is exact when 0 is interior to u_box: the law is linear near 0.
     """
-    if search:
-        assert_stabilizing(doc.system, doc.controller)
     sampled = []
     l_phi = doc.analysis["L_Phi"]
     if l_phi == "probe":
@@ -89,9 +93,7 @@ def _analysis_params(doc, shapes, *, search, probe=True):
     if gamma13 is None:
         gamma13 = estimate_closed_loop_gain(doc.system, doc.controller).slope
         sampled.append("gamma13_slope")
-    l_pi = doc.controller.declared_lipschitz
-    if l_pi is None:
-        l_pi = float(np.linalg.norm(doc.controller.gain, 2))
+    l_pi = float(np.linalg.norm(doc.controller.gain, 2))
     return analysis.build_params(shapes, L_phi=l_phi, L_pi=l_pi,
                                  gamma13_slope=gamma13, sampled=sampled)
 
@@ -116,7 +118,8 @@ def cmd_certify(args):
 def cmd_analyze_k(args):
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    params = _analysis_params(doc, doc.window_shapes(cert), search=True)
+    assert_stabilizing(doc.system, doc.controller)  # guards the search for K*
+    params = _analysis_params(doc, doc.window_shapes(cert))
     k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
     meta = {"L_Phi_probed": "L_Phi" in params.sampled,
             "gamma13_heuristic": "gamma13_slope" in params.sampled}
@@ -139,22 +142,29 @@ def cmd_simulate(args):
         raise ValidationError("--iters", "must be nonnegative")
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
+    if not args.uncertified:  # refused before any input is probed
+        analysis.compute_rho(cert.eta, doc.mhe["M"])
     oracle = (doc.scenario["oracle"] if args.oracle is None
               else args.oracle == "on")
     shapes = doc.window_shapes(cert)
     if args.iters is None and doc.mhe["K"] == "auto":
-        params = _analysis_params(doc, shapes, search=True)
+        assert_stabilizing(doc.system, doc.controller)  # guards the search for K*
+        params = _analysis_params(doc, shapes)
         k, _ = analysis.min_iterations(params, doc.analysis["K_max"])
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
         try:  # the probe runs only when the monitors will use its ledger
-            params = _analysis_params(doc, shapes, search=False, probe=oracle)
+            params = _analysis_params(doc, shapes, probe=oracle)
         except SubmheError:
             params = None  # no ledger; the monitors needing one skip
     cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
-                              oracle=oracle, strict=args.strict,
-                              allow_uncertified=args.uncertified, params=params)
+                              oracle=oracle, params=params)
     log = run_closed_loop(cfg)
+    failing = (log.verdicts == FAIL).any(axis=1)
+    if args.strict and failing.any():
+        t = int(np.argmax(failing))
+        names = [n for n, v in zip(MONITOR_NAMES, log.verdicts[t]) if v == FAIL]
+        raise MonitorViolation(f"monitor(s) {', '.join(names)} failed at step {t}")
     outdir = Path(args.out if args.out else doc.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / doc.output["csv"]
@@ -277,8 +287,7 @@ def cmd_verify(args):
                                    K=max(doc.mhe["K"], 5)
                                    if doc.mhe["K"] != "auto" else 50,
                                    steps=min(doc.scenario["steps"], 2 * M + 2),
-                                   oracle=oracle, allow_uncertified=True,
-                                   params=None)
+                                   oracle=oracle, params=None)
 
     def short_loop():
         dims = []
@@ -394,7 +403,7 @@ def build_parser():
     p_sim.add_argument("--strict", action="store_true",
                        help="promote monitor failures to errors")
     p_sim.add_argument("--uncertified", action="store_true",
-                       help="allow simulation when the analysis fails (rho >= 1)")
+                       help="simulate even when the M-step decay fails (rho >= 1)")
     p_sim.add_argument("--oracle", choices=["on", "off"], default=None)
     p_sim.set_defaults(fn=cmd_simulate)
 

@@ -208,7 +208,7 @@ class ConfigDocument:
 
         cblock = _block(doc, "certificate")
         eta = _number(_require(cblock, "eta", "$.certificate"), "$.certificate.eta",
-                      minimum=0.0)
+                      strict_min=0.0)
         if eta >= 1.0:
             raise ValidationError("$.certificate.eta", "must be < 1")
         p_val = _require(cblock, "P", "$.certificate")
@@ -237,19 +237,16 @@ class ConfigDocument:
                 raise ValidationError("$.certificate", str(exc)) from exc
 
         kblock = _block(doc, "controller")
-        L_pi, gamma13 = kblock.get("L_pi"), kblock.get("gamma13_slope")
+        gamma13 = kblock.get("gamma13_slope")
         controller = {
             "gain": _matrix(_require(kblock, "gain", "$.controller"),
                             "$.controller.gain", rows=n_u, cols=n_x),
-            "L_pi": (None if L_pi is None else
-                     _number(L_pi, "$.controller.L_pi", strict_min=0.0)),
             "gamma13_slope": (None if gamma13 is None else
                               _number(gamma13, "$.controller.gamma13_slope",
                                       minimum=0.0)),
         }
         _check_keys(kblock, controller, "$.controller")
-        law = FeedbackLaw(gain=controller["gain"], u_box=sys.u_box,
-                          declared_lipschitz=controller["L_pi"])
+        law = FeedbackLaw(gain=controller["gain"], u_box=sys.u_box)
 
         mblock = _block(doc, "mhe")
         K = _require(mblock, "K", "$.mhe")
@@ -336,7 +333,7 @@ class ConfigDocument:
         return WindowShapes(self.system, cert, self.mhe["M"])
 
     def scenario_config(self, shapes, *, K, seed=None, steps=None, oracle=None,
-                        strict=False, allow_uncertified=False, params=None):
+                        params=None):
         """The scenario run on `shapes`, from window_shapes(cert), with the
         AnalysisParams `params` built on the same shapes (None: no ledger)."""
         sc = self.scenario
@@ -346,7 +343,6 @@ class ConfigDocument:
             x0=sc["x0"], x_prior0=sc["prior"],
             seed=seed if seed is not None else sc["seed"],
             oracle=oracle if oracle is not None else sc["oracle"],
-            strict=strict, allow_uncertified=allow_uncertified,
             params=params, config_hash=self.config_hash())
 
 

@@ -22,7 +22,6 @@ DIVERGENCE_LIMIT = 1e12  # a state norm above this reads as divergence
 class FeedbackLaw:
     gain: np.ndarray
     u_box: Box
-    declared_lipschitz: float | None = None
 
     def __post_init__(self):
         gain = np.array(self.gain, dtype=float)

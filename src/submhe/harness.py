@@ -28,9 +28,9 @@ analysis on the recorded columns in one pass: (a) the error recursion,
 runs only), (d) the solver contraction budget, both in the free coordinates
 v (phi(K)) and in the decision vector z (phi_z(K), which carries the lift
 gain). The sub-optimality error eps itself is measured in z. Monitor
-failures are recorded in the record's verdicts, not fatal; in strict mode
-the run raises MonitorViolation after the pass, naming the first failing
-step.
+failures are recorded in the record's verdicts, never raised: the run
+always records every step, and treating a failure as an error is the
+caller's decision.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,7 @@ import numpy as np
 from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
-                     MonitorViolation, UnboundedSampleBox)
+                     UnboundedSampleBox)
 from .mhe import (CondensedPoint, build_problem, extract_estimate,
                   residual_sigma_parts, sigma_lift, sigma_truncate)
 from .model import validate_system, w_delta
@@ -69,8 +69,6 @@ class ScenarioConfig:
     x_prior0: np.ndarray                # also the warm start at t = 0
     seed: int = 0
     oracle: bool = True                 # the monitors run exactly when it is on
-    strict: bool = False
-    allow_uncertified: bool = False
     params: object = None               # AnalysisParams on shapes; None: no ledger
     config_hash: str = ""
 
@@ -368,7 +366,9 @@ def run_closed_loop(cfg, observe=None):
 
     The loop runs on the analysis params it is handed (cfg.params) and
     evaluates their ledger once, at K. The run is certified only when
-    rho < 1, that ledger passes and none of its inputs was sampled. The
+    rho < 1, that ledger passes and none of its inputs was sampled. A run
+    with rho >= 1 runs and records all the same, uncertified and with no
+    ledger reported; refusing it is the caller's decision. The
     analysis and the loop share cfg.shapes, so each window shape and its
     eigen terms are built once per run. observe(problem, report), when
     given, is called with each step's window problem and solve report, in
@@ -386,8 +386,6 @@ def run_closed_loop(cfg, observe=None):
         analysis.compute_rho(eta, M)
         uncertified_reason = _why_uncertified(K, params, ledger)
     except ContractionViolated as exc:
-        if not cfg.allow_uncertified:
-            raise
         # as in analyze-k, no ledger is reported without the M-step decay;
         # its one-step constants C1..C3 still feed the eps_recursion monitor
         uncertified_reason, reported = str(exc), None
@@ -464,13 +462,6 @@ def run_closed_loop(cfg, observe=None):
             w_norm=np.linalg.norm(w, axis=1),
             w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
             eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, w_delta=log.w_delta)
-        failing = (log.verdicts == FAIL).any(axis=1)
-        if cfg.strict and failing.any():
-            t = int(np.argmax(failing))
-            failed = [name for name, v in zip(MONITOR_NAMES, log.verdicts[t])
-                      if v == FAIL]
-            raise MonitorViolation(
-                f"monitor(s) {', '.join(failed)} failed at step {t}")
     return log
 
 
@@ -501,20 +492,15 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
     used = skipped = 0
     for _ in range(n_trials):
         t = int(rng.integers(1, 2 * M + 1))
-        m_t = min(M, t)
-        m_prev = min(M, t - 1)
-        n_seq = m_t + 1 if t > M else m_t
+        # windows: the first min(M, t - 1) and last min(M, t) of n_seq steps
+        n_seq, m_t = min(M + 1, t), min(M, t)
         u_seq = sys.u_box.sample(rng, n_seq, scale=1.0)
         y_seq = sys.y_box.sample(rng, n_seq, scale=y_scale)
         prior1 = sys.x_box.sample(rng, scale=prior_scale)
         delta = prior_step_scale * rng.standard_normal(sys.n_x)
         prior2 = sys.x_box.project(prior1 + delta)
-        if t > M:
-            u1, y1 = u_seq[:-1], y_seq[:-1]
-            u2, y2 = u_seq[1:], y_seq[1:]
-        else:
-            u1, y1 = u_seq[:m_prev], y_seq[:m_prev]
-            u2, y2 = u_seq[:m_t], y_seq[:m_t]
+        u1, y1 = u_seq[:-1], y_seq[:-1]
+        u2, y2 = u_seq[n_seq - m_t:], y_seq[n_seq - m_t:]
         p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1, shapes=shapes)
         p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
         _, sigma_t = residual_sigma_parts(t, shapes, cert.eta)

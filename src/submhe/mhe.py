@@ -112,8 +112,8 @@ class WindowShape:
         lam, _ = self.eigen
         mu, lip = float(lam[0]), float(lam[-1])
         if mu <= 0.0 or not np.isfinite(lip):
-            raise DegenerateHessian(
-                f"reduced Hessian has min eigenvalue {mu:.3e}; lift is rank-deficient")
+            raise DegenerateHessian(f"reduced Hessian has min eigenvalue {mu:.3e}; "
+                                    "the weight is numerically singular")
         return mu, lip
 
     @property
@@ -525,13 +525,14 @@ def residual_sigma_parts(t, shapes, eta):
     0 afterwards, with H the weight of the length-t window of `shapes` (a
     WindowShapes, which keeps both norms). H is block-diagonal in P, Q and R,
     all positive definite, so ||H|| is its largest eigenvalue, which the
-    shape keeps with its smallest. The first coefficient is negative
-    for eta in (0, 1), so the raw value can be negative; it is clamped at
-    zero because it enters the analysis as a disturbance magnitude.
+    shape keeps with its smallest. The first coefficient is negative for
+    eta in (0, 1), which every certificate keeps (0 at eta = 1), so the raw
+    value can be negative; it is clamped at zero because it enters the
+    analysis as a disturbance magnitude.
     """
     if t > shapes.M:
         return 0.0, 0.0
-    coeff = 0.0 if eta == 1.0 else (1.0 - 1.0 / eta if eta > 0.0 else -np.inf)
+    coeff = 1.0 - 1.0 / eta
     norm_a, norm_b, norm_c = shapes.plant_norms
     raw = coeff * shapes[t].weight_range[1] + norm_a + norm_b + norm_c + 2.0
     return float(raw), float(max(raw, 0.0))

@@ -152,8 +152,8 @@ class IossCertificate:
         object.__setattr__(self, "R", _frozen_array(self.R, 2))
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "tol", float(self.tol))
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
+        if not 0.0 < self.eta < 1.0:
+            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.tol < 0.0:
             raise ValueError("tol must be nonnegative")
 

@@ -124,7 +124,7 @@ def test_criterion_4_case_study_reproduction(case_study_doc):
     assert np.array_equal(doc.scenario["x0"], [12.0, -10.0, 10.0, -10.0])
     assert np.array_equal(doc.scenario["prior"], [7.0, -7.0, 3.0, -5.0])
     shapes = doc.window_shapes(doc.certificate)
-    cfg = doc.scenario_config(shapes, K=25, steps=40, allow_uncertified=True,
+    cfg = doc.scenario_config(shapes, K=25, steps=40,
                               params=_doc_params(doc, shapes))
     z_ks = []
     log = run_closed_loop(cfg, observe=lambda prob, rep: z_ks.append(rep.point.z))
@@ -217,7 +217,7 @@ def test_criterion_9_warm_start_growing_phase(case_study_doc):
     doc = case_study_doc
     M = doc.mhe["M"]
     shapes = doc.window_shapes(doc.certificate)
-    cfg = doc.scenario_config(shapes, K=40, steps=2 * M, allow_uncertified=True,
+    cfg = doc.scenario_config(shapes, K=40, steps=2 * M,
                               params=_doc_params(doc, shapes))
     dims = []
     run_closed_loop(cfg, observe=lambda prob, rep: dims.append(prob.dim_z))

@@ -261,6 +261,8 @@ class TestBuildParams:
             params(M=0)
         with pytest.raises(ValueError):
             params(lam_HP=0.0)
+        with pytest.raises(ValueError):
+            params(eta=0.0)
 
     def test_base_and_lift_gain_scan_all_shapes(self, case_study):
         sys, cert, _ = case_study

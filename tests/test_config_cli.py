@@ -30,6 +30,8 @@ DELETED_KEYS = [
     ("scenario", "monitors", True),
     # the law saturates at system.u_box
     ("controller", "u_box", [[-1.0, 1.0]] * 2),
+    # L_pi is ||gain||_2, derived from the law
+    ("controller", "L_pi", 2.65),
     # the controller smoke test runs with fixed settings
     ("analysis", "smoke_radius", 1.0),
     ("analysis", "smoke_horizon", 300),
@@ -40,7 +42,7 @@ DELETED_KEYS = [
 ACCEPTED_KEYS = {
     "system": {"A", "B", "C", "x_box", "u_box", "y_box", "w1_box", "w2_box"},
     "certificate": {"P", "Q", "R", "eta", "tol", "search_budget"},
-    "controller": {"gain", "L_pi", "gamma13_slope"},
+    "controller": {"gain", "gamma13_slope"},
     "mhe": {"M", "K"},
     "scenario": {"x0", "prior", "steps", "seed", "oracle"},
     "analysis": {"K_max", "L_Phi", "probe_trials", "probe_seed"},
@@ -57,7 +59,6 @@ class TestLoadConfig:
         assert np.array_equal(doc.certificate.Q, np.eye(5))
         assert doc.mhe["K"] == 652
         assert doc.gamma13_slope == 28.8
-        assert doc.controller.declared_lipschitz == 2.65
         assert doc.analysis["L_Phi"] == 5.32
         assert not doc.system.x_box.is_bounded
         assert doc.system.w1_box.is_bounded
@@ -129,6 +130,8 @@ class TestLoadConfig:
         with pytest.raises(ParseError):
             load_config(path)
 
+    # the token fails at decode, before any key is checked, so a deleted key
+    # (controller.L_pi) fails the same way
     @pytest.mark.parametrize("block, key, token", [
         ("certificate", "eta", "NaN"),
         ("analysis", "L_Phi", "NaN"),
@@ -231,6 +234,8 @@ class TestCli:
         # config-supplied scalars bypass both estimators
         assert out["meta"]["gamma13_heuristic"] is False
         assert out["meta"]["L_Phi_probed"] is False
+        gain = load_config(CONFIG_DIR / "case_study_certified.json").controller.gain
+        assert out["ledger"]["params"]["L_pi"] == np.linalg.norm(gain, 2)
 
     def test_analyze_k_estimated_scalars(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))
@@ -321,13 +326,46 @@ class TestCli:
         assert err["error"] == "ValidationError"
         assert err["field"] == "$.certificate.search_budget"
 
-    def test_simulate_requires_uncertified_gate(self, tmp_path, capsys):
-        code = run_cli(["simulate", "--config",
-                        str(CONFIG_DIR / "case_study.json"),
-                        "--out", str(tmp_path)])
+    def test_simulate_requires_uncertified_gate(self, tmp_path, base_dict,
+                                                capsys, monkeypatch):
+        # rho >= 1 is refused before anything is probed: the shipped config,
+        # and a copy with a fixed K that probes L_Phi
+        import submhe.cli as cli
+        probes = []
+        real = cli.lipschitz_probe
+
+        def counting(*args, **kwargs):
+            probes.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lipschitz_probe", counting)
+        doc = json.loads(json.dumps(base_dict))
+        doc["analysis"].update(L_Phi="probe", probe_trials=20)
+        probed = tmp_path / "probe.json"
+        probed.write_text(json.dumps(doc))
+        for path in (CONFIG_DIR / "case_study.json", probed):
+            code = run_cli(["simulate", "--config", str(path),
+                            "--out", str(tmp_path / "out"), "--steps", "3"])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 1
+            assert err["error"] == "ContractionViolated"
+        assert probes == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze-k", "simulate"])
+    def test_zero_eta_exits_two(self, command, tmp_path, capsys):
+        # at eta = 0 the window weights only its newest slot: S is singular
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        doc["certificate"]["eta"] = 0
+        path = tmp_path / "eta.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli([command, "--config", str(path), "--out",
+                        str(tmp_path / "out")])
         err = json.loads(capsys.readouterr().err)
-        assert code == 1
-        assert err["error"] == "ContractionViolated"
+        assert code == 2
+        assert err["error"] == "ValidationError"
+        assert err["field"] == "$.certificate.eta"
 
     def test_simulate_uncertified_writes_outputs(self, tmp_path, capsys):
         code = run_cli(["simulate", "--config",
@@ -423,20 +461,38 @@ class TestCli:
     def test_simulate_strict_failure_exits_nonzero(self, tmp_path, base_dict,
                                                    capsys, monkeypatch):
         # an impossible contraction rate makes the contraction monitor fail
+        import submhe.harness as harness
         monkeypatch.setattr("submhe.analysis.worst_case_contraction",
                             lambda shapes: 1e-6)
         doc = json.loads(json.dumps(base_dict))
         doc["mhe"]["K"] = 1
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(doc))
-        code = run_cli(["simulate", "--config", str(path), "--out",
-                        str(tmp_path), "--uncertified", "--strict",
-                        "--steps", "6"])
+        argv = ["simulate", "--config", str(path), "--uncertified",
+                "--steps", "6"]
+        # the same run without --strict: its CSV names the first failure
+        assert run_cli(argv + ["--out", str(tmp_path / "relaxed")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "relaxed" / "trajectory.csv").read_text().split()]
+        mons = [i for i, name in enumerate(rows[0]) if name.startswith("mon_")]
+        first = next(row for row in rows[1:] if "fail" in row)
+        failed = [rows[0][i][4:] for i in mons if first[i] == "fail"]
+        assert "contraction" in failed
+        capsys.readouterr()
+
+        evaluated = []
+        real = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *a: evaluated.append(a) or real(*a))
+        out = tmp_path / "strict"
+        code = run_cli(argv + ["--out", str(out), "--strict"])
         err = json.loads(capsys.readouterr().err)
         assert code == 1
         assert err["error"] == "MonitorViolation"
-        assert not (tmp_path / "trajectory.csv").exists()
-        assert not (tmp_path / "summary.json").exists()
+        assert err["message"] == (f"monitor(s) {', '.join(failed)} failed at "
+                                  f"step {first[0]}")
+        assert len(evaluated) == 6  # every step ran before the raise
+        assert not out.exists()  # no CSV or summary
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -536,6 +592,11 @@ class TestCli:
         bad.write_text(json.dumps(deleted))
         assert run_cli(["simulate", "--config", str(bad)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "$.scenario.monitors"
+        deleted = json.loads(json.dumps(base_dict))
+        deleted["controller"]["L_pi"] = 0.1
+        bad.write_text(json.dumps(deleted))
+        assert run_cli(["analyze-k", "--config", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "$.controller.L_pi"
         assert run_cli(["bogus-subcommand"]) == 2
 
 

@@ -6,11 +6,10 @@ import pytest
 from conftest import CONFIG_DIR, child_env, make_system, simple_certificate
 
 import submhe.harness as harness
-from submhe.analysis import build_params
+from submhe.analysis import build_params, compute_rho
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
-                           DimensionMismatch, MonitorViolation,
-                           UnboundedSampleBox)
+                           DimensionMismatch, UnboundedSampleBox)
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
@@ -22,7 +21,7 @@ from submhe.solver import optimum_tolerance, solve_fixed_iters
 def doc_params(doc, shapes):
     """AnalysisParams on `shapes` from the config's asserted scalars."""
     return build_params(shapes, L_phi=doc.analysis["L_Phi"],
-                        L_pi=doc.controller.declared_lipschitz,
+                        L_pi=np.linalg.norm(doc.controller.gain, 2),
                         gamma13_slope=doc.gamma13_slope)
 
 
@@ -33,8 +32,7 @@ def scenario(doc, cert, M=None, **kw):
                     x0=np.array([1.0, -1.0, 1.0, -1.0]),
                     x_prior0=np.array([1.0, -1.0, 1.0, -1.0]),
                     seed=3, oracle=True,
-                    params=doc_params(doc, shapes),
-                    allow_uncertified=True)
+                    params=doc_params(doc, shapes))
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -124,10 +122,16 @@ class TestClosedLoop:
         assert x_norms[-1] < x_norms[0]
 
     def test_uncertified_gate(self, case_study_doc):
+        # rho >= 1: the library run still runs and records, uncertified and
+        # with no ledger; refusing it is simulate's decision
         doc = case_study_doc
-        with pytest.raises(ContractionViolated):
-            run_closed_loop(scenario(doc, doc.certificate, steps=3,
-                                     allow_uncertified=False))
+        log = run_closed_loop(scenario(doc, doc.certificate, steps=3))
+        assert log.steps == 3
+        assert not log.certified and log.ledger is None
+        with pytest.raises(ContractionViolated) as exc:
+            compute_rho(doc.certificate.eta, doc.mhe["M"])
+        assert log.uncertified_reason == str(exc.value)
+        assert f"rho = 6^(1/{doc.mhe['M']})" in log.uncertified_reason
 
     def test_zero_budget_diagnostic_path(self, case_study_doc):
         doc = case_study_doc
@@ -275,8 +279,7 @@ class TestClosedLoop:
         cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, 4),
                              law=FeedbackLaw(np.array([[0.2, 0.3]]), box(1.0, 1)),
                              K=50, steps=steps, x0=np.array([3.0, -2.0]),
-                             x_prior0=np.zeros(2), oracle=False,
-                             allow_uncertified=True)
+                             x_prior0=np.zeros(2), oracle=False)
         solve = harness.solve_fixed_iters
 
         def perturbed(problem, z0, K):
@@ -321,7 +324,6 @@ class TestClosedLoop:
     def test_certified_run_monitors_all_pass(self, certified_doc):
         doc = certified_doc
         cfg = scenario(doc, doc.certificate, M=9, K=700, steps=25,
-                       allow_uncertified=False,
                        x0=np.array([5.0, -4.0, 3.0, -2.0]),
                        x_prior0=np.array([2.0, -2.0, 1.0, -1.0]))
         log = run_closed_loop(cfg)
@@ -342,7 +344,6 @@ class TestClosedLoop:
         doc = certified_doc
         shapes = doc.window_shapes(doc.certificate)
         cfg = doc.scenario_config(shapes, K=K, steps=10, oracle=True,
-                                  allow_uncertified=True,
                                   params=doc_params(doc, shapes))
         log = run_closed_loop(cfg)
         counts = log.monitor_counts()["contraction"]
@@ -360,8 +361,7 @@ class TestClosedLoop:
             doc = certified_doc
             shapes = doc.window_shapes(doc.certificate)
             cfg = doc.scenario_config(shapes, K=25, steps=6,
-                                      oracle=True, allow_uncertified=True,
-                                      params=doc_params(doc, shapes))
+                                      oracle=True, params=doc_params(doc, shapes))
         log = run_closed_loop(cfg)
         assert not log.certified
         if source == "rho_violated":
@@ -378,32 +378,11 @@ class TestClosedLoop:
         assert counts["traj_err"]["skip"] == 6
         assert counts["lyapunov"]["pass"] == 6  # rho-free, still checked
 
-    def test_strict_mode_raises_on_failure(self, case_study_doc, monkeypatch):
-        doc = case_study_doc
-        # an absurdly optimistic rate makes the contraction monitor fail
-        monkeypatch.setattr("submhe.analysis.worst_case_contraction",
-                            lambda shapes: 1e-6)
-        relaxed = run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6))
-        first = next(t for t, verdicts in enumerate(relaxed.verdicts.tolist())
-                     if "fail" in verdicts)
-        failed = [name for name, v in zip(harness.MONITOR_NAMES,
-                                          relaxed.verdicts[first])
-                  if v == "fail"]
-        assert "contraction" in failed
-        evaluated = record_calls(monkeypatch, "evaluate")
-        with pytest.raises(MonitorViolation) as exc:
-            run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6,
-                                     strict=True))
-        assert str(exc.value) == (f"monitor(s) {', '.join(failed)} failed at "
-                                  f"step {first}")
-        assert len(evaluated) == 6  # every step ran before the raise
-
     def test_oracle_only_where_the_tail_did_not_settle(self, certified_doc,
                                                       monkeypatch):
         doc = certified_doc
         shapes = doc.window_shapes(doc.certificate)
         cfg = doc.scenario_config(shapes, K=25, steps=60, oracle=True,
-                                  allow_uncertified=True,
                                   params=doc_params(doc, shapes))
         oracle_calls = record_calls(monkeypatch, "solve_oracle")
         log = run_closed_loop(cfg)
@@ -431,7 +410,6 @@ class TestClosedLoop:
         doc = certified_doc
         shapes = doc.window_shapes(doc.certificate)
         cfg = doc.scenario_config(shapes, K=25, steps=60, oracle=True,
-                                  allow_uncertified=True,
                                   params=doc_params(doc, shapes))
         oracle_calls = record_calls(monkeypatch, "solve_oracle")
         solver = run_closed_loop(cfg).summary_dict()["solver"]
@@ -476,7 +454,6 @@ class TestClosedLoop:
         # quarter of the run is quieter than the first quarter
         doc = certified_doc
         cfg = scenario(doc, doc.certificate, M=9, K=700, steps=40,
-                       allow_uncertified=False,
                        x0=np.array([12.0, -10.0, 10.0, -10.0]),
                        x_prior0=np.array([7.0, -7.0, 3.0, -5.0]))
         log = run_closed_loop(cfg)
@@ -506,7 +483,7 @@ for arg in sys.argv[1:]:
     doc = load_config(path)
     cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=40,
                               seed=int(seed), steps=2 * doc.mhe["M"] + 2,
-                              oracle=True, allow_uncertified=True)
+                              oracle=True)
     sys.stdout.write(run_closed_loop(cfg).to_csv_text())
 """
 

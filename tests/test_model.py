@@ -77,13 +77,14 @@ class TestVerifyLmi:
         assert lam <= cert.tol
 
     def test_unstable_unobserved_violation(self):
+        # the LMI's state block is diag(2.25 - eta, 0.25 - eta): violated
         A = np.array([[1.5, 0.0], [0.0, 0.5]])
         sys = make_system(A, np.zeros((2, 1)), np.zeros((1, 2)))
-        cert = IossCertificate(P=np.eye(2), Q=np.eye(3), R=np.eye(1), eta=0.0)
+        cert = IossCertificate(P=np.eye(2), Q=np.eye(3), R=np.eye(1), eta=0.1)
         verdict = verify_ioss_lmi(sys, cert)
         assert not verdict.passed
         expected = np.linalg.eigvalsh(
-            reference_lmi(A, sys.C, cert.P, cert.Q, cert.R, 0.0))[-1]
+            reference_lmi(A, sys.C, cert.P, cert.Q, cert.R, 0.1))[-1]
         assert expected > 0
         assert verdict.max_eigenvalue == pytest.approx(expected, abs=1e-10)
         assert "violation" in verdict.report
@@ -206,8 +207,10 @@ def test_lmi_matrix_is_symmetric(case_study):
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
-        IossCertificate(P=np.eye(2), Q=np.eye(3), R=np.eye(1), eta=1.0)
+    # eta = 0 weights only the newest slot, so the window Hessian is singular
+    for eta in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            IossCertificate(P=np.eye(2), Q=np.eye(3), R=np.eye(1), eta=eta)
     cert = IossCertificate(P=np.diag([1.0, -1.0]), Q=np.eye(3), R=np.eye(1),
                            eta=0.5)
     with pytest.raises(DimensionMismatch):
