@@ -21,9 +21,9 @@ import numpy as np
 
 from . import analysis
 from .controller import assert_stabilizing, estimate_closed_loop_gain
-from .errors import (ContractionViolated, MonitorViolation, NotFoundBelowCap,
-                     ParseError, SubmheError, ValidationError)
-from .harness import FAIL, MONITOR_NAMES, lipschitz_probe, run_closed_loop
+from .errors import (ContractionViolated, NotFoundBelowCap, ParseError,
+                     SubmheError, ValidationError)
+from .harness import lipschitz_probe, run_closed_loop
 from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
 
@@ -160,11 +160,8 @@ def cmd_simulate(args):
     cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
                               oracle=oracle, params=params)
     log = run_closed_loop(cfg)
-    failing = (log.verdicts == FAIL).any(axis=1)
-    if args.strict and failing.any():
-        t = int(np.argmax(failing))
-        names = [n for n, v in zip(MONITOR_NAMES, log.verdicts[t]) if v == FAIL]
-        raise MonitorViolation(f"monitor(s) {', '.join(names)} failed at step {t}")
+    if args.strict:
+        log.raise_first_failure()
     outdir = Path(args.out if args.out else doc.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / doc.output["csv"]

@@ -30,7 +30,7 @@ v (phi(K)) and in the decision vector z (phi_z(K), which carries the lift
 gain). The sub-optimality error eps itself is measured in z. Monitor
 failures are recorded in the record's verdicts, never raised: the run
 always records every step, and treating a failure as an error is the
-caller's decision.
+caller's decision (TrajectoryLog.raise_first_failure).
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,7 @@ import numpy as np
 from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
-                     UnboundedSampleBox)
+                     MonitorViolation, UnboundedSampleBox)
 from .mhe import (CondensedPoint, build_problem, extract_estimate,
                   residual_sigma_parts, sigma_lift, sigma_truncate)
 from .model import validate_system, w_delta
@@ -159,6 +159,14 @@ class TrajectoryLog:
     def monitor_counts(self):
         return {name: {v: int((col == v).sum()) for v in (PASS, FAIL, SKIP)}
                 for name, col in zip(MONITOR_NAMES, self.verdicts.T)}
+
+    def raise_first_failure(self):
+        """Raise MonitorViolation naming the first step with a failing monitor."""
+        failing = (self.verdicts == FAIL).any(axis=1)
+        if failing.any():
+            t = int(np.argmax(failing))
+            names = [n for n, v in zip(MONITOR_NAMES, self.verdicts[t]) if v == FAIL]
+            raise MonitorViolation(f"monitor(s) {', '.join(names)} failed at step {t}")
 
     def to_csv_text(self):
         n_x, n_y, n_u = self.x.shape[1], self.y.shape[1], self.u.shape[1]

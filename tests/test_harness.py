@@ -9,7 +9,8 @@ import submhe.harness as harness
 from submhe.analysis import build_params, compute_rho
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
-                           DimensionMismatch, UnboundedSampleBox)
+                           DimensionMismatch, MonitorViolation,
+                           UnboundedSampleBox)
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
@@ -377,6 +378,28 @@ class TestClosedLoop:
         assert counts["traj_eps"]["skip"] == 6
         assert counts["traj_err"]["skip"] == 6
         assert counts["lyapunov"]["pass"] == 6  # rho-free, still checked
+
+    def test_strict_mode_raises_on_failure(self, case_study_doc, monkeypatch):
+        doc = case_study_doc
+        # an absurdly optimistic rate makes the contraction monitor fail
+        monkeypatch.setattr("submhe.analysis.worst_case_contraction",
+                            lambda shapes: 1e-6)
+        evaluated = record_calls(monkeypatch, "evaluate")
+        log = run_closed_loop(scenario(doc, doc.certificate, K=1, steps=6))
+        assert len(evaluated) == 6  # a failure is recorded; every step runs
+        first = next(t for t, verdicts in enumerate(log.verdicts.tolist())
+                     if "fail" in verdicts)
+        failed = [name for name, v in zip(harness.MONITOR_NAMES,
+                                          log.verdicts[first])
+                  if v == "fail"]
+        assert "contraction" in failed
+        with pytest.raises(MonitorViolation) as exc:
+            log.raise_first_failure()
+        assert str(exc.value) == (f"monitor(s) {', '.join(failed)} failed at "
+                                  f"step {first}")
+        # a record without failures does not raise
+        passed = np.where(log.verdicts == "fail", "pass", log.verdicts)
+        assert replace(log, verdicts=passed).raise_first_failure() is None
 
     def test_oracle_only_where_the_tail_did_not_settle(self, certified_doc,
                                                       monkeypatch):
