@@ -61,8 +61,8 @@ class AnalysisParams:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.M < 1:
             raise ValueError("M must be at least 1")
-        for name in ("gamma13_slope", "norm_C"):
-            if getattr(self, name) < 0.0:
+        for name in ("L_pi", "gamma13_slope", "norm_C"):
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("lam_HP", "lam_PP", "lam_QP", "bar_H"):
             if not getattr(self, name) > 0.0:
@@ -256,20 +256,37 @@ def ledger_at(K, params):
 def min_iterations(params, K_max):
     """(K, ledger at K) for the smallest K in [1, K_max] passing small gain.
 
-    Exact linear scan: the individual slopes are not guaranteed monotone
-    term-by-term, so no bisection. Raises NotFoundBelowCap with the
-    best-margin K seen when the scan fails.
+    The verdict is monotone in K, so one bisection finds K*:
+    - phi_z(K) = g q^K is nonincreasing in K, because g >= 1 and 0 < q < 1.
+    - Take 0 <= phi < 1 and rho < 1. C1, C2 and C3 are nonnegative
+      multiples of phi, since L_phi > 1, L_pi >= 0, ||C|| >= 0 and M >= 1.
+      C_e, C_w and C_eps are each a nonnegative constant plus a nonnegative
+      multiple of phi, and g21, g23 and g2w are C/(1 - phi). So every slope
+      is nonnegative and nondecreasing in phi.
+    - The three products multiply such slopes and gamma13 >= 0, so they are
+      nondecreasing in phi.
+    - `passed` is phi_z < 1 and every product < 1. A ledger that passes at
+      phi passes at every phi' <= phi, so the passing K are {K >= K*}.
+
+    The margins are nondecreasing in K too, so the best one is at the cap:
+    when the ledger at K_max fails, NotFoundBelowCap names K_max and its
+    margin. Otherwise the search keeps lo failing (0 before any evaluation:
+    phi_z(0) = g >= 1 fails) and hi passing, with at most ceil(log2 K_max)
+    + 1 ledgers.
     """
     compute_rho(params.eta, params.M)
-    best_k, best_margin = None, -math.inf
-    for K in range(1, int(K_max) + 1):
-        ledger = ledger_at(K, params)
-        worst = min(ledger.margins)
-        if worst > best_margin:
-            best_margin, best_k = worst, K
-        if ledger.passed:
-            return K, ledger
-    raise NotFoundBelowCap(int(K_max), best_k, best_margin)
+    lo, hi = 0, int(K_max)
+    ledger = ledger_at(hi, params)
+    if not ledger.passed:
+        raise NotFoundBelowCap(hi, hi, min(ledger.margins))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        at_mid = ledger_at(mid, params)
+        if at_mid.passed:
+            hi, ledger = mid, at_mid
+        else:
+            lo = mid
+    return hi, ledger
 
 
 def weight_eigen_range(shapes):

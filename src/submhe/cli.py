@@ -8,7 +8,10 @@ non-finite number is written as the string "inf", "-inf" or "nan", as
 configs spell interval bounds. The run policy is simulate's: the library
 loop always runs and records, and simulate refuses rho >= 1 before it
 probes anything (unless --uncertified) and, with --strict, raises on the
-first monitor failure after the run, before it writes anything.
+first monitor failure after the run, before it writes anything. analyze-k
+refuses rho >= 1 before it probes anything too. Every path that builds the
+analysis params smoke-tests the controller first, so a fixed-K simulate of
+a law that fails the smoke test runs without a ledger and is uncertified.
 """
 
 import argparse
@@ -75,17 +78,20 @@ def _analysis_params(doc, shapes, *, probe=True):
     estimated (estimate_closed_loop_gain); the params name them in
     `sampled`, so a ledger built on them certifies nothing. Without `probe`,
     an L_Phi left to the probe stays unresolved and there are no params.
+    Params are built only for a law that passes the controller smoke test
+    (assert_stabilizing): every ledger assumes a stabilizing law.
 
     L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is the
     Euclidean projection onto a convex set, which is nonexpansive (Bauschke
     & Combettes 2011, Prop. 4.16), so ||pi(x) - pi(x')|| <= ||G||_2 ||x - x'||.
     It is exact when 0 is interior to u_box: the law is linear near 0.
     """
-    sampled = []
     l_phi = doc.analysis["L_Phi"]
+    if l_phi == "probe" and not probe:
+        return None
+    assert_stabilizing(doc.system, doc.controller)
+    sampled = []
     if l_phi == "probe":
-        if not probe:
-            return None
         l_phi = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
                                 seed=doc.analysis["probe_seed"]).value
         sampled.append("L_Phi")
@@ -118,7 +124,7 @@ def cmd_certify(args):
 def cmd_analyze_k(args):
     doc = load_config(args.config)
     cert, _ = _resolve_certificate(doc)
-    assert_stabilizing(doc.system, doc.controller)  # guards the search for K*
+    analysis.compute_rho(cert.eta, doc.mhe["M"])  # refused before any probe
     params = _analysis_params(doc, doc.window_shapes(cert))
     k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
     meta = {"L_Phi_probed": "L_Phi" in params.sampled,
@@ -148,7 +154,6 @@ def cmd_simulate(args):
               else args.oracle == "on")
     shapes = doc.window_shapes(cert)
     if args.iters is None and doc.mhe["K"] == "auto":
-        assert_stabilizing(doc.system, doc.controller)  # guards the search for K*
         params = _analysis_params(doc, shapes)
         k, _ = analysis.min_iterations(params, doc.analysis["K_max"])
     else:

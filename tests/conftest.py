@@ -23,6 +23,18 @@ def child_env():
     return env
 
 
+def count_calls(monkeypatch, module, name):
+    """Route module.name through a recorder; returns the list of calls."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def case_study_doc():
     return load_config(CONFIG_DIR / "case_study.json")

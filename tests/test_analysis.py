@@ -1,14 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_certified_setup
+from conftest import CONFIG_DIR, count_calls, random_certified_setup
 
+import submhe.analysis as analysis
 from submhe.analysis import (AnalysisParams, budget_constants, build_params,
                              compute_rho, ledger_at, min_iterations,
                              minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
+from submhe.config import loads_config
 from submhe.errors import ContractionViolated, NotFoundBelowCap
 from submhe.mhe import WindowShapes, compute_weight
 
@@ -20,6 +25,55 @@ def params(L_phi=5.32, L_pi=2.65, gamma13=28.8, eta=0.5, M=5, q=0.98,
                           eta=eta, M=M, phi_base=q, lift_gain=lift_gain,
                           norm_C=norm_C, bar_H=bar_H, lam_HP=lam_HP,
                           lam_PP=lam_PP, lam_QP=lam_QP)
+
+
+def scan_min_iterations(params, K_max):
+    """Reference search: evaluate the ledger at every K = 1..K_max in turn."""
+    compute_rho(params.eta, params.M)
+    best_k, best_margin = None, -math.inf
+    for K in range(1, int(K_max) + 1):
+        ledger = ledger_at(K, params)
+        worst = min(ledger.margins)
+        if worst > best_margin:
+            best_margin, best_k = worst, K
+        if ledger.passed:
+            return K, ledger
+    raise NotFoundBelowCap(int(K_max), best_k, best_margin)
+
+
+@st.composite
+def contracting_params(draw):
+    """AnalysisParams with rho < 1: gamma13 = 0 on some draws, a lift gain
+    above 1 and q up to 0.9995."""
+    eta = draw(st.floats(0.05, 0.95))
+    m_min = minimal_contracting_horizon(eta)
+    return params(eta=eta, M=draw(st.integers(m_min, m_min + 7)),
+                  q=draw(st.floats(0.3, 0.99) | st.floats(0.99, 0.9995)),
+                  lift_gain=draw(st.floats(1.0, 6.0)),
+                  gamma13=draw(st.just(0.0) | st.floats(0.01, 50.0)),
+                  L_phi=draw(st.floats(1.01, 8.0)),
+                  L_pi=draw(st.floats(0.0, 4.0)),
+                  norm_C=draw(st.floats(0.0, 2.0)),
+                  lam_HP=draw(st.floats(1.0, 10.0)),
+                  lam_PP=draw(st.floats(1.0, 5.0)),
+                  lam_QP=draw(st.floats(0.5, 5.0)))
+
+
+def certified_variant(M):
+    """AnalysisParams of case_study_certified.json at horizon M, with the
+    inputs the CLI resolves: L_Phi and gamma13 asserted, L_pi = ||G||_2."""
+    with open(CONFIG_DIR / "case_study_certified.json") as fh:
+        raw = json.load(fh)
+    raw["mhe"]["M"] = M
+    doc = loads_config(json.dumps(raw))
+    return build_params(doc.window_shapes(doc.certificate),
+                        L_phi=doc.analysis["L_Phi"],
+                        L_pi=np.linalg.norm(doc.controller.gain, 2),
+                        gamma13_slope=doc.gamma13_slope)
+
+
+def ledger_budget(K_max):
+    return math.ceil(math.log2(K_max)) + 1
 
 
 class TestComputeRho:
@@ -166,7 +220,53 @@ class TestMinIterations:
         with pytest.raises(NotFoundBelowCap) as err:
             min_iterations(p, 5)
         assert err.value.k_max == 5
-        assert 1 <= err.value.best_k <= 5
+        assert err.value.best_k == 5  # the margins never fall as K grows
+        assert err.value.best_margin == min(ledger_at(5, p).margins)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=contracting_params(),
+           K_max=st.integers(1, 100) | st.integers(100, 3000))
+    def test_bisection_matches_the_scan(self, p, K_max):
+        try:
+            expected = scan_min_iterations(p, K_max)
+        except NotFoundBelowCap as exc:
+            expected = exc
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, analysis, "ledger_at")
+            try:
+                k_star, ledger = min_iterations(p, K_max)
+            except NotFoundBelowCap as exc:
+                assert isinstance(expected, NotFoundBelowCap)
+                assert (exc.k_max, exc.best_margin) == (expected.k_max,
+                                                        expected.best_margin)
+            else:
+                assert not isinstance(expected, NotFoundBelowCap)
+                assert k_star == expected[0]
+                assert ledger.to_dict() == expected[1].to_dict()
+        assert len(calls) <= ledger_budget(K_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=contracting_params(), K=st.integers(0, 5000))
+    def test_no_product_rises_with_k(self, p, K):
+        now, nxt = ledger_at(K, p), ledger_at(K + 1, p)
+        assert not any(b > a for a, b in zip(now.products, nxt.products))
+        assert nxt.passed or not now.passed
+
+    @pytest.mark.parametrize("M, k_star", [(9, 228), (15, 796), (25, 7450)])
+    def test_certified_horizons(self, M, k_star, monkeypatch):
+        p = certified_variant(M)
+        calls = count_calls(monkeypatch, analysis, "ledger_at")
+        found, ledger = min_iterations(p, 20_000)
+        assert found == k_star and ledger.passed
+        assert len(calls) <= ledger_budget(20_000)
+        assert not ledger_at(k_star - 1, p).passed
+
+    def test_certified_horizon_beyond_the_cap(self):
+        p = certified_variant(25)
+        with pytest.raises(NotFoundBelowCap) as err:
+            min_iterations(p, 5000)
+        assert (err.value.k_max, err.value.best_k) == (5000, 5000)
+        assert err.value.best_margin == min(ledger_at(5000, p).margins)
 
     def test_first_passing_k_is_minimal(self):
         rng = np.random.default_rng(1)
@@ -263,6 +363,10 @@ class TestBuildParams:
             params(lam_HP=0.0)
         with pytest.raises(ValueError):
             params(eta=0.0)
+        with pytest.raises(ValueError):
+            params(L_pi=-0.1)
+        with pytest.raises(ValueError):
+            params(gamma13=math.nan)
 
     def test_base_and_lift_gain_scan_all_shapes(self, case_study):
         sys, cert, _ = case_study

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, child_env
+from conftest import CONFIG_DIR, child_env, count_calls
 
 from submhe.cli import run_cli
 from submhe.config import load_config, loads_config
@@ -283,24 +283,44 @@ class TestCli:
             f"ledger inputs sampled, not derived or asserted: {name}")
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--steps", "12", "--oracle", "off"], ["analyze-k"]],
-        ids=["simulate_auto", "analyze_k"])
+        ["simulate", "--steps", "12", "--oracle", "off"], ["analyze-k"],
+        ["simulate", "--steps", "12", "--iters", "25"]],
+        ids=["simulate_auto", "analyze_k", "simulate_fixed_k"])
     def test_params_are_built_once(self, argv, tmp_path, capsys, monkeypatch):
+        # each build of the params smoke-tests the controller once
         import submhe.analysis as analysis
-        calls = []
-        real = analysis.build_params
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "build_params", counting)
+        import submhe.cli as cli
+        calls = count_calls(monkeypatch, analysis, "build_params")
+        smokes = count_calls(monkeypatch, cli, "assert_stabilizing")
         code = run_cli([argv[0], "--config",
                         str(CONFIG_DIR / "case_study_certified.json"),
                         "--out", str(tmp_path), *argv[1:]])
         capsys.readouterr()
         assert code == 0
         assert len(calls) == 1
+        assert len(smokes) == 1
+
+    def test_unstable_law_builds_no_ledger(self, tmp_path, capsys):
+        # the certified config with its gain scaled by -2: rho(A - B(-2G))
+        # = 1.17, so the smoke test fails; a fixed-K run goes on uncertified
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        doc["controller"]["gain"] = (
+            -2.0 * np.array(doc["controller"]["gain"])).tolist()
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze-k", "--config", str(path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"] == "StabilityAssumptionViolated"
+        code = run_cli(["simulate", "--config", str(path), "--out",
+                        str(tmp_path / "out"), "--iters", "300",
+                        "--steps", "20"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["certified"] is False
+        assert summary["ledger"] is None
 
     def test_negative_seed_rejected(self, capsys):
         for flag, value in (("--seed", "-1"), ("--steps", "0"),
@@ -328,28 +348,25 @@ class TestCli:
 
     def test_simulate_requires_uncertified_gate(self, tmp_path, base_dict,
                                                 capsys, monkeypatch):
-        # rho >= 1 is refused before anything is probed: the shipped config,
-        # and a copy with a fixed K that probes L_Phi
+        # rho >= 1 is refused before anything is probed or smoke-tested:
+        # simulate on the shipped config and on a copy with a fixed K that
+        # probes L_Phi, and analyze-k on that copy
         import submhe.cli as cli
-        probes = []
-        real = cli.lipschitz_probe
-
-        def counting(*args, **kwargs):
-            probes.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "lipschitz_probe", counting)
+        probes = count_calls(monkeypatch, cli, "lipschitz_probe")
+        smokes = count_calls(monkeypatch, cli, "assert_stabilizing")
         doc = json.loads(json.dumps(base_dict))
         doc["analysis"].update(L_Phi="probe", probe_trials=20)
         probed = tmp_path / "probe.json"
         probed.write_text(json.dumps(doc))
-        for path in (CONFIG_DIR / "case_study.json", probed):
-            code = run_cli(["simulate", "--config", str(path),
-                            "--out", str(tmp_path / "out"), "--steps", "3"])
+        shipped = CONFIG_DIR / "case_study.json"
+        for argv in (["simulate", "--config", str(shipped), "--steps", "3"],
+                     ["simulate", "--config", str(probed), "--steps", "3"],
+                     ["analyze-k", "--config", str(probed)]):
+            code = run_cli([*argv, "--out", str(tmp_path / "out")])
             err = json.loads(capsys.readouterr().err)
             assert code == 1
             assert err["error"] == "ContractionViolated"
-        assert probes == []
+        assert probes == [] and smokes == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["analyze-k", "simulate"])
