@@ -278,7 +278,7 @@ def min_iterations(params, K_max):
     lo, hi = 0, int(K_max)
     ledger = ledger_at(hi, params)
     if not ledger.passed:
-        raise NotFoundBelowCap(hi, hi, min(ledger.margins))
+        raise NotFoundBelowCap(hi, min(ledger.margins))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         at_mid = ledger_at(mid, params)

@@ -53,7 +53,6 @@ def _error_json(exc):
         payload["rho"] = exc.rho
         payload["suggested_M"] = exc.suggested_horizon
     if isinstance(exc, NotFoundBelowCap):
-        payload["best_K"] = exc.best_k
         payload["best_margin"] = exc.best_margin
     if isinstance(exc, (ParseError, ValidationError)):
         payload["field"] = exc.path

@@ -1,11 +1,13 @@
 """Closed-loop execution of the sub-optimal estimator with runtime monitors.
 
 Per step: solve the window QP for exactly K projected-gradient iterations
-from the padded warm start (the initial prior at t = 0), feed the current
-estimate to the feedback law, and apply the input to the plant under
-disturbances drawn uniformly from the system's W = w1_box x w2_box. That is
-the set the certificate and the bounds assume: the true disturbances lie in
-it, so the true trajectory is a feasible window candidate.
+from the previous step's solved point (the initial prior at t = 0; during
+the growing phase its free coordinates gain one zeroed disturbance slot),
+feed the current estimate to the feedback law, and apply the input to the
+plant under disturbances drawn uniformly from the system's
+W = w1_box x w2_box. That is the set the certificate and the bounds assume:
+the true disturbances lie in it, so the true trajectory is a feasible
+window candidate.
 
 The run has one record, a TrajectoryLog of per-run arrays in which row t is
 step t; the loop writes each value once, into its row. The windows are
@@ -347,25 +349,34 @@ class _FeasibilityBounds:
     """The feasibility flags of one run's steps.
 
     Each flag is Box.contains of the system's boxes with its tolerance. The
-    widened bounds are built once, as one row over a window slot
-    (what = [w1, w2], then yhat) and one over a state, so that a step's
-    flags take one broadcast compare on its slots and one on its states.
+    widened bounds are tiled once per window length m_eff: one row over z's
+    window slots (per slot what = [w1, w2], then yhat) and one over the
+    m_eff + 1 stacked window states, so that a step's flags take one flat
+    compare of each against its rows.
     """
 
-    def __init__(self, sys):
+    def __init__(self, sys, M):
         slot_boxes = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL),
                       (sys.y_box, OUTPUT_ATOL))
-        self.slot_lower = np.concatenate([b.lower - tol for b, tol in slot_boxes])
-        self.slot_upper = np.concatenate([b.upper + tol for b, tol in slot_boxes])
-        self.state_lower = sys.x_box.lower - OUTPUT_ATOL
-        self.state_upper = sys.x_box.upper + OUTPUT_ATOL
-        self.n_w = sys.n_w
+        slot_lower = np.concatenate([b.lower - tol for b, tol in slot_boxes])
+        slot_upper = np.concatenate([b.upper + tol for b, tol in slot_boxes])
+        state_lower = sys.x_box.lower - OUTPUT_ATOL
+        state_upper = sys.x_box.upper + OUTPUT_ATOL
+        self.rows = [(np.tile(slot_lower, m), np.tile(slot_upper, m),
+                      np.tile(state_lower, m + 1), np.tile(state_upper, m + 1))
+                     for m in range(M + 1)]
+        self.n_x, self.n_w = sys.n_x, sys.n_w
+        self.width = slot_lower.shape[0]
 
-    def check(self, slots, states):
-        """(what, xhat, yhat) feasible for the (m_eff, n_w + n_y) slot view
-        of z_k and the window states; False wherever an entry is NaN."""
-        cols = ((slots >= self.slot_lower) & (slots <= self.slot_upper)).all(axis=0)
-        states_ok = ((states >= self.state_lower) & (states <= self.state_upper)).all()
+    def check(self, m_eff, z, states):
+        """(what, xhat, yhat) feasible for the step's z_k, of window length
+        m_eff, and its window states; False wherever an entry is NaN."""
+        slot_lo, slot_hi, state_lo, state_hi = self.rows[m_eff]
+        slots = z[self.n_x:]
+        cols = ((slots >= slot_lo) & (slots <= slot_hi)).reshape(
+            m_eff, self.width).all(axis=0)
+        states = states.ravel()
+        states_ok = ((states >= state_lo) & (states <= state_hi)).all()
         return bool(cols[:self.n_w].all()), bool(states_ok), bool(cols[self.n_w:].all())
 
 
@@ -412,14 +423,17 @@ def run_closed_loop(cfg, observe=None):
                            ledger=ledger if certified else None)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
-    flags = _FeasibilityBounds(sys)
+    flags = _FeasibilityBounds(sys, M)
 
     log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
                               seed=cfg.seed, M=M, K=K, certified=certified,
                               uncertified_reason=uncertified_reason,
                               ledger=reported)
     log.x[0] = cfg.x0
-    z_prev = None
+    # the warm start: the prior at t = 0, then the previous solved point,
+    # its v padded with one zeroed disturbance slot while the window grows
+    start = CondensedPoint(z=cfg.x_prior0, v=cfg.x_prior0)
+    pad = np.zeros(sys.n_w)
 
     for t in range(T):
         x = log.x[t]
@@ -430,8 +444,7 @@ def run_closed_loop(cfg, observe=None):
         prior = cfg.x_prior0 if t <= M else log.xhat[t - M]
         problem = build_problem(sys, cfg.cert, prior, log.u[t - m_eff:t],
                                 log.y[t - m_eff:t], M, t, shapes=shapes)
-        z0 = cfg.x_prior0.copy() if t == 0 else sigma_lift(z_prev, t, shapes)
-        report = solve_fixed_iters(problem, z0, K)
+        report = solve_fixed_iters(problem, start, K)
         if observe is not None:
             observe(problem, report)
         z_k = report.point.z
@@ -451,17 +464,20 @@ def run_closed_loop(cfg, observe=None):
                                         v=report.optimum)
             log.eps[t] = np.linalg.norm(z_k - z_star.z)
             log.eps_v[t] = np.linalg.norm(report.point.v - z_star.v)
-            log.warm_v[t] = np.linalg.norm(problem.select_v(z0) - z_star.v)
+            log.warm_v[t] = np.linalg.norm(start.v - z_star.v)
 
         log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
         log.w_delta[t] = w_delta(cfg.cert, xhat, x)
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
-        log.feasible[t] = flags.check(problem.window_slots(z_k), states)
+        log.feasible[t] = flags.check(m_eff, z_k, states)
 
         if t + 1 < T:
             log.x[t + 1] = sys.step(x, u, w1s[t])
-        z_prev = z_k
+        start = report.point
+        if t < M:
+            start = CondensedPoint(z=sigma_lift(start.z, t + 1, shapes),
+                                   v=np.concatenate([start.v, pad]))
 
     if cfg.oracle:
         w = np.hstack([w1s, w2s])

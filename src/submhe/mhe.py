@@ -244,6 +244,27 @@ class StepSpectrum:
     abs_basis: np.ndarray  # |U|, entry by entry
     slow: np.ndarray       # rate < 1: there tau > 0 and 1 - tau^j is expm1'd
     log_tau: np.ndarray    # log1p(-rate[slow])
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
+
+    def powers(self, j):
+        """(tau^j, 1 - tau^j), read-only, the latter without cancellation
+        where tau > 0.
+
+        Each j is computed once, by the expressions below, and kept: the
+        pair depends on j and the spectrum only, so a kept pair is the same
+        bytes a fresh one would be. A solve asks for j = K - k at its probes
+        k = 0, 1, 3, 7, ... < K, so a spectrum keeps at most
+        ceil(log2 K) + 2 pairs per budget K.
+        """
+        pair = self._powers.get(j)
+        if pair is None:
+            power = self.tau ** j
+            one_minus = 1.0 - power
+            one_minus[self.slow] = -np.expm1(j * self.log_tau)
+            for arr in (power, one_minus):
+                arr.setflags(write=False)
+            pair = self._powers[j] = (power, one_minus)
+        return pair
 
 
 def step_spectrum(lam, basis, alpha):
@@ -400,6 +421,16 @@ class MheProblem:
                 f"z has length {z.shape[0]}, expected {self.dim_z}")
         return z[self.sys.n_x:].reshape(self.m_eff, self.sys.n_w + self.sys.n_y)
 
+    def free_coordinates(self, start):
+        """The free coordinates v of a start: a CondensedPoint's v as it is
+        (its z is not read), or select_v of a decision vector z."""
+        if not isinstance(start, CondensedPoint):
+            return self.select_v(start)
+        if start.v.shape != (self.dim_v,):
+            raise DimensionMismatch(
+                f"v has shape {start.v.shape}, expected ({self.dim_v},)")
+        return start.v
+
     def select_v(self, z):
         """Read the free coordinates (initial state + disturbance blocks) off z.
 
@@ -511,9 +542,9 @@ def extract_estimate(problem, z):
 
     They are the window-state map of the problem's shape applied to z's free
     coordinates and the input window. A CondensedPoint (a solver's result)
-    gives its free coordinates v directly.
+    gives its free coordinates v directly (MheProblem.free_coordinates).
     """
-    v = z.v if isinstance(z, CondensedPoint) else problem.select_v(z)
+    v = problem.free_coordinates(z)
     states = problem.shape.state_map @ np.concatenate([v, problem.u_window.ravel()])
     return states.reshape(problem.m_eff + 1, problem.sys.n_x)
 

@@ -91,7 +91,7 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
     if spectrum is not None and iters > 0:
         tail = _Tail(spectrum, shift, lo, hi)
         if tail.settled(v):
-            return tail.finish(v, iters), 0, tail
+            return tail.finish(iters), 0, tail
     op = np.empty((n, n + 1))  # [T | d] maps [v; 1] to T v + d
     op[:, :n] = transition
     op[:, n] = shift
@@ -100,7 +100,7 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
     for k in range(iters):
         if k == probe:
             if tail.settled(v):
-                return tail.finish(v, iters - k), k, tail
+                return tail.finish(iters - k), k, tail
             probe = 2 * probe + 1
         np.dot(op, w, out=buf)
         np.maximum(lo, buf, out=buf)
@@ -111,7 +111,14 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
 class _Tail:
     """One solve's unclamped recursion v <- T v + d in closed form
     (mhe.StepSpectrum), and the test that the loop has reached it. Once
-    settled holds, the fixed point v_u is the window optimum v*."""
+    settled holds, the fixed point v_u is the window optimum v*.
+
+    settled keeps U^T v for finish, which jumps from that same v; the
+    per-budget pair (tau^j, 1 - tau^j) comes from the spectrum's own cache
+    (StepSpectrum.powers). Both are the products and expressions a fresh
+    computation would evaluate on the same operands, so the jump is the
+    same bytes.
+    """
 
     def __init__(self, spectrum, shift, lo, hi):
         self.spectrum, self.lo, self.hi = spectrum, lo, hi
@@ -124,32 +131,35 @@ class _Tail:
     def settled(self, v):
         """True when no clamp can fire in any iteration after v."""
         s = self.spectrum
-        beta = s.basis.T @ v - self.fixed
-        return bool(np.all(s.abs_basis @ np.abs(s.tau * beta) < self.room))
+        self.coords = s.basis.T @ v  # U^T v, for finish
+        beta = self.coords - self.fixed
+        return bool((s.abs_basis @ np.abs(s.tau * beta) < self.room).all())
 
-    def finish(self, v, j):
-        """The iterate j steps after v: U (tau^j U^T v + (1 - tau^j) U^T v_u),
-        clamped like every iterate (a no-op in exact arithmetic)."""
+    def finish(self, j):
+        """The iterate j steps after the v that settled last held for:
+        U (tau^j U^T v + (1 - tau^j) U^T v_u), clamped like every iterate
+        (a no-op in exact arithmetic)."""
         s = self.spectrum
-        power = s.tau ** j
-        one_minus = 1.0 - power                       # 1 - tau^j,
-        one_minus[s.slow] = -np.expm1(j * s.log_tau)  # without cancellation
-        v_j = s.basis @ (power * (s.basis.T @ v) + one_minus * self.fixed)
+        power, one_minus = s.powers(j)
+        v_j = s.basis @ (power * self.coords + one_minus * self.fixed)
         return np.minimum(self.hi, np.maximum(self.lo, v_j))
 
 
-def solve_fixed_iters(problem, z0, K):
-    """Run exactly K projected-gradient iterations from the warm start z0.
+def solve_fixed_iters(problem, start, K):
+    """Run exactly K projected-gradient iterations from the warm start.
 
-    The warm start enters through its free coordinates (initial-state and
-    disturbance blocks of z0); derived output blocks are rebuilt by the lift.
+    The warm start enters through its free coordinates v
+    (MheProblem.free_coordinates): a CondensedPoint gives its v as it is, a
+    decision vector z its initial-state and disturbance blocks; derived
+    output blocks are rebuilt by the lift. A start of the wrong length
+    raises DimensionMismatch.
     K = 0 returns the box projection of the warm start. The report's
     `looped` counts the iterations run before the closed-form tail (K when
     the loop ran them all); a solve that took the tail also reports the
     window optimum v* as `optimum` (mhe.StepSpectrum).
     """
     shape = problem.shape
-    v0 = problem.select_v(z0)
+    v0 = problem.free_coordinates(start)
     lo, hi = problem.lower, problem.upper
     K = int(K)
     if K == 0:
@@ -157,7 +167,7 @@ def solve_fixed_iters(problem, z0, K):
     else:
         v, looped, tail = _iterate(shape.transition, -shape.step * problem.linear_term,
                                    lo, hi, v0, K, shape.spectrum)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonfiniteIterate("projected-gradient iterate overflowed; "
                                "check problem conditioning")
     z = problem.lift(v)

@@ -30,15 +30,13 @@ def params(L_phi=5.32, L_pi=2.65, gamma13=28.8, eta=0.5, M=5, q=0.98,
 def scan_min_iterations(params, K_max):
     """Reference search: evaluate the ledger at every K = 1..K_max in turn."""
     compute_rho(params.eta, params.M)
-    best_k, best_margin = None, -math.inf
+    best_margin = -math.inf
     for K in range(1, int(K_max) + 1):
         ledger = ledger_at(K, params)
-        worst = min(ledger.margins)
-        if worst > best_margin:
-            best_margin, best_k = worst, K
+        best_margin = max(best_margin, min(ledger.margins))
         if ledger.passed:
             return K, ledger
-    raise NotFoundBelowCap(int(K_max), best_k, best_margin)
+    raise NotFoundBelowCap(int(K_max), best_margin)
 
 
 @st.composite
@@ -220,7 +218,7 @@ class TestMinIterations:
         with pytest.raises(NotFoundBelowCap) as err:
             min_iterations(p, 5)
         assert err.value.k_max == 5
-        assert err.value.best_k == 5  # the margins never fall as K grows
+        # the margins never fall as K grows: the best one is the cap's
         assert err.value.best_margin == min(ledger_at(5, p).margins)
 
     @settings(max_examples=300, deadline=None)
@@ -265,7 +263,7 @@ class TestMinIterations:
         p = certified_variant(25)
         with pytest.raises(NotFoundBelowCap) as err:
             min_iterations(p, 5000)
-        assert (err.value.k_max, err.value.best_k) == (5000, 5000)
+        assert err.value.k_max == 5000
         assert err.value.best_margin == min(ledger_at(5000, p).margins)
 
     def test_first_passing_k_is_minimal(self):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, child_env, make_system, simple_certificate
+from conftest import (CONFIG_DIR, child_env, count_calls, make_system,
+                      simple_certificate)
 
 import submhe.harness as harness
 from submhe.analysis import build_params, compute_rho
@@ -14,7 +15,8 @@ from submhe.errors import (ContractionViolated, DegenerateDenominator,
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
-from submhe.mhe import CondensedPoint, WindowShapes, build_problem
+from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes,
+                        build_problem, sigma_lift)
 from submhe.model import Box, LtiSystem
 from submhe.solver import optimum_tolerance, solve_fixed_iters
 
@@ -186,6 +188,56 @@ class TestClosedLoop:
                              rng.uniform(-1, 1, (M, sys.n_y)), M, M)
         with pytest.raises(DimensionMismatch):
             solve_fixed_iters(prob, np.zeros(prob.dim_z + extra), 3)
+        # a point is read through its v, which must have the window's length
+        point = CondensedPoint(z=np.zeros(prob.dim_z),
+                               v=np.zeros(prob.dim_v + extra))
+        for K in (0, 3):
+            with pytest.raises(DimensionMismatch):
+                solve_fixed_iters(prob, point, K)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    @pytest.mark.parametrize("K", [0, 3, 25, 228])
+    @pytest.mark.parametrize("source", ["certified_doc", "case_study_doc"])
+    def test_warm_start_is_the_padded_previous_point(self, request, source, K,
+                                                     oracle, monkeypatch):
+        # the loop carries the solved point; the reference is the lifted
+        # previous z read back through select_v, and the prior at t = 0
+        doc = request.getfixturevalue(source)
+        solves = record_calls(monkeypatch, "solve_fixed_iters")
+        cfg = scenario(doc, doc.certificate, K=K, steps=3 * doc.mhe["M"],
+                       oracle=oracle)
+        log = run_closed_loop(cfg)
+        assert len(solves) == log.steps
+        for t, ((problem, start, k_arg), report) in enumerate(solves):
+            assert k_arg == K
+            assert isinstance(start, CondensedPoint)
+            if t == 0:
+                expect = cfg.x_prior0
+            else:
+                z_prev = solves[t - 1][1].point.z
+                expect = problem.select_v(sigma_lift(z_prev, t, cfg.shapes))
+            assert np.array_equal(start.v, expect), t
+            # the point's z and v agree
+            assert np.array_equal(problem.select_v(start.z), start.v), t
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    def test_loop_never_rereads_the_warm_start(self, certified_doc, oracle):
+        # the warm start is the solved point itself: no step reads v back
+        # off a z, and only the growing phase lifts z, once per step
+        doc = certified_doc
+        M, counts = doc.mhe["M"], []
+        for _ in range(2):
+            with pytest.MonkeyPatch.context() as mp:
+                select = count_calls(mp, MheProblem, "select_v")
+                lift = count_calls(mp, harness, "sigma_lift")
+                shapes = doc.window_shapes(doc.certificate)
+                run_closed_loop(doc.scenario_config(
+                    shapes, K=228, steps=400, oracle=oracle,
+                    params=doc_params(doc, shapes)))
+            counts.append((len(select), len(lift)))
+        assert counts == [(0, M), (0, M)]
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])

@@ -56,6 +56,32 @@ class TestValidateSystem:
             validate_system(bad)
 
 
+class TestBoxProject:
+    # np.clip is the reference; the signed zeros and NaN are where a clamp
+    # written as np.minimum/np.maximum can differ from it in the bytes
+    VALUES = [-np.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 2.0, np.inf, np.nan]
+    BOUNDS = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+
+    def test_project_is_np_clip_bitwise(self):
+        v = np.array(self.VALUES)
+        pairs = [(lo, hi) for lo in self.BOUNDS for hi in self.BOUNDS if lo <= hi]
+        assert (-0.0, 0.0) in pairs and (0.0, -0.0) in pairs
+        for lo, hi in pairs:
+            box = Box(np.full(v.size, lo), np.full(v.size, hi))
+            for arg in (v, np.tile(v, (3, 1))):  # one point, and a batch
+                got = box.project(arg)
+                ref = np.clip(arg, box.lower, box.upper)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (lo, hi)
+
+    def test_project_mixed_sides(self):
+        box = Box(np.array([-np.inf, -0.0, 0.0, -1.0]),
+                  np.array([0.0, np.inf, 0.0, -0.0]))
+        for v in ([-0.0, 0.0, -0.0, 0.0], [np.nan, -3.0, 3.0, np.inf]):
+            v = np.array(v)
+            assert box.project(v).tobytes() == np.clip(v, box.lower, box.upper).tobytes()
+
+
 class TestVerifyLmi:
     def test_zero_system_passes(self):
         # A = 0, C = 0: the block matrix is blkdiag(-eta P, P - Q, -Q22 - R)

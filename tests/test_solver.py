@@ -7,7 +7,9 @@ from conftest import (certified_pgd, make_system, random_certified_setup,
                       random_problem, simple_certificate)
 
 from submhe.errors import DegenerateHessian, NonfiniteIterate, OracleStalled
-from submhe.mhe import MheProblem, WindowShape, build_problem, step_spectrum
+from submhe.harness import run_closed_loop
+from submhe.mhe import (CondensedPoint, MheProblem, WindowShape, build_problem,
+                        step_spectrum)
 from submhe.model import Box, IossCertificate, LtiSystem
 import submhe.solver as solver
 from submhe.solver import (_iterate, optimum_tolerance, solve_fixed_iters,
@@ -716,6 +718,57 @@ class TestClosedFormTail:
         assert looped == 40 and tail is None
         ref = reference_pgd(s, g, lo, hi, v0, 0.3, 40)
         assert np.max(np.abs(got - ref[-1])) <= KERNEL_RTOL
+
+
+class TestPointStart:
+    """A CondensedPoint start gives the solve of its z, byte for byte."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=st.one_of(lifted_problems(), open_box_problems()),
+           K=st.sampled_from([0, 1, 3, 8, 200]))
+    def test_point_and_its_z_solve_alike(self, case, K):
+        prob, v0 = case
+        z0 = prob.lift(v0)
+        from_z = solve_fixed_iters(prob, z0, K)
+        from_point = solve_fixed_iters(prob, CondensedPoint(z=z0, v=v0), K)
+        assert from_point.looped == from_z.looped
+        for a, b in ((from_point.point.v, from_z.point.v),
+                     (from_point.point.z, from_z.point.z)):
+            assert a.tobytes() == b.tobytes()
+        if from_z.optimum is None:
+            assert from_point.optimum is None
+        else:
+            assert from_point.optimum.tobytes() == from_z.optimum.tobytes()
+
+
+class TestStepSpectrumPowers:
+    @staticmethod
+    def direct(s, j):
+        power = s.tau ** j
+        one_minus = 1.0 - power
+        one_minus[s.slow] = -np.expm1(j * s.log_tau)
+        return power, one_minus
+
+    @pytest.mark.parametrize("K", [8, 228])
+    def test_cached_pairs_are_the_direct_formula(self, certified_doc, K):
+        shape = certified_doc.window_shapes(certified_doc.certificate)[9]
+        s = shape.spectrum
+        assert s.slow.any() and not s.slow.all()
+        for j in (1, 2, K - 7, K - 3, K - 1, K):
+            for _ in range(2):  # computed, then kept
+                got = s.powers(j)
+                for cached, ref in zip(got, self.direct(s, j)):
+                    assert cached.tobytes() == ref.tobytes()
+                    assert not cached.flags.writeable
+            assert s.powers(j)[0] is got[0]
+
+    def test_a_run_keeps_few_pairs(self, certified_doc):
+        doc, K = certified_doc, 228
+        shapes = doc.window_shapes(doc.certificate)
+        run_closed_loop(doc.scenario_config(shapes, K=K, steps=400, oracle=False))
+        kept = [len(shapes[m].spectrum._powers) for m in range(shapes.M + 1)]
+        assert max(kept) <= int(np.ceil(np.log2(K))) + 2
+        assert kept[shapes.M] >= 1  # the full window's solves do jump
 
 
 class TestTailOptimum:
