@@ -1,9 +1,9 @@
 """Per-step cost of the certified closed loop, measured in-process.
 
-    PYTHONPATH=src python bench/step_cost.py --label NAME [--repeats 12]
+    PYTHONPATH=src python bench/step_cost.py --label NAME
 
 Runs `simulate`'s loop on configs/case_study_certified.json (seeds 1-3, 400
-steps) twice: with the oracle off at the certified K* (K: "auto"), and with
+steps, 12 repeats) twice: with the oracle off at the certified K* (K: "auto"), and with
 the oracle on at K = 25. A step is the time from one step's build_problem
 call to the next one's, so every step but the last (whose interval would
 include the post-loop monitor pass) is timed. The loop is deterministic for
@@ -43,6 +43,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "case_study_certified.json"
 RESULTS = ROOT / "BENCH_step.json"
 RUNS = (("oracle_off", None, False), ("oracle_on", 25, True))  # (name, K, oracle)
+SEEDS = (1, 2, 3)
+STEPS = 400
+REPEATS = 12
 
 
 def timed_run(doc, K, oracle, seed, steps):
@@ -120,15 +123,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True,
                         help="row name in BENCH_step.json, e.g. the commit")
-    parser.add_argument("--repeats", type=int, default=12)
-    parser.add_argument("--steps", type=int, default=400)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     cpu = pin_one_cpu()
     doc = load_config(CONFIG)
-    row = {"label": args.label, "seeds": args.seeds, "steps": args.steps,
-           "repeats": args.repeats, "env": {**environment(), "pinned_cpu": cpu}}
-    for name, res in measure(doc, args.seeds, args.steps, args.repeats).items():
+    row = {"label": args.label, "seeds": list(SEEDS), "steps": STEPS,
+           "repeats": REPEATS, "env": {**environment(), "pinned_cpu": cpu}}
+    for name, res in measure(doc, SEEDS, STEPS, REPEATS).items():
         row[name] = res
         print(f"{args.label} {name} K={res['K']}: p50 {res['p50_us']} us, "
               f"p90 {res['p90_us']} us over {res['steps_timed']} steps")

@@ -476,6 +476,8 @@ def run_closed_loop(cfg, observe=None):
             log.x[t + 1] = sys.step(x, u, w1s[t])
         start = report.point
         if t < M:
+            # the solver reads only v; z is lifted so that the point's z
+            # and v still agree, and that invariant is its only use
             start = CondensedPoint(z=sigma_lift(start.z, t + 1, shapes),
                                    v=np.concatenate([start.v, pad]))
 

@@ -78,8 +78,10 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
     tail); looped is the number of iterations run before it took it, and
     `iters` when it did not. tail is the _Tail the loop settled on, and None
     when it did not settle. The probe at k = 0 needs only d, so a solve
-    that settles there builds no operator. The clamp order matches np.clip,
-    NaN included; every array is reused.
+    that settles there builds no operator. The clamp matches np.clip, NaN
+    included, except in the sign of a zero that ties a zero bound: with the
+    bound first, np.maximum(lo, -0.0) keeps -0.0 where np.clip gives 0.0.
+    Every array is reused.
     """
     n = transition.shape[0]
     iters = int(iters)
