@@ -10,11 +10,14 @@ the true disturbances lie in it, so the true trajectory is a feasible
 window candidate.
 
 The run has one record, a TrajectoryLog of per-run arrays in which row t is
-step t; the loop writes each value once, into its row. The windows are
-views of the record's input and output rows. The prior for a full window is
-the recorded current-time estimate from M steps ago; during the growing
-phase it stays at the configured initial prior (this is what makes the
-per-step inequalities theorems).
+step t, and each value is written once, into its row. A step computes only
+what the next input needs and what cannot be recovered later; the columns
+no step reads (e_norm, w_delta, sigma) are filled after the last step from
+the recorded x and xhat rows, with the bytes a step would have given them.
+The windows are views of the record's input and output rows. The prior for
+a full window is the recorded current-time estimate from M steps ago;
+during the growing phase it stays at the configured initial prior (this is
+what makes the per-step inequalities theorems).
 
 When the oracle is enabled, and only then, every step also measures the
 sub-optimality error against the window optimum v* and records it, with the
@@ -107,9 +110,12 @@ MONITOR_NAMES = ("eps_recursion", "lyapunov", "traj_eps", "traj_err", "contracti
 class TrajectoryLog:
     """The record of one run: one array per quantity, row t is step t.
 
-    The loop writes each value once, into its row; the windows, the priors,
-    the monitor pass, the CSV and the summary all read these columns. The
-    three oracle columns are None when the oracle is off.
+    Each value is written once, into its row: the loop writes a step's
+    columns as it runs it, and the record-only e_norm, w_delta and sigma
+    columns, which no step reads, are filled from the x and xhat rows after
+    the last step. The windows, the priors, the monitor pass, the CSV and
+    the summary all read these columns. The three oracle columns are None
+    when the oracle is off.
     """
 
     config_hash: str
@@ -348,36 +354,41 @@ def _why_uncertified(K, params, ledger):
 class _FeasibilityBounds:
     """The feasibility flags of one run's steps.
 
-    Each flag is Box.contains of the system's boxes with its tolerance. The
-    widened bounds are tiled once per window length m_eff: one row over z's
-    window slots (per slot what = [w1, w2], then yhat) and one over the
-    m_eff + 1 stacked window states, so that a step's flags take one flat
-    compare of each against its rows.
+    Each flag is Box.contains of the system's boxes with its tolerance. A
+    step's entries are z's window slots (per slot what = [w1, w2], then
+    yhat) followed by its m_eff + 1 stacked window states, and per window
+    length m_eff the widened bounds are tiled once into one row over those
+    entries, with a 0/1 matrix naming the flag each entry belongs to. A
+    step's flags are then one compare of its entries against the rows and
+    one count per flag of the entries that fail it.
     """
 
     def __init__(self, sys, M):
-        slot_boxes = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL),
-                      (sys.y_box, OUTPUT_ATOL))
-        slot_lower = np.concatenate([b.lower - tol for b, tol in slot_boxes])
-        slot_upper = np.concatenate([b.upper + tol for b, tol in slot_boxes])
+        slot_boxes = ((sys.w1_box, WHAT_ATOL, 0), (sys.w2_box, WHAT_ATOL, 0),
+                      (sys.y_box, OUTPUT_ATOL, 2))
+        slot_lower = np.concatenate([b.lower - tol for b, tol, _ in slot_boxes])
+        slot_upper = np.concatenate([b.upper + tol for b, tol, _ in slot_boxes])
+        slot_flag = np.concatenate([np.full(b.dim, f) for b, _, f in slot_boxes])
         state_lower = sys.x_box.lower - OUTPUT_ATOL
         state_upper = sys.x_box.upper + OUTPUT_ATOL
-        self.rows = [(np.tile(slot_lower, m), np.tile(slot_upper, m),
-                      np.tile(state_lower, m + 1), np.tile(state_upper, m + 1))
-                     for m in range(M + 1)]
-        self.n_x, self.n_w = sys.n_x, sys.n_w
-        self.width = slot_lower.shape[0]
+        state_flag = np.full(sys.n_x, 1)
+        self.rows = []
+        for m in range(M + 1):
+            flag = np.concatenate([np.tile(slot_flag, m), np.tile(state_flag, m + 1)])
+            self.rows.append((
+                np.concatenate([np.tile(slot_lower, m), np.tile(state_lower, m + 1)]),
+                np.concatenate([np.tile(slot_upper, m), np.tile(state_upper, m + 1)]),
+                (flag[:, None] == np.arange(3)).astype(float)))
+        self.n_x = sys.n_x
 
     def check(self, m_eff, z, states):
-        """(what, xhat, yhat) feasible for the step's z_k, of window length
-        m_eff, and its window states; False wherever an entry is NaN."""
-        slot_lo, slot_hi, state_lo, state_hi = self.rows[m_eff]
-        slots = z[self.n_x:]
-        cols = ((slots >= slot_lo) & (slots <= slot_hi)).reshape(
-            m_eff, self.width).all(axis=0)
-        states = states.ravel()
-        states_ok = ((states >= state_lo) & (states <= state_hi)).all()
-        return bool(cols[:self.n_w].all()), bool(states_ok), bool(cols[self.n_w:].all())
+        """(what, xhat, yhat) feasible, as a bool array, for the step's z_k,
+        of window length m_eff, and its window states; False wherever an
+        entry is NaN."""
+        lower, upper, member = self.rows[m_eff]
+        entries = np.concatenate((z[self.n_x:], states.ravel()))
+        outside = ~((entries >= lower) & (entries <= upper))
+        return outside @ member == 0.0
 
 
 def run_closed_loop(cfg, observe=None):
@@ -450,7 +461,6 @@ def run_closed_loop(cfg, observe=None):
         z_k = report.point.z
         states = extract_estimate(problem, report.point)
         xhat = log.xhat[t] = states[-1]
-        log.e_norm[t] = np.linalg.norm(xhat - x)
 
         if cfg.oracle:
             if report.optimum is None:
@@ -466,8 +476,6 @@ def run_closed_loop(cfg, observe=None):
             log.eps_v[t] = np.linalg.norm(report.point.v - z_star.v)
             log.warm_v[t] = np.linalg.norm(start.v - z_star.v)
 
-        log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
-        log.w_delta[t] = w_delta(cfg.cert, xhat, x)
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
         log.feasible[t] = flags.check(m_eff, z_k, states)
@@ -480,6 +488,16 @@ def run_closed_loop(cfg, observe=None):
             # and v still agree, and that invariant is its only use
             start = CondensedPoint(z=sigma_lift(start.z, t + 1, shapes),
                                    v=np.concatenate([start.v, pad]))
+
+    # the record-only columns, which no step reads. Each row of a stacked
+    # 1 x n product has the bytes of np.linalg.norm and of the 1-D w_delta
+    # of that row; np.linalg.norm(axis=1) and row sums do not
+    d = (log.xhat - log.x)[:, None, :]
+    log.e_norm[:] = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
+    log.w_delta[:] = w_delta(cfg.cert, log.xhat, log.x)
+    log.sigma_raw[:] = log.sigma_clamped[:] = 0.0  # as residual_sigma_parts after M
+    for t in range(min(T - 1, M) + 1):
+        log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
 
     if cfg.oracle:
         w = np.hstack([w1s, w2s])

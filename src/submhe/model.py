@@ -303,12 +303,19 @@ def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8):
 
 
 def w_delta(cert, x, x_other):
-    """Quadratic incremental Lyapunov value ||x - x'||_P^2."""
+    """Quadratic incremental Lyapunov value ||x - x'||_P^2.
+
+    Of one pair of states (n,), as a float, or of stacked rows (..., n),
+    as an array over the leading axes. Each row is the product d P d^T of
+    its own d = x - x' as a 1 x n matrix, and a stack is the same product
+    over the batch, so a stacked value has the bytes of its row's.
+    """
     x = np.asarray(x, dtype=float)
     x_other = np.asarray(x_other, dtype=float)
     n = cert.P.shape[0]
-    if x.shape != (n,) or x_other.shape != (n,):
+    if x.shape != x_other.shape or x.shape[-1:] != (n,):
         raise DimensionMismatch(
             f"state dimension mismatch: {x.shape} vs {x_other.shape} vs P {cert.P.shape}")
-    d = x - x_other
-    return float(d @ cert.P @ d)
+    d = (x - x_other)[..., None, :]
+    value = (d @ cert.P @ np.swapaxes(d, -1, -2))[..., 0, 0]
+    return float(value) if x.ndim == 1 else value

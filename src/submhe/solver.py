@@ -69,31 +69,38 @@ class OracleReport:
     iters: int             # kernel iterations run from the start
 
 
+def _clamp(v, lo, hi, out=None):
+    """min(hi, max(lo, v)) componentwise, the same bytes as np.clip(v, lo, hi),
+    NaN and signed zeros included: the value is the first operand of each
+    compare, as in model.Box.project (with the bound first, a -0.0 that ties
+    a zero bound would stay -0.0 where np.clip gives 0.0)."""
+    out = np.maximum(v, lo, out=out)
+    return np.minimum(out, hi, out=out)
+
+
 def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
-    """The one projected-gradient loop: v <- min(hi, max(lo, T v + d)), for
+    """The one projected-gradient loop: v <- _clamp(T v + d, lo, hi), for
     T = transition and d = shift.
 
     Returns (v_K, looped, tail). At k = 0, 1, 3, 7, ... the loop tries the
     closed-form tail of `spectrum` (a StepSpectrum of T, or None for no
     tail); looped is the number of iterations run before it took it, and
     `iters` when it did not. tail is the _Tail the loop settled on, and None
-    when it did not settle. The probe at k = 0 needs only d, so a solve
-    that settles there builds no operator. The clamp matches np.clip, NaN
-    included, except in the sign of a zero that ties a zero bound: with the
-    bound first, np.maximum(lo, -0.0) keeps -0.0 where np.clip gives 0.0.
-    Every array is reused.
+    when it did not settle. The probe at k = 0 needs only d and v0, so a
+    solve that settles there builds no operator and allocates no iterate.
+    Every array of the loop is reused.
     """
     n = transition.shape[0]
     iters = int(iters)
+    tail = None
+    if spectrum is not None and iters > 0:
+        tail = _Tail(spectrum, shift, lo, hi)
+        if tail.settled(v0):
+            return tail.finish(iters), 0, tail
     w = np.empty(n + 1)
     w[n] = 1.0
     v = w[:n]
     v[:] = v0
-    tail = None
-    if spectrum is not None and iters > 0:
-        tail = _Tail(spectrum, shift, lo, hi)
-        if tail.settled(v):
-            return tail.finish(iters), 0, tail
     op = np.empty((n, n + 1))  # [T | d] maps [v; 1] to T v + d
     op[:, :n] = transition
     op[:, n] = shift
@@ -105,8 +112,7 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
                 return tail.finish(iters - k), k, tail
             probe = 2 * probe + 1
         np.dot(op, w, out=buf)
-        np.maximum(lo, buf, out=buf)
-        np.minimum(hi, buf, out=v)
+        _clamp(buf, lo, hi, out=v)
     return v.copy(), iters, None
 
 
@@ -144,7 +150,7 @@ class _Tail:
         s = self.spectrum
         power, one_minus = s.powers(j)
         v_j = s.basis @ (power * self.coords + one_minus * self.fixed)
-        return np.minimum(self.hi, np.maximum(self.lo, v_j))
+        return _clamp(v_j, self.lo, self.hi, out=v_j)
 
 
 def solve_fixed_iters(problem, start, K):

@@ -16,8 +16,8 @@ from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
 from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes,
-                        build_problem, sigma_lift)
-from submhe.model import Box, LtiSystem
+                        build_problem, residual_sigma_parts, sigma_lift)
+from submhe.model import Box, LtiSystem, w_delta
 from submhe.solver import optimum_tolerance, solve_fixed_iters
 
 
@@ -307,14 +307,53 @@ class TestClosedLoop:
     def test_one_build_and_one_evaluate_per_step(self, certified_doc,
                                                  monkeypatch, oracle):
         # perfbench times a step between consecutive harness.evaluate calls
-        # and reports mhe.build_problem per-call costs and counts
+        # and reports mhe.build_problem per-call costs and counts. The
+        # record-only columns are filled once per run: sigma by at most
+        # M + 1 residual_sigma_parts calls (it is 0 after M), w_delta by
+        # one stacked call
         doc = certified_doc
-        built = record_calls(monkeypatch, "build_problem")
-        evaluated = record_calls(monkeypatch, "evaluate")
-        log = run_closed_loop(scenario(doc, doc.certificate, K=25, steps=30,
+        M, T = doc.mhe["M"], 400
+        per_step = {name: record_calls(monkeypatch, name)
+                    for name in ("build_problem", "solve_fixed_iters",
+                                 "extract_estimate", "evaluate")}
+        sigma = count_calls(monkeypatch, harness, "residual_sigma_parts")
+        lyapunov = count_calls(monkeypatch, harness, "w_delta")
+        log = run_closed_loop(scenario(doc, doc.certificate, K=228, steps=T,
                                        oracle=oracle))
-        assert log.steps == len(built) == len(evaluated) == 30
-        assert [p.t for _, p in built] == list(range(30))
+        assert log.certified and log.steps == T
+        for name, calls in per_step.items():
+            assert len(calls) == T, name
+        assert [p.t for _, p in per_step["build_problem"]] == list(range(T))
+        assert len(sigma) <= M + 1
+        assert len(lyapunov) <= 1
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    @pytest.mark.parametrize("K", [0, 3, 25, 228])
+    @pytest.mark.parametrize("source", ["certified_doc", "case_study_doc"])
+    def test_record_only_columns_are_the_per_step_values(self, request, source,
+                                                         K, oracle):
+        # e_norm, w_delta and sigma are filled after the loop from the
+        # recorded x and xhat rows; each row must have the bytes of the value
+        # computed from that step's own rows. One run is shorter than the
+        # growing phase, one ends in it, one runs past it.
+        doc = request.getfixturevalue(source)
+        cert, M = doc.certificate, doc.mhe["M"]
+        for steps in (1, M, 3 * M):
+            cfg = scenario(doc, cert, K=K, steps=steps, oracle=oracle)
+            log = run_closed_loop(cfg)
+            rows = list(zip(log.xhat, log.x))
+            sigma = [residual_sigma_parts(t, cfg.shapes, cert.eta)
+                     for t in range(steps)]
+            expect = {
+                "e_norm": [np.linalg.norm(xhat - x) for xhat, x in rows],
+                "w_delta": [w_delta(cert, xhat, x) for xhat, x in rows],
+                "sigma_raw": [raw for raw, _ in sigma],
+                "sigma_clamped": [clamped for _, clamped in sigma],
+            }
+            for name, ref in expect.items():
+                got = getattr(log, name)
+                assert got.tobytes() == np.array(ref).tobytes(), (name, steps)
 
     def test_flags_match_box_contains(self, monkeypatch):
         # the true state starts outside the tight x and y boxes, so the

@@ -9,6 +9,7 @@ from submhe.model import (Box, IossCertificate, LtiSystem,
                           disturbance_input_matrix, find_certificate,
                           lmi_matrix, measurement_noise_matrix,
                           validate_system, verify_ioss_lmi, w_delta)
+from submhe.solver import _clamp
 
 
 def reference_lmi(A, C, P, Q, R, eta):
@@ -62,14 +63,25 @@ class TestBoxProject:
     VALUES = [-np.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 2.0, np.inf, np.nan]
     BOUNDS = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
 
-    def test_project_is_np_clip_bitwise(self):
+    # Box.project, and the solver's clamp as its loop calls it (into a
+    # buffer) and as its closed-form tail does (in place)
+    CLAMPS = {
+        "Box.project": lambda box, v: box.project(v),
+        "solver._clamp": lambda box, v: _clamp(v, box.lower, box.upper,
+                                               out=np.empty_like(v)),
+        "solver._clamp_in_place": lambda box, v: _clamp(v, box.lower, box.upper,
+                                                        out=v),
+    }
+
+    @pytest.mark.parametrize("clamp", CLAMPS.values(), ids=CLAMPS.keys())
+    def test_project_is_np_clip_bitwise(self, clamp):
         v = np.array(self.VALUES)
         pairs = [(lo, hi) for lo in self.BOUNDS for hi in self.BOUNDS if lo <= hi]
         assert (-0.0, 0.0) in pairs and (0.0, -0.0) in pairs
         for lo, hi in pairs:
             box = Box(np.full(v.size, lo), np.full(v.size, hi))
             for arg in (v, np.tile(v, (3, 1))):  # one point, and a batch
-                got = box.project(arg)
+                got = clamp(box, arg.copy())
                 ref = np.clip(arg, box.lower, box.upper)
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes(), (lo, hi)
@@ -187,8 +199,31 @@ class TestWDelta:
 
     def test_dimension_check(self):
         cert = simple_certificate(2, 1)
-        with pytest.raises(DimensionMismatch):
-            w_delta(cert, np.zeros(3), np.zeros(3))
+        for x, x_other in ((np.zeros(3), np.zeros(3)),
+                           (np.zeros(2), np.zeros((1, 2))),
+                           (np.zeros((5, 2)), np.zeros((4, 2))),
+                           (np.zeros((5, 3)), np.zeros((5, 3))),
+                           (np.float64(0.0), np.float64(0.0))):
+            with pytest.raises(DimensionMismatch):
+                w_delta(cert, x, x_other)
+
+    def test_stacked_rows_are_the_row_values_bitwise(self):
+        # a stack of rows gives each row the bytes of its own 1-D value, and
+        # the 1-D value is the plain product d @ P @ d
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 4, 7):
+            m = rng.standard_normal((n, n))
+            cert = simple_certificate(n, 1, P=m @ m.T + 0.5 * np.eye(n))
+            x, x_other = rng.standard_normal((2, 60, n)) * rng.uniform(0.01, 100)
+            rows = [w_delta(cert, a, b) for a, b in zip(x, x_other)]
+            assert all(type(r) is float for r in rows)
+            assert rows == [float((a - b) @ cert.P @ (a - b))
+                            for a, b in zip(x, x_other)]
+            stacked = w_delta(cert, x, x_other)
+            assert stacked.shape == (60,)
+            assert stacked.tobytes() == np.array(rows).tobytes()
+            batched = w_delta(cert, x.reshape(3, 20, n), x_other.reshape(3, 20, n))
+            assert batched.tobytes() == stacked.tobytes()
 
 
 class TestDissipation:
