@@ -11,9 +11,11 @@ v*, and with it the sub-optimality error, with the same kernel, on the
 same window in Jacobi-scaled coordinates (mhe.WindowShape.jacobi, itself a
 window shape): it runs the loop on from the step's iterate, polishes the
 iterate on its active set and accepts on a certified error bound in the
-plain problem (solve_oracle). The scaling serves the oracle's search only;
-the estimator, its budget K and every bound on it stay the plain
-iteration's.
+plain problem (solve_oracle). A warm start is polished at once; a cold one
+runs one chunk of the kernel first, since at clip(0) the active set holds
+little more than the pinned coordinates. The scaling serves the oracle's
+search only; the estimator, its budget K and every bound on it stay the
+plain iteration's.
 
 There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonfiniteIterate, OracleStalled
+from .errors import DimensionMismatch, NonfiniteIterate, OracleStalled
 from .mhe import CondensedPoint
 
 KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
@@ -183,8 +185,8 @@ def solve_fixed_iters(problem, start, K):
                        optimum=None if tail is None else tail.v_u)
 
 
-def optimum_tolerance(shape, v_star):
-    """How far a correct v* may lie from another correct solve's v*.
+def rounding_floor(shape):
+    """The relative part of optimum_tolerance, one float per window shape.
 
     The settled tail's v_u and the oracle both solve S v = -c with every
     coordinate free, v_u through the eigenbasis of S and the oracle by LU.
@@ -196,7 +198,22 @@ def optimum_tolerance(shape, v_star):
     """
     mu, lip = shape.curvature
     rounding = 4.0 * shape.dim_v * (lip / mu) * np.finfo(float).eps
-    return max(1e-12, rounding) * max(1.0, float(np.linalg.norm(v_star)))
+    return max(1e-12, rounding)
+
+
+def optimum_tolerance(shape, v_star):
+    """How far a correct v* may lie from another correct solve's v*:
+    rounding_floor(shape) max(1, ||v*||)."""
+    return rounding_floor(shape) * max(1.0, float(np.linalg.norm(v_star)))
+
+
+def _free_blocks(s, free, fixed):
+    """(S_FF, S_FA): the rows `free` of s at the columns `free` and `fixed`,
+    the same C-contiguous blocks as s[np.ix_(free, free)] and
+    s[np.ix_(free, fixed)], by three takes, a fraction of the cost of two
+    np.ix_ gathers on a window-sized s."""
+    rows = s.take(free, 0)
+    return rows.take(free, 1), rows.take(fixed, 1)
 
 
 def oracle_iterations(shape, ratio):
@@ -219,16 +236,28 @@ def oracle_iterations(shape, ratio):
 def solve_oracle(problem, start=None):
     """The window optimum v*: iterate, polish, certify. Returns an OracleReport.
 
-    From v = `start` (or 0) clipped to the box, with g = S v + c, let A be
-    the pinned coordinates and those at a bound whose g points out of the
-    box, and F the rest. The polish w keeps w_A at its bounds and solves
-    S_FF w_F = -(c_F + S_FA w_A). The first of w (if inside the box) and v
-    whose error bound B(u) = gain ||u - clip(u - alpha (S u + c))||, with
-    gain = (1 + alpha L)/(alpha mu), is at most optimum_tolerance(shape, u)
-    is accepted; v covers degenerate complementarity. Otherwise the kernel
-    runs 8 more iterations (doubling, up to ORACLE_CHUNK) and the test
-    repeats. The kernel skips its closed-form tail (where that would settle,
-    A is empty and w = v_u), and solve_fixed_iters counts loop solves only.
+    The start v_0 is `start` (a v of shape (dim_v,); DimensionMismatch
+    otherwise), or 0, clipped to the box. At a test, with v the plain iterate
+    and g = S v + c, let A be the pinned coordinates and those at a bound
+    whose g points out of the box, and F the rest. The polish w keeps w_A at
+    its bounds and solves S_FF w_F = -(c_F + S_FA w_A). The first of w (if
+    inside the box) and v whose error bound B(u) = gain ||u - clip(u - alpha
+    (S u + c))||, with gain = (1 + alpha L)/(alpha mu), is at most
+    optimum_tolerance(shape, u) is accepted; v covers degenerate
+    complementarity. Otherwise the kernel runs 8 more iterations (doubling,
+    up to ORACLE_CHUNK) and the test repeats. The kernel skips its
+    closed-form tail (where that would settle, A is empty and w = v_u), and
+    solve_fixed_iters counts loop solves only.
+
+    The first test, at iteration 0, takes B(v_0) on the plain start, and a
+    warm start's polish with it: the loop starts the oracle from its K-th
+    iterate, whose active set is mostly v*'s. A cold start is not polished
+    before the first chunk. At clip(0) A holds little more than the pinned
+    coordinates, so that polish would be the full unconstrained solve, of
+    use only where v* is interior; after the chunk the kernel's active set
+    is most often v*'s (projected gradient identifies the optimal face in
+    finitely many iterations: Calamai & More, Math. Prog. 39, 1987), and
+    where v* is interior the polish is that same solve.
 
     The search is the same kernel, on the Jacobi-scaled shape (d, scaled) =
     shape.jacobi: it iterates v~ = v / d on S~ = D S D with the linear term
@@ -264,29 +293,37 @@ def solve_oracle(problem, start=None):
     shape = problem.shape
     s, c = problem.reduced_gradient_terms()
     lo, hi = problem.lower, problem.upper
-    v = np.clip(np.zeros(shape.dim_v) if start is None else start, lo, hi)
+    v0 = np.zeros(shape.dim_v) if start is None else np.asarray(start, dtype=float)
+    if v0.shape != (shape.dim_v,):
+        raise DimensionMismatch(
+            f"oracle start has shape {v0.shape}, expected ({shape.dim_v},)")
+    v = _clamp(v0, lo, hi)
     if not (np.isfinite(c).all() and np.isfinite(v).all()):
         raise NonfiniteIterate("oracle: non-finite linear term or start")
     mu, lip = shape.curvature
     alpha, q = shape.step, shape.contraction_base
     gain = (1.0 + alpha * lip) / (alpha * mu)
+    floor = rounding_floor(shape)
     iters, chunk, stall_at = 0, 8, None
     while True:
         grad = s @ v + c
-        active = (lo == hi) | ((v == lo) & (grad > 0.0)) | ((v == hi) & (grad < 0.0))
-        free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
-        w = v.copy()
-        if free.size:
-            rhs = -(c[free] + s[np.ix_(free, fixed)] @ w[fixed])
-            w[free] = np.linalg.solve(s[np.ix_(free, free)], rhs)
-        in_box = ((w >= lo) & (w <= hi)).all()
-        for u, g in ([(w, s @ w + c)] if in_box else []) + [(v, grad)]:
-            bound = gain * float(np.linalg.norm(u - np.clip(u - alpha * g, lo, hi)))
-            if bound <= optimum_tolerance(shape, u):
+        candidates = [(v, grad)]
+        if start is not None or iters:  # a cold start is polished after a chunk
+            active = (lo == hi) | ((v == lo) & (grad > 0.0)) | ((v == hi) & (grad < 0.0))
+            free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
+            w = v.copy()
+            if free.size:
+                s_ff, s_fa = _free_blocks(s, free, fixed)
+                w[free] = np.linalg.solve(s_ff, -(c.take(free) + s_fa @ w.take(fixed)))
+            if ((w >= lo) & (w <= hi)).all():
+                candidates.insert(0, (w, s @ w + c))
+        for u, g in candidates:
+            bound = gain * float(np.linalg.norm(u - _clamp(u - alpha * g, lo, hi)))
+            if bound <= floor * max(1.0, float(np.linalg.norm(u))):
                 return OracleReport(CondensedPoint(z=problem.lift(u), v=u),
                                     bound, iters)
         if stall_at is None:  # bound is B(v_0)
-            ratio = optimum_tolerance(shape, 0.0) / (gain * (1.0 + q) * bound)
+            ratio = floor / (gain * (1.0 + q) * bound)
             stall_at = ORACLE_CHUNK + oracle_iterations(shape, ratio)
             d, scaled = shape.jacobi
             shift = -scaled.step * (d * c)
@@ -304,5 +341,5 @@ def solve_oracle(problem, start=None):
         if not np.isfinite(v_scaled).all():
             raise NonfiniteIterate("oracle: projected-gradient iterate overflowed")
         v = np.where(v_scaled == scaled.lower, lo,
-                     np.where(v_scaled == scaled.upper, hi, np.clip(d * v_scaled, lo, hi)))
+                     np.where(v_scaled == scaled.upper, hi, _clamp(d * v_scaled, lo, hi)))
         chunk = min(2 * chunk, ORACLE_CHUNK)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (certified_pgd, make_system, random_certified_setup,
-                      random_problem, simple_certificate)
+from conftest import (certified_pgd, count_calls, make_system,
+                      random_certified_setup, random_problem, simple_certificate)
 
-from submhe.errors import DegenerateHessian, NonfiniteIterate, OracleStalled
+from submhe.errors import (DegenerateHessian, DimensionMismatch, NonfiniteIterate,
+                           OracleStalled)
 from submhe.harness import run_closed_loop
 from submhe.mhe import (CondensedPoint, MheProblem, WindowShape, build_problem,
                         step_spectrum)
@@ -309,12 +310,13 @@ class TestSolveOracle:
             assert np.linalg.norm(got.point.v - ref) <= got.bound + tol
 
     def test_kernel_without_progress_stalls(self, monkeypatch):
-        # min (v - r)^T W (v - r) over [-1, 1]^2 with r outside the box: the
-        # polish of the cold start frees both coordinates and lands at r,
-        # and a kernel that returns its start never brings the plain iterate
-        # closer. The count is the theorem's, from numpy alone: S = 2 W has
-        # d = (8, 2)^(-1/2), kappa(D) = 2 and D S D = [[1, 3/4], [3/4, 1]],
-        # so q~ = 3/4. The oracle gives up one full chunk past it.
+        # min (v - r)^T W (v - r) over [-1, 1]^2 with r outside the box: a
+        # kernel that returns its start never brings the plain iterate
+        # closer, and every polish, from the first chunk on, frees both
+        # coordinates of the cold start and lands at r. The count is the
+        # theorem's, from numpy alone: S = 2 W has d = (8, 2)^(-1/2),
+        # kappa(D) = 2 and D S D = [[1, 3/4], [3/4, 1]], so q~ = 3/4. The
+        # oracle gives up one full chunk past it.
         weight = np.array([[4.0, 1.5], [1.5, 1.0]])
         prob = plain_problem(weight, np.array([3.0, -3.0]),
                              lower=np.full(2, -1.0), upper=np.full(2, 1.0))
@@ -352,6 +354,73 @@ class TestSolveOracle:
         assert got.iters > 0
         assert got.point.v[0] == 0.7
         assert got.bound == 0.0
+
+    @pytest.mark.parametrize("start", [np.zeros(1), np.zeros(7), np.zeros((3, 1))],
+                             ids=["length_1", "length_7", "column"])
+    def test_start_of_another_shape_raises(self, start):
+        prob = plain_problem(np.eye(3), np.array([3.0, -1.0, 0.5]),
+                             lower=np.full(3, -1.0), upper=np.full(3, 1.0))
+        with pytest.raises(DimensionMismatch, match=r"expected \(3,\)"):
+            solve_oracle(prob, start=start)
+
+    def test_take_blocks_are_the_ix_blocks(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 7, 49):
+            s = rng.standard_normal((n, n))
+            masks = [np.zeros(n, bool), np.ones(n, bool)]
+            masks += [rng.random(n) < p for p in (0.2, 0.5, 0.8)]
+            for active in masks:  # free empty, fixed empty, and mixed
+                free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
+                got = solver._free_blocks(s, free, fixed)
+                want = s[np.ix_(free, free)], s[np.ix_(free, fixed)]
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.flags.c_contiguous
+                    assert a.tobytes() == b.tobytes()
+
+    def test_cold_solves_polish_only_after_a_chunk(self, monkeypatch):
+        # A cold start is tested unpolished at iteration 0 and polished from
+        # the first chunk on; a warm start is polished at iteration 0.
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        solves_before_chunk = []
+        iterate = solver._iterate
+
+        def recorded(*args):
+            solves_before_chunk.append(len(solves))
+            return iterate(*args)
+
+        monkeypatch.setattr(solver, "_iterate", recorded)
+        rng = np.random.default_rng(21)
+        for i in range(30):
+            sys, cert = random_certified_setup(rng)
+            prob = random_problem(rng, sys, cert)
+            if i % 3 == 0:  # every coordinate free: polish-first accepts at 0
+                prob = with_box(prob, np.full(prob.dim_v, -np.inf),
+                                np.full(prob.dim_v, np.inf))
+            for start in (None, rng.uniform(-3.0, 3.0, prob.dim_v)):
+                solves.clear()
+                solves_before_chunk.clear()
+                got = solve_oracle(prob, start=start)
+                if start is None:
+                    assert got.iters > 0 or not solves
+                    assert solves_before_chunk[:1] == [0] * min(1, got.iters)
+                    assert len(solves) <= len(solves_before_chunk)
+                else:  # the state coordinates are free: the polish solves
+                    assert len(solves) >= 1
+                    assert all(k >= 1 for k in solves_before_chunk)
+
+    def test_interior_cold_solve_is_the_normal_equations_bitwise(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            sys, cert = random_certified_setup(rng)
+            prob = random_problem(rng, sys, cert)
+            s, c = prob.reduced_gradient_terms()
+            expected = np.linalg.solve(s, -(c + 0.0))
+            width = 10.0 * (1.0 + np.abs(expected))
+            for lower, upper in ((np.full(prob.dim_v, -np.inf), np.full(prob.dim_v, np.inf)),
+                                 (expected - width, expected + width)):
+                got = solve_oracle(with_box(prob, lower, upper))
+                assert got.iters == 8
+                assert got.point.v.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("hessian, direction", [
         # D S D = [[1, 1/2], [1/2, 1]], kappa(D) = 10: T~ swaps the two
