@@ -47,6 +47,7 @@ from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, UnboundedSampleBox)
+from .linalg import vector_norm
 from .mhe import (CondensedPoint, build_problem, extract_estimate,
                   residual_sigma_parts, sigma_lift, sigma_truncate)
 from .model import validate_system, w_delta
@@ -528,8 +529,10 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
 
     Returns the max ratio floored at 1 + 1e-9. Samples with a vanishing
     denominator are skipped and counted. `shapes` (a WindowShapes) carries
-    the system, the certificate and M.
+    the system, the certificate and M. n_trials below 1 raises ValueError.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     sys, cert, M = shapes.sys, shapes.cert, shapes.M
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -548,15 +551,14 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
         p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1, shapes=shapes)
         p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
         _, sigma_t = residual_sigma_parts(t, shapes, cert.eta)
-        denom = (np.linalg.norm(p1.reference
-                                - sigma_truncate(p2.reference, t, shapes))
+        denom = (vector_norm(p1.reference - sigma_truncate(p2.reference, t, shapes))
                  + sigma_t)
-        if denom <= 1e-9 * max(1.0, float(np.linalg.norm(p1.reference))):
+        if denom <= 1e-9 * max(1.0, vector_norm(p1.reference)):
             skipped += 1
             continue
         z1 = solve_oracle(p1).point.z
         z2 = solve_oracle(p2).point.z
-        ratio = float(np.linalg.norm(sigma_lift(z1, t, shapes) - z2)) / denom
+        ratio = vector_norm(sigma_lift(z1, t, shapes) - z2) / denom
         best = max(best, ratio)
         used += 1
     if used == 0:

@@ -9,6 +9,8 @@ numpy/BLAS build on one machine; they are not promised bit-for-bit across
 machines or library versions.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -17,6 +19,13 @@ from .errors import DimensionMismatch
 def symmetrize(a):
     a = np.asarray(a, dtype=float)
     return 0.5 * (a + a.T)
+
+
+def vector_norm(x):
+    """||x||_2 of a 1-d float64 array, as a float: the bytes of
+    np.linalg.norm(x), which computes sqrt(x.dot(x)) for this case, without
+    its dispatch (about 1 us of 1.5 us per call on a window-sized vector)."""
+    return math.sqrt(x.dot(x))
 
 
 def eigh(a):

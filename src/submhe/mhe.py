@@ -23,10 +23,12 @@ eigendecomposition of S, which gives the step, its contraction base and the
 spectrum of the step's linear part (StepSpectrum), from which the solver
 takes the clamp-free tail of its loop in closed form. The oracle's search
 runs on the same window in Jacobi-scaled coordinates, itself a WindowShape
-(WindowShape.jacobi) that the shape also builds on first use. The shape
-keeps the window-state map too: the states xhat_0..xhat_Mt are affine in v
-and the input window, so the estimate is one product with it. A step adds
-the offset psi, the reference and with them the gradient's linear term c.
+(WindowShape.jacobi) that the shape also builds on first use, as it does
+the oracle's other constants (search_rate, error_gain, rounding_floor). The
+shape keeps the window-state map too: the states xhat_0..xhat_Mt are affine
+in v and the input window, so the estimate is one product with it. A step
+adds the offset psi, the reference and with them the gradient's linear
+term c.
 """
 
 from dataclasses import dataclass, field, replace
@@ -116,13 +118,13 @@ class WindowShape:
                                     "the weight is numerically singular")
         return mu, lip
 
-    @property
+    @cached_property
     def step(self):
         """The iteration's constant step 2/(L + mu)."""
         mu, lip = self.curvature
         return 2.0 / (lip + mu)
 
-    @property
+    @cached_property
     def contraction_base(self):
         """The per-iteration contraction base (L - mu)/(L + mu) in v.
 
@@ -202,6 +204,43 @@ class WindowShape:
             arr.setflags(write=False)
         return d, replace(self, lift_matrix=lift, lower=lower, upper=upper,
                           state_map=state_map)
+
+    @cached_property
+    def search_rate(self):
+        """(kappa(D), log q~): how the oracle's search on jacobi contracts v.
+
+        ||v_k - v*|| <= kappa(D) q~^k ||v_0 - v*|| with kappa(D) = max d / min d
+        and q~ the scaled shape's contraction base (see jacobi); log q~ is
+        None at q~ = 0. solver.oracle_iterations reads both.
+        """
+        d, scaled = self.jacobi
+        q = scaled.contraction_base
+        return float(d.max() / d.min()), (None if q == 0.0 else float(np.log(q)))
+
+    @cached_property
+    def error_gain(self):
+        """(1 + step L)/(step mu), the gain of the oracle's error bound
+        B(u) = gain ||u - clip(u - step (S u + c))|| >= ||u - v*|| (Pang,
+        Math. Oper. Res. 12, 1987; proof in solver.solve_oracle)."""
+        mu, lip = self.curvature
+        return (1.0 + self.step * lip) / (self.step * mu)
+
+    @cached_property
+    def rounding_floor(self):
+        """The relative part of solver.optimum_tolerance, computed once per
+        window shape.
+
+        The settled tail's v_u and the oracle both solve S v = -c with every
+        coordinate free, v_u through the eigenbasis of S and the oracle by LU.
+        Two backward-stable solves of one system differ by up to about
+        n kappa(S) eps relative (eps the float64 machine epsilon, kappa = L/mu
+        from curvature); 4 n kappa eps leaves room over the largest ratio
+        seen, 0.86 n kappa eps in 1,400 settled random windows with kappa up
+        to 9e5. On a well-conditioned S the relative floor 1e-12 governs.
+        """
+        mu, lip = self.curvature
+        rounding = 4.0 * self.dim_v * (lip / mu) * np.finfo(float).eps
+        return max(1e-12, rounding)
 
 
 @dataclass(frozen=True, eq=False)

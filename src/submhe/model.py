@@ -11,6 +11,7 @@ through a single block LMI.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class Box:
     def dim(self):
         return self.lower.shape[0]
 
-    @property
+    @cached_property
     def is_bounded(self):
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
@@ -87,17 +88,43 @@ class Box:
     def sample(self, rng, size=None, scale=None):
         """Uniform draws of shape (dim,), or (size, dim) when size is given.
 
-        An infinite side is cut at distance scale from 0; without a scale,
-        an unbounded box raises ValueError.
+        An infinite side is cut at distance scale from 0, or, where the
+        finite side lies beyond +-scale, at distance scale past that side;
+        without a scale, an unbounded box raises ValueError. Each draw is
+        lo + (hi - lo) * U with U from rng.random: the bytes of
+        rng.uniform(lo, hi) and the same generator state after it, at about
+        a third of its cost with array bounds. As rng.uniform does, a
+        non-finite width raises OverflowError and a negative one (a negative
+        scale) ValueError, before anything is drawn.
         """
+        lo, width = self._interval(None if self.is_bounded else scale)
+        return lo + width * rng.random((self.dim,) if size is None else (size, self.dim))
+
+    def _interval(self, scale):
+        """(lo, hi - lo) of the checked finite box sample draws from. The
+        last scale's pair is kept on the box: the L_Phi probe and verify
+        sample each box at one scale, and on an unbounded box the cut and
+        the checks cost more than the draw."""
+        kept = self.__dict__.get("_kept_interval")
+        if kept is not None and kept[0] == scale:
+            return kept[1]
         lo, hi = self.lower, self.upper
-        if not self.is_bounded:
-            if scale is None:
-                raise ValueError("cannot sample an unbounded box")
-            lo = np.where(np.isfinite(lo), lo, -scale)
-            hi = np.where(np.isfinite(hi), hi, scale)
-        shape = (self.dim,) if size is None else (size, self.dim)
-        return rng.uniform(lo, hi, size=shape)
+        if scale is not None:
+            if not np.isfinite(scale):  # an infinite side has no finite cut
+                raise OverflowError("Range exceeds valid bounds")
+            lo, hi = (np.where(np.isfinite(lo), lo, np.where(hi < -scale, hi - scale, -scale)),
+                      np.where(np.isfinite(hi), hi, np.where(lo > scale, lo + scale, scale)))
+        elif not self.is_bounded:
+            raise ValueError("cannot sample an unbounded box")
+        width = hi - lo
+        if not np.isfinite(width).all():
+            raise OverflowError("Range exceeds valid bounds")
+        if (width < 0.0).any():
+            raise ValueError("high - low < 0")
+        for arr in (lo, width):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_kept_interval", (scale, (lo, width)))
+        return lo, width
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ gains the factor ||Psi|| (mhe.WindowShape.lift_norm). The oracle measures
 v*, and with it the sub-optimality error, with the same kernel, on the
 same window in Jacobi-scaled coordinates (mhe.WindowShape.jacobi, itself a
 window shape): it runs the loop on from the step's iterate, polishes the
-iterate on its active set and accepts on a certified error bound in the
-plain problem (solve_oracle). A warm start is polished at once; a cold one
-runs one chunk of the kernel first, since at clip(0) the active set holds
-little more than the pinned coordinates. The scaling serves the oracle's
-search only; the estimator, its budget K and every bound on it stay the
-plain iteration's.
+iterate on its active set, binding once the sides the polish crosses, and
+accepts on a certified error bound in the plain problem (solve_oracle). A
+warm start is polished at once; a cold one runs one chunk of the kernel
+first, since at clip(0) the active set holds little more than the pinned
+coordinates. The scaling serves the oracle's search only; the estimator,
+its budget K and every bound on it stay the plain iteration's.
 
 There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonfiniteIterate, OracleStalled
+from .linalg import vector_norm
 from .mhe import CondensedPoint
 
 KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
@@ -185,26 +186,21 @@ def solve_fixed_iters(problem, start, K):
                        optimum=None if tail is None else tail.v_u)
 
 
-def rounding_floor(shape):
-    """The relative part of optimum_tolerance, one float per window shape.
-
-    The settled tail's v_u and the oracle both solve S v = -c with every
-    coordinate free, v_u through the eigenbasis of S and the oracle by LU.
-    Two backward-stable solves of one system differ by up to about
-    n kappa(S) eps relative (eps the float64 machine epsilon, kappa = L/mu
-    from shape.curvature); 4 n kappa eps leaves room over the largest ratio
-    seen, 0.86 n kappa eps in 1,400 settled random windows with kappa up to
-    9e5. On a well-conditioned S the relative floor 1e-12 governs.
-    """
-    mu, lip = shape.curvature
-    rounding = 4.0 * shape.dim_v * (lip / mu) * np.finfo(float).eps
-    return max(1e-12, rounding)
-
-
 def optimum_tolerance(shape, v_star):
     """How far a correct v* may lie from another correct solve's v*:
-    rounding_floor(shape) max(1, ||v*||)."""
-    return rounding_floor(shape) * max(1.0, float(np.linalg.norm(v_star)))
+    shape.rounding_floor max(1, ||v*||) (mhe.WindowShape.rounding_floor)."""
+    return shape.rounding_floor * max(1.0, float(np.linalg.norm(v_star)))
+
+
+def _polish(s, c, v, active):
+    """v with its free coordinates (not `active`) solved for on the active
+    set: w_A = v_A and S_FF w_F = -(c_F + S_FA v_A)."""
+    free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
+    w = v.copy()
+    if free.size:
+        s_ff, s_fa = _free_blocks(s, free, fixed)
+        w[free] = np.linalg.solve(s_ff, -(c.take(free) + s_fa @ w.take(fixed)))
+    return w
 
 
 def _free_blocks(s, free, fixed):
@@ -223,14 +219,14 @@ def oracle_iterations(shape, ratio):
     shape.jacobi, whose step contracts v~ = v / d at q~ =
     scaled.contraction_base; in v that is
     ||v_k - v*|| <= kappa(D) q~^k ||v_0 - v*|| with kappa(D) = max d / min d
-    (mhe.WindowShape.jacobi). Returns the smallest k >= 0 with
-    kappa(D) q~^k <= ratio, and 1 at q~ = 0, where v_1 = v*.
+    (mhe.WindowShape.jacobi; the shape keeps kappa(D) and log q~ as
+    search_rate). Returns the smallest k >= 0 with kappa(D) q~^k <= ratio,
+    and 1 at q~ = 0, where v_1 = v*.
     """
-    d, scaled = shape.jacobi
-    q = scaled.contraction_base
-    if q == 0.0:
+    kappa, log_q = shape.search_rate
+    if log_q is None:
         return 1
-    return max(0, int(np.ceil(np.log(ratio / (d.max() / d.min())) / np.log(q))))
+    return max(0, int(np.ceil(np.log(ratio / kappa) / log_q)))
 
 
 def solve_oracle(problem, start=None):
@@ -240,14 +236,28 @@ def solve_oracle(problem, start=None):
     otherwise), or 0, clipped to the box. At a test, with v the plain iterate
     and g = S v + c, let A be the pinned coordinates and those at a bound
     whose g points out of the box, and F the rest. The polish w keeps w_A at
-    its bounds and solves S_FF w_F = -(c_F + S_FA w_A). The first of w (if
-    inside the box) and v whose error bound B(u) = gain ||u - clip(u - alpha
-    (S u + c))||, with gain = (1 + alpha L)/(alpha mu), is at most
-    optimum_tolerance(shape, u) is accepted; v covers degenerate
-    complementarity. Otherwise the kernel runs 8 more iterations (doubling,
-    up to ORACLE_CHUNK) and the test repeats. The kernel skips its
-    closed-form tail (where that would settle, A is empty and w = v_u), and
-    solve_fixed_iters counts loop solves only.
+    its bounds and solves S_FF w_F = -(c_F + S_FA w_A). Where w leaves the
+    box, the polish binds once: each coordinate of w past a side is held at
+    that side and joins A, and w is the polish on that set. The first of w
+    (if inside the box) and v whose error bound B(u) = gain ||u - clip(u -
+    alpha (S u + c))||, with gain = (1 + alpha L)/(alpha mu)
+    (shape.error_gain), is at most optimum_tolerance(shape, u) is accepted;
+    v covers degenerate complementarity. Otherwise the kernel runs 8 more
+    iterations (doubling, up to ORACLE_CHUNK) and the test repeats. The
+    kernel skips its closed-form tail (where that would settle, A is empty
+    and w = v_u), and solve_fixed_iters counts loop solves only.
+
+    The bind is the active-set step of bound-constrained QP methods (Nocedal
+    & Wright, Numerical Optimization, 2nd ed., 2006, ch. 16): a polish that
+    misses one coordinate of v*'s active set most often overshoots exactly
+    that coordinate's side, and held there the polish is the one on v*'s
+    own active set. A later iterate with that active set would give the same
+    point byte for byte, since a polish reads only its set, its bound values,
+    S and c; the bind offers it one or more chunks earlier. It changes no
+    other part of the solve: it leaves v alone, so the kernel's iterate
+    sequence, B(v_0) (v is still tested last) and with it the termination
+    count and OracleStalled are the same, and its point is accepted only as
+    every candidate is, inside the box and on B(u).
 
     The first test, at iteration 0, takes B(v_0) on the plain start, and a
     warm start's polish with it: the loop starts the oracle from its K-th
@@ -300,30 +310,27 @@ def solve_oracle(problem, start=None):
     v = _clamp(v0, lo, hi)
     if not (np.isfinite(c).all() and np.isfinite(v).all()):
         raise NonfiniteIterate("oracle: non-finite linear term or start")
-    mu, lip = shape.curvature
-    alpha, q = shape.step, shape.contraction_base
-    gain = (1.0 + alpha * lip) / (alpha * mu)
-    floor = rounding_floor(shape)
+    alpha, gain, floor = shape.step, shape.error_gain, shape.rounding_floor
     iters, chunk, stall_at = 0, 8, None
     while True:
         grad = s @ v + c
         candidates = [(v, grad)]
         if start is not None or iters:  # a cold start is polished after a chunk
             active = (lo == hi) | ((v == lo) & (grad > 0.0)) | ((v == hi) & (grad < 0.0))
-            free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
-            w = v.copy()
-            if free.size:
-                s_ff, s_fa = _free_blocks(s, free, fixed)
-                w[free] = np.linalg.solve(s_ff, -(c.take(free) + s_fa @ w.take(fixed)))
-            if ((w >= lo) & (w <= hi)).all():
+            w = _polish(s, c, v, active)
+            inside = (w >= lo) & (w <= hi)
+            if not inside.all():  # bind once: hold each crossed coordinate at its side
+                w = _polish(s, c, _clamp(w, lo, hi, out=w), active | ~inside)
+                inside = (w >= lo) & (w <= hi)
+            if inside.all():
                 candidates.insert(0, (w, s @ w + c))
         for u, g in candidates:
-            bound = gain * float(np.linalg.norm(u - _clamp(u - alpha * g, lo, hi)))
-            if bound <= floor * max(1.0, float(np.linalg.norm(u))):
+            bound = gain * vector_norm(u - _clamp(u - alpha * g, lo, hi))
+            if bound <= floor * max(1.0, vector_norm(u)):
                 return OracleReport(CondensedPoint(z=problem.lift(u), v=u),
                                     bound, iters)
         if stall_at is None:  # bound is B(v_0)
-            ratio = floor / (gain * (1.0 + q) * bound)
+            ratio = floor / (gain * (1.0 + shape.contraction_base) * bound)
             stall_at = ORACLE_CHUNK + oracle_iterations(shape, ratio)
             d, scaled = shape.jacobi
             shift = -scaled.step * (d * c)

@@ -760,3 +760,9 @@ class TestLipschitzProbe:
         cert = simple_certificate(1, 1, P=100 * np.eye(1), eta=0.8)
         with pytest.raises(DegenerateDenominator):
             lipschitz_probe(WindowShapes(sys, cert, 2), n_trials=20, seed=0)
+
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trials_raises(self, case_study, n_trials):
+        sys, cert, _ = case_study
+        with pytest.raises(ValueError, match=f"n_trials must be at least 1, got {n_trials}"):
+            lipschitz_probe(WindowShapes(sys, cert, 2), n_trials=n_trials)

@@ -94,6 +94,78 @@ class TestBoxProject:
             assert box.project(v).tobytes() == np.clip(v, box.lower, box.upper).tobytes()
 
 
+class TestBoxSample:
+    """Box.sample against rng.uniform on the bounds it cuts: the same bytes,
+    the same generator state after the draw, and the same errors."""
+
+    # Fresh boxes for each test, as a box keeps its last cut bounds. Sides
+    # bounded, pinned, and open on one side or both; the open box's finite
+    # sides lie within +-1, where an infinite side is cut at +-scale
+    BOXES = {
+        "open": lambda: Box(np.array([-0.5, 0.25, -np.inf, -0.75, -np.inf]),
+                            np.array([0.8, 0.25, 0.3, np.inf, np.inf])),
+        "bounded": lambda: Box(np.array([-0.5, 0.25, -3.0]), np.array([0.8, 0.25, 1e3])),
+        "overflowing": lambda: Box(np.array([-1e308]), np.array([1e308])),
+    }
+
+    @staticmethod
+    def uniform(box, rng, size, scale):
+        """The draw as rng.uniform, each infinite side cut at +-scale."""
+        lo, hi = box.lower, box.upper
+        if scale is not None:
+            lo, hi = np.where(np.isfinite(lo), lo, -scale), np.where(np.isfinite(hi), hi, scale)
+        return rng.uniform(lo, hi, size=(box.dim,) if size is None else (size, box.dim))
+
+    @pytest.mark.parametrize("size", [None, 1, 7])
+    def test_draws_are_rng_uniform_bitwise(self, size):
+        # a bounded box ignores the scale; an open one is drawn at several,
+        # coming back to the first
+        for box, scales in ((self.BOXES["bounded"](), [None, 2.0]),
+                            (self.BOXES["open"](), [1.0, 2.5, 1.0])):
+            got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            for scale in scales:
+                for _ in range(5):
+                    got = box.sample(got_rng, size, scale=scale)
+                    ref = self.uniform(box, ref_rng, size, scale)
+                    assert got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes(), (scale, size)
+                    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind, scale, error", [
+        ("open", -1.0, ValueError),  # width -2 on the open coordinate
+        ("open", np.inf, OverflowError),
+        ("open", np.nan, OverflowError),
+        ("overflowing", None, OverflowError),
+    ], ids=["negative_scale", "infinite_scale", "nan_scale", "overflowing_width"])
+    def test_errors_are_rng_uniforms(self, kind, scale, error):
+        box = self.BOXES[kind]()
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        fresh = got_rng.bit_generator.state
+        with np.errstate(over="ignore"):  # 1e308 - (-1e308)
+            with pytest.raises(error) as got:
+                box.sample(got_rng, 4, scale=scale)
+            with pytest.raises(error) as ref:
+                self.uniform(box, ref_rng, 4, scale)
+        assert str(got.value) == str(ref.value)
+        assert got_rng.bit_generator.state == fresh
+        if kind == "open":  # a failed scale keeps nothing on the box
+            got = box.sample(got_rng, 4, scale=1.0)
+            assert got.tobytes() == self.uniform(box, ref_rng, 4, 1.0).tobytes()
+
+    def test_unbounded_box_needs_a_scale(self):
+        with pytest.raises(ValueError, match="cannot sample an unbounded box"):
+            self.BOXES["open"]().sample(np.random.default_rng(0), 3)
+
+    def test_finite_side_beyond_the_scale(self):
+        # coordinate 0 is [5, inf) and 1 is (-inf, -3], both beyond +-1: the
+        # infinite side is cut 1 past the finite one, not at +-1
+        box = Box(np.array([5.0, -np.inf]), np.array([np.inf, -3.0]))
+        got = box.sample(np.random.default_rng(4), 50, scale=1.0)
+        ref = np.random.default_rng(4).uniform([5.0, -4.0], [6.0, -3.0], size=(50, 2))
+        assert got.tobytes() == ref.tobytes()
+        assert np.all((got >= [5.0, -4.0]) & (got <= [6.0, -3.0]))
+
+
 class TestVerifyLmi:
     def test_zero_system_passes(self):
         # A = 0, C = 0: the block matrix is blkdiag(-eta P, P - Q, -Q22 - R)

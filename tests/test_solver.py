@@ -341,19 +341,77 @@ class TestSolveOracle:
                            match=f"after {iters} iterations; .* below by {count}$"):
             solve_oracle(prob)
 
-    def test_bound_clamped_in_scaled_coordinates_is_exact(self):
-        # S = 10: d = 10^(-1/2), and d * (0.7 / d) rounds to 0.7 + 1.1e-16,
-        # inside the box. v* = 0.7 is on the lower side; from 1.5 the scaled
-        # kernel clamps there, the oracle maps it to 0.7 exactly, the active
-        # set holds it and the polish is exact.
+    def test_bound_clamped_in_scaled_coordinates_is_exact(self, monkeypatch):
+        # S = 10: d = 10^(-1/2), and d * (-0.71 / d) rounds to
+        # -0.71 + 1.1e-16, inside the box. v* = -0.71 is on the lower side; a
+        # cold start tests 0 unpolished, the scaled kernel clamps there, the
+        # oracle maps it to -0.71 exactly and the active set holds it, so
+        # the polish has nothing to solve and is exact. (Mapped off the side,
+        # the coordinate would be freed, and the bind would put it back only
+        # after a solve.)
         prob = plain_problem(np.array([[5.0]]), np.array([-1.0]),
-                             lower=np.array([0.7]), upper=np.array([2.0]))
+                             lower=np.array([-0.71]), upper=np.array([2.0]))
         d, _ = prob.shape.jacobi
-        assert d * (0.7 / d) != 0.7
-        got = solve_oracle(prob, start=np.array([1.5]))
+        assert d * (-0.71 / d) > -0.71
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        got = solve_oracle(prob)
         assert got.iters > 0
-        assert got.point.v[0] == 0.7
+        assert got.point.v[0] == -0.71
         assert got.bound == 0.0
+        assert not solves
+
+    def test_bind_holds_a_crossed_coordinate_at_its_side(self):
+        # S = [[4, 1], [1, 2]] and c = (-12, -3): the unconstrained optimum
+        # (3, 0) lies beyond coordinate 0's upper side 1. From an interior
+        # warm start the first polish frees both coordinates and lands there;
+        # the bind holds coordinate 0 at 1 and the re-polish solves
+        # 2 v_1 = 3 - 1, so v* = (1, 1) is accepted at iteration 0. Held at
+        # the lower side -5 instead, the re-polish would be (-5, 4), whose
+        # error bound fails.
+        prob = plain_problem(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([3.0, 0.0]),
+                             lower=np.array([-5.0, -np.inf]),
+                             upper=np.array([1.0, np.inf]))
+        got = solve_oracle(prob, start=np.zeros(2))
+        assert got.iters == 0
+        assert got.point.v.tobytes() == np.array([1.0, 1.0]).tobytes()
+        s, c = prob.reduced_gradient_terms()
+        v = got.point.v
+        assert v.tobytes() == polish_on(s, c, v, own_active_set(prob, v)).tobytes()
+
+    def test_bind_outside_the_box_is_not_accepted(self):
+        # The same window with coordinate 1's upper side one ulp below 1:
+        # the bind's re-polish is (1, 1) again, one ulp outside the box,
+        # with an error bound of a rounding. v* = (1, 1 - ulp) has both
+        # coordinates on their upper sides, and only it may be accepted.
+        upper = np.array([1.0, np.nextafter(1.0, 0.0)])
+        prob = plain_problem(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([3.0, 0.0]),
+                             lower=np.array([-5.0, -np.inf]), upper=upper)
+        got = solve_oracle(prob, start=np.zeros(2))
+        assert got.iters > 0
+        assert got.point.v.tobytes() == upper.tobytes()
+        assert got.bound <= optimum_tolerance(prob.shape, got.point.v)
+
+    def test_shape_constants_are_the_direct_formulas(self):
+        # the oracle's constants, kept per window shape, are the bytes of the
+        # formulas it once evaluated per solve
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            sys, cert = random_certified_setup(rng)
+            shape = random_problem(rng, sys, cert).shape
+            mu, lip = shape.curvature
+            alpha = 2.0 / (lip + mu)
+            assert shape.error_gain == (1.0 + alpha * lip) / (alpha * mu)
+            assert shape.rounding_floor == max(
+                1e-12, 4.0 * shape.dim_v * (lip / mu) * np.finfo(float).eps)
+            d, scaled = shape.jacobi
+            q = scaled.contraction_base  # 0 where D S D = I, as on one coordinate
+            log_q = None if q == 0.0 else np.log(q)
+            assert shape.search_rate == (d.max() / d.min(), log_q)
+            for ratio in (0.5, 1e-3, 1e-12):
+                want = 1 if q == 0.0 else max(
+                    0, int(np.ceil(np.log(ratio / (d.max() / d.min())) / log_q)))
+                assert solver.oracle_iterations(shape, ratio) == want
+            assert shape.search_rate is shape.search_rate
 
     @pytest.mark.parametrize("start", [np.zeros(1), np.zeros(7), np.zeros((3, 1))],
                              ids=["length_1", "length_7", "column"])
@@ -462,6 +520,25 @@ class TestIterate:
             _iterate(shape.transition, -shape.step * prob.linear_term,
                      prob.lower, prob.upper, v0, 100, spectrum)
             assert np.array_equal(v0, v0_copy)
+
+
+def own_active_set(prob, v):
+    """v's active set as the oracle reads it: the pinned coordinates and
+    those on a side whose gradient points out of the box."""
+    s, c = prob.reduced_gradient_terms()
+    g, lo, hi = s @ v + c, prob.lower, prob.upper
+    return (lo == hi) | ((v == lo) & (g > 0.0)) | ((v == hi) & (g < 0.0))
+
+
+def polish_on(s, c, v, active):
+    """The polish on an active set, by np.ix_ blocks: w_A = v_A and
+    S_FF w_F = -(c_F + S_FA v_A)."""
+    free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
+    w = v.copy()
+    if free.size:
+        w[free] = np.linalg.solve(s[np.ix_(free, free)],
+                                  -(c[free] + s[np.ix_(free, fixed)] @ v[fixed]))
+    return w
 
 
 def reference_pgd(s, g, lo, hi, v0, alpha, iters):
@@ -673,6 +750,51 @@ class TestOracleProperty:
         while test_at < count:
             test_at, chunk = test_at + chunk, min(2 * chunk, solver.ORACLE_CHUNK)
         assert got.iters <= test_at, (got.iters, count)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lifted_problems(), warm=st.booleans())
+    def test_bind_stops_at_its_own_test(self, case, warm):
+        # At the first test whose polish leaves the box, the bind holds the
+        # crossed coordinates at their sides. Where that face (the active
+        # set and its sides) is the accepted v*'s own, the re-polish is the
+        # polish on it, and the solve must stop at that test with that
+        # point, byte for byte.
+        prob, v0 = case
+        s, c = prob.reduced_gradient_terms()
+        lo, hi = prob.lower, prob.upper
+        tests = {}  # kernel iterations at a test -> (active set, first polish)
+        run = [0]
+        iterate, polish = solver._iterate, solver._polish
+
+        def counted(*args):
+            run[0] += args[5]
+            return iterate(*args)
+
+        def first_polish(s_, c_, v, active):
+            w = polish(s_, c_, v, active)
+            tests.setdefault(run[0], (active, w.copy()))
+            return w
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_iterate", counted)
+            mp.setattr(solver, "_polish", first_polish)
+            got = solve_oracle(prob, start=v0 if warm else None)
+        crossed = [(k, active, w) for k, (active, w) in sorted(tests.items())
+                   if not ((w >= lo) & (w <= hi)).all()]
+        if not crossed:
+            return
+        k, active, w = crossed[0]
+        held, held_set = np.clip(w, lo, hi), active | (w < lo) | (w > hi)
+        v = got.point.v
+        face = own_active_set(prob, v)
+        if not (np.array_equal(face, held_set) and np.array_equal(held[face], v[face])):
+            return
+        p = polish_on(s, c, v, face)
+        bound = prob.shape.error_gain * np.linalg.norm(
+            p - np.clip(p - prob.shape.step * (s @ p + c), lo, hi))
+        if ((p >= lo) & (p <= hi)).all() and bound <= optimum_tolerance(prob.shape, p):
+            assert got.iters == k
+            assert v.tobytes() == p.tobytes()
 
 
 @st.composite
