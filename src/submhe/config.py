@@ -87,6 +87,8 @@ def _box(value, dim, path):
         hi.append(math.inf if b is None else b)
         if lo[-1] > hi[-1]:
             raise ValidationError(f"{path}[{i}]", "lower bound exceeds upper bound")
+        if lo[-1] == hi[-1] and math.isinf(lo[-1]):
+            raise ValidationError(f"{path}[{i}]", "both ends are the same infinity")
     return Box(np.array(lo), np.array(hi))
 
 

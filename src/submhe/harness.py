@@ -473,9 +473,9 @@ def run_closed_loop(cfg, observe=None):
             else:
                 z_star = CondensedPoint(z=problem.lift(report.optimum),
                                         v=report.optimum)
-            log.eps[t] = np.linalg.norm(z_k - z_star.z)
-            log.eps_v[t] = np.linalg.norm(report.point.v - z_star.v)
-            log.warm_v[t] = np.linalg.norm(start.v - z_star.v)
+            log.eps[t] = vector_norm(z_k - z_star.z)
+            log.eps_v[t] = vector_norm(report.point.v - z_star.v)
+            log.warm_v[t] = vector_norm(start.v - z_star.v)
 
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped

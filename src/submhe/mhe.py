@@ -40,18 +40,23 @@ from .errors import DegenerateHessian, DimensionMismatch, WindowLengthMismatch
 from .linalg import eigh
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CondensedPoint:
-    """A point in the step's decision ordering, with its free coordinates."""
+    """A point in the step's decision ordering, with its free coordinates.
+
+    A per-step record, like MheProblem and solver.SolveReport: built once
+    per step and never changed after, so it is a plain slotted dataclass,
+    which costs a fraction of a frozen one's field-by-field
+    object.__setattr__ to build. No code reassigns a record's field.
+    """
 
     z: np.ndarray
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", z)
+        self.z = np.asarray(self.z, dtype=float)
         if self.v is not None:
-            object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+            self.v = np.asarray(self.v, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,8 +271,23 @@ class StepSpectrum:
     iterate v_{k+j} equals the affine one,
     U (tau^j * U^T v_k + ((1 - tau^j) / rate) * U^T d).
 
-    Then v_u is also the window optimum v*. The envelope is nonnegative, so
-    lying strictly inside a finite side puts v_u strictly inside it too:
+    The same induction can start one iterate later. The first affine
+    iterate is v_{k+1} = v_u + U (tau * beta), which can be computed
+    exactly, and for every i >= 2
+
+        |v_{k+i} - v_u| <= |U| (|tau| * |tau * beta|),
+
+    because |tau|^i = |tau|^(i-1) |tau| <= |tau| |tau| for i >= 2. When
+    |v_{k+1} - v_u| and this envelope both lie strictly inside every finite
+    side, the clamp of iteration k leaves v_{k+1} as it is, and the
+    induction from v_{k+1} on is the one above: the same conclusion follows.
+    This two-part test is implied by the first test (each of its parts is
+    at most |U| (|tau| * |beta|)) and holds in more cases: the first iterate
+    is taken exactly, with the signs of U that the envelope drops, and from
+    the second on each mode carries |tau|^2 in place of |tau|.
+
+    Then v_u is also the window optimum v*. Either envelope is nonnegative,
+    so lying strictly inside a finite side puts v_u strictly inside it too:
     v_u is feasible. With d = -alpha c and rate = alpha * lambda,
     v_u = -U diag(1/lambda) U^T c = -S^{-1} c, the unconstrained minimiser
     of the window cost, whose gradient is S v + c. S is positive definite,
@@ -281,6 +301,7 @@ class StepSpectrum:
     tau: np.ndarray        # 1 - rate, the eigenvalues of T
     basis: np.ndarray      # U, the eigenvectors of S (and of T)
     abs_basis: np.ndarray  # |U|, entry by entry
+    abs_tau: np.ndarray    # |tau|
     slow: np.ndarray       # rate < 1: there tau > 0 and 1 - tau^j is expm1'd
     log_tau: np.ndarray    # log1p(-rate[slow])
     _powers: dict = field(default_factory=dict, init=False, repr=False)
@@ -316,7 +337,7 @@ def step_spectrum(lam, basis, alpha):
         return None
     slow = rate < 1.0
     return StepSpectrum(rate=rate, tau=tau, basis=basis, abs_basis=np.abs(basis),
-                        slow=slow, log_tau=np.log1p(-rate[slow]))
+                        abs_tau=np.abs(tau), slow=slow, log_tau=np.log1p(-rate[slow]))
 
 
 def window_shape(sys, cert, m_eff):
@@ -397,10 +418,14 @@ class WindowShapes:
         return shape
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MheProblem:
     """One step's condensed QP: a window shape plus the step's offset and
-    reference, which fix the linear term c of the gradient S v + c."""
+    reference, which fix the linear term c of the gradient S v + c.
+
+    A per-step record (see CondensedPoint): its fields are never reassigned,
+    and its reference, offset and c are read-only arrays.
+    """
 
     sys: object
     t: int
@@ -415,7 +440,7 @@ class MheProblem:
     def __post_init__(self):
         c = self.shape.gradient_map @ (self.lift_offset - self.reference)
         c.setflags(write=False)
-        object.__setattr__(self, "linear_term", c)
+        self.linear_term = c
 
     @property
     def m_eff(self):

@@ -46,6 +46,8 @@ class Box:
             raise DimensionMismatch("box lower/upper length mismatch")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
             raise DimensionMismatch("box has empty or NaN interval")
+        if np.any((lo == hi) & np.isinf(lo)):  # [-inf, -inf] holds no real number
+            raise DimensionMismatch("box has a side whose ends are the same infinity")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -26,16 +26,27 @@ which computes them once per window length; only d changes per step, and
 
 Most solves stop clamping early, and from then on the loop is that affine
 recursion, which has a closed form (mhe.StepSpectrum). At the iterates
-k = 0, 1, 3, 7, ... the loop tests the envelope of every later unclamped
-iterate, |v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise (i >= 1,
-v_u the unconstrained fixed point). When it lies strictly inside every
-finite side of the box, with a relative margin of TAIL_MARGIN, no clamp can
-fire for the rest of the budget, and the loop returns the K-th iterate in
-closed form: in exact arithmetic the same iterate, so K, phi(K) and every
-bound on it are unchanged. The test is False whenever a NaN or inf enters
-it, and never holds for a pinned coordinate (lower == upper). When it
-holds, v_u is the window optimum v*; the solve reports it, and the oracle
-is needed only for solves that clamp to the end.
+k = 0, 1, 3, 7, ... the loop tests whether every later unclamped iterate
+v_{k+i} (i >= 1; v_u the unconstrained fixed point, beta = U^T (v_k - v_u))
+lies strictly inside every finite side of the box, with a relative margin
+of TAIL_MARGIN. It first tries the envelope from the first iterate on,
+|v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise. Where that fails,
+it tries a two-part test, which that envelope implies and which holds more
+often: the first iterate's deviation U (tau * beta), computed exactly, and
+the envelope from the second iterate on, |U| (|tau| * |tau * beta|). The
+proof is in mhe.StepSpectrum: by induction on i, either test keeps every
+later iterate inside the box, so no clamp can fire for the rest of the
+budget, and the loop returns the K-th iterate in closed form from its
+probe's own v_k. In exact arithmetic that is the same iterate, so K,
+phi(K) and every bound on it are unchanged. On the certified config most
+solves that miss the envelope at k = 0 clamp nothing in their first
+iteration: the envelope's bound on the first iterate is what is loose, and
+the two-part test settles them at k = 0 instead of after one iteration.
+The test is False whenever a NaN or inf enters it, and never holds for a
+pinned coordinate (lower == upper). When it holds, v_u lies strictly
+inside the box (each envelope is nonnegative) and is the window optimum
+v*; the solve reports it, and the oracle is needed only for solves that
+clamp to the end.
 """
 
 from dataclasses import dataclass
@@ -55,8 +66,8 @@ TAIL_MARGIN = 1e-9
 ORACLE_CHUNK = 256  # the longest kernel run between two of the oracle's tests
 
 
-@dataclass(frozen=True)
-class SolveReport:
+@dataclass(slots=True)
+class SolveReport:  # a per-step record, never changed after (mhe.CondensedPoint)
     point: CondensedPoint
     looped: int  # iterations run before the closed-form tail; K without a jump
     # the window optimum v*: the tail's fixed point v_u when the solve settled
@@ -140,11 +151,18 @@ class _Tail:
         self.room = np.minimum(v_u - lo, hi - v_u) * (1.0 - TAIL_MARGIN) - margin
 
     def settled(self, v):
-        """True when no clamp can fire in any iteration after v."""
-        s = self.spectrum
+        """True when no clamp can fire in any iteration after v: the envelope
+        from the first iterate on lies inside room, or else the first
+        iterate's exact deviation and the envelope from the second on do
+        (mhe.StepSpectrum)."""
+        s, room = self.spectrum, self.room
         self.coords = s.basis.T @ v  # U^T v, for finish
-        beta = self.coords - self.fixed
-        return bool((s.abs_basis @ np.abs(s.tau * beta) < self.room).all())
+        first = s.tau * (self.coords - self.fixed)  # tau * beta
+        deviation = np.abs(first)
+        if (s.abs_basis @ deviation < room).all():
+            return True
+        return bool((np.abs(s.basis @ first) < room).all()
+                    and (s.abs_basis @ (s.abs_tau * deviation) < room).all())
 
     def finish(self, j):
         """The iterate j steps after the v that settled last held for:

@@ -1,0 +1,75 @@
+"""The perf-claim scripts under bench/ still run against the package: each is
+loaded by path, as it stands, with its workload shrunk to a few steps, and
+its `measure` runs in-process without writing a BENCH_*.json."""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from conftest import CONFIG_DIR
+
+ROOT = CONFIG_DIR.parent
+BENCH = ROOT / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def scripts(monkeypatch, tmp_path):
+    """(step_cost, oracle_cost), loaded by path; oracle_cost imports
+    step_cost by name, and both write their results under tmp_path. The
+    BLAS thread variables step_cost sets on import are restored after."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    step_cost = load("step_cost")
+    monkeypatch.setitem(sys.modules, "step_cost", step_cost)
+    oracle_cost = load("oracle_cost")
+    for module in (step_cost, oracle_cost):
+        monkeypatch.setattr(module, "RESULTS", tmp_path / module.RESULTS.name)
+    return step_cost, oracle_cost
+
+
+def bench_files():
+    return {path.name: path.read_bytes() for path in ROOT.glob("BENCH_*.json")}
+
+
+def test_step_cost_measures(scripts, certified_doc, tmp_path):
+    step_cost, _ = scripts
+    steps = certified_doc.mhe["M"] + 3
+    before = bench_files()
+    result = step_cost.measure(certified_doc, (1,), steps, 1)
+    assert set(result) == {"oracle_off", "oracle_on"}
+    for res in result.values():
+        assert set(res) == {"K", "steps_timed", "p50_us", "p90_us", "loop_ms",
+                            "by_looped"}
+        assert res["steps_timed"] == steps - 1
+        assert sum(cls["steps"] for cls in res["by_looped"].values()) == steps - 1
+    assert result["oracle_on"]["K"] == 25
+    assert bench_files() == before
+    assert not list(tmp_path.iterdir())
+
+
+def test_oracle_cost_measures(scripts, certified_doc, monkeypatch, tmp_path):
+    _, oracle_cost = scripts
+    steps = certified_doc.mhe["M"] + 3
+    for name, value in (("PROBE_SEEDS", (11,)), ("PROBE_TRIALS", 3),
+                        ("LOOP_SEEDS", (1,)), ("STEPS", steps), ("REPEATS", 1)):
+        monkeypatch.setattr(oracle_cost, name, value)
+    before = bench_files()
+    result = oracle_cost.measure()
+    assert set(result) == {"probe_trial", "cold_probe_solve", "warm_loop_solve"}
+    assert set(result["probe_trial"]) == {"count", "p50_us", "p90_us"}
+    assert result["probe_trial"]["count"] == 3
+    for kind in ("cold_probe_solve", "warm_loop_solve"):
+        res = result[kind]
+        assert set(res) == {"count", "p50_us", "p90_us", "iters"}
+        assert sum(res["iters"].values()) == res["count"]
+    assert bench_files() == before
+    assert not list(tmp_path.iterdir())

@@ -117,6 +117,18 @@ class TestLoadConfig:
             loads_config(json.dumps(broken))
         assert err.value.path == "$.system"
 
+    @pytest.mark.parametrize("end", ["-inf", "inf"])
+    def test_side_of_one_infinity_rejected(self, base_dict, tmp_path, capsys, end):
+        doc = json.loads(json.dumps(base_dict))
+        doc["system"]["y_box"] = [[end, end]]
+        with pytest.raises(ValidationError) as err:
+            loads_config(json.dumps(doc))
+        assert err.value.path == "$.system.y_box[0]"
+        path = tmp_path / "same_infinity.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["analyze-k", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "$.system.y_box[0]"
+
     def test_bound_sentinels(self, base_dict):
         doc = json.loads(json.dumps(base_dict))
         doc["system"]["y_box"] = [[None, "Infinity"]]

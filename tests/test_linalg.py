@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from submhe.errors import DimensionMismatch
-from submhe.linalg import eigh
+from submhe.linalg import eigh, vector_norm
 
 
 def test_matches_numpy_eigvalsh_across_sizes():
@@ -41,3 +41,15 @@ def test_zero_and_scalar():
     assert np.array_equal(w, np.zeros(3))
     w, _ = eigh(np.array([[4.0]]))
     assert w[0] == 4.0
+
+
+def test_vector_norm_is_numpy_norm_bitwise():
+    # the docstring's claim, at every length from 0 to 120 and at scales
+    # from 1e-160 (whose squares are subnormal) to 1e150
+    rng = np.random.default_rng(5)
+    for n in range(121):
+        for scale in (1e-160, 1e-80, 1e-8, 1.0, 1e8, 1e80, 1e150):
+            x = rng.standard_normal(n) * scale
+            got = vector_norm(x)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.linalg.norm(x).tobytes()

@@ -1,15 +1,18 @@
+import ast
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import (make_system, random_certified_setup, random_problem,
+from conftest import (SRC_DIR, make_system, random_certified_setup, random_problem,
                       simple_certificate)
 
 from submhe.errors import DimensionMismatch, WindowLengthMismatch
-from submhe.mhe import (WindowShapes, build_problem, compute_weight,
-                        extract_estimate, residual_sigma_parts, sigma_lift,
-                        sigma_truncate)
+from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes, build_problem,
+                        compute_weight, extract_estimate, residual_sigma_parts,
+                        sigma_lift, sigma_truncate)
 from submhe.model import Box, IossCertificate, LtiSystem, w_delta
-from submhe.solver import solve_fixed_iters, solve_oracle
+from submhe.solver import SolveReport, solve_fixed_iters, solve_oracle
 
 
 def reference_window_cost(sys, cert, prob, z):
@@ -91,6 +94,33 @@ class TestBuildProblem:
         with pytest.raises(WindowLengthMismatch):
             build_problem(sys, cert, np.zeros(4), np.zeros((2, 2)),
                           np.zeros((3, 1)), 5, 3)
+
+    def test_prior_of_wrong_shape(self, case_study):
+        sys, cert, _ = case_study
+        with pytest.raises(DimensionMismatch):
+            build_problem(sys, cert, np.zeros(3), np.zeros((3, 2)),
+                          np.zeros((3, 1)), 5, 3)
+
+    def test_shapes_of_another_run(self, case_study):
+        sys, cert, _ = case_study
+        other_sys = LtiSystem(A=sys.A, B=sys.B, C=sys.C, x_box=sys.x_box,
+                              u_box=sys.u_box, y_box=sys.y_box,
+                              w1_box=sys.w1_box, w2_box=sys.w2_box)
+        other_cert = IossCertificate(P=cert.P, Q=cert.Q, R=cert.R, eta=cert.eta)
+        windows = (np.zeros(4), np.zeros((3, 2)), np.zeros((3, 1)), 5, 3)
+        build_problem(sys, cert, *windows, shapes=WindowShapes(sys, cert, 5))
+        for shapes in (WindowShapes(other_sys, cert, 5),
+                       WindowShapes(sys, other_cert, 5),
+                       WindowShapes(sys, cert, 4)):
+            with pytest.raises(ValueError, match="another"):
+                build_problem(sys, cert, *windows, shapes=shapes)
+
+    def test_record_arrays_are_read_only(self, case_study):
+        sys, cert, _ = case_study
+        prob = build_problem(sys, cert, np.zeros(4), np.zeros((3, 2)),
+                             np.zeros((3, 1)), 5, 3)
+        for arr in (prob.reference, prob.lift_offset, prob.linear_term):
+            assert not arr.flags.writeable
 
     def test_condensing_soundness(self):
         rng = np.random.default_rng(21)
@@ -373,3 +403,20 @@ class TestResidualSigma:
         raw, clamped = residual_sigma_parts(1, WindowShapes(sys, cert, 5), 0.8)
         assert raw < 0.0
         assert clamped == 0.0
+
+
+def test_no_code_reassigns_a_record_field():
+    # The per-step records are plain slotted dataclasses, not frozen ones;
+    # outside their own __post_init__ (an assignment to self) nothing in the
+    # package assigns to one of their fields.
+    records = (MheProblem, CondensedPoint, SolveReport)
+    names = {f.name for rec in records for f in dataclasses.fields(rec)}
+    found = []
+    for path in sorted(SRC_DIR.glob("submhe/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and not isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found

@@ -57,6 +57,19 @@ class TestValidateSystem:
             validate_system(bad)
 
 
+class TestBoxSides:
+    @pytest.mark.parametrize("side", [-np.inf, np.inf])
+    def test_side_of_one_infinity_raises(self, side):
+        # [-inf, -inf] and [inf, inf] hold no real number
+        with pytest.raises(DimensionMismatch):
+            Box(np.array([side, 0.0]), np.array([side, 1.0]))
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.5, 0.5)])
+    def test_open_and_pinned_sides_construct(self, lo, hi):
+        box = Box(np.array([lo, 0.0]), np.array([hi, 1.0]))
+        assert np.array_equal(box.project([0.5, 2.0]), [0.5, 1.0])
+
+
 class TestBoxProject:
     # np.clip is the reference; the signed zeros and NaN are where a clamp
     # written as np.minimum/np.maximum can differ from it in the bytes
@@ -76,7 +89,9 @@ class TestBoxProject:
     @pytest.mark.parametrize("clamp", CLAMPS.values(), ids=CLAMPS.keys())
     def test_project_is_np_clip_bitwise(self, clamp):
         v = np.array(self.VALUES)
-        pairs = [(lo, hi) for lo in self.BOUNDS for hi in self.BOUNDS if lo <= hi]
+        # every side a Box takes: lo <= hi, and not both ends one infinity
+        pairs = [(lo, hi) for lo in self.BOUNDS for hi in self.BOUNDS
+                 if lo <= hi and not (lo == hi and np.isinf(lo))]
         assert (-0.0, 0.0) in pairs and (0.0, -0.0) in pairs
         for lo, hi in pairs:
             box = Box(np.full(v.size, lo), np.full(v.size, hi))

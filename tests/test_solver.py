@@ -816,6 +816,29 @@ def open_box_problems(draw):
     return with_box(prob, lower, upper), v0
 
 
+@st.composite
+def tight_box_problems(draw):
+    """open_box_problems with each finite side moved to a distance from v_u
+    between the two bounds on the unclamped iterates from v0: above the
+    first iterate's deviation and the envelope from the second iterate on,
+    below the envelope from the first on (mhe.StepSpectrum). A coordinate
+    without a gap between them (a 1 x 1 block of S, say) gets its side
+    beyond both."""
+    prob, v0 = draw(open_box_problems())
+    s, c = prob.reduced_gradient_terms()
+    v_u = np.linalg.solve(s, -c)
+    u, tau = prob.shape.spectrum.basis, prob.shape.spectrum.tau
+    first = tau * (u.T @ (v0 - v_u))
+    loose = np.abs(u) @ np.abs(first)
+    tight = np.maximum(np.abs(u @ first), np.abs(u) @ (np.abs(tau) * np.abs(first)))
+    width = np.where(loose > (1.0 + 1e-6) * tight,
+                     tight + draw(st.floats(0.05, 0.95)) * (loose - tight),
+                     2.0 * loose + 1.0)
+    lower = np.where(np.isfinite(prob.lower), v_u - width, -np.inf)
+    upper = np.where(np.isfinite(prob.upper), v_u + width, np.inf)
+    return with_box(prob, lower, upper), v0
+
+
 class TestClosedFormTail:
     """The loop's closed-form tail gives the K-th iterate of the clip loop."""
 
@@ -877,6 +900,75 @@ class TestClosedFormTail:
             ref = reference_pgd(s, c, prob.lower, prob.upper, v0, 0.2, K)
             assert rep.looped == probe
             assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL
+
+    def test_first_iterate_inside_settles_at_once(self):
+        # The basis and tau of test_later_crossing_blocks_the_jump, with
+        # beta = U^T v0 = (1, 0.5, -0.5) and v_u = 0. Coordinate 0 of the
+        # first iterate U (tau * beta) is 0.8 (1/3 - 2/3 * 0.5) = 0, but the
+        # envelope |U| (|tau| * |beta|) there is 0.8 (1/3 + 1/3) = 0.53, above
+        # the upper side 0.5, so the envelope test alone settles only at
+        # k = 1. The envelope from the second iterate on,
+        # |U| (|tau| * |tau * beta|), is 0.64 (1/3 + 1/3) = 0.43 there.
+        basis = np.eye(3) - 2.0 / 3.0 * np.ones((3, 3))
+        s = basis @ np.diag([1.0, 5.0, 9.0]) @ basis.T
+        prob = plain_problem(s / 2.0, np.zeros(3),
+                             lower=np.full(3, -np.inf),
+                             upper=np.array([0.5, np.inf, np.inf]))
+        spectrum = prob.shape.spectrum
+        v0 = basis @ np.array([1.0, 0.5, -0.5])
+        beta = spectrum.basis.T @ v0
+        envelope = spectrum.abs_basis @ (spectrum.abs_tau * np.abs(beta))
+        assert envelope[0] == pytest.approx(1.6 / 3.0)
+        for K in (1, 2, 50):
+            rep = solve_fixed_iters(prob, v0, K)
+            ref = reference_pgd(s, np.zeros(3), prob.lower, prob.upper, v0, 0.2, K)
+            assert rep.looped == 0
+            assert np.array_equal(rep.optimum, np.zeros(3))
+            assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL
+
+    def test_two_part_test_holds_only_without_later_clamps(self):
+        # Wherever the first iterate's exact deviation and the envelope from
+        # the second iterate on lie inside room at a probe, the clip loop
+        # from that probe's v clamps nothing again, the tail settles there
+        # and its jump is the clip loop's K-th iterate.
+        probes = {"envelope": 0, "two_part_only": 0}  # probes where the test held
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(case=st.one_of(open_box_problems(), lifted_problems(),
+                              tight_box_problems()))
+        def check(case):
+            prob, v0 = case
+            spectrum, K = prob.shape.spectrum, 200
+            s, c = prob.reduced_gradient_terms()
+            lo, hi, alpha = prob.lower, prob.upper, prob.shape.step
+            # the clip loop, and the last iteration at which a clamp fired
+            v, iterates, last_clamp = np.array(v0, dtype=float), [], -1
+            for k in range(K):
+                iterates.append(v)
+                free = v - alpha * (s @ v + c)
+                v = np.clip(free, lo, hi)
+                if not np.array_equal(v, free):
+                    last_clamp = k
+            scale = max(1.0, float(np.max(np.abs(iterates))),
+                        alpha * float(np.max(np.abs(c))))
+            tail = solver._Tail(spectrum, -alpha * c, lo, hi)
+            u, tau = spectrum.basis, spectrum.tau
+            k = 0
+            while k < K:
+                first = tau * (u.T @ (iterates[k] - tail.v_u))
+                envelope = np.abs(u) @ np.abs(first)
+                if ((np.abs(u @ first) < tail.room).all()
+                        and (np.abs(u) @ (np.abs(tau) * np.abs(first)) < tail.room).all()):
+                    probes["two_part_only" if (envelope >= tail.room).any()
+                           else "envelope"] += 1
+                    assert last_clamp < k
+                    assert tail.settled(iterates[k])
+                    assert np.max(np.abs(tail.finish(K - k) - v)) <= KERNEL_RTOL * scale
+                k = 2 * k + 1
+
+        check()
+        # the two-part test settles probes the envelope alone does not
+        assert probes["two_part_only"] >= 10 and probes["envelope"] >= 50, probes
 
     @pytest.mark.parametrize("lower0", [1.0, -np.inf],
                              ids=["pinned", "optimum_on_side"])
