@@ -10,8 +10,8 @@ loop always runs and records, and simulate refuses rho >= 1 before it
 probes anything (unless --uncertified) and, with --strict, raises on the
 first monitor failure after the run, before it writes anything. analyze-k
 refuses rho >= 1 before it probes anything too. Every path that builds the
-analysis params smoke-tests the controller first, so a fixed-K simulate of
-a law that fails the smoke test runs without a ledger and is uncertified.
+analysis params derives gamma13 first, so a fixed-K simulate of a law that
+is not provably stabilizing runs without a ledger and is uncertified.
 """
 
 import argparse
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .controller import assert_stabilizing, estimate_closed_loop_gain
+from .controller import assert_stabilizing, closed_loop_gain
 from .errors import (ContractionViolated, NotFoundBelowCap, ParseError,
                      SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
@@ -72,13 +72,12 @@ def _analysis_params(doc, shapes, *, probe=True):
     """The run's AnalysisParams on `shapes` (a WindowShapes): every input of
     the analysis is resolved here, once per run.
 
-    L_Phi and gamma13_slope are taken from the config when it asserts them.
-    Otherwise L_Phi is probed (lipschitz_probe) and gamma13_slope is
-    estimated (estimate_closed_loop_gain); the params name them in
-    `sampled`, so a ledger built on them certifies nothing. Without `probe`,
-    an L_Phi left to the probe stays unresolved and there are no params.
-    Params are built only for a law that passes the controller smoke test
-    (assert_stabilizing): every ledger assumes a stabilizing law.
+    L_Phi is taken from the config when it asserts it. Otherwise it is
+    probed (lipschitz_probe) and named in the params' `sampled`, so a ledger
+    built on it certifies nothing. Without `probe`, an L_Phi left to the
+    probe stays unresolved and there are no params. gamma13_slope is always
+    derived (closed_loop_gain), which raises unless the law provably makes
+    the plant contract: every ledger assumes a stabilizing law.
 
     L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is the
     Euclidean projection onto a convex set, which is nonexpansive (Bauschke
@@ -88,16 +87,12 @@ def _analysis_params(doc, shapes, *, probe=True):
     l_phi = doc.analysis["L_Phi"]
     if l_phi == "probe" and not probe:
         return None
-    assert_stabilizing(doc.system, doc.controller)
+    gamma13 = closed_loop_gain(doc.system, doc.controller)
     sampled = []
     if l_phi == "probe":
         l_phi = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
                                 seed=doc.analysis["probe_seed"]).value
         sampled.append("L_Phi")
-    gamma13 = doc.gamma13_slope
-    if gamma13 is None:
-        gamma13 = estimate_closed_loop_gain(doc.system, doc.controller).slope
-        sampled.append("gamma13_slope")
     l_pi = float(np.linalg.norm(doc.controller.gain, 2))
     return analysis.build_params(shapes, L_phi=l_phi, L_pi=l_pi,
                                  gamma13_slope=gamma13, sampled=sampled)
@@ -126,8 +121,7 @@ def cmd_analyze_k(args):
     analysis.compute_rho(cert.eta, doc.mhe["M"])  # refused before any probe
     params = _analysis_params(doc, doc.window_shapes(cert))
     k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
-    meta = {"L_Phi_probed": "L_Phi" in params.sampled,
-            "gamma13_heuristic": "gamma13_slope" in params.sampled}
+    meta = {"L_Phi_probed": "L_Phi" in params.sampled}
     out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
     text = _json_text(out, indent=2)
     print(text)

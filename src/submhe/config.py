@@ -239,13 +239,9 @@ class ConfigDocument:
                 raise ValidationError("$.certificate", str(exc)) from exc
 
         kblock = _block(doc, "controller")
-        gamma13 = kblock.get("gamma13_slope")
         controller = {
             "gain": _matrix(_require(kblock, "gain", "$.controller"),
                             "$.controller.gain", rows=n_u, cols=n_x),
-            "gamma13_slope": (None if gamma13 is None else
-                              _number(gamma13, "$.controller.gamma13_slope",
-                                      minimum=0.0)),
         }
         _check_keys(kblock, controller, "$.controller")
         law = FeedbackLaw(gain=controller["gain"], u_box=sys.u_box)
@@ -314,10 +310,6 @@ class ConfigDocument:
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    @property
-    def gamma13_slope(self):
-        return self.blocks["controller"]["gamma13_slope"]
 
     @property
     def certificate_search(self):

@@ -64,10 +64,6 @@ class NotFoundBelowCap(SubmheError):
         self.best_margin = best_margin
 
 
-class DivergentTrajectory(SubmheError):
-    pass
-
-
 class StabilityAssumptionViolated(SubmheError):
     pass
 

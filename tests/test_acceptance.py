@@ -16,6 +16,7 @@ from submhe.analysis import (build_params, compute_rho, ledger_at,
                              min_iterations, minimal_contracting_horizon)
 from submhe.analysis import AnalysisParams
 from submhe.cli import run_cli
+from submhe.controller import closed_loop_gain
 from submhe.errors import ContractionViolated
 from submhe.harness import lipschitz_probe, run_closed_loop
 from submhe.mhe import WindowShapes, sigma_lift
@@ -29,7 +30,8 @@ def _report(n, text):
 
 def _doc_params(doc, shapes):
     return build_params(shapes, L_phi=doc.analysis["L_Phi"], L_pi=2.65,
-                        gamma13_slope=doc.gamma13_slope)
+                        gamma13_slope=closed_loop_gain(doc.system,
+                                                       doc.controller))
 
 
 def test_criterion_1_solver_contract():

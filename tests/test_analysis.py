@@ -14,6 +14,7 @@ from submhe.analysis import (AnalysisParams, budget_constants, build_params,
                              minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
 from submhe.config import loads_config
+from submhe.controller import closed_loop_gain
 from submhe.errors import ContractionViolated, NotFoundBelowCap
 from submhe.mhe import WindowShapes, compute_weight
 
@@ -59,7 +60,8 @@ def contracting_params(draw):
 
 def certified_variant(M):
     """AnalysisParams of case_study_certified.json at horizon M, with the
-    inputs the CLI resolves: L_Phi and gamma13 asserted, L_pi = ||G||_2."""
+    inputs the CLI resolves: L_Phi asserted, L_pi = ||G||_2 and gamma13 from
+    closed_loop_gain."""
     with open(CONFIG_DIR / "case_study_certified.json") as fh:
         raw = json.load(fh)
     raw["mhe"]["M"] = M
@@ -67,7 +69,8 @@ def certified_variant(M):
     return build_params(doc.window_shapes(doc.certificate),
                         L_phi=doc.analysis["L_Phi"],
                         L_pi=np.linalg.norm(doc.controller.gain, 2),
-                        gamma13_slope=doc.gamma13_slope)
+                        gamma13_slope=closed_loop_gain(doc.system,
+                                                       doc.controller))
 
 
 def ledger_budget(K_max):
@@ -250,7 +253,7 @@ class TestMinIterations:
         assert not any(b > a for a, b in zip(now.products, nxt.products))
         assert nxt.passed or not now.passed
 
-    @pytest.mark.parametrize("M, k_star", [(9, 228), (15, 796), (25, 7450)])
+    @pytest.mark.parametrize("M, k_star", [(9, 182), (15, 627), (25, 5911)])
     def test_certified_horizons(self, M, k_star, monkeypatch):
         p = certified_variant(M)
         calls = count_calls(monkeypatch, analysis, "ledger_at")

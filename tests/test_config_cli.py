@@ -32,6 +32,8 @@ DELETED_KEYS = [
     ("controller", "u_box", [[-1.0, 1.0]] * 2),
     # L_pi is ||gain||_2, derived from the law
     ("controller", "L_pi", 2.65),
+    # gamma13 is b / (1 - a), derived from the law's vertex systems
+    ("controller", "gamma13_slope", 28.8),
     # the controller smoke test runs with fixed settings
     ("analysis", "smoke_radius", 1.0),
     ("analysis", "smoke_horizon", 300),
@@ -42,7 +44,7 @@ DELETED_KEYS = [
 ACCEPTED_KEYS = {
     "system": {"A", "B", "C", "x_box", "u_box", "y_box", "w1_box", "w2_box"},
     "certificate": {"P", "Q", "R", "eta", "tol", "search_budget"},
-    "controller": {"gain", "gamma13_slope"},
+    "controller": {"gain"},
     "mhe": {"M", "K"},
     "scenario": {"x0", "prior", "steps", "seed", "oracle"},
     "analysis": {"K_max", "L_Phi", "probe_trials", "probe_seed"},
@@ -58,7 +60,6 @@ class TestLoadConfig:
         assert np.array_equal(doc.certificate.R, [[1.0]])
         assert np.array_equal(doc.certificate.Q, np.eye(5))
         assert doc.mhe["K"] == 652
-        assert doc.gamma13_slope == 28.8
         assert doc.analysis["L_Phi"] == 5.32
         assert not doc.system.x_box.is_bounded
         assert doc.system.w1_box.is_bounded
@@ -143,7 +144,7 @@ class TestLoadConfig:
             load_config(path)
 
     # the token fails at decode, before any key is checked, so a deleted key
-    # (controller.L_pi) fails the same way
+    # (controller.gamma13_slope, controller.L_pi) fails the same way
     @pytest.mark.parametrize("block, key, token", [
         ("certificate", "eta", "NaN"),
         ("analysis", "L_Phi", "NaN"),
@@ -243,16 +244,25 @@ class TestCli:
         assert out["K_star"] >= 1
         assert out["ledger"]["small_gain"]["passed"] is True
         assert (tmp_path / "analyze_k.json").exists()
-        # config-supplied scalars bypass both estimators
-        assert out["meta"]["gamma13_heuristic"] is False
-        assert out["meta"]["L_Phi_probed"] is False
-        gain = load_config(CONFIG_DIR / "case_study_certified.json").controller.gain
-        assert out["ledger"]["params"]["L_pi"] == np.linalg.norm(gain, 2)
+        # L_Phi is asserted; L_pi and gamma13 are derived from the law
+        assert out["meta"] == {"L_Phi_probed": False}
+        assert out["K_star"] == 182
+        doc = load_config(CONFIG_DIR / "case_study_certified.json")
+        A, B, G = doc.system.A, doc.system.B, doc.controller.gain
+        params = out["ledger"]["params"]
+        assert params["sampled"] == []
+        assert params["L_pi"] == np.linalg.norm(G, 2)
+        vertices = [B @ np.diag(d) @ G for d in ([0, 0], [1, 0], [0, 1], [1, 1])]
+        a = max(np.linalg.norm(A - v, 2) for v in vertices)
+        b = max(np.linalg.norm(v, 2) for v in vertices)
+        assert params["gamma13_slope"] == pytest.approx(b / (1 - a), rel=1e-12)
+        assert params["gamma13_slope"] == pytest.approx(1.80569, abs=1e-5)
+        assert out["ledger"]["small_gain"]["margins"] == pytest.approx(
+            [0.904, 0.604, 0.028], abs=5e-4)
 
     def test_analyze_k_estimated_scalars(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))
         doc["mhe"]["M"] = 9
-        doc["controller"]["gamma13_slope"] = None
         doc["analysis"]["L_Phi"] = "probe"
         doc["analysis"]["probe_trials"] = 60
         path = tmp_path / "estimated.json"
@@ -260,15 +270,13 @@ class TestCli:
         code = run_cli(["analyze-k", "--config", str(path)])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["meta"]["gamma13_heuristic"] is True
-        assert out["meta"]["L_Phi_probed"] is True
+        assert out["meta"] == {"L_Phi_probed": True}
         assert out["ledger"]["params"]["L_phi"] >= 1.0
-        assert out["ledger"]["params"]["sampled"] == ["L_Phi", "gamma13_slope"]
+        assert out["ledger"]["params"]["sampled"] == ["L_Phi"]
 
     @pytest.mark.parametrize("block, key, value, name", [
-        ("controller", "gamma13_slope", None, "gamma13_slope"),
         ("analysis", "L_Phi", "probe", "L_Phi")],
-        ids=["gamma13_heuristic", "L_Phi_probed"])
+        ids=["L_Phi_probed"])
     def test_simulate_sampled_input_is_uncertified(self, tmp_path, base_dict,
                                                    capsys, block, key, value,
                                                    name):
@@ -299,22 +307,23 @@ class TestCli:
         ["simulate", "--steps", "12", "--iters", "25"]],
         ids=["simulate_auto", "analyze_k", "simulate_fixed_k"])
     def test_params_are_built_once(self, argv, tmp_path, capsys, monkeypatch):
-        # each build of the params smoke-tests the controller once
+        # each build of the params derives the controller's gain once
         import submhe.analysis as analysis
         import submhe.cli as cli
         calls = count_calls(monkeypatch, analysis, "build_params")
-        smokes = count_calls(monkeypatch, cli, "assert_stabilizing")
+        gains = count_calls(monkeypatch, cli, "closed_loop_gain")
         code = run_cli([argv[0], "--config",
                         str(CONFIG_DIR / "case_study_certified.json"),
                         "--out", str(tmp_path), *argv[1:]])
         capsys.readouterr()
         assert code == 0
         assert len(calls) == 1
-        assert len(smokes) == 1
+        assert len(gains) == 1
 
     def test_unstable_law_builds_no_ledger(self, tmp_path, capsys):
-        # the certified config with its gain scaled by -2: rho(A - B(-2G))
-        # = 1.17, so the smoke test fails; a fixed-K run goes on uncertified
+        # the certified config with its gain scaled by -2: its vertex systems
+        # reach a = 1.86, so no gain is derived and a fixed-K run goes on
+        # uncertified
         with open(CONFIG_DIR / "case_study_certified.json") as fh:
             doc = json.load(fh)
         doc["controller"]["gain"] = (
@@ -325,6 +334,7 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert code == 1
         assert err["error"] == "StabilityAssumptionViolated"
+        assert "a = max ||A - B Delta G||_2 = 1.8567" in err["message"]
         code = run_cli(["simulate", "--config", str(path), "--out",
                         str(tmp_path / "out"), "--iters", "300",
                         "--steps", "20"])
@@ -360,12 +370,12 @@ class TestCli:
 
     def test_simulate_requires_uncertified_gate(self, tmp_path, base_dict,
                                                 capsys, monkeypatch):
-        # rho >= 1 is refused before anything is probed or smoke-tested:
+        # rho >= 1 is refused before anything is probed or derived:
         # simulate on the shipped config and on a copy with a fixed K that
         # probes L_Phi, and analyze-k on that copy
         import submhe.cli as cli
         probes = count_calls(monkeypatch, cli, "lipschitz_probe")
-        smokes = count_calls(monkeypatch, cli, "assert_stabilizing")
+        gains = count_calls(monkeypatch, cli, "closed_loop_gain")
         doc = json.loads(json.dumps(base_dict))
         doc["analysis"].update(L_Phi="probe", probe_trials=20)
         probed = tmp_path / "probe.json"
@@ -378,7 +388,7 @@ class TestCli:
             err = json.loads(capsys.readouterr().err)
             assert code == 1
             assert err["error"] == "ContractionViolated"
-        assert probes == [] and smokes == []
+        assert probes == [] and gains == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["analyze-k", "simulate"])
@@ -626,6 +636,12 @@ class TestCli:
         bad.write_text(json.dumps(deleted))
         assert run_cli(["analyze-k", "--config", str(bad)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "$.controller.L_pi"
+        deleted = json.loads(json.dumps(base_dict))
+        deleted["controller"]["gamma13_slope"] = 28.8
+        bad.write_text(json.dumps(deleted))
+        assert run_cli(["analyze-k", "--config", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "$.controller.gamma13_slope: unknown key")
         assert run_cli(["bogus-subcommand"]) == 2
 
 
@@ -638,3 +654,22 @@ def test_module_entrypoint(tmp_path):
         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert json.loads(res.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
+def test_blas_threads_default_to_one(preset):
+    # the package sets the default on import, before numpy's first import
+    import subprocess
+    import sys
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = child_env()
+    for name in names:
+        env.pop(name, None)
+        if preset is not None:
+            env[name] = preset
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import os; import submhe; "
+         f"print(' '.join(os.environ[n] for n in {names!r}))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert res.stdout.split() == [preset or "1"] * 3

@@ -1,14 +1,37 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_system
 
-from submhe.controller import (FeedbackLaw, assert_stabilizing,
-                               estimate_closed_loop_gain, evaluate,
-                               simulate_with_error)
-from submhe.errors import (DimensionMismatch, DivergentTrajectory,
+from submhe import controller
+from submhe.controller import (MAX_VERTICES, FeedbackLaw, assert_stabilizing,
+                               closed_loop_gain, evaluate)
+from submhe.errors import (BoxExcludesOrigin, DimensionMismatch,
                            StabilityAssumptionViolated)
 from submhe.model import Box
+
+
+def rollout(sys, law, x0, steps):
+    """States of the undisturbed closed loop x+ = A x + B pi(x), from x0."""
+    traj = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        traj.append(sys.step(traj[-1], evaluate(law, traj[-1]), np.zeros(sys.n_x)))
+    return np.array(traj)
+
+
+def vertex_norms(A, B, G):
+    """(a, b): the largest ||A - B D G||_2 and ||B D G||_2 over the diagonal
+    D in {0, 1}^{n_u}, each vertex built as its own matrix."""
+    a = b = 0.0
+    for bits in itertools.product((0.0, 1.0), repeat=B.shape[1]):
+        bdg = B @ np.diag(bits) @ G
+        a = max(a, np.linalg.svd(A - bdg, compute_uv=False)[0])
+        b = max(b, np.linalg.svd(bdg, compute_uv=False)[0])
+    return a, b
 
 
 @pytest.fixture
@@ -47,30 +70,91 @@ class TestEvaluate:
             evaluate(scalar_law, np.zeros(2))
 
 
+_SIDES = st.sampled_from(["finite", "zero", "open"])
+
+
+@st.composite
+def saturated_loops(draw):
+    """(sys, law, rng): random A, B and G, scaled so that the vertex norm a
+    is a drawn target (near 1 on some draws, past 1 on others), G = 0 on some
+    draws, and a u_box around 0 whose sides are finite, at 0 or open."""
+    n_x = draw(st.integers(1, 4))
+    n_u = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((n_x, n_x))
+    B = rng.standard_normal((n_x, n_u))
+    G = (np.zeros((n_u, n_x)) if draw(st.integers(0, 4)) == 0
+         else rng.standard_normal((n_u, n_x)))
+    target = draw(st.sampled_from([1.0 - 1e-9, 1.0 - 1e-6])
+                  | st.floats(0.0, 1.2))
+    scale = target / vertex_norms(A, B, G)[0]  # a is linear in (A, G)
+    ends = {"finite": lambda: rng.uniform(0.05, 3.0), "zero": lambda: 0.0,
+            "open": lambda: np.inf}
+    sides = draw(st.lists(st.tuples(_SIDES, _SIDES), min_size=n_u, max_size=n_u))
+    u_box = Box(np.array([-ends[lo]() for lo, _ in sides]),
+                np.array([ends[hi]() for _, hi in sides]))
+    sys = make_system(scale * A, B, np.ones((1, n_x)))
+    return sys, FeedbackLaw(gain=scale * G, u_box=u_box), rng
+
+
 class TestClosedLoopGain:
-    def test_zero_injection_zero_contribution(self, case_study):
-        sys, _, law = case_study
-        est = estimate_closed_loop_gain(sys, law, horizon=80,
-                                        e_magnitudes=(0.0,), seed=0)
-        assert est.slope == 0.0
-        assert est.per_magnitude[0][1] == 0.0
+    @settings(max_examples=300, deadline=None)
+    @given(case=saturated_loops())
+    def test_one_step_bound_holds_for_the_clamped_law(self, case):
+        sys, law, rng = case
+        a, b = vertex_norms(sys.A, sys.B, law.gain)
+        if not a < 1.0 - 1e-12:
+            if a >= 1.0:
+                with pytest.raises(StabilityAssumptionViolated,
+                                   match="a = .* >= 1"):
+                    closed_loop_gain(sys, law)
+            return
+        gamma = closed_loop_gain(sys, law)
+        assert gamma == pytest.approx(b / (1.0 - a), rel=1e-12 / (1.0 - a))
+        if not law.gain.any():
+            assert gamma == 0.0
+        norm = np.linalg.norm
+        for scale in 10.0 ** rng.uniform(-3, 3, size=(30, 3)):
+            x, e, w1 = (s * rng.standard_normal(sys.n_x) for s in scale)
+            u = evaluate(law, x + e)
+            lhs = norm(sys.step(x, u, w1))
+            rhs = a * norm(x) + b * norm(e) + norm(w1)
+            rounding = 1e-12 * (rhs + norm(sys.A, 2) * norm(x)
+                                + norm(sys.B, 2) * norm(u) + norm(w1))
+            assert lhs <= rhs + rounding
 
-    def test_heuristic_flag_and_linearity(self, case_study):
-        sys, _, law = case_study
-        est = estimate_closed_loop_gain(sys, law, horizon=100,
-                                        e_magnitudes=(0.1, 0.2), seed=0)
-        assert est.heuristic
-        assert est.slope > 0
-        for mag, tail in est.per_magnitude:
-            assert tail <= est.slope * mag + 1e-12  # linear upper envelope
+    def test_maximum_at_a_mixed_vertex(self):
+        # A - B D G is 0.5, 0.8, 0.2, 0.5 at D = 0, (1, 0), (0, 1), I and
+        # B D G is 0, -0.3, 0.3, 0: a = 0.8 and b = 0.3 lie off {0, I}
+        sys = make_system([[0.5]], [[1.0, 1.0]], [[1.0]])
+        law = FeedbackLaw(gain=np.array([[-0.3], [0.3]]),
+                          u_box=Box.from_pairs([[-1.0, 1.0], [0.0, 1.0]]))
+        assert closed_loop_gain(sys, law) == pytest.approx(0.3 / 0.2, rel=1e-12)
+        # the clamp picks D = (1, 0) and attains both: x+ = a x, then b e
+        assert sys.step(np.ones(1), evaluate(law, np.ones(1)),
+                        np.zeros(1)) == pytest.approx(0.8, rel=1e-15)
+        assert sys.step(np.zeros(1), evaluate(law, np.ones(1)),
+                        np.zeros(1)) == pytest.approx(0.3, rel=1e-15)
 
-    def test_divergent_trajectory(self):
-        # positive feedback (u = +xhat) on an unstable plant
-        sys = make_system(1.2 * np.eye(2), np.eye(2), np.ones((1, 2)))
-        law = FeedbackLaw(gain=-np.eye(2), u_box=sys.u_box)
-        with pytest.raises(DivergentTrajectory):
-            estimate_closed_loop_gain(sys, law, horizon=300,
-                                      e_magnitudes=(1.0,), seed=0)
+    def test_vertex_count_is_capped(self):
+        assert MAX_VERTICES == 2 ** 12
+        at_cap = make_system(0.5 * np.eye(2), np.ones((2, 12)), [[1.0, 0.0]])
+        law = FeedbackLaw(gain=np.zeros((12, 2)), u_box=at_cap.u_box)
+        assert closed_loop_gain(at_cap, law) == 0.0
+        past = make_system(0.5 * np.eye(2), np.ones((2, 13)), [[1.0, 0.0]])
+        law = FeedbackLaw(gain=np.zeros((13, 2)), u_box=past.u_box)
+        with pytest.raises(StabilityAssumptionViolated, match="not attempted"):
+            closed_loop_gain(past, law)
+
+    def test_box_must_hold_the_origin(self):
+        sys = make_system([[0.5]], [[1.0]], [[1.0]])
+        law = FeedbackLaw(gain=np.array([[0.1]]),
+                          u_box=Box.from_pairs([[0.5, 1.0]]))
+        with pytest.raises(BoxExcludesOrigin):
+            closed_loop_gain(sys, law)
+
+    def test_traced_name_is_the_same_function(self):
+        assert controller.estimate_closed_loop_gain is closed_loop_gain
 
 
 class TestStabilitySmoke:
@@ -96,7 +180,7 @@ class TestStabilitySmoke:
 
     def test_names_the_first_sample_the_loop_reference_fails(self):
         # a rotating, saturated plant; each sample's final state is rolled
-        # by simulate_with_error from the draws of the documented rng order
+        # by `rollout` from the draws of the documented rng order
         c, s_ = np.cos(0.3), np.sin(0.3)
         sys = make_system(0.97 * np.array([[c, -s_], [s_, c]]),
                           [[1.0], [0.5]], [[1.0, 0.0]], u_bound=0.02)
@@ -106,7 +190,7 @@ class TestStabilitySmoke:
         for _ in range(10):
             d = rng.standard_normal(2)
             d *= 2.0 * rng.uniform(0, 1) ** 0.5 / max(np.linalg.norm(d), 1e-12)
-            traj = simulate_with_error(sys, law, d, np.zeros((60, 2)))
+            traj = rollout(sys, law, d, 60)
             finals.append(float(np.linalg.norm(traj[-1])))
         threshold = float(np.median(finals))
         first = next(i for i, f in enumerate(finals) if f > threshold)
@@ -118,13 +202,3 @@ class TestStabilitySmoke:
         assert assert_stabilizing(sys, law, radius=2.0, horizon=60,
                                   n_samples=10, seed=6,
                                   threshold=max(finals) * (1 + 1e-9))
-
-
-def test_simulate_with_error_tracks_dynamics(case_study):
-    sys, _, law = case_study
-    errors = np.zeros((5, 4))
-    traj = simulate_with_error(sys, law, np.array([1.0, 0.0, -1.0, 0.5]), errors)
-    x = np.array([1.0, 0.0, -1.0, 0.5])
-    for t in range(5):
-        x = sys.step(x, evaluate(law, x), np.zeros(4))
-        assert np.allclose(traj[t + 1], x)

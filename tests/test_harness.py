@@ -8,7 +8,7 @@ from conftest import (CONFIG_DIR, child_env, count_calls, make_system,
 
 import submhe.harness as harness
 from submhe.analysis import build_params, compute_rho
-from submhe.controller import FeedbackLaw
+from submhe.controller import FeedbackLaw, closed_loop_gain
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
                            DimensionMismatch, MonitorViolation,
                            UnboundedSampleBox)
@@ -22,10 +22,12 @@ from submhe.solver import optimum_tolerance, solve_fixed_iters
 
 
 def doc_params(doc, shapes):
-    """AnalysisParams on `shapes` from the config's asserted scalars."""
+    """AnalysisParams on `shapes` from the config's asserted L_Phi and the
+    law's derived L_pi and gamma13."""
     return build_params(shapes, L_phi=doc.analysis["L_Phi"],
                         L_pi=np.linalg.norm(doc.controller.gain, 2),
-                        gamma13_slope=doc.gamma13_slope)
+                        gamma13_slope=closed_loop_gain(doc.system,
+                                                       doc.controller))
 
 
 def scenario(doc, cert, M=None, **kw):
