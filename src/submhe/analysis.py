@@ -9,6 +9,10 @@ count K that passes them. All gains here are linear (slope times argument),
 so the class-K compositions reduce exactly to slope products. This module is
 the only place that knows q, phi(K) and the small-gain verdict.
 
+Every ledger rests on the certificate's detectability LMI, so build_params
+checks it (model.verify_ioss_lmi) and raises LmiViolated when it fails: no
+AnalysisParams, ledger, K* or `certified` label exists without a passing LMI.
+
 q = (L - mu)/(L + mu) is the rate of the step the solver takes, 2/(L + mu)
 (see mhe.WindowShape.contraction_base). phi(K) = q^K is therefore a theorem
 for K iterations from any warm start v0, in the Euclidean norm of the free
@@ -30,6 +34,7 @@ import numpy as np
 
 from .errors import ContractionViolated, NotFoundBelowCap
 from .linalg import eigh
+from .model import verify_ioss_lmi
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,10 @@ class GainLedger:
     g3sigma: float
     beta3_coeff: float    # error transient: C_e(K) sqrt(rho)^t
     beta3_base: float
-    # small-gain condition products and margins (margin = 1 - product)
+    # the three cycle products, and margin = 1 - their sum (-inf while a gain
+    # is infinite)
     products: tuple
-    margins: tuple
+    margin: float
     passed: bool
 
     def to_dict(self):
@@ -136,7 +142,7 @@ class GainLedger:
                            "beta3_coeff": self.beta3_coeff,
                            "beta3_base": self.beta3_base},
             "small_gain": {"products": list(self.products),
-                           "margins": list(self.margins),
+                           "margin": self.margin,
                            "passed": self.passed},
             "params": {
                 "L_phi": self.params.L_phi, "L_pi": self.params.L_pi,
@@ -222,12 +228,17 @@ def budget_constants(K, params):
 def ledger_at(K, params):
     """Gain ledger at K with the small-gain verdict folded in.
 
-    With linear gains the composed class-K loop conditions reduce to strict
-    slope products: (i) gamma13 * g31 < 1, (ii) g23 * g32 < 1,
-    (iii) gamma13 * g32 * g21 < 1. A product of exactly 1 fails. While
-    phi_z(K) >= 1 the eps recursion does not contract, and while rho >= 1
-    the M-step decay does not: either way some gains are infinite and the
-    ledger fails.
+    The loop has three cycles: (i) gamma13 * g31, (ii) g23 * g32 and
+    (iii) gamma13 * g32 * g21. The bounds behind the slopes are sums (the
+    one-step recursion and both trajectory bounds add their terms, here as in
+    harness.monitor_step), and for sum-form linear gains the loop closes
+    exactly when the spectral radius of the gain matrix is below 1
+    (Dashkovskiy, Rueffer & Wirth, Math. Control Signals Syst. 19, 2007).
+    For this graph det(lambda I - Gamma) = lambda^3 - (P1 + P2) lambda - P3,
+    so that is P1 + P2 + P3 < 1, and the margin is 1 - (P1 + P2 + P3). A sum
+    of exactly 1 fails. While phi_z(K) >= 1 the eps recursion does not
+    contract, and while rho >= 1 the M-step decay does not: either way some
+    gains are infinite, the margin is -inf and the ledger fails.
     """
     c = budget_constants(K, params)
     phi = c.phi_z
@@ -240,6 +251,7 @@ def ledger_at(K, params):
     g31, g32 = root * c.C1, c.C_eps
     g = params.gamma13_slope
     products = (g * g31, g23 * g32, g * g32 * g21)
+    margin = 1.0 - sum(products) if phi < 1.0 and c.rho < 1.0 else -math.inf
     return GainLedger(
         K=int(K), params=params, constants=c,
         g21=g21, g23=g23, g2w=g2w, g2sigma=g2sigma,
@@ -248,9 +260,7 @@ def ledger_at(K, params):
         g3sigma=root * phi * params.L_phi,
         beta3_coeff=c.C_e,
         beta3_base=math.sqrt(c.rho),
-        products=products,
-        margins=tuple(1.0 - p for p in products),
-        passed=phi < 1.0 and all(p < 1.0 for p in products))
+        products=products, margin=margin, passed=margin > 0.0)
 
 
 def min_iterations(params, K_max):
@@ -264,11 +274,13 @@ def min_iterations(params, K_max):
       multiple of phi, and g21, g23 and g2w are C/(1 - phi). So every slope
       is nonnegative and nondecreasing in phi.
     - The three products multiply such slopes and gamma13 >= 0, so they are
-      nondecreasing in phi.
-    - `passed` is phi_z < 1 and every product < 1. A ledger that passes at
-      phi passes at every phi' <= phi, so the passing K are {K >= K*}.
+      nondecreasing in phi, and so is their sum, a sum of nondecreasing
+      terms.
+    - `passed` is margin > 0: phi_z < 1 and the sum < 1. A ledger that
+      passes at phi passes at every phi' <= phi, so the passing K are
+      {K >= K*}.
 
-    The margins are nondecreasing in K too, so the best one is at the cap:
+    The margin is nondecreasing in K too, so the best one is at the cap:
     when the ledger at K_max fails, NotFoundBelowCap names K_max and its
     margin. Otherwise the search keeps lo failing (0 before any evaluation:
     phi_z(0) = g >= 1 fails) and hi passing, with at most ceil(log2 K_max)
@@ -278,7 +290,7 @@ def min_iterations(params, K_max):
     lo, hi = 0, int(K_max)
     ledger = ledger_at(hi, params)
     if not ledger.passed:
-        raise NotFoundBelowCap(hi, min(ledger.margins))
+        raise NotFoundBelowCap(hi, ledger.margin)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         at_mid = ledger_at(mid, params)
@@ -303,13 +315,16 @@ def weight_eigen_range(shapes):
 def build_params(shapes, *, L_phi, L_pi, gamma13_slope, sampled=()):
     """Assemble AnalysisParams from a run's window shapes and scalar inputs.
 
-    `shapes` (a WindowShapes) carries the certified system, the certificate
-    and M. The contraction base q of phi(K) = q^K and the lift gain are
-    computed here, as worst cases over the window shapes; neither is an
-    input. `sampled` names the scalar inputs that were sampled or estimated
-    rather than derived or asserted.
+    `shapes` (a WindowShapes) carries the system, the certificate and M. The
+    certificate's LMI is checked first (model.verify_ioss_lmi), and
+    LmiViolated, naming its largest eigenvalue and rounding margin, is
+    raised when it fails. The contraction base q of phi(K) = q^K and the
+    lift gain are computed here, as worst cases over the window shapes;
+    neither is an input. `sampled` names the scalar inputs that were sampled
+    or estimated rather than derived or asserted.
     """
     cert = shapes.cert
+    verify_ioss_lmi(shapes.sys, cert).require()
     bar_h, _ = weight_eigen_range(shapes)
     pw, _ = eigh(cert.P)
     qw, _ = eigh(cert.Q)

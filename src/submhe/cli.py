@@ -10,8 +10,11 @@ loop always runs and records, and simulate refuses rho >= 1 before it
 probes anything (unless --uncertified) and, with --strict, raises on the
 first monitor failure after the run, before it writes anything. analyze-k
 refuses rho >= 1 before it probes anything too. Every path that builds the
-analysis params derives gamma13 first, so a fixed-K simulate of a law that
-is not provably stabilizing runs without a ledger and is uncertified.
+analysis params derives gamma13 first and checks the certificate's LMI
+(analysis.build_params), so analyze-k and a K: "auto" simulate exit 1 when
+either fails, and a fixed-K simulate of such a config runs without a ledger
+and is uncertified. The LMI's verdict is the one verify_ioss_lmi gives, on a
+rounding margin derived from its inputs; certify and verify report it too.
 """
 
 import argparse
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import analysis
 from .controller import assert_stabilizing, closed_loop_gain
-from .errors import (ContractionViolated, NotFoundBelowCap, ParseError,
-                     SubmheError, ValidationError)
+from .errors import (ContractionViolated, LmiViolated, NotFoundBelowCap,
+                     ParseError, SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
 from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
@@ -54,18 +57,20 @@ def _error_json(exc):
         payload["suggested_M"] = exc.suggested_horizon
     if isinstance(exc, NotFoundBelowCap):
         payload["best_margin"] = exc.best_margin
+    if isinstance(exc, LmiViolated):
+        payload.update(max_eigenvalue=exc.max_eigenvalue, margin=exc.margin)
     if isinstance(exc, (ParseError, ValidationError)):
         payload["field"] = exc.path
     print(_json_text(payload), file=sys.stderr)
 
 
 def _resolve_certificate(doc):
+    """(certificate, searched): the config's, or find_certificate's on the
+    config's Q, R and eta when P is "search"."""
     if doc.certificate is not None:
         return doc.certificate, False
-    search = doc.certificate_search
-    cert = find_certificate(doc.system, search["Q"], search["R"], search["eta"],
-                            budget=search["budget"], tol=search["tol"])
-    return cert, True
+    c = doc.blocks["certificate"]
+    return find_certificate(doc.system, c["Q"], c["R"], c["eta"]), True
 
 
 def _analysis_params(doc, shapes, *, probe=True):
@@ -77,7 +82,9 @@ def _analysis_params(doc, shapes, *, probe=True):
     built on it certifies nothing. Without `probe`, an L_Phi left to the
     probe stays unresolved and there are no params. gamma13_slope is always
     derived (closed_loop_gain), which raises unless the law provably makes
-    the plant contract: every ledger assumes a stabilizing law.
+    the plant contract: every ledger assumes a stabilizing law. build_params
+    raises LmiViolated unless the certificate's LMI passes: every ledger
+    assumes the certificate too.
 
     L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is the
     Euclidean projection onto a convex set, which is nonexpansive (Bauschke
@@ -106,7 +113,7 @@ def cmd_certify(args):
         "searched": searched,
         "passed": verdict.passed,
         "max_eigenvalue": verdict.max_eigenvalue,
-        "tol": verdict.tol,
+        "margin": verdict.margin,
         "eta": cert.eta,
     }
     if searched:
@@ -193,9 +200,7 @@ def cmd_verify(args):
 
     def resolve_cert():
         cert, _ = _resolve_certificate(doc)
-        verdict = verify_ioss_lmi(sys_, cert)
-        if not verdict.passed:
-            raise SubmheError(verdict.report)
+        verify_ioss_lmi(sys_, cert).require()
         cert_holder["cert"] = cert
 
     check("certificate-lmi", resolve_cert)

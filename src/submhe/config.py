@@ -223,16 +223,12 @@ class ConfigDocument:
             "R": _matrix(_require(cblock, "R", "$.certificate"), "$.certificate.R",
                          rows=n_y, cols=n_y),
             "eta": eta,
-            "tol": _number(cblock.get("tol", 1e-8), "$.certificate.tol",
-                           minimum=0.0),
-            "search_budget": _integer(cblock.get("search_budget", 500),
-                                      "$.certificate.search_budget", minimum=1),
         }
         _check_keys(cblock, certificate, "$.certificate")
         cert = None
         if not isinstance(p_val, str):
             cert = IossCertificate(P=p_val, Q=certificate["Q"], R=certificate["R"],
-                                   eta=eta, tol=certificate["tol"])
+                                   eta=eta)
             try:
                 cert.check_definiteness()
             except Exception as exc:
@@ -310,15 +306,6 @@ class ConfigDocument:
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    @property
-    def certificate_search(self):
-        """The inputs of the certificate search when P is "search", else None."""
-        if self.certificate is not None:
-            return None
-        c = self.blocks["certificate"]
-        return {"Q": c["Q"], "R": c["R"], "eta": c["eta"], "tol": c["tol"],
-                "budget": c["search_budget"]}
 
     # -- adapters ----------------------------------------------------------
 

@@ -21,6 +21,16 @@ class CertificateNotFound(SubmheError):
         self.best_eigenvalue = best_eigenvalue
 
 
+class LmiViolated(SubmheError):
+    """The detectability LMI fails: its computed largest eigenvalue plus its
+    rounding margin (model.lmi_margin) exceeds 0, so no ledger rests on it."""
+
+    def __init__(self, max_eigenvalue, margin):
+        super().__init__(f"detectability LMI fails: largest eigenvalue "
+                         f"{max_eigenvalue:.6e} + rounding margin {margin:.1e} > 0")
+        self.max_eigenvalue, self.margin = max_eigenvalue, margin
+
+
 class WindowLengthMismatch(SubmheError):
     pass
 

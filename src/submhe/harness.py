@@ -343,9 +343,8 @@ def _why_uncertified(K, params, ledger):
     if params is None:
         return "no gain ledger: no analysis params"
     if not ledger.passed:
-        worst = int(np.argmax(ledger.products))
-        return (f"small-gain test fails at K={K}: largest product is condition "
-                f"{worst + 1}, {ledger.products[worst]:.6e} >= 1")
+        return (f"small-gain test fails at K={K}: margin 1 - (P1 + P2 + P3) = "
+                f"{ledger.margin:.6e} <= 0")
     if params.sampled:
         return ("ledger inputs sampled, not derived or asserted: "
                 + ", ".join(params.sampled))

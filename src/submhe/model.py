@@ -7,21 +7,27 @@ The plant is the constrained LTI system
 with axis-aligned interval constraints on x, u, y, w1, w2 (sides may be
 infinite). The certificate (P, Q, R, eta) makes W(x, x') = ||x - x'||_P^2 an
 incremental input/output-to-state-stability Lyapunov function, verified
-through a single block LMI.
+through a single block LMI. The LMI's one verdict is verify_ioss_lmi's: its
+computed largest eigenvalue plus a rounding margin derived from the LMI's own
+inputs must not exceed 0, with no configurable tolerance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BoxExcludesOrigin, CertificateNotFound, DimensionMismatch
+from .errors import (BoxExcludesOrigin, CertificateNotFound, DimensionMismatch,
+                     LmiViolated)
 from .linalg import eigh, symmetrize
 
 # find_certificate aims the LMI eigenvalue below -SEARCH_MARGIN and keeps
 # P's eigenvalues above SEARCH_EIG_FLOOR * max(1, largest eigenvalue)
 SEARCH_MARGIN = 1e-6
 SEARCH_EIG_FLOOR = 1e-6
+
+# c of the eigensolver's backward error c n u ||F|| (see lmi_margin)
+EIGH_BACKWARD_FACTOR = 10.0
 
 
 def _frozen_array(a, ndim):
@@ -173,24 +179,20 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class IossCertificate:
-    """(P, Q, R, eta) certifying the detectability LMI within tolerance tol."""
+    """(P, Q, R, eta) for the detectability LMI (see verify_ioss_lmi)."""
 
     P: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     eta: float
-    tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "P", _frozen_array(self.P, 2))
         object.__setattr__(self, "Q", _frozen_array(self.Q, 2))
         object.__setattr__(self, "R", _frozen_array(self.R, 2))
         object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "tol", float(self.tol))
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
 
     def check_shapes(self, sys):
         n_x, n_y = sys.n_x, sys.n_y
@@ -216,8 +218,12 @@ class IossCertificate:
 class LmiVerdict:
     passed: bool
     max_eigenvalue: float
-    tol: float
-    report: str = field(default="")
+    margin: float         # delta of lmi_margin
+
+    def require(self):
+        """Raise LmiViolated, naming the eigenvalue and margin, unless passed."""
+        if not self.passed:
+            raise LmiViolated(self.max_eigenvalue, self.margin)
 
 
 def validate_system(sys):
@@ -269,17 +275,52 @@ def lmi_matrix(sys, P, Q, R, eta):
                                 [top_right.T, bottom_right]]))
 
 
+def lmi_margin(sys, cert):
+    """delta >= |lambda_max(F) - lambda_hat|: how far the computed largest
+    eigenvalue lambda_hat of the LMI can lie from the exact one.
+
+    Two roundings separate them, and by Weyl's inequality each moves an
+    eigenvalue by at most the spectral norm of its perturbation:
+    - Forming F. Every entry of lmi_matrix's F_hat is a sum of at most two
+      matrix products of inner dimension n_x or n_y and two further terms,
+      then symmetrized; the selections by B-bar and D-bar are exact. So
+      |F_hat - F| <= gamma_m F_abs entrywise (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2nd ed., 2002, Sec. 3.5), with
+      m = 2 max(n_x, n_y) + 3, gamma_m = m u / (1 - m u), u the unit
+      roundoff, and F_abs the same blocks built on |A|, |P|, |C|, |Q|, |R|
+      with every sign +: lmi_matrix of |A|, |C|, |P|, -|Q|, -|R| and -eta.
+      For such a majorant ||F_hat - F||_2 <= gamma_m ||F_abs||_2
+      <= gamma_m ||F_abs||_F.
+    - The eigensolver. LAPACK's symmetric eigensolver returns the exact
+      eigenvalues of F_hat + E with ||E||_2 <= p(n) u ||F_hat||_2, p(n) a
+      modestly growing function of n = 2 n_x + n_y (LAPACK Users' Guide,
+      3rd ed., 1999, Sec. 4.7). p(n) is taken as c n with
+      c = EIGH_BACKWARD_FACTOR = 10, and ||F_hat||_2 <= (1 + gamma_m)
+      ||F_abs||_F, as |F| <= F_abs.
+
+    delta = 2 (gamma_m + c n u) ||F_abs||_F; the factor 2 covers the
+    (1 + gamma_m) and the rounding of F_abs and its norm, each a relative
+    error far below 1 at any size this package handles. On both shipped
+    configs delta is 1.1e-13, against lambda_hat = -1.0e-6.
+    """
+    f_abs = lmi_matrix(replace(sys, A=np.abs(sys.A), C=np.abs(sys.C)),
+                       np.abs(cert.P), -np.abs(cert.Q), -np.abs(cert.R), -cert.eta)
+    u = float(np.finfo(float).eps) / 2.0
+    m, n = 2 * max(sys.n_x, sys.n_y) + 3, 2 * sys.n_x + sys.n_y
+    gamma_m = m * u / (1.0 - m * u)
+    return 2.0 * (gamma_m + EIGH_BACKWARD_FACTOR * n * u) * float(np.linalg.norm(f_abs))
+
+
 def verify_ioss_lmi(sys, cert):
-    """Verdict on cert: largest eigenvalue of the block LMI vs cert.tol."""
+    """Verdict on cert: the detectability LMI F <= 0 holds exactly when the
+    computed largest eigenvalue plus lmi_margin is at most 0."""
     cert.check_shapes(sys)
     lam = float(eigh(lmi_matrix(sys, cert.P, cert.Q, cert.R, cert.eta))[0][-1])
-    passed = lam <= cert.tol
-    report = ("pass" if passed else
-              f"max-eigenvalue violation: {lam:.6e} > tol {cert.tol:.1e}")
-    return LmiVerdict(passed=passed, max_eigenvalue=lam, tol=cert.tol, report=report)
+    delta = lmi_margin(sys, cert)
+    return LmiVerdict(passed=lam + delta <= 0.0, max_eigenvalue=lam, margin=delta)
 
 
-def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8):
+def find_certificate(sys, Q, R, eta, budget=500):
     """Search for P > 0 satisfying the detectability LMI.
 
     Eigenvalue-cut iteration from P = I: take the most-positive eigenvector
@@ -292,7 +333,7 @@ def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8):
     R = np.asarray(R, dtype=float)
     n_x = sys.n_x
     P = np.eye(n_x)
-    target = min(float(tol), -SEARCH_MARGIN)
+    target = -SEARCH_MARGIN
     best_lam = np.inf
     best_P = P
     for _ in range(int(budget)):
@@ -302,7 +343,7 @@ def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8):
         if lam < best_lam:
             best_lam, best_P = lam, P.copy()
         if lam <= target:
-            cert = IossCertificate(P=P, Q=Q, R=R, eta=eta, tol=tol)
+            cert = IossCertificate(P=P, Q=Q, R=R, eta=eta)
             cert.check_definiteness()
             if verify_ioss_lmi(sys, cert).passed:
                 return cert
@@ -317,9 +358,9 @@ def find_certificate(sys, Q, R, eta, budget=500, tol=1e-8):
         pw, pV = eigh(P)
         floor = SEARCH_EIG_FLOOR * max(1.0, float(pw[-1]))
         P = symmetrize((pV * np.maximum(pw, floor)) @ pV.T)
-    # one last chance: the best iterate may pass at tol even if not below
+    # one last chance: the best iterate may pass its margin even if not below
     # -SEARCH_MARGIN
-    cert = IossCertificate(P=best_P, Q=Q, R=R, eta=eta, tol=tol)
+    cert = IossCertificate(P=best_P, Q=Q, R=R, eta=eta)
     try:
         cert.check_definiteness()
         if verify_ioss_lmi(sys, cert).passed:

@@ -5,6 +5,7 @@ import pytest
 
 from pathlib import Path
 
+from submhe.cli import _analysis_params
 from submhe.config import load_config
 from submhe.errors import CertificateNotFound
 from submhe.mhe import build_problem
@@ -33,6 +34,13 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def doc_params(doc, shapes):
+    """The run's AnalysisParams on `shapes`, built as the CLI builds them
+    (cli._analysis_params): the certificate's LMI checked, L_Phi as the
+    config asserts it, and L_pi and gamma13 derived from the law."""
+    return _analysis_params(doc, shapes)
 
 
 @pytest.fixture(scope="session")

@@ -9,14 +9,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (CONFIG_DIR, certified_pgd, random_certified_setup,
-                      random_problem)
+from conftest import (CONFIG_DIR, certified_pgd, doc_params,
+                      random_certified_setup, random_problem)
 
 from submhe.analysis import (build_params, compute_rho, ledger_at,
                              min_iterations, minimal_contracting_horizon)
 from submhe.analysis import AnalysisParams
 from submhe.cli import run_cli
-from submhe.controller import closed_loop_gain
 from submhe.errors import ContractionViolated
 from submhe.harness import lipschitz_probe, run_closed_loop
 from submhe.mhe import WindowShapes, sigma_lift
@@ -26,12 +25,6 @@ from submhe.solver import solve_fixed_iters, solve_oracle
 
 def _report(n, text):
     print(f"\nACCEPTANCE {n}: PASS — {text}")
-
-
-def _doc_params(doc, shapes):
-    return build_params(shapes, L_phi=doc.analysis["L_Phi"], L_pi=2.65,
-                        gamma13_slope=closed_loop_gain(doc.system,
-                                                       doc.controller))
 
 
 def test_criterion_1_solver_contract():
@@ -107,7 +100,7 @@ def test_criterion_3_lyapunov_monitor_certified_run(certified_doc):
     doc = certified_doc
     cert = doc.certificate
     shapes = doc.window_shapes(cert)
-    params = _doc_params(doc, shapes)
+    params = doc_params(doc, shapes)
     k_star, _ = min_iterations(params, doc.analysis["K_max"])
     cfg = doc.scenario_config(shapes, K=k_star, steps=40, params=params)
     log = run_closed_loop(cfg)
@@ -127,7 +120,7 @@ def test_criterion_4_case_study_reproduction(case_study_doc):
     assert np.array_equal(doc.scenario["prior"], [7.0, -7.0, 3.0, -5.0])
     shapes = doc.window_shapes(doc.certificate)
     cfg = doc.scenario_config(shapes, K=25, steps=40,
-                              params=_doc_params(doc, shapes))
+                              params=doc_params(doc, shapes))
     z_ks = []
     log = run_closed_loop(cfg, observe=lambda prob, rep: z_ks.append(rep.point.z))
     x_norms = np.linalg.norm(log.x, axis=1)
@@ -220,7 +213,7 @@ def test_criterion_9_warm_start_growing_phase(case_study_doc):
     M = doc.mhe["M"]
     shapes = doc.window_shapes(doc.certificate)
     cfg = doc.scenario_config(shapes, K=40, steps=2 * M,
-                              params=_doc_params(doc, shapes))
+                              params=doc_params(doc, shapes))
     dims = []
     run_closed_loop(cfg, observe=lambda prob, rep: dims.append(prob.dim_z))
     # a warm start of another length would raise DimensionMismatch in the solve

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, count_calls, random_certified_setup
+from conftest import (CONFIG_DIR, count_calls, doc_params,
+                      random_certified_setup)
 
 import submhe.analysis as analysis
 from submhe.analysis import (AnalysisParams, budget_constants, build_params,
@@ -14,9 +15,9 @@ from submhe.analysis import (AnalysisParams, budget_constants, build_params,
                              minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
 from submhe.config import loads_config
-from submhe.controller import closed_loop_gain
-from submhe.errors import ContractionViolated, NotFoundBelowCap
+from submhe.errors import ContractionViolated, LmiViolated, NotFoundBelowCap
 from submhe.mhe import WindowShapes, compute_weight
+from submhe.model import IossCertificate
 
 
 def params(L_phi=5.32, L_pi=2.65, gamma13=28.8, eta=0.5, M=5, q=0.98,
@@ -34,7 +35,7 @@ def scan_min_iterations(params, K_max):
     best_margin = -math.inf
     for K in range(1, int(K_max) + 1):
         ledger = ledger_at(K, params)
-        best_margin = max(best_margin, min(ledger.margins))
+        best_margin = max(best_margin, ledger.margin)
         if ledger.passed:
             return K, ledger
     raise NotFoundBelowCap(int(K_max), best_margin)
@@ -59,18 +60,13 @@ def contracting_params(draw):
 
 
 def certified_variant(M):
-    """AnalysisParams of case_study_certified.json at horizon M, with the
-    inputs the CLI resolves: L_Phi asserted, L_pi = ||G||_2 and gamma13 from
-    closed_loop_gain."""
+    """AnalysisParams of case_study_certified.json at horizon M, as the CLI
+    resolves them."""
     with open(CONFIG_DIR / "case_study_certified.json") as fh:
         raw = json.load(fh)
     raw["mhe"]["M"] = M
     doc = loads_config(json.dumps(raw))
-    return build_params(doc.window_shapes(doc.certificate),
-                        L_phi=doc.analysis["L_Phi"],
-                        L_pi=np.linalg.norm(doc.controller.gain, 2),
-                        gamma13_slope=closed_loop_gain(doc.system,
-                                                       doc.controller))
+    return doc_params(doc, doc.window_shapes(doc.certificate))
 
 
 def ledger_budget(K_max):
@@ -173,25 +169,34 @@ class TestGainSlopes:
 
 class TestSmallGain:
     def test_strict_boundary_fails(self):
-        p = params(eta=0.5)
-        led = ledger_at(20, p)
-        crit = 1.0 / led.g31
-        # push gamma13 up until the product reaches (or crosses) exactly 1
+        led = ledger_at(400, params(eta=0.5))
+        # the sum is gamma13 (g31 + g32 g21) + g23 g32, with g23 g32 = 0.27
+        # here: push gamma13 up until it reaches (or crosses) exactly 1
+        crit = (1.0 - led.g23 * led.g32) / (led.g31 + led.g32 * led.g21)
         gamma = crit
-        while gamma * led.g31 < 1.0:
+        while sum(ledger_at(400, params(eta=0.5, gamma13=gamma)).products) < 1.0:
             gamma = np.nextafter(gamma, np.inf)
-        boundary = params(eta=0.5, gamma13=gamma)
-        verdict = ledger_at(20, boundary)
+        verdict = ledger_at(400, params(eta=0.5, gamma13=gamma))
         assert not verdict.passed
-        assert verdict.margins[0] <= 0.0
-        below = params(eta=0.5, gamma13=crit * (1 - 1e-9))
-        assert ledger_at(20, below).products[0] < 1.0
+        assert verdict.margin <= 0.0
+        below = ledger_at(400, params(eta=0.5, gamma13=crit * (1 - 1e-9)))
+        assert below.passed and below.margin > 0.0
 
-    def test_margins_are_one_minus_products(self):
+    def test_margin_is_one_minus_the_sum(self):
         p = params(eta=0.5)
         v = ledger_at(10, p)
-        for prod, margin in zip(v.products, v.margins):
-            assert margin == pytest.approx(1.0 - prod, rel=1e-15)
+        assert v.margin == 1.0 - sum(v.products)
+
+    def test_sum_decides_not_each_product(self):
+        # at K = 188 each product of the certified config is below 1 but
+        # their sum is not: the gains add, so the loop does not close
+        p = certified_variant(9)
+        fails, passes = ledger_at(188, p), ledger_at(189, p)
+        assert all(prod < 1.0 for prod in fails.products)
+        assert sum(fails.products) >= 1.0
+        assert not fails.passed and fails.margin <= 0.0
+        assert passes.passed
+        assert passes.margin == pytest.approx(0.0427, abs=5e-5)
 
     def test_large_budget_always_passes_when_contracting(self):
         rng = np.random.default_rng(0)
@@ -221,8 +226,8 @@ class TestMinIterations:
         with pytest.raises(NotFoundBelowCap) as err:
             min_iterations(p, 5)
         assert err.value.k_max == 5
-        # the margins never fall as K grows: the best one is the cap's
-        assert err.value.best_margin == min(ledger_at(5, p).margins)
+        # the margin never falls as K grows: the best one is the cap's
+        assert err.value.best_margin == ledger_at(5, p).margin
 
     @settings(max_examples=300, deadline=None)
     @given(p=contracting_params(),
@@ -251,9 +256,10 @@ class TestMinIterations:
     def test_no_product_rises_with_k(self, p, K):
         now, nxt = ledger_at(K, p), ledger_at(K + 1, p)
         assert not any(b > a for a, b in zip(now.products, nxt.products))
+        assert nxt.margin >= now.margin
         assert nxt.passed or not now.passed
 
-    @pytest.mark.parametrize("M, k_star", [(9, 182), (15, 627), (25, 5911)])
+    @pytest.mark.parametrize("M, k_star", [(9, 189), (15, 664), (25, 6307)])
     def test_certified_horizons(self, M, k_star, monkeypatch):
         p = certified_variant(M)
         calls = count_calls(monkeypatch, analysis, "ledger_at")
@@ -267,7 +273,7 @@ class TestMinIterations:
         with pytest.raises(NotFoundBelowCap) as err:
             min_iterations(p, 5000)
         assert err.value.k_max == 5000
-        assert err.value.best_margin == min(ledger_at(5000, p).margins)
+        assert err.value.best_margin == ledger_at(5000, p).margin
 
     def test_first_passing_k_is_minimal(self):
         rng = np.random.default_rng(1)
@@ -314,7 +320,8 @@ class TestLedger:
         p = params(eta=0.5)
         led = ledger_at(100_000, p)
         assert led.passed
-        assert len(led.products) == 3 and len(led.margins) == 3
+        assert len(led.products) == 3
+        assert led.margin == 1.0 - sum(led.products) > 0.0
 
     def test_lift_gain_scales_the_contract_the_constants_use(self):
         plain, lifted = params(q=0.9), params(q=0.9, lift_gain=2.0)
@@ -352,6 +359,19 @@ class TestBuildParams:
         assert p.lam_QP == pytest.approx(1.0 / pw[0], rel=1e-10)
         assert p.norm_C == pytest.approx(math.sqrt(0.99), rel=1e-10)
         assert p.phi_base == worst_case_contraction(WindowShapes(sys, cert, 5))
+
+    @pytest.mark.parametrize("scale, lam", [(2.0, 0.8897), (1.05, 0.0426)])
+    def test_violated_lmi_builds_no_params(self, case_study, scale, lam):
+        # the shipped P scaled up: its LMI fails, so no ledger can rest on it
+        sys, cert, _ = case_study
+        scaled = IossCertificate(P=scale * cert.P, Q=cert.Q, R=cert.R,
+                                 eta=cert.eta)
+        with pytest.raises(LmiViolated) as err:
+            build_params(WindowShapes(sys, scaled, 9), L_phi=5.32, L_pi=2.65,
+                         gamma13_slope=1.8)
+        assert err.value.max_eigenvalue == pytest.approx(lam, abs=1e-4)
+        assert 0.0 < err.value.margin < 1e-12
+        assert f"{err.value.max_eigenvalue:.6e}" in str(err.value)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,10 @@ DELETED_KEYS = [
     ("controller", "L_pi", 2.65),
     # gamma13 is b / (1 - a), derived from the law's vertex systems
     ("controller", "gamma13_slope", 28.8),
+    # the LMI passes on a rounding margin derived from its inputs
+    ("certificate", "tol", 1e-8),
+    # the certificate search runs with a fixed budget
+    ("certificate", "search_budget", 500),
     # the controller smoke test runs with fixed settings
     ("analysis", "smoke_radius", 1.0),
     ("analysis", "smoke_horizon", 300),
@@ -43,7 +47,7 @@ DELETED_KEYS = [
 # every key the schema accepts, block by block
 ACCEPTED_KEYS = {
     "system": {"A", "B", "C", "x_box", "u_box", "y_box", "w1_box", "w2_box"},
-    "certificate": {"P", "Q", "R", "eta", "tol", "search_budget"},
+    "certificate": {"P", "Q", "R", "eta"},
     "controller": {"gain"},
     "mhe": {"M", "K"},
     "scenario": {"x0", "prior", "steps", "seed", "oracle"},
@@ -99,7 +103,6 @@ class TestLoadConfig:
 
     def test_canonical_form_names_every_accepted_key(self, base_dict):
         full = json.loads(json.dumps(base_dict))
-        full["certificate"]["search_budget"] = 123
         full["analysis"].update(probe_trials=60, probe_seed=4)
         assert {block: set(full[block]) for block in ACCEPTED_KEYS} == ACCEPTED_KEYS
         doc = loads_config(json.dumps(full))
@@ -182,20 +185,9 @@ class TestLoadConfig:
     def test_search_directive(self, base_dict):
         doc = json.loads(json.dumps(base_dict))
         doc["certificate"]["P"] = "search"
-        doc["certificate"]["search_budget"] = 123
         loaded = loads_config(json.dumps(doc))
         assert loaded.certificate is None
-        assert loaded.certificate_search["budget"] == 123
         text = loaded.canonical_json()
-        assert loads_config(text).canonical_json() == text
-
-    def test_search_budget_checked_beside_explicit_p(self, base_dict):
-        doc = json.loads(json.dumps(base_dict))
-        doc["certificate"]["search_budget"] = 77
-        loaded = loads_config(json.dumps(doc))
-        assert loaded.certificate is not None
-        text = loaded.canonical_json()
-        assert json.loads(text)["certificate"]["search_budget"] == 77
         assert loads_config(text).canonical_json() == text
 
     def test_nonnumber_matrix_entry(self, base_dict):
@@ -213,12 +205,12 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["passed"] is True
-        assert out["max_eigenvalue"] <= out["tol"]
+        assert 0.0 < out["margin"] < 1e-12
+        assert out["max_eigenvalue"] + out["margin"] <= 0.0
 
     def test_certify_search_path(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))
         doc["certificate"]["P"] = "search"
-        doc["certificate"]["search_budget"] = 3000
         path = tmp_path / "search.json"
         path.write_text(json.dumps(doc))
         code = run_cli(["certify", "--config", str(path)])
@@ -246,7 +238,7 @@ class TestCli:
         assert (tmp_path / "analyze_k.json").exists()
         # L_Phi is asserted; L_pi and gamma13 are derived from the law
         assert out["meta"] == {"L_Phi_probed": False}
-        assert out["K_star"] == 182
+        assert out["K_star"] == 189
         doc = load_config(CONFIG_DIR / "case_study_certified.json")
         A, B, G = doc.system.A, doc.system.B, doc.controller.gain
         params = out["ledger"]["params"]
@@ -257,8 +249,9 @@ class TestCli:
         b = max(np.linalg.norm(v, 2) for v in vertices)
         assert params["gamma13_slope"] == pytest.approx(b / (1 - a), rel=1e-12)
         assert params["gamma13_slope"] == pytest.approx(1.80569, abs=1e-5)
-        assert out["ledger"]["small_gain"]["margins"] == pytest.approx(
-            [0.904, 0.604, 0.028], abs=5e-4)
+        small_gain = out["ledger"]["small_gain"]
+        assert small_gain["margin"] == 1.0 - sum(small_gain["products"])
+        assert small_gain["margin"] == pytest.approx(0.0427, abs=5e-5)
 
     def test_analyze_k_estimated_scalars(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))
@@ -355,18 +348,53 @@ class TestCli:
             assert err["error"] == "ValidationError"
             assert err["field"] == flag
 
-    @pytest.mark.parametrize("budget", ["abc", -5, 1.5, None, 0, True])
-    def test_bad_search_budget_exits_two(self, budget, base_dict, tmp_path,
-                                         capsys):
+    @pytest.mark.parametrize("key, value", [("tol", 1.0),
+                                            ("search_budget", 500)])
+    def test_deleted_certificate_keys_exit_two(self, key, value, base_dict,
+                                               tmp_path, capsys):
         doc = json.loads(json.dumps(base_dict))
-        doc["certificate"]["search_budget"] = budget  # beside an explicit P
-        path = tmp_path / "budget.json"
+        doc["certificate"][key] = value
+        path = tmp_path / "deleted.json"
         path.write_text(json.dumps(doc))
-        code = run_cli(["certify", "--config", str(path)])
-        err = json.loads(capsys.readouterr().err)
-        assert code == 2
-        assert err["error"] == "ValidationError"
-        assert err["field"] == "$.certificate.search_budget"
+        for command in ("certify", "verify", "analyze-k"):
+            code = run_cli([command, "--config", str(path)])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 2
+            assert err["error"] == "ValidationError"
+            assert err["field"] == f"$.certificate.{key}"
+            assert err["message"].endswith("unknown key")
+
+    @pytest.mark.parametrize("scale, lam", [(2.0, 0.8897), (1.05, 0.0426)],
+                             ids=["P_x2", "P_x1.05"])
+    def test_violated_lmi_builds_no_ledger(self, scale, lam, tmp_path, capsys):
+        # the certified config with P scaled up: its LMI fails, so no path
+        # reports a K* or a certified run
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        doc["certificate"]["P"] = (
+            scale * np.array(doc["certificate"]["P"])).tolist()
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["analyze-k"], ["simulate", "--steps", "12"]):
+            code = run_cli([*argv, "--config", str(path),
+                            "--out", str(tmp_path / "auto")])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 1
+            assert err["error"] == "LmiViolated"
+            assert err["max_eigenvalue"] == pytest.approx(lam, abs=1e-4)
+            assert 0.0 < err["margin"] < 1e-12
+            assert f"{err['max_eigenvalue']:.6e}" in err["message"]
+        assert not (tmp_path / "auto").exists()
+        for command in ("certify", "verify"):
+            assert run_cli([command, "--config", str(path)]) == 1
+        capsys.readouterr()
+        code = run_cli(["simulate", "--config", str(path), "--out",
+                        str(tmp_path / "out"), "--iters", "50"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["ledger"] is None
+        assert summary["certified"] is False
 
     def test_simulate_requires_uncertified_gate(self, tmp_path, base_dict,
                                                 capsys, monkeypatch):

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (CONFIG_DIR, child_env, count_calls, make_system,
-                      simple_certificate)
+from conftest import (CONFIG_DIR, child_env, count_calls, doc_params,
+                      make_system, simple_certificate)
 
 import submhe.harness as harness
-from submhe.analysis import build_params, compute_rho
-from submhe.controller import FeedbackLaw, closed_loop_gain
+from submhe.analysis import compute_rho
+from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
                            DimensionMismatch, MonitorViolation,
                            UnboundedSampleBox)
@@ -19,15 +19,6 @@ from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes,
                         build_problem, residual_sigma_parts, sigma_lift)
 from submhe.model import Box, LtiSystem, w_delta
 from submhe.solver import optimum_tolerance, solve_fixed_iters
-
-
-def doc_params(doc, shapes):
-    """AnalysisParams on `shapes` from the config's asserted L_Phi and the
-    law's derived L_pi and gamma13."""
-    return build_params(shapes, L_phi=doc.analysis["L_Phi"],
-                        L_pi=np.linalg.norm(doc.controller.gain, 2),
-                        gamma13_slope=closed_loop_gain(doc.system,
-                                                       doc.controller))
 
 
 def scenario(doc, cert, M=None, **kw):
@@ -466,8 +457,9 @@ class TestClosedLoop:
             assert log.monitor_counts()["eps_recursion"]["pass"] == 5
         if source == "small_gain_fails":
             assert not log.ledger.passed
-            worst = max(log.ledger.products)
-            assert f"{worst:.6e}" in log.uncertified_reason
+            assert log.uncertified_reason == (
+                "small-gain test fails at K=25: margin 1 - (P1 + P2 + P3) = "
+                f"{log.ledger.margin:.6e} <= 0")
         counts = log.monitor_counts()
         assert counts["traj_eps"]["skip"] == 6
         assert counts["traj_err"]["skip"] == 6

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conftest import make_system, random_certified_setup, simple_certificate
+from conftest import (CONFIG_DIR, make_system, random_certified_setup,
+                      simple_certificate)
 
+from submhe.config import load_config
 from submhe.errors import (BoxExcludesOrigin, CertificateNotFound,
-                           DimensionMismatch)
+                           DimensionMismatch, LmiViolated)
 from submhe.model import (Box, IossCertificate, LtiSystem,
                           disturbance_input_matrix, find_certificate,
                           lmi_matrix, measurement_noise_matrix,
@@ -13,16 +17,44 @@ from submhe.solver import _clamp
 
 
 def reference_lmi(A, C, P, Q, R, eta):
-    """Independent assembly of the block LMI for cross-checking."""
+    """Independent assembly of the block LMI for cross-checking, in the
+    arithmetic of A's dtype (float, or exact rationals as objects)."""
     n_x = A.shape[0]
     n_y = C.shape[0]
-    bbar = np.hstack([np.eye(n_x), np.zeros((n_x, n_y))])
-    dbar = np.hstack([np.zeros((n_y, n_x)), np.eye(n_y)])
+    dt = A.dtype
+    bbar = np.hstack([np.eye(n_x, dtype=dt), np.zeros((n_x, n_y), dtype=dt)])
+    dbar = np.hstack([np.zeros((n_y, n_x), dtype=dt), np.eye(n_y, dtype=dt)])
     top = np.hstack([A.T @ P @ A - eta * P - C.T @ R @ C,
                      A.T @ P @ bbar - C.T @ R @ dbar])
     bot = np.hstack([(A.T @ P @ bbar - C.T @ R @ dbar).T,
                      bbar.T @ P @ bbar - Q - dbar.T @ R @ dbar])
     return np.vstack([top, bot])
+
+
+def exact_lmi(A, C, P, Q, R, eta):
+    """The LMI of the symmetric parts of P, Q and R, in exact rationals: the
+    matrix whose eigenvalues the verdict is about."""
+    exact = np.vectorize(Fraction, otypes=[object])
+    A, C, P, Q, R = (exact(m) for m in (A, C, P, Q, R))
+    P, Q, R = ((m + m.T) / 2 for m in (P, Q, R))
+    F = reference_lmi(A, C, P, Q, R, Fraction(eta))
+    assert all(type(entry) is Fraction for entry in F.flat)
+    return (F + F.T) / 2
+
+
+def is_negative_definite(F, t):
+    """F - t I < 0, decided in exact rationals: every pivot of the
+    elimination of t I - F without pivoting is positive (Sylvester)."""
+    G = [[(t if i == j else 0) - F[i][j] for j in range(len(F))]
+         for i in range(len(F))]
+    for k in range(len(G)):
+        if G[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(G)):
+            ratio = G[i][k] / G[k][k]
+            for j in range(k, len(G)):
+                G[i][j] -= ratio * G[k][j]
+    return True
 
 
 class TestValidateSystem:
@@ -196,10 +228,57 @@ class TestVerifyLmi:
     def test_found_certificate_reverifies_independently(self, case_study):
         sys, _, _ = case_study
         cert = find_certificate(sys, np.eye(5), np.eye(1), 0.8, budget=3000)
-        assert verify_ioss_lmi(sys, cert).passed
+        verdict = verify_ioss_lmi(sys, cert)
+        assert verdict.passed
         lam = np.linalg.eigvalsh(
             reference_lmi(sys.A, sys.C, cert.P, cert.Q, cert.R, 0.8))[-1]
-        assert lam <= cert.tol
+        assert lam + verdict.margin <= 0.0
+
+    def test_small_positive_eigenvalue_fails(self):
+        # A = 0, C = 0, P = 1 and Q = diag(1 - 5e-9, 1): the block matrix
+        # is diag(-eta P, P - Q_11, -Q_22 - R), whose largest eigenvalue is
+        # +5e-9. No rounding of a matrix of norm 2 reaches that
+        sys = make_system(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        cert = IossCertificate(P=np.eye(1), Q=np.diag([1.0 - 5e-9, 1.0]),
+                               R=np.eye(1), eta=0.5)
+        verdict = verify_ioss_lmi(sys, cert)
+        assert verdict.max_eigenvalue == pytest.approx(5e-9, rel=1e-6)
+        assert 0.0 < verdict.margin < 1e-12
+        assert not verdict.passed
+        with pytest.raises(LmiViolated) as err:
+            verdict.require()
+        assert f"{verdict.max_eigenvalue:.6e}" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["case_study", "case_study_certified"])
+    def test_shipped_configs_pass_on_a_small_margin(self, name):
+        doc = load_config(CONFIG_DIR / f"{name}.json")
+        sys, cert = doc.system, doc.certificate
+        verdict = verify_ioss_lmi(sys, cert)
+        assert verdict.passed
+        assert 0.0 < verdict.margin < 1e-12
+        lam = np.linalg.eigvalsh(
+            reference_lmi(sys.A, sys.C, cert.P, cert.Q, cert.R, cert.eta))[-1]
+        assert lam == pytest.approx(-1.0e-6, rel=1e-6)
+        assert abs(lam - verdict.max_eigenvalue) <= 2.0 * verdict.margin
+        assert lam + verdict.margin <= 0.0
+
+    def test_margin_brackets_the_exact_eigenvalue(self, case_study):
+        # the exact LMI's largest eigenvalue lies within the margin of the
+        # computed one, decided in rational arithmetic, on the shipped
+        # certificate, on random certified systems and on the hand case
+        # above
+        rng = np.random.default_rng(7)
+        cases = [case_study[:2]] + [random_certified_setup(rng) for _ in range(5)]
+        cases.append((make_system(np.zeros((1, 1)), np.zeros((1, 1)),
+                                  np.zeros((1, 1))),
+                      IossCertificate(P=np.eye(1), Q=np.diag([1.0 - 5e-9, 1.0]),
+                                      R=np.eye(1), eta=0.5)))
+        for sys, cert in cases:
+            verdict = verify_ioss_lmi(sys, cert)
+            F = exact_lmi(sys.A, sys.C, cert.P, cert.Q, cert.R, cert.eta)
+            lam, delta = Fraction(verdict.max_eigenvalue), Fraction(verdict.margin)
+            assert is_negative_definite(F, lam + delta)
+            assert not is_negative_definite(F, lam - delta)
 
     def test_unstable_unobserved_violation(self):
         # the LMI's state block is diag(2.25 - eta, 0.25 - eta): violated
@@ -212,7 +291,9 @@ class TestVerifyLmi:
             reference_lmi(A, sys.C, cert.P, cert.Q, cert.R, 0.1))[-1]
         assert expected > 0
         assert verdict.max_eigenvalue == pytest.approx(expected, abs=1e-10)
-        assert "violation" in verdict.report
+        with pytest.raises(LmiViolated) as err:
+            verdict.require()
+        assert f"{verdict.max_eigenvalue:.6e}" in str(err.value)
 
     def test_shape_check(self, case_study):
         sys, _, _ = case_study
