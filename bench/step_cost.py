@@ -59,7 +59,7 @@ def timed_run(doc, K, oracle, seed, steps):
     shapes = doc.window_shapes(cert)
     params = _analysis_params(doc, shapes, probe=oracle)
     if K is None:
-        K, _ = analysis.min_iterations(params, doc.analysis["K_max"])
+        K, _ = analysis.min_iterations(params)
     cfg = doc.scenario_config(shapes, K=K, seed=seed, steps=steps,
                               oracle=oracle, params=params)
     stamps = []

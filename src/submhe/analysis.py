@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionViolated, NotFoundBelowCap
+from .errors import ContractionViolated
 from .linalg import eigh
 from .model import verify_ioss_lmi
 
@@ -56,22 +56,24 @@ class AnalysisParams:
     sampled: tuple = ()   # inputs sampled or estimated, not derived or asserted
 
     def __post_init__(self):
-        if not self.L_phi > 1.0:
-            raise ValueError(f"L_phi must exceed 1, got {self.L_phi}")
+        # every scalar is finite, as min_iterations's proof that it ends needs
+        if not 1.0 < self.L_phi < math.inf:
+            raise ValueError(f"L_phi must be finite and exceed 1, got {self.L_phi}")
         if not 0.0 < self.phi_base < 1.0:
             raise ValueError(f"phi_base must lie in (0, 1), got {self.phi_base}")
-        if not self.lift_gain >= 1.0:
-            raise ValueError(f"lift_gain must be at least 1, got {self.lift_gain}")
+        if not 1.0 <= self.lift_gain < math.inf:
+            raise ValueError(f"lift_gain must be finite and at least 1, got "
+                             f"{self.lift_gain}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.M < 1:
             raise ValueError("M must be at least 1")
         for name in ("L_pi", "gamma13_slope", "norm_C"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         for name in ("lam_HP", "lam_PP", "lam_QP", "bar_H"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     def phi(self, K):
         return phi(self.phi_base, K)
@@ -263,10 +265,10 @@ def ledger_at(K, params):
         products=products, margin=margin, passed=margin > 0.0)
 
 
-def min_iterations(params, K_max):
-    """(K, ledger at K) for the smallest K in [1, K_max] passing small gain.
+def min_iterations(params):
+    """(K*, ledger at K*) for the smallest K >= 1 passing small gain.
 
-    The verdict is monotone in K, so one bisection finds K*:
+    The verdict is monotone in K, so a bracket and one bisection find K*:
     - phi_z(K) = g q^K is nonincreasing in K, because g >= 1 and 0 < q < 1.
     - Take 0 <= phi < 1 and rho < 1. C1, C2 and C3 are nonnegative
       multiples of phi, since L_phi > 1, L_pi >= 0, ||C|| >= 0 and M >= 1.
@@ -280,17 +282,24 @@ def min_iterations(params, K_max):
       passes at phi passes at every phi' <= phi, so the passing K are
       {K >= K*}.
 
-    The margin is nondecreasing in K too, so the best one is at the cap:
-    when the ledger at K_max fails, NotFoundBelowCap names K_max and its
-    margin. Otherwise the search keeps lo failing (0 before any evaluation:
-    phi_z(0) = g >= 1 fails) and hi passing, with at most ceil(log2 K_max)
-    + 1 ledgers.
+    K* exists whenever rho < 1 (compute_rho raises otherwise): C1..C3, g21,
+    g23 and g31 are multiples of phi_z(K), which goes to 0, while C_eps stays
+    finite, as AnalysisParams holds finite scalars. So every product goes to
+    0 with phi_z(K); once q^K underflows, each is exactly 0.0, the margin is
+    1 and the ledger passes. (Scalars near the float range could overflow a
+    constant to inf and a product to nan instead; q ** K then raises
+    OverflowError once K passes 2^1024.)
+
+    The search doubles K from 1 until the ledger passes, then bisects the
+    last doubling step, keeping lo failing and hi passing: ceil(log2 K*) + 1
+    ledgers bracket K* and at most ceil(log2 K*) - 1 more find it.
     """
     compute_rho(params.eta, params.M)
-    lo, hi = 0, int(K_max)
+    lo, hi = 0, 1  # phi_z(0) = g >= 1 fails
     ledger = ledger_at(hi, params)
-    if not ledger.passed:
-        raise NotFoundBelowCap(hi, ledger.margin)
+    while not ledger.passed:
+        lo, hi = hi, 2 * hi
+        ledger = ledger_at(hi, params)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         at_mid = ledger_at(mid, params)

@@ -1,19 +1,21 @@
 """Command-line surface: certify, analyze-k, simulate, verify.
 
 Exit codes: 0 ok, 1 domain failure (LMI violation, no contracting horizon,
-no feasible iteration count, strict-mode monitor failure), 2 usage error
-(bad flags, unreadable or invalid config). Errors are emitted as one JSON
-object on stderr. Every JSON document the CLI writes is strict JSON: a
+unstable law, strict-mode monitor failure), 2 usage error (bad flags,
+unreadable or invalid config). Errors are emitted as one JSON object on
+stderr. Every JSON document the CLI writes is strict JSON: a
 non-finite number is written as the string "inf", "-inf" or "nan", as
 configs spell interval bounds. The run policy is simulate's: the library
 loop always runs and records, and simulate refuses rho >= 1 before it
 probes anything (unless --uncertified) and, with --strict, raises on the
 first monitor failure after the run, before it writes anything. analyze-k
 refuses rho >= 1 before it probes anything too. Every path that builds the
-analysis params derives gamma13 first and checks the certificate's LMI
-(analysis.build_params), so analyze-k and a K: "auto" simulate exit 1 when
-either fails, and a fixed-K simulate of such a config runs without a ledger
-and is uncertified. The LMI's verdict is the one verify_ioss_lmi gives, on a
+analysis params derives gamma13 and checks the certificate's LMI
+(analysis.build_params) before it probes L_Phi, so analyze-k and a K: "auto"
+simulate exit 1 when either fails, and a fixed-K simulate of such a config
+runs without a ledger, uncertified, its uncertified_reason naming the error.
+K* exists whenever rho < 1 (analysis.min_iterations), so analyze-k always
+finds it. The LMI's verdict is the one verify_ioss_lmi gives, on a
 rounding margin derived from its inputs; certify and verify report it too.
 """
 
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import analysis
 from .controller import assert_stabilizing, closed_loop_gain
-from .errors import (ContractionViolated, LmiViolated, NotFoundBelowCap,
-                     ParseError, SubmheError, ValidationError)
+from .errors import (ContractionViolated, LmiViolated, ParseError,
+                     SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
 from .model import find_certificate, verify_ioss_lmi, w_delta
 from .config import load_config
@@ -55,8 +57,6 @@ def _error_json(exc):
     if isinstance(exc, ContractionViolated):
         payload["rho"] = exc.rho
         payload["suggested_M"] = exc.suggested_horizon
-    if isinstance(exc, NotFoundBelowCap):
-        payload["best_margin"] = exc.best_margin
     if isinstance(exc, LmiViolated):
         payload.update(max_eigenvalue=exc.max_eigenvalue, margin=exc.margin)
     if isinstance(exc, (ParseError, ValidationError)):
@@ -84,7 +84,7 @@ def _analysis_params(doc, shapes, *, probe=True):
     derived (closed_loop_gain), which raises unless the law provably makes
     the plant contract: every ledger assumes a stabilizing law. build_params
     raises LmiViolated unless the certificate's LMI passes: every ledger
-    assumes the certificate too.
+    assumes the certificate too. Both are checked before the probe runs.
 
     L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is the
     Euclidean projection onto a convex set, which is nonexpansive (Bauschke
@@ -97,6 +97,7 @@ def _analysis_params(doc, shapes, *, probe=True):
     gamma13 = closed_loop_gain(doc.system, doc.controller)
     sampled = []
     if l_phi == "probe":
+        verify_ioss_lmi(shapes.sys, shapes.cert).require()
         l_phi = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
                                 seed=doc.analysis["probe_seed"]).value
         sampled.append("L_Phi")
@@ -127,7 +128,7 @@ def cmd_analyze_k(args):
     cert, _ = _resolve_certificate(doc)
     analysis.compute_rho(cert.eta, doc.mhe["M"])  # refused before any probe
     params = _analysis_params(doc, doc.window_shapes(cert))
-    k_star, ledger = analysis.min_iterations(params, doc.analysis["K_max"])
+    k_star, ledger = analysis.min_iterations(params)
     meta = {"L_Phi_probed": "L_Phi" in params.sampled}
     out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
     text = _json_text(out, indent=2)
@@ -155,13 +156,13 @@ def cmd_simulate(args):
     shapes = doc.window_shapes(cert)
     if args.iters is None and doc.mhe["K"] == "auto":
         params = _analysis_params(doc, shapes)
-        k, _ = analysis.min_iterations(params, doc.analysis["K_max"])
+        k, _ = analysis.min_iterations(params)
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
         try:  # the probe runs only when the monitors will use its ledger
             params = _analysis_params(doc, shapes, probe=oracle)
-        except SubmheError:
-            params = None  # no ledger; the monitors needing one skip
+        except SubmheError as exc:
+            params = exc  # no ledger, and the run's uncertified_reason names exc
     cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
                               oracle=oracle, params=params)
     log = run_closed_loop(cfg)

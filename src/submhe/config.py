@@ -267,8 +267,6 @@ class ConfigDocument:
         ablock = _block(doc, "analysis", required=False)
         L_phi_src = ablock.get("L_Phi", "probe")
         analysis_block = {
-            "K_max": _integer(ablock.get("K_max", 5000), "$.analysis.K_max",
-                              minimum=1),
             "L_Phi": (L_phi_src if L_phi_src == "probe" else
                       _number(L_phi_src, "$.analysis.L_Phi", strict_min=1.0)),
             "probe_trials": _integer(ablock.get("probe_trials", 200),
@@ -316,7 +314,8 @@ class ConfigDocument:
     def scenario_config(self, shapes, *, K, seed=None, steps=None, oracle=None,
                         params=None):
         """The scenario run on `shapes`, from window_shapes(cert), with the
-        AnalysisParams `params` built on the same shapes (None: no ledger)."""
+        AnalysisParams `params` built on the same shapes (None, or the
+        SubmheError that stopped their build: no ledger)."""
         sc = self.scenario
         return ScenarioConfig(
             shapes=shapes, law=self.controller, K=K,

@@ -62,18 +62,6 @@ class ContractionViolated(SubmheError):
         self.suggested_horizon = suggested_horizon
 
 
-class NotFoundBelowCap(SubmheError):
-    """No iteration count up to the cap satisfies the small-gain conditions."""
-
-    def __init__(self, k_max, best_margin):
-        super().__init__(
-            f"no K in [1, {k_max}] passes the small-gain conditions; "
-            f"best margin {best_margin:.6g}"
-        )
-        self.k_max = k_max
-        self.best_margin = best_margin
-
-
 class StabilityAssumptionViolated(SubmheError):
     pass
 

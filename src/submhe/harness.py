@@ -46,7 +46,7 @@ import numpy as np
 from . import analysis
 from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
-                     MonitorViolation, UnboundedSampleBox)
+                     MonitorViolation, SubmheError, UnboundedSampleBox)
 from .linalg import vector_norm
 from .mhe import (CondensedPoint, build_problem, extract_estimate,
                   residual_sigma_parts, sigma_lift, sigma_truncate)
@@ -75,7 +75,9 @@ class ScenarioConfig:
     x_prior0: np.ndarray                # also the warm start at t = 0
     seed: int = 0
     oracle: bool = True                 # the monitors run exactly when it is on
-    params: object = None               # AnalysisParams on shapes; None: no ledger
+    # AnalysisParams on shapes; or None, or the SubmheError that stopped
+    # their build: no ledger
+    params: object = None
     config_hash: str = ""
 
     def __post_init__(self):
@@ -342,6 +344,8 @@ def _why_uncertified(K, params, ledger):
         return "no gain ledger: K=0, the small-gain test needs K >= 1"
     if params is None:
         return "no gain ledger: no analysis params"
+    if isinstance(params, SubmheError):
+        return f"no gain ledger: {type(params).__name__}: {params}"
     if not ledger.passed:
         return (f"small-gain test fails at K={K}: margin 1 - (P1 + P2 + P3) = "
                 f"{ledger.margin:.6e} <= 0")
@@ -395,10 +399,11 @@ def run_closed_loop(cfg, observe=None):
     """Execute the warm-started fixed-budget estimation loop for cfg.steps.
 
     The loop runs on the analysis params it is handed (cfg.params) and
-    evaluates their ledger once, at K. The run is certified only when
-    rho < 1, that ledger passes and none of its inputs was sampled. A run
-    with rho >= 1 runs and records all the same, uncertified and with no
-    ledger reported; refusing it is the caller's decision. The
+    evaluates their ledger once, at K; without params (None, or the error
+    that stopped their build) it runs with no ledger. The run is certified
+    only when rho < 1, that ledger passes and none of its inputs was
+    sampled. A run with rho >= 1 runs and records all the same, uncertified
+    and with no ledger reported; refusing it is the caller's decision. The
     analysis and the loop share cfg.shapes, so each window shape and its
     eigen terms are built once per run. observe(problem, report), when
     given, is called with each step's window problem and solve report, in
@@ -410,8 +415,9 @@ def run_closed_loop(cfg, observe=None):
     shapes = cfg.shapes
     params = cfg.params
 
+    has_params = isinstance(params, analysis.AnalysisParams)
     ledger = reported = (analysis.ledger_at(K, params)
-                         if K > 0 and params is not None else None)
+                         if K > 0 and has_params else None)
     try:
         analysis.compute_rho(eta, M)
         uncertified_reason = _why_uncertified(K, params, ledger)

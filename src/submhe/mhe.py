@@ -51,12 +51,11 @@ class CondensedPoint:
     """
 
     z: np.ndarray
-    v: np.ndarray | None = None
+    v: np.ndarray
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
-        if self.v is not None:
-            self.v = np.asarray(self.v, dtype=float)
+        self.v = np.asarray(self.v, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,7 +101,7 @@ def test_criterion_3_lyapunov_monitor_certified_run(certified_doc):
     cert = doc.certificate
     shapes = doc.window_shapes(cert)
     params = doc_params(doc, shapes)
-    k_star, _ = min_iterations(params, doc.analysis["K_max"])
+    k_star, _ = min_iterations(params)
     cfg = doc.scenario_config(shapes, K=k_star, steps=40, params=params)
     log = run_closed_loop(cfg)
     assert log.certified
@@ -155,7 +155,7 @@ def test_criterion_5_minimum_iteration_finder(certified_doc):
             norm_C=float(rng.uniform(0.1, 2)), bar_H=float(rng.uniform(1, 5)),
             lam_HP=float(rng.uniform(1, 10)), lam_PP=float(rng.uniform(1, 5)),
             lam_QP=float(rng.uniform(0.5, 5)))
-        k_star, verdict = min_iterations(p, 200_000)
+        k_star, verdict = min_iterations(p)
         assert verdict.passed
         if k_star > 1:
             assert not ledger_at(k_star - 1, p).passed
@@ -163,7 +163,7 @@ def test_criterion_5_minimum_iteration_finder(certified_doc):
     doc = certified_doc
     params = build_params(WindowShapes(doc.system, doc.certificate, 9),
                           L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
-    k_paper, verdict = min_iterations(params, 100_000)
+    k_paper, verdict = min_iterations(params)
     assert verdict.passed
     assert 652 / 10 <= k_paper <= 652 * 10
     _report(5, f"20 randomized parameter sets: K* minimal and finite; "

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -15,7 +16,7 @@ from submhe.analysis import (AnalysisParams, budget_constants, build_params,
                              minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
 from submhe.config import loads_config
-from submhe.errors import ContractionViolated, LmiViolated, NotFoundBelowCap
+from submhe.errors import ContractionViolated, LmiViolated
 from submhe.mhe import WindowShapes, compute_weight
 from submhe.model import IossCertificate
 
@@ -29,26 +30,24 @@ def params(L_phi=5.32, L_pi=2.65, gamma13=28.8, eta=0.5, M=5, q=0.98,
                           lam_PP=lam_PP, lam_QP=lam_QP)
 
 
-def scan_min_iterations(params, K_max):
-    """Reference search: evaluate the ledger at every K = 1..K_max in turn."""
+def scan_min_iterations(params):
+    """Reference search: evaluate the ledger at K = 1, 2, ... in turn, up to
+    the first that passes."""
     compute_rho(params.eta, params.M)
-    best_margin = -math.inf
-    for K in range(1, int(K_max) + 1):
+    for K in itertools.count(1):
         ledger = ledger_at(K, params)
-        best_margin = max(best_margin, ledger.margin)
         if ledger.passed:
             return K, ledger
-    raise NotFoundBelowCap(int(K_max), best_margin)
 
 
 @st.composite
-def contracting_params(draw):
+def contracting_params(draw, q_max=0.9995, eta_max=0.95):
     """AnalysisParams with rho < 1: gamma13 = 0 on some draws, a lift gain
-    above 1 and q up to 0.9995."""
-    eta = draw(st.floats(0.05, 0.95))
+    above 1, q up to q_max and eta up to eta_max."""
+    eta = draw(st.floats(0.05, eta_max))
     m_min = minimal_contracting_horizon(eta)
     return params(eta=eta, M=draw(st.integers(m_min, m_min + 7)),
-                  q=draw(st.floats(0.3, 0.99) | st.floats(0.99, 0.9995)),
+                  q=draw(st.floats(0.3, 0.99) | st.floats(0.99, q_max)),
                   lift_gain=draw(st.floats(1.0, 6.0)),
                   gamma13=draw(st.just(0.0) | st.floats(0.01, 50.0)),
                   L_phi=draw(st.floats(1.01, 8.0)),
@@ -69,8 +68,10 @@ def certified_variant(M):
     return doc_params(doc, doc.window_shapes(doc.certificate))
 
 
-def ledger_budget(K_max):
-    return math.ceil(math.log2(K_max)) + 1
+def ledger_budget(k_star):
+    """Ledgers min_iterations may evaluate to find k_star: the doubling's
+    ceil(log2 k_star) + 1 and the bisection's ceil(log2 k_star) - 1."""
+    return 2 * math.ceil(math.log2(k_star)) + 1
 
 
 class TestComputeRho:
@@ -218,38 +219,28 @@ class TestMinIterations:
     def test_immediate_pass(self):
         p = params(q=0.01, eta=0.1, gamma13=0.01, L_phi=1.01, L_pi=0.01,
                    lam_HP=1.0, lam_PP=1.0, lam_QP=1.0, M=1)
-        k_star, verdict = min_iterations(p, 100)
+        k_star, verdict = min_iterations(p)
         assert k_star == 1 and verdict.passed
 
-    def test_cap_exhaustion(self):
-        p = params(q=0.999999, eta=0.5, gamma13=50.0)
-        with pytest.raises(NotFoundBelowCap) as err:
-            min_iterations(p, 5)
-        assert err.value.k_max == 5
-        # the margin never falls as K grows: the best one is the cap's
-        assert err.value.best_margin == ledger_at(5, p).margin
+    @settings(max_examples=150, deadline=None)
+    @given(p=contracting_params())
+    def test_bisection_matches_the_scan(self, p):
+        k_star, ledger = min_iterations(p)
+        if k_star <= 3000:  # longer scans take too long
+            expected = scan_min_iterations(p)
+            assert k_star == expected[0]
+            assert ledger.to_dict() == expected[1].to_dict()
 
-    @settings(max_examples=300, deadline=None)
-    @given(p=contracting_params(),
-           K_max=st.integers(1, 100) | st.integers(100, 3000))
-    def test_bisection_matches_the_scan(self, p, K_max):
-        try:
-            expected = scan_min_iterations(p, K_max)
-        except NotFoundBelowCap as exc:
-            expected = exc
+    @settings(max_examples=60, deadline=None)
+    @given(p=contracting_params(q_max=1.0 - 1e-9, eta_max=0.999))
+    def test_search_ends_at_the_least_passing_k(self, p):
+        # K* exists for every rho < 1, however close q and rho come to 1
         with pytest.MonkeyPatch.context() as mp:
             calls = count_calls(mp, analysis, "ledger_at")
-            try:
-                k_star, ledger = min_iterations(p, K_max)
-            except NotFoundBelowCap as exc:
-                assert isinstance(expected, NotFoundBelowCap)
-                assert (exc.k_max, exc.best_margin) == (expected.k_max,
-                                                        expected.best_margin)
-            else:
-                assert not isinstance(expected, NotFoundBelowCap)
-                assert k_star == expected[0]
-                assert ledger.to_dict() == expected[1].to_dict()
-        assert len(calls) <= ledger_budget(K_max)
+            k_star, ledger = min_iterations(p)
+        assert ledger.passed
+        assert not ledger_at(k_star - 1, p).passed
+        assert len(calls) <= ledger_budget(k_star)
 
     @settings(max_examples=200, deadline=None)
     @given(p=contracting_params(), K=st.integers(0, 5000))
@@ -263,24 +254,17 @@ class TestMinIterations:
     def test_certified_horizons(self, M, k_star, monkeypatch):
         p = certified_variant(M)
         calls = count_calls(monkeypatch, analysis, "ledger_at")
-        found, ledger = min_iterations(p, 20_000)
+        found, ledger = min_iterations(p)
         assert found == k_star and ledger.passed
-        assert len(calls) <= ledger_budget(20_000)
+        assert len(calls) <= ledger_budget(k_star)
         assert not ledger_at(k_star - 1, p).passed
-
-    def test_certified_horizon_beyond_the_cap(self):
-        p = certified_variant(25)
-        with pytest.raises(NotFoundBelowCap) as err:
-            min_iterations(p, 5000)
-        assert err.value.k_max == 5000
-        assert err.value.best_margin == ledger_at(5000, p).margin
 
     def test_first_passing_k_is_minimal(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             p = params(eta=0.5, q=float(rng.uniform(0.9, 0.99)),
                        gamma13=float(rng.uniform(1, 30)))
-            k_star, ledger = min_iterations(p, 50_000)
+            k_star, ledger = min_iterations(p)
             assert ledger.passed
             assert ledger.to_dict() == ledger_at(k_star, p).to_dict()
             if k_star > 1:
@@ -289,7 +273,7 @@ class TestMinIterations:
     def test_rho_guard_runs_first(self):
         p = params(eta=0.8, M=5)
         with pytest.raises(ContractionViolated):
-            min_iterations(p, 10)
+            min_iterations(p)
 
 
 class TestLedger:
@@ -337,7 +321,7 @@ class TestLedger:
         led = ledger_at(5, p)  # phi_z = 2 * 0.9^5 = 1.18
         assert led.constants.phi_z >= 1.0
         assert led.g21 == math.inf and not led.passed
-        k_star, led = min_iterations(p, 1000)
+        k_star, led = min_iterations(p)
         assert led.constants.phi_z < 1.0
         assert not ledger_at(k_star - 1, p).passed
 
@@ -388,6 +372,12 @@ class TestBuildParams:
             params(L_pi=-0.1)
         with pytest.raises(ValueError):
             params(gamma13=math.nan)
+        # every scalar is finite: an infinite one would make a constant
+        # 0 * inf = nan at phi_z = 0, where min_iterations's search must pass
+        for name in ("L_phi", "L_pi", "gamma13", "eta", "q", "lift_gain",
+                     "norm_C", "bar_H", "lam_HP", "lam_PP", "lam_QP"):
+            with pytest.raises(ValueError):
+                params(**{name: math.inf})
 
     def test_base_and_lift_gain_scan_all_shapes(self, case_study):
         sys, cert, _ = case_study
@@ -415,6 +405,6 @@ def test_random_certified_params_have_finite_budget():
     M = minimal_contracting_horizon(cert.eta)
     p = build_params(WindowShapes(sys, cert, M), L_phi=3.0, L_pi=1.5,
                      gamma13_slope=10.0)
-    k_star, verdict = min_iterations(p, 10 ** 6)
+    k_star, verdict = min_iterations(p)
     assert verdict.passed
     assert k_star >= 1

@@ -42,6 +42,8 @@ DELETED_KEYS = [
     ("analysis", "smoke_radius", 1.0),
     ("analysis", "smoke_horizon", 300),
     ("analysis", "smoke_samples", 10),
+    # K* exists whenever rho < 1, and the search brackets it by doubling
+    ("analysis", "K_max", 5000),
 ]
 
 # every key the schema accepts, block by block
@@ -51,7 +53,7 @@ ACCEPTED_KEYS = {
     "controller": {"gain"},
     "mhe": {"M", "K"},
     "scenario": {"x0", "prior", "steps", "seed", "oracle"},
-    "analysis": {"K_max", "L_Phi", "probe_trials", "probe_seed"},
+    "analysis": {"L_Phi", "probe_trials", "probe_seed"},
     "output": {"dir", "csv", "summary"},
 }
 
@@ -329,13 +331,15 @@ class TestCli:
         assert err["error"] == "StabilityAssumptionViolated"
         assert "a = max ||A - B Delta G||_2 = 1.8567" in err["message"]
         code = run_cli(["simulate", "--config", str(path), "--out",
-                        str(tmp_path / "out"), "--iters", "300",
+                        str(tmp_path / "out"), "--iters", "50",
                         "--steps", "20"])
         capsys.readouterr()
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["certified"] is False
         assert summary["ledger"] is None
+        assert summary["uncertified_reason"] == (
+            f"no gain ledger: StabilityAssumptionViolated: {err['message']}")
 
     def test_negative_seed_rejected(self, capsys):
         for flag, value in (("--seed", "-1"), ("--steps", "0"),
@@ -348,21 +352,25 @@ class TestCli:
             assert err["error"] == "ValidationError"
             assert err["field"] == flag
 
-    @pytest.mark.parametrize("key, value", [("tol", 1.0),
-                                            ("search_budget", 500)])
-    def test_deleted_certificate_keys_exit_two(self, key, value, base_dict,
-                                               tmp_path, capsys):
+    @pytest.mark.parametrize("block, key, value", [
+        ("certificate", "tol", 1.0), ("certificate", "search_budget", 500),
+        ("analysis", "K_max", 5000)])
+    def test_deleted_keys_exit_two(self, block, key, value, base_dict,
+                                   tmp_path, capsys):
         doc = json.loads(json.dumps(base_dict))
-        doc["certificate"][key] = value
+        doc[block][key] = value
         path = tmp_path / "deleted.json"
         path.write_text(json.dumps(doc))
-        for command in ("certify", "verify", "analyze-k"):
-            code = run_cli([command, "--config", str(path)])
+        for command in ("certify", "verify", "analyze-k", "simulate"):
+            code = run_cli([command, "--config", str(path), *(
+                ["--out", str(tmp_path / "out")] if command == "simulate"
+                else [])])
             err = json.loads(capsys.readouterr().err)
             assert code == 2
             assert err["error"] == "ValidationError"
-            assert err["field"] == f"$.certificate.{key}"
+            assert err["field"] == f"$.{block}.{key}"
             assert err["message"].endswith("unknown key")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scale, lam", [(2.0, 0.8897), (1.05, 0.0426)],
                              ids=["P_x2", "P_x1.05"])
@@ -384,6 +392,7 @@ class TestCli:
             assert err["max_eigenvalue"] == pytest.approx(lam, abs=1e-4)
             assert 0.0 < err["margin"] < 1e-12
             assert f"{err['max_eigenvalue']:.6e}" in err["message"]
+        lam_hat = err["max_eigenvalue"]
         assert not (tmp_path / "auto").exists()
         for command in ("certify", "verify"):
             assert run_cli([command, "--config", str(path)]) == 1
@@ -395,6 +404,44 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["ledger"] is None
         assert summary["certified"] is False
+        # the reason names the error that stopped the params, not just
+        # their absence
+        reason = summary["uncertified_reason"]
+        assert reason.startswith("no gain ledger: LmiViolated: ")
+        assert f"{lam_hat:.6e}" in reason
+
+    def test_violated_lmi_stops_before_the_probe(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # P x 2 with L_Phi left to the probe: the LMI fails before any of the
+        # probe's trials runs
+        import submhe.cli as cli
+        probes = count_calls(monkeypatch, cli, "lipschitz_probe")
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        doc["certificate"]["P"] = (
+            2.0 * np.array(doc["certificate"]["P"])).tolist()
+        doc["analysis"]["L_Phi"] = "probe"
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze-k", "--config", str(path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"] == "LmiViolated"
+        assert probes == []
+
+    @pytest.mark.parametrize("M, k_star", [(15, 664), (25, 6307)])
+    def test_analyze_k_long_horizons(self, M, k_star, tmp_path, capsys):
+        # K* exists at every horizon with rho < 1, however large it is
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        doc["mhe"]["M"] = M
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze-k", "--config", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["K_star"] == k_star
+        assert out["ledger"]["small_gain"]["passed"] is True
 
     def test_simulate_requires_uncertified_gate(self, tmp_path, base_dict,
                                                 capsys, monkeypatch):

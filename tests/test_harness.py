@@ -10,7 +10,7 @@ import submhe.harness as harness
 from submhe.analysis import compute_rho
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
-                           DimensionMismatch, MonitorViolation,
+                           DimensionMismatch, LmiViolated, MonitorViolation,
                            UnboundedSampleBox)
 from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
@@ -137,17 +137,18 @@ class TestClosedLoop:
         assert log.steps == 8
         assert log.eps.max() > 0.1  # warm start never improves
 
-    @pytest.mark.parametrize("K, with_params, cause", [
-        (50, False, "no analysis params"),
-        (0, True, "K=0, the small-gain test needs K >= 1")],
-        ids=["no_L_phi", "zero_budget"])
-    def test_no_ledger_is_uncertified(self, certified_doc, K, with_params,
-                                      cause):
+    @pytest.mark.parametrize("K, params, cause", [
+        (50, None, "no analysis params"),
+        (50, LmiViolated(0.89, 1e-13), "LmiViolated: detectability LMI "
+         "fails: largest eigenvalue 8.900000e-01 + rounding margin 1.0e-13 > 0"),
+        (0, "built", "K=0, the small-gain test needs K >= 1")],
+        ids=["no_L_phi", "build_error", "zero_budget"])
+    def test_no_ledger_is_uncertified(self, certified_doc, K, params, cause):
         doc = certified_doc
         shapes = doc.window_shapes(doc.certificate)
         cfg = doc.scenario_config(shapes, K=K, steps=2, oracle=False,
                                   params=(doc_params(doc, shapes)
-                                          if with_params else None))
+                                          if params == "built" else params))
         log = run_closed_loop(cfg)  # rho < 1 but no ledger: no raise
         assert not log.certified and log.ledger is None
         assert log.uncertified_reason == f"no gain ledger: {cause}"

@@ -405,6 +405,13 @@ class TestResidualSigma:
         assert clamped == 0.0
 
 
+def test_condensed_point_needs_its_free_coordinates():
+    # every start carries v: free_coordinates reads it and never recovers it
+    # from z
+    with pytest.raises(TypeError):
+        CondensedPoint(z=np.zeros(3))
+
+
 def test_no_code_reassigns_a_record_field():
     # The per-step records are plain slotted dataclasses, not frozen ones;
     # outside their own __post_init__ (an assignment to self) nothing in the
