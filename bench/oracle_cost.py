@@ -101,7 +101,7 @@ def probe_run(doc, cert):
 def loop_run(doc, seed):
     """(per-solve seconds, iterations) of the oracle in one loop run."""
     shapes = doc.window_shapes(doc.certificate)
-    params = _analysis_params(doc, shapes, probe=True)
+    params = _analysis_params(doc, shapes)
     cfg = doc.scenario_config(shapes, K=LOOP_K, seed=seed, steps=STEPS,
                               oracle=True, params=params)
     with Recorder() as rec:

@@ -57,7 +57,7 @@ def timed_run(doc, K, oracle, seed, steps):
     K None, K*."""
     cert = doc.certificate
     shapes = doc.window_shapes(cert)
-    params = _analysis_params(doc, shapes, probe=oracle)
+    params = _analysis_params(doc, shapes)
     if K is None:
         K, _ = analysis.min_iterations(params)
     cfg = doc.scenario_config(shapes, K=K, seed=seed, steps=steps,

@@ -9,9 +9,13 @@ count K that passes them. All gains here are linear (slope times argument),
 so the class-K compositions reduce exactly to slope products. This module is
 the only place that knows q, phi(K) and the small-gain verdict.
 
-Every ledger rests on the certificate's detectability LMI, so build_params
-checks it (model.verify_ioss_lmi) and raises LmiViolated when it fails: no
-AnalysisParams, ledger, K* or `certified` label exists without a passing LMI.
+build_params is the one place where a run's analysis inputs are resolved.
+It derives every input but L_Phi from the window shapes and the feedback
+law, and every ledger rests on a stabilizing law and on the certificate's
+detectability LMI, so it checks both: gamma13 (controller.closed_loop_gain)
+raises StabilityAssumptionViolated and model.verify_ioss_lmi raises
+LmiViolated, before L_Phi is sampled. No AnalysisParams, ledger, K* or
+`certified` label exists without both.
 
 q = (L - mu)/(L + mu) is the rate of the step the solver takes, 2/(L + mu)
 (see mhe.WindowShape.contraction_base). phi(K) = q^K is therefore a theorem
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .controller import closed_loop_gain
 from .errors import ContractionViolated
 from .linalg import eigh
 from .model import verify_ioss_lmi
@@ -321,34 +326,50 @@ def weight_eigen_range(shapes):
     return max(top for _, top in ranges), min(bottom for bottom, _ in ranges)
 
 
-def build_params(shapes, *, L_phi, L_pi, gamma13_slope, sampled=()):
-    """Assemble AnalysisParams from a run's window shapes and scalar inputs.
+def build_params(shapes, law, *, L_phi):
+    """AnalysisParams of the run on `shapes` (a WindowShapes, which carries
+    the system, the certificate and M) under the feedback law `law`.
 
-    `shapes` (a WindowShapes) carries the system, the certificate and M. The
-    certificate's LMI is checked first (model.verify_ioss_lmi), and
-    LmiViolated, naming its largest eigenvalue and rounding margin, is
-    raised when it fails. The contraction base q of phi(K) = q^K and the
-    lift gain are computed here, as worst cases over the window shapes;
-    neither is an input. `sampled` names the scalar inputs that were sampled
-    or estimated rather than derived or asserted.
+    Every input but L_Phi is derived here, and checked in this order, so
+    no ledger exists without a stabilizing law and a passing LMI:
+    1. gamma13 = controller.closed_loop_gain, which raises
+       StabilityAssumptionViolated unless the law provably makes the plant
+       contract.
+    2. The certificate's LMI (model.verify_ioss_lmi), which raises
+       LmiViolated, naming its largest eigenvalue and rounding margin.
+    3. L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is
+       the Euclidean projection onto a convex set, which is nonexpansive
+       (Bauschke & Combettes 2011, Prop. 4.16), so
+       ||pi(x) - pi(x')|| <= ||G||_2 ||x - x'||. It is exact when 0 is
+       interior to u_box: the law is linear near 0.
+    4. q of phi(K) = q^K, the lift gain g and bar_H, as worst cases over the
+       window shapes.
+
+    L_phi is the asserted number, or a function of no arguments that samples
+    it. The function is called last, once, and only then does `sampled`
+    name L_Phi: a ledger built on it certifies nothing.
     """
+    gamma13 = closed_loop_gain(shapes.sys, law)
     cert = shapes.cert
     verify_ioss_lmi(shapes.sys, cert).require()
+    l_pi = float(np.linalg.norm(law.gain, 2))
+    phi_base = float(worst_case_contraction(shapes))
+    lift = lift_gain(shapes)
     bar_h, _ = weight_eigen_range(shapes)
     pw, _ = eigh(cert.P)
     qw, _ = eigh(cert.Q)
     lam_min_p = float(pw[0])
+    sampled = ()
+    if callable(L_phi):
+        L_phi, sampled = L_phi(), ("L_Phi",)
     return AnalysisParams(
-        L_phi=float(L_phi), L_pi=float(L_pi),
-        gamma13_slope=float(gamma13_slope),
-        eta=cert.eta, M=shapes.M,
-        phi_base=float(worst_case_contraction(shapes)),
-        lift_gain=lift_gain(shapes),
+        L_phi=float(L_phi), L_pi=l_pi, gamma13_slope=gamma13,
+        eta=cert.eta, M=shapes.M, phi_base=phi_base, lift_gain=lift,
         norm_C=shapes.plant_norms[2], bar_H=bar_h,
         lam_HP=bar_h / lam_min_p,
         lam_PP=float(pw[-1]) / lam_min_p,
         lam_QP=float(qw[-1]) / lam_min_p,
-        sampled=tuple(sampled),
+        sampled=sampled,
     )
 
 

@@ -9,14 +9,15 @@ configs spell interval bounds. The run policy is simulate's: the library
 loop always runs and records, and simulate refuses rho >= 1 before it
 probes anything (unless --uncertified) and, with --strict, raises on the
 first monitor failure after the run, before it writes anything. analyze-k
-refuses rho >= 1 before it probes anything too. Every path that builds the
-analysis params derives gamma13 and checks the certificate's LMI
-(analysis.build_params) before it probes L_Phi, so analyze-k and a K: "auto"
-simulate exit 1 when either fails, and a fixed-K simulate of such a config
-runs without a ledger, uncertified, its uncertified_reason naming the error.
-K* exists whenever rho < 1 (analysis.min_iterations), so analyze-k always
-finds it. The LMI's verdict is the one verify_ioss_lmi gives, on a
-rounding margin derived from its inputs; certify and verify report it too.
+refuses rho >= 1 before it probes anything too. Every run builds its
+analysis params the same way, once (analysis.build_params), whatever its
+K and its --oracle: gamma13 is derived and the certificate's LMI checked
+before L_Phi is probed, so analyze-k and a K: "auto" simulate exit 1 when
+either fails, and a fixed-K simulate of such a config runs without a
+ledger, uncertified, its uncertified_reason naming the error. K* exists
+whenever rho < 1 (analysis.min_iterations), so analyze-k always finds it.
+The LMI's verdict is the one verify_ioss_lmi gives, on a rounding margin
+derived from its inputs; certify and verify report it too.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .controller import assert_stabilizing, closed_loop_gain
+from .controller import assert_stabilizing
 from .errors import (ContractionViolated, LmiViolated, ParseError,
                      SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
@@ -73,37 +74,21 @@ def _resolve_certificate(doc):
     return find_certificate(doc.system, c["Q"], c["R"], c["eta"]), True
 
 
-def _analysis_params(doc, shapes, *, probe=True):
-    """The run's AnalysisParams on `shapes` (a WindowShapes): every input of
-    the analysis is resolved here, once per run.
+def _analysis_params(doc, shapes):
+    """The run's AnalysisParams on `shapes` (a WindowShapes), built once per
+    run by analysis.build_params, which derives every input but L_Phi.
 
-    L_Phi is taken from the config when it asserts it. Otherwise it is
-    probed (lipschitz_probe) and named in the params' `sampled`, so a ledger
-    built on it certifies nothing. Without `probe`, an L_Phi left to the
-    probe stays unresolved and there are no params. gamma13_slope is always
-    derived (closed_loop_gain), which raises unless the law provably makes
-    the plant contract: every ledger assumes a stabilizing law. build_params
-    raises LmiViolated unless the certificate's LMI passes: every ledger
-    assumes the certificate too. Both are checked before the probe runs.
-
-    L_pi = ||G||_2 for the law pi(x) = clamp(-G x, u_box): the clamp is the
-    Euclidean projection onto a convex set, which is nonexpansive (Bauschke
-    & Combettes 2011, Prop. 4.16), so ||pi(x) - pi(x')|| <= ||G||_2 ||x - x'||.
-    It is exact when 0 is interior to u_box: the law is linear near 0.
+    This only chooses L_Phi's source: the number the config asserts, or a
+    lipschitz_probe with the config's trials and seed, which build_params
+    runs only after the law and the LMI pass, and names in `sampled`.
     """
-    l_phi = doc.analysis["L_Phi"]
-    if l_phi == "probe" and not probe:
-        return None
-    gamma13 = closed_loop_gain(doc.system, doc.controller)
-    sampled = []
+    a = doc.analysis
+    l_phi = a["L_Phi"]
     if l_phi == "probe":
-        verify_ioss_lmi(shapes.sys, shapes.cert).require()
-        l_phi = lipschitz_probe(shapes, n_trials=doc.analysis["probe_trials"],
-                                seed=doc.analysis["probe_seed"]).value
-        sampled.append("L_Phi")
-    l_pi = float(np.linalg.norm(doc.controller.gain, 2))
-    return analysis.build_params(shapes, L_phi=l_phi, L_pi=l_pi,
-                                 gamma13_slope=gamma13, sampled=sampled)
+        def l_phi():
+            return lipschitz_probe(shapes, n_trials=a["probe_trials"],
+                                   seed=a["probe_seed"]).value
+    return analysis.build_params(shapes, doc.controller, L_phi=l_phi)
 
 
 def cmd_certify(args):
@@ -151,20 +136,18 @@ def cmd_simulate(args):
     cert, _ = _resolve_certificate(doc)
     if not args.uncertified:  # refused before any input is probed
         analysis.compute_rho(cert.eta, doc.mhe["M"])
-    oracle = (doc.scenario["oracle"] if args.oracle is None
-              else args.oracle == "on")
     shapes = doc.window_shapes(cert)
     if args.iters is None and doc.mhe["K"] == "auto":
         params = _analysis_params(doc, shapes)
         k, _ = analysis.min_iterations(params)
     else:
         k = args.iters if args.iters is not None else doc.mhe["K"]
-        try:  # the probe runs only when the monitors will use its ledger
-            params = _analysis_params(doc, shapes, probe=oracle)
+        try:
+            params = _analysis_params(doc, shapes)
         except SubmheError as exc:
             params = exc  # no ledger, and the run's uncertified_reason names exc
     cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
-                              oracle=oracle, params=params)
+                              oracle=args.oracle == "on", params=params)
     log = run_closed_loop(cfg)
     if args.strict:
         log.raise_first_failure()
@@ -282,13 +265,12 @@ def cmd_verify(args):
 
     check("controller-stability-smoke", smoke)
 
-    def short_config(oracle=None):
+    def short_config():
         # the loop checks read no ledger, so the loop runs without params
         return doc.scenario_config(doc.window_shapes(cert),
                                    K=max(doc.mhe["K"], 5)
                                    if doc.mhe["K"] != "auto" else 50,
-                                   steps=min(doc.scenario["steps"], 2 * M + 2),
-                                   oracle=oracle, params=None)
+                                   steps=min(doc.scenario["steps"], 2 * M + 2))
 
     def short_loop():
         dims = []
@@ -306,7 +288,7 @@ def cmd_verify(args):
         # a settled solve's v* (the tail's fixed point) against the oracle,
         # on the loop's own windows
         solves = []
-        run_closed_loop(short_config(oracle=True),
+        run_closed_loop(short_config(),
                         observe=lambda prob, rep: solves.append((prob, rep)))
         for prob, rep in solves:
             if rep.optimum is None:
@@ -405,7 +387,7 @@ def build_parser():
                        help="promote monitor failures to errors")
     p_sim.add_argument("--uncertified", action="store_true",
                        help="simulate even when the M-step decay fails (rho >= 1)")
-    p_sim.add_argument("--oracle", choices=["on", "off"], default=None)
+    p_sim.add_argument("--oracle", choices=["on", "off"], default="on")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite on the "

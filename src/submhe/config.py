@@ -139,12 +139,6 @@ def _integer(value, path, minimum=None):
     return value
 
 
-def _boolean(value, path):
-    if not isinstance(value, bool):
-        raise ValidationError(path, f"not a boolean: {value!r}")
-    return value
-
-
 def _path_name(value, path):
     if not isinstance(value, str) or not value:
         raise ValidationError(path, f"not a non-empty string: {value!r}")
@@ -260,7 +254,6 @@ class ConfigDocument:
                               "$.scenario.steps", minimum=1),
             "seed": _integer(_require(scblock, "seed", "$.scenario"),
                              "$.scenario.seed", minimum=0),
-            "oracle": _boolean(scblock.get("oracle", True), "$.scenario.oracle"),
         }
         _check_keys(scblock, scenario, "$.scenario")
 
@@ -311,7 +304,7 @@ class ConfigDocument:
         """The WindowShapes of this system, `cert` and the configured M."""
         return WindowShapes(self.system, cert, self.mhe["M"])
 
-    def scenario_config(self, shapes, *, K, seed=None, steps=None, oracle=None,
+    def scenario_config(self, shapes, *, K, seed=None, steps=None, oracle=True,
                         params=None):
         """The scenario run on `shapes`, from window_shapes(cert), with the
         AnalysisParams `params` built on the same shapes (None, or the
@@ -322,7 +315,7 @@ class ConfigDocument:
             steps=steps if steps is not None else sc["steps"],
             x0=sc["x0"], x_prior0=sc["prior"],
             seed=seed if seed is not None else sc["seed"],
-            oracle=oracle if oracle is not None else sc["oracle"],
+            oracle=oracle,
             params=params, config_hash=self.config_hash())
 
 

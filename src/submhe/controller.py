@@ -4,8 +4,9 @@ gain.
 The built-in law is u = clamp(-G xhat, u_box): saturation is 1-Lipschitz, so
 the law is Lipschitz with constant at most ||G||_2. The controlled plant's
 contraction and its error-to-state gain gamma13 both follow from the
-saturation's vertex systems (closed_loop_gain). assert_stabilizing rolls
-sampled trajectories; it proves nothing and stays as a falsification check.
+saturation's vertex systems (closed_loop_gain), which analysis.build_params
+calls for every ledger. assert_stabilizing rolls sampled trajectories one at
+a time; it proves nothing and stays as a falsification check.
 """
 
 import itertools
@@ -106,33 +107,24 @@ def assert_stabilizing(sys, law, radius=1.0, horizon=300, n_samples=10,
     With zero estimation error and zero disturbance, trajectories from random
     initial states in a ball must decay below the threshold within the
     horizon. This proves nothing; it only catches laws that plainly fail to
-    stabilize. All samples roll together as the rows of one
-    (n_samples, n_x) array; the error names the first sample that diverges
-    (state norm above DIVERGENCE_LIMIT, or not finite) or fails to decay.
+    stabilize. The samples are drawn and rolled one at a time, with
+    `evaluate` and the plant step; the error names the first sample that
+    diverges (state norm above DIVERGENCE_LIMIT, or not finite) or fails to
+    decay.
     """
     rng = np.random.default_rng(seed)
-    x = np.empty((n_samples, sys.n_x))
-    for d in x:
-        d[:] = rng.standard_normal(sys.n_x)
-        d *= radius * rng.uniform(0, 1) ** (1.0 / sys.n_x) / max(np.linalg.norm(d), 1e-12)
-    diverged_at = np.zeros(n_samples, dtype=int)  # 0: never
-    # row-major copies of A^T, B^T and -gain^T: x+ = x A^T + u B^T row by row
-    a_t, b_t, k_t = (np.ascontiguousarray(m.T) for m in (sys.A, sys.B, -law.gain))
-    for t in range(1, horizon + 1):
-        u = law.u_box.project(x @ k_t)
-        x = x @ a_t + u @ b_t
-        # the norm of the batch bounds each row's; NaN fails both tests
-        if not np.linalg.norm(x) <= DIVERGENCE_LIMIT:
-            out = ~(np.linalg.norm(x, axis=1) <= DIVERGENCE_LIMIT)
-            diverged_at[out & (diverged_at == 0)] = t
-            x[out] = 0.0  # a diverged sample's verdict is fixed; stop its overflow
+    no_w1 = np.zeros(sys.n_x)
     for i in range(n_samples):
-        if diverged_at[i]:
-            raise StabilityAssumptionViolated(
-                f"trajectory from sample {i}: state norm exceeded "
-                f"{DIVERGENCE_LIMIT:.1e} at step {diverged_at[i]}; "
-                "the feedback law does not stabilize this plant")
-        final = np.linalg.norm(x[i])
+        x = rng.standard_normal(sys.n_x)
+        x *= radius * rng.uniform(0, 1) ** (1.0 / sys.n_x) / max(np.linalg.norm(x), 1e-12)
+        for t in range(1, horizon + 1):
+            x = sys.step(x, evaluate(law, x), no_w1)
+            if not np.linalg.norm(x) <= DIVERGENCE_LIMIT:  # NaN fails it too
+                raise StabilityAssumptionViolated(
+                    f"trajectory from sample {i}: state norm exceeded "
+                    f"{DIVERGENCE_LIMIT:.1e} at step {t}; "
+                    "the feedback law does not stabilize this plant")
+        final = np.linalg.norm(x)
         if final > threshold:
             raise StabilityAssumptionViolated(
                 f"trajectory from sample {i} only decayed to "

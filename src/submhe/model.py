@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BoxExcludesOrigin, CertificateNotFound, DimensionMismatch,
                      LmiViolated)
-from .linalg import eigh, symmetrize
+from .linalg import clamp, eigh, symmetrize
 
 # find_certificate aims the LMI eigenvalue below -SEARCH_MARGIN and keeps
 # P's eigenvalues above SEARCH_EIG_FLOOR * max(1, largest eigenvalue)
@@ -84,14 +84,8 @@ class Box:
         return bool(np.all(v >= self.lower - atol) and np.all(v <= self.upper + atol))
 
     def project(self, v):
-        """Componentwise clamp; identity on unbounded sides.
-
-        The same bytes as np.clip(v, lower, upper), NaN and signed zeros
-        included (this operand order keeps np.clip's sign of a zero that
-        ties a bound), at about half its cost on short vectors.
-        """
-        return np.minimum(np.maximum(np.asarray(v, dtype=float), self.lower),
-                          self.upper)
+        """Componentwise clamp (linalg.clamp); identity on unbounded sides."""
+        return clamp(np.asarray(v, dtype=float), self.lower, self.upper)
 
     def sample(self, rng, size=None, scale=None):
         """Uniform draws of shape (dim,), or (size, dim) when size is given.

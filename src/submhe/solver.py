@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonfiniteIterate, OracleStalled
-from .linalg import vector_norm
+from .linalg import clamp, vector_norm
 from .mhe import CondensedPoint
 
 KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
@@ -83,17 +83,8 @@ class OracleReport:
     iters: int             # kernel iterations run from the start
 
 
-def _clamp(v, lo, hi, out=None):
-    """min(hi, max(lo, v)) componentwise, the same bytes as np.clip(v, lo, hi),
-    NaN and signed zeros included: the value is the first operand of each
-    compare, as in model.Box.project (with the bound first, a -0.0 that ties
-    a zero bound would stay -0.0 where np.clip gives 0.0)."""
-    out = np.maximum(v, lo, out=out)
-    return np.minimum(out, hi, out=out)
-
-
 def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
-    """The one projected-gradient loop: v <- _clamp(T v + d, lo, hi), for
+    """The one projected-gradient loop: v <- clamp(T v + d, lo, hi), for
     T = transition and d = shift.
 
     Returns (v_K, looped, tail). At k = 0, 1, 3, 7, ... the loop tries the
@@ -126,7 +117,7 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
                 return tail.finish(iters - k), k, tail
             probe = 2 * probe + 1
         np.dot(op, w, out=buf)
-        _clamp(buf, lo, hi, out=v)
+        clamp(buf, lo, hi, out=v)
     return v.copy(), iters, None
 
 
@@ -171,7 +162,7 @@ class _Tail:
         s = self.spectrum
         power, one_minus = s.powers(j)
         v_j = s.basis @ (power * self.coords + one_minus * self.fixed)
-        return _clamp(v_j, self.lo, self.hi, out=v_j)
+        return clamp(v_j, self.lo, self.hi, out=v_j)
 
 
 def solve_fixed_iters(problem, start, K):
@@ -192,7 +183,7 @@ def solve_fixed_iters(problem, start, K):
     lo, hi = problem.lower, problem.upper
     K = int(K)
     if K == 0:
-        v, looped, tail = np.clip(v0, lo, hi), 0, None
+        v, looped, tail = clamp(v0, lo, hi), 0, None
     else:
         v, looped, tail = _iterate(shape.transition, -shape.step * problem.linear_term,
                                    lo, hi, v0, K, shape.spectrum)
@@ -325,7 +316,7 @@ def solve_oracle(problem, start=None):
     if v0.shape != (shape.dim_v,):
         raise DimensionMismatch(
             f"oracle start has shape {v0.shape}, expected ({shape.dim_v},)")
-    v = _clamp(v0, lo, hi)
+    v = clamp(v0, lo, hi)
     if not (np.isfinite(c).all() and np.isfinite(v).all()):
         raise NonfiniteIterate("oracle: non-finite linear term or start")
     alpha, gain, floor = shape.step, shape.error_gain, shape.rounding_floor
@@ -338,12 +329,12 @@ def solve_oracle(problem, start=None):
             w = _polish(s, c, v, active)
             inside = (w >= lo) & (w <= hi)
             if not inside.all():  # bind once: hold each crossed coordinate at its side
-                w = _polish(s, c, _clamp(w, lo, hi, out=w), active | ~inside)
+                w = _polish(s, c, clamp(w, lo, hi, out=w), active | ~inside)
                 inside = (w >= lo) & (w <= hi)
             if inside.all():
                 candidates.insert(0, (w, s @ w + c))
         for u, g in candidates:
-            bound = gain * vector_norm(u - _clamp(u - alpha * g, lo, hi))
+            bound = gain * vector_norm(u - clamp(u - alpha * g, lo, hi))
             if bound <= floor * max(1.0, vector_norm(u)):
                 return OracleReport(CondensedPoint(z=problem.lift(u), v=u),
                                     bound, iters)
@@ -366,5 +357,5 @@ def solve_oracle(problem, start=None):
         if not np.isfinite(v_scaled).all():
             raise NonfiniteIterate("oracle: projected-gradient iterate overflowed")
         v = np.where(v_scaled == scaled.lower, lo,
-                     np.where(v_scaled == scaled.upper, hi, _clamp(d * v_scaled, lo, hi)))
+                     np.where(v_scaled == scaled.upper, hi, clamp(d * v_scaled, lo, hi)))
         chunk = min(2 * chunk, ORACLE_CHUNK)

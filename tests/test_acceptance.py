@@ -5,6 +5,7 @@ live). Expected values come from independent oracles computed in-test.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,8 +162,9 @@ def test_criterion_5_minimum_iteration_finder(certified_doc):
             assert not ledger_at(k_star - 1, p).passed
     # paper-scalar reproduction at an order-of-magnitude level
     doc = certified_doc
-    params = build_params(WindowShapes(doc.system, doc.certificate, 9),
-                          L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
+    params = replace(build_params(WindowShapes(doc.system, doc.certificate, 9),
+                                  doc.controller, L_phi=5.32),
+                     L_pi=2.65, gamma13_slope=28.8)
     k_paper, verdict = min_iterations(params)
     assert verdict.passed
     assert 652 / 10 <= k_paper <= 652 * 10

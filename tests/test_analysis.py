@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from submhe.analysis import (AnalysisParams, budget_constants, build_params,
                              minimal_contracting_horizon, weight_eigen_range,
                              worst_case_contraction)
 from submhe.config import loads_config
-from submhe.errors import ContractionViolated, LmiViolated
+from submhe.controller import FeedbackLaw, closed_loop_gain
+from submhe.errors import (ContractionViolated, LmiViolated,
+                           StabilityAssumptionViolated)
 from submhe.mhe import WindowShapes, compute_weight
 from submhe.model import IossCertificate
 
@@ -335,9 +338,9 @@ class TestBuildParams:
         assert bar_h == pytest.approx(direct, rel=1e-12)
 
     def test_ratios(self, case_study):
-        sys, cert, _ = case_study
-        p = build_params(WindowShapes(sys, cert, 5), L_phi=5.32, L_pi=2.65,
-                         gamma13_slope=28.8)
+        sys, cert, law = case_study
+        p = replace(build_params(WindowShapes(sys, cert, 5), law, L_phi=5.32),
+                    L_pi=2.65, gamma13_slope=28.8)
         pw = np.linalg.eigvalsh(cert.P)
         assert p.lam_PP == pytest.approx(pw[-1] / pw[0], rel=1e-10)
         assert p.lam_QP == pytest.approx(1.0 / pw[0], rel=1e-10)
@@ -347,12 +350,11 @@ class TestBuildParams:
     @pytest.mark.parametrize("scale, lam", [(2.0, 0.8897), (1.05, 0.0426)])
     def test_violated_lmi_builds_no_params(self, case_study, scale, lam):
         # the shipped P scaled up: its LMI fails, so no ledger can rest on it
-        sys, cert, _ = case_study
+        sys, cert, law = case_study
         scaled = IossCertificate(P=scale * cert.P, Q=cert.Q, R=cert.R,
                                  eta=cert.eta)
         with pytest.raises(LmiViolated) as err:
-            build_params(WindowShapes(sys, scaled, 9), L_phi=5.32, L_pi=2.65,
-                         gamma13_slope=1.8)
+            build_params(WindowShapes(sys, scaled, 9), law, L_phi=5.32)
         assert err.value.max_eigenvalue == pytest.approx(lam, abs=1e-4)
         assert 0.0 < err.value.margin < 1e-12
         assert f"{err.value.max_eigenvalue:.6e}" in str(err.value)
@@ -380,9 +382,10 @@ class TestBuildParams:
                 params(**{name: math.inf})
 
     def test_base_and_lift_gain_scan_all_shapes(self, case_study):
-        sys, cert, _ = case_study
+        sys, cert, law = case_study
         shapes = WindowShapes(sys, cert, 5)
-        p = build_params(shapes, L_phi=5.32, L_pi=2.65, gamma13_slope=28.8)
+        p = replace(build_params(shapes, law, L_phi=5.32), L_pi=2.65,
+                    gamma13_slope=28.8)
         assert p.phi_base == max((L - mu) / (L + mu) for mu, L in
                                  (shapes[m].curvature for m in range(6)))
         assert p.lift_gain == max(np.linalg.norm(shapes[m].lift_matrix, 2)
@@ -390,6 +393,36 @@ class TestBuildParams:
         assert p.lift_gain > 1.0
         with pytest.raises(ValueError):
             params(lift_gain=0.99)
+
+    def test_derives_every_input_but_l_phi(self, certified_doc):
+        # the law, then the LMI, then the derived scalars; L_Phi's sampler
+        # runs last, once, and only when both pass
+        doc = certified_doc
+        sys, cert, law = doc.system, doc.certificate, doc.controller
+        calls = []
+
+        def counter():
+            calls.append(None)
+            return 5.32
+
+        p = build_params(WindowShapes(sys, cert, 9), law, L_phi=counter)
+        assert len(calls) == 1
+        assert p.sampled == ("L_Phi",) and p.L_phi == 5.32
+        assert p.L_pi == np.linalg.norm(law.gain, 2)
+        assert p.gamma13_slope == closed_loop_gain(sys, law)
+        assert build_params(WindowShapes(sys, cert, 9), law,
+                            L_phi=5.32).sampled == ()
+        unstable = FeedbackLaw(gain=-2.0 * law.gain, u_box=law.u_box)
+        scaled = IossCertificate(P=2.0 * cert.P, Q=cert.Q, R=cert.R,
+                                 eta=cert.eta)
+        for c, g, error in ((cert, unstable, StabilityAssumptionViolated),
+                            (scaled, law, LmiViolated),
+                            (scaled, unstable, StabilityAssumptionViolated)):
+            with pytest.raises(error) as err:
+                build_params(WindowShapes(sys, c, 9), g, L_phi=counter)
+            if g is unstable:
+                assert "= 1.8567" in str(err.value)
+        assert len(calls) == 1
 
     def test_worst_case_contraction_scans_all_shapes(self, case_study):
         sys, cert, _ = case_study
@@ -403,8 +436,9 @@ def test_random_certified_params_have_finite_budget():
     rng = np.random.default_rng(2)
     sys, cert = random_certified_setup(rng)
     M = minimal_contracting_horizon(cert.eta)
-    p = build_params(WindowShapes(sys, cert, M), L_phi=3.0, L_pi=1.5,
-                     gamma13_slope=10.0)
+    law = FeedbackLaw(gain=np.zeros((sys.n_u, sys.n_x)), u_box=sys.u_box)
+    p = replace(build_params(WindowShapes(sys, cert, M), law, L_phi=3.0),
+                L_pi=1.5, gamma13_slope=10.0)
     k_star, verdict = min_iterations(p)
     assert verdict.passed
     assert k_star >= 1

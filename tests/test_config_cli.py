@@ -44,6 +44,8 @@ DELETED_KEYS = [
     ("analysis", "smoke_samples", 10),
     # K* exists whenever rho < 1, and the search brackets it by doubling
     ("analysis", "K_max", 5000),
+    # simulate's --oracle flag is the one switch for the oracle, on by default
+    ("scenario", "oracle", True),
 ]
 
 # every key the schema accepts, block by block
@@ -52,7 +54,7 @@ ACCEPTED_KEYS = {
     "certificate": {"P", "Q", "R", "eta"},
     "controller": {"gain"},
     "mhe": {"M", "K"},
-    "scenario": {"x0", "prior", "steps", "seed", "oracle"},
+    "scenario": {"x0", "prior", "steps", "seed"},
     "analysis": {"L_Phi", "probe_trials", "probe_seed"},
     "output": {"dir", "csv", "summary"},
 }
@@ -306,7 +308,7 @@ class TestCli:
         import submhe.analysis as analysis
         import submhe.cli as cli
         calls = count_calls(monkeypatch, analysis, "build_params")
-        gains = count_calls(monkeypatch, cli, "closed_loop_gain")
+        gains = count_calls(monkeypatch, analysis, "closed_loop_gain")
         code = run_cli([argv[0], "--config",
                         str(CONFIG_DIR / "case_study_certified.json"),
                         "--out", str(tmp_path), *argv[1:]])
@@ -354,7 +356,7 @@ class TestCli:
 
     @pytest.mark.parametrize("block, key, value", [
         ("certificate", "tol", 1.0), ("certificate", "search_budget", 500),
-        ("analysis", "K_max", 5000)])
+        ("analysis", "K_max", 5000), ("scenario", "oracle", True)])
     def test_deleted_keys_exit_two(self, block, key, value, base_dict,
                                    tmp_path, capsys):
         doc = json.loads(json.dumps(base_dict))
@@ -429,6 +431,24 @@ class TestCli:
         assert err["error"] == "LmiViolated"
         assert probes == []
 
+    def test_analyze_k_checks_the_lmi_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        # on a probed L_Phi, the LMI is evaluated once, in build_params
+        import submhe.analysis as analysis
+        import submhe.cli as cli
+        checks = [count_calls(monkeypatch, module, "verify_ioss_lmi")
+                  for module in (analysis, cli)]
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        doc["analysis"].update(L_Phi="probe", probe_trials=20)
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["analyze-k", "--config", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["meta"]["L_Phi_probed"] is True
+        assert [len(calls) for calls in checks] == [1, 0]
+
     @pytest.mark.parametrize("M, k_star", [(15, 664), (25, 6307)])
     def test_analyze_k_long_horizons(self, M, k_star, tmp_path, capsys):
         # K* exists at every horizon with rho < 1, however large it is
@@ -448,9 +468,10 @@ class TestCli:
         # rho >= 1 is refused before anything is probed or derived:
         # simulate on the shipped config and on a copy with a fixed K that
         # probes L_Phi, and analyze-k on that copy
+        import submhe.analysis as analysis
         import submhe.cli as cli
         probes = count_calls(monkeypatch, cli, "lipschitz_probe")
-        gains = count_calls(monkeypatch, cli, "closed_loop_gain")
+        gains = count_calls(monkeypatch, analysis, "closed_loop_gain")
         doc = json.loads(json.dumps(base_dict))
         doc["analysis"].update(L_Phi="probe", probe_trials=20)
         probed = tmp_path / "probe.json"
@@ -627,36 +648,44 @@ class TestCli:
         assert "PASS tail-optimum" in out
         assert "9/9 checks passed" in out
 
-    def test_oracle_off_in_config_skips_the_probe(self, tmp_path, base_dict,
-                                                  capsys, monkeypatch):
-        # a fixed-K run probes L_Phi only for the monitors, which run only
-        # with the oracle
+    def test_fixed_k_run_resolves_its_params_whatever_the_oracle(
+            self, tmp_path, capsys, monkeypatch):
+        # a fixed-K run builds its params as analyze-k does: with P x 2 its
+        # reason names the LMI after no probe call, with or without the
+        # oracle; with the shipped P it probes once and its ledger does not
+        # depend on the oracle (at a K past K*, where the ledger passes and
+        # only the sampled L_Phi keeps the run uncertified)
         import submhe.cli as cli
-        probes = []
-        real = cli.lipschitz_probe
-
-        def counting(*args, **kwargs):
-            probes.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "lipschitz_probe", counting)
-        doc = json.loads(json.dumps(base_dict))
-        doc["mhe"].update(M=9, K=25)
-        doc["scenario"]["oracle"] = False
+        probes = count_calls(monkeypatch, cli, "lipschitz_probe")
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
         doc["analysis"].update(L_Phi="probe", probe_trials=20)
-        path = tmp_path / "oracle_off.json"
+        path = tmp_path / "probe.json"
         path.write_text(json.dumps(doc))
-        summaries = {}
-        for name, flags in (("config", []), ("flag", ["--oracle", "off"]),
-                            ("on", ["--oracle", "on"])):
-            code = run_cli(["simulate", "--config", str(path), "--out",
-                            str(tmp_path / name), "--steps", "12", *flags])
+        doc["certificate"]["P"] = (
+            2.0 * np.array(doc["certificate"]["P"])).tolist()
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+
+        def summary(config, iters, oracle):
+            out = tmp_path / f"{config.stem}_{oracle}"
+            code = run_cli(["simulate", "--config", str(config), "--out",
+                            str(out), "--steps", "12", "--iters", iters,
+                            "--oracle", oracle])
+            capsys.readouterr()
             assert code == 0
-            summaries[name] = (tmp_path / name / "summary.json").read_text()
-            assert len(probes) == (1 if name == "on" else 0)
-        capsys.readouterr()
-        assert summaries["config"] == summaries["flag"]
-        assert json.loads(summaries["on"])["ledger"] is not None
+            return json.loads((out / "summary.json").read_text())
+
+        for oracle in ("off", "on"):
+            reason = summary(scaled, "25", oracle)["uncertified_reason"]
+            assert reason.startswith("no gain ledger: LmiViolated: ")
+        assert probes == []
+        off = summary(path, "400", "off")
+        assert len(probes) == 1
+        assert off["uncertified_reason"] == (
+            "ledger inputs sampled, not derived or asserted: L_Phi")
+        assert off["ledger"] is not None
+        assert off["ledger"] == summary(path, "400", "on")["ledger"]
 
     @pytest.mark.parametrize("key, value, field", [
         ("csv", None, "$.output.csv"),

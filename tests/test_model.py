@@ -9,11 +9,11 @@ from conftest import (CONFIG_DIR, make_system, random_certified_setup,
 from submhe.config import load_config
 from submhe.errors import (BoxExcludesOrigin, CertificateNotFound,
                            DimensionMismatch, LmiViolated)
+from submhe.linalg import clamp
 from submhe.model import (Box, IossCertificate, LtiSystem,
                           disturbance_input_matrix, find_certificate,
                           lmi_matrix, measurement_noise_matrix,
                           validate_system, verify_ioss_lmi, w_delta)
-from submhe.solver import _clamp
 
 
 def reference_lmi(A, C, P, Q, R, eta):
@@ -108,14 +108,14 @@ class TestBoxProject:
     VALUES = [-np.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 2.0, np.inf, np.nan]
     BOUNDS = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
 
-    # Box.project, and the solver's clamp as its loop calls it (into a
+    # Box.project, and linalg.clamp as the solver's loop calls it (into a
     # buffer) and as its closed-form tail does (in place)
     CLAMPS = {
         "Box.project": lambda box, v: box.project(v),
-        "solver._clamp": lambda box, v: _clamp(v, box.lower, box.upper,
-                                               out=np.empty_like(v)),
-        "solver._clamp_in_place": lambda box, v: _clamp(v, box.lower, box.upper,
-                                                        out=v),
+        "linalg.clamp": lambda box, v: clamp(v, box.lower, box.upper,
+                                             out=np.empty_like(v)),
+        "linalg.clamp_in_place": lambda box, v: clamp(v, box.lower, box.upper,
+                                                      out=v),
     }
 
     @pytest.mark.parametrize("clamp", CLAMPS.values(), ids=CLAMPS.keys())
