@@ -134,6 +134,7 @@ class GainLedger:
 
     def to_dict(self):
         c = self.constants
+        largest = self.products.index(max(self.products))  # the first of equal ones
         return {
             "K": self.K,
             "phi": c.phi,
@@ -149,6 +150,7 @@ class GainLedger:
                            "beta3_coeff": self.beta3_coeff,
                            "beta3_base": self.beta3_base},
             "small_gain": {"products": list(self.products),
+                           "dominant": f"P{1 + largest}",
                            "margin": self.margin,
                            "passed": self.passed},
             "params": {
@@ -242,9 +244,10 @@ def ledger_at(K, params):
     exactly when the spectral radius of the gain matrix is below 1
     (Dashkovskiy, Rueffer & Wirth, Math. Control Signals Syst. 19, 2007).
     For this graph det(lambda I - Gamma) = lambda^3 - (P1 + P2) lambda - P3,
-    so that is P1 + P2 + P3 < 1, and the margin is 1 - (P1 + P2 + P3). A sum
-    of exactly 1 fails. While phi_z(K) >= 1 the eps recursion does not
-    contract, and while rho >= 1 the M-step decay does not: either way some
+    so that is P1 + P2 + P3 < 1, and the margin is 1 - (P1 + P2 + P3); the
+    ledger names the largest product as its dominant one. A sum of exactly
+    1 fails. While phi_z(K) >= 1 the eps recursion does not contract, and
+    while rho >= 1 the M-step decay does not: either way some
     gains are infinite, the margin is -inf and the ledger fails.
     """
     c = budget_constants(K, params)

@@ -11,10 +11,14 @@ window candidate.
 
 The run has one record, a TrajectoryLog of per-run arrays in which row t is
 step t, and each value is written once, into its row. A step computes only
-what the next input needs and what cannot be recovered later; the columns
-no step reads (e_norm, w_delta, sigma) are filled after the last step from
-the recorded x and xhat rows, with the bytes a step would have given them.
-The windows are views of the record's input and output rows. The prior for
+what the next input needs and what cannot be recovered later: of its
+window states it forms only the current estimate xhat_t, from the row
+[v_K; u_window] that it keeps in a run-local array. The columns no step
+reads (e_norm, w_delta, sigma) are filled after the last step from the
+recorded x and xhat rows, and the feasibility flags from the kept rows, in
+stacked products per window length (_FeasibilityBounds), each with the
+bytes a step would have given it. The windows are views of the record's
+input and output rows. The prior for
 a full window is the recorded current-time estimate from M steps ago;
 during the growing phase it stays at the configured initial prior (this is
 what makes the per-step inequalities theorems).
@@ -48,8 +52,8 @@ from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, SubmheError, UnboundedSampleBox)
 from .linalg import vector_norm
-from .mhe import (CondensedPoint, build_problem, extract_estimate,
-                  residual_sigma_parts, sigma_lift, sigma_truncate)
+from .mhe import (CondensedPoint, build_problem, residual_sigma_parts,
+                  sigma_lift, sigma_truncate)
 from .model import validate_system, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
@@ -63,6 +67,7 @@ MONITOR_REL_TOL = 1e-7  # relative slack of every monitor inequality
 # and estimated outputs and states
 WHAT_ATOL = 1e-12
 OUTPUT_ATOL = 1e-9
+FLAG_CHUNK = 64  # steps per block of the post-loop flag pass; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,9 @@ class TrajectoryLog:
     """The record of one run: one array per quantity, row t is step t.
 
     Each value is written once, into its row: the loop writes a step's
-    columns as it runs it, and the record-only e_norm, w_delta and sigma
-    columns, which no step reads, are filled from the x and xhat rows after
-    the last step. The windows, the priors, the monitor pass, the CSV and
+    columns as it runs it, and the record-only e_norm, w_delta, sigma and
+    feasible columns, which no step reads, are filled after the last step.
+    The windows, the priors, the monitor pass, the CSV and
     the summary all read these columns. The three oracle columns are None
     when the oracle is off.
     """
@@ -356,43 +361,77 @@ def _why_uncertified(K, params, ledger):
 
 
 class _FeasibilityBounds:
-    """The feasibility flags of one run's steps.
+    """The feasibility flags of a run's steps, checked after the last step.
 
     Each flag is Box.contains of the system's boxes with its tolerance. A
-    step's entries are z's window slots (per slot what = [w1, w2], then
-    yhat) followed by its m_eff + 1 stacked window states, and per window
-    length m_eff the widened bounds are tiled once into one row over those
-    entries, with a 0/1 matrix naming the flag each entry belongs to. A
-    step's flags are then one compare of its entries against the rows and
-    one count per flag of the entries that fail it.
+    step's entries are its z's window slots (per slot what = [w1, w2], then
+    yhat) followed by its m + 1 stacked window states. Both are affine in
+    the step's v_K and input window: z = Psi v_K + input_map u_window, and
+    the states are state_map [v_K; u_window]. Per window length m the
+    widened bounds are tiled once into one row over those entries, with a
+    0/1 matrix naming the flag each entry belongs to. The flags of a block
+    of steps of one window length are then three stacked matrix-vector
+    products, one compare of their entries against the rows and one count
+    per flag of the entries that fail it. Each row of a stacked product is
+    the matrix-vector product a step would have formed (numpy's matmul over
+    a stack of vectors), so each entry has the bytes of the step's own z
+    and extract_estimate.
     """
 
     def __init__(self, sys, M):
         slot_boxes = ((sys.w1_box, WHAT_ATOL, 0), (sys.w2_box, WHAT_ATOL, 0),
                       (sys.y_box, OUTPUT_ATOL, 2))
-        slot_lower = np.concatenate([b.lower - tol for b, tol, _ in slot_boxes])
-        slot_upper = np.concatenate([b.upper + tol for b, tol, _ in slot_boxes])
-        slot_flag = np.concatenate([np.full(b.dim, f) for b, _, f in slot_boxes])
-        state_lower = sys.x_box.lower - OUTPUT_ATOL
-        state_upper = sys.x_box.upper + OUTPUT_ATOL
-        state_flag = np.full(sys.n_x, 1)
+        slot = (np.concatenate([b.lower - tol for b, tol, _ in slot_boxes]),
+                np.concatenate([b.upper + tol for b, tol, _ in slot_boxes]),
+                np.concatenate([np.full(b.dim, f) for b, _, f in slot_boxes]))
+        state = (sys.x_box.lower - OUTPUT_ATOL, sys.x_box.upper + OUTPUT_ATOL,
+                 np.full(sys.n_x, 1))
+        # tiled once for a full window; length m takes m slots and m + 1 states
+        slot = [np.tile(a, M) for a in slot]
+        state = [np.tile(a, M + 1) for a in state]
+        n_slot, n_x = sys.n_w + sys.n_y, sys.n_x
         self.rows = []
         for m in range(M + 1):
-            flag = np.concatenate([np.tile(slot_flag, m), np.tile(state_flag, m + 1)])
-            self.rows.append((
-                np.concatenate([np.tile(slot_lower, m), np.tile(state_lower, m + 1)]),
-                np.concatenate([np.tile(slot_upper, m), np.tile(state_upper, m + 1)]),
-                (flag[:, None] == np.arange(3)).astype(float)))
-        self.n_x = sys.n_x
+            lower, upper, flag = (np.concatenate((s[:m * n_slot], x[:(m + 1) * n_x]))
+                                  for s, x in zip(slot, state))
+            self.rows.append((lower, upper, (flag[:, None] == np.arange(3)).astype(float)))
+        self.n_x = n_x
 
-    def check(self, m_eff, z, states):
-        """(what, xhat, yhat) feasible, as a bool array, for the step's z_k,
-        of window length m_eff, and its window states; False wherever an
-        entry is NaN."""
-        lower, upper, member = self.rows[m_eff]
-        entries = np.concatenate((z[self.n_x:], states.ravel()))
+    def entries(self, shape, points):
+        """Row i: z's window slots, then the window states, of the step whose
+        [v_K; u_window.ravel()] is points[i], for steps of the shape's
+        window length."""
+        x = points[:, :, None]
+        v, u = x[:, :shape.dim_v], x[:, shape.dim_v:]
+        slots = (np.matmul(shape.lift_matrix[self.n_x:], v)
+                 + np.matmul(shape.input_map[self.n_x:], u))
+        states = np.matmul(shape.state_map, x)
+        return np.concatenate((slots, states), axis=1)[:, :, 0]
+
+    def flags(self, shape, points):
+        """(what, xhat, yhat) feasible, an (N, 3) bool array, for those steps;
+        False wherever an entry is NaN."""
+        lower, upper, member = self.rows[shape.m_eff]
+        entries = self.entries(shape, points)
         outside = ~((entries >= lower) & (entries <= upper))
         return outside @ member == 0.0
+
+
+def _feasibility_flags(shapes, points):
+    """The (T, 3) feasibility flags of a run whose step t kept its
+    [v_K; u_window.ravel()] at the start of points[t]: per window length, in
+    blocks of at most FLAG_CHUNK steps (_FeasibilityBounds)."""
+    T, M = len(points), shapes.M
+    bounds = _FeasibilityBounds(shapes.sys, M)
+    out = np.empty((T, 3), dtype=bool)
+    for m in range(min(M, T - 1) + 1):
+        shape = shapes[m]
+        width = shape.state_map.shape[1]
+        last = T if m == M else m + 1  # steps m .. last - 1 have window length m
+        for a in range(m, last, FLAG_CHUNK):
+            b = min(a + FLAG_CHUNK, last)
+            out[a:b] = bounds.flags(shape, points[a:b, :width])
+    return out
 
 
 def run_closed_loop(cfg, observe=None):
@@ -440,7 +479,8 @@ def run_closed_loop(cfg, observe=None):
                            ledger=ledger if certified else None)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
-    flags = _FeasibilityBounds(sys, M)
+    # row t: step t's [v_K; u_window.ravel()], the input of its estimate and flags
+    points = np.empty((T, sys.n_x + min(M, T - 1) * (sys.n_w + sys.n_u)))
 
     log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
                               seed=cfg.seed, M=M, K=K, certified=certified,
@@ -464,9 +504,10 @@ def run_closed_loop(cfg, observe=None):
         report = solve_fixed_iters(problem, start, K)
         if observe is not None:
             observe(problem, report)
-        z_k = report.point.z
-        states = extract_estimate(problem, report.point)
-        xhat = log.xhat[t] = states[-1]
+        shape = problem.shape
+        point = np.concatenate((report.point.v, problem.u_window.ravel()),
+                               out=points[t, :shape.state_map.shape[1]])
+        xhat = log.xhat[t] = shape.estimate_map @ point
 
         if cfg.oracle:
             if report.optimum is None:
@@ -478,13 +519,12 @@ def run_closed_loop(cfg, observe=None):
             else:
                 z_star = CondensedPoint(z=problem.lift(report.optimum),
                                         v=report.optimum)
-            log.eps[t] = vector_norm(z_k - z_star.z)
+            log.eps[t] = vector_norm(report.point.z - z_star.z)
             log.eps_v[t] = vector_norm(report.point.v - z_star.v)
             log.warm_v[t] = vector_norm(start.v - z_star.v)
 
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
-        log.feasible[t] = flags.check(m_eff, z_k, states)
 
         if t + 1 < T:
             log.x[t + 1] = sys.step(x, u, w1s[t])
@@ -504,6 +544,7 @@ def run_closed_loop(cfg, observe=None):
     log.sigma_raw[:] = log.sigma_clamped[:] = 0.0  # as residual_sigma_parts after M
     for t in range(min(T - 1, M) + 1):
         log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
+    log.feasible[:] = _feasibility_flags(shapes, points)
 
     if cfg.oracle:
         w = np.hstack([w1s, w2s])

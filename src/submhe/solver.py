@@ -21,13 +21,14 @@ There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
 matrix-vector product of the augmented operator [T | d] with [v; 1] and two
 in-place clamps. T, S, the step and q come from the problem's window shape,
-which computes them once per window length; only d changes per step, and
-[T | d] is built only when the loop runs an iteration.
+which computes them once per window length; only c changes per step, and d
+and [T | d] are built only when the loop runs an iteration.
 
 Most solves stop clamping early, and from then on the loop is that affine
 recursion, which has a closed form (mhe.StepSpectrum). At the iterates
 k = 0, 1, 3, 7, ... the loop tests whether every later unclamped iterate
-v_{k+i} (i >= 1; v_u the unconstrained fixed point, beta = U^T (v_k - v_u))
+v_{k+i} (i >= 1; v_u = -U diag(1/lambda) U^T c the unconstrained fixed
+point, formed from c and the spectrum alone, beta = U^T (v_k - v_u))
 lies strictly inside every finite side of the box, with a relative margin
 of TAIL_MARGIN. It first tries the envelope from the first iterate on,
 |v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise. Where that fails,
@@ -83,23 +84,23 @@ class OracleReport:
     iters: int             # kernel iterations run from the start
 
 
-def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
+def _iterate(transition, step, c, lo, hi, v0, iters, spectrum):
     """The one projected-gradient loop: v <- clamp(T v + d, lo, hi), for
-    T = transition and d = shift.
+    T = transition = I - step S and d = -step c.
 
     Returns (v_K, looped, tail). At k = 0, 1, 3, 7, ... the loop tries the
     closed-form tail of `spectrum` (a StepSpectrum of T, or None for no
     tail); looped is the number of iterations run before it took it, and
     `iters` when it did not. tail is the _Tail the loop settled on, and None
-    when it did not settle. The probe at k = 0 needs only d and v0, so a
-    solve that settles there builds no operator and allocates no iterate.
-    Every array of the loop is reused.
+    when it did not settle. The probe at k = 0 needs only c and v0, so a
+    solve that settles there builds neither d nor the operator and
+    allocates no iterate. Every array of the loop is reused.
     """
     n = transition.shape[0]
     iters = int(iters)
     tail = None
     if spectrum is not None and iters > 0:
-        tail = _Tail(spectrum, shift, lo, hi)
+        tail = _Tail(spectrum, c, lo, hi)
         if tail.settled(v0):
             return tail.finish(iters), 0, tail
     w = np.empty(n + 1)
@@ -108,7 +109,7 @@ def _iterate(transition, shift, lo, hi, v0, iters, spectrum):
     v[:] = v0
     op = np.empty((n, n + 1))  # [T | d] maps [v; 1] to T v + d
     op[:, :n] = transition
-    op[:, n] = shift
+    np.multiply(-step, c, out=op[:, n])  # d = -step c
     buf = np.empty(n)
     probe = 1 if tail is not None else -1
     for k in range(iters):
@@ -126,20 +127,30 @@ class _Tail:
     (mhe.StepSpectrum), and the test that the loop has reached it. Once
     settled holds, the fixed point v_u is the window optimum v*.
 
-    settled keeps U^T v for finish, which jumps from that same v; the
-    per-budget pair (tau^j, 1 - tau^j) comes from the spectrum's own cache
+    U^T v_u = -diag(1/lambda) U^T c is read off the linear term c through
+    the spectrum's minus_lam, so the tail needs no shift d. settled keeps
+    U^T v for finish, which jumps from that same v; the per-budget pair
+    (tau^j, 1 - tau^j) comes from the spectrum's own cache
     (StepSpectrum.powers). Both are the products and expressions a fresh
     computation would evaluate on the same operands, so the jump is the
     same bytes.
     """
 
-    def __init__(self, spectrum, shift, lo, hi):
+    def __init__(self, spectrum, c, lo, hi):
         self.spectrum, self.lo, self.hi = spectrum, lo, hi
-        self.fixed = (spectrum.basis.T @ shift) / spectrum.rate  # U^T v_u
-        v_u = self.v_u = spectrum.basis @ self.fixed
-        # room left to each side; NaN, and so no jump, if anything is not finite
-        margin = TAIL_MARGIN * (1.0 + np.abs(v_u))
-        self.room = np.minimum(v_u - lo, hi - v_u) * (1.0 - TAIL_MARGIN) - margin
+        fixed = self.fixed = spectrum.basis.T @ c
+        fixed /= spectrum.minus_lam  # U^T v_u
+        v_u = self.v_u = spectrum.basis @ fixed
+        # room left to each side, min(v_u - lo, hi - v_u) (1 - TAIL_MARGIN)
+        # - TAIL_MARGIN (1 + |v_u|), formed in place; NaN, and so no jump,
+        # if anything is not finite
+        room = self.room = np.subtract(v_u, lo)
+        np.minimum(room, np.subtract(hi, v_u), out=room)
+        room *= 1.0 - TAIL_MARGIN
+        margin = np.abs(v_u)
+        margin += 1.0
+        margin *= TAIL_MARGIN
+        room -= margin
 
     def settled(self, v):
         """True when no clamp can fire in any iteration after v: the envelope
@@ -185,7 +196,7 @@ def solve_fixed_iters(problem, start, K):
     if K == 0:
         v, looped, tail = clamp(v0, lo, hi), 0, None
     else:
-        v, looped, tail = _iterate(shape.transition, -shape.step * problem.linear_term,
+        v, looped, tail = _iterate(shape.transition, shape.step, problem.linear_term,
                                    lo, hi, v0, K, shape.spectrum)
     if not np.isfinite(v).all():
         raise NonfiniteIterate("projected-gradient iterate overflowed; "
@@ -342,7 +353,7 @@ def solve_oracle(problem, start=None):
             ratio = floor / (gain * (1.0 + shape.contraction_base) * bound)
             stall_at = ORACLE_CHUNK + oracle_iterations(shape, ratio)
             d, scaled = shape.jacobi
-            shift = -scaled.step * (d * c)
+            c_scaled = d * c
             v_scaled = v / d
             if not np.isfinite(v_scaled).all():
                 raise NonfiniteIterate("oracle: non-finite scaled start")
@@ -351,8 +362,8 @@ def solve_oracle(problem, start=None):
                 f"oracle: error bound {bound:.3e} still above tolerance after "
                 f"{iters} iterations; the contraction puts it below by "
                 f"{stall_at - ORACLE_CHUNK}")
-        v_scaled = _iterate(scaled.transition, shift, scaled.lower, scaled.upper,
-                            v_scaled, chunk, None)[0]
+        v_scaled = _iterate(scaled.transition, scaled.step, c_scaled, scaled.lower,
+                            scaled.upper, v_scaled, chunk, None)[0]
         iters += chunk
         if not np.isfinite(v_scaled).all():
             raise NonfiniteIterate("oracle: projected-gradient iterate overflowed")

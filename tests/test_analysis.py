@@ -291,6 +291,17 @@ class TestLedger:
         assert c.C_e == c.C_w == c.C_eps == math.inf
         assert not led.passed
 
+    @pytest.mark.parametrize("source", ["case_study_doc", "certified_doc"])
+    def test_names_its_dominant_product(self, request, source):
+        # at the run's K (K* for K: "auto"), the ledger names the largest of
+        # P1..P3; on case_study.json rho >= 1 makes P2 and P3 infinite, and
+        # the first of them is named
+        doc = request.getfixturevalue(source)
+        p = doc_params(doc, doc.window_shapes(doc.certificate))
+        K = min_iterations(p)[0] if doc.mhe["K"] == "auto" else doc.mhe["K"]
+        small_gain = ledger_at(K, p).to_dict()["small_gain"]
+        assert small_gain["dominant"] == f"P{1 + np.argmax(small_gain['products'])}"
+
     def test_deterministic(self):
         p = params(eta=0.5)
         a = ledger_at(37, p).to_dict()

@@ -256,6 +256,7 @@ class TestCli:
         small_gain = out["ledger"]["small_gain"]
         assert small_gain["margin"] == 1.0 - sum(small_gain["products"])
         assert small_gain["margin"] == pytest.approx(0.0427, abs=5e-5)
+        assert small_gain["dominant"] == f"P{1 + np.argmax(small_gain['products'])}"
 
     def test_analyze_k_estimated_scalars(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))

@@ -7,6 +7,7 @@ from conftest import (CONFIG_DIR, child_env, count_calls, doc_params,
                       make_system, simple_certificate)
 
 import submhe.harness as harness
+import submhe.mhe as mhe
 from submhe.analysis import compute_rho
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
@@ -16,7 +17,8 @@ from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
                             monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
 from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes,
-                        build_problem, residual_sigma_parts, sigma_lift)
+                        build_problem, extract_estimate, residual_sigma_parts,
+                        sigma_lift)
 from submhe.model import Box, LtiSystem, w_delta
 from submhe.solver import optimum_tolerance, solve_fixed_iters
 
@@ -308,10 +310,13 @@ class TestClosedLoop:
         doc = certified_doc
         M, T = doc.mhe["M"], 400
         per_step = {name: record_calls(monkeypatch, name)
-                    for name in ("build_problem", "solve_fixed_iters",
-                                 "extract_estimate", "evaluate")}
+                    for name in ("build_problem", "solve_fixed_iters", "evaluate")}
         sigma = count_calls(monkeypatch, harness, "residual_sigma_parts")
         lyapunov = count_calls(monkeypatch, harness, "w_delta")
+        # a step forms only its estimate, and the flags are checked after
+        # the loop, so no step forms its window states
+        assert not hasattr(harness, "extract_estimate")
+        estimated = count_calls(monkeypatch, mhe, "extract_estimate")
         log = run_closed_loop(scenario(doc, doc.certificate, K=228, steps=T,
                                        oracle=oracle))
         assert log.certified and log.steps == T
@@ -320,6 +325,7 @@ class TestClosedLoop:
         assert [p.t for _, p in per_step["build_problem"]] == list(range(T))
         assert len(sigma) <= M + 1
         assert len(lyapunov) <= 1
+        assert not estimated
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])
@@ -328,14 +334,17 @@ class TestClosedLoop:
     def test_record_only_columns_are_the_per_step_values(self, request, source,
                                                          K, oracle):
         # e_norm, w_delta and sigma are filled after the loop from the
-        # recorded x and xhat rows; each row must have the bytes of the value
-        # computed from that step's own rows. One run is shorter than the
-        # growing phase, one ends in it, one runs past it.
+        # recorded x and xhat rows, and the flags from the kept v_K and input
+        # windows; each row must have the bytes of the value computed from
+        # that step's own rows, or from what it observed. One run is shorter
+        # than the growing phase, one ends in it, one runs past it.
         doc = request.getfixturevalue(source)
         cert, M = doc.certificate, doc.mhe["M"]
         for steps in (1, M, 3 * M):
             cfg = scenario(doc, cert, K=K, steps=steps, oracle=oracle)
-            log = run_closed_loop(cfg)
+            observed = []
+            log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
+                (prob, rep)))
             rows = list(zip(log.xhat, log.x))
             sigma = [residual_sigma_parts(t, cfg.shapes, cert.eta)
                      for t in range(steps)]
@@ -344,35 +353,47 @@ class TestClosedLoop:
                 "w_delta": [w_delta(cert, xhat, x) for xhat, x in rows],
                 "sigma_raw": [raw for raw, _ in sigma],
                 "sigma_clamped": [clamped for _, clamped in sigma],
+                "feasible": [box_contains_flags(doc.system, prob, rep.point.z,
+                                                extract_estimate(prob, rep.point))
+                             for prob, rep in observed],
             }
             for name, ref in expect.items():
                 got = getattr(log, name)
                 assert got.tobytes() == np.array(ref).tobytes(), (name, steps)
 
-    def test_flags_match_box_contains(self, monkeypatch):
-        # the true state starts outside the tight x and y boxes, so the
-        # estimated states and outputs leave them early on. The solver clamps
-        # the disturbance estimates into their box, so the test perturbs its
-        # point: at step 5 a disturbance estimate leaves its box, at step 12
-        # the oldest window state alone leaves the x box, and the last step
-        # gets a NaN disturbance estimate
+    @pytest.mark.parametrize("chunk", [harness.FLAG_CHUNK, 5])
+    def test_flags_match_box_contains(self, monkeypatch, chunk):
+        # The flags are checked after the last step, per window length in
+        # blocks of FLAG_CHUNK steps; each step's expected flags come from
+        # what the step observed, its problem and solve report. The true
+        # state starts outside the tight x and y boxes, so the estimated
+        # states and outputs leave them early on. The solver clamps the
+        # disturbance estimates into their box, so the test perturbs its
+        # point: at the first full-window step (t = M), at step 5 and at the
+        # step before the last a disturbance estimate leaves its box, at step
+        # 12 the oldest window state alone leaves the x box, and the last
+        # step gets a NaN disturbance estimate. A block of 5 steps splits the
+        # full-window steps 4..19 at 9, 14 and 19, so a row or input window
+        # off by one at a block's or the run's ends changes a flag
+        monkeypatch.setattr(harness, "FLAG_CHUNK", chunk)
         box = lambda b, n: Box(np.full(n, -b), np.full(n, b))
         sys = LtiSystem(A=[[0.9, 0.3], [0.0, 0.7]], B=[[0.0], [1.0]],
                         C=[[1.0, 0.0]], x_box=box(1.0, 2), u_box=box(1.0, 1),
                         y_box=box(0.8, 1), w1_box=box(0.05, 2),
                         w2_box=box(0.05, 1))
         cert = simple_certificate(2, 1, eta=0.5)
-        steps, n_x = 20, sys.n_x
-        cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, 4),
+        M, steps, n_x = 4, 20, sys.n_x
+        cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, M),
                              law=FeedbackLaw(np.array([[0.2, 0.3]]), box(1.0, 1)),
                              K=50, steps=steps, x0=np.array([3.0, -2.0]),
                              x_prior0=np.zeros(2), oracle=False)
         solve = harness.solve_fixed_iters
+        what_out = (M, 5, steps - 2)
 
         def perturbed(problem, z0, K):
             report = solve(problem, z0, K)
             v = report.point.v.copy()
-            if problem.t == 5:
+            if problem.t in what_out:
                 v[n_x] += 1.0
             elif problem.t == 12:  # shift xhat_0; w1_0 cancels it in xhat_1
                 v[:n_x] += [2.2, 0.0]
@@ -384,24 +405,42 @@ class TestClosedLoop:
             return replace(report, point=CondensedPoint(z=problem.lift(v), v=v))
 
         monkeypatch.setattr(harness, "solve_fixed_iters", perturbed)
-        built = record_calls(monkeypatch, "build_problem")
-        estimated = record_calls(monkeypatch, "extract_estimate")
-        z_ks = []
-        log = run_closed_loop(cfg,
-                              observe=lambda prob, rep: z_ks.append(rep.point.z))
+        observed = []
+        log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
+            (prob, rep, extract_estimate(prob, rep.point))))
         flags = [tuple(f) for f in log.feasible.tolist()]
-        for got, z_k, (_, problem), (_, states) in zip(flags, z_ks, built,
-                                                       estimated):
-            assert got == box_contains_flags(sys, problem, z_k, states)
+        assert flags == [box_contains_flags(sys, problem, report.point.z, states)
+                         for problem, report, states in observed]
         for i in range(3):
             assert any(f[i] for f in flags) and not all(f[i] for f in flags)
         # the tight boxes alone, before any perturbation
         assert not all(f[1] for f in flags[:5])
         assert not all(f[2] for f in flags[:5])
-        assert not flags[5][0]
-        states_12 = estimated[12][1]
+        # step 12's w1_0, which cancels the shift, leaves its box as well
+        assert [t for t, f in enumerate(flags) if not f[0]] == [M, 5, 12, steps - 2,
+                                                                steps - 1]
+        states_12 = observed[12][2]
         assert not flags[12][1] and sys.x_box.contains(states_12[1:])
         assert flags[-1] == (False, False, False)
+
+    @pytest.mark.parametrize("source", ["case_study_doc", "certified_doc"])
+    def test_flag_entries_are_each_steps_bytes(self, request, source):
+        # the post-loop pass forms each step's z slots and window states in
+        # stacked products; each row must be the step's own z and
+        # extract_estimate, byte for byte, at every window length
+        doc = request.getfixturevalue(source)
+        observed = []
+        cfg = scenario(doc, doc.certificate, steps=3 * doc.mhe["M"], oracle=False)
+        run_closed_loop(cfg, observe=lambda prob, rep: observed.append((prob, rep)))
+        bounds = harness._FeasibilityBounds(cfg.sys, cfg.M)
+        for m in range(cfg.M + 1):
+            steps = [(p, r) for p, r in observed if p.m_eff == m]
+            got = bounds.entries(cfg.shapes[m], np.array(
+                [np.concatenate((r.point.v, p.u_window.ravel())) for p, r in steps]))
+            want = [np.concatenate((r.point.z[cfg.sys.n_x:],
+                                    extract_estimate(p, r.point).ravel()))
+                    for p, r in steps]
+            assert got.tobytes() == np.array(want).tobytes(), m
 
     def test_disturbance_estimates_stay_feasible(self, case_study_doc):
         doc = case_study_doc

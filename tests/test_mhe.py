@@ -369,6 +369,25 @@ class TestExtractEstimate:
         with pytest.raises(DimensionMismatch):
             extract_estimate(prob, np.zeros(prob.dim_z + 1))
 
+    @pytest.mark.parametrize("source", ["case_study_doc", "certified_doc"])
+    def test_estimate_map_gives_the_last_window_state(self, request, source):
+        # the loop forms only the current estimate, through the last n_x
+        # rows of the state map; they give the bytes of the last of all
+        # m_eff + 1 window states, at every window length
+        doc = request.getfixturevalue(source)
+        M = doc.mhe["M"]
+        rng = np.random.default_rng(31)
+        for m in range(M + 1):
+            for _ in range(100):
+                prob = random_problem(rng, doc.system, doc.certificate, M=M, t=m)
+                shape = prob.shape
+                assert np.shares_memory(shape.estimate_map, shape.state_map)
+                assert shape.estimate_map.flags.c_contiguous
+                v = rng.uniform(-5.0, 5.0, size=prob.dim_v)
+                point = CondensedPoint(z=prob.lift(v), v=v)
+                xhat = shape.estimate_map @ np.concatenate([v, prob.u_window.ravel()])
+                assert xhat.tobytes() == extract_estimate(prob, point)[-1].tobytes()
+
 
 class TestResidualSigma:
     def test_zero_after_growing_phase(self, case_study):

@@ -335,7 +335,7 @@ class TestSolveOracle:
         while iters <= count + solver.ORACLE_CHUNK:
             iters, chunk = iters + chunk, min(2 * chunk, solver.ORACLE_CHUNK)
         monkeypatch.setattr(solver, "_iterate",
-                            lambda t, d, lo, hi, v0, iters, spectrum:
+                            lambda t, step, c, lo, hi, v0, iters, spectrum:
                             (v0.copy(), iters, None))
         with pytest.raises(OracleStalled,
                            match=f"after {iters} iterations; .* below by {count}$"):
@@ -500,7 +500,7 @@ class TestSolveOracle:
             error = d * np.linalg.eigh(d[:, None] * s * d)[1][:, 0]
         for ratio in (0.2, 0.05, 1e-3, 1e-6):
             k = solver.oracle_iterations(prob.shape, ratio)
-            v_k = d * _iterate(scaled.transition, -scaled.step * d * c,
+            v_k = d * _iterate(scaled.transition, scaled.step, d * c,
                                scaled.lower, scaled.upper,
                                (v_star + error) / d, k, None)[0]
             assert np.linalg.norm(v_k - v_star) <= ratio * np.linalg.norm(error), (ratio, k)
@@ -517,7 +517,7 @@ class TestIterate:
         v0 = rng.standard_normal(3)
         v0_copy = v0.copy()
         for spectrum in (shape.spectrum, None):
-            _iterate(shape.transition, -shape.step * prob.linear_term,
+            _iterate(shape.transition, shape.step, prob.linear_term,
                      prob.lower, prob.upper, v0, 100, spectrum)
             assert np.array_equal(v0, v0_copy)
 
@@ -678,7 +678,7 @@ class TestJacobiShape:
                             alpha, K)
         scale = max(1.0, float(np.max(np.abs(ref))), alpha * float(np.max(np.abs(c))))
         for spectrum in (scaled.spectrum, None):
-            got, looped, _ = _iterate(scaled.transition, -alpha * c, scaled.lower,
+            got, looped, _ = _iterate(scaled.transition, alpha, c, scaled.lower,
                                       scaled.upper, v0, K, spectrum)
             assert np.max(np.abs(got - ref[-1])) <= KERNEL_RTOL * scale
             if spectrum is None:
@@ -767,7 +767,7 @@ class TestOracleProperty:
         iterate, polish = solver._iterate, solver._polish
 
         def counted(*args):
-            run[0] += args[5]
+            run[0] += args[6]
             return iterate(*args)
 
         def first_polish(s_, c_, v, active):
@@ -951,7 +951,7 @@ class TestClosedFormTail:
                     last_clamp = k
             scale = max(1.0, float(np.max(np.abs(iterates))),
                         alpha * float(np.max(np.abs(c))))
-            tail = solver._Tail(spectrum, -alpha * c, lo, hi)
+            tail = solver._Tail(spectrum, c, lo, hi)
             u, tau = spectrum.basis, spectrum.tau
             k = 0
             while k < K:
@@ -996,7 +996,7 @@ class TestClosedFormTail:
         s, g = np.diag(lam), np.array([1.0, -1.0])
         lo, hi = np.full(2, -1.0), np.full(2, 1.0)
         v0 = np.array([0.3, 0.2])
-        got, looped, tail = _iterate(np.eye(2) - 0.3 * s, -0.3 * g, lo, hi,
+        got, looped, tail = _iterate(np.eye(2) - 0.3 * s, 0.3, g, lo, hi,
                                      v0, 40, None)
         assert looped == 40 and tail is None
         ref = reference_pgd(s, g, lo, hi, v0, 0.3, 40)
