@@ -22,8 +22,8 @@ from .controller import (FeedbackLaw, assert_stabilizing, closed_loop_gain,
 from .harness import (LipschitzProbe, ScenarioConfig, TrajectoryLog,
                       lipschitz_probe, monitor_step, run_closed_loop,
                       sample_disturbance_arrays)
-from .mhe import (CondensedPoint, MheProblem, build_problem, compute_weight,
-                  extract_estimate, sigma_lift)
+from .mhe import (MheProblem, build_problem, compute_weight, extract_estimate,
+                  sigma_lift)
 from .model import (Box, IossCertificate, LtiSystem, find_certificate,
                     validate_system, verify_ioss_lmi, w_delta)
 from .solver import (KERNEL_BACKEND, OracleReport, SolveReport,
@@ -33,7 +33,7 @@ from .config import ConfigDocument, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisParams", "Box", "CondensedPoint", "ConfigDocument", "FeedbackLaw",
+    "AnalysisParams", "Box", "ConfigDocument", "FeedbackLaw",
     "GainLedger", "IossCertificate", "KERNEL_BACKEND", "LipschitzProbe",
     "LtiSystem", "MheProblem", "OracleReport", "ScenarioConfig", "SolveReport",
     "TrajectoryLog",

@@ -239,23 +239,22 @@ def cmd_verify(args):
 
     def oracle_agreement():
         prob = make_problem(M)
-        z_star = solve_oracle(prob).point
+        v_star = solve_oracle(prob).v
         q = prob.shape.contraction_base
         # The step contracts by q in v, so ||v_k - v*|| is at most
         # ||v_{k+1} - v_k|| / (1 - q): stop once that bound is 1e-9.
         chunk = 100
         v_pg = np.zeros(prob.dim_v)
         for _ in range(200000 // chunk):
-            last = solve_fixed_iters(prob, prob.lift(v_pg), chunk - 1).point
-            v_pg = solve_fixed_iters(prob, last.z, 1).point.v
-            if np.linalg.norm(v_pg - last.v) / (1.0 - q) <= 1e-9:
+            last = solve_fixed_iters(prob, v_pg, chunk - 1).v
+            v_pg = solve_fixed_iters(prob, last, 1).v
+            if np.linalg.norm(v_pg - last) / (1.0 - q) <= 1e-9:
                 break
-        if np.linalg.norm(v_pg - z_star.v) > 1e-7:
+        if np.linalg.norm(v_pg - v_star) > 1e-7:
             raise SubmheError(
                 f"oracle and long-run PGD disagree by "
-                f"{np.linalg.norm(v_pg - z_star.v):.2e}")
-        rep = solve_fixed_iters(prob, z_star.z, 3)
-        if np.linalg.norm(rep.point.z - z_star.z) > 1e-10:
+                f"{np.linalg.norm(v_pg - v_star):.2e}")
+        if np.linalg.norm(solve_fixed_iters(prob, v_star, 3).v - v_star) > 1e-10:
             raise SubmheError("optimum is not a solver fixed point")
 
     check("oracle-agreement", oracle_agreement)
@@ -265,19 +264,23 @@ def cmd_verify(args):
 
     check("controller-stability-smoke", smoke)
 
-    def short_config():
-        # the loop checks read no ledger, so the loop runs without params
-        return doc.scenario_config(doc.window_shapes(cert),
-                                   K=max(doc.mhe["K"], 5)
-                                   if doc.mhe["K"] != "auto" else 50,
-                                   steps=min(doc.scenario["steps"], 2 * M + 2))
+    # one short loop, read by both loop checks; it runs without params, as
+    # they read no ledger, and an error it raises fails both
+    solves = []  # (problem, report) per step
+    k_short = max(doc.mhe["K"], 5) if doc.mhe["K"] != "auto" else 50
+    try:
+        short = run_closed_loop(
+            doc.scenario_config(doc.window_shapes(cert), K=k_short,
+                                steps=min(doc.scenario["steps"], 2 * M + 2)),
+            observe=lambda prob, rep: solves.append((prob, rep)))
+    except Exception as exc:
+        short = exc
 
     def short_loop():
-        dims = []
-        log = run_closed_loop(short_config(),
-                              observe=lambda prob, rep: dims.append(prob.dim_z))
-        for t, (dim_z, (what_ok, _, _)) in enumerate(zip(dims, log.feasible)):
-            if dim_z != sys_.n_x + min(M, t) * (sys_.n_w + sys_.n_y):
+        if isinstance(short, Exception):
+            raise short
+        for t, ((prob, _), (what_ok, _, _)) in enumerate(zip(solves, short.feasible)):
+            if prob.dim_z != sys_.n_x + min(M, t) * (sys_.n_w + sys_.n_y):
                 raise SubmheError(f"decision dimension wrong at t={t}")
             if not what_ok:
                 raise SubmheError(f"disturbance estimate left its box at t={t}")
@@ -287,13 +290,12 @@ def cmd_verify(args):
     def tail_optimum():
         # a settled solve's v* (the tail's fixed point) against the oracle,
         # on the loop's own windows
-        solves = []
-        run_closed_loop(short_config(),
-                        observe=lambda prob, rep: solves.append((prob, rep)))
+        if isinstance(short, Exception):
+            raise short
         for prob, rep in solves:
             if rep.optimum is None:
                 continue
-            v_star = solve_oracle(prob).point.v
+            v_star = solve_oracle(prob).v
             gap = float(np.linalg.norm(rep.optimum - v_star))
             if gap > optimum_tolerance(prob.shape, v_star):
                 raise SubmheError(f"tail optimum and oracle disagree by "

@@ -1,10 +1,10 @@
 """Closed-loop execution of the sub-optimal estimator with runtime monitors.
 
 Per step: solve the window QP for exactly K projected-gradient iterations
-from the previous step's solved point (the initial prior at t = 0; during
-the growing phase its free coordinates gain one zeroed disturbance slot),
-feed the current estimate to the feedback law, and apply the input to the
-plant under disturbances drawn uniformly from the system's
+in its free coordinates v, from the previous step's v_K (the initial prior
+at t = 0; during the growing phase padded with one zeroed disturbance
+slot), feed the current estimate to the feedback law, and apply the input
+to the plant under disturbances drawn uniformly from the system's
 W = w1_box x w2_box. That is the set the certificate and the bounds assume:
 the true disturbances lie in it, so the true trajectory is a feasible
 window candidate.
@@ -33,10 +33,12 @@ iterate and accepting on a certified error bound. The summary reports the
 largest accepted bound and the kernel iterations the oracle ran beyond K.
 After the last step, monitor_step checks the per-step inequalities of the
 analysis on the recorded columns in one pass: (a) the error recursion,
-(b) the M-step Lyapunov decay, (c) the two trajectory bounds (certified
-runs only), (d) the solver contraction budget, both in the free coordinates
-v (phi(K)) and in the decision vector z (phi_z(K), which carries the lift
-gain). The sub-optimality error eps itself is measured in z. Monitor
+(b) the M-step Lyapunov decay (only under a certificate whose LMI passes,
+the premise of that theorem; SKIP otherwise), (c) the two trajectory
+bounds (certified runs only), (d) the solver contraction budget, both in
+the free coordinates v (phi(K)) and in the decision vector z (phi_z(K),
+which carries the lift gain). The sub-optimality error eps itself is
+measured in z, the one place a step lifts v_K and v* to z. Monitor
 failures are recorded in the record's verdicts, never raised: the run
 always records every step, and treating a failure as an error is the
 caller's decision (TrajectoryLog.raise_first_failure).
@@ -52,9 +54,9 @@ from .controller import evaluate
 from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, SubmheError, UnboundedSampleBox)
 from .linalg import vector_norm
-from .mhe import (CondensedPoint, build_problem, residual_sigma_parts,
-                  sigma_lift, sigma_truncate)
-from .model import validate_system, w_delta
+from .mhe import (build_problem, residual_sigma_parts, sigma_lift,
+                  sigma_truncate)
+from .model import validate_system, verify_ioss_lmi, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
 PRNG_NAME = "pcg64"
@@ -239,19 +241,15 @@ class TrajectoryLog:
 def sample_disturbance_arrays(seed, w1_box, w2_box, T):
     """Seeded uniform disturbance stream as arrays (T, n_x) and (T, n_y).
 
-    Identical seeds give identical sequences; degenerate [0, 0] intervals
-    give exact zeros.
+    Identical seeds give identical sequences. Box.sample draws them, with
+    the bytes of rng.uniform(lower, upper); a degenerate side [a, a] gives
+    exactly a.
     """
     for name, box in (("w1_box", w1_box), ("w2_box", w2_box)):
         if not box.is_bounded:
             raise UnboundedSampleBox(f"{name} has an unbounded side")
     rng = np.random.default_rng(seed)
-    w1s = rng.uniform(w1_box.lower, w1_box.upper, size=(T, w1_box.dim))
-    w2s = rng.uniform(w2_box.lower, w2_box.upper, size=(T, w2_box.dim))
-    # uniform(a, a) may return a + 0 ulp noise on some platforms; pin exact zeros
-    w1s[:, w1_box.lower == w1_box.upper] = w1_box.lower[w1_box.lower == w1_box.upper]
-    w2s[:, w2_box.lower == w2_box.upper] = w2_box.lower[w2_box.lower == w2_box.upper]
-    return w1s, w2s
+    return w1_box.sample(rng, T), w2_box.sample(rng, T)
 
 
 @dataclass(frozen=True)
@@ -487,9 +485,9 @@ def run_closed_loop(cfg, observe=None):
                               uncertified_reason=uncertified_reason,
                               ledger=reported)
     log.x[0] = cfg.x0
-    # the warm start: the prior at t = 0, then the previous solved point,
-    # its v padded with one zeroed disturbance slot while the window grows
-    start = CondensedPoint(z=cfg.x_prior0, v=cfg.x_prior0)
+    # the warm start: the prior at t = 0, then the previous v_K, padded with
+    # one zeroed disturbance slot while the window grows
+    start = cfg.x_prior0
     pad = np.zeros(sys.n_w)
 
     for t in range(T):
@@ -505,35 +503,28 @@ def run_closed_loop(cfg, observe=None):
         if observe is not None:
             observe(problem, report)
         shape = problem.shape
-        point = np.concatenate((report.point.v, problem.u_window.ravel()),
+        point = np.concatenate((report.v, problem.u_window.ravel()),
                                out=points[t, :shape.state_map.shape[1]])
         xhat = log.xhat[t] = shape.estimate_map @ point
 
         if cfg.oracle:
-            if report.optimum is None:
-                oracle = solve_oracle(problem, start=report.point.v)
-                z_star = oracle.point
+            v_star = report.optimum
+            if v_star is None:
+                oracle = solve_oracle(problem, start=report.v)
+                v_star = oracle.v
                 log.oracle_solves += 1
                 log.oracle_extra_iters += oracle.iters
                 log.oracle_bound_max = max(log.oracle_bound_max or 0.0, oracle.bound)
-            else:
-                z_star = CondensedPoint(z=problem.lift(report.optimum),
-                                        v=report.optimum)
-            log.eps[t] = vector_norm(report.point.z - z_star.z)
-            log.eps_v[t] = vector_norm(report.point.v - z_star.v)
-            log.warm_v[t] = vector_norm(start.v - z_star.v)
+            log.eps[t] = vector_norm(report.z - problem.lift(v_star))
+            log.eps_v[t] = vector_norm(report.v - v_star)
+            log.warm_v[t] = vector_norm(start - v_star)
 
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
 
         if t + 1 < T:
             log.x[t + 1] = sys.step(x, u, w1s[t])
-        start = report.point
-        if t < M:
-            # the solver reads only v; z is lifted so that the point's z
-            # and v still agree, and that invariant is its only use
-            start = CondensedPoint(z=sigma_lift(start.z, t + 1, shapes),
-                                   v=np.concatenate([start.v, pad]))
+        start = report.v if t >= M else np.concatenate([report.v, pad])
 
     # the record-only columns, which no step reads. Each row of a stacked
     # 1 x n product has the bytes of np.linalg.norm and of the 1-D w_delta
@@ -553,6 +544,10 @@ def run_closed_loop(cfg, observe=None):
             w_norm=np.linalg.norm(w, axis=1),
             w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
             eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, w_delta=log.w_delta)
+        # the M-step decay is a theorem only under a passing LMI, which
+        # AnalysisParams already required (analysis.build_params)
+        if not (has_params or verify_ioss_lmi(sys, cfg.cert).passed):
+            log.verdicts[:, MONITOR_NAMES.index("lyapunov")] = SKIP
     return log
 
 
@@ -602,8 +597,8 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
         if denom <= 1e-9 * max(1.0, vector_norm(p1.reference)):
             skipped += 1
             continue
-        z1 = solve_oracle(p1).point.z
-        z2 = solve_oracle(p2).point.z
+        z1 = p1.lift(solve_oracle(p1).v)
+        z2 = p2.lift(solve_oracle(p2).v)
         ratio = vector_norm(sigma_lift(z1, t, shapes) - z2) / denom
         best = max(best, ratio)
         used += 1

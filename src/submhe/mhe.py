@@ -13,7 +13,8 @@ strongly convex QP. The full decision vector keeps the ordering
 
     z = [xhat_0, what_0, yhat_0, ..., what_{Mt-1}, yhat_{Mt-1}]
 
-so that warm-start padding and error norms are measured consistently.
+so that the growing window's zero padding (sigma_lift on z, one appended
+disturbance slot on v) and error norms are measured consistently.
 
 A problem is split along what changes from step to step. The lift Psi, the
 weight H, the box and the reduced Hessian S = 2 Psi^T H Psi depend only on
@@ -38,24 +39,6 @@ import numpy as np
 
 from .errors import DegenerateHessian, DimensionMismatch, WindowLengthMismatch
 from .linalg import eigh
-
-
-@dataclass(slots=True)
-class CondensedPoint:
-    """A point in the step's decision ordering, with its free coordinates.
-
-    A per-step record, like MheProblem and solver.SolveReport: built once
-    per step and never changed after, so it is a plain slotted dataclass,
-    which costs a fraction of a frozen one's field-by-field
-    object.__setattr__ to build. No code reassigns a record's field.
-    """
-
-    z: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,8 +419,11 @@ class MheProblem:
     """One step's condensed QP: a window shape plus the step's offset and
     reference, which fix the linear term c of the gradient S v + c.
 
-    A per-step record (see CondensedPoint): its fields are never reassigned,
-    and its reference, offset and c are read-only arrays.
+    A per-step record, like solver.SolveReport: built once per step and
+    never changed after, so it is a plain slotted dataclass, which costs a
+    fraction of a frozen one's field-by-field object.__setattr__ to build.
+    No code reassigns its fields, and its reference, offset and c are
+    read-only arrays.
     """
 
     sys: object
@@ -498,15 +484,17 @@ class MheProblem:
                 f"z has length {z.shape[0]}, expected {self.dim_z}")
         return z[self.sys.n_x:].reshape(self.m_eff, self.sys.n_w + self.sys.n_y)
 
-    def free_coordinates(self, start):
-        """The free coordinates v of a start: a CondensedPoint's v as it is
-        (its z is not read), or select_v of a decision vector z."""
-        if not isinstance(start, CondensedPoint):
-            return self.select_v(start)
-        if start.v.shape != (self.dim_v,):
-            raise DimensionMismatch(
-                f"v has shape {start.v.shape}, expected ({self.dim_v},)")
-        return start.v
+    def free_coordinates(self, x):
+        """The free coordinates of x: x itself at length dim_v, select_v(x)
+        at length dim_z (at m_eff = 0 the two are the same vector), and
+        DimensionMismatch at any other length."""
+        x = np.asarray(x, dtype=float)
+        if x.shape == (self.dim_v,):
+            return x
+        if x.shape != (self.dim_z,):
+            raise DimensionMismatch(f"start has shape {x.shape}, expected "
+                                    f"({self.dim_v},) (v) or ({self.dim_z},) (z)")
+        return self.select_v(x)
 
     def select_v(self, z):
         """Read the free coordinates (initial state + disturbance blocks) off z.
@@ -618,8 +606,9 @@ def extract_estimate(problem, z):
     current estimate.
 
     They are the window-state map of the problem's shape applied to z's free
-    coordinates and the input window. A CondensedPoint (a solver's result)
-    gives its free coordinates v directly (MheProblem.free_coordinates).
+    coordinates and the input window. z is a decision vector or its free
+    coordinates v, as a solve's report carries them
+    (MheProblem.free_coordinates).
     """
     v = problem.free_coordinates(z)
     states = problem.shape.state_map @ np.concatenate([v, problem.u_window.ravel()])

@@ -56,7 +56,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonfiniteIterate, OracleStalled
 from .linalg import clamp, vector_norm
-from .mhe import CondensedPoint
 
 KERNEL_BACKEND = "python"  # the sidecar's solver_backend; _iterate is the one kernel
 
@@ -68,20 +67,32 @@ ORACLE_CHUNK = 256  # the longest kernel run between two of the oracle's tests
 
 
 @dataclass(slots=True)
-class SolveReport:  # a per-step record, never changed after (mhe.CondensedPoint)
-    point: CondensedPoint
+class SolveReport:  # a per-step record, never changed after (mhe.MheProblem)
+    problem: object  # the MheProblem solved
+    v: np.ndarray    # the K-th iterate, in the free coordinates
     looped: int  # iterations run before the closed-form tail; K without a jump
     # the window optimum v*: the tail's fixed point v_u when the solve settled
     # (mhe.StepSpectrum), None for K = 0, a solve that ran all K iterations,
     # or a step without a spectrum
     optimum: np.ndarray | None = None
 
+    @property
+    def z(self):
+        """The lift Psi v + psi of the iterate, formed on each read."""
+        return self.problem.lift(self.v)
+
+    @property
+    def point(self):
+        # perfbench/child.py's kernel sweep reads rep.point.z; the alias goes
+        # with that benchmark's revision (ROADMAP item 3)
+        return self
+
 
 @dataclass(frozen=True)
 class OracleReport:
-    point: CondensedPoint  # the window optimum v* and its lift
-    bound: float           # the certified error bound on ||point.v - v*||
-    iters: int             # kernel iterations run from the start
+    v: np.ndarray  # the window optimum v*
+    bound: float   # the certified error bound on ||v - v*||
+    iters: int     # kernel iterations run from the start
 
 
 def _iterate(transition, step, c, lo, hi, v0, iters, spectrum):
@@ -179,11 +190,10 @@ class _Tail:
 def solve_fixed_iters(problem, start, K):
     """Run exactly K projected-gradient iterations from the warm start.
 
-    The warm start enters through its free coordinates v
-    (MheProblem.free_coordinates): a CondensedPoint gives its v as it is, a
-    decision vector z its initial-state and disturbance blocks; derived
-    output blocks are rebuilt by the lift. A start of the wrong length
-    raises DimensionMismatch.
+    The warm start is a v (MheProblem.free_coordinates); a decision vector z
+    gives its initial-state and disturbance blocks, and a start of any other
+    length raises DimensionMismatch. The report lifts z = Psi v + psi only
+    when it is read (SolveReport.z).
     K = 0 returns the box projection of the warm start. The report's
     `looped` counts the iterations run before the closed-form tail (K when
     the loop ran them all); a solve that took the tail also reports the
@@ -201,9 +211,7 @@ def solve_fixed_iters(problem, start, K):
     if not np.isfinite(v).all():
         raise NonfiniteIterate("projected-gradient iterate overflowed; "
                                "check problem conditioning")
-    z = problem.lift(v)
-    return SolveReport(point=CondensedPoint(z=z, v=v), looped=looped,
-                       optimum=None if tail is None else tail.v_u)
+    return SolveReport(problem, v, looped, None if tail is None else tail.v_u)
 
 
 def optimum_tolerance(shape, v_star):
@@ -347,8 +355,7 @@ def solve_oracle(problem, start=None):
         for u, g in candidates:
             bound = gain * vector_norm(u - clamp(u - alpha * g, lo, hi))
             if bound <= floor * max(1.0, vector_norm(u)):
-                return OracleReport(CondensedPoint(z=problem.lift(u), v=u),
-                                    bound, iters)
+                return OracleReport(u, bound, iters)
         if stall_at is None:  # bound is B(v_0)
             ratio = floor / (gain * (1.0 + shape.contraction_base) * bound)
             stall_at = ORACLE_CHUNK + oracle_iterations(shape, ratio)

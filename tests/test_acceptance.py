@@ -38,16 +38,17 @@ def test_criterion_1_solver_contract():
         prob = random_problem(rng, sys, cert, M=int(rng.integers(1, 6)))
         n_problems += 1
         q = prob.shape.contraction_base
-        z_star = solve_oracle(prob).point
+        v_star = solve_oracle(prob).v
+        z_star = prob.lift(v_star)
         v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower,
                      prob.upper)
         z0 = prob.lift(v0)
-        d0_z = np.linalg.norm(z0 - z_star.z)
-        d0_v = np.linalg.norm(v0 - z_star.v)
+        d0_z = np.linalg.norm(z0 - z_star)
+        d0_v = np.linalg.norm(v0 - v_star)
         for K in (1, 5, 20, 100):
             rep = solve_fixed_iters(prob, z0, K)
-            d_z = np.linalg.norm(rep.point.z - z_star.z)
-            d_v = np.linalg.norm(rep.point.v - z_star.v)
+            d_z = np.linalg.norm(rep.z - z_star)
+            d_v = np.linalg.norm(rep.v - v_star)
             # q^K is the theorem in v; in z it carries the lift norm ||Psi||
             assert d_v <= q ** K * d0_v + 1e-9, \
                 f"v-space budget violated: problem {n_problems}, K={K}"
@@ -60,12 +61,12 @@ def test_criterion_1_solver_contract():
     for _ in range(3):
         sys, cert = random_certified_setup(rng2, n_x_max=3)
         prob = random_problem(rng2, sys, cert, M=2, t=3)
-        z_star = solve_oracle(prob).point
+        v_star = solve_oracle(prob).v
         s, c = prob.reduced_gradient_terms()
         lam = np.linalg.eigvalsh(s)
         v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
                              1.0 - lam[0] / lam[-1], 1e-11, 1_000_000)
-        assert np.linalg.norm(v_pg - z_star.v) <= 1e-8
+        assert np.linalg.norm(v_pg - v_star) <= 1e-8
     _report(1, f"{checked} (problem, K) pairs within q^K in v and "
                f"||Psi|| q^K in z; oracle "
                "agrees with certified projected gradient to 1e-8")
@@ -123,7 +124,7 @@ def test_criterion_4_case_study_reproduction(case_study_doc):
     cfg = doc.scenario_config(shapes, K=25, steps=40,
                               params=doc_params(doc, shapes))
     z_ks = []
-    log = run_closed_loop(cfg, observe=lambda prob, rep: z_ks.append(rep.point.z))
+    log = run_closed_loop(cfg, observe=lambda prob, rep: z_ks.append(rep.z))
     x_norms = np.linalg.norm(log.x, axis=1)
     eps = log.eps
     x_ratio = max(x_norms[-10:]) / max(x_norms[:10])

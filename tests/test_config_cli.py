@@ -649,6 +649,69 @@ class TestCli:
         assert "PASS tail-optimum" in out
         assert "9/9 checks passed" in out
 
+    @pytest.mark.parametrize("name", ["case_study_certified", "case_study"])
+    def test_verify_runs_one_closed_loop(self, name, capsys, monkeypatch):
+        # short-closed-loop and tail-optimum read one run of the loop
+        import submhe.cli as cli
+        loops = count_calls(monkeypatch, cli, "run_closed_loop")
+        assert run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json")]) == 0
+        assert "9/9 checks passed" in capsys.readouterr().out
+        assert len(loops) == 1
+
+    @pytest.mark.parametrize("name", ["case_study_certified", "case_study"])
+    def test_verify_reports_a_failing_oracle_where_it_is_called(
+            self, name, capsys, monkeypatch):
+        # oracle-agreement and tail-optimum call the oracle, and so does the
+        # short loop, whose error both loop rows report; every other row
+        # still runs and passes
+        import submhe.harness as harness
+        import submhe.solver as solver
+        from submhe.errors import SubmheError
+
+        def down(*args, **kwargs):
+            raise SubmheError("oracle down")
+
+        for module in (solver, harness):
+            monkeypatch.setattr(module, "solve_oracle", down)
+        code = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json")])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 1
+        failing = ("oracle-agreement", "short-closed-loop", "tail-optimum")
+        assert rows == [
+            f"FAIL {row}: oracle down" if row in failing else f"PASS {row}"
+            for row in ("certificate-lmi", "dissipation-inequality",
+                        "condensing-soundness", "cost-equivalence",
+                        "strong-convexity", "oracle-agreement",
+                        "controller-stability-smoke", "short-closed-loop",
+                        "tail-optimum")] + ["6/9 checks passed"]
+
+    def test_violated_lmi_skips_the_lyapunov_monitor(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the M-step decay rests on the LMI: with P x 2 (lambda_max = +0.89)
+        # the monitor skips every step, and the shipped P checks every step;
+        # the loop evaluates the LMI only for the run without AnalysisParams
+        import submhe.harness as harness
+        checks = count_calls(monkeypatch, harness, "verify_ioss_lmi")
+        with open(CONFIG_DIR / "case_study_certified.json") as fh:
+            doc = json.load(fh)
+        shipped = tmp_path / "shipped.json"
+        shipped.write_text(json.dumps(doc))
+        doc["certificate"]["P"] = (
+            2.0 * np.array(doc["certificate"]["P"])).tolist()
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        for path, verdict, evaluated in ((scaled, "skip", 1), (shipped, "pass", 0)):
+            checks.clear()
+            out = tmp_path / path.stem
+            assert run_cli(["simulate", "--config", str(path), "--iters", "50",
+                            "--steps", "100", "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["monitors"]["lyapunov"][verdict] == 100
+            assert len(checks) == evaluated
+        assert "LmiViolated" in json.loads(
+            (tmp_path / "scaled" / "summary.json").read_text())["uncertified_reason"]
+        capsys.readouterr()
+
     def test_fixed_k_run_resolves_its_params_whatever_the_oracle(
             self, tmp_path, capsys, monkeypatch):
         # a fixed-K run builds its params as analyze-k does: with P x 2 its

@@ -8,17 +8,16 @@ from conftest import (CONFIG_DIR, child_env, count_calls, doc_params,
 
 import submhe.harness as harness
 import submhe.mhe as mhe
-from submhe.analysis import compute_rho
+from submhe.analysis import AnalysisParams, compute_rho
 from submhe.controller import FeedbackLaw
 from submhe.errors import (ContractionViolated, DegenerateDenominator,
                            DimensionMismatch, LmiViolated, MonitorViolation,
                            UnboundedSampleBox)
-from submhe.harness import (MonitorBundle, ScenarioConfig, lipschitz_probe,
-                            monitor_step, run_closed_loop,
+from submhe.harness import (PASS, SKIP, MonitorBundle, ScenarioConfig,
+                            lipschitz_probe, monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
-from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes,
-                        build_problem, extract_estimate, residual_sigma_parts,
-                        sigma_lift)
+from submhe.mhe import (MheProblem, WindowShapes, build_problem,
+                        extract_estimate, residual_sigma_parts, sigma_lift)
 from submhe.model import Box, LtiSystem, w_delta
 from submhe.solver import optimum_tolerance, solve_fixed_iters
 
@@ -102,6 +101,22 @@ class TestSampleDisturbance:
             sample_disturbance_arrays(0, Box.unbounded(2),
                                       Box.from_pairs([[0, 1]]), 3)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 12345])
+    def test_draws_are_rng_uniform_bitwise(self, case_study_doc, certified_doc,
+                                           seed):
+        # Box.sample draws the stream; perfbench/run.py's replay gate draws
+        # it with rng.uniform, w1 then w2, so both must give the same bytes
+        pinned = (Box.from_pairs([[-0.1, 0.1], [0.0, 0.0]]),
+                  Box.from_pairs([[0.0, 0.0], [-0.2, 0.3]]))
+        for w1_box, w2_box in [(d.system.w1_box, d.system.w2_box)
+                               for d in (case_study_doc, certified_doc)] + [pinned]:
+            rng = np.random.default_rng(seed)
+            want = [rng.uniform(box.lower, box.upper, size=(50, box.dim))
+                    for box in (w1_box, w2_box)]
+            got = sample_disturbance_arrays(seed, w1_box, w2_box, 50)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert not got[0][:, 1].any() and not got[1][:, 0].any()
+
 
 class TestClosedLoop:
     def test_nominal_exact_information_decays(self, case_study_doc,
@@ -155,6 +170,35 @@ class TestClosedLoop:
         assert not log.certified and log.ledger is None
         assert log.uncertified_reason == f"no gain ledger: {cause}"
 
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    @pytest.mark.parametrize("params", ["built", "none"])
+    def test_lyapunov_checked_only_under_a_passing_lmi(self, certified_doc,
+                                                       monkeypatch, params,
+                                                       oracle):
+        # AnalysisParams already required the LMI; otherwise (no params, or
+        # the LmiViolated that stopped their build, as simulate hands it on)
+        # the loop evaluates it once, and only when the monitors run. P x 2
+        # fails it, and the Lyapunov monitor then skips every step
+        doc = certified_doc
+        checks = count_calls(monkeypatch, harness, "verify_ioss_lmi")
+        for cert, verdict in ((doc.certificate, PASS),
+                              (replace(doc.certificate, P=2.0 * doc.certificate.P),
+                               SKIP)):
+            checks.clear()
+            shapes = WindowShapes(doc.system, cert, doc.mhe["M"])
+            built = None
+            if params == "built":
+                try:
+                    built = doc_params(doc, shapes)
+                except LmiViolated as exc:
+                    built = exc
+            log = run_closed_loop(doc.scenario_config(
+                shapes, K=50, steps=12, oracle=oracle, params=built))
+            evaluated = oracle and not isinstance(built, AnalysisParams)
+            assert len(checks) == int(evaluated)
+            assert log.monitor_counts()["lyapunov"][verdict if oracle else SKIP] == 12
+
     def test_determinism_bytes(self, case_study_doc):
         doc = case_study_doc
         cfg = scenario(doc, doc.certificate, steps=10)
@@ -182,14 +226,13 @@ class TestClosedLoop:
         prob = build_problem(sys, doc.certificate, np.zeros(sys.n_x),
                              rng.uniform(-1, 1, (M, sys.n_u)),
                              rng.uniform(-1, 1, (M, sys.n_y)), M, M)
-        with pytest.raises(DimensionMismatch):
-            solve_fixed_iters(prob, np.zeros(prob.dim_z + extra), 3)
-        # a point is read through its v, which must have the window's length
-        point = CondensedPoint(z=np.zeros(prob.dim_z),
-                               v=np.zeros(prob.dim_v + extra))
-        for K in (0, 3):
-            with pytest.raises(DimensionMismatch):
-                solve_fixed_iters(prob, point, K)
+        # a start is a v or a z; any other length names both
+        for start in (np.zeros(prob.dim_z + extra), np.zeros(prob.dim_v + extra)):
+            for K in (0, 3):
+                with pytest.raises(DimensionMismatch,
+                                   match=rf"\({prob.dim_v},\) \(v\) or "
+                                         rf"\({prob.dim_z},\) \(z\)"):
+                    solve_fixed_iters(prob, start, K)
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])
@@ -197,8 +240,8 @@ class TestClosedLoop:
     @pytest.mark.parametrize("source", ["certified_doc", "case_study_doc"])
     def test_warm_start_is_the_padded_previous_point(self, request, source, K,
                                                      oracle, monkeypatch):
-        # the loop carries the solved point; the reference is the lifted
-        # previous z read back through select_v, and the prior at t = 0
+        # the loop carries the previous v, padded; the reference is the
+        # lifted previous z read back through select_v, and the prior at t = 0
         doc = request.getfixturevalue(source)
         solves = record_calls(monkeypatch, "solve_fixed_iters")
         cfg = scenario(doc, doc.certificate, K=K, steps=3 * doc.mhe["M"],
@@ -207,23 +250,21 @@ class TestClosedLoop:
         assert len(solves) == log.steps
         for t, ((problem, start, k_arg), report) in enumerate(solves):
             assert k_arg == K
-            assert isinstance(start, CondensedPoint)
+            assert start.shape == (problem.dim_v,), t
             if t == 0:
                 expect = cfg.x_prior0
             else:
-                z_prev = solves[t - 1][1].point.z
+                z_prev = solves[t - 1][1].z
                 expect = problem.select_v(sigma_lift(z_prev, t, cfg.shapes))
-            assert np.array_equal(start.v, expect), t
-            # the point's z and v agree
-            assert np.array_equal(problem.select_v(start.z), start.v), t
+            assert np.array_equal(start, expect), t
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])
     def test_loop_never_rereads_the_warm_start(self, certified_doc, oracle):
-        # the warm start is the solved point itself: no step reads v back
-        # off a z, and at most the growing phase lifts z, once per step
+        # the warm start is the previous v itself: no step reads v back off
+        # a z or lifts the previous z to the next window
         doc = certified_doc
-        M, counts = doc.mhe["M"], []
+        counts = []
         for _ in range(2):
             with pytest.MonkeyPatch.context() as mp:
                 select = count_calls(mp, MheProblem, "select_v")
@@ -233,8 +274,23 @@ class TestClosedLoop:
                     shapes, K=228, steps=400, oracle=oracle,
                     params=doc_params(doc, shapes)))
             counts.append((len(select), len(lift)))
-        assert counts[0] == counts[1]
-        assert counts[0][0] == 0 and counts[0][1] <= M
+        assert counts[0] == counts[1] == (0, 0)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    def test_lifts_only_where_eps_is_measured(self, certified_doc, oracle,
+                                              monkeypatch):
+        # z = Psi v + psi is formed only for eps: z_K and z* once each per
+        # step with the oracle on, and never with it off
+        doc = certified_doc
+        T = 60
+        lifts = count_calls(monkeypatch, MheProblem, "lift")
+        shapes = doc.window_shapes(doc.certificate)
+        log = run_closed_loop(doc.scenario_config(
+            shapes, K=25, steps=T, oracle=oracle, params=doc_params(doc, shapes)))
+        assert len(lifts) == (2 * T if oracle else 0)
+        if oracle:
+            assert 0 < log.oracle_solves < T  # both sources of v* are lifted
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])
@@ -353,8 +409,8 @@ class TestClosedLoop:
                 "w_delta": [w_delta(cert, xhat, x) for xhat, x in rows],
                 "sigma_raw": [raw for raw, _ in sigma],
                 "sigma_clamped": [clamped for _, clamped in sigma],
-                "feasible": [box_contains_flags(doc.system, prob, rep.point.z,
-                                                extract_estimate(prob, rep.point))
+                "feasible": [box_contains_flags(doc.system, prob, rep.z,
+                                                extract_estimate(prob, rep.v))
                              for prob, rep in observed],
             }
             for name, ref in expect.items():
@@ -392,7 +448,7 @@ class TestClosedLoop:
 
         def perturbed(problem, z0, K):
             report = solve(problem, z0, K)
-            v = report.point.v.copy()
+            v = report.v.copy()
             if problem.t in what_out:
                 v[n_x] += 1.0
             elif problem.t == 12:  # shift xhat_0; w1_0 cancels it in xhat_1
@@ -402,14 +458,14 @@ class TestClosedLoop:
                 v[n_x + 1] = np.nan
             else:
                 return report
-            return replace(report, point=CondensedPoint(z=problem.lift(v), v=v))
+            return replace(report, v=v)
 
         monkeypatch.setattr(harness, "solve_fixed_iters", perturbed)
         observed = []
         log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
-            (prob, rep, extract_estimate(prob, rep.point))))
+            (prob, rep, extract_estimate(prob, rep.v))))
         flags = [tuple(f) for f in log.feasible.tolist()]
-        assert flags == [box_contains_flags(sys, problem, report.point.z, states)
+        assert flags == [box_contains_flags(sys, problem, report.z, states)
                          for problem, report, states in observed]
         for i in range(3):
             assert any(f[i] for f in flags) and not all(f[i] for f in flags)
@@ -436,9 +492,9 @@ class TestClosedLoop:
         for m in range(cfg.M + 1):
             steps = [(p, r) for p, r in observed if p.m_eff == m]
             got = bounds.entries(cfg.shapes[m], np.array(
-                [np.concatenate((r.point.v, p.u_window.ravel())) for p, r in steps]))
-            want = [np.concatenate((r.point.z[cfg.sys.n_x:],
-                                    extract_estimate(p, r.point).ravel()))
+                [np.concatenate((r.v, p.u_window.ravel())) for p, r in steps]))
+            want = [np.concatenate((r.z[cfg.sys.n_x:],
+                                    extract_estimate(p, r.v).ravel()))
                     for p, r in steps]
             assert got.tobytes() == np.array(want).tobytes(), m
 
@@ -547,9 +603,9 @@ class TestClosedLoop:
         oracle_calls.clear()
         ref = run_closed_loop(cfg)
         assert len(oracle_calls) == 60
-        for t, (_, oracle) in enumerate(oracle_calls):
+        for t, ((problem,), oracle) in enumerate(oracle_calls):
             assert abs(log.eps[t] - ref.eps[t]) <= (
-                1e-12 * max(1.0, float(np.linalg.norm(oracle.point.z))))
+                1e-12 * max(1.0, float(np.linalg.norm(problem.lift(oracle.v)))))
         assert np.array_equal(log.verdicts, ref.verdicts)
         assert np.array_equal(log.xhat, ref.xhat)
         assert log.warm_v == pytest.approx(ref.warm_v, rel=1e-12, abs=1e-12)
@@ -567,7 +623,7 @@ class TestClosedLoop:
         assert solver["oracle_extra_iters"] == sum(r.iters for r in reports)
         assert solver["oracle_bound_max"] == max(r.bound for r in reports)
         for (problem,), oracle in oracle_calls:
-            assert oracle.bound <= optimum_tolerance(problem.shape, oracle.point.v)
+            assert oracle.bound <= optimum_tolerance(problem.shape, oracle.v)
 
         off = run_closed_loop(replace(cfg, oracle=False)).summary_dict()["solver"]
         assert off["oracle_extra_iters"] == 0

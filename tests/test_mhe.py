@@ -8,7 +8,7 @@ from conftest import (SRC_DIR, make_system, random_certified_setup, random_probl
                       simple_certificate)
 
 from submhe.errors import DimensionMismatch, WindowLengthMismatch
-from submhe.mhe import (CondensedPoint, MheProblem, WindowShapes, build_problem,
+from submhe.mhe import (MheProblem, WindowShapes, build_problem,
                         compute_weight, extract_estimate, residual_sigma_parts,
                         sigma_lift, sigma_truncate)
 from submhe.model import Box, IossCertificate, LtiSystem, w_delta
@@ -77,8 +77,7 @@ class TestBuildProblem:
             assert prob.u_window.shape == (0, sys.n_u)
             assert prob.y_window.shape == (0, sys.n_y)
             assert prob.dim_z == sys.n_x and prob.dim_v == sys.n_x
-            opt = solve_oracle(prob).point
-            assert np.allclose(opt.v, prior, atol=1e-10)
+            assert np.allclose(solve_oracle(prob).v, prior, atol=1e-10)
 
     def test_output_block_forced_by_measurement_equation(self):
         sys = make_system([[1.0]], [[0.0]], [[1.0]], w_bound=0.0)
@@ -189,8 +188,8 @@ class TestBuildProblem:
                                for s in range(t - m_eff, t)])
         assert np.all(v_truth >= prob.lower - 1e-12)
         assert np.all(v_truth <= prob.upper + 1e-12)
-        opt = solve_oracle(prob).point
-        assert prob.cost(prob.lift(v_truth)) >= prob.cost(opt.z) - 1e-10
+        v_star = solve_oracle(prob).v
+        assert prob.cost(prob.lift(v_truth)) >= prob.cost(prob.lift(v_star)) - 1e-10
 
 
 class TestWindowShapes:
@@ -351,8 +350,8 @@ class TestExtractEstimate:
         assert np.allclose(states.ravel(), [1.0, 2.0, 4.0])
 
     def test_solver_point_reads_its_free_coordinates(self):
-        # a solver's point gives v directly; the states equal those read
-        # off its z, bit for bit
+        # a solve's v gives the states directly; they equal those read off
+        # its z, bit for bit
         rng = np.random.default_rng(27)
         for _ in range(5):
             sys, cert = random_certified_setup(rng)
@@ -360,8 +359,8 @@ class TestExtractEstimate:
             for t in range(M + 2):
                 prob = random_problem(rng, sys, cert, M=M, t=t)
                 rep = solve_fixed_iters(prob, np.zeros(prob.dim_z), 20)
-                assert np.array_equal(extract_estimate(prob, rep.point),
-                                      extract_estimate(prob, rep.point.z))
+                assert np.array_equal(extract_estimate(prob, rep.v),
+                                      extract_estimate(prob, rep.z))
 
     def test_dim_check(self, case_study):
         sys, cert, _ = case_study
@@ -384,9 +383,8 @@ class TestExtractEstimate:
                 assert np.shares_memory(shape.estimate_map, shape.state_map)
                 assert shape.estimate_map.flags.c_contiguous
                 v = rng.uniform(-5.0, 5.0, size=prob.dim_v)
-                point = CondensedPoint(z=prob.lift(v), v=v)
                 xhat = shape.estimate_map @ np.concatenate([v, prob.u_window.ravel()])
-                assert xhat.tobytes() == extract_estimate(prob, point)[-1].tobytes()
+                assert xhat.tobytes() == extract_estimate(prob, v)[-1].tobytes()
 
 
 class TestResidualSigma:
@@ -424,18 +422,28 @@ class TestResidualSigma:
         assert clamped == 0.0
 
 
-def test_condensed_point_needs_its_free_coordinates():
-    # every start carries v: free_coordinates reads it and never recovers it
-    # from z
-    with pytest.raises(TypeError):
-        CondensedPoint(z=np.zeros(3))
+def test_free_coordinates_by_length(case_study):
+    # a start of length dim_v is v itself, one of length dim_z is read
+    # through select_v (the same vector at m_eff = 0), and any other length
+    # raises, naming both
+    sys, cert, _ = case_study
+    rng = np.random.default_rng(3)
+    for t in (0, 2, 7):
+        prob = random_problem(rng, sys, cert, M=5, t=t)
+        v = rng.uniform(-1.0, 1.0, prob.dim_v)
+        assert prob.free_coordinates(v) is v
+        assert prob.free_coordinates(prob.lift(v)).tobytes() == v.tobytes()
+        for n in (prob.dim_v - 1, prob.dim_z + 1):
+            with pytest.raises(DimensionMismatch, match=rf"\({prob.dim_v},\) \(v\) "
+                                                        rf"or \({prob.dim_z},\) \(z\)"):
+                prob.free_coordinates(np.zeros(n))
 
 
 def test_no_code_reassigns_a_record_field():
     # The per-step records are plain slotted dataclasses, not frozen ones;
     # outside their own __post_init__ (an assignment to self) nothing in the
     # package assigns to one of their fields.
-    records = (MheProblem, CondensedPoint, SolveReport)
+    records = (MheProblem, SolveReport)
     names = {f.name for rec in records for f in dataclasses.fields(rec)}
     found = []
     for path in sorted(SRC_DIR.glob("submhe/*.py")):

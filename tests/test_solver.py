@@ -9,7 +9,7 @@ from conftest import (certified_pgd, count_calls, make_system,
 from submhe.errors import (DegenerateHessian, DimensionMismatch, NonfiniteIterate,
                            OracleStalled)
 from submhe.harness import run_closed_loop
-from submhe.mhe import (CondensedPoint, MheProblem, WindowShape, build_problem,
+from submhe.mhe import (MheProblem, WindowShape, build_problem,
                         step_spectrum)
 from submhe.model import Box, IossCertificate, LtiSystem
 import submhe.solver as solver
@@ -105,16 +105,16 @@ class TestSolveFixedIters:
         rng = np.random.default_rng(1)
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
-        z_star = solve_oracle(prob).point
-        rep = solve_fixed_iters(prob, z_star.z, 25)
-        assert np.linalg.norm(rep.point.z - z_star.z) <= 1e-12
+        v_star = solve_oracle(prob).v
+        rep = solve_fixed_iters(prob, v_star, 25)
+        assert np.linalg.norm(rep.z - prob.lift(v_star)) <= 1e-12
 
     def test_zero_iterations_projects(self):
         prob = plain_problem(np.eye(2), np.zeros(2),
                              lower=np.array([-1.0, -1.0]),
                              upper=np.array([1.0, 1.0]))
         rep = solve_fixed_iters(prob, np.array([3.0, -5.0]), 0)
-        assert np.array_equal(rep.point.v, [1.0, -1.0])
+        assert np.array_equal(rep.v, [1.0, -1.0])
         assert rep.optimum is None  # no loop, no tail to take v* from
 
     def test_linear_contraction_vs_oracle(self):
@@ -123,16 +123,17 @@ class TestSolveFixedIters:
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
             q = prob.shape.contraction_base
-            z_star = solve_oracle(prob).point
+            v_star = solve_oracle(prob).v
+            z_star = prob.lift(v_star)
             v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
                          prob.lower, prob.upper)
             z0 = prob.lift(v0)
-            d0_v = np.linalg.norm(v0 - z_star.v)
-            d0_z = np.linalg.norm(z0 - z_star.z)
+            d0_v = np.linalg.norm(v0 - v_star)
+            d0_z = np.linalg.norm(z0 - z_star)
             rep = solve_fixed_iters(prob, z0, 50)
             phi_z = prob.shape.lift_norm * q ** 50  # q^K holds in v, not in z
-            assert np.linalg.norm(rep.point.v - z_star.v) <= q ** 50 * d0_v + 1e-9
-            assert np.linalg.norm(rep.point.z - z_star.z) <= phi_z * d0_z + 1e-9
+            assert np.linalg.norm(rep.v - v_star) <= q ** 50 * d0_v + 1e-9
+            assert np.linalg.norm(rep.z - z_star) <= phi_z * d0_z + 1e-9
 
     def test_per_iteration_feasibility_and_monotone_cost(self):
         rng = np.random.default_rng(3)
@@ -142,10 +143,10 @@ class TestSolveFixedIters:
         z = prob.lift(np.clip(v0, prob.lower, prob.upper))
         costs = [prob.cost(z)]
         for _ in range(30):  # one iteration per solve, every iterate seen
-            point = solve_fixed_iters(prob, z, 1).point
-            assert np.all(point.v >= prob.lower - 0.0)
-            assert np.all(point.v <= prob.upper + 0.0)
-            z = point.z
+            rep = solve_fixed_iters(prob, z, 1)
+            assert np.all(rep.v >= prob.lower - 0.0)
+            assert np.all(rep.v <= prob.upper + 0.0)
+            z = rep.z
             costs.append(prob.cost(z))
         costs = np.array(costs)
         assert np.all(np.diff(costs) <= 1e-12 * np.maximum(1.0, costs[:-1]))
@@ -156,14 +157,13 @@ class TestSolveFixedIters:
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
             q = prob.shape.contraction_base
-            z_star = solve_oracle(prob).point
-            v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
-                         prob.lower, prob.upper)
-            z, dv = prob.lift(v0), [np.linalg.norm(v0 - z_star.v)]
+            v_star = solve_oracle(prob).v
+            v = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
+                        prob.lower, prob.upper)
+            dv = [np.linalg.norm(v - v_star)]
             for _ in range(40):
-                point = solve_fixed_iters(prob, z, 1).point
-                z = point.z
-                dv.append(np.linalg.norm(point.v - z_star.v))
+                v = solve_fixed_iters(prob, v, 1).v
+                dv.append(np.linalg.norm(v - v_star))
             dv = np.array(dv)
             live = dv[:-1] > 1e-10 * max(1.0, dv[0])
             ratios = dv[1:][live] / dv[:-1][live]
@@ -184,14 +184,14 @@ class TestSolveOracle:
                         np.full(prob.dim_v, np.inf))
         s, c = wide.reduced_gradient_terms()
         expected = np.linalg.solve(s, -c)
-        got = solve_oracle(wide).point
+        got = solve_oracle(wide)
         assert np.allclose(got.v, expected, atol=1e-10)
 
     def test_scalar_active_bound(self):
         # min (v - 3)^2 over [-1, 1] -> v* = 1
         prob = plain_problem(np.eye(1), np.array([3.0]),
                              lower=np.array([-1.0]), upper=np.array([1.0]))
-        assert solve_oracle(prob).point.v[0] == 1.0
+        assert solve_oracle(prob).v[0] == 1.0
 
     def test_agrees_with_long_projected_gradient(self):
         rng = np.random.default_rng(7)
@@ -199,21 +199,20 @@ class TestSolveOracle:
         weight = m @ m.T / 10 + 0.3 * np.eye(10)
         prob = plain_problem(weight, rng.standard_normal(10) * 2,
                              lower=-rng.random(10), upper=rng.random(10))
-        z_star = solve_oracle(prob).point
+        v_star = solve_oracle(prob).v
         s, c = prob.reduced_gradient_terms()
         lam = np.linalg.eigvalsh(s)
         v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
                              1.0 - lam[0] / lam[-1], 1e-11, 1_000_000)
-        assert np.linalg.norm(v_pg - z_star.v) <= 1e-8
+        assert np.linalg.norm(v_pg - v_star) <= 1e-8
 
     def test_kkt_residual_below_tol(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
-            z_star = solve_oracle(prob).point
+            v = solve_oracle(prob).v
             s, c = prob.reduced_gradient_terms()
-            v = z_star.v
             grad_step = np.clip(v - (s @ v + c), prob.lower, prob.upper)
             assert np.max(np.abs(v - grad_step)) <= 1e-10
 
@@ -221,18 +220,17 @@ class TestSolveOracle:
         rng = np.random.default_rng(9)
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
-        z_star = solve_oracle(prob).point
-        best = prob.cost(z_star.z)
+        best = prob.cost(prob.lift(solve_oracle(prob).v))
         v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower, prob.upper)
         for K in (0, 1, 5, 20):
-            rep = solve_fixed_iters(prob, prob.lift(v0), K)
-            assert best <= prob.cost(rep.point.z) + 1e-10
+            rep = solve_fixed_iters(prob, v0, K)
+            assert best <= prob.cost(rep.z) + 1e-10
 
     def test_pinned_interval(self):
         prob = plain_problem(np.eye(2), np.array([1.0, -4.0]),
                              lower=np.array([0.0, -1.0]),
                              upper=np.array([0.0, 1.0]))
-        got = solve_oracle(prob).point
+        got = solve_oracle(prob)
         assert got.v[0] == 0.0
         assert got.v[1] == -1.0
 
@@ -266,7 +264,7 @@ class TestSolveOracle:
              [-0.46957345730724853, 0.2805702792321605]],
             [[-1.1518153183566384], [-0.6302935796434976],
              [1.7141243063027325], [1.0707235296094826]], 4, 4)
-        got = solve_oracle(prob).point
+        got = solve_oracle(prob)
         s, c = prob.reduced_gradient_terms()
         v_pg = certified_pgd(s, c, prob.lower, prob.upper, prob.shape.step,
                              prob.shape.contraction_base, 1e-11, 1_000_000)
@@ -286,9 +284,9 @@ class TestSolveOracle:
                              upper=np.array([1.0, np.inf]))
         for start in (None, np.array([1.0, 5.0]), np.array([-3.0, -2.0])):
             got = solve_oracle(prob, start=start)
-            assert got.bound <= optimum_tolerance(prob.shape, got.point.v)
-            assert np.linalg.norm(got.point.v - [1.0, -2.0]) <= 1e-12
-            assert got.point.v[0] <= 1.0
+            assert got.bound <= optimum_tolerance(prob.shape, got.v)
+            assert np.linalg.norm(got.v - [1.0, -2.0]) <= 1e-12
+            assert got.v[0] <= 1.0
 
     def test_zero_multiplier_sides_stay_in_the_box(self):
         # Random windows whose minimiser v_u lies on coordinate 0's upper
@@ -304,10 +302,10 @@ class TestSolveOracle:
             upper[0] = ref[0]
             prob = plain_problem(m @ m.T / n + 0.5 * np.eye(n), ref, upper=upper)
             got = solve_oracle(prob)
-            assert np.all(got.point.v <= upper)
-            tol = optimum_tolerance(prob.shape, got.point.v)
+            assert np.all(got.v <= upper)
+            tol = optimum_tolerance(prob.shape, got.v)
             assert got.bound <= tol
-            assert np.linalg.norm(got.point.v - ref) <= got.bound + tol
+            assert np.linalg.norm(got.v - ref) <= got.bound + tol
 
     def test_kernel_without_progress_stalls(self, monkeypatch):
         # min (v - r)^T W (v - r) over [-1, 1]^2 with r outside the box: a
@@ -356,7 +354,7 @@ class TestSolveOracle:
         solves = count_calls(monkeypatch, np.linalg, "solve")
         got = solve_oracle(prob)
         assert got.iters > 0
-        assert got.point.v[0] == -0.71
+        assert got.v[0] == -0.71
         assert got.bound == 0.0
         assert not solves
 
@@ -373,9 +371,9 @@ class TestSolveOracle:
                              upper=np.array([1.0, np.inf]))
         got = solve_oracle(prob, start=np.zeros(2))
         assert got.iters == 0
-        assert got.point.v.tobytes() == np.array([1.0, 1.0]).tobytes()
+        assert got.v.tobytes() == np.array([1.0, 1.0]).tobytes()
         s, c = prob.reduced_gradient_terms()
-        v = got.point.v
+        v = got.v
         assert v.tobytes() == polish_on(s, c, v, own_active_set(prob, v)).tobytes()
 
     def test_bind_outside_the_box_is_not_accepted(self):
@@ -388,8 +386,8 @@ class TestSolveOracle:
                              lower=np.array([-5.0, -np.inf]), upper=upper)
         got = solve_oracle(prob, start=np.zeros(2))
         assert got.iters > 0
-        assert got.point.v.tobytes() == upper.tobytes()
-        assert got.bound <= optimum_tolerance(prob.shape, got.point.v)
+        assert got.v.tobytes() == upper.tobytes()
+        assert got.bound <= optimum_tolerance(prob.shape, got.v)
 
     def test_shape_constants_are_the_direct_formulas(self):
         # the oracle's constants, kept per window shape, are the bytes of the
@@ -478,7 +476,7 @@ class TestSolveOracle:
                                  (expected - width, expected + width)):
                 got = solve_oracle(with_box(prob, lower, upper))
                 assert got.iters == 8
-                assert got.point.v.tobytes() == expected.tobytes()
+                assert got.v.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("hessian, direction", [
         # D S D = [[1, 1/2], [1/2, 1]], kappa(D) = 10: T~ swaps the two
@@ -615,7 +613,7 @@ class TestKernelReference:
         rep = solve_fixed_iters(prob, prob.lift(v0), K)
         assert np.array_equal(v0, v0_copy)
         expect = ref[-1] if K else np.clip(v0, prob.lower, prob.upper)
-        assert np.max(np.abs(rep.point.v - expect)) <= KERNEL_RTOL * scale
+        assert np.max(np.abs(rep.v - expect)) <= KERNEL_RTOL * scale
 
 
 # Two ways of forming one product, tolerance set from float64 before the test
@@ -709,8 +707,8 @@ class TestContractionProperty:
         v0 = np.clip(v0, prob.lower, prob.upper)
         d0 = np.linalg.norm(u0 - v0)
         for K in (1, 5, 20, 200):
-            u_k = solve_fixed_iters(prob, prob.lift(u0), K).point.v
-            v_k = solve_fixed_iters(prob, prob.lift(v0), K).point.v
+            u_k = solve_fixed_iters(prob, u0, K).v
+            v_k = solve_fixed_iters(prob, v0, K).v
             scale = max(1.0, *(float(np.max(np.abs(a)))
                                for a in (u0, v0, u_k, v_k)),
                         alpha * float(np.max(np.abs(prob.linear_term))))
@@ -726,7 +724,7 @@ class TestOracleProperty:
     def test_agrees_with_certified_pgd(self, case, warm):
         prob, v0 = case
         got = solve_oracle(prob, start=v0 if warm else None)
-        v = got.point.v
+        v = got.v
         lo, hi = prob.lower, prob.upper
         assert np.all((lo <= v) & (v <= hi))
         tol = optimum_tolerance(prob.shape, v)
@@ -785,7 +783,7 @@ class TestOracleProperty:
             return
         k, active, w = crossed[0]
         held, held_set = np.clip(w, lo, hi), active | (w < lo) | (w > hi)
-        v = got.point.v
+        v = got.v
         face = own_active_set(prob, v)
         if not (np.array_equal(face, held_set) and np.array_equal(held[face], v[face])):
             return
@@ -855,7 +853,7 @@ class TestClosedFormTail:
             scale = max(1.0, float(np.max(np.abs(ref))),
                         alpha * float(np.max(np.abs(c))))
             rep = solve_fixed_iters(prob, prob.lift(v0), K)
-            assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL * scale
+            assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL * scale
             jumped.append(rep.looped < K)
 
         check()
@@ -879,8 +877,8 @@ class TestClosedFormTail:
         rep = solve_fixed_iters(prob, v0, 2)
         assert rep.looped == 2
         assert rep.optimum is None  # clamped at the last iteration
-        assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL
-        assert rep.point.v[0] == 0.5
+        assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL
+        assert rep.v[0] == 0.5
 
     @pytest.mark.parametrize("lower0, start, probe",
                              [(-2.0, 0.5, 0), (-2.0, 10.0, 1),
@@ -899,7 +897,7 @@ class TestClosedFormTail:
             rep = solve_fixed_iters(prob, v0, K)
             ref = reference_pgd(s, c, prob.lower, prob.upper, v0, 0.2, K)
             assert rep.looped == probe
-            assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL
+            assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL
 
     def test_first_iterate_inside_settles_at_once(self):
         # The basis and tau of test_later_crossing_blocks_the_jump, with
@@ -924,7 +922,7 @@ class TestClosedFormTail:
             ref = reference_pgd(s, np.zeros(3), prob.lower, prob.upper, v0, 0.2, K)
             assert rep.looped == 0
             assert np.array_equal(rep.optimum, np.zeros(3))
-            assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL
+            assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL
 
     def test_two_part_test_holds_only_without_later_clamps(self):
         # Wherever the first iterate's exact deviation and the envelope from
@@ -985,7 +983,7 @@ class TestClosedFormTail:
             ref = reference_pgd(s, c, prob.lower, prob.upper, v0, prob.shape.step, K)
             assert rep.looped == K
             assert rep.optimum is None
-            assert np.max(np.abs(rep.point.v - ref[-1])) <= KERNEL_RTOL * 2.0
+            assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL * 2.0
 
     def test_no_tail_for_a_step_that_does_not_contract(self):
         lam, basis = np.array([1.0, 9.0]), np.eye(2)
@@ -1004,7 +1002,7 @@ class TestClosedFormTail:
 
 
 class TestPointStart:
-    """A CondensedPoint start gives the solve of its z, byte for byte."""
+    """A v start gives the solve of its lift z, byte for byte."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=st.one_of(lifted_problems(), open_box_problems()),
@@ -1013,10 +1011,9 @@ class TestPointStart:
         prob, v0 = case
         z0 = prob.lift(v0)
         from_z = solve_fixed_iters(prob, z0, K)
-        from_point = solve_fixed_iters(prob, CondensedPoint(z=z0, v=v0), K)
+        from_point = solve_fixed_iters(prob, v0, K)
         assert from_point.looped == from_z.looped
-        for a, b in ((from_point.point.v, from_z.point.v),
-                     (from_point.point.z, from_z.point.z)):
+        for a, b in ((from_point.v, from_z.v), (from_point.z, from_z.z)):
             assert a.tobytes() == b.tobytes()
         if from_z.optimum is None:
             assert from_point.optimum is None
@@ -1070,7 +1067,7 @@ class TestTailOptimum:
             if rep.looped == K:
                 assert rep.optimum is None
                 return
-            v_star = solve_oracle(prob).point.v
+            v_star = solve_oracle(prob).v
             gap = np.linalg.norm(rep.optimum - v_star)
             assert gap <= optimum_tolerance(prob.shape, v_star)
 
