@@ -15,9 +15,11 @@ what the next input needs and what cannot be recovered later: of its
 window states it forms only the current estimate xhat_t, from the row
 [v_K; u_window] that it keeps in a run-local array. The columns no step
 reads (e_norm, w_delta, sigma) are filled after the last step from the
-recorded x and xhat rows, and the feasibility flags from the kept rows, in
-stacked products per window length (_FeasibilityBounds), each with the
-bytes a step would have given it. The windows are views of the record's
+recorded x and xhat rows, and the feasibility flags from the kept rows:
+per window length, the steps' z and window states are stacked products,
+each row with the bytes a step would have given it, and the flags are
+broadcast compares of z's slots (read through mhe.slot_view) and of the
+states against their boxes. The windows are views of the record's
 input and output rows. The prior for
 a full window is the recorded current-time estimate from M steps ago;
 during the growing phase it stays at the configured initial prior (this is
@@ -55,7 +57,7 @@ from .errors import (ContractionViolated, DegenerateDenominator,
                      MonitorViolation, SubmheError, UnboundedSampleBox)
 from .linalg import vector_norm
 from .mhe import (build_problem, residual_sigma_parts, sigma_lift,
-                  sigma_truncate)
+                  sigma_truncate, slot_view)
 from .model import validate_system, verify_ioss_lmi, w_delta
 from .solver import KERNEL_BACKEND, solve_fixed_iters, solve_oracle
 
@@ -358,69 +360,33 @@ def _why_uncertified(K, params, ledger):
     return None
 
 
-class _FeasibilityBounds:
-    """The feasibility flags of a run's steps, checked after the last step.
-
-    Each flag is Box.contains of the system's boxes with its tolerance. A
-    step's entries are its z's window slots (per slot what = [w1, w2], then
-    yhat) followed by its m + 1 stacked window states. Both are affine in
-    the step's v_K and input window: z = Psi v_K + input_map u_window, and
-    the states are state_map [v_K; u_window]. Per window length m the
-    widened bounds are tiled once into one row over those entries, with a
-    0/1 matrix naming the flag each entry belongs to. The flags of a block
-    of steps of one window length are then three stacked matrix-vector
-    products, one compare of their entries against the rows and one count
-    per flag of the entries that fail it. Each row of a stacked product is
-    the matrix-vector product a step would have formed (numpy's matmul over
-    a stack of vectors), so each entry has the bytes of the step's own z
-    and extract_estimate.
-    """
-
-    def __init__(self, sys, M):
-        slot_boxes = ((sys.w1_box, WHAT_ATOL, 0), (sys.w2_box, WHAT_ATOL, 0),
-                      (sys.y_box, OUTPUT_ATOL, 2))
-        slot = (np.concatenate([b.lower - tol for b, tol, _ in slot_boxes]),
-                np.concatenate([b.upper + tol for b, tol, _ in slot_boxes]),
-                np.concatenate([np.full(b.dim, f) for b, _, f in slot_boxes]))
-        state = (sys.x_box.lower - OUTPUT_ATOL, sys.x_box.upper + OUTPUT_ATOL,
-                 np.full(sys.n_x, 1))
-        # tiled once for a full window; length m takes m slots and m + 1 states
-        slot = [np.tile(a, M) for a in slot]
-        state = [np.tile(a, M + 1) for a in state]
-        n_slot, n_x = sys.n_w + sys.n_y, sys.n_x
-        self.rows = []
-        for m in range(M + 1):
-            lower, upper, flag = (np.concatenate((s[:m * n_slot], x[:(m + 1) * n_x]))
-                                  for s, x in zip(slot, state))
-            self.rows.append((lower, upper, (flag[:, None] == np.arange(3)).astype(float)))
-        self.n_x = n_x
-
-    def entries(self, shape, points):
-        """Row i: z's window slots, then the window states, of the step whose
-        [v_K; u_window.ravel()] is points[i], for steps of the shape's
-        window length."""
-        x = points[:, :, None]
-        v, u = x[:, :shape.dim_v], x[:, shape.dim_v:]
-        slots = (np.matmul(shape.lift_matrix[self.n_x:], v)
-                 + np.matmul(shape.input_map[self.n_x:], u))
-        states = np.matmul(shape.state_map, x)
-        return np.concatenate((slots, states), axis=1)[:, :, 0]
-
-    def flags(self, shape, points):
-        """(what, xhat, yhat) feasible, an (N, 3) bool array, for those steps;
-        False wherever an entry is NaN."""
-        lower, upper, member = self.rows[shape.m_eff]
-        entries = self.entries(shape, points)
-        outside = ~((entries >= lower) & (entries <= upper))
-        return outside @ member == 0.0
+def _stacked_window(shape, points):
+    """(z, states) of the steps of the shape's window length whose
+    [v_K; u_window.ravel()] are the rows of points: row i of z is the step's
+    lift_matrix @ v_K + input_map @ u_window, and row i of states its window
+    states state_map @ [v_K; u_window], oldest first. Each row of a stacked
+    product is the matrix-vector product a step would have formed (numpy's
+    matmul over a stack of vectors), so it has the bytes of the step's own z
+    and extract_estimate."""
+    x = points[:, :, None]
+    v, u = x[:, :shape.dim_v], x[:, shape.dim_v:]
+    z = np.matmul(shape.lift_matrix, v) + np.matmul(shape.input_map, u)
+    return z[:, :, 0], np.matmul(shape.state_map, x)[:, :, 0]
 
 
 def _feasibility_flags(shapes, points):
-    """The (T, 3) feasibility flags of a run whose step t kept its
-    [v_K; u_window.ravel()] at the start of points[t]: per window length, in
-    blocks of at most FLAG_CHUNK steps (_FeasibilityBounds)."""
-    T, M = len(points), shapes.M
-    bounds = _FeasibilityBounds(shapes.sys, M)
+    """The (T, 3) feasibility flags (what, xhat, yhat) of a run whose step t
+    kept its [v_K; u_window.ravel()] at the start of points[t], checked after
+    the last step: per window length, in blocks of at most FLAG_CHUNK steps,
+    the steps' z slots (mhe.slot_view) against one slot's [w1, w2, y] bounds
+    and their window states against the x box, each side widened by its
+    flag's tolerance as Box.contains widens it."""
+    T, M, sys = len(points), shapes.M, shapes.sys
+    n_w = sys.n_w
+    slot = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL), (sys.y_box, OUTPUT_ATOL))
+    slot_lo = np.concatenate([box.lower - tol for box, tol in slot])
+    slot_hi = np.concatenate([box.upper + tol for box, tol in slot])
+    x_lo, x_hi = sys.x_box.lower - OUTPUT_ATOL, sys.x_box.upper + OUTPUT_ATOL
     out = np.empty((T, 3), dtype=bool)
     for m in range(min(M, T - 1) + 1):
         shape = shapes[m]
@@ -428,7 +394,13 @@ def _feasibility_flags(shapes, points):
         last = T if m == M else m + 1  # steps m .. last - 1 have window length m
         for a in range(m, last, FLAG_CHUNK):
             b = min(a + FLAG_CHUNK, last)
-            out[a:b] = bounds.flags(shape, points[a:b, :width])
+            z, states = _stacked_window(shape, points[a:b, :width])
+            slots = slot_view(z, sys)
+            states = states.reshape(b - a, m + 1, sys.n_x)
+            slots_ok = (slots >= slot_lo) & (slots <= slot_hi)  # False at NaN
+            out[a:b, 0] = slots_ok[..., :n_w].all(axis=(1, 2))
+            out[a:b, 1] = ((states >= x_lo) & (states <= x_hi)).all(axis=(1, 2))
+            out[a:b, 2] = slots_ok[..., n_w:].all(axis=(1, 2))
     return out
 
 
@@ -478,7 +450,7 @@ def run_closed_loop(cfg, observe=None):
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
     # row t: step t's [v_K; u_window.ravel()], the input of its estimate and flags
-    points = np.empty((T, sys.n_x + min(M, T - 1) * (sys.n_w + sys.n_u)))
+    points = np.empty((T, shapes[min(M, T - 1)].state_map.shape[1]))
 
     log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
                               seed=cfg.seed, M=M, K=K, certified=certified,

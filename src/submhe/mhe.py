@@ -243,8 +243,8 @@ class WindowShape:
 class StepSpectrum:
     """T = I - alpha S = U diag(tau) U^T, the linear part of one PGD step.
 
-    rate = alpha * lambda over the eigenvalues lambda of S and tau = 1 - rate;
-    max |tau| < 1 (see step_spectrum). Without a clamp the step is affine,
+    tau = 1 - rate with rate = alpha * lambda over the eigenvalues lambda of
+    S; max |tau| < 1 (see step_spectrum). Without a clamp the step is affine,
     v -> T v + d with d = -alpha c, so from v_k the unclamped iterates are
 
         v_{k+i} = v_u + U (tau^i * beta),  beta = U^T (v_k - v_u),
@@ -290,14 +290,13 @@ class StepSpectrum:
     v_{k+j} - v* = U (tau^j * beta) exactly, with no separate solve for v*.
     """
 
-    rate: np.ndarray       # alpha * lambda, ascending
     minus_lam: np.ndarray  # -lambda: U^T v_u = (U^T c) / minus_lam
-    tau: np.ndarray        # 1 - rate, the eigenvalues of T
+    tau: np.ndarray        # 1 - alpha * lambda, the eigenvalues of T
     basis: np.ndarray      # U, the eigenvectors of S (and of T)
     abs_basis: np.ndarray  # |U|, entry by entry
     abs_tau: np.ndarray    # |tau|
-    slow: np.ndarray       # rate < 1: there tau > 0 and 1 - tau^j is expm1'd
-    log_tau: np.ndarray    # log1p(-rate[slow])
+    slow: np.ndarray       # alpha * lambda < 1: there tau > 0 and 1 - tau^j is expm1'd
+    log_tau: np.ndarray    # log(tau[slow]), as log1p(-alpha * lambda[slow])
     _powers: dict = field(default_factory=dict, init=False, repr=False)
 
     def powers(self, j):
@@ -331,7 +330,7 @@ def step_spectrum(lam, basis, alpha):
     if not np.max(np.abs(tau)) < 1.0:
         return None
     slow = rate < 1.0
-    return StepSpectrum(rate=rate, minus_lam=-lam, tau=tau, basis=basis,
+    return StepSpectrum(minus_lam=-lam, tau=tau, basis=basis,
                         abs_basis=np.abs(basis),
                         abs_tau=np.abs(tau), slow=slow, log_tau=np.log1p(-rate[slow]))
 
@@ -414,6 +413,21 @@ class WindowShapes:
         return shape
 
 
+def slot_view(z, sys):
+    """View of the window slots of z, or of each z in a stack: an array of
+    shape (..., dim_z) gives (..., m_eff, n_w + n_y).
+
+    Row j is slot j (oldest first): the disturbance what_j = [w1_j, w2_j]
+    in its first n_w entries, the output yhat_j in the remaining n_y; z's
+    first n_x entries, xhat_0, are in no slot. Every reader of z's slots
+    takes them through this view: MheProblem.window_slots for one step's z,
+    the loop's feasibility flags for a stack of them.
+    """
+    slots = z[..., sys.n_x:]
+    width = sys.n_w + sys.n_y
+    return slots.reshape(*slots.shape[:-1], slots.shape[-1] // width, width)
+
+
 @dataclass(slots=True)
 class MheProblem:
     """One step's condensed QP: a window shape plus the step's offset and
@@ -473,16 +487,13 @@ class MheProblem:
         return self.lift_matrix @ np.asarray(v, dtype=float) + self.lift_offset
 
     def window_slots(self, z):
-        """View of z's window slots as an (m_eff, n_w + n_y) array.
-
-        Row j is slot j (oldest first): the disturbance what_j in its first
-        n_w entries, the output yhat_j in the remaining n_y.
-        """
+        """slot_view of z, checked against this window's dim_z: an
+        (m_eff, n_w + n_y) view."""
         z = np.asarray(z, dtype=float)
         if z.shape[0] != self.dim_z:
             raise DimensionMismatch(
                 f"z has length {z.shape[0]}, expected {self.dim_z}")
-        return z[self.sys.n_x:].reshape(self.m_eff, self.sys.n_w + self.sys.n_y)
+        return slot_view(z, self.sys)
 
     def free_coordinates(self, x):
         """The free coordinates of x: x itself at length dim_v, select_v(x)

@@ -73,3 +73,24 @@ def test_oracle_cost_measures(scripts, certified_doc, monkeypatch, tmp_path):
         assert sum(res["iters"].values()) == res["count"]
     assert bench_files() == before
     assert not list(tmp_path.iterdir())
+
+
+def test_src_lines_counts(capsys):
+    src_lines = load("src_lines")
+    text = ('"""Module docstring,\n\nover three lines."""\n'
+            "\n"
+            "# a comment\n"
+            "def f(x):  # trailing comment\n"
+            '    """Function docstring."""\n'
+            "    s = '''a\n"
+            "b'''\n"
+            "    return (x +\n"
+            "            1)\n")
+    assert src_lines.code_lines(text) == 5  # def, the string's two lines, return's two
+    src_lines.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(p.relative_to(ROOT / "src").as_posix()
+                     for p in (ROOT / "src").rglob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    counts = [int(n) for n, _ in rows]
+    assert all(n > 0 for n in counts[:-1]) and counts[-1] == sum(counts[:-1])

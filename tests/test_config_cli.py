@@ -659,6 +659,18 @@ class TestCli:
         assert len(loops) == 1
 
     @pytest.mark.parametrize("name", ["case_study_certified", "case_study"])
+    def test_verify_builds_each_window_shape_once(self, name, capsys, monkeypatch):
+        # every check and the short loop read one WindowShapes, and
+        # strong-convexity reads its shapes without drawing windows
+        import submhe.mhe as mhe
+        built = count_calls(monkeypatch, mhe, "window_shape")
+        path = CONFIG_DIR / f"{name}.json"
+        assert run_cli(["verify", "--config", str(path)]) == 0
+        assert "9/9 checks passed" in capsys.readouterr().out
+        M = load_config(path).mhe["M"]
+        assert sorted(args[2] for args, _ in built) == list(range(M + 1))
+
+    @pytest.mark.parametrize("name", ["case_study_certified", "case_study"])
     def test_verify_reports_a_failing_oracle_where_it_is_called(
             self, name, capsys, monkeypatch):
         # oracle-agreement and tail-optimum call the oracle, and so does the

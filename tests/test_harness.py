@@ -17,7 +17,8 @@ from submhe.harness import (PASS, SKIP, MonitorBundle, ScenarioConfig,
                             lipschitz_probe, monitor_step, run_closed_loop,
                             sample_disturbance_arrays)
 from submhe.mhe import (MheProblem, WindowShapes, build_problem,
-                        extract_estimate, residual_sigma_parts, sigma_lift)
+                        extract_estimate, residual_sigma_parts, sigma_lift,
+                        slot_view)
 from submhe.model import Box, LtiSystem, w_delta
 from submhe.solver import optimum_tolerance, solve_fixed_iters
 
@@ -481,22 +482,23 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("source", ["case_study_doc", "certified_doc"])
     def test_flag_entries_are_each_steps_bytes(self, request, source):
-        # the post-loop pass forms each step's z slots and window states in
-        # stacked products; each row must be the step's own z and
-        # extract_estimate, byte for byte, at every window length
+        # the post-loop pass forms each step's z and window states in stacked
+        # products; each row must be the step's own z and extract_estimate,
+        # byte for byte, at every window length, and so must the z's slots
+        # through the slot view
         doc = request.getfixturevalue(source)
         observed = []
         cfg = scenario(doc, doc.certificate, steps=3 * doc.mhe["M"], oracle=False)
         run_closed_loop(cfg, observe=lambda prob, rep: observed.append((prob, rep)))
-        bounds = harness._FeasibilityBounds(cfg.sys, cfg.M)
         for m in range(cfg.M + 1):
             steps = [(p, r) for p, r in observed if p.m_eff == m]
-            got = bounds.entries(cfg.shapes[m], np.array(
+            z, states = harness._stacked_window(cfg.shapes[m], np.array(
                 [np.concatenate((r.v, p.u_window.ravel())) for p, r in steps]))
-            want = [np.concatenate((r.z[cfg.sys.n_x:],
-                                    extract_estimate(p, r.v).ravel()))
-                    for p, r in steps]
-            assert got.tobytes() == np.array(want).tobytes(), m
+            assert z.tobytes() == np.array([r.z for _, r in steps]).tobytes(), m
+            assert slot_view(z, cfg.sys).tobytes() == np.array(
+                [p.window_slots(r.z) for p, r in steps]).tobytes(), m
+            assert states.tobytes() == np.array(
+                [extract_estimate(p, r.v).ravel() for p, r in steps]).tobytes(), m
 
     def test_disturbance_estimates_stay_feasible(self, case_study_doc):
         doc = case_study_doc
