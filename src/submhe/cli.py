@@ -154,7 +154,8 @@ def cmd_simulate(args):
     outdir = Path(args.out if args.out else doc.output["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / doc.output["csv"]
-    csv_path.write_text(log.to_csv_text())
+    with csv_path.open("w") as fh:
+        log.write_csv(fh)
     summary = log.summary_dict()
     summary_path = outdir / doc.output["summary"]
     summary_path.write_text(_json_text(summary, indent=2) + "\n")

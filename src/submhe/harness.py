@@ -13,14 +13,18 @@ The run has one record, a TrajectoryLog of per-run arrays in which row t is
 step t, and each value is written once, into its row. A step computes only
 what the next input needs and what cannot be recovered later: of its
 window states it forms only the current estimate xhat_t, from the row
-[v_K; u_window] that it keeps in a run-local array. The columns no step
-reads (e_norm, w_delta, sigma) are filled after the last step from the
-recorded x and xhat rows, and the feasibility flags from the kept rows:
-per window length, the steps' z and window states are stacked products,
-each row with the bytes a step would have given it, and the flags are
-broadcast compares of z's slots (read through mhe.slot_view) and of the
-states against their boxes. The windows are views of the record's
-input and output rows. The prior for
+[v_K; u_window] that it keeps. The feasibility flags are checked from
+the kept rows a block at a time: a full-window step keeps its row in a
+buffer of FLAG_CHUNK rows, checked whenever it fills, and a step of the
+growing phase in a buffer of one row per window length; what is left is
+checked after the last step. So the kept rows, like the CSV writer's
+reads, take memory independent of the run length. Per block, the steps' z
+and window states are stacked products, each row with the bytes a step
+would have given it, and the flags are broadcast compares of z's slots
+(read through mhe.slot_view) and of the states against their boxes. The
+columns no step reads (e_norm, w_delta, sigma) are filled after the last
+step from the recorded x and xhat rows. The windows are views of the
+record's input and output rows. The prior for
 a full window is the recorded current-time estimate from M steps ago;
 during the growing phase it stays at the configured initial prior (this is
 what makes the per-step inequalities theorems).
@@ -71,7 +75,7 @@ MONITOR_REL_TOL = 1e-7  # relative slack of every monitor inequality
 # and estimated outputs and states
 WHAT_ATOL = 1e-12
 OUTPUT_ATOL = 1e-9
-FLAG_CHUNK = 64  # steps per block of the post-loop flag pass; bounds its temporaries
+FLAG_CHUNK = 64  # steps per block of the flag checks and of the CSV writer
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,9 @@ class TrajectoryLog:
     """The record of one run: one array per quantity, row t is step t.
 
     Each value is written once, into its row: the loop writes a step's
-    columns as it runs it, and the record-only e_norm, w_delta, sigma and
-    feasible columns, which no step reads, are filled after the last step.
+    columns as it runs it, the feasible column a block of steps at a time,
+    and the record-only e_norm, w_delta and sigma columns, which no step
+    reads, after the last step.
     The windows, the priors, the monitor pass, the CSV and
     the summary all read these columns. The three oracle columns are None
     when the oracle is off.
@@ -188,7 +193,12 @@ class TrajectoryLog:
             names = [n for n, v in zip(MONITOR_NAMES, self.verdicts[t]) if v == FAIL]
             raise MonitorViolation(f"monitor(s) {', '.join(names)} failed at step {t}")
 
-    def to_csv_text(self):
+    def write_csv(self, fh):
+        """Write the record as CSV to the open text file fh: the header, then
+        one line per step, written as it is formatted: str(t), the repr of
+        each float, an empty eps when the oracle is off, then the verdicts.
+        The values are read FLAG_CHUNK steps at a time, so no copy of the
+        whole record is held."""
         n_x, n_y, n_u = self.x.shape[1], self.y.shape[1], self.u.shape[1]
         header = (["t"]
                   + [f"x{i}" for i in range(n_x)]
@@ -197,15 +207,20 @@ class TrajectoryLog:
                   + [f"xhat{i}" for i in range(n_x)]
                   + ["e_norm", "eps", "w_delta", "sigma_raw", "sigma_clamped"]
                   + [f"mon_{name}" for name in MONITOR_NAMES])
-        head = np.column_stack([self.x, self.y, self.u, self.xhat, self.e_norm])
-        tail = np.column_stack([self.w_delta, self.sigma_raw, self.sigma_clamped])
-        eps = [""] * self.steps if self.eps is None else map(repr, self.eps.tolist())
-        lines = [",".join(header)]
-        for t, (h, eps_t, tl, verdicts) in enumerate(zip(
-                head.tolist(), eps, tail.tolist(), self.verdicts.tolist())):
-            lines.append(",".join([str(t), *map(repr, h), eps_t, *map(repr, tl),
-                                   *verdicts]))
-        return "\n".join(lines) + "\n"
+        fh.write(",".join(header) + "\n")
+        for a in range(0, self.steps, FLAG_CHUNK):
+            rows = slice(a, a + FLAG_CHUNK)
+            head = np.column_stack([self.x[rows], self.y[rows], self.u[rows],
+                                    self.xhat[rows], self.e_norm[rows]])
+            tail = np.column_stack([self.w_delta[rows], self.sigma_raw[rows],
+                                    self.sigma_clamped[rows]])
+            eps = ([""] * len(head) if self.eps is None
+                   else map(repr, self.eps[rows].tolist()))
+            for t, (h, eps_t, tl, verdicts) in enumerate(zip(
+                    head.tolist(), eps, tail.tolist(),
+                    self.verdicts[rows].tolist()), start=a):
+                fh.write(",".join([str(t), *map(repr, h), eps_t, *map(repr, tl),
+                                   *verdicts]) + "\n")
 
     def summary_dict(self):
         return {
@@ -374,33 +389,25 @@ def _stacked_window(shape, points):
     return z[:, :, 0], np.matmul(shape.state_map, x)[:, :, 0]
 
 
-def _feasibility_flags(shapes, points):
-    """The (T, 3) feasibility flags (what, xhat, yhat) of a run whose step t
-    kept its [v_K; u_window.ravel()] at the start of points[t], checked after
-    the last step: per window length, in blocks of at most FLAG_CHUNK steps,
-    the steps' z slots (mhe.slot_view) against one slot's [w1, w2, y] bounds
-    and their window states against the x box, each side widened by its
-    flag's tolerance as Box.contains widens it."""
-    T, M, sys = len(points), shapes.M, shapes.sys
-    n_w = sys.n_w
+def _feasibility_flags(sys, shape, points):
+    """The (n, 3) feasibility flags (what, xhat, yhat) of n steps of the
+    shape's window length whose [v_K; u_window.ravel()] are the rows of
+    points: the steps' z slots (mhe.slot_view) against one slot's
+    [w1, w2, y] bounds and their window states against the x box, each side
+    widened by its flag's tolerance as Box.contains widens it."""
+    n, n_w = len(points), sys.n_w
     slot = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL), (sys.y_box, OUTPUT_ATOL))
     slot_lo = np.concatenate([box.lower - tol for box, tol in slot])
     slot_hi = np.concatenate([box.upper + tol for box, tol in slot])
     x_lo, x_hi = sys.x_box.lower - OUTPUT_ATOL, sys.x_box.upper + OUTPUT_ATOL
-    out = np.empty((T, 3), dtype=bool)
-    for m in range(min(M, T - 1) + 1):
-        shape = shapes[m]
-        width = shape.state_map.shape[1]
-        last = T if m == M else m + 1  # steps m .. last - 1 have window length m
-        for a in range(m, last, FLAG_CHUNK):
-            b = min(a + FLAG_CHUNK, last)
-            z, states = _stacked_window(shape, points[a:b, :width])
-            slots = slot_view(z, sys)
-            states = states.reshape(b - a, m + 1, sys.n_x)
-            slots_ok = (slots >= slot_lo) & (slots <= slot_hi)  # False at NaN
-            out[a:b, 0] = slots_ok[..., :n_w].all(axis=(1, 2))
-            out[a:b, 1] = ((states >= x_lo) & (states <= x_hi)).all(axis=(1, 2))
-            out[a:b, 2] = slots_ok[..., n_w:].all(axis=(1, 2))
+    z, states = _stacked_window(shape, points)
+    slots = slot_view(z, sys)
+    states = states.reshape(n, shape.m_eff + 1, sys.n_x)
+    slots_ok = (slots >= slot_lo) & (slots <= slot_hi)  # False at NaN
+    out = np.empty((n, 3), dtype=bool)
+    out[:, 0] = slots_ok[..., :n_w].all(axis=(1, 2))
+    out[:, 1] = ((states >= x_lo) & (states <= x_hi)).all(axis=(1, 2))
+    out[:, 2] = slots_ok[..., n_w:].all(axis=(1, 2))
     return out
 
 
@@ -449,8 +456,12 @@ def run_closed_loop(cfg, observe=None):
                            ledger=ledger if certified else None)
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
-    # row t: step t's [v_K; u_window.ravel()], the input of its estimate and flags
-    points = np.empty((T, shapes[min(M, T - 1)].state_map.shape[1]))
+    # a step's row [v_K; u_window.ravel()], the input of its estimate and
+    # flags: step t < M keeps it in row t of `growing`, one per window length,
+    # checked after the last step; a full-window step in `block`, whose
+    # FLAG_CHUNK rows are checked as it fills, and once more after the loop
+    width = shapes[min(M, T - 1)].state_map.shape[1]
+    growing, block = np.empty((M, width)), np.empty((FLAG_CHUNK, width))
 
     log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
                               seed=cfg.seed, M=M, K=K, certified=certified,
@@ -475,8 +486,9 @@ def run_closed_loop(cfg, observe=None):
         if observe is not None:
             observe(problem, report)
         shape = problem.shape
+        row = growing[t] if t < M else block[(t - M) % FLAG_CHUNK]
         point = np.concatenate((report.v, problem.u_window.ravel()),
-                               out=points[t, :shape.state_map.shape[1]])
+                               out=row[:shape.state_map.shape[1]])
         xhat = log.xhat[t] = shape.estimate_map @ point
 
         if cfg.oracle:
@@ -493,6 +505,8 @@ def run_closed_loop(cfg, observe=None):
 
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
+        if t >= M and (t - M) % FLAG_CHUNK == FLAG_CHUNK - 1:
+            log.feasible[t + 1 - FLAG_CHUNK:t + 1] = _feasibility_flags(sys, shape, block)
 
         if t + 1 < T:
             log.x[t + 1] = sys.step(x, u, w1s[t])
@@ -507,7 +521,13 @@ def run_closed_loop(cfg, observe=None):
     log.sigma_raw[:] = log.sigma_clamped[:] = 0.0  # as residual_sigma_parts after M
     for t in range(min(T - 1, M) + 1):
         log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
-    log.feasible[:] = _feasibility_flags(shapes, points)
+    rest = max(T - M, 0) % FLAG_CHUNK
+    if rest:
+        log.feasible[T - rest:] = _feasibility_flags(sys, shapes[M], block[:rest])
+    for m in range(min(M, T)):
+        shape = shapes[m]
+        log.feasible[m] = _feasibility_flags(
+            sys, shape, growing[m:m + 1, :shape.state_map.shape[1]])[0]
 
     if cfg.oracle:
         w = np.hstack([w1s, w2s])

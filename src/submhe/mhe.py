@@ -421,7 +421,8 @@ def slot_view(z, sys):
     in its first n_w entries, the output yhat_j in the remaining n_y; z's
     first n_x entries, xhat_0, are in no slot. Every reader of z's slots
     takes them through this view: MheProblem.window_slots for one step's z,
-    the loop's feasibility flags for a stack of them.
+    the loop's feasibility flags for a stack of them, and build_problem
+    writes the reference's outputs through it.
     """
     slots = z[..., sys.n_x:]
     width = sys.n_w + sys.n_y
@@ -574,7 +575,7 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     offset = shape.input_map @ u_window.ravel()
     reference = np.zeros(shape.dim_z)
     reference[:n_x] = x_prior
-    reference[n_x:].reshape(m_eff, n_w + n_y)[:, n_w:] = y_window
+    slot_view(reference, sys)[:, n_w:] = y_window
     for arr in (reference, offset):
         arr.setflags(write=False)
     return MheProblem(sys=sys, t=t, shape=shape,

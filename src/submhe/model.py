@@ -147,19 +147,19 @@ class LtiSystem:
         object.__setattr__(self, "B", _frozen_array(self.B, 2))
         object.__setattr__(self, "C", _frozen_array(self.C, 2))
 
-    @property
+    @cached_property
     def n_x(self):
         return self.A.shape[0]
 
-    @property
+    @cached_property
     def n_u(self):
         return self.B.shape[1]
 
-    @property
+    @cached_property
     def n_y(self):
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def n_w(self):
         """Dimension of the augmented disturbance [w1; w2]."""
         return self.n_x + self.n_y

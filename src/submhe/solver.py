@@ -223,7 +223,7 @@ def optimum_tolerance(shape, v_star):
 def _polish(s, c, v, active):
     """v with its free coordinates (not `active`) solved for on the active
     set: w_A = v_A and S_FF w_F = -(c_F + S_FA v_A)."""
-    free, fixed = np.flatnonzero(~active), np.flatnonzero(active)
+    free, fixed = (~active).nonzero()[0], active.nonzero()[0]
     w = v.copy()
     if free.size:
         s_ff, s_fa = _free_blocks(s, free, fixed)

@@ -1,6 +1,7 @@
 """The perf-claim scripts under bench/ still run against the package: each is
 loaded by path, as it stands, with its workload shrunk to a few steps, and
-its `measure` runs in-process without writing a BENCH_*.json."""
+its `measure` runs (in-process, or in child processes for peak_rss) without
+writing a BENCH_*.json."""
 
 import importlib.util
 import os
@@ -71,6 +72,22 @@ def test_oracle_cost_measures(scripts, certified_doc, monkeypatch, tmp_path):
         res = result[kind]
         assert set(res) == {"count", "p50_us", "p90_us", "iters"}
         assert sum(res["iters"].values()) == res["count"]
+    assert bench_files() == before
+    assert not list(tmp_path.iterdir())
+
+
+def test_peak_rss_measures(scripts, certified_doc, monkeypatch, tmp_path):
+    peak_rss = load("peak_rss")  # imports step_cost by name, as oracle_cost does
+    monkeypatch.setattr(peak_rss, "RESULTS", tmp_path / peak_rss.RESULTS.name)
+    steps = certified_doc.mhe["M"] + 3
+    before = bench_files()
+    result = peak_rss.measure((steps,), 1)
+    assert set(result) == {"oracle_off", "oracle_on"}
+    for cells in result.values():
+        assert set(cells) == {str(steps)}
+        cell = cells[str(steps)]
+        assert len(cell["runs_mb"]) == 1
+        assert cell["median_mb"] == cell["runs_mb"][0] > 0
     assert bench_files() == before
     assert not list(tmp_path.iterdir())
 

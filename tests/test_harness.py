@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,35 @@ def append_and_drop(window, item, t, M):
     oldest whenever the window would exceed min(M, t + 1) items."""
     out = np.vstack([window, np.asarray(item, dtype=float)[None, :]])
     return out[1:] if out.shape[0] > min(M, t + 1) else out
+
+
+def reference_csv_text(log):
+    """The whole record formatted at once, as simulate wrote it before its
+    CSV was streamed: the reference for TrajectoryLog.write_csv."""
+    n_x, n_y, n_u = log.x.shape[1], log.y.shape[1], log.u.shape[1]
+    header = (["t"]
+              + [f"x{i}" for i in range(n_x)]
+              + [f"y{i}" for i in range(n_y)]
+              + [f"u{i}" for i in range(n_u)]
+              + [f"xhat{i}" for i in range(n_x)]
+              + ["e_norm", "eps", "w_delta", "sigma_raw", "sigma_clamped"]
+              + [f"mon_{name}" for name in harness.MONITOR_NAMES])
+    head = np.column_stack([log.x, log.y, log.u, log.xhat, log.e_norm])
+    tail = np.column_stack([log.w_delta, log.sigma_raw, log.sigma_clamped])
+    eps = [""] * log.steps if log.eps is None else map(repr, log.eps.tolist())
+    lines = [",".join(header)]
+    for t, (h, eps_t, tl, verdicts) in enumerate(zip(
+            head.tolist(), eps, tail.tolist(), log.verdicts.tolist())):
+        lines.append(",".join([str(t), *map(repr, h), eps_t, *map(repr, tl),
+                               *verdicts]))
+    return "\n".join(lines) + "\n"
+
+
+def written_csv(log):
+    """The record as TrajectoryLog.write_csv writes it."""
+    fh = io.StringIO()
+    log.write_csv(fh)
+    return fh.getvalue()
 
 
 def box_contains_flags(sys, problem, z_k, states):
@@ -203,11 +233,11 @@ class TestClosedLoop:
     def test_determinism_bytes(self, case_study_doc):
         doc = case_study_doc
         cfg = scenario(doc, doc.certificate, steps=10)
-        a = run_closed_loop(cfg).to_csv_text()
-        b = run_closed_loop(cfg).to_csv_text()
+        a = written_csv(run_closed_loop(cfg))
+        b = written_csv(run_closed_loop(cfg))
         assert a == b
-        c = run_closed_loop(scenario(doc, doc.certificate, steps=10,
-                                     seed=4)).to_csv_text()
+        c = written_csv(run_closed_loop(scenario(doc, doc.certificate, steps=10,
+                                                 seed=4)))
         assert a != c
 
     def test_warm_start_dimension_law(self, case_study_doc):
@@ -370,8 +400,8 @@ class TestClosedLoop:
                     for name in ("build_problem", "solve_fixed_iters", "evaluate")}
         sigma = count_calls(monkeypatch, harness, "residual_sigma_parts")
         lyapunov = count_calls(monkeypatch, harness, "w_delta")
-        # a step forms only its estimate, and the flags are checked after
-        # the loop, so no step forms its window states
+        # a step forms only its estimate, and the flags are checked from the
+        # kept rows in stacked blocks, so no step forms its window states
         assert not hasattr(harness, "extract_estimate")
         estimated = count_calls(monkeypatch, mhe, "extract_estimate")
         log = run_closed_loop(scenario(doc, doc.certificate, K=228, steps=T,
@@ -420,17 +450,20 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("chunk", [harness.FLAG_CHUNK, 5])
     def test_flags_match_box_contains(self, monkeypatch, chunk):
-        # The flags are checked after the last step, per window length in
-        # blocks of FLAG_CHUNK steps; each step's expected flags come from
-        # what the step observed, its problem and solve report. The true
-        # state starts outside the tight x and y boxes, so the estimated
-        # states and outputs leave them early on. The solver clamps the
-        # disturbance estimates into their box, so the test perturbs its
-        # point: at the first full-window step (t = M), at step 5 and at the
-        # step before the last a disturbance estimate leaves its box, at step
-        # 12 the oldest window state alone leaves the x box, and the last
-        # step gets a NaN disturbance estimate. A block of 5 steps splits the
-        # full-window steps 4..19 at 9, 14 and 19, so a row or input window
+        # The flags of the growing phase are checked after the last step, and
+        # those of the full-window steps in blocks of FLAG_CHUNK steps, each
+        # block as the loop fills it and the rest after the last step; each
+        # step's expected flags come from what the step observed, its problem
+        # and solve report. The true state starts outside the tight x and y
+        # boxes, so the estimated states and outputs leave them early on. The
+        # solver clamps the disturbance estimates into their box, so the test
+        # perturbs its point: at the first full-window step (t = M), at step
+        # 5 and at the step before the last a disturbance estimate leaves its
+        # box, at step 12 the oldest window state alone leaves the x box, and
+        # the last step gets a NaN disturbance estimate. The runs end in the
+        # growing phase, at its end, one step past it, and at and one step
+        # past a full block; a block of 5 steps splits the 20-step run's
+        # full-window steps 4..19 at 9, 14 and 19. So a row or input window
         # off by one at a block's or the run's ends changes a flag
         monkeypatch.setattr(harness, "FLAG_CHUNK", chunk)
         box = lambda b, n: Box(np.full(n, -b), np.full(n, b))
@@ -439,35 +472,45 @@ class TestClosedLoop:
                         y_box=box(0.8, 1), w1_box=box(0.05, 2),
                         w2_box=box(0.05, 1))
         cert = simple_certificate(2, 1, eta=0.5)
-        M, steps, n_x = 4, 20, sys.n_x
-        cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, M),
-                             law=FeedbackLaw(np.array([[0.2, 0.3]]), box(1.0, 1)),
-                             K=50, steps=steps, x0=np.array([3.0, -2.0]),
-                             x_prior0=np.zeros(2), oracle=False)
+        M, n_x = 4, sys.n_x
         solve = harness.solve_fixed_iters
-        what_out = (M, 5, steps - 2)
 
-        def perturbed(problem, z0, K):
-            report = solve(problem, z0, K)
-            v = report.v.copy()
-            if problem.t in what_out:
-                v[n_x] += 1.0
-            elif problem.t == 12:  # shift xhat_0; w1_0 cancels it in xhat_1
-                v[:n_x] += [2.2, 0.0]
-                v[n_x:2 * n_x] -= sys.A @ [2.2, 0.0]
-            elif problem.t == steps - 1:
-                v[n_x + 1] = np.nan
-            else:
-                return report
-            return replace(report, v=v)
+        def run(steps):
+            what_out = (M, 5, steps - 2)
 
-        monkeypatch.setattr(harness, "solve_fixed_iters", perturbed)
-        observed = []
-        log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
-            (prob, rep, extract_estimate(prob, rep.v))))
-        flags = [tuple(f) for f in log.feasible.tolist()]
-        assert flags == [box_contains_flags(sys, problem, report.z, states)
-                         for problem, report, states in observed]
+            def perturbed(problem, z0, K):
+                report = solve(problem, z0, K)
+                v = report.v.copy()
+                if problem.m_eff == 0:
+                    return report
+                if problem.t in what_out:
+                    v[n_x] += 1.0
+                elif problem.t == 12:  # shift xhat_0; w1_0 cancels it in xhat_1
+                    v[:n_x] += [2.2, 0.0]
+                    v[n_x:2 * n_x] -= sys.A @ [2.2, 0.0]
+                elif problem.t == steps - 1:
+                    v[n_x + 1] = np.nan
+                else:
+                    return report
+                return replace(report, v=v)
+
+            monkeypatch.setattr(harness, "solve_fixed_iters", perturbed)
+            cfg = ScenarioConfig(shapes=WindowShapes(sys, cert, M),
+                                 law=FeedbackLaw(np.array([[0.2, 0.3]]), box(1.0, 1)),
+                                 K=50, steps=steps, x0=np.array([3.0, -2.0]),
+                                 x_prior0=np.zeros(2), oracle=False)
+            observed = []
+            log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
+                (prob, rep, extract_estimate(prob, rep.v))))
+            flags = [tuple(f) for f in log.feasible.tolist()]
+            assert flags == [box_contains_flags(sys, problem, report.z, states)
+                             for problem, report, states in observed], steps
+            return flags, observed
+
+        for steps in (1, M, M + 1, M + chunk, M + chunk + 1):
+            run(steps)
+        steps = 20
+        flags, observed = run(steps)
         for i in range(3):
             assert any(f[i] for f in flags) and not all(f[i] for f in flags)
         # the tight boxes alone, before any perturbation
@@ -482,7 +525,7 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("source", ["case_study_doc", "certified_doc"])
     def test_flag_entries_are_each_steps_bytes(self, request, source):
-        # the post-loop pass forms each step's z and window states in stacked
+        # the flag checks form each block's z and window states in stacked
         # products; each row must be the step's own z and extract_estimate,
         # byte for byte, at every window length, and so must the z's slots
         # through the slot view
@@ -643,7 +686,7 @@ class TestClosedLoop:
     def test_csv_layout(self, case_study_doc):
         doc = case_study_doc
         log = run_closed_loop(scenario(doc, doc.certificate, steps=3))
-        lines = log.to_csv_text().strip().split("\n")
+        lines = written_csv(log).strip().split("\n")
         assert len(lines) == 4
         header = lines[0].split(",")
         assert header[:5] == ["t", "x0", "x1", "x2", "x3"]
@@ -655,6 +698,22 @@ class TestClosedLoop:
         assert header[17:] == ["mon_eps_recursion", "mon_lyapunov",
                                "mon_traj_eps", "mon_traj_err",
                                "mon_contraction"]
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
+                                                           "oracle_on"])
+    @pytest.mark.parametrize("K", [0, 25])
+    @pytest.mark.parametrize("source", ["certified_doc", "case_study_doc"])
+    def test_written_csv_is_the_reference_text(self, request, source, K, oracle):
+        # the CSV is written a row at a time, reading FLAG_CHUNK steps of the
+        # record at once; its text must be the whole-record reference's. The
+        # runs end before, at and just past the growing phase, and past
+        # several blocks
+        doc = request.getfixturevalue(source)
+        M = doc.mhe["M"]
+        for steps in (1, M, M + 1, 400):
+            log = run_closed_loop(scenario(doc, doc.certificate, K=K,
+                                           steps=steps, oracle=oracle))
+            assert written_csv(log) == reference_csv_text(log), steps
 
     def test_certified_run_tails_settle(self, certified_doc):
         # bounded disturbance, certified budget: all sups finite and the last
@@ -691,7 +750,7 @@ for arg in sys.argv[1:]:
     cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=40,
                               seed=int(seed), steps=2 * doc.mhe["M"] + 2,
                               oracle=True)
-    sys.stdout.write(run_closed_loop(cfg).to_csv_text())
+    run_closed_loop(cfg).write_csv(sys.stdout)
 """
 
 
