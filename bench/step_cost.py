@@ -110,11 +110,13 @@ def summarize(per_seed):
 
 
 def pin_one_cpu():
-    """Pin this process to the first CPU it may run on; that CPU, or None
-    where the platform has no affinity call."""
+    """Pin this process to the last CPU it may run on, as perfbench and
+    peak_rss.py pin theirs (CPU 0 of the reference 2-vCPU VM also services
+    its device interrupts); that CPU, or None where the platform has no
+    affinity call."""
     if not hasattr(os, "sched_setaffinity"):
         return None
-    cpu = min(os.sched_getaffinity(0))
+    cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     return cpu
 

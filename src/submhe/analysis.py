@@ -32,7 +32,7 @@ verbatim in z. For small K, phi_z(K) >= 1 and no ledger passes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -153,16 +153,7 @@ class GainLedger:
                            "dominant": f"P{1 + largest}",
                            "margin": self.margin,
                            "passed": self.passed},
-            "params": {
-                "L_phi": self.params.L_phi, "L_pi": self.params.L_pi,
-                "gamma13_slope": self.params.gamma13_slope,
-                "eta": self.params.eta, "M": self.params.M,
-                "phi_base": self.params.phi_base,
-                "lift_gain": self.params.lift_gain, "norm_C": self.params.norm_C,
-                "bar_H": self.params.bar_H, "lam_HP": self.params.lam_HP,
-                "lam_PP": self.params.lam_PP, "lam_QP": self.params.lam_QP,
-                "sampled": list(self.params.sampled),
-            },
+            "params": asdict(self.params),
         }
 
 

@@ -3,12 +3,14 @@
 Exit codes: 0 ok, 1 domain failure (LMI violation, no contracting horizon,
 unstable law, strict-mode monitor failure), 2 usage error (bad flags,
 unreadable or invalid config). Errors are emitted as one JSON object on
-stderr. Every JSON document the CLI writes is strict JSON: a
-non-finite number is written as the string "inf", "-inf" or "nan", as
-configs spell interval bounds. The run policy is simulate's: the library
-loop always runs and records, and simulate refuses rho >= 1 before it
-probes anything (unless --uncertified) and, with --strict, raises on the
-first monitor failure after the run, before it writes anything. analyze-k
+stderr. Every JSON document the CLI writes is strict JSON, encoded by
+config.json_value, the encoder of the canonical config: a non-finite
+number is written as the string "inf", "-inf" or "nan", as configs spell
+interval bounds, and an array as nested lists. The run policy is
+simulate's: the library loop always runs and records, and simulate
+refuses rho >= 1 before it probes anything (unless --uncertified) and,
+with --strict, raises on the first monitor failure after the run, before
+it writes anything. analyze-k
 refuses rho >= 1 before it probes anything too. Every run builds its
 analysis params the same way, once (analysis.build_params), whatever its
 K and its --oracle: gamma13 is derived and the certificate's LMI checked
@@ -22,7 +24,6 @@ derived from its inputs; certify and verify report it too.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,23 +35,12 @@ from .errors import (ContractionViolated, LmiViolated, ParseError,
                      SubmheError, ValidationError)
 from .harness import lipschitz_probe, run_closed_loop
 from .model import find_certificate, verify_ioss_lmi, w_delta
-from .config import load_config
-
-
-def _finite(obj):
-    """obj with each non-finite float replaced by "inf", "-inf" or "nan"."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    if isinstance(obj, dict):
-        return {key: _finite(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(val) for val in obj]
-    return obj
+from .config import json_value, load_config
 
 
 def _json_text(obj, **kwargs):
-    """Strict JSON text of obj: no Infinity or NaN tokens."""
-    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+    """Strict JSON text of obj (config.json_value): no Infinity or NaN tokens."""
+    return json.dumps(json_value(obj), allow_nan=False, **kwargs)
 
 
 def _error_json(exc):
@@ -103,7 +93,7 @@ def cmd_certify(args):
         "eta": cert.eta,
     }
     if searched:
-        out["P"] = cert.P.tolist()
+        out["P"] = cert.P
     print(_json_text(out, indent=2))
     return 0 if verdict.passed else 1
 
@@ -167,38 +157,39 @@ def cmd_simulate(args):
     return 0
 
 
+def _verified_certificate(doc):
+    """The config's certificate (found when P is "search"); LmiViolated
+    unless it passes the LMI."""
+    cert, _ = _resolve_certificate(doc)
+    verify_ioss_lmi(doc.system, cert).require()
+    return cert
+
+
 def cmd_verify(args):
     doc = load_config(args.config)
-    checks = []
+    passed = []  # one bool per check, in order
 
-    def check(name, fn):
+    def check(name, fn, *args, **kwargs):
+        """Print the row of fn(*args, **kwargs); its value, or None when it
+        raised."""
         try:
-            fn()
-            checks.append((name, True, ""))
-            print(f"PASS {name}")
+            value = fn(*args, **kwargs)
         except Exception as exc:
-            checks.append((name, False, str(exc)))
+            passed.append(False)
             print(f"FAIL {name}: {exc}")
+            return None
+        passed.append(True)
+        print(f"PASS {name}")
+        return value
 
-    sys_ = doc.system
-    cert_holder = {}
-
-    def resolve_cert():
-        cert, _ = _resolve_certificate(doc)
-        verify_ioss_lmi(sys_, cert).require()
-        cert_holder["cert"] = cert
-
-    check("certificate-lmi", resolve_cert)
-    if "cert" not in cert_holder:
+    cert = check("certificate-lmi", _verified_certificate, doc)
+    if cert is None:
         print("verification aborted: no valid certificate")
         return 1
-    cert = cert_holder["cert"]
+    sys_ = doc.system
     rng = np.random.default_rng(0)
-
-    def dissipation():
-        _check_dissipation(sys_, cert, rng, n_pairs=200, rel_tol=1e-9)
-
-    check("dissipation-inequality", dissipation)
+    check("dissipation-inequality", _check_dissipation, sys_, cert, rng,
+          n_pairs=200, rel_tol=1e-9)
 
     from .mhe import build_problem
     from .solver import optimum_tolerance, solve_fixed_iters, solve_oracle
@@ -233,11 +224,8 @@ def cmd_verify(args):
 
     check("cost-equivalence", cost_equiv)
 
-    def convexity():
-        for m in range(M + 1):
-            shapes[m].curvature  # DegenerateHessian unless mu > 0
-
-    check("strong-convexity", convexity)
+    # DegenerateHessian unless mu > 0 on every window length
+    check("strong-convexity", lambda: [shapes[m].curvature for m in range(M + 1)])
 
     def oracle_agreement():
         prob = make_problem(M)
@@ -261,10 +249,8 @@ def cmd_verify(args):
 
     check("oracle-agreement", oracle_agreement)
 
-    def smoke():
-        assert_stabilizing(sys_, doc.controller, n_samples=5)
-
-    check("controller-stability-smoke", smoke)
+    check("controller-stability-smoke", assert_stabilizing, sys_, doc.controller,
+          n_samples=5)
 
     # one short loop, read by both loop checks; it runs without params, as
     # they read no ledger, and an error it raises fails both
@@ -305,9 +291,8 @@ def cmd_verify(args):
 
     check("tail-optimum", tail_optimum)
 
-    failed = [name for name, ok, _ in checks if not ok]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 0 if not failed else 1
+    print(f"{sum(passed)}/{len(passed)} checks passed")
+    return 0 if all(passed) else 1
 
 
 def _check_dissipation(sys_, cert, rng, n_pairs, rel_tol):

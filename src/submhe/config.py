@@ -6,6 +6,8 @@ unbounded on that side). Unknown keys are rejected; every error carries the
 offending field path. Loading applies defaults, so a loaded document
 re-serialized and re-loaded is identical (canonical form). The canonical
 form is the encoding of the parsed blocks, so it names every accepted key.
+json_value is that encoding, and the one strict-JSON encoder of the
+package: the CLI writes every document it emits through it too.
 """
 
 import hashlib
@@ -43,19 +45,21 @@ def _block(doc, key, required=True):
     return value
 
 
-def _encode(value):
-    """The JSON form of a parsed value: a Box as [lo, hi] pairs, an array as
-    nested lists, an infinite number as "inf" or "-inf"."""
+def json_value(value):
+    """The strict-JSON form of value, the one encoder of the package: a dict
+    key by key, a Box as [lo, hi] pairs, an array, list or tuple as nested
+    lists, a non-finite number as "inf", "-inf" or "nan"; anything else as
+    it is."""
     if isinstance(value, dict):
-        return {key: _encode(val) for key, val in value.items()}
+        return {key: json_value(val) for key, val in value.items()}
     if isinstance(value, Box):
         value = np.column_stack([value.lower, value.upper])
     if isinstance(value, np.ndarray):
         value = value.tolist()
-    if isinstance(value, list):
-        return [_encode(val) for val in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, (list, tuple)):
+        return [json_value(val) for val in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
 
 
@@ -289,7 +293,7 @@ class ConfigDocument:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self):
-        return {"schema_version": SCHEMA_VERSION, **_encode(self.blocks)}
+        return {"schema_version": SCHEMA_VERSION, **json_value(self.blocks)}
 
     def canonical_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),

@@ -43,7 +43,11 @@ analysis on the recorded columns in one pass: (a) the error recursion,
 the premise of that theorem; SKIP otherwise), (c) the two trajectory
 bounds (certified runs only), (d) the solver contraction budget, both in
 the free coordinates v (phi(K)) and in the decision vector z (phi_z(K),
-which carries the lift gain). The sub-optimality error eps itself is
+which carries the lift gain). The pass reads its constants from a
+MonitorBundle, built only then, in which each monitor's missing premise is
+a None (no C1..C3 without a ledger, no trajectory ledger on an uncertified
+run, no eta under a failing LMI); monitor_step returns the verdict array,
+SKIP where a premise is None. The sub-optimality error eps itself is
 measured in z, the one place a step lifts v_K and v* to z. Monitor
 failures are recorded in the record's verdicts, never raised: the run
 always records every step, and treating a failure as an error is the
@@ -155,7 +159,7 @@ class TrajectoryLog:
     eps: np.ndarray | None       # ||z_K - z*||
     eps_v: np.ndarray | None     # ||v_K - v*||, eps in the free coordinates
     warm_v: np.ndarray | None    # ||v0 - v*||, free coordinates of the warm start
-    verdicts: np.ndarray         # (T, len(MONITOR_NAMES)), filled in by monitor_step
+    verdicts: np.ndarray         # (T, len(MONITOR_NAMES)): monitor_step's, or SKIP
     oracle_solves: int = 0       # steps whose v* came from solver.solve_oracle
     oracle_extra_iters: int = 0  # kernel iterations those solves ran beyond K
     oracle_bound_max: float | None = None  # largest certified ||v - v*|| they accepted
@@ -280,7 +284,7 @@ class MonitorBundle:
     C2: float | None
     C3: float | None
     bar_H: float
-    eta: float
+    eta: float | None          # None when the certificate's LMI fails
     ledger: object | None      # full gain ledger; None on uncertified runs
 
 
@@ -303,55 +307,49 @@ def monitor_step(bundle, M, x_norm, e_norm, w_norm, w_q, sigma, eps, eps_v,
     step's disturbance, sigma_clamped and w_delta = W(xhat_t, x_t).
     eps = ||z_K - z*|| is a distance in the decision vector; eps_v =
     ||v_K - v*|| is the same distance and warm_v = ||v0 - v*|| the warm
-    start's, in the free coordinates. Returns one tuple of verdicts per
-    step, in MONITOR_NAMES order.
+    start's, in the free coordinates. Returns the (T, len(MONITOR_NAMES))
+    verdict array; a monitor whose constants the bundle marks None is SKIP.
     """
     T = len(eps)
     t = np.arange(T)
     m_eff = np.minimum(M, t)
     sup_x, sup_e, sup_w, sup_sigma, sup_eps = map(
         _sup_before, (x_norm, e_norm, w_norm, sigma, eps))
-    skip = [SKIP] * T
-
-    def verdict(ok):
-        return [PASS if v else FAIL for v in ok.tolist()]
+    verdicts = np.full((T, len(MONITOR_NAMES)), SKIP)
+    recursion, lyapunov, traj_eps, traj_err, contraction = verdicts.T
 
     # (a) error recursion, from step 1 on
-    if bundle.C1 is None:
-        recursion = skip
-    else:
+    if bundle.C1 is not None:
         eps_prev = np.concatenate(([0.0], eps[:-1]))
         rhs = (bundle.phi_z * eps_prev + bundle.C1 * sup_x + bundle.C2 * sup_e
                + bundle.C3 * sup_w + bundle.phi_z * bundle.L_phi * sup_sigma)
-        recursion = [SKIP] + verdict(_leq(eps, rhs))[1:]
+        recursion[1:] = np.where(_leq(eps, rhs), PASS, FAIL)[1:]
 
     # (b) M-step Lyapunov decay from step t - m_eff's own w_delta
-    recent = np.zeros(T)  # sum over j = 1..m_eff of eta^(j-1) ||w_{t-j}||_Q^2
-    for j in range(1, M + 1):
-        recent[j:] += bundle.eta ** (j - 1) * w_q[:-j]
-    rhs = (6.0 * bundle.eta ** m_eff * w_delta[t - m_eff]
-           + 2.0 * bundle.bar_H * eps ** 2 + 6.0 * recent)
-    lyapunov = verdict(_leq(w_delta, rhs))
+    if bundle.eta is not None:
+        recent = np.zeros(T)  # sum over j = 1..m_eff of eta^(j-1) ||w_{t-j}||_Q^2
+        for j in range(1, M + 1):
+            recent[j:] += bundle.eta ** (j - 1) * w_q[:-j]
+        rhs = (6.0 * bundle.eta ** m_eff * w_delta[t - m_eff]
+               + 2.0 * bundle.bar_H * eps ** 2 + 6.0 * recent)
+        lyapunov[:] = np.where(_leq(w_delta, rhs), PASS, FAIL)
 
     # (c) trajectory bounds; need the certified ledger
     led = bundle.ledger
-    if led is None:
-        traj_eps = traj_err = skip
-    else:
-        traj_eps = verdict(_leq(eps, led.beta2_base ** t * eps[0]
-                                + led.g21 * sup_x + led.g23 * sup_e
-                                + led.g2w * sup_w + led.g2sigma * sup_sigma))
-        traj_err = verdict(_leq(e_norm,
-                                led.beta3_coeff * led.beta3_base ** t * e_norm[0]
-                                + led.g31 * sup_x + led.g32 * sup_eps
-                                + led.g3w * sup_w + led.g3sigma * sup_sigma))
+    if led is not None:
+        bound = (led.beta2_base ** t * eps[0] + led.g21 * sup_x + led.g23 * sup_e
+                 + led.g2w * sup_w + led.g2sigma * sup_sigma)
+        traj_eps[:] = np.where(_leq(eps, bound), PASS, FAIL)
+        bound = (led.beta3_coeff * led.beta3_base ** t * e_norm[0] + led.g31 * sup_x
+                 + led.g32 * sup_eps + led.g3w * sup_w + led.g3sigma * sup_sigma)
+        traj_err[:] = np.where(_leq(e_norm, bound), PASS, FAIL)
 
     # (d) solver contraction budget, ||v_K - v*|| <= phi(K) ||v0 - v*|| and
     # ||z_K - z*|| <= ||Psi|| ||v_K - v*|| <= phi_z(K) ||v0 - v*||, which is
     # at most phi_z(K) ||z0 - z*||: the free coordinates appear verbatim in z
-    contraction = verdict(_leq(eps_v, bundle.phi * warm_v)
-                          & _leq(eps, bundle.phi_z * warm_v))
-    return list(zip(recursion, lyapunov, traj_eps, traj_err, contraction))
+    contraction[:] = np.where(_leq(eps_v, bundle.phi * warm_v)
+                              & _leq(eps, bundle.phi_z * warm_v), PASS, FAIL)
+    return verdicts
 
 
 def _why_uncertified(K, params, ledger):
@@ -443,18 +441,6 @@ def run_closed_loop(cfg, observe=None):
         uncertified_reason, reported = str(exc), None
     certified = uncertified_reason is None
 
-    # read from the shapes' caches, with or without params
-    phi = analysis.phi(analysis.worst_case_contraction(shapes), K)
-    phi_z = analysis.lift_gain(shapes) * phi
-    bar_h, _ = analysis.weight_eigen_range(shapes)
-    c1 = c2 = c3 = l_phi = None
-    if ledger is not None:
-        c1, c2, c3 = ledger.constants.C1, ledger.constants.C2, ledger.constants.C3
-        l_phi = params.L_phi
-    bundle = MonitorBundle(phi=phi, phi_z=phi_z, L_phi=l_phi,
-                           C1=c1, C2=c2, C3=c3, bar_H=bar_h, eta=eta,
-                           ledger=ledger if certified else None)
-
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
     # a step's row [v_K; u_window.ravel()], the input of its estimate and
     # flags: step t < M keeps it in row t of `growing`, one per window length,
@@ -530,16 +516,26 @@ def run_closed_loop(cfg, observe=None):
             sys, shape, growing[m:m + 1, :shape.state_map.shape[1]])[0]
 
     if cfg.oracle:
+        # the monitors' constants, from the shapes' caches with or without
+        # params. The M-step decay is a theorem only under a passing LMI,
+        # which AnalysisParams already required (analysis.build_params)
+        phi = analysis.phi(analysis.worst_case_contraction(shapes), K)
+        c1 = c2 = c3 = l_phi = None
+        if ledger is not None:
+            c1, c2, c3 = ledger.constants.C1, ledger.constants.C2, ledger.constants.C3
+            l_phi = params.L_phi
+        lmi_holds = has_params or verify_ioss_lmi(sys, cfg.cert).passed
+        bundle = MonitorBundle(phi=phi, phi_z=analysis.lift_gain(shapes) * phi,
+                               L_phi=l_phi, C1=c1, C2=c2, C3=c3,
+                               bar_H=analysis.weight_eigen_range(shapes)[0],
+                               eta=eta if lmi_holds else None,
+                               ledger=ledger if certified else None)
         w = np.hstack([w1s, w2s])
-        log.verdicts[:] = monitor_step(
+        log.verdicts = monitor_step(
             bundle, M, x_norm=log.x_norm, e_norm=log.e_norm,
             w_norm=np.linalg.norm(w, axis=1),
             w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
             eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, w_delta=log.w_delta)
-        # the M-step decay is a theorem only under a passing LMI, which
-        # AnalysisParams already required (analysis.build_params)
-        if not (has_params or verify_ioss_lmi(sys, cfg.cert).passed):
-            log.verdicts[:, MONITOR_NAMES.index("lyapunov")] = SKIP
     return log
 
 

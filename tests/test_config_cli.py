@@ -1,13 +1,17 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, child_env, count_calls
 
+from submhe.analysis import AnalysisParams
 from submhe.cli import run_cli
-from submhe.config import load_config, loads_config
+from submhe.config import json_value, load_config, loads_config
 from submhe.errors import ParseError, ValidationError
+from submhe.model import Box
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,31 @@ class TestLoadConfig:
         assert err.value.path == "$.system.A[0][0]"
 
 
+class TestJsonValue:
+    """config.json_value, the one encoder of the canonical config and of
+    every document the CLI writes."""
+
+    def test_box_sides_as_pairs(self):
+        box = Box(np.array([-math.inf, -1.0]), np.array([2.0, math.inf]))
+        assert json_value(box) == [["-inf", 2.0], [-1.0, "inf"]]
+
+    def test_arrays_lists_and_tuples_nest(self):
+        value = {"a": np.array([[1.0, math.inf], [math.nan, 2.0]]),
+                 "t": (1, (2.5, -math.inf)), "l": [np.array([3.0])]}
+        assert json_value(value) == {"a": [[1.0, "inf"], ["nan", 2.0]],
+                                     "t": [1, [2.5, "-inf"]], "l": [[3.0]]}
+
+    @pytest.mark.parametrize("value, encoded", [
+        (math.nan, "nan"), (-math.inf, "-inf"), (math.inf, "inf"),
+        (np.float64(-math.inf), "-inf")])
+    def test_nonfinite_numbers_as_strings(self, value, encoded):
+        assert json_value(value) == encoded
+
+    @pytest.mark.parametrize("value", [None, 0, 7, -3, True, 1.5, "inf", "x"])
+    def test_other_values_pass_through(self, value):
+        assert json_value(value) is value
+
+
 class TestCli:
     def test_certify_pass(self, capsys):
         code = run_cli(["certify", "--config",
@@ -257,6 +286,14 @@ class TestCli:
         assert small_gain["margin"] == 1.0 - sum(small_gain["products"])
         assert small_gain["margin"] == pytest.approx(0.0427, abs=5e-5)
         assert small_gain["dominant"] == f"P{1 + np.argmax(small_gain['products'])}"
+
+    def test_analyze_k_params_are_the_analysis_params_fields(self, capsys):
+        # the ledger's params block is AnalysisParams field by field, in
+        # their declared order
+        run_cli(["analyze-k", "--config",
+                 str(CONFIG_DIR / "case_study_certified.json")])
+        params = json.loads(capsys.readouterr().out)["ledger"]["params"]
+        assert list(params) == [f.name for f in fields(AnalysisParams)]
 
     def test_analyze_k_estimated_scalars(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))

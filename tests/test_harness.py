@@ -874,6 +874,16 @@ class TestMonitorStep:
         assert v["eps_recursion"] == ["skip"] * 6
         assert v["lyapunov"] == ["pass"] * 6  # rho- and L_phi-free
 
+    def test_failed_lmi_skips_only_the_lyapunov_monitor(self):
+        # eta is None when the certificate's LMI fails, the decay's premise
+        series = self.series(eps=10.0)
+        kept = self.verdicts(**series)
+        v = self.verdicts(self.bundle(eta=None), **series)
+        assert v["lyapunov"] == ["skip"] * 6
+        assert kept["eps_recursion"][-1] == "fail"
+        assert {name: col for name, col in v.items() if name != "lyapunov"} == {
+            name: col for name, col in kept.items() if name != "lyapunov"}
+
 
 class TestLipschitzProbe:
     def test_case_study_magnitude_and_stability(self, case_study):
