@@ -207,7 +207,7 @@ def cmd_verify(args):
     def condensing():
         prob = make_problem(M + 1)
         for _ in range(20):
-            v = np.clip(rng.uniform(-1, 1, size=prob.dim_v), prob.lower, prob.upper)
+            v = rng.uniform(-1, 1, prob.dim_v).clip(prob.shape.lower, prob.shape.upper)
             _check_lift_consistency(prob, v, atol=1e-12)
 
     check("condensing-soundness", condensing)
@@ -215,7 +215,7 @@ def cmd_verify(args):
     def cost_equiv():
         prob = make_problem(M)
         for _ in range(20):
-            v = np.clip(rng.uniform(-1, 1, size=prob.dim_v), prob.lower, prob.upper)
+            v = rng.uniform(-1, 1, prob.dim_v).clip(prob.shape.lower, prob.shape.upper)
             direct = _direct_cost(prob, cert, v)
             condensed = prob.cost(prob.lift(v))
             if abs(direct - condensed) > 1e-10 * max(1.0, abs(direct)):
@@ -268,7 +268,7 @@ def cmd_verify(args):
         if isinstance(short, Exception):
             raise short
         for t, ((prob, _), (what_ok, _, _)) in enumerate(zip(solves, short.feasible)):
-            if prob.m_eff != min(M, t):
+            if prob.shape.m_eff != min(M, t):
                 raise SubmheError(f"window length wrong at t={t}")
             if not what_ok:
                 raise SubmheError(f"disturbance estimate left its box at t={t}")
@@ -335,7 +335,7 @@ def _direct_cost(prob, cert, v):
     """Window cost evaluated slot by slot from the lifted point."""
     z = prob.lift(v)
     slots = prob.window_slots(z)
-    m_eff, n_w = prob.m_eff, prob.sys.n_w
+    m_eff, n_w = prob.shape.m_eff, prob.sys.n_w
     total = 2.0 * cert.eta ** m_eff * w_delta(cert, z[:prob.sys.n_x], prob.x_prior)
     for j in range(m_eff):  # slot j holds time t - (m_eff - j)
         w, dy = slots[j, :n_w], slots[j, n_w:] - prob.y_window[j]

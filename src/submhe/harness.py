@@ -14,13 +14,14 @@ step t, and each value is written once, into its row. A step computes only
 what the next input needs and what cannot be recovered later: of its
 window states it forms only the current estimate xhat_t, from the row
 [v_K; u_window] that it keeps. The feasibility flags are checked from
-the kept rows a block at a time: a full-window step keeps its row in a
-buffer of FLAG_CHUNK rows, checked whenever it fills, and a step of the
-growing phase in a buffer of one row per window length; what is left is
-checked after the last step. So the kept rows, like the CSV writer's
-reads, take memory independent of the run length. Per block, the steps' z
-and window states are stacked products, each row with the bytes a step
-would have given it, and the flags are broadcast compares of z's slots
+the kept rows a block at a time, each block of one window length, in one
+buffer of FLAG_CHUNK rows: a step of the growing phase is a block of one,
+checked as the step ends; the full-window steps from t = M on are checked
+whenever the buffer fills, and what is left of them after the last step.
+So the loop keeps at most FLAG_CHUNK rows, and they, like the CSV
+writer's reads, take memory independent of the run length. Per block, the
+steps' z and window states are stacked products, each row with the bytes
+a step would have given it, and the flags are broadcast compares of z's slots
 (read through mhe.slot_view) and of the states against their boxes. The
 columns no step reads (e_norm, w_delta, sigma) are filled after the last
 step from the recorded x and xhat rows. The windows are views of the
@@ -105,22 +106,10 @@ class ScenarioConfig:
         x0 = np.asarray(self.x0, dtype=float)
         prior = np.asarray(self.x_prior0, dtype=float)
         for name, vec in (("x0", x0), ("x_prior0", prior)):
-            if vec.shape != (self.sys.n_x,):
-                raise ValueError(f"{name} must have length n_x = {self.sys.n_x}")
+            if vec.shape != (self.shapes.sys.n_x,):
+                raise ValueError(f"{name} must have length n_x = {self.shapes.sys.n_x}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x_prior0", prior)
-
-    @property
-    def sys(self):
-        return self.shapes.sys
-
-    @property
-    def cert(self):
-        return self.shapes.cert
-
-    @property
-    def M(self):
-        return self.shapes.M
 
 
 MONITOR_NAMES = ("eps_recursion", "lyapunov", "traj_eps", "traj_err", "contraction")
@@ -375,13 +364,14 @@ def _why_uncertified(K, params, ledger):
 
 def _stacked_window(shape, points):
     """(z, states) of the steps of the shape's window length whose
-    [v_K; u_window.ravel()] are the rows of points: row i of z is the step's
-    lift_matrix @ v_K + input_map @ u_window, and row i of states its window
-    states state_map @ [v_K; u_window], oldest first. Each row of a stacked
+    [v_K; u_window.ravel()] are the first state_map.shape[1] entries of the
+    rows of points: row i of z is the step's lift_matrix @ v_K +
+    input_map @ u_window, and row i of states its window states
+    state_map @ [v_K; u_window], oldest first. Each row of a stacked
     product is the matrix-vector product a step would have formed (numpy's
     matmul over a stack of vectors), so it has the bytes of the step's own z
     and extract_estimate."""
-    x = points[:, :, None]
+    x = points[:, :shape.state_map.shape[1], None]
     v, u = x[:, :shape.dim_v], x[:, shape.dim_v:]
     z = np.matmul(shape.lift_matrix, v) + np.matmul(shape.input_map, u)
     return z[:, :, 0], np.matmul(shape.state_map, x)[:, :, 0]
@@ -389,10 +379,10 @@ def _stacked_window(shape, points):
 
 def _feasibility_flags(sys, shape, points):
     """The (n, 3) feasibility flags (what, xhat, yhat) of n steps of the
-    shape's window length whose [v_K; u_window.ravel()] are the rows of
-    points: the steps' z slots (mhe.slot_view) against one slot's
-    [w1, w2, y] bounds and their window states against the x box, each side
-    widened by its flag's tolerance as Box.contains widens it."""
+    shape's window length whose [v_K; u_window.ravel()] open the rows of
+    points (_stacked_window): the steps' z slots (mhe.slot_view) against one
+    slot's [w1, w2, y] bounds and their window states against the x box, each
+    side widened by its flag's tolerance as Box.contains widens it."""
     n, n_w = len(points), sys.n_w
     slot = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL), (sys.y_box, OUTPUT_ATOL))
     slot_lo = np.concatenate([box.lower - tol for box, tol in slot])
@@ -423,17 +413,15 @@ def run_closed_loop(cfg, observe=None):
     given, is called with each step's window problem and solve report, in
     step order. Returns the run's TrajectoryLog.
     """
-    sys = validate_system(cfg.sys)
-    T, M, K = cfg.steps, cfg.M, cfg.K
-    eta = cfg.cert.eta
-    shapes = cfg.shapes
-    params = cfg.params
+    shapes, params = cfg.shapes, cfg.params
+    sys, cert = validate_system(shapes.sys), shapes.cert
+    T, M, K = cfg.steps, shapes.M, cfg.K
 
     has_params = isinstance(params, analysis.AnalysisParams)
     ledger = reported = (analysis.ledger_at(K, params)
                          if K > 0 and has_params else None)
     try:
-        analysis.compute_rho(eta, M)
+        analysis.compute_rho(cert.eta, M)
         uncertified_reason = _why_uncertified(K, params, ledger)
     except ContractionViolated as exc:
         # as in analyze-k, no ledger is reported without the M-step decay;
@@ -443,11 +431,11 @@ def run_closed_loop(cfg, observe=None):
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
     # a step's row [v_K; u_window.ravel()], the input of its estimate and
-    # flags: step t < M keeps it in row t of `growing`, one per window length,
-    # checked after the last step; a full-window step in `block`, whose
-    # FLAG_CHUNK rows are checked as it fills, and once more after the loop
-    width = shapes[min(M, T - 1)].state_map.shape[1]
-    growing, block = np.empty((M, width)), np.empty((FLAG_CHUNK, width))
+    # flags, kept in `rows` until its block is checked. A block holds steps
+    # of one window length: a growing step (t < M) is a block of one, checked
+    # as the step ends; from t = M on, the full-window steps fill FLAG_CHUNK
+    # rows at a time, checked as they fill; what is left after the last step
+    rows = np.empty((FLAG_CHUNK, shapes[min(M, T - 1)].state_map.shape[1]))
 
     log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
                               seed=cfg.seed, M=M, K=K, certified=certified,
@@ -466,15 +454,15 @@ def run_closed_loop(cfg, observe=None):
         # the prior of a full window is the estimate from M steps ago
         m_eff = min(M, t)
         prior = cfg.x_prior0 if t <= M else log.xhat[t - M]
-        problem = build_problem(sys, cfg.cert, prior, log.u[t - m_eff:t],
+        problem = build_problem(sys, cert, prior, log.u[t - m_eff:t],
                                 log.y[t - m_eff:t], M, t, shapes=shapes)
         report = solve_fixed_iters(problem, start, K)
         if observe is not None:
             observe(problem, report)
         shape = problem.shape
-        row = growing[t] if t < M else block[(t - M) % FLAG_CHUNK]
+        i = max(t - M, 0) % FLAG_CHUNK  # the step's row, i steps into its block
         point = np.concatenate((report.v, problem.u_window.ravel()),
-                               out=row[:shape.state_map.shape[1]])
+                               out=rows[i, :shape.state_map.shape[1]])
         xhat = log.xhat[t] = shape.estimate_map @ point
 
         if cfg.oracle:
@@ -491,8 +479,8 @@ def run_closed_loop(cfg, observe=None):
 
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
-        if t >= M and (t - M) % FLAG_CHUNK == FLAG_CHUNK - 1:
-            log.feasible[t + 1 - FLAG_CHUNK:t + 1] = _feasibility_flags(sys, shape, block)
+        if t < M or i == FLAG_CHUNK - 1:
+            log.feasible[t - i:t + 1] = _feasibility_flags(sys, shape, rows[:i + 1])
 
         if t + 1 < T:
             log.x[t + 1] = sys.step(x, u, w1s[t])
@@ -503,17 +491,13 @@ def run_closed_loop(cfg, observe=None):
     # of that row; np.linalg.norm(axis=1) and row sums do not
     d = (log.xhat - log.x)[:, None, :]
     log.e_norm[:] = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
-    log.w_delta[:] = w_delta(cfg.cert, log.xhat, log.x)
+    log.w_delta[:] = w_delta(cert, log.xhat, log.x)
     log.sigma_raw[:] = log.sigma_clamped[:] = 0.0  # as residual_sigma_parts after M
     for t in range(min(T - 1, M) + 1):
-        log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes, eta)
+        log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes)
     rest = max(T - M, 0) % FLAG_CHUNK
     if rest:
-        log.feasible[T - rest:] = _feasibility_flags(sys, shapes[M], block[:rest])
-    for m in range(min(M, T)):
-        shape = shapes[m]
-        log.feasible[m] = _feasibility_flags(
-            sys, shape, growing[m:m + 1, :shape.state_map.shape[1]])[0]
+        log.feasible[T - rest:] = _feasibility_flags(sys, shapes[M], rows[:rest])
 
     if cfg.oracle:
         # the monitors' constants, from the shapes' caches with or without
@@ -524,17 +508,17 @@ def run_closed_loop(cfg, observe=None):
         if ledger is not None:
             c1, c2, c3 = ledger.constants.C1, ledger.constants.C2, ledger.constants.C3
             l_phi = params.L_phi
-        lmi_holds = has_params or verify_ioss_lmi(sys, cfg.cert).passed
+        lmi_holds = has_params or verify_ioss_lmi(sys, cert).passed
         bundle = MonitorBundle(phi=phi, phi_z=analysis.lift_gain(shapes) * phi,
                                L_phi=l_phi, C1=c1, C2=c2, C3=c3,
                                bar_H=analysis.weight_eigen_range(shapes)[0],
-                               eta=eta if lmi_holds else None,
+                               eta=cert.eta if lmi_holds else None,
                                ledger=ledger if certified else None)
         w = np.hstack([w1s, w2s])
         log.verdicts = monitor_step(
             bundle, M, x_norm=log.x_norm, e_norm=log.e_norm,
             w_norm=np.linalg.norm(w, axis=1),
-            w_q=((w @ cfg.cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
+            w_q=((w @ cert.Q) * w).sum(axis=1), sigma=log.sigma_clamped,
             eps=log.eps, eps_v=log.eps_v, warm_v=log.warm_v, w_delta=log.w_delta)
     return log
 
@@ -579,7 +563,7 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
         u2, y2 = u_seq[n_seq - m_t:], y_seq[n_seq - m_t:]
         p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1, shapes=shapes)
         p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
-        _, sigma_t = residual_sigma_parts(t, shapes, cert.eta)
+        _, sigma_t = residual_sigma_parts(t, shapes)
         denom = (vector_norm(p1.reference - sigma_truncate(p2.reference, t, shapes))
                  + sigma_t)
         if denom <= 1e-9 * max(1.0, vector_norm(p1.reference)):

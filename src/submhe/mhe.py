@@ -431,8 +431,14 @@ def slot_view(z, sys):
 
 @dataclass(slots=True)
 class MheProblem:
-    """One step's condensed QP: a window shape plus the step's offset and
-    reference, which fix the linear term c of the gradient S v + c.
+    """One step's condensed QP: the step's data and its window shape.
+
+    It owns the step's data (windows, prior, reference, offset psi) and the
+    linear term c = G (psi - ref) of the gradient S v + c they fix. Every
+    constant of the window length (lift Psi, weight H, box, S, m_eff) is
+    the shape's and is read there, as problem.shape.<name>. dim_z and dim_v
+    stay on the problem because free_coordinates and window_slots check
+    vectors against them and the benchmark's kernel sweep reads them.
 
     A per-step record, like solver.SolveReport: built once per step and
     never changed after, so it is a plain slotted dataclass, which costs a
@@ -457,26 +463,6 @@ class MheProblem:
         self.linear_term = c
 
     @property
-    def m_eff(self):
-        return self.shape.m_eff
-
-    @property
-    def weight(self):
-        return self.shape.weight
-
-    @property
-    def lift_matrix(self):
-        return self.shape.lift_matrix
-
-    @property
-    def lower(self):
-        return self.shape.lower
-
-    @property
-    def upper(self):
-        return self.shape.upper
-
-    @property
     def dim_z(self):
         return self.shape.dim_z
 
@@ -485,7 +471,7 @@ class MheProblem:
         return self.shape.dim_v
 
     def lift(self, v):
-        return self.lift_matrix @ np.asarray(v, dtype=float) + self.lift_offset
+        return self.shape.lift_matrix @ np.asarray(v, dtype=float) + self.lift_offset
 
     def window_slots(self, z):
         """slot_view of z, checked against this window's dim_z: an
@@ -519,13 +505,9 @@ class MheProblem:
         slots = self.window_slots(z)
         return np.concatenate([z[:self.sys.n_x], slots[:, :self.sys.n_w].ravel()])
 
-    def reduced_gradient_terms(self):
-        """(S, c) with grad f(v) = S v + c for f = ||Psi v + psi - ref||^2_H."""
-        return self.shape.hessian, self.linear_term
-
     def cost(self, z):
         d = np.asarray(z, dtype=float) - self.reference
-        return float(d @ self.weight @ d)
+        return float(d @ self.shape.weight @ d)
 
 
 def compute_weight(m_eff, cert):
@@ -624,24 +606,25 @@ def extract_estimate(problem, z):
     """
     v = problem.free_coordinates(z)
     states = problem.shape.state_map @ np.concatenate([v, problem.u_window.ravel()])
-    return states.reshape(problem.m_eff + 1, problem.sys.n_x)
+    return states.reshape(problem.shape.m_eff + 1, problem.sys.n_x)
 
 
-def residual_sigma_parts(t, shapes, eta):
+def residual_sigma_parts(t, shapes):
     """(raw, clamped) residual magnitude for the growing-phase problem change.
 
     Raw value is (1 - 1/eta) ||H|| + ||A|| + ||B|| + ||C|| + 2 for t <= M and
     0 afterwards, with H the weight of the length-t window of `shapes` (a
-    WindowShapes, which keeps both norms). H is block-diagonal in P, Q and R,
-    all positive definite, so ||H|| is its largest eigenvalue, which the
-    shape keeps with its smallest. The first coefficient is negative for
-    eta in (0, 1), which every certificate keeps (0 at eta = 1), so the raw
-    value can be negative; it is clamped at zero because it enters the
-    analysis as a disturbance magnitude.
+    WindowShapes, which keeps both norms) and eta its certificate's, the one
+    that built H. H is block-diagonal in P, Q and R, all positive definite,
+    so ||H|| is its largest eigenvalue, which the shape keeps with its
+    smallest. Every certificate has eta in (0, 1), so the first coefficient
+    is negative (it tends to 0 only in the limit eta -> 1) and the raw value
+    can be negative; it is clamped at zero because it enters the analysis
+    as a disturbance magnitude.
     """
     if t > shapes.M:
         return 0.0, 0.0
-    coeff = 1.0 - 1.0 / eta
+    coeff = 1.0 - 1.0 / shapes.cert.eta
     norm_a, norm_b, norm_c = shapes.plant_norms
     raw = coeff * shapes[t].weight_range[1] + norm_a + norm_b + norm_c + 2.0
     return float(raw), float(max(raw, 0.0))

@@ -201,7 +201,7 @@ def solve_fixed_iters(problem, start, K):
     """
     shape = problem.shape
     v0 = problem.free_coordinates(start)
-    lo, hi = problem.lower, problem.upper
+    lo, hi = shape.lower, shape.upper
     K = int(K)
     if K == 0:
         v, looped, tail = clamp(v0, lo, hi), 0, None
@@ -329,8 +329,7 @@ def solve_oracle(problem, start=None):
     NonfiniteIterate.
     """
     shape = problem.shape
-    s, c = problem.reduced_gradient_terms()
-    lo, hi = problem.lower, problem.upper
+    s, c, lo, hi = shape.hessian, problem.linear_term, shape.lower, shape.upper
     v0 = np.zeros(shape.dim_v) if start is None else np.asarray(start, dtype=float)
     if v0.shape != (shape.dim_v,):
         raise DimensionMismatch(

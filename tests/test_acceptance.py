@@ -40,8 +40,8 @@ def test_criterion_1_solver_contract():
         q = prob.shape.contraction_base
         v_star = solve_oracle(prob).v
         z_star = prob.lift(v_star)
-        v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower,
-                     prob.upper)
+        v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.shape.lower,
+                     prob.shape.upper)
         z0 = prob.lift(v0)
         d0_z = np.linalg.norm(z0 - z_star)
         d0_v = np.linalg.norm(v0 - v_star)
@@ -62,9 +62,9 @@ def test_criterion_1_solver_contract():
         sys, cert = random_certified_setup(rng2, n_x_max=3)
         prob = random_problem(rng2, sys, cert, M=2, t=3)
         v_star = solve_oracle(prob).v
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         lam = np.linalg.eigvalsh(s)
-        v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
+        v_pg = certified_pgd(s, c, prob.shape.lower, prob.shape.upper, 1.0 / lam[-1],
                              1.0 - lam[0] / lam[-1], 1e-11, 1_000_000)
         assert np.linalg.norm(v_pg - v_star) <= 1e-8
     _report(1, f"{checked} (problem, K) pairs within q^K in v and "

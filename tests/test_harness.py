@@ -433,8 +433,7 @@ class TestClosedLoop:
             log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
                 (prob, rep)))
             rows = list(zip(log.xhat, log.x))
-            sigma = [residual_sigma_parts(t, cfg.shapes, cert.eta)
-                     for t in range(steps)]
+            sigma = [residual_sigma_parts(t, cfg.shapes) for t in range(steps)]
             expect = {
                 "e_norm": [np.linalg.norm(xhat - x) for xhat, x in rows],
                 "w_delta": [w_delta(cert, xhat, x) for xhat, x in rows],
@@ -481,7 +480,7 @@ class TestClosedLoop:
             def perturbed(problem, z0, K):
                 report = solve(problem, z0, K)
                 v = report.v.copy()
-                if problem.m_eff == 0:
+                if problem.shape.m_eff == 0:
                     return report
                 if problem.t in what_out:
                     v[n_x] += 1.0
@@ -533,12 +532,12 @@ class TestClosedLoop:
         observed = []
         cfg = scenario(doc, doc.certificate, steps=3 * doc.mhe["M"], oracle=False)
         run_closed_loop(cfg, observe=lambda prob, rep: observed.append((prob, rep)))
-        for m in range(cfg.M + 1):
-            steps = [(p, r) for p, r in observed if p.m_eff == m]
+        for m in range(cfg.shapes.M + 1):
+            steps = [(p, r) for p, r in observed if p.shape.m_eff == m]
             z, states = harness._stacked_window(cfg.shapes[m], np.array(
                 [np.concatenate((r.v, p.u_window.ravel())) for p, r in steps]))
             assert z.tobytes() == np.array([r.z for _, r in steps]).tobytes(), m
-            assert slot_view(z, cfg.sys).tobytes() == np.array(
+            assert slot_view(z, cfg.shapes.sys).tobytes() == np.array(
                 [p.window_slots(r.z) for p, r in steps]).tobytes(), m
             assert states.tobytes() == np.array(
                 [extract_estimate(p, r.v).ravel() for p, r in steps]).tobytes(), m

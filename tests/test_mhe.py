@@ -19,7 +19,7 @@ def reference_window_cost(sys, cert, prob, z):
     """Window cost from the reconstructed trajectory, written independently:
     prior term 2 eta^Mt ||x0 - prior||_P^2 plus per-lag terms
     eta^{i-1} (2 ||w_{t-i}||_Q^2 + ||yhat_{t-i} - y_{t-i}||_R^2)."""
-    m = prob.m_eff
+    m = prob.shape.m_eff
     eta = cert.eta
     n_x, n_w, n_y = sys.n_x, sys.n_w, sys.n_y
     x = z[:n_x].copy()
@@ -129,10 +129,10 @@ class TestBuildProblem:
             n_x, n_w, n_y = sys.n_x, sys.n_w, sys.n_y
             for _ in range(20):
                 v = np.clip(rng.uniform(-1, 1, size=prob.dim_v),
-                            prob.lower, prob.upper)
+                            prob.shape.lower, prob.shape.upper)
                 z = prob.lift(v)
                 states = extract_estimate(prob, z)
-                for j in range(prob.m_eff):
+                for j in range(prob.shape.m_eff):
                     off = n_x + j * (n_w + n_y)
                     w_blk = z[off:off + n_w]
                     y_blk = z[off + n_w:off + n_w + n_y]
@@ -149,7 +149,7 @@ class TestBuildProblem:
         prob = random_problem(rng, sys, cert, M=4, t=6)
         for _ in range(100):
             v = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
-                        prob.lower, prob.upper)
+                        prob.shape.lower, prob.shape.upper)
             z = prob.lift(v)
             direct = reference_window_cost(sys, cert, prob, z)
             condensed = prob.cost(z)
@@ -186,8 +186,8 @@ class TestBuildProblem:
         v_truth = np.concatenate(
             [xs[t - m_eff]] + [np.concatenate([w1s[s], w2s[s]])
                                for s in range(t - m_eff, t)])
-        assert np.all(v_truth >= prob.lower - 1e-12)
-        assert np.all(v_truth <= prob.upper + 1e-12)
+        assert np.all(v_truth >= prob.shape.lower - 1e-12)
+        assert np.all(v_truth <= prob.shape.upper + 1e-12)
         v_star = solve_oracle(prob).v
         assert prob.cost(prob.lift(v_truth)) >= prob.cost(prob.lift(v_star)) - 1e-10
 
@@ -212,10 +212,10 @@ class TestWindowShapes:
             reused = build_problem(sys, cert, *args, shapes=shapes)
             fresh = build_problem(sys, cert, *args)
             assert reused.shape is shapes[min(M, t)]
-            for name in ("lift_matrix", "weight", "lower", "upper", "lift_offset",
-                         "reference", "linear_term"):
+            for name in ("lift_offset", "reference", "linear_term"):
                 assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-            for name in ("hessian", "state_map"):
+            for name in ("lift_matrix", "weight", "lower", "upper", "hessian",
+                         "state_map"):
                 assert np.array_equal(getattr(reused.shape, name),
                                       getattr(fresh.shape, name)), name
 
@@ -280,9 +280,9 @@ def forward_states(prob, z):
     window-state map."""
     sys = prob.sys
     slots = prob.window_slots(z)
-    states = np.zeros((prob.m_eff + 1, sys.n_x))
+    states = np.zeros((prob.shape.m_eff + 1, sys.n_x))
     states[0] = z[:sys.n_x]
-    for j in range(prob.m_eff):
+    for j in range(prob.shape.m_eff):
         states[j + 1] = (sys.A @ states[j] + sys.B @ prob.u_window[j]
                          + slots[j, :sys.n_x])
     return states
@@ -390,21 +390,34 @@ class TestExtractEstimate:
 class TestResidualSigma:
     def test_zero_after_growing_phase(self, case_study):
         sys, cert, _ = case_study
-        assert residual_sigma_parts(6, WindowShapes(sys, cert, 5),
-                                    cert.eta) == (0.0, 0.0)
+        assert residual_sigma_parts(6, WindowShapes(sys, cert, 5)) == (0.0, 0.0)
 
     def test_eta_one_limit(self, case_study):
+        # the coefficient 1 - 1/eta tends to 0 as eta -> 1; every certificate
+        # keeps eta < 1, so the limit is approached from the largest eta below 1
         sys, cert, _ = case_study
         expected = (np.linalg.norm(sys.A, 2) + np.linalg.norm(sys.B, 2)
                     + np.linalg.norm(sys.C, 2) + 2.0)
-        _, clamped = residual_sigma_parts(3, WindowShapes(sys, cert, 5), 1.0)
+        near_one = dataclasses.replace(cert, eta=1.0 - 1e-15)
+        _, clamped = residual_sigma_parts(3, WindowShapes(sys, near_one, 5))
         assert clamped == pytest.approx(expected, rel=1e-12)
+
+    def test_eta_is_the_certificates(self, case_study):
+        # two certificates that differ only in eta: each value carries its own
+        # eta in the coefficient and in the weight that eta built
+        sys, cert, _ = case_study
+        plant = (np.linalg.norm(sys.A, 2) + np.linalg.norm(sys.B, 2)
+                 + np.linalg.norm(sys.C, 2) + 2.0)
+        for eta in (0.6, 0.8):
+            c = dataclasses.replace(cert, eta=eta)
+            h_max = np.linalg.eigvalsh(compute_weight(3, c))[-1]
+            raw, _ = residual_sigma_parts(3, WindowShapes(sys, c, 5))
+            assert raw == pytest.approx((1.0 - 1.0 / eta) * h_max + plant, rel=1e-12)
 
     def test_case_study_value_finite_and_clamp_flagged(self, case_study):
         sys, cert, _ = case_study
         h = compute_weight(3, cert)
-        raw, clamped = residual_sigma_parts(3, WindowShapes(sys, cert, 5),
-                                            cert.eta)
+        raw, clamped = residual_sigma_parts(3, WindowShapes(sys, cert, 5))
         assert np.isfinite(raw)
         assert clamped == max(raw, 0.0)
         # negative-coefficient structure: raw = clamped only when raw >= 0
@@ -417,7 +430,7 @@ class TestResidualSigma:
     def test_clamp_when_weight_dominates(self):
         sys = make_system([[0.1]], [[0.1]], [[0.1]])
         cert = simple_certificate(1, 1, P=100 * np.eye(1), eta=0.8)
-        raw, clamped = residual_sigma_parts(1, WindowShapes(sys, cert, 5), 0.8)
+        raw, clamped = residual_sigma_parts(1, WindowShapes(sys, cert, 5))
         assert raw < 0.0
         assert clamped == 0.0
 

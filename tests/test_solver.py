@@ -36,8 +36,8 @@ def plain_problem(weight, reference, lower=None, upper=None):
 
 def with_box(prob, lower, upper):
     """prob with its free-variable box replaced."""
-    shape = WindowShape(m_eff=prob.m_eff, lift_matrix=prob.lift_matrix,
-                        weight=prob.weight, lower=lower, upper=upper,
+    shape = WindowShape(m_eff=prob.shape.m_eff, lift_matrix=prob.shape.lift_matrix,
+                        weight=prob.shape.weight, lower=lower, upper=upper,
                         input_map=prob.shape.input_map,
                         state_map=prob.shape.state_map)
     return MheProblem(sys=prob.sys, t=prob.t, shape=shape,
@@ -126,7 +126,7 @@ class TestSolveFixedIters:
             v_star = solve_oracle(prob).v
             z_star = prob.lift(v_star)
             v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
-                         prob.lower, prob.upper)
+                         prob.shape.lower, prob.shape.upper)
             z0 = prob.lift(v0)
             d0_v = np.linalg.norm(v0 - v_star)
             d0_z = np.linalg.norm(z0 - z_star)
@@ -140,12 +140,12 @@ class TestSolveFixedIters:
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
         v0 = rng.uniform(-3, 3, size=prob.dim_v)  # possibly infeasible start
-        z = prob.lift(np.clip(v0, prob.lower, prob.upper))
+        z = prob.lift(np.clip(v0, prob.shape.lower, prob.shape.upper))
         costs = [prob.cost(z)]
         for _ in range(30):  # one iteration per solve, every iterate seen
             rep = solve_fixed_iters(prob, z, 1)
-            assert np.all(rep.v >= prob.lower - 0.0)
-            assert np.all(rep.v <= prob.upper + 0.0)
+            assert np.all(rep.v >= prob.shape.lower - 0.0)
+            assert np.all(rep.v <= prob.shape.upper + 0.0)
             z = rep.z
             costs.append(prob.cost(z))
         costs = np.array(costs)
@@ -159,7 +159,7 @@ class TestSolveFixedIters:
             q = prob.shape.contraction_base
             v_star = solve_oracle(prob).v
             v = np.clip(rng.uniform(-2, 2, size=prob.dim_v),
-                        prob.lower, prob.upper)
+                        prob.shape.lower, prob.shape.upper)
             dv = [np.linalg.norm(v - v_star)]
             for _ in range(40):
                 v = solve_fixed_iters(prob, v, 1).v
@@ -182,7 +182,7 @@ class TestSolveOracle:
         prob = random_problem(rng, sys, cert)
         wide = with_box(prob, np.full(prob.dim_v, -np.inf),
                         np.full(prob.dim_v, np.inf))
-        s, c = wide.reduced_gradient_terms()
+        s, c = wide.shape.hessian, wide.linear_term
         expected = np.linalg.solve(s, -c)
         got = solve_oracle(wide)
         assert np.allclose(got.v, expected, atol=1e-10)
@@ -200,9 +200,9 @@ class TestSolveOracle:
         prob = plain_problem(weight, rng.standard_normal(10) * 2,
                              lower=-rng.random(10), upper=rng.random(10))
         v_star = solve_oracle(prob).v
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         lam = np.linalg.eigvalsh(s)
-        v_pg = certified_pgd(s, c, prob.lower, prob.upper, 1.0 / lam[-1],
+        v_pg = certified_pgd(s, c, prob.shape.lower, prob.shape.upper, 1.0 / lam[-1],
                              1.0 - lam[0] / lam[-1], 1e-11, 1_000_000)
         assert np.linalg.norm(v_pg - v_star) <= 1e-8
 
@@ -212,8 +212,8 @@ class TestSolveOracle:
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
             v = solve_oracle(prob).v
-            s, c = prob.reduced_gradient_terms()
-            grad_step = np.clip(v - (s @ v + c), prob.lower, prob.upper)
+            s, c = prob.shape.hessian, prob.linear_term
+            grad_step = np.clip(v - (s @ v + c), prob.shape.lower, prob.shape.upper)
             assert np.max(np.abs(v - grad_step)) <= 1e-10
 
     def test_cost_lower_bounds_every_iterate(self):
@@ -221,7 +221,8 @@ class TestSolveOracle:
         sys, cert = random_certified_setup(rng)
         prob = random_problem(rng, sys, cert)
         best = prob.cost(prob.lift(solve_oracle(prob).v))
-        v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.lower, prob.upper)
+        v0 = np.clip(rng.uniform(-2, 2, size=prob.dim_v), prob.shape.lower,
+                     prob.shape.upper)
         for K in (0, 1, 5, 20):
             rep = solve_fixed_iters(prob, v0, K)
             assert best <= prob.cost(rep.z) + 1e-10
@@ -265,8 +266,8 @@ class TestSolveOracle:
             [[-1.1518153183566384], [-0.6302935796434976],
              [1.7141243063027325], [1.0707235296094826]], 4, 4)
         got = solve_oracle(prob)
-        s, c = prob.reduced_gradient_terms()
-        v_pg = certified_pgd(s, c, prob.lower, prob.upper, prob.shape.step,
+        s, c = prob.shape.hessian, prob.linear_term
+        v_pg = certified_pgd(s, c, prob.shape.lower, prob.shape.upper, prob.shape.step,
                              prob.shape.contraction_base, 1e-11, 1_000_000)
         assert np.linalg.norm(v_pg - got.v) <= 1e-8
 
@@ -318,8 +319,8 @@ class TestSolveOracle:
         weight = np.array([[4.0, 1.5], [1.5, 1.0]])
         prob = plain_problem(weight, np.array([3.0, -3.0]),
                              lower=np.full(2, -1.0), upper=np.full(2, 1.0))
-        s, c = prob.reduced_gradient_terms()
-        lo, hi = prob.lower, prob.upper
+        s, c = prob.shape.hessian, prob.linear_term
+        lo, hi = prob.shape.lower, prob.shape.upper
         lam = np.linalg.eigvalsh(s)
         alpha, q = 2.0 / (lam[-1] + lam[0]), (lam[-1] - lam[0]) / (lam[-1] + lam[0])
         gain = (1.0 + alpha * lam[-1]) / (alpha * lam[0])
@@ -372,7 +373,7 @@ class TestSolveOracle:
         got = solve_oracle(prob, start=np.zeros(2))
         assert got.iters == 0
         assert got.v.tobytes() == np.array([1.0, 1.0]).tobytes()
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         v = got.v
         assert v.tobytes() == polish_on(s, c, v, own_active_set(prob, v)).tobytes()
 
@@ -469,7 +470,7 @@ class TestSolveOracle:
         for _ in range(20):
             sys, cert = random_certified_setup(rng)
             prob = random_problem(rng, sys, cert)
-            s, c = prob.reduced_gradient_terms()
+            s, c = prob.shape.hessian, prob.linear_term
             expected = np.linalg.solve(s, -(c + 0.0))
             width = 10.0 * (1.0 + np.abs(expected))
             for lower, upper in ((np.full(prob.dim_v, -np.inf), np.full(prob.dim_v, np.inf)),
@@ -490,7 +491,7 @@ class TestSolveOracle:
     def test_count_bounds_the_scaled_search(self, hessian, direction):
         prob = plain_problem(hessian / 2.0, np.ones(hessian.shape[0]))
         d, scaled = prob.shape.jacobi
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         v_star = np.linalg.solve(s, -c)
         if direction == "first":
             error = np.eye(len(d))[0] * d
@@ -516,15 +517,15 @@ class TestIterate:
         v0_copy = v0.copy()
         for spectrum in (shape.spectrum, None):
             _iterate(shape.transition, shape.step, prob.linear_term,
-                     prob.lower, prob.upper, v0, 100, spectrum)
+                     prob.shape.lower, prob.shape.upper, v0, 100, spectrum)
             assert np.array_equal(v0, v0_copy)
 
 
 def own_active_set(prob, v):
     """v's active set as the oracle reads it: the pinned coordinates and
     those on a side whose gradient points out of the box."""
-    s, c = prob.reduced_gradient_terms()
-    g, lo, hi = s @ v + c, prob.lower, prob.upper
+    s, c = prob.shape.hessian, prob.linear_term
+    g, lo, hi = s @ v + c, prob.shape.lower, prob.shape.upper
     return (lo == hi) | ((v == lo) & (g > 0.0)) | ((v == hi) & (g < 0.0))
 
 
@@ -605,14 +606,14 @@ class TestKernelReference:
     def test_kernel_matches_clip_loop(self, case, K):
         prob, v0 = case
         v0_copy = v0.copy()
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         alpha = prob.shape.step
-        ref = reference_pgd(s, c, prob.lower, prob.upper, v0, alpha, K)
+        ref = reference_pgd(s, c, prob.shape.lower, prob.shape.upper, v0, alpha, K)
         scale = max(1.0, float(np.max(np.abs(ref))), alpha * float(np.max(np.abs(c))))
 
         rep = solve_fixed_iters(prob, prob.lift(v0), K)
         assert np.array_equal(v0, v0_copy)
-        expect = ref[-1] if K else np.clip(v0, prob.lower, prob.upper)
+        expect = ref[-1] if K else np.clip(v0, prob.shape.lower, prob.shape.upper)
         assert np.max(np.abs(rep.v - expect)) <= KERNEL_RTOL * scale
 
 
@@ -703,8 +704,8 @@ class TestContractionProperty:
         alpha, r = prob.shape.step, prob.shape.contraction_base
         rng = np.random.default_rng(seed)
         u0 = np.clip(rng.uniform(-3.0, 3.0, size=prob.dim_v),
-                     prob.lower, prob.upper)
-        v0 = np.clip(v0, prob.lower, prob.upper)
+                     prob.shape.lower, prob.shape.upper)
+        v0 = np.clip(v0, prob.shape.lower, prob.shape.upper)
         d0 = np.linalg.norm(u0 - v0)
         for K in (1, 5, 20, 200):
             u_k = solve_fixed_iters(prob, u0, K).v
@@ -725,13 +726,13 @@ class TestOracleProperty:
         prob, v0 = case
         got = solve_oracle(prob, start=v0 if warm else None)
         v = got.v
-        lo, hi = prob.lower, prob.upper
+        lo, hi = prob.shape.lower, prob.shape.upper
         assert np.all((lo <= v) & (v <= hi))
         tol = optimum_tolerance(prob.shape, v)
         assert got.bound <= tol
         # the literal loop's own certified distance to v*, at its last
         # iterate: ||u - v*|| <= ||G(u) - u|| / (1 - q) for the step G
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         alpha, q = prob.shape.step, prob.shape.contraction_base
         u = certified_pgd(s, c, lo, hi, alpha, q, 1e-9, 2_000)
         dist = np.linalg.norm(np.clip(u - alpha * (s @ u + c), lo, hi) - u) / (1.0 - q)
@@ -758,8 +759,8 @@ class TestOracleProperty:
         # polish on it, and the solve must stop at that test with that
         # point, byte for byte.
         prob, v0 = case
-        s, c = prob.reduced_gradient_terms()
-        lo, hi = prob.lower, prob.upper
+        s, c = prob.shape.hessian, prob.linear_term
+        lo, hi = prob.shape.lower, prob.shape.upper
         tests = {}  # kernel iterations at a test -> (active set, first polish)
         run = [0]
         iterate, polish = solver._iterate, solver._polish
@@ -801,7 +802,7 @@ def open_box_problems(draw):
     wide (1/2 to 10 times 1 + |v_u| away) or open, with v0 up to twice the
     width from v_u, so the loop clamps for a while or not at all."""
     prob, _ = draw(lifted_problems())
-    s, c = prob.reduced_gradient_terms()
+    s, c = prob.shape.hessian, prob.linear_term
     v_u = np.linalg.solve(s, -c)
     n = prob.dim_v
     kinds = draw(st.lists(st.sampled_from(["wide", "no_lower", "no_upper", "free"]),
@@ -823,7 +824,7 @@ def tight_box_problems(draw):
     without a gap between them (a 1 x 1 block of S, say) gets its side
     beyond both."""
     prob, v0 = draw(open_box_problems())
-    s, c = prob.reduced_gradient_terms()
+    s, c = prob.shape.hessian, prob.linear_term
     v_u = np.linalg.solve(s, -c)
     u, tau = prob.shape.spectrum.basis, prob.shape.spectrum.tau
     first = tau * (u.T @ (v0 - v_u))
@@ -832,8 +833,8 @@ def tight_box_problems(draw):
     width = np.where(loose > (1.0 + 1e-6) * tight,
                      tight + draw(st.floats(0.05, 0.95)) * (loose - tight),
                      2.0 * loose + 1.0)
-    lower = np.where(np.isfinite(prob.lower), v_u - width, -np.inf)
-    upper = np.where(np.isfinite(prob.upper), v_u + width, np.inf)
+    lower = np.where(np.isfinite(prob.shape.lower), v_u - width, -np.inf)
+    upper = np.where(np.isfinite(prob.shape.upper), v_u + width, np.inf)
     return with_box(prob, lower, upper), v0
 
 
@@ -847,9 +848,9 @@ class TestClosedFormTail:
         @given(case=open_box_problems(), K=st.sampled_from([1, 5, 200, 228]))
         def check(case, K):
             prob, v0 = case
-            s, c = prob.reduced_gradient_terms()
+            s, c = prob.shape.hessian, prob.linear_term
             alpha = prob.shape.step
-            ref = reference_pgd(s, c, prob.lower, prob.upper, v0, alpha, K)
+            ref = reference_pgd(s, c, prob.shape.lower, prob.shape.upper, v0, alpha, K)
             scale = max(1.0, float(np.max(np.abs(ref))),
                         alpha * float(np.max(np.abs(c))))
             rep = solve_fixed_iters(prob, prob.lift(v0), K)
@@ -873,7 +874,7 @@ class TestClosedFormTail:
         v0 = basis @ (np.array([0.5, -1.0, 0.5]) / basis[0])
         free = reference_pgd(s, np.zeros(3), -np.inf, np.inf, v0, 0.2, 2)
         assert np.allclose(free[:, 0], [0.0, 0.0, 0.64])
-        ref = reference_pgd(s, np.zeros(3), prob.lower, prob.upper, v0, 0.2, 2)
+        ref = reference_pgd(s, np.zeros(3), prob.shape.lower, prob.shape.upper, v0, 0.2, 2)
         rep = solve_fixed_iters(prob, v0, 2)
         assert rep.looped == 2
         assert rep.optimum is None  # clamped at the last iteration
@@ -891,11 +892,11 @@ class TestClosedFormTail:
         prob = plain_problem(np.diag([0.5, 4.5]), np.zeros(2),
                              lower=np.array([lower0, -np.inf]),
                              upper=np.array([1.0, np.inf]))
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         v0 = np.array([start, 0.0])
         for K in (probe + 1, 50):
             rep = solve_fixed_iters(prob, v0, K)
-            ref = reference_pgd(s, c, prob.lower, prob.upper, v0, 0.2, K)
+            ref = reference_pgd(s, c, prob.shape.lower, prob.shape.upper, v0, 0.2, K)
             assert rep.looped == probe
             assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL
 
@@ -919,7 +920,8 @@ class TestClosedFormTail:
         assert envelope[0] == pytest.approx(1.6 / 3.0)
         for K in (1, 2, 50):
             rep = solve_fixed_iters(prob, v0, K)
-            ref = reference_pgd(s, np.zeros(3), prob.lower, prob.upper, v0, 0.2, K)
+            ref = reference_pgd(s, np.zeros(3), prob.shape.lower, prob.shape.upper, v0,
+                                0.2, K)
             assert rep.looped == 0
             assert np.array_equal(rep.optimum, np.zeros(3))
             assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL
@@ -937,8 +939,8 @@ class TestClosedFormTail:
         def check(case):
             prob, v0 = case
             spectrum, K = prob.shape.spectrum, 200
-            s, c = prob.reduced_gradient_terms()
-            lo, hi, alpha = prob.lower, prob.upper, prob.shape.step
+            s, c = prob.shape.hessian, prob.linear_term
+            lo, hi, alpha = prob.shape.lower, prob.shape.upper, prob.shape.step
             # the clip loop, and the last iteration at which a clamp fired
             v, iterates, last_clamp = np.array(v0, dtype=float), [], -1
             for k in range(K):
@@ -976,11 +978,12 @@ class TestClosedFormTail:
         prob = plain_problem(weight, np.array([1.0, -2.0]),
                              lower=np.array([lower0, -np.inf]),
                              upper=np.array([1.0, np.inf]))
-        s, c = prob.reduced_gradient_terms()
+        s, c = prob.shape.hessian, prob.linear_term
         v0 = np.array([0.5, -1.0])
         for K in (1, 5, 50):
             rep = solve_fixed_iters(prob, v0, K)
-            ref = reference_pgd(s, c, prob.lower, prob.upper, v0, prob.shape.step, K)
+            ref = reference_pgd(s, c, prob.shape.lower, prob.shape.upper, v0,
+                                prob.shape.step, K)
             assert rep.looped == K
             assert rep.optimum is None
             assert np.max(np.abs(rep.v - ref[-1])) <= KERNEL_RTOL * 2.0
