@@ -10,7 +10,8 @@ Two workloads, on configs/case_study_certified.json:
   return for the last trial), the benchmark's stamp; its two oracle solves
   are cold (no start);
 - the loop: `simulate`'s loop with the oracle on at K = 25 (seeds 1-6, 400
-  steps), whose oracle solves are warm, from the step's K-th iterate.
+  steps), set up through `cli.prepare_run`, whose oracle solves are warm,
+  from the step's K-th iterate.
 
 Both are deterministic for a seed, so each trial and each solve does the
 same work in every repeat, and its cost is its minimum over the repeats.
@@ -29,12 +30,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from step_cost import environment, pin_one_cpu  # pins BLAS threads before numpy
+from step_cost import environment, pin_one_cpu, write_row  # pins BLAS threads before numpy
 
 import numpy as np
 
 import submhe.harness as harness
-from submhe.cli import _analysis_params, _resolve_certificate
+from submhe.cli import _resolve_certificate, prepare_run
 from submhe.config import loads_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,10 +101,7 @@ def probe_run(doc, cert):
 
 def loop_run(doc, seed):
     """(per-solve seconds, iterations) of the oracle in one loop run."""
-    shapes = doc.window_shapes(doc.certificate)
-    params = _analysis_params(doc, shapes)
-    cfg = doc.scenario_config(shapes, K=LOOP_K, seed=seed, steps=STEPS,
-                              oracle=True, params=params)
+    cfg = prepare_run(doc, LOOP_K, seed=seed, steps=STEPS, oracle=True)
     with Recorder() as rec:
         harness.run_closed_loop(cfg)
     return np.array(rec.solves), rec.iters
@@ -160,11 +158,7 @@ def main(argv=None):
         print(f"{args.label} {name}: p50 {res['p50_us']} us, p90 {res['p90_us']} us "
               f"over {res['count']}" + (f"; iterations {res['iters']}"
                                         if "iters" in res else ""))
-    doc_out = json.loads(RESULTS.read_text()) if RESULTS.is_file() else {
-        "script": "bench/oracle_cost.py", "config": "configs/case_study_certified.json",
-        "rows": []}
-    doc_out["rows"] = [r for r in doc_out["rows"] if r["label"] != args.label] + [row]
-    RESULTS.write_text(json.dumps(doc_out, indent=2) + "\n")
+    write_row(RESULTS, "bench/oracle_cost.py", row)
     return 0
 
 

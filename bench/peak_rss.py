@@ -20,7 +20,6 @@ with the Python, numpy and BLAS versions.
 """
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -28,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from step_cost import environment  # pins BLAS threads before numpy
+from step_cost import environment, write_row  # pins BLAS threads before numpy
 
 import submhe
 
@@ -87,11 +86,7 @@ def main(argv=None):
         row[name] = cells
         print(f"{args.label} {name}: " + ", ".join(
             f"{n} steps {cell['median_mb']} MB" for n, cell in cells.items()))
-    doc_out = json.loads(RESULTS.read_text()) if RESULTS.is_file() else {
-        "script": "bench/peak_rss.py", "config": "configs/case_study_certified.json",
-        "rows": []}
-    doc_out["rows"] = [r for r in doc_out["rows"] if r["label"] != args.label] + [row]
-    RESULTS.write_text(json.dumps(doc_out, indent=2) + "\n")
+    write_row(RESULTS, "bench/peak_rss.py", row)
     return 0
 
 

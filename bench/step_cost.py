@@ -3,8 +3,9 @@
     PYTHONPATH=src python bench/step_cost.py --label NAME
 
 Runs `simulate`'s loop on configs/case_study_certified.json (seeds 1-3, 400
-steps, 12 repeats) twice: with the oracle off at the certified K* (K: "auto"), and with
-the oracle on at K = 25. A step is the time from one step's build_problem
+steps, 12 repeats), each run set up through `cli.prepare_run`, twice: with
+the oracle off at the certified K* (K "auto"), and with the oracle on at
+K = 25. A step is the time from one step's build_problem
 call to the next one's, so every step but the last (whose interval would
 include the post-loop monitor pass) is timed. The loop is deterministic for
 a seed, so each step does the same work in every repeat, and the step's
@@ -38,14 +39,13 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 import submhe.harness as harness  # noqa: E402
-from submhe import analysis  # noqa: E402
-from submhe.cli import _analysis_params  # noqa: E402
+from submhe.cli import prepare_run  # noqa: E402
 from submhe.config import load_config  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "case_study_certified.json"
 RESULTS = ROOT / "BENCH_step.json"
-RUNS = (("oracle_off", None, False), ("oracle_on", 25, True))  # (name, K, oracle)
+RUNS = (("oracle_off", "auto", False), ("oracle_on", 25, True))  # (name, K, oracle)
 SEEDS = (1, 2, 3)
 STEPS = 400
 REPEATS = 12
@@ -53,15 +53,8 @@ REPEATS = 12
 
 def timed_run(doc, K, oracle, seed, steps):
     """(per-step seconds, looped per step, K, whole-loop seconds) of one loop
-    run, built as `simulate` builds it: fresh window shapes, params and, for
-    K None, K*."""
-    cert = doc.certificate
-    shapes = doc.window_shapes(cert)
-    params = _analysis_params(doc, shapes)
-    if K is None:
-        K, _ = analysis.min_iterations(params)
-    cfg = doc.scenario_config(shapes, K=K, seed=seed, steps=steps,
-                              oracle=oracle, params=params)
+    run, set up afresh through `cli.prepare_run` (K "auto" is K*)."""
+    cfg = prepare_run(doc, K, seed=seed, steps=steps, oracle=oracle)
     stamps = []
     build = harness.build_problem
 
@@ -76,7 +69,7 @@ def timed_run(doc, K, oracle, seed, steps):
         loop_s = time.perf_counter() - begin
     finally:
         harness.build_problem = build
-    return np.diff(stamps), log.looped[:-1].copy(), K, loop_s
+    return np.diff(stamps), log.looped[:-1].copy(), cfg.K, loop_s
 
 
 def measure(doc, seeds, steps, repeats):
@@ -121,6 +114,17 @@ def pin_one_cpu():
     return cpu
 
 
+def write_row(results, script, row):
+    """Add `row` to the JSON document at `results` (begun for `script` on
+    configs/case_study_certified.json when absent), in place of any row
+    with its label."""
+    doc = json.loads(results.read_text()) if results.is_file() else {
+        "script": script, "config": "configs/case_study_certified.json",
+        "rows": []}
+    doc["rows"] = [r for r in doc["rows"] if r["label"] != row["label"]] + [row]
+    results.write_text(json.dumps(doc, indent=2) + "\n")
+
+
 def environment():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
@@ -146,11 +150,7 @@ def main(argv=None):
         for k, cls in res["by_looped"].items():
             print(f"    looped {k:>4}: {cls['steps']:5d} steps, "
                   f"median {cls['median_us']} us")
-    doc_out = json.loads(RESULTS.read_text()) if RESULTS.is_file() else {
-        "script": "bench/step_cost.py", "config": "configs/case_study_certified.json",
-        "rows": []}
-    doc_out["rows"] = [r for r in doc_out["rows"] if r["label"] != args.label] + [row]
-    RESULTS.write_text(json.dumps(doc_out, indent=2) + "\n")
+    write_row(RESULTS, "bench/step_cost.py", row)
     return 0
 
 

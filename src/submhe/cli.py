@@ -7,13 +7,13 @@ stderr. Every JSON document the CLI writes is strict JSON, encoded by
 config.json_value, the encoder of the canonical config: a non-finite
 number is written as the string "inf", "-inf" or "nan", as configs spell
 interval bounds, and an array as nested lists. The run policy is
-simulate's: the library loop always runs and records, and simulate
-refuses rho >= 1 before it probes anything (unless --uncertified) and,
-with --strict, raises on the first monitor failure after the run, before
-it writes anything. analyze-k
-refuses rho >= 1 before it probes anything too. Every run builds its
-analysis params the same way, once (analysis.build_params), whatever its
-K and its --oracle: gamma13 is derived and the certificate's LMI checked
+simulate's, and prepare_run is the one place that sets a run up by it, for
+simulate, analyze-k and the bench scripts alike: the library loop always
+runs and records, rho >= 1 is refused before anything is probed (unless
+simulate's --uncertified), and simulate --strict raises on the first
+monitor failure after the run, before it writes anything. Every run builds
+its analysis params the same way, once (analysis.build_params), whatever
+its K and its --oracle: gamma13 is derived and the certificate's LMI checked
 before L_Phi is probed, so analyze-k and a K: "auto" simulate exit 1 when
 either fails, and a fixed-K simulate of such a config runs without a
 ledger, uncertified, its uncertified_reason naming the error. K* exists
@@ -81,6 +81,31 @@ def _analysis_params(doc, shapes):
     return analysis.build_params(shapes, doc.controller, L_phi=l_phi)
 
 
+def prepare_run(doc, K=None, *, seed=None, steps=None, oracle=True,
+                uncertified=False):
+    """The ScenarioConfig of one run of `doc`, set up as simulate sets it up.
+
+    K None takes the config's K, and "auto" is K* (analysis.min_iterations).
+    Unless `uncertified`, rho >= 1 is refused before anything is probed.
+    The params are built once, on the run's window shapes.
+    """
+    cert, _ = _resolve_certificate(doc)
+    if not uncertified:
+        analysis.compute_rho(cert.eta, doc.mhe["M"])
+    shapes = doc.window_shapes(cert)
+    K = doc.mhe["K"] if K is None else K
+    try:
+        params = _analysis_params(doc, shapes)
+    except SubmheError as exc:
+        if K == "auto":  # no K* without them
+            raise
+        params = exc  # no ledger, and the run's uncertified_reason names exc
+    if K == "auto":
+        K, _ = analysis.min_iterations(params)
+    return doc.scenario_config(shapes, K=K, seed=seed, steps=steps,
+                               oracle=oracle, params=params)
+
+
 def cmd_certify(args):
     doc = load_config(args.config)
     cert, searched = _resolve_certificate(doc)
@@ -99,13 +124,9 @@ def cmd_certify(args):
 
 
 def cmd_analyze_k(args):
-    doc = load_config(args.config)
-    cert, _ = _resolve_certificate(doc)
-    analysis.compute_rho(cert.eta, doc.mhe["M"])  # refused before any probe
-    params = _analysis_params(doc, doc.window_shapes(cert))
-    k_star, ledger = analysis.min_iterations(params)
-    meta = {"L_Phi_probed": "L_Phi" in params.sampled}
-    out = {"K_star": k_star, "meta": meta, "ledger": ledger.to_dict()}
+    cfg = prepare_run(load_config(args.config), "auto")
+    out = {"K_star": cfg.K, "meta": {"L_Phi_probed": "L_Phi" in cfg.params.sampled},
+           "ledger": analysis.ledger_at(cfg.K, cfg.params).to_dict()}
     text = _json_text(out, indent=2)
     print(text)
     if args.out:
@@ -123,21 +144,8 @@ def cmd_simulate(args):
     if args.iters is not None and args.iters < 0:
         raise ValidationError("--iters", "must be nonnegative")
     doc = load_config(args.config)
-    cert, _ = _resolve_certificate(doc)
-    if not args.uncertified:  # refused before any input is probed
-        analysis.compute_rho(cert.eta, doc.mhe["M"])
-    shapes = doc.window_shapes(cert)
-    if args.iters is None and doc.mhe["K"] == "auto":
-        params = _analysis_params(doc, shapes)
-        k, _ = analysis.min_iterations(params)
-    else:
-        k = args.iters if args.iters is not None else doc.mhe["K"]
-        try:
-            params = _analysis_params(doc, shapes)
-        except SubmheError as exc:
-            params = exc  # no ledger, and the run's uncertified_reason names exc
-    cfg = doc.scenario_config(shapes, K=k, seed=args.seed, steps=args.steps,
-                              oracle=args.oracle == "on", params=params)
+    cfg = prepare_run(doc, args.iters, seed=args.seed, steps=args.steps,
+                      oracle=args.oracle == "on", uncertified=args.uncertified)
     log = run_closed_loop(cfg)
     if args.strict:
         log.raise_first_failure()
@@ -151,7 +159,7 @@ def cmd_simulate(args):
     summary_path.write_text(_json_text(summary, indent=2) + "\n")
     counts = log.monitor_counts()
     fails = sum(c["fail"] for c in counts.values())
-    print(f"simulated {log.steps} steps (K={k}, M={log.M}, "
+    print(f"simulated {log.steps} steps (K={cfg.K}, M={log.M}, "
           f"certified={log.certified}); monitor failures: {fails}; "
           f"wrote {csv_path} and {summary_path}")
     return 0

@@ -16,7 +16,7 @@ from conftest import (CONFIG_DIR, certified_pgd, doc_params,
 from submhe.analysis import (build_params, compute_rho, ledger_at,
                              min_iterations, minimal_contracting_horizon)
 from submhe.analysis import AnalysisParams
-from submhe.cli import run_cli
+from submhe.cli import prepare_run, run_cli
 from submhe.errors import ContractionViolated
 from submhe.harness import lipschitz_probe, run_closed_loop
 from submhe.mhe import WindowShapes, sigma_lift
@@ -99,12 +99,8 @@ def test_criterion_2_lmi_implies_dissipation():
 
 
 def test_criterion_3_lyapunov_monitor_certified_run(certified_doc):
-    doc = certified_doc
-    cert = doc.certificate
-    shapes = doc.window_shapes(cert)
-    params = doc_params(doc, shapes)
-    k_star, _ = min_iterations(params)
-    cfg = doc.scenario_config(shapes, K=k_star, steps=40, params=params)
+    cfg = prepare_run(certified_doc, "auto", steps=40)
+    k_star = cfg.K
     log = run_closed_loop(cfg)
     assert log.certified
     counts = log.monitor_counts()

@@ -4,12 +4,14 @@ its `measure` runs (in-process, or in child processes for peak_rss) without
 writing a BENCH_*.json."""
 
 import importlib.util
+import json
 import os
 import sys
 
 import pytest
 
 from conftest import CONFIG_DIR
+from submhe.config import loads_config
 
 ROOT = CONFIG_DIR.parent
 BENCH = ROOT / "bench"
@@ -74,6 +76,38 @@ def test_oracle_cost_measures(scripts, certified_doc, monkeypatch, tmp_path):
         assert sum(res["iters"].values()) == res["count"]
     assert bench_files() == before
     assert not list(tmp_path.iterdir())
+
+
+def test_bench_scripts_run_on_a_searched_certificate(scripts, certified_doc,
+                                                     monkeypatch):
+    # each script sets its loop runs up as simulate does (cli.prepare_run),
+    # so a config whose P is searched runs as it does under simulate
+    step_cost, oracle_cost = scripts
+    raw = json.loads((CONFIG_DIR / "case_study_certified.json").read_text())
+    raw["certificate"]["P"] = "search"
+    doc = loads_config(json.dumps(raw))
+    assert doc.certificate is None
+    steps = certified_doc.mhe["M"] + 3
+    result = step_cost.measure(doc, (1,), steps, 1)
+    assert result["oracle_off"]["K"] >= 1
+    assert result["oracle_on"]["K"] == 25
+    assert all(res["steps_timed"] == steps - 1 for res in result.values())
+    monkeypatch.setattr(oracle_cost, "STEPS", steps)
+    solves, iters = oracle_cost.loop_run(doc, 1)
+    assert len(solves) == len(iters) > 0
+
+
+def test_write_row_keeps_one_row_per_label(scripts, tmp_path):
+    step_cost, _ = scripts
+    results = tmp_path / "BENCH_test.json"
+    step_cost.write_row(results, "bench/test.py", {"label": "a", "value": 1})
+    step_cost.write_row(results, "bench/test.py", {"label": "b", "value": 2})
+    step_cost.write_row(results, "bench/test.py", {"label": "a", "value": 3})
+    doc = json.loads(results.read_text())
+    assert doc == {"script": "bench/test.py",
+                   "config": "configs/case_study_certified.json",
+                   "rows": [{"label": "b", "value": 2}, {"label": "a", "value": 3}]}
+    assert results.read_text().endswith("}\n")
 
 
 def test_peak_rss_measures(scripts, certified_doc, monkeypatch, tmp_path):

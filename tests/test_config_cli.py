@@ -8,9 +8,9 @@ import pytest
 from conftest import CONFIG_DIR, child_env, count_calls
 
 from submhe.analysis import AnalysisParams
-from submhe.cli import run_cli
+from submhe.cli import prepare_run, run_cli
 from submhe.config import json_value, load_config, loads_config
-from submhe.errors import ParseError, ValidationError
+from submhe.errors import ContractionViolated, ParseError, ValidationError
 from submhe.model import Box
 
 
@@ -294,6 +294,21 @@ class TestCli:
                  str(CONFIG_DIR / "case_study_certified.json")])
         params = json.loads(capsys.readouterr().out)["ledger"]["params"]
         assert list(params) == [f.name for f in fields(AnalysisParams)]
+
+    def test_prepare_run_settles_k_as_simulate_does(self, certified_doc,
+                                                    case_study_doc):
+        # K None is the config's K ("auto" here), "auto" is K*, an int is kept
+        auto = prepare_run(certified_doc, seed=4, steps=7, oracle=False)
+        assert (auto.K, auto.seed, auto.steps, auto.oracle) == (189, 4, 7, False)
+        assert prepare_run(certified_doc, "auto").K == 189
+        fixed = prepare_run(certified_doc, 25)
+        assert fixed.K == 25 and fixed.params.sampled == ()
+        assert fixed.steps == certified_doc.scenario["steps"]
+        # rho >= 1 is refused unless uncertified
+        with pytest.raises(ContractionViolated):
+            prepare_run(case_study_doc, 25)
+        run = prepare_run(case_study_doc, 25, uncertified=True)
+        assert (run.K, run.params.M) == (25, 5)
 
     def test_analyze_k_estimated_scalars(self, tmp_path, base_dict, capsys):
         doc = json.loads(json.dumps(base_dict))
