@@ -12,7 +12,9 @@ a seed, so each step does the same work in every repeat, and the step's
 cost is its minimum over the repeats. The script prints p50 and p90 over
 the steps of all seeds, and the median per `looped` value (the iterations a
 solve ran before its closed-form tail; K for a solve that never settled).
-It also records each seed's whole-loop wall time, `run_closed_loop` from
+It also gives the median of the growing steps (t < M, whose windows are
+still filling and whose flags are checked one step at a time), and records
+each seed's whole-loop wall time, `run_closed_loop` from
 call to return (the post-loop pass included), as its minimum over the
 repeats, so that work moved out of the steps and into that pass shows.
 
@@ -52,8 +54,8 @@ REPEATS = 12
 
 
 def timed_run(doc, K, oracle, seed, steps):
-    """(per-step seconds, looped per step, K, whole-loop seconds) of one loop
-    run, set up afresh through `cli.prepare_run` (K "auto" is K*)."""
+    """(per-step seconds, looped per step, K, whole-loop seconds, M) of one
+    loop run, set up afresh through `cli.prepare_run` (K "auto" is K*)."""
     cfg = prepare_run(doc, K, seed=seed, steps=steps, oracle=oracle)
     stamps = []
     build = harness.build_problem
@@ -69,7 +71,7 @@ def timed_run(doc, K, oracle, seed, steps):
         loop_s = time.perf_counter() - begin
     finally:
         harness.build_problem = build
-    return np.diff(stamps), log.looped[:-1].copy(), cfg.K, loop_s
+    return np.diff(stamps), log.looped[:-1].copy(), cfg.K, loop_s, cfg.shapes.M
 
 
 def measure(doc, seeds, steps, repeats):
@@ -80,25 +82,28 @@ def measure(doc, seeds, steps, repeats):
     for _ in range(repeats):
         for name, K, oracle in RUNS:
             for seed in seeds:
-                dt, looped, k_run, loop_s = timed_run(doc, K, oracle, seed, steps)
+                dt, looped, k_run, loop_s, M = timed_run(doc, K, oracle, seed, steps)
                 prev = best.get((name, seed))
                 if prev is not None:
                     dt, loop_s = np.minimum(prev[0], dt), min(prev[3], loop_s)
-                best[name, seed] = (dt, looped, k_run, loop_s)
+                best[name, seed] = (dt, looped, k_run, loop_s, M)
     return {name: summarize([best[name, seed] for seed in seeds])
             for name, _, _ in RUNS}
 
 
 def summarize(per_seed):
-    costs = np.concatenate([dt for dt, _, _, _ in per_seed]) * 1e6
-    looped = np.concatenate([lp for _, lp, _, _ in per_seed])
+    costs = np.concatenate([dt for dt, *_ in per_seed]) * 1e6
+    looped = np.concatenate([lp for _, lp, *_ in per_seed])
+    growing = np.concatenate([dt[:M] for dt, *_, M in per_seed]) * 1e6
     by_looped = {str(k): {"steps": int((looped == k).sum()),
                           "median_us": round(float(np.median(costs[looped == k])), 2)}
                  for k in np.unique(looped).tolist()}
     return {"K": int(per_seed[0][2]), "steps_timed": int(costs.size),
             "p50_us": round(float(np.percentile(costs, 50)), 2),
             "p90_us": round(float(np.percentile(costs, 90)), 2),
-            "loop_ms": [round(loop_s * 1e3, 3) for _, _, _, loop_s in per_seed],
+            "loop_ms": [round(loop_s * 1e3, 3) for _, _, _, loop_s, _ in per_seed],
+            "growing": {"steps": int(growing.size),
+                        "median_us": round(float(np.median(growing)), 2)},
             "by_looped": by_looped}
 
 
@@ -146,7 +151,8 @@ def main(argv=None):
         row[name] = res
         print(f"{args.label} {name} K={res['K']}: p50 {res['p50_us']} us, "
               f"p90 {res['p90_us']} us over {res['steps_timed']} steps; "
-              f"whole loop per seed {res['loop_ms']} ms")
+              f"whole loop per seed {res['loop_ms']} ms; growing steps "
+              f"median {res['growing']['median_us']} us")
         for k, cls in res["by_looped"].items():
             print(f"    looped {k:>4}: {cls['steps']:5d} steps, "
                   f"median {cls['median_us']} us")

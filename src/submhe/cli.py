@@ -325,7 +325,7 @@ def _check_dissipation(sys_, cert, rng, n_pairs, rel_tol):
 def _check_lift_consistency(prob, v, atol):
     """The lifted point and its window states obey the plant equations."""
     from .mhe import extract_estimate
-    sys_ = prob.sys
+    sys_ = prob.shape.sys
     z = prob.lift(v)
     states = extract_estimate(prob, z)
     slots = prob.window_slots(z)
@@ -343,8 +343,9 @@ def _direct_cost(prob, cert, v):
     """Window cost evaluated slot by slot from the lifted point."""
     z = prob.lift(v)
     slots = prob.window_slots(z)
-    m_eff, n_w = prob.shape.m_eff, prob.sys.n_w
-    total = 2.0 * cert.eta ** m_eff * w_delta(cert, z[:prob.sys.n_x], prob.x_prior)
+    sys_ = prob.shape.sys
+    m_eff, n_w = prob.shape.m_eff, sys_.n_w
+    total = 2.0 * cert.eta ** m_eff * w_delta(cert, z[:sys_.n_x], prob.x_prior)
     for j in range(m_eff):  # slot j holds time t - (m_eff - j)
         w, dy = slots[j, :n_w], slots[j, n_w:] - prob.y_window[j]
         total += cert.eta ** (m_eff - 1 - j) * (2.0 * w @ cert.Q @ w

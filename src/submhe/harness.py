@@ -21,22 +21,25 @@ whenever the buffer fills, and what is left of them after the last step.
 So the loop keeps at most FLAG_CHUNK rows, and they, like the CSV
 writer's reads, take memory independent of the run length. Per block, the
 steps' z and window states are stacked products, each row with the bytes
-a step would have given it, and the flags are broadcast compares of z's slots
-(read through mhe.slot_view) and of the states against their boxes. The
-columns no step reads (e_norm, w_delta, sigma) are filled after the last
-step from the recorded x and xhat rows. The windows are views of the
-record's input and output rows. The prior for
-a full window is the recorded current-time estimate from M steps ago;
-during the growing phase it stays at the configured initial prior (this is
-what makes the per-step inequalities theorems).
+a step would have given it, and the flags are compares of z's slots (read
+through mhe.slot_view) and of the states against bound rows built once per
+run. The columns no step reads (e_norm, w_delta, sigma) are filled after
+the last step from the recorded x and xhat rows. The windows are views of
+the record's input and output rows. The prior for a full window is the
+recorded current-time estimate from M steps ago; during the growing phase
+it stays at the configured initial prior (this is what makes the per-step
+inequalities theorems).
 
-When the oracle is enabled, and only then, every step also measures the
-sub-optimality error against the window optimum v* and records it, with the
-warm start's distance to v*. v* is the fixed point of the solver's
+When the oracle is enabled, and only then, every step also finds the
+window optimum v*, and the record gets the sub-optimality error against it,
+with the warm start's distance to v*. v* is the fixed point of the solver's
 closed-form tail when the solve settled on it (a theorem, see
 mhe.StepSpectrum); on every other step (a solve that clamps to the end, or
 K = 0) solver.solve_oracle computes it, starting from the step's K-th
-iterate and accepting on a certified error bound. The summary reports the
+iterate and accepting on a certified error bound. A step keeps v* and its
+warm start beside its row, and the block pass that checks the row's flags
+takes the three norms: z* is one more stacked product beside z_K, and each
+norm has the bytes of the step's own (_row_norms). The summary reports the
 largest accepted bound and the kernel iterations the oracle ran beyond K.
 After the last step, monitor_step checks the per-step inequalities of the
 analysis on the recorded columns in one pass: (a) the error recursion,
@@ -49,7 +52,7 @@ MonitorBundle, built only then, in which each monitor's missing premise is
 a None (no C1..C3 without a ledger, no trajectory ledger on an uncertified
 run, no eta under a failing LMI); monitor_step returns the verdict array,
 SKIP where a premise is None. The sub-optimality error eps itself is
-measured in z, the one place a step lifts v_K and v* to z. Monitor
+measured in z, the one place the run lifts v_K and v* to z. Monitor
 failures are recorded in the record's verdicts, never raised: the run
 always records every step, and treating a failure as an error is the
 caller's decision (TrajectoryLog.raise_first_failure).
@@ -377,26 +380,63 @@ def _stacked_window(shape, points):
     return z[:, :, 0], np.matmul(shape.state_map, x)[:, :, 0]
 
 
-def _feasibility_flags(sys, shape, points):
-    """The (n, 3) feasibility flags (what, xhat, yhat) of n steps of the
-    shape's window length whose [v_K; u_window.ravel()] open the rows of
-    points (_stacked_window): the steps' z slots (mhe.slot_view) against one
-    slot's [w1, w2, y] bounds and their window states against the x box, each
-    side widened by its flag's tolerance as Box.contains widens it."""
-    n, n_w = len(points), sys.n_w
+def _row_norms(d):
+    """The Euclidean norm of each row of the 2-D d. Each is the stacked
+    1 x n product d_i @ d_i^T, which has the bytes of np.linalg.norm (and
+    linalg.vector_norm) of that row; np.linalg.norm(axis=1) and row sums
+    do not."""
+    d = d[:, None, :]
+    return np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _flag_bounds(sys, M):
+    """The feasibility flags' bounds, built once per run: one slot's
+    [w1, w2, y] bounds tiled over M slots, and the x box tiled over M + 1
+    window states, as (slot_lo, slot_hi, x_lo, x_hi). Each side is widened
+    by its flag's tolerance as Box.contains widens it. A window of m_eff
+    slots reads the first m_eff slots' and m_eff + 1 states' entries."""
     slot = ((sys.w1_box, WHAT_ATOL), (sys.w2_box, WHAT_ATOL), (sys.y_box, OUTPUT_ATOL))
-    slot_lo = np.concatenate([box.lower - tol for box, tol in slot])
-    slot_hi = np.concatenate([box.upper + tol for box, tol in slot])
-    x_lo, x_hi = sys.x_box.lower - OUTPUT_ATOL, sys.x_box.upper + OUTPUT_ATOL
+    return (np.tile(np.concatenate([box.lower - tol for box, tol in slot]), M),
+            np.tile(np.concatenate([box.upper + tol for box, tol in slot]), M),
+            np.tile(sys.x_box.lower - OUTPUT_ATOL, M + 1),
+            np.tile(sys.x_box.upper + OUTPUT_ATOL, M + 1))
+
+
+def _check_block(log, first, shape, bounds, points, oracle_rows=None):
+    """Fill the record's rows first, first + 1, ... of one block of steps of
+    the shape's window length, whose [v_K; u_window.ravel()] open the rows
+    of points (_stacked_window).
+
+    The feasibility flags (what, xhat, yhat): the steps' z slots
+    (mhe.slot_view), flattened, against the slot bounds of _flag_bounds, and
+    their window states against its x bounds; False at a NaN. With
+    oracle_rows = (optima, starts), the steps' v* and warm starts in the
+    first dim_v entries of their rows, also eps = ||z_K - z*||,
+    eps_v = ||v_K - v*|| and warm_v = ||v0 - v*||, where z* = lift_matrix @
+    v* + input_map @ u_window is stacked as z_K is; each has the bytes of
+    vector_norm of the step's own difference (_row_norms).
+    """
+    sys = shape.sys
+    n, n_w = len(points), sys.n_w
+    slot_lo, slot_hi, x_lo, x_hi = bounds
     z, states = _stacked_window(shape, points)
     slots = slot_view(z, sys)
-    states = states.reshape(n, shape.m_eff + 1, sys.n_x)
-    slots_ok = (slots >= slot_lo) & (slots <= slot_hi)  # False at NaN
-    out = np.empty((n, 3), dtype=bool)
-    out[:, 0] = slots_ok[..., :n_w].all(axis=(1, 2))
-    out[:, 1] = ((states >= x_lo) & (states <= x_hi)).all(axis=(1, 2))
-    out[:, 2] = slots_ok[..., n_w:].all(axis=(1, 2))
-    return out
+    flat, k = slots.reshape(n, -1), slots.shape[1] * slots.shape[2]
+    slots_ok = ((flat >= slot_lo[:k]) & (flat <= slot_hi[:k])).reshape(slots.shape)
+    k = states.shape[1]
+    rows = slice(first, first + n)
+    log.feasible[rows, 0] = slots_ok[..., :n_w].all(axis=(1, 2))
+    log.feasible[rows, 1] = ((states >= x_lo[:k]) & (states <= x_hi[:k])).all(axis=1)
+    log.feasible[rows, 2] = slots_ok[..., n_w:].all(axis=(1, 2))
+    if oracle_rows is not None:
+        dim_v = shape.dim_v
+        optima, starts = (a[:, :dim_v] for a in oracle_rows)
+        u = points[:, dim_v:shape.state_map.shape[1], None]
+        z_star = np.matmul(shape.lift_matrix, optima[:, :, None]) + np.matmul(
+            shape.input_map, u)
+        log.eps[rows] = _row_norms(z - z_star[:, :, 0])
+        log.eps_v[rows] = _row_norms(points[:, :dim_v] - optima)
+        log.warm_v[rows] = _row_norms(starts - optima)
 
 
 def run_closed_loop(cfg, observe=None):
@@ -431,16 +471,26 @@ def run_closed_loop(cfg, observe=None):
 
     w1s, w2s = sample_disturbance_arrays(cfg.seed, sys.w1_box, sys.w2_box, T)
     # a step's row [v_K; u_window.ravel()], the input of its estimate and
-    # flags, kept in `rows` until its block is checked. A block holds steps
-    # of one window length: a growing step (t < M) is a block of one, checked
-    # as the step ends; from t = M on, the full-window steps fill FLAG_CHUNK
-    # rows at a time, checked as they fill; what is left after the last step
-    rows = np.empty((FLAG_CHUNK, shapes[min(M, T - 1)].state_map.shape[1]))
+    # flags, kept in `rows` until its block is checked, and with the oracle
+    # on its v* and warm start, kept in `optima` and `starts`. A block holds
+    # steps of one window length: a growing step (t < M) is a block of one,
+    # checked as the step ends; from t = M on, the full-window steps fill
+    # FLAG_CHUNK rows at a time, checked as they fill; what is left after
+    # the last step
+    widest = shapes[min(M, T - 1)]
+    rows = np.empty((FLAG_CHUNK, widest.state_map.shape[1]))
+    bounds = _flag_bounds(sys, M)
+    if cfg.oracle:
+        optima, starts = np.empty((2, FLAG_CHUNK, widest.dim_v))
 
     log = TrajectoryLog.empty(T, sys, cfg.oracle, config_hash=cfg.config_hash,
                               seed=cfg.seed, M=M, K=K, certified=certified,
                               uncertified_reason=uncertified_reason,
                               ledger=reported)
+
+    def check(first, shape, n):  # the block of n steps from step `first` on
+        _check_block(log, first, shape, bounds, rows[:n],
+                     (optima[:n], starts[:n]) if cfg.oracle else None)
     log.x[0] = cfg.x0
     # the warm start: the prior at t = 0, then the previous v_K, padded with
     # one zeroed disturbance slot while the window grows
@@ -473,31 +523,28 @@ def run_closed_loop(cfg, observe=None):
                 log.oracle_solves += 1
                 log.oracle_extra_iters += oracle.iters
                 log.oracle_bound_max = max(log.oracle_bound_max or 0.0, oracle.bound)
-            log.eps[t] = vector_norm(report.z - problem.lift(v_star))
-            log.eps_v[t] = vector_norm(report.v - v_star)
-            log.warm_v[t] = vector_norm(start - v_star)
+            optima[i, :shape.dim_v] = v_star
+            starts[i, :shape.dim_v] = start
 
         u = log.u[t] = evaluate(cfg.law, xhat)
         log.looped[t] = report.looped
         if t < M or i == FLAG_CHUNK - 1:
-            log.feasible[t - i:t + 1] = _feasibility_flags(sys, shape, rows[:i + 1])
+            check(t - i, shape, i + 1)
 
         if t + 1 < T:
             log.x[t + 1] = sys.step(x, u, w1s[t])
         start = report.v if t >= M else np.concatenate([report.v, pad])
 
-    # the record-only columns, which no step reads. Each row of a stacked
-    # 1 x n product has the bytes of np.linalg.norm and of the 1-D w_delta
-    # of that row; np.linalg.norm(axis=1) and row sums do not
-    d = (log.xhat - log.x)[:, None, :]
-    log.e_norm[:] = np.sqrt(d @ d.transpose(0, 2, 1))[:, 0, 0]
+    # the record-only columns, which no step reads, each row with the bytes
+    # of np.linalg.norm and of the 1-D w_delta of that row
+    log.e_norm[:] = _row_norms(log.xhat - log.x)
     log.w_delta[:] = w_delta(cert, log.xhat, log.x)
     log.sigma_raw[:] = log.sigma_clamped[:] = 0.0  # as residual_sigma_parts after M
     for t in range(min(T - 1, M) + 1):
         log.sigma_raw[t], log.sigma_clamped[t] = residual_sigma_parts(t, shapes)
     rest = max(T - M, 0) % FLAG_CHUNK
     if rest:
-        log.feasible[T - rest:] = _feasibility_flags(sys, shapes[M], rows[:rest])
+        check(T - rest, shapes[M], rest)
 
     if cfg.oracle:
         # the monitors' constants, from the shapes' caches with or without

@@ -28,8 +28,12 @@ runs on the same window in Jacobi-scaled coordinates, itself a WindowShape
 the oracle's other constants (search_rate, error_gain, rounding_floor). The
 shape keeps the window-state map too: the states xhat_0..xhat_Mt are affine
 in v and the input window, so the estimate is one product with its last
-n_x rows (WindowShape.estimate_map). A step adds the offset psi, the
-reference and with them the gradient's linear term c.
+n_x rows (WindowShape.estimate_map). A step adds its data, the prior and
+the input and output windows; the offset psi, the reference and with them
+the gradient's linear term c are linear in that data and are formed only
+when something reads them (MheProblem). A solve that settles at once on the
+closed-form tail needs none of them: the tail's fixed point is one product
+of the data with the shape's settle map (WindowShape.settle_map).
 """
 
 from dataclasses import dataclass, field, replace
@@ -51,12 +55,14 @@ class WindowShape:
     offset psi and reference, which enter the gradient S v + c through
     c = G (psi - ref). The PGD terms (the eigendecomposition of S, and from
     it the curvature, step, contraction base, the transition matrix
-    I - step * S and its spectrum), the lift's norm and the weight's extreme
-    eigenvalues are computed on first use. The window states are affine in
-    (v, u_window) as well: stacked oldest first, they are
-    state_map @ [v; u_window.ravel()].
+    I - step * S, its spectrum and the settle map), the lift's norm and the
+    weight's extreme eigenvalues are computed on first use. The window
+    states are affine in (v, u_window) as well: stacked oldest first, they
+    are state_map @ [v; u_window.ravel()]. The plant sys lays out the
+    window's slots (slot_view).
     """
 
+    sys: object              # the plant, whose dimensions lay out the slots
     m_eff: int
     lift_matrix: np.ndarray  # Psi: free variables -> full ordering
     weight: np.ndarray       # H on the full decision ordering
@@ -168,6 +174,32 @@ class WindowShape:
         return step_spectrum(lam, basis, self.step)
 
     @cached_property
+    def settle_map(self):
+        """F with U^T v_u = F @ [x_prior; u_window.ravel(); y_window.ravel()],
+        read-only, or None when the shape has no spectrum.
+
+        v_u = -S^{-1} c is the fixed point of the closed-form tail
+        (StepSpectrum), so U^T v_u = diag(-1/lambda) U^T c. The linear term
+        c = G (psi - ref) is linear in the step's data: psi = input_map @ u,
+        and the reference holds the prior in xhat_0's entries and the outputs
+        in the slots' output entries (MheProblem.reference), so
+        c = [-G_prior | G input_map | -G_y] @ [prior; u; y], with G_prior the
+        columns of G at xhat_0 and G_y those at the output entries, taken
+        through slot_view. Hence F = diag(-1/lambda) U^T
+        [-G_prior | G input_map | -G_y]. A solve settles through F @ data and
+        forms c only when it runs an iteration.
+        """
+        if self.spectrum is None:
+            return None
+        lam, basis = self.eigen
+        g, n_x, n_w = self.gradient_map, self.sys.n_x, self.sys.n_w
+        g_y = slot_view(g, self.sys)[..., n_w:].reshape(self.dim_v, -1)
+        f = basis.T @ np.hstack([-g[:, :n_x], g @ self.input_map, -g_y])
+        f /= -lam[:, None]
+        f.setflags(write=False)
+        return f
+
+    @cached_property
     def jacobi(self):
         """(d, shape): this window in the Jacobi-scaled coordinates v~ = v / d.
 
@@ -225,7 +257,8 @@ class WindowShape:
 
         The settled tail's v_u and the oracle both solve S v = -c with every
         coordinate free, v_u = -U diag(1/lambda) U^T c through the
-        eigenbasis of S (StepSpectrum) and the oracle by LU. Two
+        eigenbasis of S (StepSpectrum; the tail forms it from the step's data
+        through settle_map) and the oracle by LU. Two
         backward-stable solves of one system differ by up to about
         n kappa(S) eps relative (eps the float64 machine epsilon, kappa = L/mu
         from curvature); 4 n kappa eps leaves room over the largest ratio
@@ -250,8 +283,8 @@ class StepSpectrum:
         v_{k+i} = v_u + U (tau^i * beta),  beta = U^T (v_k - v_u),
 
     with v_u = U ((U^T d) / rate) = -U diag(1/lambda) U^T c the unconstrained
-    fixed point. The tail forms U^T v_u from c alone, as (U^T c) / minus_lam,
-    with one division per mode and without d. Envelope:
+    fixed point. The tail reads U^T v_u = -diag(1/lambda) U^T c off the
+    step's data through WindowShape.settle_map, without c or d. Envelope:
     for every i >= 1 and every coordinate,
 
         |v_{k+i} - v_u| <= |U| (|tau| * |beta|),
@@ -290,7 +323,6 @@ class StepSpectrum:
     v_{k+j} - v* = U (tau^j * beta) exactly, with no separate solve for v*.
     """
 
-    minus_lam: np.ndarray  # -lambda: U^T v_u = (U^T c) / minus_lam
     tau: np.ndarray        # 1 - alpha * lambda, the eigenvalues of T
     basis: np.ndarray      # U, the eigenvectors of S (and of T)
     abs_basis: np.ndarray  # |U|, entry by entry
@@ -330,7 +362,7 @@ def step_spectrum(lam, basis, alpha):
     if not np.max(np.abs(tau)) < 1.0:
         return None
     slow = rate < 1.0
-    return StepSpectrum(minus_lam=-lam, tau=tau, basis=basis,
+    return StepSpectrum(tau=tau, basis=basis,
                         abs_basis=np.abs(basis),
                         abs_tau=np.abs(tau), slow=slow, log_tau=np.log1p(-rate[slow]))
 
@@ -381,7 +413,7 @@ def window_shape(sys, cert, m_eff):
     weight = compute_weight(m_eff, cert)
     for arr in (weight, psi, input_map, states, lower, upper):
         arr.setflags(write=False)
-    return WindowShape(m_eff=m_eff, lift_matrix=psi, weight=weight,
+    return WindowShape(sys=sys, m_eff=m_eff, lift_matrix=psi, weight=weight,
                        lower=lower, upper=upper, input_map=input_map,
                        state_map=states)
 
@@ -421,8 +453,9 @@ def slot_view(z, sys):
     in its first n_w entries, the output yhat_j in the remaining n_y; z's
     first n_x entries, xhat_0, are in no slot. Every reader of z's slots
     takes them through this view: MheProblem.window_slots for one step's z,
-    the loop's feasibility flags for a stack of them, and build_problem
-    writes the reference's outputs through it.
+    the loop's feasibility flags for a stack of them; MheProblem.reference
+    writes the outputs through it, and WindowShape.settle_map reads the
+    output columns of G through it, each row of G taken as one z.
     """
     slots = z[..., sys.n_x:]
     width = sys.n_w + sys.n_y
@@ -433,34 +466,77 @@ def slot_view(z, sys):
 class MheProblem:
     """One step's condensed QP: the step's data and its window shape.
 
-    It owns the step's data (windows, prior, reference, offset psi) and the
-    linear term c = G (psi - ref) of the gradient S v + c they fix. Every
-    constant of the window length (lift Psi, weight H, box, S, m_eff) is
-    the shape's and is read there, as problem.shape.<name>. dim_z and dim_v
-    stay on the problem because free_coordinates and window_slots check
-    vectors against them and the benchmark's kernel sweep reads them.
+    It owns the step's data, the prior and the input and output windows,
+    and what is linear in it: the reference, the offset psi, the linear
+    term c = G (psi - ref) of the gradient S v + c, and the data vector
+    [x_prior; u_window.ravel(); y_window.ravel()] that the shape's settle
+    map reads. Each of these four is formed on its first read and kept, so
+    a solve that settles at once on the closed-form tail forms only the data
+    vector (WindowShape.settle_map). Every constant of the window length
+    (the plant, lift Psi, weight H, box, S, m_eff) is the shape's and is
+    read there, as problem.shape.<name>. dim_z and dim_v stay on the
+    problem because free_coordinates and window_slots check vectors against
+    them and the benchmark's kernel sweep reads them.
 
     A per-step record, like solver.SolveReport: built once per step and
     never changed after, so it is a plain slotted dataclass, which costs a
     fraction of a frozen one's field-by-field object.__setattr__ to build.
-    No code reassigns its fields, and its reference, offset and c are
-    read-only arrays.
+    No code reassigns its fields, and each array it forms is read-only. The
+    windows and the prior are the caller's arrays, not copies: the loop
+    hands it views of its record's rows, which are written once.
     """
 
-    sys: object
     t: int
     shape: WindowShape
-    reference: np.ndarray    # target vector in the full ordering
-    lift_offset: np.ndarray  # psi (input-sequence contribution)
     x_prior: np.ndarray
     u_window: np.ndarray     # (m_eff, n_u)
     y_window: np.ndarray     # (m_eff, n_y)
-    linear_term: np.ndarray = field(init=False)  # c = G (psi - ref)
+    _reference: np.ndarray | None = field(default=None, init=False, repr=False)
+    _offset: np.ndarray | None = field(default=None, init=False, repr=False)
+    _linear: np.ndarray | None = field(default=None, init=False, repr=False)
+    _data: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        c = self.shape.gradient_map @ (self.lift_offset - self.reference)
-        c.setflags(write=False)
-        self.linear_term = c
+    @property
+    def reference(self):
+        """The target vector in the full ordering: the prior at xhat_0, the
+        outputs at the slots' output entries (slot_view), 0 elsewhere."""
+        if self._reference is None:
+            sys = self.shape.sys
+            ref = np.zeros(self.shape.dim_z)
+            ref[:sys.n_x] = self.x_prior
+            slot_view(ref, sys)[:, sys.n_w:] = self.y_window
+            ref.setflags(write=False)
+            self._reference = ref
+        return self._reference
+
+    @property
+    def lift_offset(self):
+        """psi = input_map @ u_window.ravel(), the inputs' share of the lift."""
+        if self._offset is None:
+            psi = self.shape.input_map @ self.u_window.ravel()
+            psi.setflags(write=False)
+            self._offset = psi
+        return self._offset
+
+    @property
+    def linear_term(self):
+        """c = G (psi - ref)."""
+        if self._linear is None:
+            c = self.shape.gradient_map @ (self.lift_offset - self.reference)
+            c.setflags(write=False)
+            self._linear = c
+        return self._linear
+
+    @property
+    def data(self):
+        """[x_prior; u_window.ravel(); y_window.ravel()], the vector the
+        shape's settle map reads."""
+        if self._data is None:
+            d = np.concatenate((self.x_prior, self.u_window.ravel(),
+                                self.y_window.ravel()))
+            d.setflags(write=False)
+            self._data = d
+        return self._data
 
     @property
     def dim_z(self):
@@ -480,7 +556,7 @@ class MheProblem:
         if z.shape[0] != self.dim_z:
             raise DimensionMismatch(
                 f"z has length {z.shape[0]}, expected {self.dim_z}")
-        return slot_view(z, self.sys)
+        return slot_view(z, self.shape.sys)
 
     def free_coordinates(self, x):
         """The free coordinates of x: x itself at length dim_v, select_v(x)
@@ -503,7 +579,8 @@ class MheProblem:
         """
         z = np.asarray(z, dtype=float)
         slots = self.window_slots(z)
-        return np.concatenate([z[:self.sys.n_x], slots[:, :self.sys.n_w].ravel()])
+        sys = self.shape.sys
+        return np.concatenate([z[:sys.n_x], slots[:, :sys.n_w].ravel()])
 
     def cost(self, z):
         d = np.asarray(z, dtype=float) - self.reference
@@ -535,9 +612,11 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     """Assemble the step-t condensed QP from windows of length min(M, t).
 
     `shapes` is the caller's WindowShapes for (sys, cert, M); without it the
-    window shape is built afresh.
+    window shape is built afresh. The windows and the prior are checked and
+    kept as float arrays (views where they already are); what is linear in
+    them is formed on its first read (MheProblem).
     """
-    n_x, n_u, n_y, n_w = sys.n_x, sys.n_u, sys.n_y, sys.n_w
+    n_x, n_u, n_y = sys.n_x, sys.n_u, sys.n_y
     m_eff = min(M, t)
     if shapes is None:
         shapes = WindowShapes(sys, cert, M)
@@ -553,16 +632,8 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     if x_prior.shape != (n_x,):
         raise DimensionMismatch(f"prior has shape {x_prior.shape}, expected ({n_x},)")
 
-    shape = shapes[m_eff]
-    offset = shape.input_map @ u_window.ravel()
-    reference = np.zeros(shape.dim_z)
-    reference[:n_x] = x_prior
-    slot_view(reference, sys)[:, n_w:] = y_window
-    for arr in (reference, offset):
-        arr.setflags(write=False)
-    return MheProblem(sys=sys, t=t, shape=shape,
-                      reference=reference, lift_offset=offset,
-                      x_prior=x_prior, u_window=u_window, y_window=y_window)
+    return MheProblem(t=t, shape=shapes[m_eff], x_prior=x_prior,
+                      u_window=u_window, y_window=y_window)
 
 
 def _window_vector(z, t, shapes, name):
@@ -606,7 +677,7 @@ def extract_estimate(problem, z):
     """
     v = problem.free_coordinates(z)
     states = problem.shape.state_map @ np.concatenate([v, problem.u_window.ravel()])
-    return states.reshape(problem.shape.m_eff + 1, problem.sys.n_x)
+    return states.reshape(problem.shape.m_eff + 1, problem.shape.sys.n_x)
 
 
 def residual_sigma_parts(t, shapes):

@@ -21,14 +21,15 @@ There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
 matrix-vector product of the augmented operator [T | d] with [v; 1] and two
 in-place clamps. T, S, the step and q come from the problem's window shape,
-which computes them once per window length; only c changes per step, and d
-and [T | d] are built only when the loop runs an iteration.
+which computes them once per window length; only c changes per step, and c,
+d and [T | d] are built only when the loop runs an iteration.
 
 Most solves stop clamping early, and from then on the loop is that affine
 recursion, which has a closed form (mhe.StepSpectrum). At the iterates
 k = 0, 1, 3, 7, ... the loop tests whether every later unclamped iterate
 v_{k+i} (i >= 1; v_u = -U diag(1/lambda) U^T c the unconstrained fixed
-point, formed from c and the spectrum alone, beta = U^T (v_k - v_u))
+point, with U^T v_u read off the step's data through the shape's settle map
+(mhe.WindowShape.settle_map), beta = U^T (v_k - v_u))
 lies strictly inside every finite side of the box, with a relative margin
 of TAIL_MARGIN. It first tries the envelope from the first iterate on,
 |v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise. Where that fails,
@@ -95,25 +96,19 @@ class OracleReport:
     iters: int     # kernel iterations run from the start
 
 
-def _iterate(transition, step, c, lo, hi, v0, iters, spectrum):
+def _iterate(transition, step, c, lo, hi, v0, iters, tail):
     """The one projected-gradient loop: v <- clamp(T v + d, lo, hi), for
     T = transition = I - step S and d = -step c.
 
-    Returns (v_K, looped, tail). At k = 0, 1, 3, 7, ... the loop tries the
-    closed-form tail of `spectrum` (a StepSpectrum of T, or None for no
-    tail); looped is the number of iterations run before it took it, and
-    `iters` when it did not. tail is the _Tail the loop settled on, and None
-    when it did not settle. The probe at k = 0 needs only c and v0, so a
-    solve that settles there builds neither d nor the operator and
-    allocates no iterate. Every array of the loop is reused.
+    Returns (v_K, looped, tail). At k = 1, 3, 7, ... the loop tries `tail`,
+    the solve's _Tail (None for no tail; solve_fixed_iters probes it at
+    k = 0 before it forms c); looped is the number of iterations run before
+    it took the tail, and `iters` when it did not. The returned tail is the
+    one the loop settled on, and None when it did not settle. Every array of
+    the loop is reused.
     """
     n = transition.shape[0]
     iters = int(iters)
-    tail = None
-    if spectrum is not None and iters > 0:
-        tail = _Tail(spectrum, c, lo, hi)
-        if tail.settled(v0):
-            return tail.finish(iters), 0, tail
     w = np.empty(n + 1)
     w[n] = 1.0
     v = w[:n]
@@ -138,19 +133,18 @@ class _Tail:
     (mhe.StepSpectrum), and the test that the loop has reached it. Once
     settled holds, the fixed point v_u is the window optimum v*.
 
-    U^T v_u = -diag(1/lambda) U^T c is read off the linear term c through
-    the spectrum's minus_lam, so the tail needs no shift d. settled keeps
-    U^T v for finish, which jumps from that same v; the per-budget pair
-    (tau^j, 1 - tau^j) comes from the spectrum's own cache
-    (StepSpectrum.powers). Both are the products and expressions a fresh
-    computation would evaluate on the same operands, so the jump is the
-    same bytes.
+    It is built from fixed = U^T v_u = -diag(1/lambda) U^T c, which
+    solve_fixed_iters reads off the step's data through the shape's settle
+    map (mhe.WindowShape.settle_map), so the tail needs neither c nor the
+    shift d. settled keeps U^T v for finish, which jumps from that same v;
+    the per-budget pair (tau^j, 1 - tau^j) comes from the spectrum's own
+    cache (StepSpectrum.powers). Both are the products and expressions a
+    fresh computation would evaluate on the same operands, so the jump is
+    the same bytes.
     """
 
-    def __init__(self, spectrum, c, lo, hi):
-        self.spectrum, self.lo, self.hi = spectrum, lo, hi
-        fixed = self.fixed = spectrum.basis.T @ c
-        fixed /= spectrum.minus_lam  # U^T v_u
+    def __init__(self, spectrum, fixed, lo, hi):
+        self.spectrum, self.lo, self.hi, self.fixed = spectrum, lo, hi, fixed
         v_u = self.v_u = spectrum.basis @ fixed
         # room left to each side, min(v_u - lo, hi - v_u) (1 - TAIL_MARGIN)
         # - TAIL_MARGIN (1 + |v_u|), formed in place; NaN, and so no jump,
@@ -197,7 +191,10 @@ def solve_fixed_iters(problem, start, K):
     K = 0 returns the box projection of the warm start. The report's
     `looped` counts the iterations run before the closed-form tail (K when
     the loop ran them all); a solve that took the tail also reports the
-    window optimum v* as `optimum` (mhe.StepSpectrum).
+    window optimum v* as `optimum` (mhe.StepSpectrum). The tail is probed
+    first at the start itself, from the step's data alone
+    (mhe.WindowShape.settle_map), so a solve that settles there forms no
+    linear term, shift or operator.
     """
     shape = problem.shape
     v0 = problem.free_coordinates(start)
@@ -206,8 +203,14 @@ def solve_fixed_iters(problem, start, K):
     if K == 0:
         v, looped, tail = clamp(v0, lo, hi), 0, None
     else:
-        v, looped, tail = _iterate(shape.transition, shape.step, problem.linear_term,
-                                   lo, hi, v0, K, shape.spectrum)
+        settle = shape.settle_map
+        tail = None if settle is None else _Tail(shape.spectrum, settle @ problem.data,
+                                                  lo, hi)
+        if tail is not None and tail.settled(v0):
+            v, looped = tail.finish(K), 0
+        else:
+            v, looped, tail = _iterate(shape.transition, shape.step, problem.linear_term,
+                                       lo, hi, v0, K, tail)
     if not np.isfinite(v).all():
         raise NonfiniteIterate("projected-gradient iterate overflowed; "
                                "check problem conditioning")

@@ -51,9 +51,10 @@ def test_step_cost_measures(scripts, certified_doc, tmp_path):
     assert set(result) == {"oracle_off", "oracle_on"}
     for res in result.values():
         assert set(res) == {"K", "steps_timed", "p50_us", "p90_us", "loop_ms",
-                            "by_looped"}
+                            "growing", "by_looped"}
         assert res["steps_timed"] == steps - 1
         assert sum(cls["steps"] for cls in res["by_looped"].values()) == steps - 1
+        assert res["growing"]["steps"] == certified_doc.mhe["M"]
     assert result["oracle_on"]["K"] == 25
     assert bench_files() == before
     assert not list(tmp_path.iterdir())

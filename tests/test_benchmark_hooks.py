@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 
 import numpy as np
+import pytest
 
 from conftest import CONFIG_DIR
 
@@ -51,6 +52,20 @@ def test_evaluate_stamps_one_loop_step(certified_doc, monkeypatch):
                               steps=6, oracle=False)
     assert run_closed_loop(cfg).steps == 6
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off", "oracle_on"])
+def test_build_and_solve_trace_one_loop_step(certified_doc, monkeypatch, oracle):
+    # the traced mhe.build_problem and solver.solve_fixed_iters metrics, and
+    # bench/step_cost.py's stamp on build_problem, count one call per step
+    doc = certified_doc
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("build_problem", "solve_fixed_iters")}
+    cfg = doc.scenario_config(doc.window_shapes(doc.certificate), K=25,
+                              steps=12, oracle=oracle)
+    assert run_closed_loop(cfg).steps == 12
+    assert {name: len(c) for name, c in calls.items()} == {
+        "build_problem": 12, "solve_fixed_iters": 12}
 
 
 def test_residual_sigma_parts_stamps_one_probe_trial(certified_doc,

@@ -21,7 +21,7 @@ from submhe.mhe import (MheProblem, WindowShapes, build_problem,
                         extract_estimate, residual_sigma_parts, sigma_lift,
                         slot_view)
 from submhe.model import Box, LtiSystem, w_delta
-from submhe.solver import optimum_tolerance, solve_fixed_iters
+from submhe.solver import optimum_tolerance, solve_fixed_iters, solve_oracle
 
 
 def scenario(doc, cert, M=None, **kw):
@@ -311,17 +311,52 @@ class TestClosedLoop:
                                                            "oracle_on"])
     def test_lifts_only_where_eps_is_measured(self, certified_doc, oracle,
                                               monkeypatch):
-        # z = Psi v + psi is formed only for eps: z_K and z* once each per
-        # step with the oracle on, and never with it off
+        # no step lifts: z_K, and z* with the oracle on, are formed only in
+        # the block pass, as stacked products, once per growing step and
+        # once per block of full-window steps
         doc = certified_doc
         T = 60
         lifts = count_calls(monkeypatch, MheProblem, "lift")
+        stacked = count_calls(monkeypatch, harness, "_stacked_window")
         shapes = doc.window_shapes(doc.certificate)
         log = run_closed_loop(doc.scenario_config(
             shapes, K=25, steps=T, oracle=oracle, params=doc_params(doc, shapes)))
-        assert len(lifts) == (2 * T if oracle else 0)
+        assert len(lifts) == 0
+        M = shapes.M
+        assert len(stacked) == M + -(-(T - M) // harness.FLAG_CHUNK)
         if oracle:
-            assert 0 < log.oracle_solves < T  # both sources of v* are lifted
+            assert 0 < log.oracle_solves < T  # both sources of v* are measured
+
+    @pytest.mark.parametrize("K", [0, 25])
+    def test_block_norms_are_each_steps_bytes(self, certified_doc, K):
+        # eps, eps_v and warm_v are filled a block at a time from the kept
+        # v_K, v* and warm starts; each row must have the bytes of the norm
+        # the step itself would take of z_K - z*, v_K - v* and v0 - v*. K = 0
+        # takes every v* from the oracle, K = 25 mostly from the tail. The
+        # runs end in the growing phase, at its end, one step past it, and at
+        # and one step past a full block
+        doc = certified_doc
+        M, chunk = doc.mhe["M"], harness.FLAG_CHUNK
+        for steps in (1, M, M + 1, M + chunk, M + chunk + 1):
+            cfg = scenario(doc, doc.certificate, K=K, steps=steps)
+            observed = []
+            log = run_closed_loop(cfg, observe=lambda prob, rep: observed.append(
+                (prob, rep)))
+            start, expect = cfg.x_prior0, []
+            for prob, rep in observed:
+                v_star = rep.optimum
+                if v_star is None:
+                    v_star = solve_oracle(prob, start=rep.v).v
+                expect.append((np.linalg.norm(rep.z - prob.lift(v_star)),
+                               np.linalg.norm(rep.v - v_star),
+                               np.linalg.norm(start - v_star)))
+                start = rep.v if prob.t >= M else np.concatenate(
+                    [rep.v, np.zeros(doc.system.n_w)])
+            for name, ref in zip(("eps", "eps_v", "warm_v"), zip(*expect)):
+                got = getattr(log, name)
+                assert got.tobytes() == np.array(ref).tobytes(), (name, steps)
+            if K == 0:
+                assert log.oracle_solves == steps
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["oracle_off",
                                                            "oracle_on"])

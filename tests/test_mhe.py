@@ -278,7 +278,7 @@ def forward_states(prob, z):
     """The window states by forward simulation from z's initial state and
     disturbances, x_{j+1} = A x_j + B u_j + w1_j: the reference for the
     window-state map."""
-    sys = prob.sys
+    sys = prob.shape.sys
     slots = prob.window_slots(z)
     states = np.zeros((prob.shape.m_eff + 1, sys.n_x))
     states[0] = z[:sys.n_x]

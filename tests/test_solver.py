@@ -23,27 +23,32 @@ def plain_problem(weight, reference, lower=None, upper=None):
     n = weight.shape[0]
     sys = make_system(np.zeros((n, n)), np.zeros((n, 1)), np.zeros((1, n)))
     shape = WindowShape(
-        m_eff=0, lift_matrix=np.eye(n), weight=weight,
+        sys=sys, m_eff=0, lift_matrix=np.eye(n), weight=weight,
         lower=np.full(n, -np.inf) if lower is None else np.asarray(lower, float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, float),
         input_map=np.zeros((n, 0)), state_map=np.eye(n))
     return MheProblem(
-        sys=sys, t=0, shape=shape,
-        reference=np.asarray(reference, dtype=float), lift_offset=np.zeros(n),
-        x_prior=np.asarray(reference, dtype=float),
+        t=0, shape=shape, x_prior=np.asarray(reference, dtype=float),
         u_window=np.zeros((0, 1)), y_window=np.zeros((0, 1)))
 
 
 def with_box(prob, lower, upper):
     """prob with its free-variable box replaced."""
-    shape = WindowShape(m_eff=prob.shape.m_eff, lift_matrix=prob.shape.lift_matrix,
+    shape = WindowShape(sys=prob.shape.sys, m_eff=prob.shape.m_eff,
+                        lift_matrix=prob.shape.lift_matrix,
                         weight=prob.shape.weight, lower=lower, upper=upper,
                         input_map=prob.shape.input_map,
                         state_map=prob.shape.state_map)
-    return MheProblem(sys=prob.sys, t=prob.t, shape=shape,
-                      reference=prob.reference,
-                      lift_offset=prob.lift_offset, x_prior=prob.x_prior,
+    return MheProblem(t=prob.t, shape=shape, x_prior=prob.x_prior,
                       u_window=prob.u_window, y_window=prob.y_window)
+
+
+def tail_of(shape, c):
+    """The _Tail of a solve on shape with linear term c, from
+    U^T v_u = (U^T c) / (-lambda)."""
+    lam, basis = shape.eigen
+    return solver._Tail(shape.spectrum, (basis.T @ c) / -lam, shape.lower,
+                        shape.upper)
 
 
 class TestProjectBox:
@@ -515,9 +520,9 @@ class TestIterate:
         shape = prob.shape
         v0 = rng.standard_normal(3)
         v0_copy = v0.copy()
-        for spectrum in (shape.spectrum, None):
+        for tail in (tail_of(shape, prob.linear_term), None):
             _iterate(shape.transition, shape.step, prob.linear_term,
-                     prob.shape.lower, prob.shape.upper, v0, 100, spectrum)
+                     prob.shape.lower, prob.shape.upper, v0, 100, tail)
             assert np.array_equal(v0, v0_copy)
 
 
@@ -665,7 +670,8 @@ class TestJacobiShape:
     @settings(max_examples=60, deadline=None)
     @given(case=lifted_problems(), K=st.sampled_from([1, 2, 3, 4, 7, 8, 200]))
     def test_kernel_matches_clip_loop_in_scaled_coordinates(self, case, K):
-        # The probes of the closed-form tail run at k = 0, 1, 3, 7, as in
+        # The probes of the closed-form tail run at k = 0 (as
+        # solve_fixed_iters probes it) and at 1, 3, 7 in the kernel, as in
         # TestKernelReference; the kernel runs with the scaled shape's tail
         # and without one
         prob, v0 = case
@@ -676,12 +682,15 @@ class TestJacobiShape:
         ref = reference_pgd(scaled.hessian, c, scaled.lower, scaled.upper, v0,
                             alpha, K)
         scale = max(1.0, float(np.max(np.abs(ref))), alpha * float(np.max(np.abs(c))))
-        for spectrum in (scaled.spectrum, None):
-            got, looped, _ = _iterate(scaled.transition, alpha, c, scaled.lower,
-                                      scaled.upper, v0, K, spectrum)
+        for tail in (tail_of(scaled, c), None):
+            if tail is not None and tail.settled(v0):
+                got = tail.finish(K)
+            else:
+                got, looped, _ = _iterate(scaled.transition, alpha, c, scaled.lower,
+                                          scaled.upper, v0, K, tail)
+                if tail is None:
+                    assert looped == K
             assert np.max(np.abs(got - ref[-1])) <= KERNEL_RTOL * scale
-            if spectrum is None:
-                assert looped == K
 
 
 # Two trajectories of the same problem, tolerance set from float64 before the
@@ -951,7 +960,7 @@ class TestClosedFormTail:
                     last_clamp = k
             scale = max(1.0, float(np.max(np.abs(iterates))),
                         alpha * float(np.max(np.abs(c))))
-            tail = solver._Tail(spectrum, c, lo, hi)
+            tail = tail_of(prob.shape, c)
             u, tau = spectrum.basis, spectrum.tau
             k = 0
             while k < K:
@@ -1052,6 +1061,48 @@ class TestStepSpectrumPowers:
         kept = [len(shapes[m].spectrum._powers) for m in range(shapes.M + 1)]
         assert max(kept) <= int(np.ceil(np.log2(K))) + 2
         assert kept[shapes.M] >= 1  # the full window's solves do jump
+
+
+class TestSettleMap:
+    """WindowShape.settle_map reads the tail's U^T v_u off the step's data."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=lifted_problems())
+    def test_settle_map_is_the_linear_terms_fixed_point(self, case):
+        # F @ [prior; u; y] and (U^T c) / (-lambda), with c = G (psi - ref),
+        # are one linear function of the data, each rounded in its own
+        # products: they agree to a few unit roundoffs of the magnitudes in
+        # play, |U|^T |G| (|input_map| |u| + |ref|) / |lambda| per mode
+        prob, _ = case
+        shape = prob.shape
+        lam, basis = shape.eigen
+        got = shape.settle_map @ prob.data
+        want = (basis.T @ prob.linear_term) / -lam
+        u = prob.u_window.ravel()
+        terms = np.abs(shape.input_map) @ np.abs(u) + np.abs(prob.reference)
+        scale = (np.abs(basis.T) @ (np.abs(shape.gradient_map) @ terms)) / np.abs(lam)
+        tol = 4.0 * (shape.dim_z + shape.dim_v) * np.finfo(float).eps * scale
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_each_column_is_the_fixed_point_of_its_unit(self):
+        # one unit in the prior, an input or an output moves U^T v_u by its
+        # column of the map, the fixed point of that unit's own c. Every
+        # prior and output unit moves it (the newest input enters only
+        # x_m, which no cost term reads)
+        rng = np.random.default_rng(31)
+        sys, cert = random_certified_setup(rng)
+        m, n_x, n_u = 3, sys.n_x, sys.n_u
+        shape = random_problem(rng, sys, cert, M=m, t=m).shape
+        lam, basis = shape.eigen
+        for j, unit in enumerate(np.eye(n_x + m * (n_u + sys.n_y))):
+            u, y = np.split(unit[n_x:], [m * n_u])
+            prob = build_problem(sys, cert, unit[:n_x], u.reshape(m, n_u),
+                                 y.reshape(m, sys.n_y), m, m)
+            want = (basis.T @ prob.linear_term) / -lam
+            if not n_x <= j < n_x + m * n_u:
+                assert np.abs(want).max() > 0.0, j
+            assert np.allclose(shape.settle_map[:, j], want, rtol=0.0,
+                               atol=1e-12 * max(1.0, np.abs(want).max())), j
 
 
 class TestTailOptimum:
