@@ -59,7 +59,6 @@ caller's decision (TrajectoryLog.raise_first_failure).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -172,9 +171,10 @@ class TrajectoryLog:
     def steps(self):
         return len(self.x)
 
-    @cached_property
+    @property
     def x_norm(self):
-        """||x_t|| per step, read after the run by the monitors and the summary."""
+        """||x_t|| per step, formed on each read; the monitor pass and the
+        summary read it after the run."""
         return np.linalg.norm(self.x, axis=1)
 
     def monitor_counts(self):
@@ -611,9 +611,9 @@ def lipschitz_probe(shapes, n_trials=500, seed=0, prior_scale=1.0, y_scale=1.0,
         p1 = build_problem(sys, cert, prior1, u1, y1, M, t - 1, shapes=shapes)
         p2 = build_problem(sys, cert, prior2, u2, y2, M, t, shapes=shapes)
         _, sigma_t = residual_sigma_parts(t, shapes)
-        denom = (vector_norm(p1.reference - sigma_truncate(p2.reference, t, shapes))
-                 + sigma_t)
-        if denom <= 1e-9 * max(1.0, vector_norm(p1.reference)):
+        ref1 = p1.reference
+        denom = vector_norm(ref1 - sigma_truncate(p2.reference, t, shapes)) + sigma_t
+        if denom <= 1e-9 * max(1.0, vector_norm(ref1)):
             skipped += 1
             continue
         z1 = p1.lift(solve_oracle(p1).v)

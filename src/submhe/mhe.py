@@ -29,11 +29,12 @@ the oracle's other constants (search_rate, error_gain, rounding_floor). The
 shape keeps the window-state map too: the states xhat_0..xhat_Mt are affine
 in v and the input window, so the estimate is one product with its last
 n_x rows (WindowShape.estimate_map). A step adds its data, the prior and
-the input and output windows; the offset psi, the reference and with them
-the gradient's linear term c are linear in that data and are formed only
-when something reads them (MheProblem). A solve that settles at once on the
-closed-form tail needs none of them: the tail's fixed point is one product
-of the data with the shape's settle map (WindowShape.settle_map).
+the input and output windows. The gradient's linear term c is linear in
+that data, and the shape keeps the one matrix that maps the data to it
+(WindowShape.data_gradient); MheProblem forms c as that product on each
+read. A solve that settles at once on the closed-form tail needs no c: the
+tail's fixed point is one product of the data with the shape's settle map
+(WindowShape.settle_map), which is that matrix taken into the eigenbasis.
 """
 
 from dataclasses import dataclass, field, replace
@@ -52,14 +53,14 @@ class WindowShape:
     The lift Psi, the weight H and the free-variable box depend on (A, C,
     the certificate, m_eff) only, never on the window contents, and so do
     G = 2 Psi^T H and the reduced Hessian S = G Psi. A step adds only its
-    offset psi and reference, which enter the gradient S v + c through
-    c = G (psi - ref). The PGD terms (the eigendecomposition of S, and from
-    it the curvature, step, contraction base, the transition matrix
-    I - step * S, its spectrum and the settle map), the lift's norm and the
-    weight's extreme eigenvalues are computed on first use. The window
-    states are affine in (v, u_window) as well: stacked oldest first, they
-    are state_map @ [v; u_window.ravel()]. The plant sys lays out the
-    window's slots (slot_view).
+    data, which enters the gradient S v + c through c = D @ data, with D
+    the data gradient (data_gradient). D, the PGD terms (the
+    eigendecomposition of S, and from it the curvature, step, contraction
+    base, the transition matrix I - step * S, its spectrum and the settle
+    map), the lift's norm and the weight's extreme eigenvalues are computed
+    on first use. The window states are affine in (v, u_window) as well:
+    stacked oldest first, they are state_map @ [v; u_window.ravel()]. The
+    plant sys lays out the window's slots (slot_view).
     """
 
     sys: object              # the plant, whose dimensions lay out the slots
@@ -174,27 +175,36 @@ class WindowShape:
         return step_spectrum(lam, basis, self.step)
 
     @cached_property
+    def data_gradient(self):
+        """D with c = D @ [x_prior; u_window.ravel(); y_window.ravel()], the
+        one formula of the gradient's linear term, read-only.
+
+        c = G (psi - ref) is linear in the step's data: psi = input_map @ u,
+        and the reference holds the prior in xhat_0's entries and the outputs
+        in the slots' output entries (MheProblem.reference), so
+        D = [-G_prior | G input_map | -G_y], with G_prior the columns of G at
+        xhat_0 and G_y those at the output entries, taken through slot_view.
+        """
+        g, n_x, n_w = self.gradient_map, self.sys.n_x, self.sys.n_w
+        g_y = slot_view(g, self.sys)[..., n_w:].reshape(self.dim_v, -1)
+        d = np.hstack([-g[:, :n_x], g @ self.input_map, -g_y])
+        d.setflags(write=False)
+        return d
+
+    @cached_property
     def settle_map(self):
         """F with U^T v_u = F @ [x_prior; u_window.ravel(); y_window.ravel()],
         read-only, or None when the shape has no spectrum.
 
         v_u = -S^{-1} c is the fixed point of the closed-form tail
-        (StepSpectrum), so U^T v_u = diag(-1/lambda) U^T c. The linear term
-        c = G (psi - ref) is linear in the step's data: psi = input_map @ u,
-        and the reference holds the prior in xhat_0's entries and the outputs
-        in the slots' output entries (MheProblem.reference), so
-        c = [-G_prior | G input_map | -G_y] @ [prior; u; y], with G_prior the
-        columns of G at xhat_0 and G_y those at the output entries, taken
-        through slot_view. Hence F = diag(-1/lambda) U^T
-        [-G_prior | G input_map | -G_y]. A solve settles through F @ data and
-        forms c only when it runs an iteration.
+        (StepSpectrum), so U^T v_u = diag(-1/lambda) U^T c, and c = D @ data
+        (data_gradient) gives F = diag(-1/lambda) U^T D. A solve settles
+        through F @ data and forms c only when it runs an iteration.
         """
         if self.spectrum is None:
             return None
         lam, basis = self.eigen
-        g, n_x, n_w = self.gradient_map, self.sys.n_x, self.sys.n_w
-        g_y = slot_view(g, self.sys)[..., n_w:].reshape(self.dim_v, -1)
-        f = basis.T @ np.hstack([-g[:, :n_x], g @ self.input_map, -g_y])
+        f = basis.T @ self.data_gradient
         f /= -lam[:, None]
         f.setflags(write=False)
         return f
@@ -283,8 +293,10 @@ class StepSpectrum:
         v_{k+i} = v_u + U (tau^i * beta),  beta = U^T (v_k - v_u),
 
     with v_u = U ((U^T d) / rate) = -U diag(1/lambda) U^T c the unconstrained
-    fixed point. The tail reads U^T v_u = -diag(1/lambda) U^T c off the
-    step's data through WindowShape.settle_map, without c or d. Envelope:
+    fixed point. c is the step's data times the shape's data gradient
+    (WindowShape.data_gradient), so the tail reads U^T v_u =
+    -diag(1/lambda) U^T c off the data through WindowShape.settle_map,
+    without forming c or d. Envelope:
     for every i >= 1 and every coordinate,
 
         |v_{k+i} - v_u| <= |U| (|tau| * |beta|),
@@ -454,7 +466,7 @@ def slot_view(z, sys):
     first n_x entries, xhat_0, are in no slot. Every reader of z's slots
     takes them through this view: MheProblem.window_slots for one step's z,
     the loop's feasibility flags for a stack of them; MheProblem.reference
-    writes the outputs through it, and WindowShape.settle_map reads the
+    writes the outputs through it, and WindowShape.data_gradient reads the
     output columns of G through it, each row of G taken as one z.
     """
     slots = z[..., sys.n_x:]
@@ -466,24 +478,24 @@ def slot_view(z, sys):
 class MheProblem:
     """One step's condensed QP: the step's data and its window shape.
 
-    It owns the step's data, the prior and the input and output windows,
-    and what is linear in it: the reference, the offset psi, the linear
-    term c = G (psi - ref) of the gradient S v + c, and the data vector
-    [x_prior; u_window.ravel(); y_window.ravel()] that the shape's settle
-    map reads. Each of these four is formed on its first read and kept, so
-    a solve that settles at once on the closed-form tail forms only the data
-    vector (WindowShape.settle_map). Every constant of the window length
-    (the plant, lift Psi, weight H, box, S, m_eff) is the shape's and is
-    read there, as problem.shape.<name>. dim_z and dim_v stay on the
-    problem because free_coordinates and window_slots check vectors against
-    them and the benchmark's kernel sweep reads them.
+    It holds the step's data, the prior and the input and output windows,
+    and forms what is linear in it on each read, as a fresh array: the data
+    vector [x_prior; u_window.ravel(); y_window.ravel()], the linear term
+    c = D @ data of the gradient S v + c (WindowShape.data_gradient), the
+    reference and the offset psi. A solve reads the data vector once and c
+    at most once (twice on a step that also calls the oracle); the
+    reference and psi are read by cost, lift and the Lipschitz probe. Every
+    constant of the window length (the plant, lift Psi, weight H, box, S,
+    m_eff) is the shape's and is read there, as problem.shape.<name>. dim_z
+    and dim_v stay on the problem because free_coordinates and window_slots
+    check vectors against them and the benchmark's kernel sweep reads them.
 
     A per-step record, like solver.SolveReport: built once per step and
     never changed after, so it is a plain slotted dataclass, which costs a
     fraction of a frozen one's field-by-field object.__setattr__ to build.
-    No code reassigns its fields, and each array it forms is read-only. The
-    windows and the prior are the caller's arrays, not copies: the loop
-    hands it views of its record's rows, which are written once.
+    No code reassigns its fields. The windows and the prior are the caller's
+    arrays, not copies: the loop hands it views of its record's rows, which
+    are written once.
     """
 
     t: int
@@ -491,52 +503,33 @@ class MheProblem:
     x_prior: np.ndarray
     u_window: np.ndarray     # (m_eff, n_u)
     y_window: np.ndarray     # (m_eff, n_y)
-    _reference: np.ndarray | None = field(default=None, init=False, repr=False)
-    _offset: np.ndarray | None = field(default=None, init=False, repr=False)
-    _linear: np.ndarray | None = field(default=None, init=False, repr=False)
-    _data: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def reference(self):
         """The target vector in the full ordering: the prior at xhat_0, the
         outputs at the slots' output entries (slot_view), 0 elsewhere."""
-        if self._reference is None:
-            sys = self.shape.sys
-            ref = np.zeros(self.shape.dim_z)
-            ref[:sys.n_x] = self.x_prior
-            slot_view(ref, sys)[:, sys.n_w:] = self.y_window
-            ref.setflags(write=False)
-            self._reference = ref
-        return self._reference
+        sys = self.shape.sys
+        ref = np.zeros(self.shape.dim_z)
+        ref[:sys.n_x] = self.x_prior
+        slot_view(ref, sys)[:, sys.n_w:] = self.y_window
+        return ref
 
     @property
     def lift_offset(self):
         """psi = input_map @ u_window.ravel(), the inputs' share of the lift."""
-        if self._offset is None:
-            psi = self.shape.input_map @ self.u_window.ravel()
-            psi.setflags(write=False)
-            self._offset = psi
-        return self._offset
+        return self.shape.input_map @ self.u_window.ravel()
 
     @property
     def linear_term(self):
-        """c = G (psi - ref)."""
-        if self._linear is None:
-            c = self.shape.gradient_map @ (self.lift_offset - self.reference)
-            c.setflags(write=False)
-            self._linear = c
-        return self._linear
+        """c = D @ data, D the shape's data gradient."""
+        return self.shape.data_gradient @ self.data
 
     @property
     def data(self):
         """[x_prior; u_window.ravel(); y_window.ravel()], the vector the
-        shape's settle map reads."""
-        if self._data is None:
-            d = np.concatenate((self.x_prior, self.u_window.ravel(),
-                                self.y_window.ravel()))
-            d.setflags(write=False)
-            self._data = d
-        return self._data
+        shape's data gradient and settle map read."""
+        return np.concatenate((self.x_prior, self.u_window.ravel(),
+                               self.y_window.ravel()))
 
     @property
     def dim_z(self):
@@ -614,7 +607,7 @@ def build_problem(sys, cert, x_prior, u_window, y_window, M, t, shapes=None):
     `shapes` is the caller's WindowShapes for (sys, cert, M); without it the
     window shape is built afresh. The windows and the prior are checked and
     kept as float arrays (views where they already are); what is linear in
-    them is formed on its first read (MheProblem).
+    them is formed on each read (MheProblem).
     """
     n_x, n_u, n_y = sys.n_x, sys.n_u, sys.n_y
     m_eff = min(M, t)

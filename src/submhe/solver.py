@@ -21,15 +21,18 @@ There is one iteration loop. A step's iteration is affine before the clamp,
 v -> T v + d with T = I - alpha S and d = -alpha c, so each iteration is one
 matrix-vector product of the augmented operator [T | d] with [v; 1] and two
 in-place clamps. T, S, the step and q come from the problem's window shape,
-which computes them once per window length; only c changes per step, and c,
-d and [T | d] are built only when the loop runs an iteration.
+which computes them once per window length; only c changes per step. It is
+one product of the step's data with the shape's data gradient
+(mhe.WindowShape.data_gradient), and c, d and [T | d] are built only when
+the loop runs an iteration.
 
 Most solves stop clamping early, and from then on the loop is that affine
 recursion, which has a closed form (mhe.StepSpectrum). At the iterates
 k = 0, 1, 3, 7, ... the loop tests whether every later unclamped iterate
 v_{k+i} (i >= 1; v_u = -U diag(1/lambda) U^T c the unconstrained fixed
 point, with U^T v_u read off the step's data through the shape's settle map
-(mhe.WindowShape.settle_map), beta = U^T (v_k - v_u))
+(mhe.WindowShape.settle_map, the data gradient in the eigenbasis of S),
+beta = U^T (v_k - v_u))
 lies strictly inside every finite side of the box, with a relative margin
 of TAIL_MARGIN. It first tries the envelope from the first iterate on,
 |v_{k+i} - v_u| <= |U| (|tau| * |beta|) componentwise. Where that fails,

@@ -1,13 +1,14 @@
-"""The perf-claim scripts under bench/ still run against the package: each is
-loaded by path, as it stands, with its workload shrunk to a few steps, and
-its `measure` runs (in-process, or in child processes for peak_rss) without
-writing a BENCH_*.json."""
+"""The scripts under bench/ still run against the package: each is loaded by
+path, as it stands, with its workload shrunk to a few steps. Each perf-claim
+script's `measure` runs (in-process, or in child processes for peak_rss)
+without writing a BENCH_*.json, and outputs.py compares two saved outputs."""
 
 import importlib.util
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
@@ -146,3 +147,34 @@ def test_src_lines_counts(capsys):
     assert [name for _, name in rows] == modules + ["total"]
     counts = [int(n) for n, _ in rows]
     assert all(n > 0 for n in counts[:-1]) and counts[-1] == sum(counts[:-1])
+
+
+def test_outputs_names_the_first_difference(certified_doc, monkeypatch, tmp_path,
+                                            capsys):
+    # a shrunken matrix: one seed, a few steps past the growing phase, a
+    # three-trial probe and one config per command
+    outputs = load("outputs")
+    probe = {"certificate": {"P": "search"},
+             "analysis": {"L_Phi": "probe", "probe_seed": 7, "probe_trials": 3}}
+    certified = "case_study_certified.json"
+    for name, value in (("SEEDS", (1,)), ("STEPS", certified_doc.mhe["M"] + 3),
+                        ("PROBE", probe),
+                        ("COMMANDS", (("analyze-k", (outputs.PROBE_CONFIG,)),
+                                      ("verify", (certified,)),
+                                      ("certify", (certified,))))):
+        monkeypatch.setattr(outputs, name, value)
+    base, again, changed = (tmp_path / f"{name}.npz"
+                            for name in ("base", "again", "changed"))
+    assert outputs.main([str(base)]) == 0
+    assert outputs.main([str(again), str(base)]) == 0  # the tree against itself
+    assert "no difference" in capsys.readouterr().out
+
+    with np.load(base) as saved:
+        columns = {key: saved[key] for key in saved.files}
+    assert f"cli/analyze-k/{outputs.PROBE_CONFIG}/text" in columns
+    key = f"{certified}/seed1/K25_on/looped"
+    columns[key] = columns[key].copy()
+    columns[key][-1] += 1
+    np.savez(changed, **columns)
+    assert outputs.main([str(again), str(changed)]) == 1
+    assert f"first difference from {changed}: {key}" in capsys.readouterr().out

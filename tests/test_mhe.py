@@ -8,6 +8,7 @@ from conftest import (SRC_DIR, make_system, random_certified_setup, random_probl
                       simple_certificate)
 
 from submhe.errors import DimensionMismatch, WindowLengthMismatch
+from submhe.harness import lipschitz_probe
 from submhe.mhe import (MheProblem, WindowShapes, build_problem,
                         compute_weight, extract_estimate, residual_sigma_parts,
                         sigma_lift, sigma_truncate)
@@ -114,12 +115,26 @@ class TestBuildProblem:
             with pytest.raises(ValueError, match="another"):
                 build_problem(sys, cert, *windows, shapes=shapes)
 
-    def test_record_arrays_are_read_only(self, case_study):
+    def test_window_vectors_are_formed_on_each_read(self, case_study):
+        # the record is its five inputs; each window vector is a fresh array,
+        # so writing into one read's array changes neither the next read nor
+        # the record's fields
         sys, cert, _ = case_study
-        prob = build_problem(sys, cert, np.zeros(4), np.zeros((3, 2)),
-                             np.zeros((3, 1)), 5, 3)
-        for arr in (prob.reference, prob.lift_offset, prob.linear_term):
-            assert not arr.flags.writeable
+        rng = np.random.default_rng(25)
+        prob = build_problem(sys, cert, rng.uniform(-1, 1, 4),
+                             rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 1)),
+                             5, 3)
+        assert [f.name for f in dataclasses.fields(MheProblem)] == [
+            "t", "shape", "x_prior", "u_window", "y_window"]
+        inputs = {name: getattr(prob, name).copy()
+                  for name in ("x_prior", "u_window", "y_window")}
+        for name in WINDOW_VECTORS:
+            first = getattr(prob, name)
+            kept = first.copy()
+            first += 1.0
+            assert np.array_equal(getattr(prob, name), kept), name
+        for name, kept in inputs.items():
+            assert np.array_equal(getattr(prob, name), kept), name
 
     def test_condensing_soundness(self):
         rng = np.random.default_rng(21)
@@ -190,6 +205,61 @@ class TestBuildProblem:
         assert np.all(v_truth <= prob.shape.upper + 1e-12)
         v_star = solve_oracle(prob).v
         assert prob.cost(prob.lift(v_truth)) >= prob.cost(prob.lift(v_star)) - 1e-10
+
+
+WINDOW_VECTORS = ("data", "linear_term", "reference", "lift_offset")
+
+
+def count_reads(monkeypatch):
+    """Route MheProblem's window-vector properties through a counter; returns
+    the {name: reads} it fills."""
+    reads = {}
+    for name in WINDOW_VECTORS:
+        real = getattr(MheProblem, name)
+
+        def counted(self, real=real, name=name):
+            reads[name] = reads.get(name, 0) + 1
+            return real.fget(self)
+
+        monkeypatch.setattr(MheProblem, name, property(counted))
+    return reads
+
+
+class TestWindowVectorReads:
+    """Who forms which window vector: c is formed from the data alone, and
+    only where it is needed."""
+
+    @pytest.fixture
+    def full_window(self, case_study):
+        sys, cert, _ = case_study
+        rng = np.random.default_rng(26)
+        return build_problem(sys, cert, rng.uniform(-0.1, 0.1, 4),
+                             rng.uniform(-0.1, 0.1, (5, 2)),
+                             rng.uniform(-0.1, 0.1, (5, 1)), 5, 7)
+
+    def test_a_settled_solve_reads_the_data_once(self, full_window, monkeypatch):
+        prob = full_window
+        start = solve_oracle(prob).v
+        reads = count_reads(monkeypatch)
+        assert solve_fixed_iters(prob, start, 25).looped == 0
+        assert reads == {"data": 1}
+
+    def test_an_iterating_solve_reads_c_once(self, full_window, monkeypatch):
+        prob = full_window
+        start = np.minimum(prob.shape.upper, 10.0)  # far from v*, clamped
+        reads = count_reads(monkeypatch)
+        assert solve_fixed_iters(prob, start, 25).looped > 0
+        assert reads["linear_term"] == 1
+        assert "reference" not in reads and "lift_offset" not in reads
+
+    def test_a_probe_trial_forms_each_vector_once_per_problem(self, case_study,
+                                                               monkeypatch):
+        sys, cert, _ = case_study
+        reads = count_reads(monkeypatch)
+        probe = lipschitz_probe(WindowShapes(sys, cert, 5), n_trials=1, seed=3)
+        assert probe.n_used == 1
+        for name in ("reference", "lift_offset", "linear_term"):
+            assert reads[name] == 2, name
 
 
 class TestWindowShapes:

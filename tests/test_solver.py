@@ -1063,25 +1063,61 @@ class TestStepSpectrumPowers:
         assert kept[shapes.M] >= 1  # the full window's solves do jump
 
 
+def condensed_gradient(prob):
+    """(c, scale): the linear term by the condensing formula G (psi - ref),
+    written apart from WindowShape.data_gradient, and the magnitude of its
+    products per entry, |G| (|input_map| |u| + |ref|)."""
+    shape, ref = prob.shape, prob.reference
+    c = shape.gradient_map @ (prob.lift_offset - ref)
+    terms = np.abs(shape.input_map) @ np.abs(prob.u_window.ravel()) + np.abs(ref)
+    return c, np.abs(shape.gradient_map) @ terms
+
+
+def roundoff(shape, scale):
+    """4 (dim_z + dim_v) unit roundoffs of `scale`: room for the rounding of
+    the chained products, each a sum of at most dim_z or dim_v terms."""
+    return 4.0 * (shape.dim_z + shape.dim_v) * np.finfo(float).eps * scale
+
+
 class TestSettleMap:
-    """WindowShape.settle_map reads the tail's U^T v_u off the step's data."""
+    """WindowShape.data_gradient reads c, and settle_map the tail's U^T v_u,
+    off the step's data. Both are checked against c = G (psi - ref), one
+    linear function of the data rounded in its own products: they agree to a
+    few unit roundoffs of the magnitudes in play (condensed_gradient)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=lifted_problems())
+    def test_linear_term_is_the_condensed_gradient(self, case):
+        prob, _ = case
+        want, scale = condensed_gradient(prob)
+        assert np.all(np.abs(prob.linear_term - want) <= roundoff(prob.shape, scale))
+
+    @pytest.mark.parametrize("fixture", ["case_study_doc", "certified_doc"])
+    def test_linear_term_is_the_condensed_gradient_on_the_configs(self, request, fixture):
+        doc = request.getfixturevalue(fixture)
+        shapes = doc.window_shapes(doc.certificate)
+        sys, rng = shapes.sys, np.random.default_rng(32)
+        for t in range(shapes.M + 1):
+            prob = build_problem(sys, shapes.cert, rng.uniform(-2, 2, sys.n_x),
+                                 rng.uniform(-1, 1, (t, sys.n_u)),
+                                 rng.uniform(-2, 2, (t, sys.n_y)), shapes.M, t,
+                                 shapes=shapes)
+            want, scale = condensed_gradient(prob)
+            assert np.all(np.abs(prob.linear_term - want)
+                          <= roundoff(prob.shape, scale)), t
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=lifted_problems())
     def test_settle_map_is_the_linear_terms_fixed_point(self, case):
-        # F @ [prior; u; y] and (U^T c) / (-lambda), with c = G (psi - ref),
-        # are one linear function of the data, each rounded in its own
-        # products: they agree to a few unit roundoffs of the magnitudes in
-        # play, |U|^T |G| (|input_map| |u| + |ref|) / |lambda| per mode
+        # F @ [prior; u; y] against (U^T c) / (-lambda), the bound carried
+        # through U^T and 1/lambda: |U|^T |G| (|input_map| |u| + |ref|) / |lambda|
         prob, _ = case
         shape = prob.shape
         lam, basis = shape.eigen
         got = shape.settle_map @ prob.data
-        want = (basis.T @ prob.linear_term) / -lam
-        u = prob.u_window.ravel()
-        terms = np.abs(shape.input_map) @ np.abs(u) + np.abs(prob.reference)
-        scale = (np.abs(basis.T) @ (np.abs(shape.gradient_map) @ terms)) / np.abs(lam)
-        tol = 4.0 * (shape.dim_z + shape.dim_v) * np.finfo(float).eps * scale
+        c, scale = condensed_gradient(prob)
+        want = (basis.T @ c) / -lam
+        tol = roundoff(shape, (np.abs(basis.T) @ scale) / np.abs(lam))
         assert np.all(np.abs(got - want) <= tol)
 
     def test_each_column_is_the_fixed_point_of_its_unit(self):
@@ -1098,7 +1134,7 @@ class TestSettleMap:
             u, y = np.split(unit[n_x:], [m * n_u])
             prob = build_problem(sys, cert, unit[:n_x], u.reshape(m, n_u),
                                  y.reshape(m, sys.n_y), m, m)
-            want = (basis.T @ prob.linear_term) / -lam
+            want = (basis.T @ condensed_gradient(prob)[0]) / -lam
             if not n_x <= j < n_x + m * n_u:
                 assert np.abs(want).max() > 0.0, j
             assert np.allclose(shape.settle_map[:, j], want, rtol=0.0,
